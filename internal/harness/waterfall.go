@@ -56,7 +56,7 @@ func AnalyzeSpans(policy string, spans []telemetry.Span) *WaterfallSummary {
 		}
 		p := &sum.Phases[i]
 		p.Count++
-		p.TotalMJ += sp.Attr("energy_mj")
+		p.TotalMJ += sp.Attrs.Get(telemetry.AttrEnergyMJ)
 		durs[sp.Name] = append(durs[sp.Name], sp.DurationMs())
 	}
 	for i := range sum.Phases {

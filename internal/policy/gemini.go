@@ -55,6 +55,8 @@ type Gemini struct {
 	// frequency to minimize the frequency transition overhead").
 	groupMembers map[int]bool
 	criticalID   int
+	// between is equivalentWork's scratch, reused across plans.
+	between []core.QueuedEstimate
 }
 
 // NewGemini builds the full design (service NN + error NN).
@@ -153,7 +155,7 @@ func (g *Gemini) OnArrival(s *sim.Sim, r *sim.Request) {
 		s.PlanFreqChange(plan.BoostAt, plan.Boost)
 	}
 	g.tracePlan(s, r, freq, plan, r.ID)
-	g.groupMembers = make(map[int]bool, len(q))
+	clear(g.groupMembers)
 	for _, m := range q {
 		g.groupMembers[m.ID] = true
 	}
@@ -201,7 +203,7 @@ func (g *Gemini) planHead(s *sim.Sim, r *sim.Request) {
 		s.PlanFreqChange(plan.BoostAt, plan.Boost)
 	}
 	g.tracePlan(s, r, plan.Initial, plan, crit.ID)
-	g.groupMembers = make(map[int]bool, bind+1)
+	clear(g.groupMembers)
 	for _, m := range q[:bind+1] {
 		g.groupMembers[m.ID] = true
 	}
@@ -271,11 +273,11 @@ func (g *Gemini) bindingIndex(s *sim.Sim, q []*sim.Request) int {
 func (g *Gemini) equivalentWork(s *sim.Sim, q []*sim.Request, critIdx int) cpu.Work {
 	head := q[0]
 	residual := g.Params.HeadResidual(head.PredictedMs, head.PredErrMs, head.WorkDone)
-	between := make([]core.QueuedEstimate, 0, critIdx-1)
+	g.between = g.between[:0]
 	for _, m := range q[1:critIdx] {
-		between = append(between, core.QueuedEstimate{PredMs: m.PredictedMs, PredErrMs: m.PredErrMs})
+		g.between = append(g.between, core.QueuedEstimate{PredMs: m.PredictedMs, PredErrMs: m.PredErrMs})
 	}
-	return g.Params.EquivalentWork(residual, between, q[critIdx].PredictedMs)
+	return g.Params.EquivalentWork(residual, g.between, q[critIdx].PredictedMs)
 }
 
 // OnDeparture implements sim.Policy: feed the moving-average estimator (the
@@ -292,7 +294,7 @@ func (g *Gemini) OnDeparture(s *sim.Sim, r *sim.Request) {
 	delete(g.groupMembers, r.ID)
 	if r.ID == g.criticalID {
 		g.criticalID = -1
-		g.groupMembers = make(map[int]bool)
+		clear(g.groupMembers)
 		// The successor's OnStart (fired right after this) re-plans the
 		// remaining queue via planHead.
 	}

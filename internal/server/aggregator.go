@@ -359,12 +359,11 @@ func (a *Aggregator) stitch(traceID string, agg *AggResponse, got []shardReply, 
 	spans = append(spans, telemetry.Span{
 		TraceID: traceID, SpanID: "query", Name: "query",
 		StartMs: 0, EndMs: agg.LatencyMs,
-		Attrs: map[string]float64{
-			"shards_asked":      float64(agg.ShardsAsked),
-			"shards_responded":  float64(agg.ShardsResponded),
-			"stragglers":        float64(agg.Stragglers),
-			"deadline_slack_ms": budget - agg.LatencyMs,
-		},
+		Attrs: telemetry.Attrs{}.
+			With(telemetry.AttrShardsAsked, float64(agg.ShardsAsked)).
+			With(telemetry.AttrShardsResponded, float64(agg.ShardsResponded)).
+			With(telemetry.AttrStragglers, float64(agg.Stragglers)).
+			With(telemetry.AttrDeadlineSlackMs, budget-agg.LatencyMs),
 	})
 	var mergeStart float64
 	for _, rep := range got {
@@ -375,10 +374,9 @@ func (a *Aggregator) stitch(traceID string, agg *AggResponse, got []shardReply, 
 		spans = append(spans, telemetry.Span{
 			TraceID: traceID, SpanID: shardID, ParentID: "query", Name: "shard",
 			StartMs: rep.sendMs, EndMs: rep.recvMs,
-			Attrs: map[string]float64{
-				"shard":      float64(rep.idx),
-				"service_ms": rep.resp.ServiceMs,
-			},
+			Attrs: telemetry.Attrs{}.
+				With(telemetry.AttrShard, float64(rep.idx)).
+				With(telemetry.AttrServiceMs, rep.resp.ServiceMs),
 		})
 		// The ISN reported its spans relative to its receipt of the request;
 		// rebase them by this leg's send offset so the whole waterfall shares
@@ -400,16 +398,15 @@ func (a *Aggregator) stitch(traceID string, agg *AggResponse, got []shardReply, 
 			TraceID: traceID, SpanID: "straggler-" + strconv.Itoa(idx),
 			ParentID: "query", Name: "straggler",
 			StartMs: 0, EndMs: agg.LatencyMs,
-			Attrs: map[string]float64{
-				"shard":  float64(idx),
-				"gap_ms": gap,
-			},
+			Attrs: telemetry.Attrs{}.
+				With(telemetry.AttrShard, float64(idx)).
+				With(telemetry.AttrGapMs, gap),
 		})
 	}
 	spans = append(spans, telemetry.Span{
 		TraceID: traceID, SpanID: "merge", ParentID: "query", Name: "merge",
 		StartMs: mergeStart, EndMs: agg.LatencyMs,
-		Attrs: map[string]float64{"results": float64(len(agg.Results))},
+		Attrs: telemetry.Attrs{}.With(telemetry.AttrResults, float64(len(agg.Results))),
 	})
 	a.Spans.EmitBatch(spans)
 }

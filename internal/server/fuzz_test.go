@@ -24,7 +24,7 @@ func FuzzTraceEnvelopeDecode(f *testing.F) {
 		Spans: []telemetry.Span{
 			{TraceID: "agg-1", SpanID: "isn-root", Name: "isn-exec", StartMs: 0.5, EndMs: 12.5},
 			{TraceID: "agg-1", SpanID: "isn-q", ParentID: "isn-root", Name: "isn-queue",
-				StartMs: 0, EndMs: 0.5, Attrs: map[string]float64{"depth": 2}},
+				StartMs: 0, EndMs: 0.5, Attrs: telemetry.Attrs{}.With(telemetry.AttrQueueDepth, 2)},
 		},
 	}
 	data, err := json.Marshal(seed)
@@ -35,6 +35,9 @@ func FuzzTraceEnvelopeDecode(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"spans":[{"start_ms":1e308,"end_ms":-1e308}]}`))
 	f.Add([]byte(`{"shard":-1,"spans":null,"results":[]}`))
+	// What the seed above encoded to while Span.Attrs was a map, with an
+	// attribute name this build does not know: it must still decode.
+	f.Add([]byte(`{"shard":3,"results":null,"service_ms":12.5,"predicted_ms":11,"pred_err_ms":1.5,"queue_depth":2,"queue_wait_ms":0.5,"exec_wall_ms":12,"spans":[{"trace_id":"agg-1","span_id":"isn-root","name":"isn-exec","start_ms":0.5,"end_ms":12.5},{"trace_id":"agg-1","span_id":"isn-q","parent_id":"isn-root","name":"isn-queue","start_ms":0,"end_ms":0.5,"attrs":{"depth":2}}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r ISNResponse

@@ -338,28 +338,29 @@ func (n *ISN) buildSpans(traceID string, resp *ISNResponse, plan core.Plan, mx m
 	shardParent := "shard-" + strconv.Itoa(n.ShardID)
 	execStart := resp.QueueWaitMs
 	execEnd := execStart + resp.ExecWallMs
+	shard := telemetry.Attrs{}.With(telemetry.AttrShard, float64(n.ShardID))
 	spans := []telemetry.Span{
 		{
 			TraceID: traceID, SpanID: pfx + "-queue", ParentID: shardParent, Name: "isn-queue",
 			StartMs: 0, EndMs: execStart,
-			Attrs: map[string]float64{"shard": float64(n.ShardID), "queue_depth": float64(resp.QueueDepth)},
+			Attrs: shard.With(telemetry.AttrQueueDepth, float64(resp.QueueDepth)),
 		},
 		{
 			TraceID: traceID, SpanID: pfx + "-exec", ParentID: shardParent, Name: "isn-exec",
 			StartMs: execStart, EndMs: execEnd,
-			Attrs: map[string]float64{"shard": float64(n.ShardID), "service_ms": resp.ServiceMs},
+			Attrs: shard.With(telemetry.AttrServiceMs, resp.ServiceMs),
 		},
 		{
 			TraceID: traceID, SpanID: pfx + "-model-initial", ParentID: pfx + "-exec", Name: "isn-model-initial",
 			StartMs: execStart, EndMs: execStart + mx.initialMs,
-			Attrs: map[string]float64{"freq_ghz": float64(plan.Initial), "energy_mj": mx.initialMJ},
+			Attrs: telemetry.Attrs{}.With(telemetry.AttrFreqGHz, float64(plan.Initial)).With(telemetry.AttrEnergyMJ, mx.initialMJ),
 		},
 	}
 	if mx.boosted {
 		spans = append(spans, telemetry.Span{
 			TraceID: traceID, SpanID: pfx + "-model-boost", ParentID: pfx + "-exec", Name: "isn-model-boost",
 			StartMs: execStart + mx.initialMs, EndMs: execStart + mx.execMs,
-			Attrs: map[string]float64{"freq_ghz": float64(plan.Boost), "energy_mj": mx.energyMJ - mx.initialMJ},
+			Attrs: telemetry.Attrs{}.With(telemetry.AttrFreqGHz, float64(plan.Boost)).With(telemetry.AttrEnergyMJ, mx.energyMJ-mx.initialMJ),
 		})
 	}
 	return spans

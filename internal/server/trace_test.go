@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -71,7 +72,9 @@ func TestISNSpansOnlyWhenTraced(t *testing.T) {
 	if q.StartMs != 0 || q.EndMs != r.QueueWaitMs {
 		t.Errorf("queue span [%v, %v], queue wait %v", q.StartMs, q.EndMs, r.QueueWaitMs)
 	}
-	if e.StartMs != q.EndMs || e.DurationMs() != r.ExecWallMs {
+	// The span stores start and start+wall, so its duration is the wall time
+	// only up to float rounding.
+	if e.StartMs != q.EndMs || math.Abs(e.DurationMs()-r.ExecWallMs) > 1e-9 {
 		t.Errorf("exec span [%v, %v], exec wall %v", e.StartMs, e.EndMs, r.ExecWallMs)
 	}
 	if m.ParentID != e.SpanID || m.Attr("freq_ghz") <= 0 {

@@ -2,9 +2,7 @@ package sim
 
 import (
 	"gemini/internal/cpu"
-	"gemini/internal/par"
 	"gemini/internal/stats"
-	"gemini/internal/telemetry"
 )
 
 // Cluster support: the paper's multi-core plan (§V) — "maintain a separate
@@ -43,10 +41,9 @@ func RunCluster(cfg Config, wl *Workload, cores int, mkPolicy func(core int) Pol
 // RunClusterWorkers is RunCluster sharded over `workers` OS threads. Cores
 // are independent simulations, so the parallel run is byte-identical to the
 // serial one: per-core Results are deterministic functions of their
-// partition, aggregation walks cores in index order, and telemetry is
-// captured per core (private tracer/accumulator) and replayed into the
-// caller's cfg.Tracer/cfg.Spans in core order — the exact emission sequence
-// of the serial run (TestClusterWorkersMatchesSerial asserts this).
+// partition, aggregation walks cores in index order, and telemetry reaches
+// the caller's cfg.Tracer/cfg.Spans in core order whatever the thread count
+// (runCores; TestClusterWorkersMatchesSerial asserts this).
 //
 // mkPolicy is called once per core, possibly concurrently; it must be safe
 // for concurrent use and the returned policies must not share mutable state.
@@ -55,62 +52,7 @@ func RunClusterWorkers(cfg Config, wl *Workload, cores, workers int, mkPolicy fu
 		cores = 1
 	}
 	parts := Dispatch(wl, cores)
-	results := make([]*Result, cores)
-
-	// Telemetry sinks are shared mutable state: concurrent cores would
-	// interleave emissions nondeterministically. Capture per core, replay
-	// (tracer/spans) or merge (series) in core order below. Tracer/span
-	// capture is needed only under concurrency; a Series is always captured
-	// per core, because its merge is window arithmetic, not concatenation.
-	captureTr := workers > 1 && cfg.Tracer != nil
-	captureSp := workers > 1 && cfg.Spans != nil
-	var tracers []*telemetry.Tracer
-	var spans []*telemetry.SpanTracer
-	var series []*telemetry.Timeseries
-	if captureTr {
-		tracers = make([]*telemetry.Tracer, cores)
-	}
-	if captureSp {
-		spans = make([]*telemetry.SpanTracer, cores)
-	}
-	if cfg.Series != nil {
-		series = make([]*telemetry.Timeseries, cores)
-	}
-	par.Run(workers, cores, func(c int) {
-		ccfg := cfg
-		if captureTr {
-			// One decision per request (completion or drop), so the
-			// private ring never evicts.
-			tracers[c] = telemetry.NewTracer(len(parts[c].Requests))
-			ccfg.Tracer = tracers[c]
-		}
-		if captureSp {
-			spans[c] = telemetry.NewSpanAccumulator()
-			ccfg.Spans = spans[c]
-		}
-		if series != nil {
-			series[c] = coreSeries(cfg.Series, parts[c].DurationMs)
-			ccfg.Series = series[c]
-		}
-		results[c] = Run(ccfg, parts[c], mkPolicy(c))
-	})
-	for c := 0; c < cores && (captureTr || captureSp); c++ {
-		if captureTr {
-			for _, d := range tracers[c].Ring().Snapshot(0) {
-				cfg.Tracer.Emit(d) // re-stamps Seq in serial order
-			}
-		}
-		if captureSp {
-			cfg.Spans.EmitBatch(spans[c].Spans())
-		}
-	}
-	if series != nil {
-		pw := cfg.Power
-		if pw == nil {
-			pw = cpu.DefaultPowerModel()
-		}
-		mergeTimeseries(cfg.Series, series, parts, pw.UncoreW, nil)
-	}
+	results := runCores(cfg, parts, workers, mkPolicy, nil)
 
 	cr := &ClusterResult{DurationMs: wl.DurationMs, PerCore: results}
 	lats := make([][]float64, cores)

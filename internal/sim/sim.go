@@ -68,10 +68,11 @@ type Config struct {
 	// RecordLatencies keeps every request latency (needed for CDFs).
 	RecordLatencies bool
 	// Tracer, when non-nil, receives one telemetry.Decision per request at
-	// completion (or drop): the predictors' view, the policy's plan (via
-	// TracePlan), and the executed outcome including per-request frequency
-	// transitions and core energy. A nil Tracer costs one pointer test per
-	// lifecycle event and zero allocations — see BenchmarkRunTelemetry*.
+	// completion (or drop), as it happens: the predictors' view, the policy's
+	// plan (via TracePlan), and the executed outcome including per-request
+	// frequency transitions and core energy. A nil Tracer costs one pointer
+	// test per lifecycle event and zero allocations — see
+	// BenchmarkRunTelemetry*.
 	Tracer *telemetry.Tracer
 	// Spans, when non-nil, receives the per-request phase spans forming each
 	// request's waterfall: "queue" (enqueue→dispatch), "exec-initial"
@@ -80,9 +81,12 @@ type Config struct {
 	// catch-up phase of a two-step plan, or a group replan). Every span
 	// carries frequency and energy attributes; the request root span carries
 	// deadline slack. Emission is policy-agnostic — Baseline, Pegasus, Rubik
-	// and the Gemini variants produce comparable waterfalls. A nil SpanTracer
-	// follows the same contract as Tracer: one pointer test per lifecycle
-	// event, zero allocations.
+	// and the Gemini variants produce comparable waterfalls. Spans reach the
+	// tracer when Run returns, not during it: the run logs compact records
+	// and builds Span values only for those the tracer can still retain; the
+	// rest are counted, so Total and Snapshot read as if every span had been
+	// emitted as it closed. A nil SpanTracer follows the same contract as
+	// Tracer: one pointer test per lifecycle event, zero allocations.
 	Spans *telemetry.SpanTracer
 	// Series, when non-nil, attaches the fixed-interval timeline sampler: a
 	// reserved engine timer (SampleTimerTag) fires at every Series interval
@@ -175,13 +179,14 @@ type Sim struct {
 
 	freqTrace []FreqSegment
 
-	// Decision-trace state (nil/zero unless cfg.Tracer is set). The head
-	// snapshot marks where the current head request's energy/transition
-	// attribution window begins; headSnapped records that an earlier hook
-	// (arrival-time planning, post-departure replanning) already opened the
-	// window so startHead must not reset it.
+	// Decision-trace state (nil/zero unless cfg.Tracer is set). pending holds
+	// what is known of each request's record before it completes, indexed by
+	// Request.poolIdx. The head snapshot marks where the current head
+	// request's energy/transition attribution window begins; headSnapped
+	// records that an earlier hook (arrival-time planning, post-departure
+	// replanning) already opened the window so startHead must not reset it.
 	tr          *telemetry.Tracer
-	pending     map[*Request]*telemetry.Decision
+	pending     []pendingDecision
 	headEnergy0 float64
 	headTrans0  int
 	headSnapped bool
@@ -192,9 +197,14 @@ type Sim struct {
 	// across heads. tracking gates boundary recording to the window between
 	// a head's OnStart returning and its completion/drop, so frequency
 	// changes made while planning a not-yet-started head don't split phases.
+	// Closed phases go to held.spans; the tracer itself is touched only after
+	// the run (flushSpans). held lives in the Sim and is copied to the
+	// caller's capture at the end, so concurrent cores do not write to
+	// neighbouring memory.
 	sp       *telemetry.SpanTracer
 	marks    []phaseMark
 	tracking bool
+	held     capture
 
 	// Timeline-sampler cursor (nil unless cfg.Series is set). Every touch in
 	// the engine sits under an `if s.tsc != nil` guard — the telemetry-gated
@@ -202,6 +212,18 @@ type Sim struct {
 	tsc *telemetry.SampleCursor
 
 	res *Result
+}
+
+// pendingDecision is the part of a request's decision record fixed before it
+// completes: the arrival-time queue depth, the plan the policy annotated
+// through TracePlan, and the frequency execution began at.
+type pendingDecision struct {
+	queueDepth int
+	criticalID int
+	initialGHz float64
+	boostGHz   float64
+	boostAtMs  float64
+	startGHz   float64
 }
 
 // phaseMark is one phase boundary of the executing request: the moment a
@@ -214,6 +236,13 @@ type phaseMark struct {
 
 // Run simulates the workload under the policy and returns the metrics.
 func Run(cfg Config, wl *Workload, pol Policy) *Result {
+	return run(cfg, wl, pol, nil)
+}
+
+// run is Run with, when cp is non-nil, the span hand-off left to the caller:
+// the run's span log, and its decisions when cp.decisions is non-nil, are in
+// cp afterwards and cfg.Spans has not been touched.
+func run(cfg Config, wl *Workload, pol Policy, cp *capture) *Result {
 	if cfg.Ladder == nil {
 		cfg.Ladder = cpu.DefaultLadder()
 	}
@@ -236,12 +265,25 @@ func Run(cfg Config, wl *Workload, pol Policy) *Result {
 		headIdx:   -1,
 		res:       newResult(pol.Name(), wl),
 	}
+	if cp != nil {
+		s.held.decisions = cp.decisions
+	}
 	s.pool.load(wl.Requests)
 	if !s.linear {
 		s.events.initialize()
 	}
 	if s.tr != nil {
-		s.pending = make(map[*Request]*telemetry.Decision)
+		s.pending = make([]pendingDecision, len(wl.Requests))
+	}
+	if s.sp != nil {
+		limit := s.sp.Capacity()
+		// Two records per request plus one per execution phase; the log grows
+		// past the estimate by append, up to the limit.
+		size := 4 * len(wl.Requests)
+		if limit > 0 && size > limit {
+			size = limit
+		}
+		s.held.spans = spanLog{policy: pol.Name(), limit: limit, recs: make([]spanRec, 0, size)}
 	}
 	if s.seriesRes > 0 {
 		n := int(math.Ceil(wl.DurationMs/s.seriesRes)) + 1
@@ -267,6 +309,11 @@ func Run(cfg Config, wl *Workload, pol Policy) *Result {
 	pol.Init(s)
 	s.loop()
 	s.finish()
+	if cp != nil {
+		*cp = s.held
+	} else if s.sp != nil {
+		flushSpans(s.sp, []capture{s.held})
+	}
 	return s.res
 }
 
@@ -529,37 +576,41 @@ func (s *Sim) TracePlan(r *Request, initial, boost cpu.Freq, boostAtMs float64, 
 	if s.tr == nil {
 		return
 	}
-	d := s.pending[r]
-	if d == nil {
-		return
-	}
-	d.InitialFreqGHz = float64(initial)
+	d := &s.pending[r.poolIdx]
+	d.initialGHz = float64(initial)
 	if boost > 0 && !math.IsInf(boostAtMs, 0) && boostAtMs > 0 {
-		d.BoostFreqGHz = float64(boost)
-		d.BoostAtMs = boostAtMs
+		d.boostGHz = float64(boost)
+		d.boostAtMs = boostAtMs
 	} else {
-		d.BoostFreqGHz = 0
-		d.BoostAtMs = 0
+		d.boostGHz = 0
+		d.boostAtMs = 0
 	}
-	d.CriticalID = criticalID
+	d.criticalID = criticalID
 }
 
 // emitDecision seals and emits r's decision record (tracing enabled only).
+//
+//gemini:hotpath
 func (s *Sim) emitDecision(r *Request) {
-	d := s.pending[r]
-	if d == nil {
-		d = &telemetry.Decision{RequestID: r.ID, ArrivalMs: r.ArrivalMs, CriticalID: -1}
-	} else {
-		delete(s.pending, r)
+	p := &s.pending[r.poolIdx]
+	d := telemetry.Decision{
+		Policy:          s.pol.Name(),
+		RequestID:       r.ID,
+		ArrivalMs:       r.ArrivalMs,
+		PredictedMs:     r.PredictedMs,
+		PredErrMs:       r.PredErrMs,
+		InitialFreqGHz:  p.initialGHz,
+		BoostFreqGHz:    p.boostGHz,
+		BoostAtMs:       p.boostAtMs,
+		CriticalID:      p.criticalID,
+		QueueDepth:      p.queueDepth,
+		StartFreqGHz:    p.startGHz,
+		FinishMs:        r.FinishMs,
+		LatencyMs:       r.LatencyMs(),
+		DeadlineSlackMs: r.DeadlineMs - r.FinishMs,
+		Dropped:         r.Dropped,
+		Violated:        r.Violated(),
 	}
-	d.Policy = s.pol.Name()
-	d.PredictedMs = r.PredictedMs
-	d.PredErrMs = r.PredErrMs
-	d.FinishMs = r.FinishMs
-	d.LatencyMs = r.LatencyMs()
-	d.DeadlineSlackMs = r.DeadlineMs - r.FinishMs
-	d.Dropped = r.Dropped
-	d.Violated = r.Violated()
 	if r.Started {
 		d.StartMs = r.StartMs
 		d.ServiceMs = r.FinishMs - r.StartMs
@@ -571,35 +622,32 @@ func (s *Sim) emitDecision(r *Request) {
 		// time at the default frequency (what eq. 1 predicts).
 		d.ActualMs = cpu.TimeFor(r.WorkTotal, cpu.FDefault)
 	}
-	s.tr.Emit(*d)
+	if s.held.decisions != nil {
+		s.held.decisions = append(s.held.decisions, d)
+		return
+	}
+	s.tr.Emit(d)
 }
 
-// emitSpans emits r's phase-span waterfall (span tracing enabled only): the
+// emitSpans logs r's phase-span waterfall (span tracing enabled only): the
 // request root span, the queue-wait span, and — for a request that reached
 // the core — one execution span per frequency phase recorded in marks. The
 // phase durations partition [ArrivalMs, FinishMs] exactly, and the execution
 // phases' energy attributes sum to the energy the decision trace attributes
 // to the request (both invariants are asserted by TestPhaseSpansSumToLatency).
+//
+//gemini:hotpath
 func (s *Sim) emitSpans(r *Request) {
-	id := s.pol.Name() + "/" + strconv.Itoa(r.ID)
-	spans := make([]telemetry.Span, 0, 2+len(s.marks))
-	spans = append(spans, telemetry.Span{
-		TraceID: id, SpanID: "request", Name: "request",
-		StartMs: r.ArrivalMs, EndMs: r.FinishMs,
-		Attrs: map[string]float64{
-			"deadline_slack_ms": r.DeadlineMs - r.FinishMs,
-			"dropped":           boolAttr(r.Dropped),
-			"violated":          boolAttr(r.Violated()),
-		},
+	log := &s.held.spans
+	log.push(spanRec{
+		req: r.ID, phase: phaseRequest, start: r.ArrivalMs, end: r.FinishMs,
+		a: [3]float64{r.DeadlineMs - r.FinishMs, boolAttr(r.Dropped), boolAttr(r.Violated())},
 	})
 	queueEnd := r.FinishMs // dropped before dispatch: all time was queue wait
 	if r.Started {
 		queueEnd = r.StartMs
 	}
-	spans = append(spans, telemetry.Span{
-		TraceID: id, SpanID: "queue", ParentID: "request", Name: "queue",
-		StartMs: r.ArrivalMs, EndMs: queueEnd,
-	})
+	log.push(spanRec{req: r.ID, phase: phaseQueue, start: r.ArrivalMs, end: queueEnd})
 	if r.Started && s.tracking && len(s.marks) > 0 {
 		endEnergy := s.acc.EnergyMJ()
 		for i, m := range s.marks {
@@ -607,24 +655,17 @@ func (s *Sim) emitSpans(r *Request) {
 			if i+1 < len(s.marks) {
 				phaseEnd, phaseEndEnergy = s.marks[i+1].at, s.marks[i+1].energyMJ
 			}
-			name := "exec-initial"
-			if i > 0 {
-				name = "exec-boost"
-			}
-			spans = append(spans, telemetry.Span{
-				TraceID: id, SpanID: "exec-" + strconv.Itoa(i), ParentID: "request", Name: name,
-				StartMs: m.at, EndMs: phaseEnd,
-				Attrs: map[string]float64{
-					"freq_ghz":  float64(m.freq),
-					"energy_mj": phaseEndEnergy - m.energyMJ,
-				},
+			log.push(spanRec{
+				req: r.ID, phase: int32(i), start: m.at, end: phaseEnd,
+				a: [3]float64{float64(m.freq), phaseEndEnergy - m.energyMJ},
 			})
 		}
 	}
-	s.sp.EmitBatch(spans)
 }
 
 // boolAttr renders a bool as a span attribute value.
+//
+//gemini:hotpath
 func boolAttr(b bool) float64 {
 	if b {
 		return 1
@@ -823,11 +864,9 @@ func (s *Sim) arrive(r *Request) {
 		s.tsc.OnArrival(float64(s.qlen())) // depth includes this request
 	}
 	if s.tr != nil {
-		s.pending[r] = &telemetry.Decision{
-			RequestID:  r.ID,
-			ArrivalMs:  r.ArrivalMs,
-			QueueDepth: s.qlen(), // including this request
-			CriticalID: -1,
+		s.pending[r.poolIdx] = pendingDecision{
+			queueDepth: s.qlen(), // including this request
+			criticalID: -1,
 		}
 	}
 	if s.sleeping {
@@ -871,10 +910,9 @@ func (s *Sim) startHead() {
 	}
 	s.pol.OnStart(s, head)
 	if s.tr != nil {
-		// OnStart may have dropped the head (and emitted its record).
-		if d := s.pending[head]; d != nil {
-			d.StartFreqGHz = float64(s.freq)
-		}
+		// OnStart may have dropped the head (and emitted its record); the
+		// write is then to a slot nothing reads again.
+		s.pending[head.poolIdx].startGHz = float64(s.freq)
 	}
 	if s.sp != nil && !head.Dropped {
 		// Open the phase window after OnStart applied its plan: no simulated

@@ -34,12 +34,7 @@ func TestTimeseriesDisabledAddsNoAllocsPerRequest(t *testing.T) {
 	const n = 600
 	wlA := traceWorkload(n, 29)
 	wlB := traceWorkload(2*n, 29)
-	reset := func(wl *Workload) {
-		for _, r := range wl.Requests {
-			r.Started, r.Done, r.Dropped = false, false, false
-			r.StartMs, r.FinishMs, r.WorkDone = 0, 0, 0
-		}
-	}
+	reset := resetWorkload
 	pol := &FixedPolicy{F: cpu.FDefault}
 	allocsA := testing.AllocsPerRun(20, func() { reset(wlA); Run(cfg, wlA, pol) })
 	allocsB := testing.AllocsPerRun(20, func() { reset(wlB); Run(cfg, wlB, pol) })

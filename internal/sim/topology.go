@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"gemini/internal/cpu"
-	"gemini/internal/par"
 	"gemini/internal/stats"
 	"gemini/internal/telemetry"
 )
@@ -466,54 +465,7 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 		inner := mkPolicy
 		mk = func(c int) Policy { return wrapCapped(inner(c), coord.Schedule(c)) }
 	}
-	results := make([]*Result, cores)
-	// Telemetry sinks are shared mutable state: capture per core, replay or
-	// merge in core order (the RunClusterWorkers discipline). Tracer/span
-	// capture is needed only under concurrency; a Series is always captured
-	// per core, because its merge is window arithmetic, not concatenation.
-	captureTr := workers > 1 && cfg.Tracer != nil
-	captureSp := workers > 1 && cfg.Spans != nil
-	var tracers []*telemetry.Tracer
-	var spans []*telemetry.SpanTracer
-	var series []*telemetry.Timeseries
-	if captureTr {
-		tracers = make([]*telemetry.Tracer, cores)
-	}
-	if captureSp {
-		spans = make([]*telemetry.SpanTracer, cores)
-	}
-	if cfg.Series != nil {
-		series = make([]*telemetry.Timeseries, cores)
-	}
-	par.Run(workers, cores, func(c int) {
-		ccfg := cfg
-		if captureTr {
-			tracers[c] = telemetry.NewTracer(len(parts[c].Requests))
-			ccfg.Tracer = tracers[c]
-		}
-		if captureSp {
-			spans[c] = telemetry.NewSpanAccumulator()
-			ccfg.Spans = spans[c]
-		}
-		if series != nil {
-			series[c] = coreSeries(cfg.Series, parts[c].DurationMs)
-			ccfg.Series = series[c]
-		}
-		results[c] = Run(ccfg, parts[c], mk(c))
-	})
-	for c := 0; c < cores && (captureTr || captureSp); c++ {
-		if captureTr {
-			for _, d := range tracers[c].Ring().Snapshot(0) {
-				cfg.Tracer.Emit(d)
-			}
-		}
-		if captureSp {
-			cfg.Spans.EmitBatch(spans[c].Spans())
-		}
-	}
-	if series != nil {
-		mergeTimeseries(cfg.Series, series, parts, cfg.Power.UncoreW, coord)
-	}
+	results := runCores(cfg, parts, workers, mk, coord)
 
 	// --- deterministic merge ----------------------------------------------
 	tr := &TopologyResult{

@@ -230,3 +230,118 @@ func TestSpanAccumulatorReplayEqualsDirect(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanJSONGolden pins the wire format across the move of Span.Attrs from
+// a map to an inline value: the attrs object keeps its name-sorted keys and
+// encoding/json's number format, and a span without attributes has no
+// "attrs" key at all. /debug/traces and the X-Gemini-Trace envelope carry
+// exactly these bytes.
+func TestSpanJSONGolden(t *testing.T) {
+	with := Span{
+		TraceID: "gemini/7", SpanID: "exec-0", ParentID: "request", Name: "exec-initial",
+		StartMs: 1.5, EndMs: 4,
+		Attrs: Attrs{}.With(AttrFreqGHz, 2.7).With(AttrEnergyMJ, 1e-7),
+	}
+	without := Span{TraceID: "agg-1", SpanID: "query", Name: "query", EndMs: 12.25}
+	golden := map[*Span]string{
+		&with: `{"trace_id":"gemini/7","span_id":"exec-0","parent_id":"request","name":"exec-initial",` +
+			`"start_ms":1.5,"end_ms":4,"attrs":{"energy_mj":1e-7,"freq_ghz":2.7}}`,
+		&without: `{"trace_id":"agg-1","span_id":"query","name":"query","start_ms":0,"end_ms":12.25}`,
+	}
+	for sp, want := range golden {
+		got, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Errorf("marshal:\n got %s\nwant %s", got, want)
+		}
+		var back Span
+		if err := json.Unmarshal([]byte(want), &back); err != nil {
+			t.Fatal(err)
+		}
+		if back != *sp {
+			t.Errorf("unmarshal:\n got %+v\nwant %+v", back, *sp)
+		}
+	}
+	// Inside a slice, as TraceView and the ISN envelope hold them.
+	list, err := json.Marshal([]Span{without})
+	if err != nil || string(list) != "["+golden[&without]+"]" {
+		t.Errorf("slice marshal = %s, %v", list, err)
+	}
+}
+
+func TestAttrsSetSemantics(t *testing.T) {
+	for k := AttrKey(2); k < numAttrKeys; k++ {
+		if attrNames[k-1] >= attrNames[k] {
+			t.Fatalf("attrNames out of name order at %q: key order must be JSON key order", attrNames[k])
+		}
+	}
+	a := Attrs{}.With(AttrShard, 3).With(AttrDropped, 1).With(AttrShard, 4)
+	b := Attrs{}.With(AttrDropped, 1).With(AttrShard, 4)
+	if a != b || a.n != 2 || a.Get(AttrShard) != 4 || a.Get(AttrGapMs) != 0 {
+		t.Errorf("a = %+v, b = %+v", a, b)
+	}
+	if sp := (Span{Attrs: a}); sp.Attr("shard") != 4 || sp.Attr("no_such_attr") != 0 {
+		t.Errorf("Attr by name: shard=%v", sp.Attr("shard"))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a fifth attribute did not panic")
+		}
+	}()
+	a.With(AttrGapMs, 1).With(AttrResults, 1).With(AttrViolated, 1)
+}
+
+func TestAttrsDecodeBounds(t *testing.T) {
+	var a Attrs
+	// Unknown names are dropped, like unknown struct fields.
+	if err := json.Unmarshal([]byte(`{"depth":2,"shard":1}`), &a); err != nil || a != (Attrs{}.With(AttrShard, 1)) {
+		t.Errorf("unknown key: %+v, %v", a, err)
+	}
+	if err := json.Unmarshal([]byte(`null`), &a); err != nil || a.n != 0 {
+		t.Errorf("null: %+v, %v", a, err)
+	}
+	over := `{"shard":1,"results":2,"gap_ms":3,"dropped":1,"violated":1}`
+	if err := json.Unmarshal([]byte(over), &a); err == nil {
+		t.Errorf("five known attributes decoded: %+v", a)
+	}
+	if err := json.Unmarshal([]byte(`{"shard":"x"}`), &a); err == nil {
+		t.Error("non-numeric attribute decoded")
+	}
+}
+
+// TestSpanTracerEmitRunEqualsDirect: handing a ring the tail of a run plus
+// the count of what was dropped must leave it exactly as emitting the whole
+// run span by span would, on top of whatever it already held.
+func TestSpanTracerEmitRunEqualsDirect(t *testing.T) {
+	for _, n := range []int{3, 8, 20} {
+		direct, deferred := NewSpanTracer(8), NewSpanTracer(8)
+		for i := 0; i < 5; i++ { // prior content
+			direct.Emit(spanN("old", i, 0, 1))
+			deferred.Emit(spanN("old", i, 0, 1))
+		}
+		run := make([]Span, n)
+		for i := range run {
+			run[i] = spanN("run", i, float64(i), float64(i+1))
+			direct.Emit(run[i])
+		}
+		keep := min(n, deferred.Capacity())
+		deferred.EmitRun(uint64(n-keep), run[n-keep:])
+		if direct.Total() != deferred.Total() {
+			t.Errorf("n=%d: total %d vs %d", n, deferred.Total(), direct.Total())
+		}
+		d, r := direct.Spans(), deferred.Spans()
+		if len(d) != len(r) {
+			t.Fatalf("n=%d: retained %d vs %d", n, len(r), len(d))
+		}
+		for i := range d {
+			if d[i] != r[i] {
+				t.Fatalf("n=%d: span %d = %+v, want %+v", n, i, r[i], d[i])
+			}
+		}
+	}
+	if NewSpanAccumulator().Capacity() != 0 {
+		t.Error("an accumulator reports a capacity")
+	}
+}

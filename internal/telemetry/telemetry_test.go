@@ -240,3 +240,41 @@ func TestHTTPHandlers(t *testing.T) {
 		t.Errorf("bad n: status %d", rec2.Code)
 	}
 }
+
+// TestTracerConcurrentEmitSeqOrder: Seq assignment and the ring push share
+// one critical section, so concurrent emitters (the aggregator's request
+// goroutines) can never land in the ring out of Seq order. Run under -race.
+func TestTracerConcurrentEmitSeqOrder(t *testing.T) {
+	const emitters, each = 8, 500
+	tr := NewTracer(emitters * each)
+	var wg sync.WaitGroup
+	for g := 0; g < emitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tr.Emit(Decision{RequestID: g*each + i, PredictedMs: 5, ActualMs: 6})
+			}
+		}(g)
+	}
+	wg.Wait()
+	ds := tr.Ring().Snapshot(0)
+	if len(ds) != emitters*each || tr.Emitted() != emitters*each || tr.Quality().N != emitters*each {
+		t.Fatalf("ring %d, emitted %d, audited %d", len(ds), tr.Emitted(), tr.Quality().N)
+	}
+	for i, d := range ds {
+		if d.Seq != uint64(i+1) {
+			t.Fatalf("ring slot %d holds seq %d: out of order", i, d.Seq)
+		}
+	}
+}
+
+// TestTracerEmitAllocFree: without a sink an Emit stays on the stack; only an
+// attached JSONL sink makes the encoder's copy escape.
+func TestTracerEmitAllocFree(t *testing.T) {
+	tr := NewTracer(16)
+	d := Decision{Policy: "gemini", RequestID: 1, PredictedMs: 5, PredErrMs: 1, ActualMs: 5.5, CriticalID: -1}
+	if allocs := testing.AllocsPerRun(200, func() { tr.Emit(d) }); allocs != 0 {
+		t.Errorf("Emit without a sink allocates %.1f per call", allocs)
+	}
+}

@@ -83,14 +83,21 @@ func NewRing(capacity int) *Ring {
 // Push appends one decision, evicting the oldest when full.
 func (r *Ring) Push(d Decision) {
 	r.mu.Lock()
-	r.buf[r.next] = d
+	r.push(&d)
+	r.mu.Unlock()
+}
+
+// push appends under r.mu.
+//
+//gemini:hotpath
+func (r *Ring) push(d *Decision) {
+	r.buf[r.next] = *d
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
 		r.full = true
 	}
 	r.total++
-	r.mu.Unlock()
 }
 
 // Total returns the number of decisions ever pushed.
@@ -130,9 +137,9 @@ var qualityBuckets = []float64{0.5, 1, 2, 3, 5, 7.5, 10, 15, 20}
 // Quality accumulates the prediction-audit view over emitted decisions: the
 // absolute-error distribution of S* versus actual service time and the
 // coverage rate of the error bound E* — the live equivalent of the paper's
-// Fig. 7/8 offline evaluation.
+// Fig. 7/8 offline evaluation. It has no lock of its own: the Tracer that
+// owns it folds and snapshots under the tracer's.
 type Quality struct {
-	mu      sync.Mutex
 	absErr  stats.Online
 	signed  stats.Online
 	res     *stats.Reservoir
@@ -154,7 +161,6 @@ func (q *Quality) Observe(d *Decision) {
 		return
 	}
 	abs := d.AbsErrMs()
-	q.mu.Lock()
 	q.absErr.Add(abs)
 	q.signed.Add(d.ActualMs - d.PredictedMs)
 	q.res.Add(abs)
@@ -167,7 +173,6 @@ func (q *Quality) Observe(d *Decision) {
 		q.covered++
 	}
 	q.total++
-	q.mu.Unlock()
 }
 
 // QualitySnapshot is a point-in-time summary of the prediction audit.
@@ -189,8 +194,6 @@ type QualitySnapshot struct {
 
 // Snapshot summarizes the audit so far.
 func (q *Quality) Snapshot() QualitySnapshot {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	s := QualitySnapshot{
 		N:            q.total,
 		MAEMs:        q.absErr.Mean(),
@@ -216,11 +219,12 @@ func (q *Quality) Snapshot() QualitySnapshot {
 // A nil *Tracer is valid everywhere and means "telemetry disabled"; all
 // methods are nil-safe, so callers hold exactly one branch on the hot path.
 type Tracer struct {
-	mu      sync.Mutex
-	seq     uint64
+	// ring.mu is the tracer's one lock: it guards the fields below as well,
+	// so an Emit is a single critical section and the ring, the audit and the
+	// sink all see decisions in Seq order.
 	ring    *Ring
+	seq     uint64
 	quality *Quality
-	sink    io.Writer
 	enc     *json.Encoder
 	sinkErr error
 }
@@ -233,31 +237,37 @@ func NewTracer(ringCap int) *Tracer {
 // SetSink attaches a streaming JSONL writer: every subsequent Emit writes
 // one JSON-encoded Decision line. The caller owns flushing/closing.
 func (t *Tracer) SetSink(w io.Writer) {
-	t.mu.Lock()
-	t.sink = w
+	t.ring.mu.Lock()
 	t.enc = json.NewEncoder(w)
-	t.mu.Unlock()
+	t.ring.mu.Unlock()
 }
 
-// Emit records one decision. Safe for concurrent use; nil-safe.
+// Emit records one decision. Safe for concurrent use; nil-safe. Without a
+// sink it allocates nothing (TestTracerEmitAllocFree; the analyzer exempts
+// everything past the nil guard, so the test is what holds this).
+//
+//gemini:hotpath
 func (t *Tracer) Emit(d Decision) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
+	t.ring.mu.Lock()
 	t.seq++
 	d.Seq = t.seq
-	enc := t.enc
-	t.mu.Unlock()
-
-	t.ring.Push(d)
+	t.ring.push(&d)
 	t.quality.Observe(&d)
-	if enc != nil {
-		t.mu.Lock()
-		if err := t.enc.Encode(&d); err != nil && t.sinkErr == nil {
-			t.sinkErr = err
-		}
-		t.mu.Unlock()
+	if t.enc != nil {
+		t.writeSink(d)
+	}
+	t.ring.mu.Unlock()
+}
+
+// writeSink streams one decision under ring.mu. It takes the decision by
+// value so that the copy handed to the encoder is what moves to the heap,
+// and only when a sink is attached — Emit's own d stays on the stack.
+func (t *Tracer) writeSink(d Decision) {
+	if err := t.enc.Encode(&d); err != nil && t.sinkErr == nil {
+		t.sinkErr = err
 	}
 }
 
@@ -274,6 +284,8 @@ func (t *Tracer) Quality() QualitySnapshot {
 	if t == nil {
 		return QualitySnapshot{}
 	}
+	t.ring.mu.Lock()
+	defer t.ring.mu.Unlock()
 	return t.quality.Snapshot()
 }
 
@@ -282,8 +294,8 @@ func (t *Tracer) Emitted() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.ring.mu.Lock()
+	defer t.ring.mu.Unlock()
 	return t.seq
 }
 
@@ -292,8 +304,8 @@ func (t *Tracer) SinkErr() error {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.ring.mu.Lock()
+	defer t.ring.mu.Unlock()
 	return t.sinkErr
 }
 
