@@ -97,15 +97,22 @@ func (l *Ladder) Levels() []Freq {
 }
 
 // Min returns the lowest frequency.
+//
+//gemini:hotpath
 func (l *Ladder) Min() Freq { return l.levels[0] }
 
 // Max returns the highest frequency.
+//
+//gemini:hotpath
 func (l *Ladder) Max() Freq { return l.levels[len(l.levels)-1] }
 
 // ClampUp returns the lowest ladder frequency >= f. Requests above the top
 // level return the top level: the deadline may then be at risk and it is the
 // caller's (policy's) job to boost immediately or drop, per §III-A.
+//
+//gemini:hotpath
 func (l *Ladder) ClampUp(f Freq) Freq {
+	//gemini:allow hotpath -- sort.Search does not retain the predicate, so the closure stays on the stack
 	i := sort.Search(len(l.levels), func(i int) bool { return l.levels[i] >= f })
 	if i == len(l.levels) {
 		return l.levels[len(l.levels)-1]
@@ -125,7 +132,10 @@ func (l *Ladder) ClampDown(f Freq) Freq {
 
 // StepDown returns the next frequency below f on the ladder (or the bottom
 // level if f already is the bottom).
+//
+//gemini:hotpath
 func (l *Ladder) StepDown(f Freq) Freq {
+	//gemini:allow hotpath -- sort.Search does not retain the predicate, so the closure stays on the stack
 	i := sort.Search(len(l.levels), func(i int) bool { return l.levels[i] >= f })
 	if i <= 0 {
 		return l.levels[0]

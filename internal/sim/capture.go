@@ -125,19 +125,21 @@ func flushSpans(sink *telemetry.SpanTracer, caps []capture) {
 	sink.EmitRun(total-uint64(budget), tail)
 }
 
-// runCores simulates parts[c] under mk(c) for every core on `workers` OS
+// runCores simulates part(c) under mk(c) for every core on `workers` OS
 // threads and hands the telemetry to cfg's sinks in core order, so that what
-// they hold does not depend on workers. Spans are flushed once for the whole
+// they hold does not depend on workers. part runs inside core c's job, so a
+// caller that builds a core's requests there builds them in parallel; it may
+// write only to core c's own state. Spans are flushed once for the whole
 // cluster. Decisions are captured per core and replayed only when cores run
 // concurrently: a serial run emits them live, which is already core order.
 // A Series is always captured per core, because its merge is window
 // arithmetic, not concatenation; coord, when non-nil, supplies the capped
 // power series for that merge.
-func runCores(cfg Config, parts []*Workload, workers int, mk func(core int) Policy, coord *PowerCapCoordinator) []*Result {
+func runCores(cfg Config, cores int, part func(core int) *Workload, workers int, mk func(core int) Policy, coord *PowerCapCoordinator) []*Result {
 	if cfg.Power == nil {
 		cfg.Power = cpu.DefaultPowerModel()
 	}
-	cores := len(parts)
+	parts := make([]*Workload, cores)
 	results := make([]*Result, cores)
 	caps := make([]capture, cores)
 	var series []*telemetry.Timeseries
@@ -147,6 +149,7 @@ func runCores(cfg Config, parts []*Workload, workers int, mk func(core int) Poli
 	replay := workers > 1 && cfg.Tracer != nil
 	par.Run(workers, cores, func(c int) {
 		ccfg := cfg
+		parts[c] = part(c)
 		if replay {
 			// One decision per request, at completion or drop.
 			caps[c].decisions = make([]telemetry.Decision, 0, len(parts[c].Requests))

@@ -162,7 +162,6 @@ func sinkAllocsAtSizes(cfg Config, n int) (small, large float64) {
 // retained tail.
 func TestSpansEnabledAllocsIndependentOfRequests(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.RecordLatencies = false
 	cfg.Spans = telemetry.NewSpanTracer(256)
 	small, large := sinkAllocsAtSizes(cfg, 600)
 	if small <= 0 || large-small > 8 {
@@ -173,7 +172,6 @@ func TestSpansEnabledAllocsIndependentOfRequests(t *testing.T) {
 // TestTracerEnabledAllocsIndependentOfRequests is the decision-sink twin.
 func TestTracerEnabledAllocsIndependentOfRequests(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.RecordLatencies = false
 	cfg.Tracer = telemetry.NewTracer(256)
 	small, large := sinkAllocsAtSizes(cfg, 600)
 	if small <= 0 || large-small > 2 {

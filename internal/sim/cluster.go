@@ -52,7 +52,7 @@ func RunClusterWorkers(cfg Config, wl *Workload, cores, workers int, mkPolicy fu
 		cores = 1
 	}
 	parts := Dispatch(wl, cores)
-	results := runCores(cfg, parts, workers, mkPolicy, nil)
+	results := runCores(cfg, cores, func(c int) *Workload { return parts[c] }, workers, mkPolicy, nil)
 
 	cr := &ClusterResult{DurationMs: wl.DurationMs, PerCore: results}
 	lats := make([][]float64, cores)
@@ -78,13 +78,10 @@ func RunClusterWorkers(cfg Config, wl *Workload, cores, workers int, mkPolicy fu
 // with strict less-than would pick, and only the root's key changes per
 // request, so each dispatch is one O(log cores) sift-down instead of an
 // O(cores) scan (TestDispatchHeapMatchesLinear checks the equivalence).
+//
+// The broker pass records only each request's core; the per-core Requests are
+// then carved, exact-size and in arrival order, from one backing array.
 func Dispatch(wl *Workload, cores int) []*Workload {
-	parts := make([]*Workload, cores)
-	for c := range parts {
-		// The prediction table is indexed by global request ID, so every
-		// per-core part can share the parent workload's table directly.
-		parts[c] = &Workload{BudgetMs: wl.BudgetMs, DurationMs: wl.DurationMs, Preds: wl.Preds}
-	}
 	// hv/hc form the heap: hv is the virtual finish time, hc the core index.
 	// The initial layout (all zeros, cores in index order) is already a valid
 	// heap: equal keys tie-break on hc, and parent indices precede children.
@@ -93,15 +90,32 @@ func Dispatch(wl *Workload, cores int) []*Workload {
 	for c := range hc {
 		hc[c] = c
 	}
-	for _, r := range wl.Requests {
-		best := hc[0]
+	coreOf := make([]int32, len(wl.Requests))
+	counts := make([]int, cores)
+	for i, r := range wl.Requests {
+		coreOf[i] = int32(hc[0])
+		counts[hc[0]]++
 		start := r.ArrivalMs
 		if hv[0] > start {
 			start = hv[0]
 		}
 		hv[0] = start + cpu.TimeFor(r.BaseWork, cpu.FDefault)
-		parts[best].Requests = append(parts[best].Requests, r)
 		brokerSiftDown(hv, hc)
+	}
+
+	backing := make([]*Request, len(wl.Requests))
+	parts := make([]*Workload, cores)
+	off := 0
+	for c, n := range counts {
+		// The prediction table is indexed by global request ID, so every
+		// per-core part can share the parent workload's table directly. The
+		// capacity is clipped so an append to one part cannot reach the next.
+		parts[c] = &Workload{Requests: backing[off : off : off+n], BudgetMs: wl.BudgetMs, DurationMs: wl.DurationMs, Preds: wl.Preds}
+		off += n
+	}
+	for i, r := range wl.Requests {
+		p := parts[coreOf[i]]
+		p.Requests = append(p.Requests, r)
 	}
 	return parts
 }

@@ -18,8 +18,8 @@ type Result struct {
 	// aggregator ignores stragglers, so the paper treats drops as harmless
 	// to quality, §III-A)
 
-	// Latencies holds completion latencies of completed requests in ms,
-	// populated when Config.RecordLatencies is set.
+	// Latencies holds the completion latency of every completed request in
+	// ms; nil when the workload was empty.
 	//
 	// Contract: once a Result has been sealed (i.e. whenever sim.Run has
 	// returned it), Latencies is sorted ascending. TailLatencyMs and every
@@ -50,12 +50,16 @@ type Result struct {
 	// Config.RecordFreqTrace is set): piecewise-constant segments in time
 	// order, adjacent segments differing in frequency or activity.
 	FreqTrace []FreqSegment
-
-	record bool
 }
 
+// newResult sizes Latencies for every request completing, so recording one
+// never grows it.
 func newResult(policy string, wl *Workload) *Result {
-	return &Result{Policy: policy, Total: len(wl.Requests), record: true}
+	res := &Result{Policy: policy, Total: len(wl.Requests)}
+	if n := len(wl.Requests); n > 0 {
+		res.Latencies = make([]float64, 0, n)
+	}
+	return res
 }
 
 //gemini:hotpath
@@ -64,9 +68,7 @@ func (r *Result) recordCompletion(req *Request) {
 	if req.Violated() {
 		r.Violations++
 	}
-	if r.record {
-		r.Latencies = append(r.Latencies, req.LatencyMs())
-	}
+	r.Latencies = append(r.Latencies, req.LatencyMs())
 }
 
 //gemini:hotpath

@@ -187,12 +187,10 @@ func TestTracerDropsEmitted(t *testing.T) {
 // TestTelemetryDisabledAddsNoAllocsPerRequest is the benchmark guard of the
 // issue: with no tracer attached the simulator's per-request marginal
 // allocation count must not grow. We measure Run over n and 2n requests and
-// require the per-request delta to be ~zero (latency recording off so the
-// only appends are the engine's own queue reuse).
+// require the per-request delta to be ~zero: Latencies is sized once, so the
+// only appends that can grow are the engine's own queue reuse.
 func TestTelemetryDisabledAddsNoAllocsPerRequest(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.RecordLatencies = false
-
 	const n = 600
 	wlA := traceWorkload(n, 11)
 	wlB := traceWorkload(2*n, 11)

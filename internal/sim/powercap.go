@@ -61,12 +61,18 @@ type PowerCapCoordinator struct {
 	seriesW   []float64 // modeled watts per boundary, post-adjustment
 	seriesThr []int     // ceiling step-downs applied at each boundary
 	schedules [][]CeilingStep
+
+	// adjust's per-boundary scratch, one entry per core: the planned frequency
+	// as throttled so far, the new ceiling, and whether the core has backlog.
+	eff, ceil []cpu.Freq
+	busy      []bool
 }
 
 func newPowerCapCoordinator(capW, intervalMs float64, model *cpu.PowerModel, ladder *cpu.Ladder, st *RouteState) *PowerCapCoordinator {
 	if intervalMs <= 0 {
 		intervalMs = DefaultCapIntervalMs
 	}
+	n := len(st.ceilings)
 	return &PowerCapCoordinator{
 		capW:       capW,
 		intervalMs: intervalMs,
@@ -74,7 +80,10 @@ func newPowerCapCoordinator(capW, intervalMs float64, model *cpu.PowerModel, lad
 		ladder:     ladder,
 		st:         st,
 		next:       intervalMs,
-		schedules:  make([][]CeilingStep, len(st.ceilings)),
+		schedules:  make([][]CeilingStep, n),
+		eff:        make([]cpu.Freq, n),
+		ceil:       make([]cpu.Freq, n),
+		busy:       make([]bool, n),
 	}
 }
 
@@ -97,6 +106,8 @@ func (pc *PowerCapCoordinator) Schedule(core int) []CeilingStep { return pc.sche
 // modeled planned frequency is stepped down one ladder level at a time until
 // the modeled cluster power fits under the cap or every loaded replica sits
 // at the floor.
+//
+//gemini:hotpath
 func (pc *PowerCapCoordinator) adjust(t float64) {
 	st := pc.st
 	n := len(st.ceilings)
@@ -104,18 +115,12 @@ func (pc *PowerCapCoordinator) adjust(t float64) {
 	throttlesBefore := pc.throttles
 
 	// Uncapped plan: what each replica would run with no ceiling.
-	base := make([]cpu.Freq, n)
-	eff := make([]cpu.Freq, n)
-	busy := make([]bool, n)
+	eff, busy, ceil := pc.eff, pc.busy, pc.ceil
 	watts := pc.model.UncoreW
 	for c := 0; c < n; c++ {
-		base[c] = plannedFreqFor(st.vFinish[c]-t, st.budgetMs, pc.ladder, top)
-		eff[c] = base[c]
+		eff[c] = plannedFreqFor(st.vFinish[c]-t, st.budgetMs, pc.ladder, top)
 		busy[c] = st.vFinish[c] > t
 		watts += pc.model.CoreW(eff[c], busy[c])
-	}
-	ceil := make([]cpu.Freq, n)
-	for c := range ceil {
 		ceil[c] = top
 	}
 	for watts > pc.capW {

@@ -129,18 +129,19 @@ type Workload struct {
 // other subsystem (routing, sched) can never perturb them.
 func BuildWorkload(pool []PreparedQuery, arrivals []float64, jitter *search.Jitter, budgetMs, durationMs float64, seed int64) *Workload {
 	rng := NewPartitionedRNG(seed).Workload()
+	slab := make([]Request, len(arrivals)) // every request of the workload, contiguous in arrival order
 	reqs := make([]*Request, len(arrivals))
 	for i, at := range arrivals {
-		pq := pool[rng.Intn(len(pool))]
-		reqs[i] = &Request{
-			ID:         i,
-			Query:      pq.Query,
-			Features:   pq.Features,
-			BaseWork:   pq.BaseWork,
-			WorkTotal:  jitter.MeasuredWork(pq.BaseWork, pq.Features, rng),
-			ArrivalMs:  at,
-			DeadlineMs: at + budgetMs,
-		}
+		pq := &pool[rng.Intn(len(pool))]
+		r := &slab[i]
+		r.ID = i
+		r.Query = pq.Query
+		r.Features = pq.Features
+		r.BaseWork = pq.BaseWork
+		r.WorkTotal = jitter.MeasuredWork(pq.BaseWork, pq.Features, rng)
+		r.ArrivalMs = at
+		r.DeadlineMs = at + budgetMs
+		reqs[i] = r
 	}
 	if durationMs == 0 && len(arrivals) > 0 {
 		durationMs = arrivals[len(arrivals)-1] + budgetMs

@@ -65,8 +65,6 @@ type Config struct {
 	// executed frequency plan, for Fig. 2/4/5-style timelines and replay
 	// verification.
 	RecordFreqTrace bool
-	// RecordLatencies keeps every request latency (needed for CDFs).
-	RecordLatencies bool
 	// Tracer, when non-nil, receives one telemetry.Decision per request at
 	// completion (or drop), as it happens: the predictors' view, the policy's
 	// plan (via TracePlan), and the executed outcome including per-request
@@ -102,11 +100,10 @@ type Config struct {
 // DefaultConfig returns the standard testbed configuration.
 func DefaultConfig() Config {
 	return Config{
-		Ladder:          cpu.DefaultLadder(),
-		Power:           cpu.DefaultPowerModel(),
-		TdvfsMs:         cpu.TdvfsMs,
-		StartFreq:       cpu.FDefault,
-		RecordLatencies: true,
+		Ladder:    cpu.DefaultLadder(),
+		Power:     cpu.DefaultPowerModel(),
+		TdvfsMs:   cpu.TdvfsMs,
+		StartFreq: cpu.FDefault,
 	}
 }
 

@@ -57,7 +57,6 @@ func TestSpansEmittedPerRequest(t *testing.T) {
 // disabled path is one pointer test per lifecycle event.
 func TestSpansDisabledAddsNoAllocsPerRequest(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.RecordLatencies = false
 	cfg.Spans = nil
 
 	const n = 600

@@ -29,8 +29,6 @@ func timelineJSONL(t *testing.T, ts *telemetry.Timeseries) []byte {
 // the decision tracer's TestTelemetryDisabledAddsNoAllocsPerRequest.
 func TestTimeseriesDisabledAddsNoAllocsPerRequest(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.RecordLatencies = false
-
 	const n = 600
 	wlA := traceWorkload(n, 29)
 	wlB := traceWorkload(2*n, 29)

@@ -64,6 +64,8 @@ func (t Topology) Cores() int {
 }
 
 // Core maps (shard, replica) to the flat core index.
+//
+//gemini:hotpath
 func (t Topology) Core(shard, replica int) int {
 	return shard*t.ReplicasPerShard + replica
 }
@@ -85,10 +87,12 @@ type RouteState struct {
 	vFinish  []float64  // virtual finish time per core (broker accounting)
 	ceilings []cpu.Freq // cap-coordinator ceilings (ladder.Max() when uncapped)
 	rr       []int      // per-shard round-robin cursors
+	tied     []int      // RouterPowerAware's tie pool, cap Replicas(), resliced per Pick
 	rng      *rand.Rand // PartitionedRNG routing stream
 }
 
 func newRouteState(topo Topology, budgetMs float64, ladder *cpu.Ladder, rng *rand.Rand) *RouteState {
+	topo = topo.normalized()
 	cores := topo.Cores()
 	st := &RouteState{
 		topo:     topo,
@@ -96,7 +100,8 @@ func newRouteState(topo Topology, budgetMs float64, ladder *cpu.Ladder, rng *ran
 		ladder:   ladder,
 		vFinish:  make([]float64, cores),
 		ceilings: make([]cpu.Freq, cores),
-		rr:       make([]int, topo.normalized().Shards),
+		rr:       make([]int, topo.Shards),
+		tied:     make([]int, 0, topo.ReplicasPerShard),
 		rng:      rng,
 	}
 	for c := range st.ceilings {
@@ -105,19 +110,27 @@ func newRouteState(topo Topology, budgetMs float64, ladder *cpu.Ladder, rng *ran
 	return st
 }
 
-// Replicas returns the replicas-per-shard count.
-func (st *RouteState) Replicas() int { return st.topo.normalized().ReplicasPerShard }
+// Replicas returns the replicas-per-shard count (newRouteState normalized it).
+//
+//gemini:hotpath
+func (st *RouteState) Replicas() int { return st.topo.ReplicasPerShard }
 
 // Now returns the routing pass's current time (the arrival being routed).
+//
+//gemini:hotpath
 func (st *RouteState) Now() float64 { return st.now }
 
 // VFinish returns the replica's virtual finish time: when its queue would
 // drain executing everything at the default frequency.
+//
+//gemini:hotpath
 func (st *RouteState) VFinish(shard, replica int) float64 {
 	return st.vFinish[st.topo.Core(shard, replica)]
 }
 
 // Ceiling returns the replica's current cap-coordinator frequency ceiling.
+//
+//gemini:hotpath
 func (st *RouteState) Ceiling(shard, replica int) cpu.Freq {
 	return st.ceilings[st.topo.Core(shard, replica)]
 }
@@ -128,12 +141,11 @@ func (st *RouteState) Ceiling(shard, replica int) cpu.Freq {
 // idle replica cruises at the ladder floor. This is the routing layer's model
 // of the per-core DVFS state — the same modeled-load idiom as vFinish — and
 // is what RouterPowerAware steers on.
+//
+//gemini:hotpath
 func (st *RouteState) PlannedFreq(shard, replica int) cpu.Freq {
-	return st.plannedFreqCore(st.topo.Core(shard, replica), st.now)
-}
-
-func (st *RouteState) plannedFreqCore(c int, now float64) cpu.Freq {
-	return plannedFreqFor(st.vFinish[c]-now, st.budgetMs, st.ladder, st.ceilings[c])
+	c := st.topo.Core(shard, replica)
+	return plannedFreqFor(st.vFinish[c]-st.now, st.budgetMs, st.ladder, st.ceilings[c])
 }
 
 // plannedFreqFor is the shared modeled-DVFS law: backlogMs of work-time at
@@ -141,6 +153,8 @@ func (st *RouteState) plannedFreqCore(c int, now float64) cpu.Freq {
 // is FDefault·backlog/budget clamped up to a ladder level and down to the
 // ceiling. Zero backlog (or a degenerate budget) models an idle core at the
 // ladder floor.
+//
+//gemini:hotpath
 func plannedFreqFor(backlogMs, budgetMs float64, ladder *cpu.Ladder, ceiling cpu.Freq) cpu.Freq {
 	if backlogMs <= 0 {
 		return ladder.Min()
@@ -161,6 +175,8 @@ func plannedFreqFor(backlogMs, budgetMs float64, ladder *cpu.Ladder, ceiling cpu
 // EstFinishMs estimates when the replica would finish r if routed there:
 // queue drain plus r's base service at the replica's ceiling-limited service
 // frequency. Deadline- and power-aware routing both rank on this.
+//
+//gemini:hotpath
 func (st *RouteState) EstFinishMs(shard, replica int, r *Request) float64 {
 	c := st.topo.Core(shard, replica)
 	start := st.now
@@ -177,6 +193,8 @@ func (st *RouteState) EstFinishMs(shard, replica int, r *Request) float64 {
 // assign commits r to the core, advancing its virtual finish time with the
 // broker's exact accounting (start at max(arrival, vFinish), serve BaseWork
 // at the default frequency).
+//
+//gemini:hotpath
 func (st *RouteState) assign(c int, r *Request) {
 	start := r.ArrivalMs
 	if st.vFinish[c] > start {
@@ -201,6 +219,7 @@ type RouterRoundRobin struct{}
 
 func (RouterRoundRobin) Name() string { return "round-robin" }
 
+//gemini:hotpath
 func (RouterRoundRobin) Pick(st *RouteState, shard int, r *Request) int {
 	j := st.rr[shard]
 	st.rr[shard] = (j + 1) % st.Replicas()
@@ -215,6 +234,7 @@ type RouterLeastLoaded struct{}
 
 func (RouterLeastLoaded) Name() string { return "least-loaded" }
 
+//gemini:hotpath
 func (RouterLeastLoaded) Pick(st *RouteState, shard int, r *Request) int {
 	best := 0
 	for j := 1; j < st.Replicas(); j++ {
@@ -237,6 +257,7 @@ type RouterDeadlineAware struct{}
 
 func (RouterDeadlineAware) Name() string { return "deadline-aware" }
 
+//gemini:hotpath
 func (RouterDeadlineAware) Pick(st *RouteState, shard int, r *Request) int {
 	bestMeet, bestMeetEst := -1, math.Inf(-1)
 	bestAny, bestAnyEst := 0, math.Inf(1)
@@ -268,10 +289,11 @@ type RouterPowerAware struct{}
 
 func (RouterPowerAware) Name() string { return "power-aware" }
 
+//gemini:hotpath
 func (RouterPowerAware) Pick(st *RouteState, shard int, r *Request) int {
 	reps := st.Replicas()
 	bestAny, bestAnyEst := 0, math.Inf(1)
-	var tied []int
+	tied := st.tied[:0]
 	var bestFreq cpu.Freq
 	var bestVF float64
 	for j := 0; j < reps; j++ {
@@ -300,6 +322,7 @@ func (RouterPowerAware) Pick(st *RouteState, shard int, r *Request) int {
 	if len(tied) == 1 {
 		return tied[0]
 	}
+	//gemini:allow hotpath -- the seeded routing stream is the sanctioned tie-break; Intn on a rand.Rand does not allocate
 	return tied[st.rng.Intn(len(tied))]
 }
 
@@ -420,11 +443,9 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 	if tc.PowerCapW > 0 {
 		coord = newPowerCapCoordinator(tc.PowerCapW, tc.CapIntervalMs, cfg.Power, cfg.Ladder, st)
 	}
-	parts := make([]*Workload, cores)
-	for c := range parts {
-		parts[c] = &Workload{BudgetMs: wl.BudgetMs, DurationMs: wl.DurationMs, Preds: wl.Preds}
-	}
-	clones := make([][]*Request, len(wl.Requests))
+	// legs is the leg table, the pre-pass's only per-request output: the core
+	// serving query qi on shard s, at legs[qi*Shards+s].
+	legs := make([]int32, len(wl.Requests)*topo.Shards)
 	routeCounts := make([]uint64, cores)
 	reps := topo.ReplicasPerShard
 	for qi, r := range wl.Requests {
@@ -432,28 +453,17 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 		if coord != nil {
 			coord.advanceTo(r.ArrivalMs)
 		}
-		fan := make([]*Request, topo.Shards)
-		for s := 0; s < topo.Shards; s++ {
+		fan := legs[qi*topo.Shards:][:topo.Shards]
+		for s := range fan {
 			j := router.Pick(st, s, r)
 			if j < 0 || j >= reps {
 				j = 0
 			}
 			c := topo.Core(s, j)
-			clone := &Request{
-				ID:         r.ID,
-				Query:      r.Query,
-				Features:   r.Features,
-				BaseWork:   r.BaseWork,
-				WorkTotal:  r.WorkTotal,
-				ArrivalMs:  r.ArrivalMs,
-				DeadlineMs: r.DeadlineMs,
-			}
-			parts[c].Requests = append(parts[c].Requests, clone)
-			fan[s] = clone
+			fan[s] = int32(c)
 			routeCounts[c]++
 			st.assign(c, r)
 		}
-		clones[qi] = fan
 	}
 	if coord != nil {
 		coord.finishTo(wl.DurationMs)
@@ -465,7 +475,14 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 		inner := mkPolicy
 		mk = func(c int) Policy { return wrapCapped(inner(c), coord.Schedule(c)) }
 	}
-	results := runCores(cfg, parts, workers, mk, coord)
+	// Each core's job builds its own requests from the table before it runs.
+	slabs := make([][]Request, cores)
+	part := func(c int) *Workload {
+		var reqs []*Request
+		slabs[c], reqs = coreSlab(wl.Requests, legs, topo.Shards, c/reps, int32(c), routeCounts[c])
+		return &Workload{Requests: reqs, BudgetMs: wl.BudgetMs, DurationMs: wl.DurationMs, Preds: wl.Preds}
+	}
+	results := runCores(cfg, cores, part, workers, mk, coord)
 
 	// --- deterministic merge ----------------------------------------------
 	tr := &TopologyResult{
@@ -483,10 +500,15 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 		tr.EnergyMJ += res.EnergyMJ
 	}
 	tr.QueryLatencies = make([]float64, 0, len(wl.Requests))
+	// A core's slab holds its legs in query order, so one cursor per core
+	// finds every leg of the table without a per-leg pointer.
+	cursor := make([]int, cores)
 	for qi, r := range wl.Requests {
 		dropped := false
 		finish := math.Inf(-1)
-		for _, cl := range clones[qi] {
+		for _, c := range legs[qi*topo.Shards:][:topo.Shards] {
+			cl := &slabs[c][cursor[c]]
+			cursor[c]++
 			if cl.Dropped {
 				dropped = true
 			}
@@ -521,6 +543,34 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 		tr.publish(tc.Metrics)
 	}
 	return tr
+}
+
+// coreSlab builds one core's requests from the shared, read-only workload:
+// a fresh Request in one contiguous slab for every query whose leg on shard
+// is routed to core, in arrival order, and the pointer slice the engine takes.
+// n is the core's route count, so both are exact-size. It runs inside the
+// core's own job: the zero-and-fill is parallel across workers, and the
+// engine then streams through memory it has just written.
+func coreSlab(queries []*Request, legs []int32, shards, shard int, core int32, n uint64) ([]Request, []*Request) {
+	slab := make([]Request, n)
+	reqs := make([]*Request, n)
+	k := 0
+	for qi, r := range queries {
+		if legs[qi*shards+shard] != core {
+			continue
+		}
+		cl := &slab[k]
+		cl.ID = r.ID
+		cl.Query = r.Query
+		cl.Features = r.Features
+		cl.BaseWork = r.BaseWork
+		cl.WorkTotal = r.WorkTotal
+		cl.ArrivalMs = r.ArrivalMs
+		cl.DeadlineMs = r.DeadlineMs
+		reqs[k] = cl
+		k++
+	}
+	return slab, reqs
 }
 
 // publish records the run's route/throttle/power telemetry (serial,
