@@ -123,7 +123,7 @@ func BenchmarkFig10PowerVsRPS(b *testing.B) {
 	b.ResetTimer()
 	var saving float64
 	for i := 0; i < b.N; i++ {
-		data := p.RPSSweep([]float64{20, 60, 100}, 10_000)
+		data := p.RPSSweepWorkers([]float64{20, 60, 100}, 10_000, 1)
 		cells := data.Cells["Gemini"]
 		saving = cells[len(cells)-1].SavingFrac
 	}
@@ -135,7 +135,7 @@ func BenchmarkFig11TailLatency(b *testing.B) {
 	b.ResetTimer()
 	var tail float64
 	for i := 0; i < b.N; i++ {
-		data := p.RPSSweep([]float64{20, 60, 100}, 10_000)
+		data := p.RPSSweepWorkers([]float64{20, 60, 100}, 10_000, 1)
 		cells := data.Cells["Gemini"]
 		tail = cells[len(cells)-1].TailMs
 	}
@@ -147,7 +147,7 @@ func BenchmarkFig12Traces(b *testing.B) {
 	b.ResetTimer()
 	var saving float64
 	for i := 0; i < b.N; i++ {
-		data := p.TraceRuns([]string{"wiki", "lucene", "trec"}, []string{"Rubik", "Pegasus", "Gemini"}, 60, 50_000)
+		data := p.TraceRunsWorkers([]string{"wiki", "lucene", "trec"}, []string{"Rubik", "Pegasus", "Gemini"}, 60, 50_000, 1)
 		saving = data.Cell("lucene", "Gemini").SavingFrac
 	}
 	b.ReportMetric(saving*100, "gemini-saving-%-lucene")
@@ -158,7 +158,7 @@ func BenchmarkFig13LatencyDistribution(b *testing.B) {
 	b.ResetTimer()
 	var viol float64
 	for i := 0; i < b.N; i++ {
-		data := p.TraceRuns([]string{"wiki"}, []string{"Rubik", "Pegasus", "Gemini"}, 60, 50_000)
+		data := p.TraceRunsWorkers([]string{"wiki"}, []string{"Rubik", "Pegasus", "Gemini"}, 60, 50_000, 1)
 		viol = data.Cell("wiki", "Gemini").ViolationPct
 	}
 	b.ReportMetric(viol, "gemini-violation-%")
@@ -169,7 +169,7 @@ func BenchmarkFig14Breakdown(b *testing.B) {
 	b.ResetTimer()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		data := p.TraceRuns([]string{"trec"}, []string{"Gemini", "Gemini-a", "Gemini-95th"}, 60, 50_000)
+		data := p.TraceRunsWorkers([]string{"trec"}, []string{"Gemini", "Gemini-a", "Gemini-95th"}, 60, 50_000, 1)
 		full := data.Cell("trec", "Gemini").SavingFrac
 		p95 := data.Cell("trec", "Gemini-95th").SavingFrac
 		if full > 0 {
@@ -183,7 +183,7 @@ func BenchmarkAblationNoBoost(b *testing.B) {
 	p := benchPlatform(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, data := p.AblationBoost(80, 10_000); len(data.Cells) < 3 {
+		if _, data := p.AblationBoostWorkers(80, 10_000, 1); len(data.Cells) < 3 {
 			b.Fatal("missing ablation cells")
 		}
 	}
@@ -193,7 +193,7 @@ func BenchmarkAblationPerRequestPlan(b *testing.B) {
 	p := benchPlatform(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, data := p.AblationGrouping(80, 10_000); len(data.Cells) < 2 {
+		if _, data := p.AblationGroupingWorkers(80, 10_000, 1); len(data.Cells) < 2 {
 			b.Fatal("missing ablation cells")
 		}
 	}
@@ -203,7 +203,7 @@ func BenchmarkAblationTdvfs(b *testing.B) {
 	p := benchPlatform(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, data := p.AblationTdvfs(80, 10_000); len(data.Cells) != 4 {
+		if _, data := p.AblationTdvfsWorkers(80, 10_000, 1); len(data.Cells) != 4 {
 			b.Fatal("missing ablation cells")
 		}
 	}
@@ -213,7 +213,7 @@ func BenchmarkAblationBudget(b *testing.B) {
 	p := benchPlatform(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, data := p.AblationBudget(80, 10_000); len(data.Cells) != 5 {
+		if _, data := p.AblationBudgetWorkers(80, 10_000, 1); len(data.Cells) != 5 {
 			b.Fatal("missing ablation cells")
 		}
 	}
@@ -223,7 +223,7 @@ func BenchmarkAblationSleep(b *testing.B) {
 	p := benchPlatform(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, data := p.AblationSleep(20, 10_000); len(data.Cells) < 3 {
+		if _, data := p.AblationSleepWorkers(20, 10_000, 1); len(data.Cells) < 3 {
 			b.Fatal("missing ablation cells")
 		}
 	}
@@ -265,8 +265,8 @@ func BenchmarkSweepParallel(b *testing.B) {
 // BenchmarkEnginePlatformConfig runs the raw event engine under the real
 // platform's sim.Config on the shared bench workload (see
 // internal/sim/benchsupport.go — the same scaffolding behind the
-// internal/sim engine pair and BENCH_sim.json), so the whole-stack numbers
-// here and the engine-only numbers there stay directly comparable.
+// internal/sim benchmarks), so the whole-stack numbers here and the
+// engine-only numbers there stay directly comparable.
 func BenchmarkEnginePlatformConfig(b *testing.B) {
 	p := benchPlatform(b)
 	var events uint64

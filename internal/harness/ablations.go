@@ -34,14 +34,9 @@ func (p *Platform) geminiVariant(mod func(*policy.Gemini)) *policy.Gemini {
 	return p.markCached(g)
 }
 
-// AblationBoost quantifies the second DVFS step: full Gemini vs one-step
-// (no boost) vs no error slack (ZeroError) at a busy fixed load.
-func (p *Platform) AblationBoost(rps, durationMs float64) (*Report, *AblationData) {
-	return p.AblationBoostWorkers(rps, durationMs, 1)
-}
-
-// AblationBoostWorkers is AblationBoost with the variant cells fanned across
-// the worker pool.
+// AblationBoostWorkers quantifies the second DVFS step: full Gemini vs
+// one-step (no boost) vs no error slack (ZeroError) at a busy fixed load, the
+// variant cells fanned across the worker pool.
 func (p *Platform) AblationBoostWorkers(rps, durationMs float64, workers int) (*Report, *AblationData) {
 	cfg := p.SimConfig()
 	cells := []variantCell{
@@ -57,14 +52,9 @@ func (p *Platform) AblationBoostWorkers(rps, durationMs float64, workers int) (*
 	return r, data
 }
 
-// AblationGrouping quantifies the §III-C grouping rule: shared group
-// frequency vs per-request re-planning.
-func (p *Platform) AblationGrouping(rps, durationMs float64) (*Report, *AblationData) {
-	return p.AblationGroupingWorkers(rps, durationMs, 1)
-}
-
-// AblationGroupingWorkers is AblationGrouping with the variant cells fanned
-// across the worker pool.
+// AblationGroupingWorkers quantifies the §III-C grouping rule: shared group
+// frequency vs per-request re-planning, the variant cells fanned across the
+// worker pool.
 func (p *Platform) AblationGroupingWorkers(rps, durationMs float64, workers int) (*Report, *AblationData) {
 	cfg := p.SimConfig()
 	cells := []variantCell{
@@ -79,13 +69,8 @@ func (p *Platform) AblationGroupingWorkers(rps, durationMs float64, workers int)
 	return r, data
 }
 
-// AblationTdvfs sweeps the transition-stall cost.
-func (p *Platform) AblationTdvfs(rps, durationMs float64) (*Report, *AblationData) {
-	return p.AblationTdvfsWorkers(rps, durationMs, 1)
-}
-
-// AblationTdvfsWorkers is AblationTdvfs with the sweep cells fanned across
-// the worker pool.
+// AblationTdvfsWorkers sweeps the transition-stall cost, the sweep cells
+// fanned across the worker pool.
 func (p *Platform) AblationTdvfsWorkers(rps, durationMs float64, workers int) (*Report, *AblationData) {
 	var cells []variantCell
 	for _, td := range []float64{0, 0.05, 0.2, 0.5} {
@@ -102,14 +87,9 @@ func (p *Platform) AblationTdvfsWorkers(rps, durationMs float64, workers int) (*
 	return r, data
 }
 
-// AblationBudget sweeps the tail latency budget.
-func (p *Platform) AblationBudget(rps, durationMs float64) (*Report, *AblationData) {
-	return p.AblationBudgetWorkers(rps, durationMs, 1)
-}
-
-// AblationBudgetWorkers is AblationBudget with the (budget, policy) cells
-// fanned across the worker pool. Each budget point carries its own hidden
-// baseline run as the saving reference, exactly like the serial loop did.
+// AblationBudgetWorkers sweeps the tail latency budget, the (budget, policy)
+// cells fanned across the worker pool. Each budget point carries its own
+// hidden baseline run as the saving reference.
 func (p *Platform) AblationBudgetWorkers(rps, durationMs float64, workers int) (*Report, *AblationData) {
 	cfg := p.SimConfig()
 	var cells []variantCell
@@ -129,13 +109,8 @@ func (p *Platform) AblationBudgetWorkers(rps, durationMs float64, workers int) (
 	return r, data
 }
 
-// AblationSleep compares Gemini with and without the C-state extension at a
-// light load where idle time dominates.
-func (p *Platform) AblationSleep(rps, durationMs float64) (*Report, *AblationData) {
-	return p.AblationSleepWorkers(rps, durationMs, 1)
-}
-
-// AblationSleepWorkers is AblationSleep with the variant cells fanned across
+// AblationSleepWorkers compares Gemini with and without the C-state extension
+// at a light load where idle time dominates, the variant cells fanned across
 // the worker pool.
 func (p *Platform) AblationSleepWorkers(rps, durationMs float64, workers int) (*Report, *AblationData) {
 	cfg := p.SimConfig()
@@ -163,15 +138,10 @@ func ablationReport(title string, data *AblationData) *Report {
 	return r
 }
 
-// ExtensionGovernors compares Gemini against the deadline-blind Linux-style
-// cpufreq governors and the remaining extension baselines at a fixed load —
-// context for Table I beyond the paper's three compared schemes.
-func (p *Platform) ExtensionGovernors(rps, durationMs float64) (*Report, *AblationData) {
-	return p.ExtensionGovernorsWorkers(rps, durationMs, 1)
-}
-
-// ExtensionGovernorsWorkers is ExtensionGovernors with the policy cells
-// fanned across the worker pool.
+// ExtensionGovernorsWorkers compares Gemini against the deadline-blind
+// Linux-style cpufreq governors and the remaining extension baselines at a
+// fixed load — context for Table I beyond the paper's three compared schemes.
+// The policy cells are fanned across the worker pool.
 func (p *Platform) ExtensionGovernorsWorkers(rps, durationMs float64, workers int) (*Report, *AblationData) {
 	cfg := p.SimConfig()
 	cells := []variantCell{p.baselineCell("Baseline")}

@@ -3,24 +3,21 @@ package harness
 import (
 	"fmt"
 
+	"gemini/internal/par"
 	"gemini/internal/search"
 	"gemini/internal/sim"
 	"gemini/internal/trace"
 )
 
-// ExtensionCache measures how an ISN-side result cache (paper ref [22])
+// ExtensionCacheWorkers measures how an ISN-side result cache (paper ref [22])
 // composes with Gemini: cache hits collapse to the engine's fixed lookup
 // cost, thinning the effective load the DVFS policy must serve. The Zipf
 // query stream makes hits frequent, so both the baseline and Gemini draw
 // less power — and Gemini's saving persists on the misses.
-func (p *Platform) ExtensionCache(rps, durationMs float64, cacheSize int) (*Report, *AblationData) {
-	return p.ExtensionCacheWorkers(rps, durationMs, cacheSize, 1)
-}
-
-// ExtensionCacheWorkers is ExtensionCache with the four variant cells fanned
-// across the worker pool. Each cell materializes its own workload from the
-// shared seed (the cached cells then rewrite hits), so results are identical
-// for any worker count.
+//
+// The four variant cells are fanned across the worker pool. Each cell
+// materializes its own workload from the shared seed (the cached cells then
+// rewrite hits), so results are identical for any worker count.
 func (p *Platform) ExtensionCacheWorkers(rps, durationMs float64, cacheSize, workers int) (*Report, *AblationData) {
 	tr := trace.GenFixedRPS(rps*p.Opt.ShardFraction, durationMs, p.Opt.Seed+70)
 
@@ -39,7 +36,7 @@ func (p *Platform) ExtensionCacheWorkers(rps, durationMs float64, cacheSize, wor
 		hitRate float64
 	}
 	slots := make([]cacheSlot, len(variants))
-	gridRun(workers, len(variants), func(i int) {
+	par.Run(workers, len(variants), func(i int) {
 		v := variants[i]
 		wl := p.Workload(tr.Arrivals, durationMs, p.Opt.Seed+71)
 		hitRate := 0.0

@@ -26,15 +26,6 @@ type SweepData struct {
 // Cell returns the measurement for (policy, rps index).
 func (d *SweepData) Cell(policy string, i int) SweepCell { return d.Cells[policy][i] }
 
-// RPSSweep runs the Fig. 10/11 experiment: each policy at fixed request
-// rates for durationMs of simulated time (the paper holds each RPS for 120 s
-// on the Wikipedia query mix with a 40 ms budget). This is the serial
-// reference path; RPSSweepWorkers fans the same grid across a worker pool
-// and returns identical data.
-func (p *Platform) RPSSweep(rpsList []float64, durationMs float64) *SweepData {
-	return p.RPSSweepWorkers(rpsList, durationMs, 1)
-}
-
 // Fig10 renders the power and power-saving panels of Fig. 10.
 func (p *Platform) Fig10(data *SweepData) *Report {
 	r := &Report{
@@ -99,14 +90,6 @@ type TraceData struct {
 
 // Cell returns the (trace, policy) cell.
 func (d *TraceData) Cell(tr, pol string) *TraceCell { return d.Cells[tr][pol] }
-
-// TraceRuns drives the trace-driven experiments behind Figs. 12–14: each
-// policy over each named 1000 s trace at the given mean RPS. This is the
-// serial reference path; TraceRunsWorkers fans the same grid across a worker
-// pool and returns identical data.
-func (p *Platform) TraceRuns(traces, policies []string, avgRPS, durationMs float64) *TraceData {
-	return p.TraceRunsWorkers(traces, policies, avgRPS, durationMs, 1)
-}
 
 // Fig12 renders the trace-driven power timelines and average savings.
 func (p *Platform) Fig12(data *TraceData) *Report {

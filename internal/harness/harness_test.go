@@ -157,7 +157,7 @@ func TestFig8Bounds(t *testing.T) {
 
 func TestRPSSweepShape(t *testing.T) {
 	p := plat(t)
-	data := p.RPSSweep([]float64{40, 100}, 8_000)
+	data := p.RPSSweepWorkers([]float64{40, 100}, 8_000, 1)
 	for _, name := range PolicyNames {
 		if len(data.Cells[name]) != 2 {
 			t.Fatalf("%s cells = %d", name, len(data.Cells[name]))
@@ -185,7 +185,7 @@ func TestRPSSweepShape(t *testing.T) {
 
 func TestTraceRunsShape(t *testing.T) {
 	p := plat(t)
-	data := p.TraceRuns([]string{"wiki"}, []string{"Rubik", "Pegasus", "Gemini", "Gemini-a", "Gemini-95th"}, 60, 60_000)
+	data := p.TraceRunsWorkers([]string{"wiki"}, []string{"Rubik", "Pegasus", "Gemini", "Gemini-a", "Gemini-95th"}, 60, 60_000, 1)
 	base := data.Cell("wiki", "Baseline")
 	gem := data.Cell("wiki", "Gemini")
 	if base == nil || gem == nil {
@@ -216,19 +216,19 @@ func TestTraceRunsShape(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	p := plat(t)
-	if _, data := p.AblationBoost(80, 8_000); len(data.Cells) != 4 {
+	if _, data := p.AblationBoostWorkers(80, 8_000, 1); len(data.Cells) != 4 {
 		t.Errorf("boost ablation cells = %d", len(data.Cells))
 	}
-	if _, data := p.AblationGrouping(80, 8_000); len(data.Cells) != 3 {
+	if _, data := p.AblationGroupingWorkers(80, 8_000, 1); len(data.Cells) != 3 {
 		t.Errorf("grouping ablation cells = %d", len(data.Cells))
 	}
-	if _, data := p.AblationTdvfs(80, 8_000); len(data.Cells) != 4 {
+	if _, data := p.AblationTdvfsWorkers(80, 8_000, 1); len(data.Cells) != 4 {
 		t.Errorf("tdvfs ablation cells = %d", len(data.Cells))
 	}
-	if _, data := p.AblationBudget(80, 8_000); len(data.Cells) != 5 {
+	if _, data := p.AblationBudgetWorkers(80, 8_000, 1); len(data.Cells) != 5 {
 		t.Errorf("budget ablation cells = %d", len(data.Cells))
 	}
-	_, sleep := p.AblationSleep(20, 8_000)
+	_, sleep := p.AblationSleepWorkers(20, 8_000, 1)
 	if len(sleep.Cells) != 3 {
 		t.Fatalf("sleep ablation cells = %d", len(sleep.Cells))
 	}
@@ -316,7 +316,7 @@ func TestFig2Timeline(t *testing.T) {
 }
 
 func TestExtensionAggregate(t *testing.T) {
-	r, data := plat(t).ExtensionAggregate(3, 40, 10_000)
+	r, data := plat(t).ExtensionAggregateWorkers(3, 40, 10_000, 1)
 	if len(data.Cells) != 2 {
 		t.Fatalf("cells = %d", len(data.Cells))
 	}
@@ -332,7 +332,7 @@ func TestExtensionAggregate(t *testing.T) {
 }
 
 func TestExtensionCache(t *testing.T) {
-	r, data := plat(t).ExtensionCache(60, 10_000, 128)
+	r, data := plat(t).ExtensionCacheWorkers(60, 10_000, 128, 1)
 	if len(data.Cells) != 4 {
 		t.Fatalf("cells = %d", len(data.Cells))
 	}
@@ -349,7 +349,7 @@ func TestExtensionCache(t *testing.T) {
 }
 
 func TestExtensionGovernors(t *testing.T) {
-	_, data := plat(t).ExtensionGovernors(60, 10_000)
+	_, data := plat(t).ExtensionGovernorsWorkers(60, 10_000, 1)
 	if len(data.Cells) != 6 {
 		t.Fatalf("cells = %d", len(data.Cells))
 	}

@@ -19,15 +19,12 @@ import (
 // per schedulable CPU.
 func DefaultWorkers() int { return par.DefaultWorkers() }
 
-// gridRun executes jobs 0..n-1 across at most `workers` goroutines via the
-// shared par pool. Each job must write results only into its own per-index
-// slot; workers <= 1 runs inline and is the serial reference path.
-func gridRun(workers, n int, job func(i int)) { par.Run(workers, n, job) }
-
-// RPSSweepWorkers runs the Fig. 10/11 measurement grid with the (rps, policy)
-// cells fanned across the worker pool. Each cell regenerates its arrival
-// trace and workload from the same seeds the serial path uses, so the
-// returned grid is identical for any worker count.
+// RPSSweepWorkers runs the Fig. 10/11 experiment: each policy at fixed request
+// rates for durationMs of simulated time (the paper holds each RPS for 120 s
+// on the Wikipedia query mix with a 40 ms budget). The (rps, policy) cells
+// are fanned across the worker pool; each regenerates its arrival trace and
+// workload from seeds that depend only on its grid position, so the returned
+// grid is identical for any worker count.
 func (p *Platform) RPSSweepWorkers(rpsList []float64, durationMs float64, workers int) *SweepData {
 	if rpsList == nil {
 		rpsList = []float64{20, 40, 60, 80, 100}
@@ -38,7 +35,7 @@ func (p *Platform) RPSSweepWorkers(rpsList []float64, durationMs float64, worker
 		res  *sim.Result
 	}
 	slots := make([]sweepSlot, len(rpsList)*nPol)
-	gridRun(workers, len(slots), func(k int) {
+	par.Run(workers, len(slots), func(k int) {
 		i, pi := k/nPol, k%nPol
 		rps, name := rpsList[i], PolicyNames[pi]
 		tr := trace.GenFixedRPS(rps*p.Opt.ShardFraction, durationMs, p.Opt.Seed+20+int64(i))
@@ -73,9 +70,10 @@ func (p *Platform) RPSSweepWorkers(rpsList []float64, durationMs float64, worker
 	return data
 }
 
-// TraceRunsWorkers runs the Fig. 12–14 measurement grid with the
+// TraceRunsWorkers drives the trace-driven experiments behind Figs. 12–14:
+// each policy over each named 1000 s trace at the given mean RPS, the
 // (trace, policy) cells fanned across the worker pool; results are identical
-// to the serial path for any worker count.
+// for any worker count.
 func (p *Platform) TraceRunsWorkers(traces, policies []string, avgRPS, durationMs float64, workers int) *TraceData {
 	// Baseline always runs (first, in the serial order) for the saving
 	// reference.
@@ -93,7 +91,7 @@ func (p *Platform) TraceRunsWorkers(traces, policies []string, avgRPS, durationM
 		res  *sim.Result
 	}
 	slots := make([]traceSlot, len(traces)*nPol)
-	gridRun(workers, len(slots), func(k int) {
+	par.Run(workers, len(slots), func(k int) {
 		ti, pi := k/nPol, k%nPol
 		trName, name := traces[ti], ordered[pi]
 		tr := trace.GenEvalTrace(trName, avgRPS*p.Opt.ShardFraction, durationMs, p.Opt.Seed+40+int64(ti))
@@ -152,7 +150,7 @@ type variantCell struct {
 // input order, computing savings against each cell's reference result.
 func (p *Platform) runVariantCells(cells []variantCell, rps, durationMs float64, workers int) (*AblationData, []*sim.Result) {
 	results := make([]*sim.Result, len(cells))
-	gridRun(workers, len(cells), func(i int) {
+	par.Run(workers, len(cells), func(i int) {
 		c := cells[i]
 		budget := c.budgetMs
 		if budget == 0 {

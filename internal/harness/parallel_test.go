@@ -3,20 +3,22 @@ package harness
 import (
 	"sync/atomic"
 	"testing"
+
+	"gemini/internal/par"
 )
 
 func TestGridRunCoversAllJobs(t *testing.T) {
 	for _, workers := range []int{1, 3, 8, 100} {
 		n := 17
 		var done [17]atomic.Int32
-		gridRun(workers, n, func(i int) { done[i].Add(1) })
+		par.Run(workers, n, func(i int) { done[i].Add(1) })
 		for i := range done {
 			if got := done[i].Load(); got != 1 {
 				t.Errorf("workers=%d: job %d ran %d times", workers, i, got)
 			}
 		}
 	}
-	gridRun(4, 0, func(int) { t.Error("job ran for n=0") })
+	par.Run(4, 0, func(int) { t.Error("job ran for n=0") })
 }
 
 // TestParallelSweepMatchesSerial is the engine's core guarantee: the worker
@@ -79,5 +81,20 @@ func TestParallelAblationsMatchSerial(t *testing.T) {
 			t.Errorf("%s: parallel report differs from serial\n--- serial ---\n%s\n--- parallel ---\n%s",
 				name, want, got)
 		}
+	}
+}
+
+// TestClusterReportWorkersIdentical pins the -workers contract at the harness
+// level: the multi-core cluster sweep prints the same report for any worker
+// count.
+func TestClusterReportWorkersIdentical(t *testing.T) {
+	p := plat(t)
+	serial := p.ClusterReport(4, 1, 40, 3000).String()
+	sharded := p.ClusterReport(4, 4, 40, 3000).String()
+	if serial != sharded {
+		t.Fatalf("cluster report differs between serial and sharded runs:\n--- serial\n%s\n--- sharded\n%s", serial, sharded)
+	}
+	if serial == "" {
+		t.Fatal("empty cluster report")
 	}
 }

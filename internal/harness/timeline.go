@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"gemini/internal/par"
 	"gemini/internal/sim"
 	"gemini/internal/stats"
 	"gemini/internal/trace"
@@ -52,18 +53,13 @@ func (p *Platform) Fig2(nRequests int) *Report {
 	return r
 }
 
-// ExtensionAggregate measures the end-to-end partition-aggregate tail the
-// paper's introduction motivates: every query is broadcast to nISNs shards
-// (independent per-shard service draws), and the search result is gated by
-// the slowest shard. ISN-level Gemini must hold the end-to-end tail at the
-// budget while saving power on every shard.
-func (p *Platform) ExtensionAggregate(nISNs int, rps, durationMs float64) (*Report, *AblationData) {
-	return p.ExtensionAggregateWorkers(nISNs, rps, durationMs, 1)
-}
-
-// ExtensionAggregateWorkers is ExtensionAggregate with the (policy, shard)
-// simulations fanned across the worker pool; the per-policy aggregation walks
-// shards in index order, so results are identical for any worker count.
+// ExtensionAggregateWorkers measures the end-to-end partition-aggregate tail
+// the paper's introduction motivates: every query is broadcast to nISNs
+// shards (independent per-shard service draws), and the search result is
+// gated by the slowest shard. ISN-level Gemini must hold the end-to-end tail
+// at the budget while saving power on every shard. The (policy, shard)
+// simulations are fanned across the worker pool; the per-policy aggregation
+// walks shards in index order, so results are identical for any worker count.
 func (p *Platform) ExtensionAggregateWorkers(nISNs int, rps, durationMs float64, workers int) (*Report, *AblationData) {
 	if nISNs < 2 {
 		nISNs = 4
@@ -78,7 +74,7 @@ func (p *Platform) ExtensionAggregateWorkers(nISNs int, rps, durationMs float64,
 		lats []float64 // per-request latency, -1 = dropped
 	}
 	slots := make([]shardSlot, len(names)*nISNs)
-	gridRun(workers, len(slots), func(k int) {
+	par.Run(workers, len(slots), func(k int) {
 		ni, shard := k/nISNs, k%nISNs
 		name := names[ni]
 		wl := p.Workload(tr.Arrivals, durationMs, p.Opt.Seed+90+int64(shard))

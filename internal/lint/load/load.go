@@ -183,15 +183,6 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 	return l.load(importPath)
 }
 
-// LoadDir loads the package in dir (which must be inside the module).
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	ip, err := l.ImportPathFor(dir)
-	if err != nil {
-		return nil, err
-	}
-	return l.Load(ip)
-}
-
 func (l *Loader) load(importPath string) (*Package, error) {
 	if p, ok := l.pkgs[importPath]; ok {
 		return p, nil

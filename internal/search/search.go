@@ -26,6 +26,11 @@ type ExecStats struct {
 	Terms           int // number of query terms evaluated
 }
 
+// CacheLookupStats is the execution-counter charge of a result-cache hit
+// (paper ref [22]): one probe, nothing else, so the cost model prices a
+// cached query at roughly the engine's fixed overhead.
+var CacheLookupStats = ExecStats{Lookups: 1}
+
 // Execution is the outcome of evaluating one query.
 type Execution struct {
 	Results []Result

@@ -10,16 +10,16 @@ import (
 
 // benchRun is the shared body of the single-ISN benchmark family: a fresh
 // 2000-request BenchWorkload per iteration (built outside the timed region),
-// run under the config mkCfg yields. The telemetry/span benchmarks differ
-// from the baseline only in mkCfg, so the pairs stay comparable by
+// run under the config mkCfg yields. The sink and engine benchmarks differ
+// from BenchmarkRunFixedPolicy only in mkCfg, so each reads against it by
 // construction.
-func benchRun(b *testing.B, mkCfg func() Config) {
+func benchRun(b *testing.B, mkCfg func(wl *Workload) Config) {
 	b.ReportAllocs()
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		wl := BenchWorkload(2000, int64(i))
-		cfg := mkCfg()
+		cfg := mkCfg(wl)
 		b.StartTimer()
 		res := Run(cfg, wl, &FixedPolicy{F: cpu.FDefault})
 		events += res.Events
@@ -27,8 +27,8 @@ func benchRun(b *testing.B, mkCfg func() Config) {
 	reportEventsPerSec(b, events)
 }
 
-// reportEventsPerSec attaches the engine-throughput metric tracked by
-// BENCH_sim.json and cmd/benchdiff.
+// reportEventsPerSec attaches the engine-throughput metric, the same unit as
+// the ledger's work_per_s on the sim_* workloads (go run ./bench).
 func reportEventsPerSec(b *testing.B, events uint64) {
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(events)/s, "events/sec")
@@ -36,90 +36,59 @@ func reportEventsPerSec(b *testing.B, events uint64) {
 }
 
 func BenchmarkRunFixedPolicy(b *testing.B) {
-	benchRun(b, DefaultConfig)
+	benchRun(b, func(*Workload) Config { return DefaultConfig() })
 }
 
 func BenchmarkRunWithPowerSeries(b *testing.B) {
-	benchRun(b, func() Config {
+	benchRun(b, func(*Workload) Config {
 		cfg := DefaultConfig()
 		cfg.PowerSeriesResMs = 1000
 		return cfg
 	})
 }
 
-// BenchmarkRunTelemetryDisabled / ...Enabled are the paired guard for the
-// decision-trace hook: the disabled path must cost one nil test per
-// lifecycle event and nothing more (see also
-// TestTelemetryDisabledAddsNoAllocsPerRequest).
-func BenchmarkRunTelemetryDisabled(b *testing.B) {
-	benchRun(b, DefaultConfig)
-}
-
+// BenchmarkRunTelemetryEnabled prices the decision-trace hook against
+// BenchmarkRunFixedPolicy; the disabled path must cost one nil test per
+// lifecycle event and nothing more (TestTelemetryDisabledAddsNoAllocsPerRequest).
 func BenchmarkRunTelemetryEnabled(b *testing.B) {
-	benchRun(b, func() Config {
+	benchRun(b, func(*Workload) Config {
 		cfg := DefaultConfig()
 		cfg.Tracer = telemetry.NewTracer(256)
 		return cfg
 	})
 }
 
-// BenchmarkRunSpansDisabled / ...Enabled are the same paired guard for the
-// phase-span hook: with Config.Spans nil the per-request cost is one pointer
-// test (the Disabled numbers must match BenchmarkRunFixedPolicy; see also
-// TestSpansDisabledAddsNoAllocsPerRequest).
-func BenchmarkRunSpansDisabled(b *testing.B) {
-	benchRun(b, DefaultConfig)
-}
-
+// BenchmarkRunSpansEnabled is the same for the phase-span hook
+// (TestSpansDisabledAddsNoAllocsPerRequest).
 func BenchmarkRunSpansEnabled(b *testing.B) {
-	benchRun(b, func() Config {
+	benchRun(b, func(*Workload) Config {
 		cfg := DefaultConfig()
 		cfg.Spans = telemetry.NewSpanTracer(256)
 		return cfg
 	})
 }
 
-// BenchmarkRunTimeseriesDisabled / ...Enabled are the paired guard for the
-// timeline sampler hooks: with Config.Series nil the engine pays one nil test
-// per lifecycle event and per accrued segment (the Disabled numbers must
-// match BenchmarkRunFixedPolicy; see also
-// TestTimeseriesDisabledAddsNoAllocsPerRequest). The Enabled run samples at
-// the 100 ms default interval, sized per-workload so the ring never evicts —
-// the acceptance bound is ≤5% events/sec regression vs Disabled.
-func BenchmarkRunTimeseriesDisabled(b *testing.B) {
-	benchRun(b, DefaultConfig)
-}
-
+// BenchmarkRunTimeseriesEnabled is the same for the timeline sampler hooks
+// (TestTimeseriesDisabledAddsNoAllocsPerRequest). It samples at the 100 ms
+// default interval, sized per-workload so the ring never evicts.
 func BenchmarkRunTimeseriesEnabled(b *testing.B) {
-	b.ReportAllocs()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		wl := BenchWorkload(2000, int64(i))
+	benchRun(b, func(wl *Workload) Config {
 		cfg := DefaultConfig()
 		cfg.Series = NewRunTimeseries(cfg.Ladder, wl.DurationMs, 100)
-		b.StartTimer()
-		res := Run(cfg, wl, &FixedPolicy{F: cpu.FDefault})
-		events += res.Events
-	}
-	reportEventsPerSec(b, events)
-}
-
-// BenchmarkRunEngineLinear / ...Calendar are the single-ISN engine pair: the
-// same workload under the reference linear-scan loop and the calendar-queue
-// loop. The FixedPolicy floor keeps the pending-event population tiny, so
-// this pair bounds the calendar's bookkeeping overhead rather than its
-// asymptotic win (BenchmarkClusterLarge* measures that).
-func BenchmarkRunEngineLinear(b *testing.B) {
-	benchRun(b, func() Config {
-		cfg := DefaultConfig()
-		cfg.Engine = EngineLinear
 		return cfg
 	})
 }
 
-func BenchmarkRunEngineCalendar(b *testing.B) {
-	benchRun(b, DefaultConfig)
+// BenchmarkRunEngineLinear is BenchmarkRunFixedPolicy's workload under the
+// reference linear-scan loop. The FixedPolicy floor keeps the pending-event
+// population tiny, so the pair bounds the calendar's bookkeeping overhead
+// rather than its asymptotic win (BenchmarkClusterLarge* measures that).
+func BenchmarkRunEngineLinear(b *testing.B) {
+	benchRun(b, func(*Workload) Config {
+		cfg := DefaultConfig()
+		cfg.linear = true
+		return cfg
+	})
 }
 
 func BenchmarkDispatch(b *testing.B) {
@@ -135,7 +104,7 @@ func BenchmarkRunCluster(b *testing.B) {
 		b.StopTimer()
 		wl := BenchWorkload(4000, int64(i))
 		b.StartTimer()
-		RunCluster(DefaultConfig(), wl, 4, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+		RunClusterWorkers(DefaultConfig(), wl, 4, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
 	}
 }
 
@@ -170,12 +139,11 @@ func (p *timerHeavyPolicy) OnTimer(s *Sim, tag int64) {
 	s.SetTimer(s.Now()+timerHeavySlots, tag)
 }
 
-// benchClusterLarge is the hundreds-of-ISNs cluster benchmark behind the
-// checked-in BENCH_sim.json numbers: 288 cores (24 sockets of 12 ISNs) fed
-// 100k requests, a timer-heavy controller per core. The workload is built
+// benchClusterLarge is the hundreds-of-ISNs cluster benchmark: 288 cores (24
+// sockets of 12 ISNs) fed 100k requests, a timer-heavy controller per core. The workload is built
 // per iteration outside the timed region; the timed region is dispatch,
 // engine execution, and the deterministic merge.
-func benchClusterLarge(b *testing.B, engine Engine, workers int) {
+func benchClusterLarge(b *testing.B, linear bool, workers int) {
 	b.ReportAllocs()
 	const cores = 288
 	const n = 100000
@@ -184,7 +152,7 @@ func benchClusterLarge(b *testing.B, engine Engine, workers int) {
 		b.StopTimer()
 		wl := BenchWorkloadRate(n, int64(i), 25.0/float64(cores))
 		cfg := DefaultConfig()
-		cfg.Engine = engine
+		cfg.linear = linear
 		b.StartTimer()
 		cr := RunClusterWorkers(cfg, wl, cores, workers, func(int) Policy { return &timerHeavyPolicy{} })
 		events += cr.Events
@@ -192,8 +160,8 @@ func benchClusterLarge(b *testing.B, engine Engine, workers int) {
 	reportEventsPerSec(b, events)
 }
 
-func BenchmarkClusterLargeLinear(b *testing.B)   { benchClusterLarge(b, EngineLinear, 1) }
-func BenchmarkClusterLargeCalendar(b *testing.B) { benchClusterLarge(b, EngineCalendar, 1) }
+func BenchmarkClusterLargeLinear(b *testing.B)   { benchClusterLarge(b, true, 1) }
+func BenchmarkClusterLargeCalendar(b *testing.B) { benchClusterLarge(b, false, 1) }
 func BenchmarkClusterLargeSharded(b *testing.B) {
-	benchClusterLarge(b, EngineCalendar, par.DefaultWorkers())
+	benchClusterLarge(b, false, par.DefaultWorkers())
 }

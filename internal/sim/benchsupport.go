@@ -4,12 +4,12 @@ import (
 	"gemini/internal/cpu"
 )
 
-// Shared benchmark scaffolding. The repo's benchmarks — the package-level
-// pairs in internal/sim/bench_test.go, the engine-throughput suite behind
-// BENCH_sim.json, and the whole-stack benchmarks in the root bench_test.go —
-// all build their synthetic request streams and no-op policies here, so the
-// workload shape is defined exactly once and every events/sec number is
-// comparable across packages.
+// Shared benchmark scaffolding. The repo's benchmarks — the single-ISN family
+// and the ClusterLarge engine suite in internal/sim/bench_test.go, the
+// whole-stack benchmarks in the root bench_test.go — and the allocation pins
+// of TestRunAllocationPins all build their synthetic request streams and
+// no-op policies here, so the workload shape is defined exactly once and
+// every events/sec number is comparable across packages.
 
 // BenchWorkload builds a Poisson-ish stream of n requests: exponential
 // inter-arrivals at 40 QPS and uniform 2–22 ms service at the default

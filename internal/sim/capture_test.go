@@ -76,9 +76,9 @@ func TestSinkEvictionEquivalence(t *testing.T) {
 		},
 	}
 	for name, runIt := range runners {
-		for _, engine := range []Engine{EngineCalendar, EngineLinear} {
+		for _, linear := range []bool{false, true} {
 			cfg := DefaultConfig()
-			cfg.Engine = engine
+			cfg.linear = linear
 			cfg.Tracer = telemetry.NewTracer(1 << 16)
 			cfg.Spans = telemetry.NewSpanAccumulator()
 			runIt(cfg, 1)
@@ -93,8 +93,8 @@ func TestSinkEvictionEquivalence(t *testing.T) {
 				cfg.Spans = telemetry.NewSpanTracer(spanCap)
 				runIt(cfg, workers)
 				if got := readSinks(cfg); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s engine=%d workers=%d: small sinks differ from the tail of the full emission "+
-						"(spans %d/%d, decisions %d/%d)", name, engine, workers,
+					t.Errorf("%s linear=%v workers=%d: small sinks differ from the tail of the full emission "+
+						"(spans %d/%d, decisions %d/%d)", name, linear, workers,
 						got.spanTotal, want.spanTotal, got.emitted, want.emitted)
 				}
 			}

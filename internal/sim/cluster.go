@@ -32,18 +32,14 @@ type ClusterResult struct {
 	Latencies  []float64 // merged, sorted
 }
 
-// RunCluster partitions the workload over `cores` queues with the broker and
-// simulates each core with its own policy instance from mkPolicy, serially.
-func RunCluster(cfg Config, wl *Workload, cores int, mkPolicy func(core int) Policy) *ClusterResult {
-	return RunClusterWorkers(cfg, wl, cores, 1, mkPolicy)
-}
-
-// RunClusterWorkers is RunCluster sharded over `workers` OS threads. Cores
-// are independent simulations, so the parallel run is byte-identical to the
-// serial one: per-core Results are deterministic functions of their
-// partition, aggregation walks cores in index order, and telemetry reaches
-// the caller's cfg.Tracer/cfg.Spans in core order whatever the thread count
-// (runCores; TestClusterWorkersMatchesSerial asserts this).
+// RunClusterWorkers partitions the workload over `cores` queues with the
+// broker and simulates each core with its own policy instance from mkPolicy,
+// sharded over `workers` OS threads (1 runs serially). Cores are independent
+// simulations, so the parallel run is byte-identical to the serial one:
+// per-core Results are deterministic functions of their partition,
+// aggregation walks cores in index order, and telemetry reaches the caller's
+// cfg.Tracer/cfg.Spans in core order whatever the thread count (runCores;
+// TestClusterWorkersMatchesSerial asserts this).
 //
 // mkPolicy is called once per core, possibly concurrently; it must be safe
 // for concurrent use and the returned policies must not share mutable state.

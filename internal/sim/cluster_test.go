@@ -67,7 +67,7 @@ func TestRunClusterRelievesOverload(t *testing.T) {
 	wl1 := clusterWorkload(300, 2, 8, 3)
 	single := Run(DefaultConfig(), wl1, &FixedPolicy{F: cpu.FDefault})
 	wl2 := clusterWorkload(300, 2, 8, 3)
-	cluster := RunCluster(DefaultConfig(), wl2, 4, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+	cluster := RunClusterWorkers(DefaultConfig(), wl2, 4, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
 
 	if cluster.Total != 300 || cluster.Completed != 300 {
 		t.Fatalf("cluster completed %d of %d", cluster.Completed, cluster.Total)
@@ -85,7 +85,7 @@ func TestRunClusterRelievesOverload(t *testing.T) {
 func TestClusterSocketPower(t *testing.T) {
 	wl := clusterWorkload(100, 10, 5, 4)
 	m := cpu.DefaultPowerModel()
-	cluster := RunCluster(DefaultConfig(), wl, 4, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+	cluster := RunClusterWorkers(DefaultConfig(), wl, 4, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
 	p := cluster.SocketPowerW(m)
 	// 4 simulated + 8 idle-floor cores + uncore: must be a sane wattage.
 	if p < m.UncoreW || p > 60 {
@@ -103,7 +103,7 @@ func TestClusterSocketPower(t *testing.T) {
 
 func TestClusterSingleCoreDegenerate(t *testing.T) {
 	wl := clusterWorkload(50, 20, 5, 5)
-	cluster := RunCluster(DefaultConfig(), wl, 0, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+	cluster := RunClusterWorkers(DefaultConfig(), wl, 0, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
 	if len(cluster.PerCore) != 1 {
 		t.Fatalf("cores = %d, want clamp to 1", len(cluster.PerCore))
 	}
@@ -114,7 +114,7 @@ func TestClusterSingleCoreDegenerate(t *testing.T) {
 
 func TestClusterEmptyWorkload(t *testing.T) {
 	wl := &Workload{BudgetMs: 40, DurationMs: 100}
-	cluster := RunCluster(DefaultConfig(), wl, 3, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+	cluster := RunClusterWorkers(DefaultConfig(), wl, 3, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
 	if cluster.ViolationRate() != 0 || cluster.TailLatencyMs(95) != 0 {
 		t.Errorf("empty cluster metrics: %+v", cluster)
 	}
@@ -237,7 +237,7 @@ func TestClusterWorkersMatchesSerial(t *testing.T) {
 
 func TestClusterEventsAggregated(t *testing.T) {
 	wl := clusterWorkload(100, 5, 5, 21)
-	cr := RunCluster(DefaultConfig(), wl, 4, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+	cr := RunClusterWorkers(DefaultConfig(), wl, 4, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
 	var sum uint64
 	for _, r := range cr.PerCore {
 		sum += r.Events

@@ -13,7 +13,7 @@ import (
 // reference linear engine on every observable surface — results (latencies,
 // energy, event counts), decision traces, span waterfalls, and the exact
 // sequence of policy callbacks. These tests run the same workload+policy
-// under both Config.Engine values and require deep equality.
+// under both engines and require deep equality.
 
 // callbackLog records every policy callback with its full observable context
 // so the two engines can be compared on the exact sequence a policy sees.
@@ -62,9 +62,9 @@ func (p *loggingPolicy) OnTimer(s *Sim, tag int64) {
 
 // runEngine executes one freshly-built workload/policy pair under the given
 // engine with full observability enabled, returning everything comparable.
-func runEngine(engine Engine, wl *Workload, pol Policy) (*Result, []telemetry.Decision, []telemetry.Span, []callbackLog) {
+func runEngine(linear bool, wl *Workload, pol Policy) (*Result, []telemetry.Decision, []telemetry.Span, []callbackLog) {
 	cfg := DefaultConfig()
-	cfg.Engine = engine
+	cfg.linear = linear
 	cfg.RecordFreqTrace = true
 	cfg.Tracer = telemetry.NewTracer(4 * len(wl.Requests))
 	cfg.Spans = telemetry.NewSpanTracer(8 * len(wl.Requests))
@@ -77,8 +77,8 @@ func runEngine(engine Engine, wl *Workload, pol Policy) (*Result, []telemetry.De
 // workloads and policies and requires every observable to match exactly.
 func assertEnginesEqual(t *testing.T, label string, mkWl func() *Workload, mkPol func() Policy) {
 	t.Helper()
-	resL, decL, spL, logL := runEngine(EngineLinear, mkWl(), mkPol())
-	resC, decC, spC, logC := runEngine(EngineCalendar, mkWl(), mkPol())
+	resL, decL, spL, logL := runEngine(true, mkWl(), mkPol())
+	resC, decC, spC, logC := runEngine(false, mkWl(), mkPol())
 
 	if !reflect.DeepEqual(logL, logC) {
 		n := len(logL)

@@ -2,7 +2,7 @@ package sim
 
 import "math"
 
-// Reference linear-scan engine (Config.Engine == EngineLinear). This is the
+// Reference linear-scan engine (the unexported Config.linear). This is the
 // original event loop: every nextEvent scans the full planned-change and
 // timer lists, clamping past-due timestamps to the clock per scan. It exists
 // so the calendar engine's behavior stays machine-checked against a simple,

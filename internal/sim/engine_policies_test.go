@@ -1,20 +1,21 @@
-package harness
+package sim_test
 
 import (
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"gemini/internal/harness"
 	"gemini/internal/sim"
 )
 
 // TestPoliciesEngineEquivalent runs every paper policy under both event
 // engines on a real platform workload and requires byte-identical results —
-// the end-to-end counterpart of the sim package's differential tests, with
-// the actual Gemini/Rubik/Pegasus control flows (timers, planned boosts,
-// clears) driving the event queue.
+// the end-to-end counterpart of this package's differential tests, with the
+// actual Gemini/Rubik/Pegasus control flows (timers, planned boosts, clears)
+// driving the event queue.
 func TestPoliciesEngineEquivalent(t *testing.T) {
-	p := plat(t)
+	p := harness.Shared(true)
 	rng := rand.New(rand.NewSource(11))
 	arr := make([]float64, 0, 400)
 	at := 0.0
@@ -24,36 +25,21 @@ func TestPoliciesEngineEquivalent(t *testing.T) {
 	}
 	dur := at + 100
 
-	for _, name := range PolicyNames {
-		run := func(engine sim.Engine) *sim.Result {
+	for _, name := range harness.PolicyNames {
+		run := func(linear bool) *sim.Result {
 			cfg := p.SimConfig()
-			cfg.Engine = engine
+			sim.SetLinearEngine(&cfg, linear)
 			cfg.RecordFreqTrace = true
 			wl := p.Workload(arr, dur, 5)
 			return sim.Run(cfg, wl, p.MustPolicy(name))
 		}
-		lin := run(sim.EngineLinear)
-		cal := run(sim.EngineCalendar)
+		lin := run(true)
+		cal := run(false)
 		if !reflect.DeepEqual(lin, cal) {
 			t.Errorf("%s: engines diverge:\n  linear:   completed=%d dropped=%d events=%d energy=%v p99=%v\n  calendar: completed=%d dropped=%d events=%d energy=%v p99=%v",
 				name,
 				lin.Completed, lin.Dropped, lin.Events, lin.EnergyMJ, lin.TailLatencyMs(99),
 				cal.Completed, cal.Dropped, cal.Events, cal.EnergyMJ, cal.TailLatencyMs(99))
 		}
-	}
-}
-
-// TestClusterReportWorkersIdentical pins the -workers contract at the harness
-// level: the multi-core cluster sweep prints the same report for any worker
-// count.
-func TestClusterReportWorkersIdentical(t *testing.T) {
-	p := plat(t)
-	serial := p.ClusterReport(4, 1, 40, 3000).String()
-	sharded := p.ClusterReport(4, 4, 40, 3000).String()
-	if serial != sharded {
-		t.Fatalf("cluster report differs between serial and sharded runs:\n--- serial\n%s\n--- sharded\n%s", serial, sharded)
-	}
-	if serial == "" {
-		t.Fatal("empty cluster report")
 	}
 }

@@ -1,0 +1,7 @@
+package sim
+
+// SetLinearEngine selects the reference linear-scan engine (true) or the
+// calendar queue (false) on cfg. The field is unexported so that nothing
+// outside this package's tests can select the reference; this is the door
+// for package sim_test, which has to be external to import internal/harness.
+func SetLinearEngine(cfg *Config, linear bool) { cfg.linear = linear }

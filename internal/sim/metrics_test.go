@@ -204,3 +204,33 @@ func TestTelemetryDisabledAddsNoAllocsPerRequest(t *testing.T) {
 			perReq, allocsA, allocsB)
 	}
 }
+
+// TestRunAllocationPins holds the machine-independent cost of one sim.Run:
+// whole-run allocation counts on the benchmarks' workload, with no sink and
+// with each sink attached, may not exceed the pinned counts. It is the
+// one-second feedback for the ledger's slow gate (go run ./bench): sim_sweep
+// is ≈6 800 allocations per grid over 195 core-runs, so a single extra
+// allocation per Run reads +2.9 % allocs_per_op there against a 2 % bound.
+// Lower a pin when a change removes allocations; raising one needs a reason.
+func TestRunAllocationPins(t *testing.T) {
+	wl := BenchWorkload(2000, 1)
+	pol := &FixedPolicy{F: cpu.FDefault}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		with func(*Config)
+	}{
+		{"no sink", 13, func(*Config) {}},
+		{"PowerSeriesResMs", 15, func(c *Config) { c.PowerSeriesResMs = 1000 }},
+		{"Tracer(256)", 14, func(c *Config) { c.Tracer = telemetry.NewTracer(256) }},
+		{"Series 100 ms", 20, func(c *Config) { c.Series = NewRunTimeseries(c.Ladder, wl.DurationMs, 100) }},
+		{"Spans(256)", 274, func(c *Config) { c.Spans = telemetry.NewSpanTracer(256) }},
+	} {
+		cfg := DefaultConfig()
+		tc.with(&cfg)
+		got := testing.AllocsPerRun(10, func() { resetWorkload(wl); Run(cfg, wl, pol) })
+		if got > tc.max {
+			t.Errorf("%s: sim.Run allocates %.0f times, pinned at %.0f", tc.name, got, tc.max)
+		}
+	}
+}

@@ -154,15 +154,10 @@ func (pc *PowerCapCoordinator) adjust(t float64) {
 	pc.seriesThr = append(pc.seriesThr, pc.throttles-throttlesBefore)
 }
 
-// FloorW returns the modeled cluster power with every replica loaded at the
-// ladder floor — the lowest wattage throttling can reach; a cap below it is
-// physically unenforceable and the invariant tests bound against it.
-func (pc *PowerCapCoordinator) FloorW() float64 {
-	return ClusterFloorW(pc.model, pc.ladder, len(pc.st.ceilings))
-}
-
 // ClusterFloorW is the modeled cluster power of `cores` busy replicas at the
-// ladder floor plus uncore — the hard lower bound of cap enforcement.
+// ladder floor plus uncore — the lowest wattage throttling can reach. A cap
+// below it is physically unenforceable and the invariant tests bound against
+// it.
 func ClusterFloorW(m *cpu.PowerModel, l *cpu.Ladder, cores int) float64 {
 	return m.UncoreW + float64(cores)*m.CoreW(l.Min(), true)
 }

@@ -26,7 +26,7 @@ func runCapped(seed int64, topo Topology, capW, intervalMs float64, router Route
 		PowerCapW:     capW,
 		CapIntervalMs: intervalMs,
 	}
-	return RunTopology(tc, wl, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+	return RunTopologyWorkers(tc, wl, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
 }
 
 // TestPowerCapInvariant sweeps caps from below the floor to above the

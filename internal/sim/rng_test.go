@@ -166,7 +166,7 @@ func near(a, b float64) bool {
 
 // TestGoldenResultsUnchangedByRNGRefactor replays the pre-refactor golden
 // runs: BenchWorkload streams, a seeded single-core Run, and a seeded
-// RunCluster must all be unchanged by the PartitionedRNG migration.
+// RunClusterWorkers must all be unchanged by the PartitionedRNG migration.
 func TestGoldenResultsUnchangedByRNGRefactor(t *testing.T) {
 	for i, g := range goldenBench {
 		wl := BenchWorkload(50, g.seed)
@@ -192,9 +192,9 @@ func TestGoldenResultsUnchangedByRNGRefactor(t *testing.T) {
 
 		gc := goldenCluster[i]
 		wl2 := BenchWorkloadRate(40, g.seed, 10)
-		cr := RunCluster(DefaultConfig(), wl2, 4, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+		cr := RunClusterWorkers(DefaultConfig(), wl2, 4, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
 		if cr.Events != gc.events || !near(cr.TailLatencyMs(95), gc.p95) || !near(cr.EnergyMJ, gc.energy) {
-			t.Errorf("RunCluster seed %d diverged from pre-refactor golden: events=%d p95=%.12f energy=%.12f",
+			t.Errorf("RunClusterWorkers seed %d diverged from pre-refactor golden: events=%d p95=%.12f energy=%.12f",
 				gc.seed, cr.Events, cr.TailLatencyMs(95), cr.EnergyMJ)
 		}
 	}

@@ -28,31 +28,18 @@ type Policy interface {
 	OnTimer(s *Sim, tag int64)
 }
 
-// Engine selects the event-engine implementation backing a run.
-type Engine uint8
-
-const (
-	// EngineCalendar (the zero value, and the default) dispatches
-	// policy-scheduled events through the indexed calendar queue — O(1)
-	// amortized insert/extract, no linear scans or slice splices.
-	EngineCalendar Engine = iota
-	// EngineLinear is the original linear-scan reference engine: every
-	// nextEvent scans the planned-change and timer lists. It is retained
-	// solely so equivalence with the calendar engine stays machine-checked
-	// (see TestEnginesEquivalent and FuzzEngineEquivalence); production and
-	// experiment paths must not select it.
-	EngineLinear
-)
-
 // Config parameterizes one simulation run.
 type Config struct {
 	Ladder  *cpu.Ladder
 	Power   *cpu.PowerModel
 	TdvfsMs float64
-	// Engine selects the event-engine implementation (test/bench use only;
-	// the zero value is the production calendar engine). Both engines
-	// produce byte-identical results, traces, and decision logs.
-	Engine Engine
+	// linear swaps the calendar-queue event loop — O(1) amortized
+	// insert/extract, no linear scans or slice splices — for the original
+	// linear-scan one in engine_linear.go. Only this package's tests can set
+	// it: the reference is retained solely so equivalence stays
+	// machine-checked (TestEnginesEquivalent, FuzzEngineEquivalence), and both
+	// engines produce byte-identical results, traces, and decision logs.
+	linear bool
 	// StartFreq is the core's frequency at time zero (FDefault if zero).
 	StartFreq cpu.Freq
 	// PredictOverheadMs, when positive, stalls the core on every arrival to
@@ -69,8 +56,8 @@ type Config struct {
 	// completion (or drop), as it happens: the predictors' view, the policy's
 	// plan (via TracePlan), and the executed outcome including per-request
 	// frequency transitions and core energy. A nil Tracer costs one pointer
-	// test per lifecycle event and zero allocations — see
-	// BenchmarkRunTelemetry*.
+	// test per lifecycle event and zero allocations
+	// (TestTelemetryDisabledAddsNoAllocsPerRequest).
 	Tracer *telemetry.Tracer
 	// Spans, when non-nil, receives the per-request phase spans forming each
 	// request's waterfall: "queue" (enqueue→dispatch), "exec-initial"
@@ -258,7 +245,7 @@ func run(cfg Config, wl *Workload, pol Policy, cp *capture) *Result {
 		seriesRes: cfg.PowerSeriesResMs,
 		tr:        cfg.Tracer,
 		sp:        cfg.Spans,
-		linear:    cfg.Engine == EngineLinear,
+		linear:    cfg.linear,
 		headIdx:   -1,
 		res:       newResult(pol.Name(), wl),
 	}

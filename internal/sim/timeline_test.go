@@ -113,15 +113,15 @@ func TestTimeseriesSingleRun(t *testing.T) {
 // timeline exports (the reserved timer is intercepted identically in both
 // loops, before any policy sees it).
 func TestTimeseriesEnginesEquivalent(t *testing.T) {
-	run := func(engine Engine) []byte {
+	run := func(linear bool) []byte {
 		wl := traceWorkload(400, 11)
 		cfg := DefaultConfig()
-		cfg.Engine = engine
+		cfg.linear = linear
 		cfg.Series = NewRunTimeseries(cfg.Ladder, wl.DurationMs, 40)
 		Run(cfg, wl, &chaosTimelinePolicy{})
 		return timelineJSONL(t, cfg.Series)
 	}
-	cal, lin := run(EngineCalendar), run(EngineLinear)
+	cal, lin := run(false), run(true)
 	if !bytes.Equal(cal, lin) {
 		t.Fatalf("calendar and linear engines produced different timelines (%d vs %d bytes)",
 			len(cal), len(lin))
@@ -229,7 +229,7 @@ func TestTopologyTimelineMatchesSingleRun(t *testing.T) {
 
 	wlT, cfgT := mk()
 	tc := TopologyConfig{Sim: cfgT, Topology: Topology{Shards: 1, ReplicasPerShard: 1}, Seed: 1}
-	RunTopology(tc, wlT, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+	RunTopologyWorkers(tc, wlT, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
 
 	wlS, cfgS := mk()
 	Run(cfgS, wlS, &FixedPolicy{F: cpu.FDefault})
@@ -269,7 +269,7 @@ func TestTimelineCapConsistency(t *testing.T) {
 		PowerCapW: 15, // between the six-core floor (~12.4 W) and max (~22.5 W): must throttle
 		Metrics:   telemetry.NewClusterMetrics(reg),
 	}
-	res := RunTopology(tc, wl, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+	res := RunTopologyWorkers(tc, wl, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
 	if res.CapThrottles == 0 {
 		t.Fatal("cap never throttled; the fixture is supposed to bind")
 	}

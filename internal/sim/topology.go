@@ -412,16 +412,11 @@ type TopologyResult struct {
 	PeakModeledPowerW float64
 }
 
-// RunTopology routes wl over the topology and simulates every replica core
-// serially. mkPolicy is called once per core (possibly concurrently under
-// RunTopologyWorkers) and must return policies sharing no mutable state.
-func RunTopology(tc TopologyConfig, wl *Workload, mkPolicy func(core int) Policy) *TopologyResult {
-	return RunTopologyWorkers(tc, wl, 1, mkPolicy)
-}
-
-// RunTopologyWorkers is RunTopology sharded over `workers` OS threads,
-// byte-identical to the serial run under every router (see the package
-// comment's determinism discipline).
+// RunTopologyWorkers routes wl over the topology and simulates every replica
+// core, sharded over `workers` OS threads (1 runs serially); the result is
+// byte-identical for any worker count under every router (see the package
+// comment's determinism discipline). mkPolicy is called once per core,
+// possibly concurrently, and must return policies sharing no mutable state.
 func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy func(core int) Policy) *TopologyResult {
 	topo := tc.Topology.normalized()
 	router := tc.Router

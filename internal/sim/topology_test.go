@@ -55,7 +55,7 @@ func TestRouterRoundRobinSpreadsEvenly(t *testing.T) {
 		Topology: Topology{Shards: 2, ReplicasPerShard: 3},
 		Router:   RouterRoundRobin{},
 	}
-	tr := RunTopology(tc, wl, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+	tr := RunTopologyWorkers(tc, wl, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
 	for c, n := range tr.RouteCounts {
 		if n != 40 {
 			t.Errorf("core %d got %d of 120 round-robin routes, want 40", c, n)
@@ -82,7 +82,7 @@ func TestTopologyStragglerAccounting(t *testing.T) {
 		Sim:      DefaultConfig(),
 		Topology: Topology{Shards: 2, ReplicasPerShard: 1},
 	}
-	tr := RunTopology(tc, wl, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+	tr := RunTopologyWorkers(tc, wl, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
 	if tr.Queries != 2 || tr.Completed != 2 || tr.Dropped != 0 {
 		t.Fatalf("accounting: %+v", tr)
 	}
@@ -102,7 +102,7 @@ func TestTopologyStragglerAccounting(t *testing.T) {
 // TestRouterLeastLoadedMatchesBroker is the property test anchoring the
 // topology layer to the existing broker: a single shard with R replicas under
 // RouterLeastLoaded must reproduce Dispatch's per-core assignment — and hence
-// RunCluster's per-core results — exactly, for every R and seed.
+// RunClusterWorkers' per-core results — exactly, for every R and seed.
 func TestRouterLeastLoadedMatchesBroker(t *testing.T) {
 	for _, replicas := range []int{1, 2, 3, 5, 8} {
 		for seed := int64(1); seed <= 5; seed++ {
@@ -114,8 +114,8 @@ func TestRouterLeastLoadedMatchesBroker(t *testing.T) {
 				Topology: Topology{Shards: 1, ReplicasPerShard: replicas},
 				Router:   RouterLeastLoaded{},
 			}
-			tr := RunTopology(tc, wlTopo, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
-			cr := RunCluster(DefaultConfig(), wlBroker, replicas, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+			tr := RunTopologyWorkers(tc, wlTopo, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+			cr := RunClusterWorkers(DefaultConfig(), wlBroker, replicas, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
 
 			if len(tr.PerCore) != len(cr.PerCore) {
 				t.Fatalf("replicas=%d seed=%d: core counts differ", replicas, seed)
@@ -202,7 +202,7 @@ func TestTopologyRoutingDrawsIsolated(t *testing.T) {
 		Router:   RouterPowerAware{},
 		Seed:     seed,
 	}
-	RunTopology(tc, wl, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+	RunTopologyWorkers(tc, wl, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
 
 	after := BenchWorkload(200, seed)
 	for i := range before.Requests {
@@ -224,7 +224,7 @@ func TestTopologyPublishesClusterMetrics(t *testing.T) {
 		PowerCapW: 15, // between the six-core floor (~12.4 W) and max (~22.5 W): must throttle
 		Metrics:   telemetry.NewClusterMetrics(reg),
 	}
-	tr := RunTopology(tc, wl, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+	tr := RunTopologyWorkers(tc, wl, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
 
 	var sum uint64
 	for _, n := range tr.RouteCounts {

@@ -44,9 +44,6 @@ func (o *Online) Variance() float64 {
 	return o.m2 / float64(o.n)
 }
 
-// StdDev returns the running population standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
 // Min returns the smallest observation (0 if none).
 func (o *Online) Min() float64 { return o.min }
 
@@ -120,32 +117,3 @@ func (m *MovingAverage) Std() float64 {
 	}
 	return math.Sqrt(sum / float64(n))
 }
-
-// EWMA is an exponentially weighted moving average with smoothing factor
-// alpha in (0, 1]; larger alpha weights recent observations more.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA creates an EWMA with the given smoothing factor.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.5
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add records one observation.
-func (e *EWMA) Add(x float64) {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-}
-
-// Value returns the current smoothed value.
-func (e *EWMA) Value() float64 { return e.value }

@@ -193,34 +193,6 @@ func TestCDFPoints(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-5) // clamps into first bin
-	h.Add(99) // clamps into last bin
-	if h.Total() != 12 {
-		t.Fatalf("Total = %d, want 12", h.Total())
-	}
-	if h.Counts[0] != 2 || h.Counts[9] != 2 {
-		t.Errorf("edge bins = %d,%d, want 2,2", h.Counts[0], h.Counts[9])
-	}
-	sum := 0
-	for _, c := range h.Counts {
-		sum += c
-	}
-	if sum != 12 {
-		t.Errorf("bin sum = %d, want 12", sum)
-	}
-	if got := h.BinCenter(0); !almostEqual(got, 0.5, 1e-12) {
-		t.Errorf("BinCenter(0) = %v, want 0.5", got)
-	}
-	if got := h.Fraction(0); !almostEqual(got, 2.0/12, 1e-12) {
-		t.Errorf("Fraction(0) = %v", got)
-	}
-}
-
 func TestOnlineMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	vals := make([]float64, 1000)
@@ -296,24 +268,6 @@ func TestMovingAverageProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	e.Add(10)
-	if e.Value() != 10 {
-		t.Errorf("first value = %v, want 10", e.Value())
-	}
-	e.Add(20)
-	if !almostEqual(e.Value(), 15, 1e-12) {
-		t.Errorf("Value = %v, want 15", e.Value())
-	}
-	bad := NewEWMA(2) // invalid alpha falls back to 0.5
-	bad.Add(10)
-	bad.Add(20)
-	if !almostEqual(bad.Value(), 15, 1e-12) {
-		t.Errorf("fallback alpha: %v, want 15", bad.Value())
 	}
 }
 

@@ -212,22 +212,16 @@ func (a *Attrs) UnmarshalJSON(data []byte) error {
 // A nil *SpanTracer is valid everywhere and means "tracing disabled"; all
 // methods are nil-safe, so emitters hold exactly one pointer test on the hot
 // path and the disabled path allocates nothing (see
-// TestNilSpanTracerAllocFree and the sim benchmark pair).
+// TestNilSpanTracerAllocFree and sim's TestSpansDisabledAddsNoAllocsPerRequest).
 type SpanTracer struct {
 	mu        sync.Mutex
-	buf       []Span
-	next      int
-	full      bool
+	buf       ring[Span]
 	unbounded bool
-	total     uint64
 }
 
 // NewSpanTracer creates a tracer retaining up to capacity spans (min 1).
 func NewSpanTracer(capacity int) *SpanTracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SpanTracer{buf: make([]Span, capacity)}
+	return &SpanTracer{buf: makeRing[Span](capacity)}
 }
 
 // NewSpanAccumulator creates a tracer that retains every emitted span with no
@@ -242,7 +236,7 @@ func (t *SpanTracer) Capacity() int {
 	if t.unbounded {
 		return 0
 	}
-	return len(t.buf)
+	return len(t.buf.slots)
 }
 
 // Emit records one span. Safe for concurrent use; nil-safe.
@@ -251,7 +245,7 @@ func (t *SpanTracer) Emit(sp Span) {
 		return
 	}
 	t.mu.Lock()
-	t.push(sp)
+	t.push(&sp)
 	t.mu.Unlock()
 }
 
@@ -272,28 +266,20 @@ func (t *SpanTracer) EmitRun(evicted uint64, tail []Span) {
 		return
 	}
 	t.mu.Lock()
-	t.total += evicted
-	for _, sp := range tail {
-		t.push(sp)
+	t.buf.total += evicted
+	for i := range tail {
+		t.push(&tail[i])
 	}
 	t.mu.Unlock()
 }
 
 // push appends under t.mu.
-func (t *SpanTracer) push(sp Span) {
+func (t *SpanTracer) push(sp *Span) {
 	if t.unbounded {
-		t.buf = append(t.buf, sp)
-		t.next = len(t.buf)
-		t.total++
+		t.buf.grow(sp)
 		return
 	}
-	t.buf[t.next] = sp
-	t.next++
-	if t.next == len(t.buf) {
-		t.next = 0
-		t.full = true
-	}
-	t.total++
+	t.buf.push(sp)
 }
 
 // Total returns the number of spans ever emitted.
@@ -303,7 +289,7 @@ func (t *SpanTracer) Total() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total
+	return t.buf.total
 }
 
 // Snapshot returns up to n of the most recent spans, oldest first (all
@@ -314,22 +300,7 @@ func (t *SpanTracer) Snapshot(n int) []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	size := t.next
-	if t.full {
-		size = len(t.buf)
-	}
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]Span, n)
-	start := t.next - n
-	if start < 0 {
-		start += len(t.buf)
-	}
-	for i := 0; i < n; i++ {
-		out[i] = t.buf[(start+i)%len(t.buf)]
-	}
-	return out
+	return t.buf.snapshot(n)
 }
 
 // Spans returns every retained span, oldest first.

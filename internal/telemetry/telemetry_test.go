@@ -129,10 +129,11 @@ func TestInstrumentsConcurrent(t *testing.T) {
 }
 
 func TestRingEvictsOldest(t *testing.T) {
-	r := NewRing(3)
+	tr := NewTracer(3)
 	for i := 0; i < 5; i++ {
-		r.Push(Decision{RequestID: i})
+		tr.Emit(Decision{RequestID: i})
 	}
+	r := tr.Ring()
 	if r.Total() != 5 {
 		t.Errorf("total = %d", r.Total())
 	}

@@ -20,11 +20,10 @@ import (
 // cluster runners' deterministic core-order merge, and the live listeners'
 // wall-clock ticker behind /debug/timeline.
 //
-// The storage discipline mirrors the decision tracer: everything is
-// preallocated ring-buffered columns, Append copies values into existing
-// capacity, and a disabled sampler is a nil pointer costing the engine one
-// pointer test per lifecycle event and zero allocations
-// (TestTimeseriesDisabledAddsNoAllocsPerRequest, BenchmarkRunTimeseries*).
+// The storage discipline mirrors the decision tracer: one preallocated ring
+// of rows, Append copies values into existing capacity, and a disabled
+// sampler is a nil pointer costing the engine one pointer test per lifecycle
+// event and zero allocations (TestTimeseriesDisabledAddsNoAllocsPerRequest).
 
 // TimeseriesRow is one sample: the state of a core (or a cluster aggregate)
 // over the window ending at TimeMs.
@@ -75,24 +74,15 @@ type TimeseriesRow struct {
 	Residency []float64 `json:"residency"`
 }
 
-// Timeseries is a bounded ring of TimeseriesRows stored as preallocated
-// columns. All methods are safe for concurrent use and nil-safe; Append is
-// allocation-free (the Residency slice is copied into flat preallocated
-// storage, never retained).
+// Timeseries is a bounded ring of TimeseriesRows. All methods are safe for
+// concurrent use and nil-safe; Append is allocation-free (the Residency slice
+// is copied into flat preallocated storage, never retained).
 type Timeseries struct {
 	mu         sync.Mutex
 	intervalMs float64
 	freqs      []float64
-	capacity   int
-	start, n   int    // ring window: rows [start, start+n) mod capacity
-	total      uint64 // rows ever appended (evictions included)
-
-	timeMs, powerW, queueDepth, inFlight []float64
-	arrivals, completions, drops, capThr []uint64
-	capModeledW, p50, p95, p99           []float64
-	sloViol                              []uint64
-	queueHW, goroutines, gcPause, heapD  []float64
-	resid                                []float64 // capacity × len(freqs), flattened
+	rows       ring[TimeseriesRow] // a stored row's Residency is its slot's stretch of resid
+	resid      []float64           // capacity × len(freqs), flattened
 }
 
 // NewTimeseries creates a sampler ring. intervalMs is the sample interval,
@@ -107,27 +97,10 @@ func NewTimeseries(intervalMs float64, freqsGHz []float64, capacity int) *Timese
 	fs := make([]float64, len(freqsGHz))
 	copy(fs, freqsGHz)
 	return &Timeseries{
-		intervalMs:  intervalMs,
-		freqs:       fs,
-		capacity:    capacity,
-		timeMs:      make([]float64, capacity),
-		powerW:      make([]float64, capacity),
-		queueDepth:  make([]float64, capacity),
-		inFlight:    make([]float64, capacity),
-		arrivals:    make([]uint64, capacity),
-		completions: make([]uint64, capacity),
-		drops:       make([]uint64, capacity),
-		capThr:      make([]uint64, capacity),
-		capModeledW: make([]float64, capacity),
-		p50:         make([]float64, capacity),
-		p95:         make([]float64, capacity),
-		p99:         make([]float64, capacity),
-		sloViol:     make([]uint64, capacity),
-		queueHW:     make([]float64, capacity),
-		goroutines:  make([]float64, capacity),
-		gcPause:     make([]float64, capacity),
-		heapD:       make([]float64, capacity),
-		resid:       make([]float64, capacity*len(fs)),
+		intervalMs: intervalMs,
+		freqs:      fs,
+		rows:       makeRing[TimeseriesRow](capacity),
+		resid:      make([]float64, capacity*len(fs)),
 	}
 }
 
@@ -164,7 +137,7 @@ func (t *Timeseries) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.n
+	return t.rows.n
 }
 
 // Total returns the number of rows ever appended, evicted ones included.
@@ -174,7 +147,7 @@ func (t *Timeseries) Total() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total
+	return t.rows.total
 }
 
 // Append records one row, evicting the oldest when the ring is full. The
@@ -185,68 +158,12 @@ func (t *Timeseries) Append(row TimeseriesRow) {
 		return
 	}
 	t.mu.Lock()
-	i := (t.start + t.n) % t.capacity
-	if t.n == t.capacity {
-		t.start = (t.start + 1) % t.capacity
-	} else {
-		t.n++
-	}
-	t.timeMs[i] = row.TimeMs
-	t.powerW[i] = row.PowerW
-	t.queueDepth[i] = row.QueueDepth
-	t.inFlight[i] = row.InFlight
-	t.arrivals[i] = row.Arrivals
-	t.completions[i] = row.Completions
-	t.drops[i] = row.Drops
-	t.capThr[i] = row.CapThrottles
-	t.capModeledW[i] = row.CapModeledW
-	t.p50[i] = row.P50Ms
-	t.p95[i] = row.P95Ms
-	t.p99[i] = row.P99Ms
-	t.sloViol[i] = row.SLOViolations
-	t.queueHW[i] = row.QueueHighWater
-	t.goroutines[i] = row.Goroutines
-	t.gcPause[i] = row.GCPauseMs
-	t.heapD[i] = row.HeapDeltaBytes
+	i := t.rows.push(&row)
 	lv := len(t.freqs)
 	dst := t.resid[i*lv : (i+1)*lv]
-	for j := range dst {
-		if j < len(row.Residency) {
-			dst[j] = row.Residency[j]
-		} else {
-			dst[j] = 0
-		}
-	}
-	t.total++
+	clear(dst[copy(dst, row.Residency):]) // a shorter Residency zero-fills
+	t.rows.slots[i].Residency = dst
 	t.mu.Unlock()
-}
-
-// row materializes ring slot (start+k)%capacity. Caller holds t.mu.
-func (t *Timeseries) row(k int) TimeseriesRow {
-	i := (t.start + k) % t.capacity
-	lv := len(t.freqs)
-	res := make([]float64, lv)
-	copy(res, t.resid[i*lv:(i+1)*lv])
-	return TimeseriesRow{
-		TimeMs:         t.timeMs[i],
-		PowerW:         t.powerW[i],
-		QueueDepth:     t.queueDepth[i],
-		InFlight:       t.inFlight[i],
-		Arrivals:       t.arrivals[i],
-		Completions:    t.completions[i],
-		Drops:          t.drops[i],
-		CapThrottles:   t.capThr[i],
-		CapModeledW:    t.capModeledW[i],
-		P50Ms:          t.p50[i],
-		P95Ms:          t.p95[i],
-		P99Ms:          t.p99[i],
-		SLOViolations:  t.sloViol[i],
-		QueueHighWater: t.queueHW[i],
-		Goroutines:     t.goroutines[i],
-		GCPauseMs:      t.gcPause[i],
-		HeapDeltaBytes: t.heapD[i],
-		Residency:      res,
-	}
 }
 
 // Rows returns every retained row, oldest first.
@@ -255,19 +172,16 @@ func (t *Timeseries) Rows() []TimeseriesRow {
 }
 
 // Snapshot returns the most recent n rows, oldest first (n <= 0 returns
-// every retained row).
+// every retained row). The rows own their Residency slices.
 func (t *Timeseries) Snapshot(n int) []TimeseriesRow {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if n <= 0 || n > t.n {
-		n = t.n
-	}
-	out := make([]TimeseriesRow, n)
-	for k := 0; k < n; k++ {
-		out[k] = t.row(t.n - n + k)
+	out := t.rows.snapshot(n)
+	for k := range out {
+		out[k].Residency = append(make([]float64, 0, len(t.freqs)), out[k].Residency...)
 	}
 	return out
 }

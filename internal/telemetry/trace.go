@@ -63,48 +63,18 @@ func (d *Decision) Covered() bool {
 	return d.ActualMs <= d.PredictedMs+d.PredErrMs
 }
 
-// Ring is a bounded, concurrency-safe buffer of the most recent decisions.
+// Ring is a bounded, concurrency-safe buffer of the most recent decisions; the
+// Tracer that owns it is the only writer.
 type Ring struct {
-	mu    sync.Mutex
-	buf   []Decision
-	next  int
-	full  bool
-	total uint64
-}
-
-// NewRing creates a ring holding up to capacity decisions (min 1).
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Decision, capacity)}
-}
-
-// Push appends one decision, evicting the oldest when full.
-func (r *Ring) Push(d Decision) {
-	r.mu.Lock()
-	r.push(&d)
-	r.mu.Unlock()
-}
-
-// push appends under r.mu.
-//
-//gemini:hotpath
-func (r *Ring) push(d *Decision) {
-	r.buf[r.next] = *d
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.total++
+	mu  sync.Mutex
+	buf ring[Decision]
 }
 
 // Total returns the number of decisions ever pushed.
 func (r *Ring) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.buf.total
 }
 
 // Snapshot returns up to n of the most recent decisions, oldest first
@@ -112,22 +82,7 @@ func (r *Ring) Total() uint64 {
 func (r *Ring) Snapshot(n int) []Decision {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	size := r.next
-	if r.full {
-		size = len(r.buf)
-	}
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]Decision, n)
-	start := r.next - n
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for i := 0; i < n; i++ {
-		out[i] = r.buf[(start+i)%len(r.buf)]
-	}
-	return out
+	return r.buf.snapshot(n)
 }
 
 // qualityBuckets are the |S* − actual| histogram bounds of the prediction
@@ -229,9 +184,9 @@ type Tracer struct {
 	sinkErr error
 }
 
-// NewTracer creates a tracer with a ring of the given capacity.
+// NewTracer creates a tracer with a ring of the given capacity (min 1).
 func NewTracer(ringCap int) *Tracer {
-	return &Tracer{ring: NewRing(ringCap), quality: NewQuality()}
+	return &Tracer{ring: &Ring{buf: makeRing[Decision](ringCap)}, quality: NewQuality()}
 }
 
 // SetSink attaches a streaming JSONL writer: every subsequent Emit writes
@@ -254,7 +209,7 @@ func (t *Tracer) Emit(d Decision) {
 	t.ring.mu.Lock()
 	t.seq++
 	d.Seq = t.seq
-	t.ring.push(&d)
+	t.ring.buf.push(&d)
 	t.quality.Observe(&d)
 	if t.enc != nil {
 		t.writeSink(d)
