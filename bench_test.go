@@ -13,6 +13,7 @@ import (
 	"gemini/internal/cpu"
 	"gemini/internal/harness"
 	"gemini/internal/sim"
+	"gemini/internal/trace"
 )
 
 var (
@@ -88,7 +89,7 @@ func BenchmarkFig6FeatureImportance(b *testing.B) {
 	b.ResetTimer()
 	var first, last float64
 	for i := 0; i < b.N; i++ {
-		_, data := p.Fig6()
+		_, data := p.Fig6Workers(1)
 		first = data.Points[0].Accuracy
 		last = data.Points[len(data.Points)-1].Accuracy
 	}
@@ -260,6 +261,22 @@ func BenchmarkSweepParallel(b *testing.B) {
 	if perIter > 0 {
 		b.ReportMetric(float64(serial)/float64(perIter), "speedup-x")
 	}
+}
+
+// BenchmarkPlatformWorkload builds what every cluster cell of a sweep builds
+// before it can run: the arrival trace and the platform workload, at engine
+// RPS 60 over 12 cores for 10 simulated seconds. ns/request is the cost per
+// arrival of the two together.
+func BenchmarkPlatformWorkload(b *testing.B) {
+	p := benchPlatform(b)
+	const durationMs = 10_000
+	requests := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := trace.GenFixedRPS(60*p.Opt.ShardFraction*12, durationMs, int64(i))
+		requests += len(p.Workload(tr.Arrivals, durationMs, int64(i)).Requests)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(requests), "ns/request")
 }
 
 // BenchmarkEnginePlatformConfig runs the raw event engine under the real

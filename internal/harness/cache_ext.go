@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gemini/internal/par"
-	"gemini/internal/search"
 	"gemini/internal/sim"
 	"gemini/internal/trace"
 )
@@ -77,28 +76,21 @@ func (p *Platform) ExtensionCacheWorkers(rps, durationMs float64, cacheSize, wor
 }
 
 // applyCache replays the workload's query sequence through an LRU of the
-// given capacity and rewrites hits to the cache-lookup cost, returning the
-// hit rate. The request sequence matches the uncached run query-for-query
-// (same workload seed), so the comparison isolates the cache's effect.
+// given capacity and re-points every hit at the platform's cache-hit entry,
+// at the cache-lookup cost, returning the hit rate. The request sequence
+// matches the uncached run query-for-query (same workload seed), so the
+// comparison isolates the cache's effect. The hit entry has its own slot in
+// the prediction table, so cached and live prediction paths stay
+// bit-identical.
 func (p *Platform) applyCache(wl *sim.Workload, capacity int) float64 {
-	lookupWork := p.Cost.WorkFor(search.CacheLookupStats)
 	hits := 0
 	seen := newLRUSet(capacity)
 	for _, req := range wl.Requests {
-		if seen.touch(req.Query.Text) {
+		if seen.touch(req.Entry.Query.Text) {
 			hits++
-			req.BaseWork = lookupWork
-			req.WorkTotal = lookupWork
-			// A hit is trivially predictable: zeroed features make the NN
-			// place it in the smallest service-time bucket.
-			req.Features = search.FeatureVector{}
-			// The precomputed prediction table was built from the original
-			// features; refresh the rewritten request's entry so cached and
-			// live prediction paths stay bit-identical.
-			if wl.Preds != nil {
-				pr := p.predictPair(req.Features)
-				wl.Preds.ServiceMs[req.ID], wl.Preds.ErrMs[req.ID] = pr.svc, pr.err
-			}
+			req.Entry, req.PoolIdx = &p.cacheHit, int32(len(p.Pool))
+			req.BaseWork = p.cacheHit.BaseWork
+			req.WorkTotal = p.cacheHit.BaseWork
 		}
 	}
 	if len(wl.Requests) == 0 {

@@ -65,7 +65,7 @@ func (e *ExperimentSet) runners() map[string]func() *Report {
 		"fig1b":  func() *Report { r, _ := e.P.Fig1b(); return r },
 		"fig1c":  func() *Report { r, _ := e.P.Fig1c(); return r },
 		"fig3":   func() *Report { r, _ := e.P.Fig3(); return r },
-		"fig6":   func() *Report { r, _ := e.P.Fig6(); return r },
+		"fig6":   func() *Report { r, _ := e.P.Fig6Workers(w); return r },
 		"fig7":   func() *Report { r, _ := e.P.Fig7(); return r },
 		"fig8":   func() *Report { r, _ := e.P.Fig8(); return r },
 		"fig10":  func() *Report { return e.P.Fig10(e.Sweep()) },

@@ -202,10 +202,10 @@ type Fig3Data struct {
 func (p *Platform) Fig3() (*Report, *Fig3Data) {
 	// Pick the heaviest pool query (the paper used a long request: 40 ms at
 	// 2.7 GHz scaled to our platform).
-	heavy := p.Pool[0]
-	for _, pq := range p.Pool {
-		if pq.BaseWork > heavy.BaseWork {
-			heavy = pq
+	heavy := &p.Pool[0]
+	for i := range p.Pool {
+		if p.Pool[i].BaseWork > heavy.BaseWork {
+			heavy = &p.Pool[i]
 		}
 	}
 	data := &Fig3Data{}
@@ -218,7 +218,7 @@ func (p *Platform) Fig3() (*Report, *Fig3Data) {
 		f := levels[i]
 		wl := &sim.Workload{BudgetMs: 10_000, DurationMs: 10_000}
 		wl.Requests = []*sim.Request{{
-			Query: heavy.Query, Features: heavy.Features,
+			Entry:    heavy,
 			BaseWork: heavy.BaseWork, WorkTotal: heavy.BaseWork,
 			ArrivalMs: 0, DeadlineMs: 10_000,
 		}}

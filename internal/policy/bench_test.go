@@ -23,7 +23,7 @@ func benchWL(n int, seed int64) *sim.Workload {
 		fv[1] = 0.5
 		w := cpu.Work(ms * 2.7)
 		wl.Requests = append(wl.Requests, &sim.Request{
-			ID: i, Features: fv, BaseWork: w, WorkTotal: w,
+			ID: i, Entry: &sim.PreparedQuery{Features: fv}, BaseWork: w, WorkTotal: w,
 			ArrivalMs: at, DeadlineMs: at + 40,
 		})
 	}

@@ -39,11 +39,12 @@ type Gemini struct {
 	// overhead the grouping rule of §III-C avoids).
 	NoGrouping bool
 	// UseCachedService / UseCachedErr route OnArrival's predictions through
-	// the workload's precomputed table (sim.Predictions) instead of invoking
-	// Service / ErrPred per arrival. The harness sets these only when the
-	// table was produced by the very same predictor instances, so cached and
-	// live paths are bit-identical; stateful estimators (Gemini-α's moving
-	// average) must keep the live path.
+	// the pool-indexed table the workload carries (sim.Predictions) instead
+	// of invoking Service / ErrPred per arrival. The harness sets these only
+	// when the table was produced by the very same predictor instances, so
+	// cached and live paths are bit-identical
+	// (TestCachedPredictionsMatchLive); stateful estimators (Gemini-α's
+	// moving average) must keep the live path.
 	UseCachedService bool
 	UseCachedErr     bool
 	// IdleFreq is applied when the queue drains.
@@ -116,12 +117,12 @@ func (g *Gemini) OnArrival(s *sim.Sim, r *sim.Request) {
 	if cached && g.UseCachedService {
 		r.PredictedMs = svcMs
 	} else {
-		r.PredictedMs = g.Service.PredictMs(r.Features)
+		r.PredictedMs = g.Service.PredictMs(r.Entry.Features)
 	}
 	if cached && g.UseCachedErr {
 		r.PredErrMs = errMs
 	} else {
-		r.PredErrMs = g.ErrPred.PredictErrMs(r.Features)
+		r.PredErrMs = g.ErrPred.PredictErrMs(r.Entry.Features)
 	}
 
 	q := s.Queue()

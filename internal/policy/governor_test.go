@@ -75,14 +75,12 @@ func TestGovernorsAreDeadlineBlind(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			at += rng.ExpFloat64() * 18
 			ms := 4 + rng.Float64()*18
-			var fv [16]float64
 			w := cpu.Work(ms * float64(cpu.FDefault))
 			req := &sim.Request{
-				ID: i, BaseWork: w, WorkTotal: w, ArrivalMs: at, DeadlineMs: at + 40,
+				ID: i, Entry: &sim.PreparedQuery{}, BaseWork: w, WorkTotal: w, ArrivalMs: at, DeadlineMs: at + 40,
 			}
-			req.Features[0] = ms
-			req.Features[1] = 0.5
-			_ = fv
+			req.Entry.Features[0] = ms
+			req.Entry.Features[1] = 0.5
 			wl.Requests = append(wl.Requests, req)
 		}
 		wl.DurationMs = at + 200

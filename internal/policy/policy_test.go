@@ -40,7 +40,7 @@ func mkWL(budget, duration float64, specs ...reqSpec) *sim.Workload {
 		fv[1] = sp.predErrMs
 		w := cpu.Work(sp.actualMs * float64(cpu.FDefault))
 		wl.Requests = append(wl.Requests, &sim.Request{
-			ID: i, Features: fv, BaseWork: w, WorkTotal: w,
+			ID: i, Entry: &sim.PreparedQuery{Features: fv}, BaseWork: w, WorkTotal: w,
 			ArrivalMs: sp.at, DeadlineMs: sp.at + budget,
 		})
 	}

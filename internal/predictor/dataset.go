@@ -43,9 +43,13 @@ type Builder struct {
 
 // Sample labels a single query with a fresh jitter draw from rng.
 func (b *Builder) Sample(q corpus.Query, rng *rand.Rand) Sample {
-	ex := b.Engine.Search(q)
+	return b.label(q, b.Engine.Search(q).Stats, rng)
+}
+
+// label is Sample for an execution of q that has already run and counted st.
+func (b *Builder) label(q corpus.Query, st search.ExecStats, rng *rand.Rand) Sample {
 	fv := b.Extractor.Features(q)
-	base := b.Cost.WorkFor(ex.Stats)
+	base := b.Cost.WorkFor(st)
 	measured := b.Jitter.MeasuredWork(base, fv, rng)
 	return Sample{
 		Query:      q,
@@ -58,10 +62,21 @@ func (b *Builder) Sample(q corpus.Query, rng *rand.Rand) Sample {
 // Build labels all queries and splits them into train/test with the given
 // test fraction (deterministically, by position after a seeded shuffle).
 func (b *Builder) Build(queries []corpus.Query, testFrac float64, seed int64) *Dataset {
+	stats := make([]search.ExecStats, len(queries))
+	for i, q := range queries {
+		stats[i] = b.Engine.Search(q).Stats
+	}
+	return b.BuildFrom(queries, stats, testFrac, seed)
+}
+
+// BuildFrom is Build for a caller that has already run the queries: stats[i]
+// is what the engine counted executing queries[i]. The jitter draws fall in
+// query order, as in Build, so the two return the same dataset.
+func (b *Builder) BuildFrom(queries []corpus.Query, stats []search.ExecStats, testFrac float64, seed int64) *Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	samples := make([]Sample, len(queries))
 	for i, q := range queries {
-		samples[i] = b.Sample(q, rng)
+		samples[i] = b.label(q, stats[i], rng)
 	}
 	rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
 	nTest := int(float64(len(samples)) * testFrac)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gemini/internal/corpus"
@@ -293,9 +294,13 @@ func TestFeatureSweepImproves(t *testing.T) {
 	cfg.Epochs = 6
 	// Use a short prefix of the order to keep the test fast.
 	order := DefaultSweepOrder()[:5]
-	pts := FeatureSweep(ds, cfg, order)
+	pts := FeatureSweep(ds, cfg, order, 1)
 	if len(pts) != 5 {
 		t.Fatalf("sweep points = %d", len(pts))
+	}
+	// The trainings are independent: fanned out, every point is the same.
+	if fanned := FeatureSweep(ds, cfg, order, 3); !reflect.DeepEqual(fanned, pts) {
+		t.Errorf("3 workers: %+v, serial: %+v", fanned, pts)
 	}
 	for _, p := range pts {
 		if p.Accuracy < 0 || p.Accuracy > 1 {

@@ -1,6 +1,9 @@
 package predictor
 
-import "gemini/internal/search"
+import (
+	"gemini/internal/par"
+	"gemini/internal/search"
+)
 
 // SweepPoint is one row of the Fig. 6 feature-importance sweep: the accuracy
 // of a classifier trained on the first i+1 features of the order.
@@ -21,18 +24,19 @@ func DefaultSweepOrder() []int {
 
 // FeatureSweep retrains the NN classifier with a growing feature subset and
 // reports test accuracy after each addition — the reproduction of Fig. 6.
-// Accuracy is the fraction of test samples predicted within ±1 ms.
-func FeatureSweep(ds *Dataset, cfg Config, order []int) []SweepPoint {
+// Accuracy is the fraction of test samples predicted within ±1 ms. The
+// trainings share nothing but the read-only dataset, so they fan over
+// `workers` goroutines (1 runs serially), each into its own point; the
+// result is the same for any worker count.
+func FeatureSweep(ds *Dataset, cfg Config, order []int, workers int) []SweepPoint {
 	if order == nil {
 		order = DefaultSweepOrder()
 	}
-	points := make([]SweepPoint, 0, len(order))
-	for i := range order {
-		cols := order[:i+1]
-		clf := TrainClassifier(ds.Train, cols, cfg)
-		acc := classifierAccuracy(clf, ds.Test, 1.0)
-		points = append(points, SweepPoint{Feature: search.FeatureNames[order[i]], Accuracy: acc})
-	}
+	points := make([]SweepPoint, len(order))
+	par.Run(workers, len(order), func(i int) {
+		clf := TrainClassifier(ds.Train, order[:i+1], cfg)
+		points[i] = SweepPoint{Feature: search.FeatureNames[order[i]], Accuracy: classifierAccuracy(clf, ds.Test, 1.0)}
+	})
 	return points
 }
 

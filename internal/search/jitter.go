@@ -73,6 +73,19 @@ func (j *Jitter) IsSpike(fv FeatureVector) bool {
 // "measured" amount of work including systematic bias and random noise.
 // Noise is clamped to ±3σ; the result is never below 10% of base.
 func (j *Jitter) MeasuredWork(base cpu.Work, fv FeatureVector, rng *rand.Rand) cpu.Work {
+	return j.MeasuredWorkBias(base, j.Bias(fv), rng)
+}
+
+// MeasuredWorkBias is MeasuredWork for a caller that already holds
+// bias = j.Bias(fv): the per-execution part, one noise draw and
+// base·(1 + bias + noise). Bias is a pure function of the query, so a
+// workload builder evaluates it once per pool query and pays only this per
+// arrival; MeasuredWork goes through here too, which keeps the two
+// bit-identical.
+//
+//gemini:hotpath
+func (j *Jitter) MeasuredWorkBias(base cpu.Work, bias float64, rng *rand.Rand) cpu.Work {
+	//gemini:allow hotpath -- the caller's seeded stream; NormFloat64 on a rand.Rand does not allocate
 	noise := j.NoiseSigma * rng.NormFloat64()
 	if noise > 3*j.NoiseSigma {
 		noise = 3 * j.NoiseSigma
@@ -80,7 +93,7 @@ func (j *Jitter) MeasuredWork(base cpu.Work, fv FeatureVector, rng *rand.Rand) c
 	if noise < -3*j.NoiseSigma {
 		noise = -3 * j.NoiseSigma
 	}
-	m := float64(base) * (1 + j.Bias(fv) + noise)
+	m := float64(base) * (1 + bias + noise)
 	if m < 0.1*float64(base) {
 		m = 0.1 * float64(base)
 	}

@@ -103,9 +103,9 @@ func Dispatch(wl *Workload, cores int) []*Workload {
 	parts := make([]*Workload, cores)
 	off := 0
 	for c, n := range counts {
-		// The prediction table is indexed by global request ID, so every
-		// per-core part can share the parent workload's table directly. The
-		// capacity is clipped so an append to one part cannot reach the next.
+		// The prediction table is indexed by pool entry, so every per-core
+		// part shares the parent workload's table directly. The capacity is
+		// clipped so an append to one part cannot reach the next.
 		parts[c] = &Workload{Requests: backing[off : off : off+n], BudgetMs: wl.BudgetMs, DurationMs: wl.DurationMs, Preds: wl.Preds}
 		off += n
 	}

@@ -4,7 +4,7 @@ import "gemini/internal/cpu"
 
 // requestPool is the struct-of-arrays repack of the per-request state the
 // dispatch loop touches on every event, indexed by the request's position in
-// the workload (Request.poolIdx). The loop's per-event reads — the next
+// the workload (Request.slot). The loop's per-event reads — the next
 // arrival's timestamp (nextEvent) and the executing head's remaining work
 // (completionTime, advanceTo) — walk these contiguous arrays instead of
 // chasing *Request pointers scattered across the heap.
@@ -36,7 +36,7 @@ func (p *requestPool) load(reqs []*Request) {
 	p.workTotal = p.workTotal[:n]
 	p.workDone = p.workDone[:n]
 	for i, r := range reqs {
-		r.poolIdx = int32(i)
+		r.slot = int32(i)
 		p.arrivalMs[i] = r.ArrivalMs
 		p.workTotal[i] = r.WorkTotal
 		p.workDone[i] = r.WorkDone

@@ -12,16 +12,25 @@ import (
 	"gemini/internal/search"
 )
 
-// Request is one search query flowing through the ISN.
+// Request is one arrival of a query at the ISN: a reference to the pool
+// entry that holds everything the query itself determines (text, Table II
+// features, and through PoolIdx its row of the platform's Predictions), plus
+// what this arrival alone determines — its jittered work, its times, its
+// lifecycle. A workload copies none of the entry, so a request is 104 bytes
+// (TestRequestSize holds it under 112) and a slab of them is cheap to zero,
+// fill and stream through.
 type Request struct {
-	ID       int
-	Query    corpus.Query
-	Features search.FeatureVector
+	ID int
+	// Entry is the pool query this request is an arrival of. Policies read
+	// Entry.Features; hand-built requests that no predictor looks at may
+	// leave it nil.
+	Entry *PreparedQuery
 
 	// BaseWork is the deterministic execution cost; WorkTotal includes the
 	// per-execution jitter and is the ground truth the simulator executes.
-	// Policies must not read WorkTotal — they only see Features and their
-	// predictors (PACE-oracle, the clairvoyant bound, is the one exception).
+	// Policies must not read WorkTotal — they only see the entry's features
+	// and their predictors (PACE-oracle, the clairvoyant bound, is the one
+	// exception).
 	BaseWork  cpu.Work
 	WorkTotal cpu.Work
 
@@ -29,22 +38,27 @@ type Request struct {
 	DeadlineMs float64
 
 	// Lifecycle, maintained by the simulator.
-	Started  bool
 	StartMs  float64
 	WorkDone cpu.Work
 	FinishMs float64
-	Done     bool
-	Dropped  bool
 
 	// Policy scratch: the service-time and error predictions made for this
 	// request (diagnostics only; the simulator ignores them).
 	PredictedMs float64
 	PredErrMs   float64
 
-	// poolIdx is the request's index into the engine's struct-of-arrays pool
+	// PoolIdx is Entry's index in the pool the workload was built from, the
+	// key of the pool-indexed tables (Predictions).
+	PoolIdx int32
+	// slot is the request's index into the engine's struct-of-arrays pool
 	// (its position in the workload), stamped by requestPool.load at the
 	// start of every run.
-	poolIdx int32
+	slot int32
+
+	// Lifecycle flags, beside the two indices so that they share one word.
+	Started bool
+	Done    bool
+	Dropped bool
 }
 
 // LatencyMs returns completion latency (finish − arrival); for dropped
@@ -66,47 +80,54 @@ func (r *Request) Violated() bool {
 //gemini:hotpath
 func (r *Request) Remaining() cpu.Work { return r.WorkTotal - r.WorkDone }
 
-// PreparedQuery caches the execution-derived properties of a pool query so
-// trace-driven workloads do not re-run retrieval for every arrival.
+// PreparedQuery is one pool entry: the properties of a query that do not
+// change from one arrival to the next, derived once so that trace-driven
+// workloads neither re-run retrieval nor re-evaluate the jitter model's
+// systematic term for every arrival.
 type PreparedQuery struct {
 	Query    corpus.Query
 	Features search.FeatureVector
 	BaseWork cpu.Work
+	// Bias is Jitter.Bias(Features) under the jitter model the pool was
+	// prepared for. BuildWorkload reads it in place of evaluating Bias, so
+	// it must be filled (PrepareQueries does) for any pool whose features the
+	// jitter model responds to.
+	Bias float64
 }
 
-// PrepareQueries executes each query once on the engine to derive its
-// features and deterministic base work.
-func PrepareQueries(e *search.Engine, x *search.Extractor, cm *search.CostModel, queries []corpus.Query) []PreparedQuery {
+// PrepareQueries builds the pool from one execution of each query: stats[i]
+// is what the engine counted running queries[i].
+func PrepareQueries(x *search.Extractor, cm *search.CostModel, jitter *search.Jitter, queries []corpus.Query, stats []search.ExecStats) []PreparedQuery {
 	out := make([]PreparedQuery, len(queries))
 	for i, q := range queries {
-		ex := e.Search(q)
-		out[i] = PreparedQuery{
-			Query:    q,
-			Features: x.Features(q),
-			BaseWork: cm.WorkFor(ex.Stats),
-		}
+		fv := x.Features(q)
+		out[i] = PreparedQuery{Query: q, Features: fv, BaseWork: cm.WorkFor(stats[i]), Bias: jitter.Bias(fv)}
 	}
 	return out
 }
 
-// Predictions is a per-request table of NN predictor outputs, indexed by
-// Request.ID. The harness precomputes it once per workload (predictions
-// depend only on a request's features, never on the policy or the run), so
-// every policy simulating the workload shares one table instead of re-running
-// both NN forwards per request — O(requests) forwards for a whole policy
-// sweep instead of O(policies × requests). The table is read-only during
-// simulation and therefore safe to share across concurrent runs.
+// Predictions is the table of NN predictor outputs for a query pool, indexed
+// by pool entry (Request.PoolIdx). A prediction depends only on a query's
+// features, never on the arrival, the policy or the run, so the harness
+// builds the table once per platform — one pair of forwards per pool entry —
+// and every workload, policy and worker shares it. Slots past the pool are
+// the owner's to assign (the harness keeps the result-cache hit entry
+// there). The table is read-only during simulation and therefore safe to
+// share across concurrent runs.
 type Predictions struct {
 	ServiceMs []float64 // S*: service-time predictor output (eq. 1)
 	ErrMs     []float64 // E*: error predictor output (eq. 6)
 }
 
-// Lookup returns the cached pair for r and whether the table covers it.
+// Lookup returns the cached pair for r's pool entry and whether the table
+// covers it.
+//
+//gemini:hotpath
 func (p *Predictions) Lookup(r *Request) (svcMs, errMs float64, ok bool) {
-	if p == nil || r.ID < 0 || r.ID >= len(p.ServiceMs) {
+	if p == nil || r.PoolIdx < 0 || int(r.PoolIdx) >= len(p.ServiceMs) {
 		return 0, 0, false
 	}
-	return p.ServiceMs[r.ID], p.ErrMs[r.ID], true
+	return p.ServiceMs[r.PoolIdx], p.ErrMs[r.PoolIdx], true
 }
 
 // Workload is a fully materialized request sequence for one simulation run.
@@ -114,14 +135,17 @@ type Workload struct {
 	Requests   []*Request
 	DurationMs float64
 	BudgetMs   float64
-	// Preds, when non-nil, holds precomputed per-request predictions shared
-	// by every policy simulating this workload (see Predictions).
+	// Preds, when non-nil, is the prediction table of the pool the requests
+	// were drawn from, shared by every policy simulating this workload (see
+	// Predictions).
 	Preds *Predictions
 }
 
 // BuildWorkload samples one pool query per arrival (uniformly, seeded) and
 // applies a fresh jitter draw per request instance — the same query arriving
-// twice takes different measured times, as on real hardware.
+// twice takes different measured times, as on real hardware. A request
+// references its pool entry, so pool must outlive the workload and stay
+// unmodified.
 //
 // Draws come from the seed's workload stream (PartitionedRNG), which is
 // bit-compatible with the historical shared rand.New(rand.NewSource(seed)):
@@ -132,13 +156,14 @@ func BuildWorkload(pool []PreparedQuery, arrivals []float64, jitter *search.Jitt
 	slab := make([]Request, len(arrivals)) // every request of the workload, contiguous in arrival order
 	reqs := make([]*Request, len(arrivals))
 	for i, at := range arrivals {
-		pq := &pool[rng.Intn(len(pool))]
+		k := rng.Intn(len(pool))
+		pq := &pool[k]
 		r := &slab[i]
 		r.ID = i
-		r.Query = pq.Query
-		r.Features = pq.Features
+		r.Entry = pq
+		r.PoolIdx = int32(k)
 		r.BaseWork = pq.BaseWork
-		r.WorkTotal = jitter.MeasuredWork(pq.BaseWork, pq.Features, rng)
+		r.WorkTotal = jitter.MeasuredWorkBias(pq.BaseWork, pq.Bias, rng)
 		r.ArrivalMs = at
 		r.DeadlineMs = at + budgetMs
 		reqs[i] = r

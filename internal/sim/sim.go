@@ -165,7 +165,7 @@ type Sim struct {
 
 	// Decision-trace state (nil/zero unless cfg.Tracer is set). pending holds
 	// what is known of each request's record before it completes, indexed by
-	// Request.poolIdx. The head snapshot marks where the current head
+	// Request.slot. The head snapshot marks where the current head
 	// request's energy/transition attribution window begins; headSnapped
 	// records that an earlier hook (arrival-time planning, post-departure
 	// replanning) already opened the window so startHead must not reset it.
@@ -373,7 +373,7 @@ func (s *Sim) refreshHead() {
 		return
 	}
 	h := s.queue[s.qhead]
-	s.headIdx = h.poolIdx
+	s.headIdx = h.slot
 	s.headStarted = h.Started
 }
 
@@ -512,7 +512,7 @@ func (s *Sim) Drop(r *Request) {
 		if r.Started {
 			// Flush the accrued progress so post-mortem consumers see the
 			// same WorkDone the struct-accruing engine left behind.
-			r.WorkDone = s.pool.workDone[r.poolIdx]
+			r.WorkDone = s.pool.workDone[r.slot]
 		}
 		wasHead := i == s.qhead
 		if wasHead {
@@ -560,7 +560,7 @@ func (s *Sim) TracePlan(r *Request, initial, boost cpu.Freq, boostAtMs float64, 
 	if s.tr == nil {
 		return
 	}
-	d := &s.pending[r.poolIdx]
+	d := &s.pending[r.slot]
 	d.initialGHz = float64(initial)
 	if boost > 0 && !math.IsInf(boostAtMs, 0) && boostAtMs > 0 {
 		d.boostGHz = float64(boost)
@@ -576,7 +576,7 @@ func (s *Sim) TracePlan(r *Request, initial, boost cpu.Freq, boostAtMs float64, 
 //
 //gemini:hotpath
 func (s *Sim) emitDecision(r *Request) {
-	p := &s.pending[r.poolIdx]
+	p := &s.pending[r.slot]
 	d := telemetry.Decision{
 		Policy:          s.pol.Name(),
 		RequestID:       r.ID,
@@ -848,7 +848,7 @@ func (s *Sim) arrive(r *Request) {
 		s.tsc.OnArrival(float64(s.qlen())) // depth includes this request
 	}
 	if s.tr != nil {
-		s.pending[r.poolIdx] = pendingDecision{
+		s.pending[r.slot] = pendingDecision{
 			queueDepth: s.qlen(), // including this request
 			criticalID: -1,
 		}
@@ -880,7 +880,7 @@ func (s *Sim) startHead() {
 	head := s.head()
 	head.Started = true
 	head.StartMs = s.now
-	s.headIdx = head.poolIdx
+	s.headIdx = head.slot
 	s.headStarted = true
 	if s.tr != nil {
 		// Snapshot before OnStart so the transitions and energy its plan
@@ -896,7 +896,7 @@ func (s *Sim) startHead() {
 	if s.tr != nil {
 		// OnStart may have dropped the head (and emitted its record); the
 		// write is then to a slot nothing reads again.
-		s.pending[head.poolIdx].startGHz = float64(s.freq)
+		s.pending[head.slot].startGHz = float64(s.freq)
 	}
 	if s.sp != nil && !head.Dropped {
 		// Open the phase window after OnStart applied its plan: no simulated

@@ -3,6 +3,7 @@ package sim
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"gemini/internal/cpu"
 	"gemini/internal/search"
@@ -116,10 +117,14 @@ func (j routerConst) Pick(*RouteState, int, *Request) int { return int(j) }
 
 // TestTopologyCoreRequestsInArrivalOrder pins what the merge's cursors rely
 // on: every core is handed exactly its legs of the table, in query order,
-// each carrying the query's own ID, work and deadline. An out-of-range pick
-// lands on the shard's replica 0.
+// each carrying the query's own ID, pool entry, work and deadline. An
+// out-of-range pick lands on the shard's replica 0.
 func TestTopologyCoreRequestsInArrivalOrder(t *testing.T) {
 	wl := clusterWorkload(240, 2, 6, 13)
+	pool := make([]PreparedQuery, 7)
+	for i, r := range wl.Requests {
+		r.Entry, r.PoolIdx = &pool[i%len(pool)], int32(i%len(pool))
+	}
 	topo := Topology{Shards: 3, ReplicasPerShard: 2}
 	for _, router := range []Router{RouterRoundRobin{}, RouterPowerAware{}, routerConst(-1), routerConst(2)} {
 		logs := make([]*arrivalLog, topo.Cores())
@@ -141,7 +146,8 @@ func TestTopologyCoreRequestsInArrivalOrder(t *testing.T) {
 				if i > 0 && got.ID <= l.seen[i-1].ID {
 					t.Fatalf("%s core %d: request %d after %d", router.Name(), c, got.ID, l.seen[i-1].ID)
 				}
-				if got.BaseWork != src.BaseWork || got.WorkTotal != src.WorkTotal ||
+				if got.Entry != src.Entry || got.PoolIdx != src.PoolIdx ||
+					got.BaseWork != src.BaseWork || got.WorkTotal != src.WorkTotal ||
 					got.ArrivalMs != src.ArrivalMs || got.DeadlineMs != src.DeadlineMs {
 					t.Fatalf("%s core %d: request %d is not a copy of the query", router.Name(), c, got.ID)
 				}
@@ -194,5 +200,14 @@ func TestLatenciesSizedOnce(t *testing.T) {
 	empty := &Workload{BudgetMs: 40, DurationMs: 100}
 	if res := Run(DefaultConfig(), empty, &FixedPolicy{F: cpu.FDefault}); res.Latencies != nil {
 		t.Errorf("empty workload: Latencies = %v, want nil", res.Latencies)
+	}
+}
+
+// TestRequestSize: every slab is this many bytes per request, zeroed, filled
+// and streamed through once per run, so what a query determines stays in its
+// pool entry and a new field has to fit the budget.
+func TestRequestSize(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got > 112 {
+		t.Errorf("sizeof(Request) = %d bytes, want <= 112", got)
 	}
 }

@@ -556,8 +556,8 @@ func coreSlab(queries []*Request, legs []int32, shards, shard int, core int32, n
 		}
 		cl := &slab[k]
 		cl.ID = r.ID
-		cl.Query = r.Query
-		cl.Features = r.Features
+		cl.Entry = r.Entry
+		cl.PoolIdx = r.PoolIdx
 		cl.BaseWork = r.BaseWork
 		cl.WorkTotal = r.WorkTotal
 		cl.ArrivalMs = r.ArrivalMs
