@@ -104,10 +104,10 @@ func suppressed(n int) string {
 	return strconv.Itoa(n)
 }
 
-// The calendar-queue / SoA-pool idioms added with the event-engine rework:
-// the analyzer must keep accepting the patterns the queue depends on
-// (binary-search insert with copy-shift, swap-remove dispatch, generation
-// pruning) while still flagging rebucketing-style allocation without an
+// Event-queue idioms. The engine's queue is a binary heap now and uses only
+// append and swaps, but the analyzer must keep accepting the patterns any
+// queue on the event path may use (insert with copy-shift, swap-remove
+// dispatch, tail pruning) while still flagging a table allocation without an
 // explicit allow.
 
 //gemini:hotpath

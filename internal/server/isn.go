@@ -421,7 +421,7 @@ func (n *ISN) applyModel(plan core.Plan, work cpu.Work) modelExec {
 
 // ServeHTTP implements the ISN's /search endpoint: enqueue the task on the
 // blocking queue and wait for the working thread (the Fig. 9 Callable +
-// Executor structure).
+// Executor structure). A full queue is answered 503 at once.
 func (n *ISN) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n.Start()
 	var req SearchRequest
@@ -453,7 +453,7 @@ func (n *ISN) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	respCh := make(chan ISNResponse, 1)
 	select {
 	case n.queue <- isnTask{query: q, k: req.K, enqueued: start, resp: respCh}:
-	case <-time.After(5 * time.Second):
+	default: // queue full: shed at once, the caller's deadline is lost anyway
 		n.mu.Lock()
 		n.depth-- // never enqueued: undo the admission count
 		if n.tlOn {

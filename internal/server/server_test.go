@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -470,5 +471,61 @@ func TestISNResultKLimit(t *testing.T) {
 	}
 	if len(r.Results) != 3 {
 		t.Errorf("results = %d, want K=3", len(r.Results))
+	}
+}
+
+// TestISNQueueFullShedsImmediately: with the queue full the handler answers
+// 503 at once, undoes its admission count, burns SLO budget and leaves
+// nothing running. The queue has one slot and the test stands in for the
+// working thread, so the first request stays queued for as long as needed.
+func TestISNQueueFullShedsImmediately(t *testing.T) {
+	c := corpus.Generate(corpus.SmallSpec())
+	eng := search.NewEngine(index.Build(c), search.DefaultK)
+	isn := NewISN(0, c, eng, search.DefaultCostModel())
+	isn.queue = make(chan isnTask, 1)
+	isn.started.Do(func() {}) // the worker never runs
+	isn.SLO = NewSLOBinding(telemetry.NewRegistry(), "isn-0", telemetry.SLOConfig{})
+	isn.TimelineCounters() // turns the drop counter on
+
+	post := func() *httptest.ResponseRecorder {
+		body, _ := json.Marshal(SearchRequest{Query: "canada"})
+		w := httptest.NewRecorder()
+		isn.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(body)))
+		return w
+	}
+	goroutines := runtime.NumGoroutine()
+	first := make(chan int, 1)
+	go func() { first <- post().Code }()
+	for deadline := time.Now().Add(5 * time.Second); len(isn.queue) == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("first request never reached the queue")
+		}
+	}
+
+	before := isn.TimelineCounters().QueueDepth // the queued request
+	start := time.Now()
+	w := post()
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("shed took %v, want < 100ms", took)
+	}
+	if w.Code != http.StatusServiceUnavailable {
+		t.Errorf("second request: status %d, want 503", w.Code)
+	}
+	if tc := isn.TimelineCounters(); tc.QueueDepth != before || tc.Drops != 1 {
+		t.Errorf("after the shed: depth %v drops %d, want %v as before it and 1", tc.QueueDepth, tc.Drops, before)
+	}
+	if snap := isn.SLO.Snapshot(1); snap.Bad != 1 || snap.Good != 0 {
+		t.Errorf("SLO binding counted good=%d bad=%d, want 0 and 1", snap.Good, snap.Bad)
+	}
+
+	task := <-isn.queue
+	task.resp <- isn.execute(task)
+	if code := <-first; code != http.StatusOK {
+		t.Errorf("first request: status %d, want 200", code)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines running, %d before the requests", runtime.NumGoroutine(), goroutines)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"gemini/internal/telemetry"
 )
 
-// Differential tests: the calendar engine must be indistinguishable from the
+// Differential tests: the heap engine must be indistinguishable from the
 // reference linear engine on every observable surface — results (latencies,
 // energy, event counts), decision traces, span waterfalls, and the exact
 // sequence of policy callbacks. These tests run the same workload+policy
@@ -78,33 +78,33 @@ func runEngine(linear bool, wl *Workload, pol Policy) (*Result, []telemetry.Deci
 func assertEnginesEqual(t *testing.T, label string, mkWl func() *Workload, mkPol func() Policy) {
 	t.Helper()
 	resL, decL, spL, logL := runEngine(true, mkWl(), mkPol())
-	resC, decC, spC, logC := runEngine(false, mkWl(), mkPol())
+	resH, decH, spH, logH := runEngine(false, mkWl(), mkPol())
 
-	if !reflect.DeepEqual(logL, logC) {
+	if !reflect.DeepEqual(logL, logH) {
 		n := len(logL)
-		if len(logC) < n {
-			n = len(logC)
+		if len(logH) < n {
+			n = len(logH)
 		}
 		for i := 0; i < n; i++ {
-			if logL[i] != logC[i] {
-				t.Fatalf("%s: callback %d diverges:\n  linear:   %+v\n  calendar: %+v",
-					label, i, logL[i], logC[i])
+			if logL[i] != logH[i] {
+				t.Fatalf("%s: callback %d diverges:\n  linear: %+v\n  heap:   %+v",
+					label, i, logL[i], logH[i])
 			}
 		}
-		t.Fatalf("%s: callback log lengths diverge: linear %d, calendar %d",
-			label, len(logL), len(logC))
+		t.Fatalf("%s: callback log lengths diverge: linear %d, heap %d",
+			label, len(logL), len(logH))
 	}
-	if !reflect.DeepEqual(resL, resC) {
-		t.Fatalf("%s: results diverge:\n  linear:   %+v\n  calendar: %+v", label, resL, resC)
+	if !reflect.DeepEqual(resL, resH) {
+		t.Fatalf("%s: results diverge:\n  linear: %+v\n  heap:   %+v", label, resL, resH)
 	}
-	if resL.Events != resC.Events {
-		t.Fatalf("%s: event counts diverge: linear %d, calendar %d", label, resL.Events, resC.Events)
+	if resL.Events != resH.Events {
+		t.Fatalf("%s: event counts diverge: linear %d, heap %d", label, resL.Events, resH.Events)
 	}
-	if !reflect.DeepEqual(decL, decC) {
-		t.Fatalf("%s: decision traces diverge (%d vs %d decisions)", label, len(decL), len(decC))
+	if !reflect.DeepEqual(decL, decH) {
+		t.Fatalf("%s: decision traces diverge (%d vs %d decisions)", label, len(decL), len(decH))
 	}
-	if !reflect.DeepEqual(spL, spC) {
-		t.Fatalf("%s: span traces diverge (%d vs %d spans)", label, len(spL), len(spC))
+	if !reflect.DeepEqual(spL, spH) {
+		t.Fatalf("%s: span traces diverge (%d vs %d spans)", label, len(spL), len(spH))
 	}
 }
 

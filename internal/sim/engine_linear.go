@@ -5,7 +5,7 @@ import "math"
 // Reference linear-scan engine (the unexported Config.linear). This is the
 // original event loop: every nextEvent scans the full planned-change and
 // timer lists, clamping past-due timestamps to the clock per scan. It exists
-// so the calendar engine's behavior stays machine-checked against a simple,
+// so the heap engine's behavior stays machine-checked against a simple,
 // obviously-correct implementation (TestEnginesEquivalent,
 // FuzzEngineEquivalence assert byte-identical results, decision traces, and
 // spans); nothing outside tests and benchmarks should select it.
@@ -38,6 +38,7 @@ func (s *Sim) loopLinear() {
 			s.SetFreq(pc.freq)
 		case evArrival:
 			r := s.wl.Requests[s.nextArr]
+			r.slot = int32(s.nextArr)
 			s.nextArr++
 			s.arrive(r)
 		case evTimer:
@@ -47,7 +48,7 @@ func (s *Sim) loopLinear() {
 			s.timers = s.timers[:last]
 			if tm.tag == SampleTimerTag {
 				// Reserved sampler timer: engine-internal, never surfaced
-				// to any policy — identical to the calendar loop.
+				// to any policy — identical to the heap loop.
 				s.sampleTick()
 			} else {
 				s.syncHead()

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"gemini/internal/harness"
@@ -36,12 +37,12 @@ func TestPoliciesEngineEquivalent(t *testing.T) {
 			return sim.Run(cfg, wl, p.MustPolicy(name))
 		}
 		lin := run(true)
-		cal := run(false)
-		if !reflect.DeepEqual(lin, cal) {
-			t.Errorf("%s: engines diverge:\n  linear:   completed=%d dropped=%d events=%d energy=%v p99=%v\n  calendar: completed=%d dropped=%d events=%d energy=%v p99=%v",
+		hp := run(false)
+		if !reflect.DeepEqual(lin, hp) {
+			t.Errorf("%s: engines diverge:\n  linear: completed=%d dropped=%d events=%d energy=%v p99=%v\n  heap:   completed=%d dropped=%d events=%d energy=%v p99=%v",
 				name,
 				lin.Completed, lin.Dropped, lin.Events, lin.EnergyMJ, lin.TailLatencyMs(99),
-				cal.Completed, cal.Dropped, cal.Events, cal.EnergyMJ, cal.TailLatencyMs(99))
+				hp.Completed, hp.Dropped, hp.Events, hp.EnergyMJ, hp.TailLatencyMs(99))
 		}
 	}
 }
@@ -88,6 +89,80 @@ func TestCachedPredictionsMatchLive(t *testing.T) {
 		if !reflect.DeepEqual(gotC, wantC) {
 			t.Errorf("linear=%v: 12-core cluster results differ: got %d events, %v mJ; want %d events, %v mJ",
 				linear, gotC.Events, gotC.EnergyMJ, wantC.Events, wantC.EnergyMJ)
+		}
+	}
+}
+
+// populationProbe wraps a policy and records the largest event-queue
+// population any callback saw, before or after the policy acted in it.
+type populationProbe struct {
+	sim.Policy
+	max int
+}
+
+// around runs one callback of the wrapped policy and looks at the queue on
+// both sides of it.
+func (p *populationProbe) around(s *sim.Sim, callback func()) {
+	before := sim.PendingEvents(s)
+	callback()
+	p.max = max(p.max, before, sim.PendingEvents(s))
+}
+func (p *populationProbe) Init(s *sim.Sim) { p.around(s, func() { p.Policy.Init(s) }) }
+func (p *populationProbe) OnArrival(s *sim.Sim, r *sim.Request) {
+	p.around(s, func() { p.Policy.OnArrival(s, r) })
+}
+func (p *populationProbe) OnStart(s *sim.Sim, r *sim.Request) {
+	p.around(s, func() { p.Policy.OnStart(s, r) })
+}
+func (p *populationProbe) OnDeparture(s *sim.Sim, r *sim.Request) {
+	p.around(s, func() { p.Policy.OnDeparture(s, r) })
+}
+func (p *populationProbe) OnTimer(s *sim.Sim, tag int64) {
+	p.around(s, func() { p.Policy.OnTimer(s, tag) })
+}
+
+// TestEventPopulationStaysSmall pins the traffic the event queue is sized
+// for. Every policy the platform can build runs alone and on a capped,
+// sampled topology, and the queue may never hold more than four events: the
+// policy's timer, its planned step, the cap coordinator's timer and the
+// timeline sampler's timer.
+func TestEventPopulationStaysSmall(t *testing.T) {
+	p := harness.Shared(true)
+	const durationMs = 8_000
+	const limit = 4
+	check := func(name, where string, n int) {
+		t.Helper()
+		if n > limit {
+			t.Errorf("%s, %s: %d events pending at once, more than the %d (policy timer + planned step + cap timer + sampler timer) "+
+				"the binary heap in eventq.go was chosen for. DESIGN.md §9 gives the measurements behind that choice and what "+
+				"a calendar queue buys at dozens pending per core: reopen it there, do not raise this limit.", name, where, n, limit)
+		}
+	}
+	names := append([]string{"Gemini-95th", "EETL", "PACE-oracle", "Gemini+Sleep", "ondemand", "conservative"}, harness.PolicyNames...)
+	topo := sim.Topology{Shards: 2, ReplicasPerShard: 2}
+	for _, name := range names {
+		tr := trace.GenFixedRPS(100*p.Opt.ShardFraction, durationMs, 3)
+		alone := &populationProbe{Policy: p.MustPolicy(name)}
+		sim.Run(p.SimConfig(), p.Workload(tr.Arrivals, durationMs, 5), alone)
+		check(name, "single ISN", alone.max)
+
+		cfg := p.SimConfig()
+		cfg.Series = sim.NewRunTimeseries(cfg.Ladder, durationMs, 100)
+		tc := sim.TopologyConfig{
+			Sim: cfg, Topology: topo, Router: sim.RouterPowerAware{}, Seed: 1,
+			PowerCapW: sim.ClusterFloorW(cfg.Power, cfg.Ladder, topo.Cores()) + 4,
+		}
+		tr = trace.GenFixedRPS(100*p.Opt.ShardFraction*float64(topo.ReplicasPerShard), durationMs, 4)
+		probes := make([]*populationProbe, topo.Cores())
+		res := sim.RunTopologyWorkers(tc, p.Workload(tr.Arrivals, durationMs, 6), 2, func(c int) sim.Policy {
+			probes[c] = &populationProbe{Policy: p.MustPolicy(name)}
+			return probes[c]
+		})
+		if res.CapThrottles == 0 {
+			t.Errorf("%s: the %.1f W cap never bound, so no core carried a cap timer", name, tc.PowerCapW)
+		}
+		for c, probe := range probes {
+			check(name, "capped 2x2 topology, core "+strconv.Itoa(c), probe.max)
 		}
 	}
 }

@@ -6,56 +6,34 @@ import (
 	"gemini/internal/cpu"
 )
 
-// Calendar event queue (Brown 1988) for the engine's policy-scheduled events
-// — planned frequency changes and timers. Completion and arrival candidates
-// never enter the queue: the next completion is derived from the executing
-// head and the next arrival from the workload cursor, so the queue holds only
-// the two event classes policies create dynamically.
+// Event queue for the engine's policy-scheduled events: planned frequency
+// changes and timers. The next completion is derived from the executing head
+// and the next arrival from the workload cursor, so neither enters the queue.
 //
 // Ordering contract: events dispatch in ascending (timestamp, kind, seq)
-// order, where kind encodes the engine's same-instant priority
-// (evPlanned < evTimer; completion and arrival slot in via nextEvent) and
-// seq is the global insertion index — the tie-break the reference linear
-// engine realizes through scan order. Timestamps are clamped to the
-// simulation clock at insertion: while a past-due event is pending the clock
-// cannot advance (it is always the minimum), so the clamped key equals the
-// effective dispatch time the reference engine computes per scan.
+// order. kind is the engine's same-instant priority (evPlanned < evTimer;
+// completion and arrival slot in via nextEvent) and seq the insertion index,
+// the tie-break the reference linear engine realizes through scan order.
+// Timestamps are clamped to the clock at insertion: a past-due event is always
+// the minimum, so the clock cannot pass it and the clamped key equals the
+// dispatch time the reference engine computes per scan.
 //
-// Structure: a power-of-two array of buckets, each a slice sorted descending
-// by key so the bucket minimum pops off the tail in O(1). Insert binary-
-// searches the bucket (O(log bucket) compares, one memmove that is O(1) in
-// the common append-at-tail case). Extract-min sweeps the calendar from the
-// current absolute bucket number, one bucket per step, considering only
-// events whose own bucket number matches the sweep position; when a full lap
-// turns up empty it falls back to a direct search over all bucket minima and
-// jumps the calendar to the winner. The calendar position is an integer
-// bucket number — never a float time edge — so membership is decided by the
-// exact same floor(at/width) computation at insert and at sweep, which is
-// what makes edge-of-bucket timestamps safe. The bucket count doubles/halves
-// as the live population crosses watermarks and the bucket width is
-// re-derived from the live event span, keeping O(1) amortized inserts and
-// extracts. Steady state allocates nothing: buckets recycle their backing
-// arrays and only resize/compaction — amortized over many events — calls
-// make.
-//
-// ClearPlannedChanges must be O(1) even though planned events are scattered
-// across buckets: a generation counter stamps every planned event, clearing
-// bumps the generation, and stale events are pruned lazily when scans or
-// compaction touch them.
+// Structure: a binary min-heap in one slice, sized to the traffic it serves:
+// a core has at most a planned step, a policy timer, the cap coordinator's
+// timer and the sampler's timer pending (TestEventPopulationStaysSmall holds
+// the bound, DESIGN.md §9 has the measurements). A run that arms nothing
+// allocates nothing here.
 
-// Queue event kinds, ordered by dispatch priority. They mirror the engine's
-// evPlanned/evTimer constants but are typed narrowly so a qevent packs small.
+// Queue event kinds: evPlanned and evTimer, narrow so a qevent packs small.
 const (
 	qkPlanned uint8 = iota + 1 // == evPlanned
 	qkTimer   uint8 = 3        // == evTimer
 )
 
-// qevent is one scheduled event. freq is meaningful for planned events, tag
-// for timers.
+// qevent is one scheduled event: freq for a planned change, tag for a timer.
 type qevent struct {
 	at   float64
 	seq  uint64
-	gen  uint64 // planned events: generation at insert; timers: 0, always live
 	freq cpu.Freq
 	tag  int64
 	kind uint8
@@ -76,410 +54,116 @@ func qless(a, b *qevent) bool {
 	return a.seq < b.seq
 }
 
-// qFarBucket is the absolute bucket number sentinel for events whose
-// at/width ratio exceeds exact float->int precision (+Inf included). Every
-// far event compares greater than every bucketed event — at >= 2^52·width
-// versus at < 2^52·width — so the far list needs consulting only when the
-// buckets are empty.
-const qFarBucket = int64(math.MaxInt64)
-
-// eventQueue is the calendar. The zero value is not ready; call initialize.
+// eventQueue is the heap: h[0] is the minimum and h[i] keys below its
+// children h[2i+1] and h[2i+2]. The zero value is an empty queue.
 type eventQueue struct {
-	buckets [][]qevent
-	mask    int     // len(buckets)-1 (power of two)
-	width   float64 // bucket width in ms
-	inv     float64 // 1/width
-	far     []qevent
-
-	n       int // live events (buckets + far, excluding stale planned)
-	stored  int // physically stored events including stale planned
-	planned int // live planned events
+	h       []qevent
+	planned int // planned events in h
 	seq     uint64
-	gen     uint64 // current planned generation
-
-	cur    int64 // calendar position: absolute bucket number of the sweep
-	peeked bool  // the verified minimum is at buckets[cur&mask] (or far) tail
-	curFar bool  // with peeked: the minimum is far's tail, not a bucket's
 }
 
-// initialize sets up an empty calendar. Not on the hot path (once per run).
-func (q *eventQueue) initialize() {
-	const nb = 8
-	if len(q.buckets) != nb {
-		q.buckets = make([][]qevent, nb)
-	}
-	for i := range q.buckets {
-		q.buckets[i] = q.buckets[i][:0]
-	}
-	q.mask = nb - 1
-	q.width = 1.0 // ms; re-derived from the live span on the first resize
-	q.inv = 1.0
-	q.far = q.far[:0]
-	q.n, q.stored, q.planned = 0, 0, 0
-	q.seq, q.gen = 0, 0
-	q.cur = 0
-	q.peeked, q.curFar = false, false
-}
-
-// bucketNum maps a timestamp to its absolute bucket number (qFarBucket for
-// the far list). The same computation decides membership at insert and at
-// sweep, so an event can never fall between the calendar's teeth.
-//
-//gemini:hotpath
-func (q *eventQueue) bucketNum(at float64) int64 {
-	b := math.Floor(at * q.inv)
-	if !(b < 1<<52) { // catches +Inf
-		return qFarBucket
-	}
-	return int64(b)
-}
-
-// pushPlanned schedules a frequency change. at must already be clamped to the
-// simulation clock. NaN timestamps are dropped: the reference engine's scan
-// comparisons are all false for NaN, so such an event never dispatches there
-// either.
+// pushPlanned schedules a frequency change at an already clamped time.
 //
 //gemini:hotpath
 func (q *eventQueue) pushPlanned(at float64, f cpu.Freq) {
-	if math.IsNaN(at) {
-		return
-	}
-	q.seq++
-	q.insert(qevent{at: at, seq: q.seq, gen: q.gen, freq: f, kind: qkPlanned})
-	q.planned++
+	q.push(qevent{at: at, freq: f, kind: qkPlanned})
 }
 
 // pushTimer schedules a policy timer. Same contract as pushPlanned.
 //
 //gemini:hotpath
 func (q *eventQueue) pushTimer(at float64, tag int64) {
-	if math.IsNaN(at) {
-		return
-	}
-	q.seq++
-	q.insert(qevent{at: at, seq: q.seq, tag: tag, kind: qkTimer})
+	q.push(qevent{at: at, tag: tag, kind: qkTimer})
 }
 
-// clearPlanned cancels every live planned event in O(1) by bumping the
-// generation; stale entries are pruned lazily.
+// push stamps e with the next insertion index and sifts it up from the end.
+// NaN timestamps are dropped: every comparison of the reference engine's scan
+// is false for NaN, so such an event never dispatches there either.
+//
+//gemini:hotpath
+func (q *eventQueue) push(e qevent) {
+	if math.IsNaN(e.at) {
+		return
+	}
+	if e.kind == qkPlanned {
+		q.planned++
+	}
+	q.seq++
+	e.seq = q.seq
+	q.h = append(q.h, e)
+	h, i := q.h, len(q.h)-1
+	for p := (i - 1) / 2; i > 0 && qless(&h[i], &h[p]); i, p = p, (p-1)/2 {
+		h[i], h[p] = h[p], h[i]
+	}
+}
+
+// down sifts h[i] towards the leaves until both children key above it.
+//
+//gemini:hotpath
+func (q *eventQueue) down(i int) {
+	h := q.h
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && qless(&h[c+1], &h[c]) {
+			c++
+		}
+		if !qless(&h[c], &h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// clearPlanned cancels every planned event: it filters them out in place and
+// rebuilds the heap over the timers, O(n) at a population of three.
 //
 //gemini:hotpath
 func (q *eventQueue) clearPlanned() {
 	if q.planned == 0 {
 		return
 	}
-	q.gen++
-	q.n -= q.planned
-	q.planned = 0
-	q.peeked = false
-}
-
-// live reports whether e still dispatches (timers always; planned events only
-// in the current generation).
-//
-//gemini:hotpath
-func (q *eventQueue) live(e *qevent) bool {
-	return e.kind != qkPlanned || e.gen == q.gen
-}
-
-// insert places e into its bucket keeping the descending key order, rewinding
-// the calendar when e lands before the sweep position.
-//
-//gemini:hotpath
-func (q *eventQueue) insert(e qevent) {
-	q.peeked = false
-	bn := q.bucketNum(e.at)
-	var b []qevent
-	if bn == qFarBucket {
-		b = q.far
-	} else {
-		b = q.buckets[int(bn)&q.mask]
-	}
-	// Binary search for the insertion point in the descending order: the
-	// first position whose event keys below e.
-	lo, hi := 0, len(b)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if qless(&b[mid], &e) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	b = append(b, qevent{})
-	copy(b[lo+1:], b[lo:])
-	b[lo] = e
-	if bn == qFarBucket {
-		q.far = b
-	} else {
-		q.buckets[int(bn)&q.mask] = b
-	}
-	q.n++
-	q.stored++
-	// Rewind: an event before the sweep position would be missed by a
-	// forward sweep.
-	if bn < q.cur {
-		q.cur = bn
-	}
-	if q.stored > 4*q.n+64 {
-		q.compact()
-	}
-	if q.n > 3*len(q.buckets) || (q.n < len(q.buckets)/4 && len(q.buckets) > 8) {
-		q.resize()
-	}
-}
-
-// peek returns the minimum live event's dispatch key without removing it.
-//
-//gemini:hotpath
-func (q *eventQueue) peek() (at float64, kind uint8, ok bool) {
-	if q.n == 0 {
-		return 0, 0, false
-	}
-	if q.peeked {
-		e := q.minEvent()
-		return e.at, e.kind, true
-	}
-	// Sweep the calendar one bucket per step for at most one full lap,
-	// accepting only events whose own bucket number matches the sweep
-	// position (i.e. events of the current "year").
-	for swept := 0; swept <= q.mask; swept++ {
-		b := q.pruneTail(int(q.cur) & q.mask)
-		if len(b) > 0 {
-			e := &b[len(b)-1]
-			if q.bucketNum(e.at) <= q.cur {
-				q.peeked, q.curFar = true, false
-				return e.at, e.kind, true
-			}
-		}
-		q.cur++
-	}
-	// A full lap was empty: direct search over every bucket minimum.
-	return q.peekDirect()
-}
-
-// minEvent returns the verified minimum (peeked must be true).
-//
-//gemini:hotpath
-func (q *eventQueue) minEvent() *qevent {
-	if q.curFar {
-		return &q.far[len(q.far)-1]
-	}
-	b := q.buckets[int(q.cur)&q.mask]
-	return &b[len(b)-1]
-}
-
-// pruneTail drops stale planned events off bucket i's tail and returns the
-// pruned bucket.
-//
-//gemini:hotpath
-func (q *eventQueue) pruneTail(i int) []qevent {
-	b := q.buckets[i]
-	for len(b) > 0 && !q.live(&b[len(b)-1]) {
-		b = b[:len(b)-1]
-		q.stored--
-	}
-	q.buckets[i] = b
-	return b
-}
-
-// pruneFarTail is pruneTail for the far list.
-//
-//gemini:hotpath
-func (q *eventQueue) pruneFarTail() []qevent {
-	b := q.far
-	for len(b) > 0 && !q.live(&b[len(b)-1]) {
-		b = b[:len(b)-1]
-		q.stored--
-	}
-	q.far = b
-	return b
-}
-
-// peekDirect finds the global minimum by scanning every bucket's tail (each
-// tail is its bucket's minimum) plus the far list, then jumps the calendar to
-// the winner. Called when a full sweep lap found nothing — the sparse-queue
-// fallback.
-//
-//gemini:hotpath
-func (q *eventQueue) peekDirect() (at float64, kind uint8, ok bool) {
-	var best *qevent
-	for i := range q.buckets {
-		b := q.pruneTail(i)
-		if len(b) == 0 {
-			continue
-		}
-		e := &b[len(b)-1]
-		if best == nil || qless(e, best) {
-			best = e
-		}
-	}
-	if best == nil {
-		fb := q.pruneFarTail()
-		if len(fb) == 0 {
-			// n > 0 counts only live events, so a live one must exist in the
-			// buckets or far. Defensive.
-			return 0, 0, false
-		}
-		e := &fb[len(fb)-1]
-		q.peeked, q.curFar = true, true
-		return e.at, e.kind, true
-	}
-	// Jump the calendar to the winner's bucket.
-	q.cur = q.bucketNum(best.at)
-	q.peeked, q.curFar = true, false
-	return best.at, best.kind, true
-}
-
-// pop removes and returns the minimum live event.
-//
-//gemini:hotpath
-func (q *eventQueue) pop() qevent {
-	if !q.peeked {
-		if _, _, ok := q.peek(); !ok {
-			panic("sim: pop from empty event queue")
-		}
-	}
-	var e qevent
-	if q.curFar {
-		e = q.far[len(q.far)-1]
-		q.far = q.far[:len(q.far)-1]
-	} else {
-		i := int(q.cur) & q.mask
-		b := q.buckets[i]
-		e = b[len(b)-1]
-		q.buckets[i] = b[:len(b)-1]
-	}
-	q.n--
-	q.stored--
-	if e.kind == qkPlanned {
-		q.planned--
-	}
-	// The next minimum keys >= e, so the calendar position stays valid; the
-	// next peek resumes sweeping from cur.
-	q.peeked = false
-	return e
-}
-
-// empty reports whether any live event remains.
-//
-//gemini:hotpath
-func (q *eventQueue) empty() bool { return q.n == 0 }
-
-// compact rewrites every bucket dropping stale planned events — the lazy
-// deletion backstop when clears outpace scans.
-//
-//gemini:hotpath
-func (q *eventQueue) compact() {
-	for i := range q.buckets {
-		b := q.buckets[i]
-		w := 0
-		for j := range b {
-			if q.live(&b[j]) {
-				b[w] = b[j]
-				w++
-			}
-		}
-		q.buckets[i] = b[:w]
-	}
-	fb := q.far
 	w := 0
-	for j := range fb {
-		if q.live(&fb[j]) {
-			fb[w] = fb[j]
+	for i := range q.h {
+		if q.h[i].kind != qkPlanned {
+			q.h[w] = q.h[i]
 			w++
 		}
 	}
-	q.far = fb[:w]
-	q.stored = q.n
-	q.peeked = false
-}
-
-// resize re-derives the bucket count from the live population and the bucket
-// width from the live time span, then rebuckets. Amortized O(1) per insert.
-//
-//gemini:hotpath
-func (q *eventQueue) resize() {
-	q.compact()
-	nb := len(q.buckets)
-	for q.n > 3*nb {
-		nb *= 2
-	}
-	for q.n < nb/4 && nb > 8 {
-		nb /= 2
-	}
-	// Re-derive the width so live events spread ~evenly: span / n, one event
-	// per bucket at the current population. Far events are excluded (their
-	// span would be meaningless); degenerate spans keep the old width.
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for i := range q.buckets {
-		for j := range q.buckets[i] {
-			at := q.buckets[i][j].at
-			lo = math.Min(lo, at)
-			hi = math.Max(hi, at)
-		}
-	}
-	if q.n > 1 && hi > lo {
-		w := (hi - lo) / float64(q.n)
-		if w > 0 && !math.IsInf(w, 0) {
-			q.width = w
-			q.inv = 1 / w
-		}
-	}
-	// Rebucket. compact already dropped stale entries, so n and planned are
-	// unchanged; stored is rebuilt by reinsert.
-	old := q.buckets
-	oldFar := q.far
-	//gemini:allow hotpath -- amortized rebucketing: resize runs O(1) times per O(n) inserts
-	q.buckets = make([][]qevent, nb)
-	q.mask = nb - 1
-	q.far = nil
-	q.stored = 0
-	for i := range old {
-		for j := range old[i] {
-			q.reinsert(old[i][j])
-		}
-	}
-	for j := range oldFar {
-		q.reinsert(oldFar[j])
-	}
-	// Reposition the calendar at the new minimum (peekDirect jumps cur and
-	// leaves a verified peek).
-	q.peeked = false
-	q.cur = 0
-	if q.n > 0 {
-		q.peekDirect()
+	q.h = q.h[:w]
+	q.planned = 0
+	for i := w/2 - 1; i >= 0; i-- {
+		q.down(i)
 	}
 }
 
-// reinsert places an already-counted event during resize (no watermark
-// checks, no rewind bookkeeping).
+// peek returns the minimum event's dispatch key without removing it.
 //
 //gemini:hotpath
-func (q *eventQueue) reinsert(e qevent) {
-	bn := q.bucketNum(e.at)
-	var b []qevent
-	if bn == qFarBucket {
-		b = q.far
-	} else {
-		b = q.buckets[int(bn)&q.mask]
+func (q *eventQueue) peek() (at float64, kind uint8, ok bool) {
+	if len(q.h) == 0 {
+		return 0, 0, false
 	}
-	lo, hi := 0, len(b)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if qless(&b[mid], &e) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	return q.h[0].at, q.h[0].kind, true
+}
+
+// pop removes and returns the minimum event.
+//
+//gemini:hotpath
+func (q *eventQueue) pop() qevent {
+	last := len(q.h) - 1
+	if last < 0 {
+		panic("sim: pop from empty event queue")
 	}
-	b = append(b, qevent{})
-	copy(b[lo+1:], b[lo:])
-	b[lo] = e
-	if bn == qFarBucket {
-		q.far = b
-	} else {
-		q.buckets[int(bn)&q.mask] = b
+	e := q.h[0]
+	q.h[0] = q.h[last]
+	q.h = q.h[:last]
+	q.down(0)
+	if e.kind == qkPlanned {
+		q.planned--
 	}
-	q.stored++
+	return e
 }

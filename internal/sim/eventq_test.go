@@ -9,10 +9,16 @@ import (
 	"gemini/internal/cpu"
 )
 
-// drain pops every live event and returns them in dispatch order.
+// empty reports whether q holds no event.
+func empty(q *eventQueue) bool {
+	_, _, ok := q.peek()
+	return !ok
+}
+
+// drain pops every event and returns them in dispatch order.
 func drain(q *eventQueue) []qevent {
 	var out []qevent
-	for !q.empty() {
+	for !empty(q) {
 		out = append(out, q.pop())
 	}
 	return out
@@ -21,7 +27,6 @@ func drain(q *eventQueue) []qevent {
 func TestEventQueueOrdersByAtKindSeq(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var q eventQueue
-	q.initialize()
 	// Quantized timestamps force heavy (at) ties; kinds and seq must break
 	// them: planned before timer at the same instant, insertion order within
 	// a kind.
@@ -54,12 +59,11 @@ func TestEventQueueInterleavedPushPop(t *testing.T) {
 	// is inserted at the current clock — that is the same-instant dispatch
 	// semantics, not a violation.
 	var q eventQueue
-	q.initialize()
 	rng := rand.New(rand.NewSource(7))
 	clock := 0.0 // engine invariant: inserts are clamped to the clock
 	var popped []qevent
 	for i := 0; i < 2000; i++ {
-		if q.empty() || rng.Intn(3) > 0 {
+		if empty(&q) || rng.Intn(3) > 0 {
 			at := clock + float64(rng.Intn(20))
 			if rng.Intn(2) == 0 {
 				q.pushPlanned(at, cpu.FDefault)
@@ -80,53 +84,98 @@ func TestEventQueueInterleavedPushPop(t *testing.T) {
 
 func TestEventQueueMatchesBruteForce(t *testing.T) {
 	// Property test: every pop must equal the brute-force minimum over a
-	// shadow copy of the live events, across many interleaving seeds. This is
-	// the check that caught a real bug during development — a float-edge
-	// timestamp falling between the sweep window and its bucket assignment —
-	// so keep it brute-force-simple.
+	// shadow copy of the live events, across many interleaving seeds, so keep
+	// it brute-force-simple. Pushes mix in +Inf, 1e18 and NaN timestamps (a
+	// NaN must never enter), clearPlanned is interleaved and drops the
+	// shadow's planned events, and ops 1000-1400 only push, so the heap is
+	// also checked a few hundred events deep before the final drain.
 	for seed := int64(1); seed <= 50; seed++ {
 		var q eventQueue
-		q.initialize()
 		rng := rand.New(rand.NewSource(seed))
 		clock := 0.0
 		var shadow []qevent // all live events, unordered
-		for i := 0; i < 2000; i++ {
-			if q.empty() || rng.Intn(3) > 0 {
-				at := clock + float64(rng.Intn(20))
-				if rng.Intn(2) == 0 {
-					q.pushPlanned(at, cpu.FDefault)
-					shadow = append(shadow, qevent{at: at, kind: qkPlanned, seq: q.seq})
-				} else {
-					q.pushTimer(at, 1)
-					shadow = append(shadow, qevent{at: at, kind: qkTimer, seq: q.seq})
-				}
+		push := func() {
+			at := clock + float64(rng.Intn(20))
+			switch rng.Intn(40) {
+			case 0:
+				at = math.Inf(1)
+			case 1:
+				at = 1e18
+			case 2:
+				at = math.NaN()
+			}
+			kind := qkTimer
+			if rng.Intn(2) == 0 {
+				kind = qkPlanned
+				q.pushPlanned(at, cpu.FDefault)
 			} else {
-				e := q.pop()
-				best := 0
-				for j := 1; j < len(shadow); j++ {
-					if qless(&shadow[j], &shadow[best]) {
-						best = j
-					}
+				q.pushTimer(at, 1)
+			}
+			if !math.IsNaN(at) {
+				shadow = append(shadow, qevent{at: at, kind: kind, seq: q.seq})
+			}
+		}
+		pop := func(op int) {
+			e := q.pop()
+			best := 0
+			for j := 1; j < len(shadow); j++ {
+				if qless(&shadow[j], &shadow[best]) {
+					best = j
 				}
-				if shadow[best].at != e.at || shadow[best].kind != e.kind || shadow[best].seq != e.seq {
-					t.Fatalf("seed %d op %d: pop = {at=%v kind=%d seq=%d}, brute-force min = {at=%v kind=%d seq=%d}",
-						seed, i, e.at, e.kind, e.seq, shadow[best].at, shadow[best].kind, shadow[best].seq)
-				}
-				shadow = append(shadow[:best], shadow[best+1:]...)
+			}
+			if shadow[best].at != e.at || shadow[best].kind != e.kind || shadow[best].seq != e.seq {
+				t.Fatalf("seed %d op %d: pop = {at=%v kind=%d seq=%d}, brute-force min = {at=%v kind=%d seq=%d}",
+					seed, op, e.at, e.kind, e.seq, shadow[best].at, shadow[best].kind, shadow[best].seq)
+			}
+			shadow = append(shadow[:best], shadow[best+1:]...)
+			if e.at < 1e18 { // a far event popped early must not end the near traffic
 				clock = e.at
 			}
+		}
+		peak := 0
+		for i := 0; i < 2400; i++ {
+			r := rng.Intn(30)
+			switch {
+			case i >= 1000 && i < 1400:
+				push()
+			case r == 0:
+				q.clearPlanned()
+				w := 0
+				for _, e := range shadow {
+					if e.kind != qkPlanned {
+						shadow[w] = e
+						w++
+					}
+				}
+				shadow = shadow[:w]
+			case empty(&q) || r%3 > 0:
+				push()
+			default:
+				pop(i)
+			}
+			if len(shadow) > peak {
+				peak = len(shadow)
+			}
+		}
+		if peak < 300 {
+			t.Fatalf("seed %d: population peaked at %d, the growth phase should pass 300", seed, peak)
+		}
+		for i := 2400; !empty(&q); i++ {
+			pop(i)
+		}
+		if len(shadow) != 0 {
+			t.Fatalf("seed %d: queue drained with %d events left in the shadow", seed, len(shadow))
 		}
 	}
 }
 
 func TestEventQueueRewindOnEarlierInsert(t *testing.T) {
 	var q eventQueue
-	q.initialize()
 	q.pushTimer(100, 1)
 	if at, _, ok := q.peek(); !ok || at != 100 {
 		t.Fatalf("peek = %v, %v", at, ok)
 	}
-	// The peek swept the calendar forward; an earlier insert must rewind it.
+	// An insert keyed before the peeked minimum becomes the minimum.
 	q.pushPlanned(3, cpu.FDefault)
 	if at, kind, ok := q.peek(); !ok || at != 3 || kind != qkPlanned {
 		t.Fatalf("after earlier insert: peek = %v kind=%d ok=%v, want 3/planned", at, kind, ok)
@@ -141,7 +190,6 @@ func TestEventQueueRewindOnEarlierInsert(t *testing.T) {
 
 func TestEventQueueClearPlanned(t *testing.T) {
 	var q eventQueue
-	q.initialize()
 	q.pushPlanned(5, cpu.FDefault)
 	q.pushTimer(6, 42)
 	q.pushPlanned(7, cpu.FMax)
@@ -160,9 +208,9 @@ func TestEventQueueClearPlanned(t *testing.T) {
 }
 
 func TestEventQueueClearIsolation(t *testing.T) {
-	// Stale planned events must never resurface even across resizes.
+	// Cleared planned events must never resurface, and no timer goes with
+	// them.
 	var q eventQueue
-	q.initialize()
 	rng := rand.New(rand.NewSource(3))
 	live := 0
 	for i := 0; i < 300; i++ {
@@ -191,24 +239,8 @@ func TestEventQueueClearIsolation(t *testing.T) {
 	}
 }
 
-func TestEventQueueStaleStorageBounded(t *testing.T) {
-	// Plan/clear churn without any pops (a policy replanning every arrival)
-	// must not accumulate unbounded stale entries: compaction keeps stored
-	// within a constant factor of the live population.
-	var q eventQueue
-	q.initialize()
-	for i := 0; i < 100000; i++ {
-		q.pushPlanned(float64(i%977), cpu.FDefault)
-		q.clearPlanned()
-	}
-	if q.stored > 4*q.n+64+1 {
-		t.Fatalf("stored %d entries for %d live events", q.stored, q.n)
-	}
-}
-
 func TestEventQueueFarEvents(t *testing.T) {
 	var q eventQueue
-	q.initialize()
 	q.pushTimer(math.Inf(1), 9)
 	q.pushTimer(1e18, 8)
 	q.pushTimer(5, 1)
@@ -222,40 +254,10 @@ func TestEventQueueFarEvents(t *testing.T) {
 	}
 }
 
-func TestEventQueueResizeGrowShrink(t *testing.T) {
-	var q eventQueue
-	q.initialize()
-	for i := 0; i < 5000; i++ {
-		q.pushTimer(float64(i)*0.25, int64(i))
-	}
-	if len(q.buckets) == 8 {
-		t.Fatalf("bucket table never grew for 5000 events")
-	}
-	for i := 0; i < 4990; i++ {
-		q.pop()
-	}
-	// Push a couple more to trigger the shrink watermark check.
-	q.pushTimer(1e6, -1)
-	q.pushTimer(1e6+1, -2)
-	if len(q.buckets) > 64 {
-		t.Fatalf("bucket table did not shrink: %d buckets for %d events", len(q.buckets), q.n)
-	}
-	rest := drain(&q)
-	if len(rest) != 12 {
-		t.Fatalf("drained %d, want 12", len(rest))
-	}
-	for i := 1; i < len(rest); i++ {
-		if qless(&rest[i], &rest[i-1]) {
-			t.Fatalf("order violated after resizes at %d", i)
-		}
-	}
-}
-
 func TestEventQueueSteadyStateAllocFree(t *testing.T) {
-	// Push/pop churn at a stable population must not allocate: buckets
-	// recycle their backing arrays (the //gemini:hotpath contract).
+	// Push/pop churn at a stable population must not allocate: the heap
+	// reuses its slice (the //gemini:hotpath contract).
 	var q eventQueue
-	q.initialize()
 	for i := 0; i < 64; i++ {
 		q.pushTimer(float64(i), int64(i))
 	}

@@ -220,11 +220,11 @@ func TestRunAllocationPins(t *testing.T) {
 		max  float64
 		with func(*Config)
 	}{
-		{"no sink", 13, func(*Config) {}},
-		{"PowerSeriesResMs", 15, func(c *Config) { c.PowerSeriesResMs = 1000 }},
-		{"Tracer(256)", 14, func(c *Config) { c.Tracer = telemetry.NewTracer(256) }},
-		{"Series 100 ms", 20, func(c *Config) { c.Series = NewRunTimeseries(c.Ladder, wl.DurationMs, 100) }},
-		{"Spans(256)", 274, func(c *Config) { c.Spans = telemetry.NewSpanTracer(256) }},
+		{"no sink", 9, func(*Config) {}},
+		{"PowerSeriesResMs", 11, func(c *Config) { c.PowerSeriesResMs = 1000 }},
+		{"Tracer(256)", 10, func(c *Config) { c.Tracer = telemetry.NewTracer(256) }},
+		{"Series 100 ms", 14, func(c *Config) { c.Series = NewRunTimeseries(c.Ladder, wl.DurationMs, 100) }},
+		{"Spans(256)", 270, func(c *Config) { c.Spans = telemetry.NewSpanTracer(256) }},
 	} {
 		cfg := DefaultConfig()
 		tc.with(&cfg)

@@ -50,9 +50,9 @@ type Request struct {
 	// PoolIdx is Entry's index in the pool the workload was built from, the
 	// key of the pool-indexed tables (Predictions).
 	PoolIdx int32
-	// slot is the request's index into the engine's struct-of-arrays pool
-	// (its position in the workload), stamped by requestPool.load at the
-	// start of every run.
+	// slot is the request's position in the workload of the run it is in,
+	// stamped when its arrival event fires; it indexes the decision trace's
+	// pending records.
 	slot int32
 
 	// Lifecycle flags, beside the two indices so that they share one word.

@@ -33,9 +33,8 @@ type Config struct {
 	Ladder  *cpu.Ladder
 	Power   *cpu.PowerModel
 	TdvfsMs float64
-	// linear swaps the calendar-queue event loop — O(1) amortized
-	// insert/extract, no linear scans or slice splices — for the original
-	// linear-scan one in engine_linear.go. Only this package's tests can set
+	// linear swaps the heap-queue event loop for the original linear-scan
+	// one in engine_linear.go. Only this package's tests can set
 	// it: the reference is retained solely so equivalence stays
 	// machine-checked (TestEnginesEquivalent, FuzzEngineEquivalence), and both
 	// engines produce byte-identical results, traces, and decision logs.
@@ -131,14 +130,17 @@ type Sim struct {
 	qhead   int
 	nextArr int // cursor into wl.Requests
 
-	// pool is the struct-of-arrays repack of the per-event request state;
-	// headIdx/headStarted cache the executing head's pool index and started
-	// flag so completionTime and advanceTo touch no *Request pointer.
-	pool        requestPool
-	headIdx     int32
-	headStarted bool
+	// exec is the executing request (the head once Started, else nil) and
+	// execDone/execTotal its progress. The per-event accrual writes these, not
+	// the request: neighbouring cores' requests share cache lines of one
+	// slab, and accruing into Request.WorkDone read 0.92x on sim_sweep or
+	// sim_cell and was never faster (DESIGN.md §9). syncHead stores execDone
+	// back before every policy callback.
+	exec      *Request
+	execDone  cpu.Work
+	execTotal cpu.Work
 
-	// events is the calendar queue holding planned changes and timers
+	// events is the heap queue holding planned changes and timers
 	// (default engine); linear selects the reference engine, which keeps
 	// them in the planned/timers slices instead (evSeq is its insertion
 	// counter).
@@ -246,15 +248,10 @@ func run(cfg Config, wl *Workload, pol Policy, cp *capture) *Result {
 		tr:        cfg.Tracer,
 		sp:        cfg.Spans,
 		linear:    cfg.linear,
-		headIdx:   -1,
 		res:       newResult(pol.Name(), wl),
 	}
 	if cp != nil {
 		s.held.decisions = cp.decisions
-	}
-	s.pool.load(wl.Requests)
-	if !s.linear {
-		s.events.initialize()
 	}
 	if s.tr != nil {
 		s.pending = make([]pendingDecision, len(wl.Requests))
@@ -362,32 +359,32 @@ func (s *Sim) popHead() {
 	s.refreshHead()
 }
 
-// refreshHead re-caches the executing head's pool index and started flag
-// after any queue-front mutation.
+// refreshHead re-derives exec after any queue-front mutation.
 //
 //gemini:hotpath
 func (s *Sim) refreshHead() {
-	if s.qlen() == 0 {
-		s.headIdx = -1
-		s.headStarted = false
-		return
+	s.exec = nil
+	if s.qlen() > 0 && s.queue[s.qhead].Started {
+		s.setExec(s.queue[s.qhead])
 	}
-	h := s.queue[s.qhead]
-	s.headIdx = h.slot
-	s.headStarted = h.Started
 }
 
-// syncHead flushes the executing head's accrued work from the pool back to
-// its Request struct. Called before every policy callback so policies reading
+// setExec makes r the executing request and loads its progress.
+//
+//gemini:hotpath
+func (s *Sim) setExec(r *Request) {
+	s.exec, s.execDone, s.execTotal = r, r.WorkDone, r.WorkTotal
+}
+
+// syncHead stores the executing head's accrued work back to its Request.
+// Called before every policy callback so policies reading
 // Queue()[0].WorkDone (Gemini's binding test, Rubik's residual estimate) see
-// the live value, exactly as they did when the engine accrued into the struct
-// directly.
+// the live value.
 //
 //gemini:hotpath
 func (s *Sim) syncHead() {
-	if s.headStarted {
-		h := s.queue[s.qhead]
-		h.WorkDone = s.pool.workDone[s.headIdx]
+	if s.exec != nil {
+		s.exec.WorkDone = s.execDone
 	}
 }
 
@@ -432,7 +429,7 @@ func (s *Sim) markPhase() {
 // PlanFreqChange schedules a frequency switch at the given absolute time.
 // Past times apply on the next event dispatch.
 //
-// The calendar engine clamps the timestamp to the present at insertion; the
+// The heap engine clamps the timestamp to the present at insertion; the
 // reference engine clamps at every scan. The two are equivalent: while a
 // past-due event is pending the clock cannot advance past it (its effective
 // time is always the minimum), so the insertion-time clamp equals the
@@ -509,10 +506,9 @@ func (s *Sim) Drop(r *Request) {
 		}
 		r.Dropped = true
 		r.FinishMs = s.now
-		if r.Started {
-			// Flush the accrued progress so post-mortem consumers see the
-			// same WorkDone the struct-accruing engine left behind.
-			r.WorkDone = s.pool.workDone[r.slot]
+		if r == s.exec {
+			// Post-mortem consumers see the progress made before the drop.
+			r.WorkDone = s.execDone
 		}
 		wasHead := i == s.qhead
 		if wasHead {
@@ -688,6 +684,7 @@ func (s *Sim) loop() {
 			s.SetFreq(e.freq)
 		case evArrival:
 			r := s.wl.Requests[s.nextArr]
+			r.slot = int32(s.nextArr)
 			s.nextArr++
 			s.arrive(r)
 		case evTimer:
@@ -714,7 +711,7 @@ func (s *Sim) sampleTick() {
 		return
 	}
 	inFlight := 0.0
-	if s.headStarted {
+	if s.exec != nil {
 		inFlight = 1
 	}
 	s.tsc.Sample(s.now, s.acc.EnergyMJ(), float64(s.qlen()), inFlight)
@@ -728,7 +725,7 @@ func (s *Sim) sampleTick() {
 // before a simultaneous arrival is observed. The completion candidate is
 // derived from the executing head, the arrival candidate from the workload
 // cursor, and the policy-scheduled candidates (planned changes, timers) from
-// the calendar queue's minimum — whose key already encodes the
+// the event queue's minimum — whose key already encodes the
 // (timestamp, kind, seq) contract.
 //
 //gemini:hotpath
@@ -738,8 +735,8 @@ func (s *Sim) nextEvent() (kind int, at float64) {
 	if c := s.completionTime(); c < at {
 		kind, at = evCompletion, c
 	}
-	if s.nextArr < len(s.pool.arrivalMs) {
-		t := s.pool.arrivalMs[s.nextArr]
+	if s.nextArr < len(s.wl.Requests) {
+		t := s.wl.Requests[s.nextArr].ArrivalMs
 		//gemini:allow floatcmp -- exact timestamp ties are the common same-instant case; broken by event-kind priority
 		if t < at || (t == at && kind > evArrival) {
 			kind, at = evArrival, t
@@ -761,17 +758,15 @@ func (s *Sim) nextEvent() (kind int, at float64) {
 }
 
 // completionTime returns when the executing request will finish under the
-// current frequency and stall state (+Inf if the server is idle). It reads
-// the head's remaining work from the pool through the cached index — no
-// pointer chase.
+// current frequency and stall state (+Inf if the server is idle).
 //
 //gemini:hotpath
 func (s *Sim) completionTime() float64 {
-	if !s.headStarted {
+	if s.exec == nil {
 		return math.Inf(1)
 	}
 	t0 := math.Max(s.now, s.stallUntil)
-	return t0 + cpu.TimeFor(s.pool.remaining(s.headIdx), s.freq)
+	return t0 + cpu.TimeFor(s.execTotal-s.execDone, s.freq)
 }
 
 // advanceTo moves simulated time forward, accruing head-request progress and
@@ -793,8 +788,8 @@ func (s *Sim) advanceTo(t float64) {
 	// Segment 2: executing.
 	if t > s.now {
 		dt := t - s.now
-		if busy && s.headStarted {
-			s.pool.workDone[s.headIdx] += cpu.WorkFor(dt, s.freq)
+		if busy && s.exec != nil {
+			s.execDone += cpu.WorkFor(dt, s.freq)
 		}
 		s.accrue(dt, busy)
 		s.now = t
@@ -880,8 +875,7 @@ func (s *Sim) startHead() {
 	head := s.head()
 	head.Started = true
 	head.StartMs = s.now
-	s.headIdx = head.slot
-	s.headStarted = true
+	s.setExec(head)
 	if s.tr != nil {
 		// Snapshot before OnStart so the transitions and energy its plan
 		// application incurs are attributed to this request — unless an

@@ -205,6 +205,90 @@ func TestDropHeadStartsNext(t *testing.T) {
 	}
 }
 
+// TestPolicySeesHeadProgress holds syncHead to its word under both engines: a
+// policy reading Queue()[0].WorkDone in OnArrival or OnTimer sees the work
+// the executing head has done up to that instant. The run stays at one
+// frequency and the probe mirrors the engine's stall clock (every arrival
+// stalls the core for the prediction overhead), so the expected value is the
+// un-stalled time since StartMs at that frequency. A head dropped mid-service
+// keeps what it had accrued; a completed request ends at exactly WorkTotal.
+func TestPolicySeesHeadProgress(t *testing.T) {
+	for _, linear := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.linear = linear
+		cfg.PredictOverheadMs = 0.3
+		wl := BenchWorkloadRate(300, 3, 12)
+
+		var (
+			head       *Request // the executing request, nil while the core idles
+			from       float64  // the instant want accounts up to
+			want, last cpu.Work // expected and last seen head.WorkDone
+			stallUntil float64
+			seen       int
+			droppedAt  = map[int]cpu.Work{}
+		)
+		observe := func(s *Sim) {
+			if head == nil {
+				return
+			}
+			h := s.Queue()[0]
+			if h != head || !h.Started {
+				t.Fatalf("linear=%v t=%v: queue head is request %d, request %d is executing", linear, s.Now(), h.ID, head.ID)
+			}
+			ran := s.Now() - math.Max(from, stallUntil)
+			if ran > 0 {
+				want += cpu.WorkFor(ran, s.Freq())
+				seen++
+			}
+			from = s.Now()
+			switch {
+			case math.Abs(float64(h.WorkDone-want)) > 1e-9*(1+float64(want)):
+				t.Fatalf("linear=%v t=%v request %d: WorkDone %v, want %v (un-stalled time since StartMs %v at %v GHz)",
+					linear, s.Now(), h.ID, h.WorkDone, want, h.StartMs, s.Freq())
+			case h.WorkDone > h.WorkTotal:
+				t.Fatalf("linear=%v t=%v request %d: WorkDone %v exceeds WorkTotal %v", linear, s.Now(), h.ID, h.WorkDone, h.WorkTotal)
+			case h.WorkDone < last || (ran > 0 && h.WorkDone == last):
+				t.Fatalf("linear=%v t=%v request %d: WorkDone %v after %v, %v ms of execution later", linear, s.Now(), h.ID, h.WorkDone, last, ran)
+			}
+			last = h.WorkDone
+		}
+		pol := &hookPolicy{
+			init:        func(s *Sim) { s.SetTimer(0.7, 1) },
+			onStart:     func(s *Sim, r *Request) { head, from, want, last = r, s.Now(), 0, 0 },
+			onDeparture: func(*Sim, *Request) { head = nil },
+			onArrival: func(s *Sim, r *Request) {
+				observe(s)
+				stallUntil = math.Max(stallUntil, s.Now()+cfg.PredictOverheadMs)
+			},
+			onTimer: func(s *Sim, tag int64) {
+				observe(s)
+				if h := head; h != nil && h.ID%4 == 0 && h.WorkDone > 0 {
+					droppedAt[h.ID] = h.WorkDone
+					head = nil
+					s.Drop(h) // starts the next request: onStart runs inside
+				}
+				s.SetTimer(s.Now()+0.7, tag)
+			},
+		}
+		Run(cfg, wl, pol)
+
+		if seen < len(wl.Requests) || len(droppedAt) < 10 {
+			t.Fatalf("linear=%v: %d observations of a running head and %d mid-service drops; the probe saw too little", linear, seen, len(droppedAt))
+		}
+		for _, r := range wl.Requests {
+			at, dropped := droppedAt[r.ID]
+			switch {
+			case r.Done == r.Dropped || r.Dropped != dropped:
+				t.Errorf("linear=%v request %d: done=%v dropped=%v, the probe dropped it: %v", linear, r.ID, r.Done, r.Dropped, dropped)
+			case r.Done && r.WorkDone != r.WorkTotal:
+				t.Errorf("linear=%v request %d completed with WorkDone %v, WorkTotal %v", linear, r.ID, r.WorkDone, r.WorkTotal)
+			case r.Dropped && (r.WorkDone != at || at >= r.WorkTotal):
+				t.Errorf("linear=%v request %d dropped at WorkDone %v of %v, left with %v", linear, r.ID, at, r.WorkTotal, r.WorkDone)
+			}
+		}
+	}
+}
+
 func TestTimerFires(t *testing.T) {
 	wl := mkWorkload(50, 100, [2]float64{0, 13.5})
 	var fired []float64

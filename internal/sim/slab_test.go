@@ -30,7 +30,7 @@ func allocsAtSizes(n int, run func(wl *Workload)) (small, large float64) {
 // exists for: 3n more queries over three shards are 9n more legs, and a run
 // must not allocate for any of them. The slack covers what grows with the
 // simulated duration or the queue depth by doubling: the coordinator's
-// series and schedules, the engine's queue and calendar.
+// series and schedules, the engine's queue and event heap.
 func TestTopologyAllocsIndependentOfRequests(t *testing.T) {
 	const n = 1500
 	for _, workers := range []int{1, 2} {

@@ -109,7 +109,7 @@ func TestTimeseriesSingleRun(t *testing.T) {
 }
 
 // TestTimeseriesEnginesEquivalent extends the engine-equivalence contract to
-// the sampler: the calendar and linear engines must produce byte-identical
+// the sampler: the heap and linear engines must produce byte-identical
 // timeline exports (the reserved timer is intercepted identically in both
 // loops, before any policy sees it).
 func TestTimeseriesEnginesEquivalent(t *testing.T) {
@@ -121,10 +121,10 @@ func TestTimeseriesEnginesEquivalent(t *testing.T) {
 		Run(cfg, wl, &chaosTimelinePolicy{})
 		return timelineJSONL(t, cfg.Series)
 	}
-	cal, lin := run(false), run(true)
-	if !bytes.Equal(cal, lin) {
-		t.Fatalf("calendar and linear engines produced different timelines (%d vs %d bytes)",
-			len(cal), len(lin))
+	hp, lin := run(false), run(true)
+	if !bytes.Equal(hp, lin) {
+		t.Fatalf("heap and linear engines produced different timelines (%d vs %d bytes)",
+			len(hp), len(lin))
 	}
 }
 
