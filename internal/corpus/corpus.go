@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // TermID identifies a vocabulary term.
@@ -66,6 +67,12 @@ type Corpus struct {
 	Spec  Spec
 	Docs  [][]TermID
 	Vocab []string
+
+	// vocabIDs maps each word of Vocab to its first index. TermIDOf builds
+	// it on first use, so a Corpus assembled as a literal works too; Vocab
+	// must not change after that.
+	vocabOnce sync.Once
+	vocabIDs  map[string]TermID
 }
 
 // exampleTerms gives human-readable names to selected vocabulary slots so
@@ -143,15 +150,27 @@ func syntheticWord(i int) string {
 	return fmt.Sprintf("%s%d", b, i)
 }
 
-// TermIDOf returns the TermID of the given word, or -1 if absent. Linear in
-// vocabulary size; intended for examples and tests, not hot paths.
+// TermIDOf returns the TermID of the given word, or -1 if absent: one map
+// lookup, on the path of every parsed query. A word that occurs twice in
+// Vocab resolves to its first index.
+//
+//gemini:hotpath
 func (c *Corpus) TermIDOf(word string) TermID {
-	for i, w := range c.Vocab {
-		if w == word {
-			return TermID(i)
-		}
+	//gemini:allow hotpath -- builds the map on the first call; one atomic load on every later one
+	c.vocabOnce.Do(c.indexVocab)
+	if id, ok := c.vocabIDs[word]; ok {
+		return id
 	}
 	return -1
+}
+
+func (c *Corpus) indexVocab() {
+	c.vocabIDs = make(map[string]TermID, len(c.Vocab))
+	for i, w := range c.Vocab {
+		if _, dup := c.vocabIDs[w]; !dup {
+			c.vocabIDs[w] = TermID(i)
+		}
+	}
 }
 
 // TotalTokens returns the number of token occurrences across all documents.

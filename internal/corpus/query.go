@@ -3,6 +3,7 @@ package corpus
 import (
 	"math/rand"
 	"strings"
+	"unicode/utf8"
 )
 
 // Query is a search request: one term ("term query") or several ("phrase
@@ -73,7 +74,65 @@ func (g *QueryGen) Batch(n int) []Query {
 
 // ParseQuery builds a Query from whitespace-separated words, dropping words
 // not in the vocabulary. It returns false if no word resolved.
+//
+// Matching is case-insensitive and splits on Unicode white space. Text that
+// is already lower-case ASCII, which is what the generator and the load
+// tools send, is split where it lies: no lowered copy, no word slice, one
+// allocation for the terms. Anything else takes parseFolded.
+//
+//gemini:hotpath
 func ParseQuery(c *Corpus, text string) (Query, bool) {
+	// One pass to see that the text is plain and to count its words, so the
+	// terms are allocated once at their upper bound.
+	words, inWord := 0, false
+	for i := 0; i < len(text); i++ {
+		b := text[i]
+		if b >= utf8.RuneSelf || 'A' <= b && b <= 'Z' {
+			//gemini:allow hotpath -- upper case or non-ASCII: the copying route, which defines the result
+			return parseFolded(c, text)
+		}
+		if asciiSpace(b) {
+			inWord = false
+		} else if !inWord {
+			inWord = true
+			words++
+		}
+	}
+	var terms []TermID
+	for i := 0; i < len(text); {
+		if asciiSpace(text[i]) {
+			i++
+			continue
+		}
+		start := i
+		for i < len(text) && !asciiSpace(text[i]) {
+			i++
+		}
+		if id := c.TermIDOf(text[start:i]); id >= 0 {
+			if terms == nil {
+				//gemini:allow hotpath -- the query's terms: its one allocation, made when the first word resolves
+				terms = make([]TermID, 0, words)
+			}
+			terms = append(terms, id)
+		}
+	}
+	if len(terms) == 0 {
+		return Query{}, false
+	}
+	return Query{Terms: terms, Text: text}, true
+}
+
+// asciiSpace reports whether b is one of the six ASCII bytes strings.Fields
+// splits on.
+//
+//gemini:hotpath
+func asciiSpace(b byte) bool {
+	return b == ' ' || '\t' <= b && b <= '\r'
+}
+
+// parseFolded is ParseQuery by way of the standard library: lower-case the
+// text, split it into fields, look each one up.
+func parseFolded(c *Corpus, text string) (Query, bool) {
 	var terms []TermID
 	for _, w := range strings.Fields(strings.ToLower(text)) {
 		if id := c.TermIDOf(w); id >= 0 {

@@ -156,8 +156,8 @@ func TestSearchEquivalenceAfterRoundTrip(t *testing.T) {
 	g := corpus.NewQueryGen(c, 31)
 	for i := 0; i < 100; i++ {
 		q := g.Next()
-		a := ix.Lists(q)
-		b := got.Lists(q)
+		a := ix.AppendLists(nil, q)
+		b := got.AppendLists(nil, q)
 		if len(a) != len(b) {
 			t.Fatalf("list resolution differs for %q", q.Text)
 		}

@@ -133,15 +133,17 @@ func (ix *Index) List(t corpus.TermID) (*PostingList, error) {
 	return ix.lists[t], nil
 }
 
-// Lists resolves all the terms of a query, silently dropping unknown terms.
-func (ix *Index) Lists(q corpus.Query) []*PostingList {
-	out := make([]*PostingList, 0, len(q.Terms))
+// AppendLists appends the posting list of each query term to dst, silently
+// dropping unknown terms, and returns the extended slice. A caller that
+// passes a buffer of its own (the engine passes a stack array) pays no
+// allocation while the query fits in it.
+func (ix *Index) AppendLists(dst []*PostingList, q corpus.Query) []*PostingList {
 	for _, t := range q.Terms {
 		if pl, err := ix.List(t); err == nil {
-			out = append(out, pl)
+			dst = append(dst, pl)
 		}
 	}
-	return out
+	return dst
 }
 
 // VocabSize returns the size of the term space (including absent terms).

@@ -118,9 +118,14 @@ func TestUnknownTerm(t *testing.T) {
 func TestListsDropsUnknown(t *testing.T) {
 	c, ix := buildSmall(t)
 	q := corpus.Query{Terms: []corpus.TermID{0, corpus.TermID(c.Spec.VocabSize + 5)}}
-	ls := ix.Lists(q)
+	ls := ix.AppendLists(nil, q)
 	if len(ls) != 1 || ls[0].Term != 0 {
-		t.Errorf("Lists = %v", ls)
+		t.Errorf("AppendLists = %v", ls)
+	}
+	// A caller's buffer is filled in place while the query fits in it.
+	var buf [2]*PostingList
+	if ls := ix.AppendLists(buf[:0], q); len(ls) != 1 || &ls[0] != &buf[0] {
+		t.Errorf("AppendLists did not use the caller's buffer: %v", ls)
 	}
 }
 

@@ -7,7 +7,7 @@ package nn
 // the network's weights are only read, so any number of goroutines can run
 // Infer on one trained Network concurrently — each with its own Arena.
 //
-// Infer performs the multiply-accumulate in exactly Forward's order, so the
+// Infer and Forward share one multiply-accumulate kernel (affineRows), so the
 // two paths produce bit-identical float64 outputs.
 
 // Arena holds the forward-pass scratch for one network shape: two ping-pong
@@ -46,19 +46,12 @@ func (n *Network) Infer(x []float64, a *Arena) []float64 {
 }
 
 // applyInto computes out = act(W·x + b) without touching the layer's
-// training scratch. The summation order matches Forward exactly so both
-// paths yield identical float64 results.
+// training scratch, through the kernel Forward uses.
+//
+//gemini:hotpath
 func (d *Dense) applyInto(x, out []float64) {
-	for o := 0; o < d.Out; o++ {
-		sum := d.B[o]
-		row := d.W[o*d.In : (o+1)*d.In]
-		for i, xi := range x {
-			sum += row[i] * xi
-		}
-		if d.Act == ReLU && sum < 0 {
-			out[o] = 0
-		} else {
-			out[o] = sum
-		}
+	affineRows(d.W, d.B, d.In, x, out)
+	if d.Act == ReLU {
+		clampNegative(out)
 	}
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -107,4 +108,81 @@ func BenchmarkInferParallel(b *testing.B) {
 			net.Infer(x, arena)
 		}
 	})
+}
+
+// refLayer is the layer as it was computed before the row-blocked kernel: one
+// output at a time, bias first, products added by ascending input index.
+// Forward and Infer must return its bits.
+func refLayer(d *Dense, x []float64) []float64 {
+	out := make([]float64, d.Out)
+	for o := range out {
+		sum := d.B[o]
+		row := d.W[o*d.In : (o+1)*d.In]
+		for i, xi := range x {
+			sum += row[i] * xi
+		}
+		if d.Act == ReLU && sum < 0 {
+			sum = 0
+		}
+		out[o] = sum
+	}
+	return out
+}
+
+// TestKernelMatchesScalarReference checks Forward ≡ Infer ≡ refLayer to the
+// bit over output widths on both sides of the kernel's four-row block and its
+// scalar tail, for both activations, on random inputs (negative sums under
+// ReLU) and on a layer built to produce -0 pre-activations, which ReLU must
+// not turn into +0.
+func TestKernelMatchesScalarReference(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	rng := rand.New(rand.NewSource(21))
+	for _, out := range []int{1, 2, 3, 4, 5, 7, 48, 61} {
+		for _, act := range []Activation{ReLU, Identity} {
+			for _, in := range []int{1, 15} {
+				d := NewDense(in, out, act, rng)
+				net := &Network{Layers: []*Dense{d}}
+				arena := net.NewArena()
+				check := func(x []float64) []float64 {
+					t.Helper()
+					want := refLayer(d, x)
+					fwd := append([]float64(nil), d.Forward(x)...)
+					inf := net.Infer(x, arena)
+					for o := range want {
+						w, f, g := math.Float64bits(want[o]), math.Float64bits(fwd[o]), math.Float64bits(inf[o])
+						if f != w || g != w {
+							t.Fatalf("in=%d out=%d act=%d row %d: reference %x, Forward %x, Infer %x", in, out, act, o, w, f, g)
+						}
+					}
+					return want
+				}
+
+				for o := range d.B {
+					d.B[o] = rng.NormFloat64()
+				}
+				x := make([]float64, in)
+				for n := 0; n < 20; n++ {
+					for i := range x {
+						x[i] = rng.NormFloat64() * 2
+					}
+					check(x)
+				}
+
+				// A -0 bias plus -0 products (positive weight, -0 input) sums
+				// to -0 on every row.
+				for o := range d.B {
+					d.B[o] = negZero
+				}
+				for i := range d.W {
+					d.W[i] = math.Abs(d.W[i])
+				}
+				for i := range x {
+					x[i] = negZero
+				}
+				if got := check(x)[0]; math.Float64bits(got) != math.Float64bits(negZero) {
+					t.Fatalf("in=%d out=%d act=%d: the -0 case produced %v", in, out, act, got)
+				}
+			}
+		}
+	}
 }

@@ -63,20 +63,64 @@ func NewDense(in, out int, act Activation, rng *rand.Rand) *Dense {
 // layer and valid until the next Forward.
 func (d *Dense) Forward(x []float64) []float64 {
 	copy(d.in, x)
-	for o := 0; o < d.Out; o++ {
-		sum := d.B[o]
-		row := d.W[o*d.In : (o+1)*d.In]
+	affineRows(d.W, d.B, d.In, x, d.z)
+	copy(d.out, d.z)
+	if d.Act == ReLU {
+		clampNegative(d.out)
+	}
+	return d.out
+}
+
+// affineRows writes z[o] = b[o] + Σ_i w[o·in+i]·x[i] for every row o of the
+// row-major matrix w: the one multiply-accumulate kernel under Forward and
+// Infer. A single output is one chain of dependent adds, so a row at a time
+// runs at floating-point add latency; four rows per pass keep four
+// independent chains in flight over one read of x, with a row-at-a-time tail
+// for the last len(z) % 4. Each output's own sum keeps its order (bias first,
+// then the products by ascending i), so the result is the row-at-a-time
+// loop's to the last bit: the trained weights and every fingerprint
+// downstream depend on that. The block loop advances by reslicing w, b and z
+// rather than by an index: with an index and four row slices live the
+// compiler runs out of registers and spills the inner loop's counter.
+//
+//gemini:hotpath
+func affineRows(w, b []float64, in int, x, z []float64) {
+	if len(x) > in {
+		panic("nn: input wider than the layer")
+	}
+	n := len(x)
+	for len(z) >= 4 {
+		r0, r1, r2, r3 := w[:n], w[in:][:n], w[2*in:][:n], w[3*in:][:n]
+		s0, s1, s2, s3 := b[0], b[1], b[2], b[3]
+		for i, xi := range x {
+			s0 += r0[i] * xi
+			s1 += r1[i] * xi
+			s2 += r2[i] * xi
+			s3 += r3[i] * xi
+		}
+		z[0], z[1], z[2], z[3] = s0, s1, s2, s3
+		w, b, z = w[4*in:], b[4:], z[4:]
+	}
+	for o := range z {
+		row := w[o*in:][:n]
+		sum := b[o]
 		for i, xi := range x {
 			sum += row[i] * xi
 		}
-		d.z[o] = sum
-		if d.Act == ReLU && sum < 0 {
-			d.out[o] = 0
-		} else {
-			d.out[o] = sum
+		z[o] = sum
+	}
+}
+
+// clampNegative is ReLU in place. Only strictly negative values change, so a
+// pre-activation of -0 stays -0, as it always has.
+//
+//gemini:hotpath
+func clampNegative(v []float64) {
+	for i, s := range v {
+		if s < 0 {
+			v[i] = 0
 		}
 	}
-	return d.out
 }
 
 // Backward accumulates parameter gradients for the last Forward given the

@@ -2,9 +2,13 @@ package predictor
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gemini/internal/corpus"
@@ -420,5 +424,31 @@ func TestErrorPredictorSaveLoad(t *testing.T) {
 	}
 	if _, err := LoadError(bytes.NewReader(nil)); err == nil {
 		t.Error("empty error model accepted")
+	}
+}
+
+// TestTrainedWeightsGolden pins the bits of a TestConfig-trained classifier.
+// They depend on the dataset builder's searches (ExecStats price the labels)
+// and on the order of every floating-point sum in the forward and backward
+// passes, so a host-loop rewrite that moves a counter or reorders a sum fails
+// here in a second, not at the results_full.txt smoke. amd64, like that file.
+func TestTrainedWeightsGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the golden is amd64 output")
+	}
+	ds, _ := dataset(t)
+	h := fnv.New64a()
+	var b [8]byte
+	for _, l := range TrainClassifier(ds.Train, nil, TestConfig()).Network().Layers {
+		for _, vs := range [][]float64{l.W, l.B} {
+			for _, v := range vs {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+	}
+	const want = "ce9002cd318dc38c"
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Errorf("trained weights hash %s, want %s", got, want)
 	}
 }

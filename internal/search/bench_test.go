@@ -2,6 +2,7 @@ package search
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"gemini/internal/corpus"
@@ -41,6 +42,29 @@ func BenchmarkSearchMixedQueries(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Search(qs[i%len(qs)])
+	}
+}
+
+var poolFixture struct {
+	once    sync.Once
+	engine  *Engine
+	queries []corpus.Query
+}
+
+// BenchmarkSearchPool is the ledger's search layer without a platform build:
+// the full-size corpus and the 5 000-query generator pool that query_path and
+// live_search cycle over (bench/query.go), one Search per iteration.
+func BenchmarkSearchPool(b *testing.B) {
+	f := &poolFixture
+	f.once.Do(func() { // once per process, not once per b.N the runner tries
+		c := corpus.Generate(corpus.DefaultSpec())
+		f.engine = NewEngine(index.Build(c), DefaultK)
+		f.queries = corpus.NewQueryGen(c, 1).Batch(5000)
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.engine.Search(f.queries[i%len(f.queries)])
 	}
 }
 

@@ -6,7 +6,8 @@
 package search
 
 import (
-	"sort"
+	"math"
+	"slices"
 
 	"gemini/internal/corpus"
 	"gemini/internal/index"
@@ -58,10 +59,21 @@ func (e *Engine) K() int { return e.k }
 // Index returns the underlying shard index.
 func (e *Engine) Index() *index.Index { return e.ix }
 
+// stackTerms and stackK size the kernels' fixed scratch: a query of up to
+// stackTerms terms at a K of up to stackK (DefaultK is 10, generated queries
+// have one to three terms) is evaluated out of stack arrays, and the top-K it
+// returns is its only allocation. Beyond either bound the same loops run
+// over slices from make.
+const (
+	stackTerms = 8
+	stackK     = 16
+)
+
 // Search evaluates the query and returns the scored top-K with execution
 // statistics. Queries whose terms are all unknown return an empty result.
 func (e *Engine) Search(q corpus.Query) Execution {
-	lists := e.ix.Lists(q)
+	var buf [stackTerms]*index.PostingList
+	lists := e.ix.AppendLists(buf[:0], q)
 	switch {
 	case len(lists) == 0:
 		return Execution{}
@@ -79,19 +91,77 @@ func (e *Engine) Search(q corpus.Query) Execution {
 // searchSingle scans a single posting list: no pruning is possible for a
 // doc-ordered disjunction of one term, so cost is linear in list length —
 // the paper's observation that service time tracks the posting list,
-// modulated for multi-term queries by pruning.
+// modulated for multi-term queries by pruning. The first K postings fill the
+// heap; after that a posting costs one compare against θ unless it enters.
+// Every posting is visited and scored, so those two counters are the list
+// length and only heap entries are counted.
+//
+//gemini:hotpath
 func (e *Engine) searchSingle(pl *index.PostingList) Execution {
-	h := newTopKHeap(e.k)
-	st := ExecStats{Terms: 1}
-	for _, p := range pl.Postings {
-		st.PostingsVisited++
-		st.DocsScored++
-		if h.offer(Result{Doc: p.Doc, Score: p.Impact}) {
-			st.DocsEverInTopK++
+	var store [stackK]Result
+	h := heapOver(store[:], e.k)
+	ps := pl.Postings
+	fill := min(e.k, len(ps))
+	for _, p := range ps[:fill] {
+		h.push(Result{Doc: p.Doc, Score: p.Impact})
+	}
+	if fill == e.k {
+		theta := h.items[0].Score
+		for _, p := range ps[fill:] {
+			if p.Impact <= theta {
+				continue
+			}
+			h.replaceMin(Result{Doc: p.Doc, Score: p.Impact})
+			theta = h.items[0].Score
 		}
 	}
-	st.HeapOps = h.pushes
+	st := ExecStats{
+		PostingsVisited: len(ps),
+		DocsScored:      len(ps),
+		DocsEverInTopK:  h.pushes,
+		HeapOps:         h.pushes,
+		Terms:           1,
+	}
 	return Execution{Results: h.results(), Stats: st}
+}
+
+// exhaustedDoc is the current document of a cursor that ran off its list;
+// it sorts after every real document (IDs are dense from 0).
+const exhaustedDoc = math.MaxInt32
+
+// listCursor is one list's position in searchMaxScore. doc and impact cache
+// the posting under the cursor so the per-candidate passes over the lists
+// read this small struct, not the posting arrays.
+type listCursor struct {
+	doc    int32
+	impact float32
+	pos    int
+	ps     []index.Posting
+}
+
+// seek moves the cursor to pos and caches the posting there.
+//
+//gemini:hotpath
+func (c *listCursor) seek(pos int) {
+	c.pos = pos
+	if pos < len(c.ps) {
+		c.doc, c.impact = c.ps[pos].Doc, c.ps[pos].Impact
+	} else {
+		c.doc = exhaustedDoc
+	}
+}
+
+// byMaxImpact orders posting lists by ascending score upper bound.
+//
+//gemini:hotpath
+func byMaxImpact(a, b *index.PostingList) int {
+	switch {
+	case a.MaxImpact < b.MaxImpact:
+		return -1
+	case b.MaxImpact < a.MaxImpact:
+		return 1
+	}
+	return 0
 }
 
 // searchMaxScore runs document-at-a-time MaxScore over >=2 lists: lists are
@@ -99,19 +169,40 @@ func (e *Engine) searchSingle(pl *index.PostingList) Execution {
 // cumulative upper bound cannot alone beat the current threshold is only
 // probed (by binary search) for candidates produced by the remaining
 // "essential" lists.
+//
+//gemini:hotpath
 func (e *Engine) searchMaxScore(lists []*index.PostingList) Execution {
-	sort.Slice(lists, func(i, j int) bool { return lists[i].MaxImpact < lists[j].MaxImpact })
+	//gemini:allow hotpath -- pdqsort over a non-capturing comparison: no allocation, and the permutation sort.Slice gave
+	slices.SortFunc(lists, byMaxImpact)
 	n := len(lists)
 
+	var (
+		ubStore   [stackTerms + 1]float32
+		curStore  [stackTerms]listCursor
+		heapStore [stackK]Result
+	)
+	prefixUB, cursors := ubStore[:], curStore[:]
+	if n > stackTerms {
+		//gemini:allow hotpath -- more terms than the stack arrays hold: no generated query, a long typed one
+		prefixUB = make([]float32, n+1)
+		//gemini:allow hotpath -- as above
+		cursors = make([]listCursor, n)
+	}
+	prefixUB, cursors = prefixUB[:n+1], cursors[:n]
+	h := heapOver(heapStore[:], e.k)
+
 	// prefixUB[i] = sum of MaxImpact of lists[0..i-1].
-	prefixUB := make([]float32, n+1)
 	for i, l := range lists {
 		prefixUB[i+1] = prefixUB[i] + l.MaxImpact
+		cursors[i].ps = l.Postings
+		cursors[i].seek(0)
 	}
 
-	cursors := make([]int, n) // per-list position, only advanced for essential lists
-	h := newTopKHeap(e.k)
-	st := ExecStats{Terms: n}
+	// The counters live in locals for the loop's duration; θ and full are
+	// the heap's threshold() and full(), refreshed only when offer admits.
+	var visited, scored, lookups, entered int
+	var theta float32
+	full := false
 
 	// firstEssential is the index of the first essential list; lists before
 	// it are non-essential. It only grows as the threshold rises.
@@ -119,74 +210,100 @@ func (e *Engine) searchMaxScore(lists []*index.PostingList) Execution {
 
 	for {
 		// Raise the non-essential boundary as far as the threshold allows.
-		theta := h.threshold()
-		for firstEssential < n-1 && h.full() && prefixUB[firstEssential+1] <= theta {
+		for full && firstEssential < n-1 && prefixUB[firstEssential+1] <= theta {
 			firstEssential++
+		}
+		essential := cursors[firstEssential:]
+
+		// One essential list left: each of its postings is the next
+		// candidate, and one whose impact cannot pass θ even with every
+		// non-essential bound is visited, scored and dropped. Skip the run
+		// of them at one compare each (the test below, negated as written).
+		if len(essential) == 1 {
+			c, ub := &essential[0], prefixUB[firstEssential]
+			pos := c.pos
+			for pos < len(c.ps) && !(c.ps[pos].Impact+ub > theta) {
+				pos++
+			}
+			visited += pos - c.pos
+			scored += pos - c.pos
+			c.seek(pos)
 		}
 
 		// Find the minimum current document among essential lists.
-		cand := int32(-1)
-		for i := firstEssential; i < n; i++ {
-			if cursors[i] < len(lists[i].Postings) {
-				d := lists[i].Postings[cursors[i]].Doc
-				if cand < 0 || d < cand {
-					cand = d
-				}
+		cand := int32(exhaustedDoc)
+		for i := range essential {
+			if d := essential[i].doc; d < cand {
+				cand = d
 			}
 		}
-		if cand < 0 {
+		if cand == exhaustedDoc {
 			break // all essential lists exhausted
 		}
 
 		// Score the candidate: essential contributions by advancing cursors,
 		// plus an upper bound from non-essential lists.
 		var score float32
-		for i := firstEssential; i < n; i++ {
-			if cursors[i] < len(lists[i].Postings) && lists[i].Postings[cursors[i]].Doc == cand {
-				score += lists[i].Postings[cursors[i]].Impact
-				cursors[i]++
-				st.PostingsVisited++
+		for i := range essential {
+			c := &essential[i]
+			if c.doc != cand {
+				continue
 			}
+			score += c.impact
+			visited++
+			c.seek(c.pos + 1)
 		}
-		st.DocsScored++
+		scored++
 
 		// Only consult non-essential lists if the doc could still make it.
-		theta = h.threshold()
 		if score+prefixUB[firstEssential] > theta {
 			for i := firstEssential - 1; i >= 0; i-- {
 				// Check whether even with list i..0 the doc can pass.
 				if score+prefixUB[i+1] <= theta {
 					break
 				}
-				if imp, probes, ok := probe(lists[i], cand); ok {
+				imp, probes, ok := probe(cursors[i].ps, cand)
+				if ok {
 					score += imp
-					st.Lookups += probes
-				} else {
-					st.Lookups += probes
 				}
+				lookups += probes
 			}
 			if h.offer(Result{Doc: cand, Score: score}) {
-				st.DocsEverInTopK++
+				entered++
+				if full = len(h.items) >= h.k; full {
+					theta = h.items[0].Score
+				}
 			}
 		}
 	}
 
-	st.HeapOps = h.pushes
+	st := ExecStats{
+		PostingsVisited: visited,
+		Lookups:         lookups,
+		DocsScored:      scored,
+		DocsEverInTopK:  entered,
+		HeapOps:         h.pushes,
+		Terms:           n,
+	}
 	return Execution{Results: h.results(), Stats: st}
 }
 
-// probe binary-searches list for doc, returning its impact, the number of
-// probe steps (charged as Lookups), and whether the doc was found.
-func probe(pl *index.PostingList, doc int32) (float32, int, bool) {
-	lo, hi := 0, len(pl.Postings)
+// probe binary-searches a posting list for doc, returning its impact, the
+// number of probe steps (charged as Lookups), and whether the doc was found.
+// The search always spans the whole list: Lookups is its step count, which
+// the cost model prices, so it may not gallop from a remembered position.
+//
+//gemini:hotpath
+func probe(ps []index.Posting, doc int32) (float32, int, bool) {
+	lo, hi := 0, len(ps)
 	steps := 0
 	for lo < hi {
 		steps++
-		mid := (lo + hi) / 2
-		d := pl.Postings[mid].Doc
+		mid := int(uint(lo+hi) >> 1)
+		d := ps[mid].Doc
 		switch {
 		case d == doc:
-			return pl.Postings[mid].Impact, steps, true
+			return ps[mid].Impact, steps, true
 		case d < doc:
 			lo = mid + 1
 		default:

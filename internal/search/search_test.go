@@ -30,7 +30,7 @@ func setup(t testing.TB) (*corpus.Corpus, *Engine) {
 // the MaxScore implementation.
 func bruteForce(ix *index.Index, q corpus.Query, k int) []Result {
 	scores := map[int32]float32{}
-	for _, pl := range ix.Lists(q) {
+	for _, pl := range ix.AppendLists(nil, q) {
 		for _, p := range pl.Postings {
 			scores[p.Doc] += p.Impact
 		}
@@ -115,7 +115,7 @@ func TestPruningSavesWork(t *testing.T) {
 		}
 		ex := e.Search(q)
 		total := 0
-		for _, pl := range e.Index().Lists(q) {
+		for _, pl := range e.Index().AppendLists(nil, q) {
 			total += pl.Len()
 		}
 		if ex.Stats.PostingsVisited > total {

@@ -9,19 +9,29 @@ type Result struct {
 // topKHeap is a fixed-capacity min-heap over scores: the root is the K-th
 // best score seen so far, i.e. the pruning threshold θ of MaxScore.
 // Implemented by hand (rather than container/heap) to keep the per-insert
-// cost accounting explicit.
+// cost accounting explicit. items never grows past k (see heapOver).
 type topKHeap struct {
-	k       int
-	items   []Result
-	pushes  int // heap insertions (cost-model counter)
-	evicted int
+	k      int
+	items  []Result
+	pushes int // heap insertions (cost-model counter)
 }
 
 func newTopKHeap(k int) *topKHeap {
-	if k < 1 {
-		k = 1
+	h := heapOver(nil, max(k, 1))
+	return &h
+}
+
+// heapOver returns an empty heap of capacity k whose items live in store, or
+// in a slice of their own when store is too small for k. The kernels pass a
+// stack array of stackK entries, which a search at DefaultK never outgrows.
+//
+//gemini:hotpath
+func heapOver(store []Result, k int) topKHeap {
+	if k > cap(store) {
+		//gemini:allow hotpath -- a K beyond the caller's array is the caller's choice; DefaultK fits stackK
+		store = make([]Result, 0, k)
 	}
-	return &topKHeap{k: k, items: make([]Result, 0, k)}
+	return topKHeap{k: k, items: store[:0]}
 }
 
 // threshold returns the current K-th best score, or 0 if fewer than K
@@ -37,23 +47,45 @@ func (h *topKHeap) full() bool { return len(h.items) >= h.k }
 
 // offer inserts the result if it beats the current threshold, returning
 // whether it was admitted.
+//
+//gemini:hotpath
 func (h *topKHeap) offer(r Result) bool {
 	if len(h.items) < h.k {
-		h.items = append(h.items, r)
-		h.siftUp(len(h.items) - 1)
-		h.pushes++
+		h.push(r)
 		return true
 	}
 	if r.Score <= h.items[0].Score {
 		return false
 	}
-	h.items[0] = r
-	h.siftDown(0)
-	h.pushes++
-	h.evicted++
+	h.replaceMin(r)
 	return true
 }
 
+// push adds r to a heap that is not yet full. It reslices within the
+// capacity every constructor gives items (>= k) where append would do the
+// same work: append makes escape analysis move a caller's stack array to the
+// heap.
+//
+//gemini:hotpath
+func (h *topKHeap) push(r Result) {
+	n := len(h.items)
+	h.items = h.items[:n+1]
+	h.items[n] = r
+	h.siftUp(n)
+	h.pushes++
+}
+
+// replaceMin evicts the root of a full heap for r; the caller has checked
+// that r beats it.
+//
+//gemini:hotpath
+func (h *topKHeap) replaceMin(r Result) {
+	h.items[0] = r
+	h.siftDown(0)
+	h.pushes++
+}
+
+//gemini:hotpath
 func (h *topKHeap) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -65,6 +97,7 @@ func (h *topKHeap) siftUp(i int) {
 	}
 }
 
+//gemini:hotpath
 func (h *topKHeap) siftDown(i int) {
 	n := len(h.items)
 	for {
@@ -86,7 +119,10 @@ func (h *topKHeap) siftDown(i int) {
 
 // results returns the collected documents sorted by descending score (ties
 // broken by ascending document ID for determinism).
+//
+//gemini:hotpath
 func (h *topKHeap) results() []Result {
+	//gemini:allow hotpath -- the returned top-K outlives the search: the one allocation a query keeps
 	out := make([]Result, len(h.items))
 	copy(out, h.items)
 	// Simple insertion-style sort is fine for K ≤ a few hundred.

@@ -67,7 +67,7 @@ func TestWANDPrunes(t *testing.T) {
 		}
 		ex := w.Search(q)
 		total := 0
-		for _, pl := range e.Index().Lists(q) {
+		for _, pl := range e.Index().AppendLists(nil, q) {
 			total += pl.Len()
 		}
 		if ex.Stats.PostingsVisited > total {
@@ -91,7 +91,7 @@ func TestExhaustiveVisitsAll(t *testing.T) {
 		q := g.Next()
 		ex := x.Search(q)
 		total := 0
-		for _, pl := range e.Index().Lists(q) {
+		for _, pl := range e.Index().AppendLists(nil, q) {
 			total += pl.Len()
 		}
 		if ex.Stats.PostingsVisited != total {

@@ -2,11 +2,12 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -190,7 +191,10 @@ func (a *Aggregator) Search(ctx context.Context, query string) (*AggResponse, er
 	deadline := time.NewTimer(a.Timeout)
 	defer deadline.Stop()
 
-	agg := &AggResponse{ShardsAsked: len(a.ShardURLs), TraceID: traceID}
+	agg := &AggResponse{
+		ShardsAsked: len(a.ShardURLs), TraceID: traceID,
+		PerShard: make([]ISNResponse, 0, len(a.ShardURLs)),
+	}
 	settled := make([]bool, len(a.ShardURLs)) // responded or errored
 	var got []shardReply                      // responding legs, for span assembly
 	var firstErr error
@@ -256,20 +260,27 @@ collect:
 	}
 
 	// Merge and rank across shards, keep the global top-K.
+	total := 0
+	for _, r := range agg.PerShard {
+		total += len(r.Results)
+	}
+	if total > 0 { // as in ISN.execute: nothing found stays null
+		agg.Results = make([]ShardResult, 0, total)
+	}
 	for _, r := range agg.PerShard {
 		agg.Results = append(agg.Results, r.Results...)
 	}
-	sort.Slice(agg.Results, func(i, j int) bool {
+	slices.SortFunc(agg.Results, func(a, b ShardResult) int {
 		switch {
-		case agg.Results[i].Score > agg.Results[j].Score:
-			return true
-		case agg.Results[i].Score < agg.Results[j].Score:
-			return false
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
 		}
-		if agg.Results[i].Shard != agg.Results[j].Shard {
-			return agg.Results[i].Shard < agg.Results[j].Shard
+		if a.Shard != b.Shard {
+			return cmp.Compare(a.Shard, b.Shard)
 		}
-		return agg.Results[i].Doc < agg.Results[j].Doc
+		return cmp.Compare(a.Doc, b.Doc)
 	})
 	if a.K > 0 && len(agg.Results) > a.K {
 		agg.Results = agg.Results[:a.K]
@@ -483,8 +494,7 @@ func (a *Aggregator) observe(agg *AggResponse, seq int, t0 time.Time, start time
 // ServeHTTP exposes the aggregator as an HTTP endpoint.
 func (a *Aggregator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeSearchRequest(w, r, &req) {
 		return
 	}
 	resp, err := a.Search(r.Context(), req.Query)

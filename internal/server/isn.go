@@ -15,6 +15,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -207,6 +208,9 @@ func (n *ISN) execute(t isnTask) ISNResponse {
 	if k <= 0 || k > len(ex.Results) {
 		k = len(ex.Results)
 	}
+	if k > 0 { // an empty reply keeps its null results on the wire
+		resp.Results = make([]ShardResult, 0, k)
+	}
 	for _, r := range ex.Results[:k] {
 		resp.Results = append(resp.Results, ShardResult{Shard: n.ShardID, Doc: r.Doc, Score: r.Score})
 	}
@@ -219,6 +223,27 @@ func (n *ISN) execute(t isnTask) ISNResponse {
 	}
 	resp.ExecWallMs = msSince(dequeued)
 	return resp
+}
+
+// maxRequestBytes bounds the body of a POST /search on both listeners; a
+// query is a line of text, and the ISN looks every word of it up.
+const maxRequestBytes = 64 << 10
+
+// decodeSearchRequest reads the JSON body of a POST /search into req,
+// answering the request itself (413 for a body over maxRequestBytes, 400 for
+// anything else that does not decode) and returning false when it could not.
+func decodeSearchRequest(w http.ResponseWriter, r *http.Request, req *SearchRequest) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(req)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, "bad request: "+err.Error(), status)
+	return false
 }
 
 // msSince returns the wall milliseconds elapsed since t.
@@ -425,8 +450,7 @@ func (n *ISN) applyModel(plan core.Plan, work cpu.Work) modelExec {
 func (n *ISN) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n.Start()
 	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeSearchRequest(w, r, &req) {
 		return
 	}
 	q, ok := corpus.ParseQuery(n.Corpus, req.Query)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -527,5 +528,55 @@ func TestISNQueueFullShedsImmediately(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines running, %d before the requests", runtime.NumGoroutine(), goroutines)
 		}
+	}
+}
+
+// TestSearchInputIsBounded: both listeners refuse a body over
+// maxRequestBytes, and the largest query that fits costs a map lookup per
+// word, not a scan of the vocabulary: 5 000 unknown words against a
+// full-size (12 000-word) vocabulary are answered 400 well inside one query
+// budget. The corpus is a literal with no documents; the request never
+// reaches the engine.
+func TestSearchInputIsBounded(t *testing.T) {
+	vocab := make([]string, corpus.DefaultSpec().VocabSize)
+	for i := range vocab {
+		vocab[i] = "w" + strconv.Itoa(i)
+	}
+	isn := NewISN(0, &corpus.Corpus{Vocab: vocab}, nil, nil)
+	defer isn.Stop()
+	isnSrv := httptest.NewServer(isn)
+	defer isnSrv.Close()
+	aggSrv := httptest.NewServer(NewAggregator([]string{isnSrv.URL}, 5))
+	defer aggSrv.Close()
+
+	post := func(url, query string) (int, time.Duration) {
+		body, _ := json.Marshal(SearchRequest{Query: query})
+		start := time.Now()
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode, time.Since(start)
+	}
+
+	oversize := strings.Repeat("w1 ", maxRequestBytes/3+1)
+	for name, url := range map[string]string{"isn": isnSrv.URL + "/search", "aggregator": aggSrv.URL} {
+		if status, _ := post(url, oversize); status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: %d-byte body answered %d, want 413", name, len(oversize), status)
+		}
+	}
+
+	unknown := strings.Repeat("zzzz ", 5000)
+	best := time.Hour
+	for try := 0; try < 3; try++ { // the fastest of three: a bound on the work, not on the host's mood
+		status, took := post(isnSrv.URL+"/search", unknown)
+		if status != http.StatusBadRequest {
+			t.Fatalf("5000 unknown words answered %d, want 400", status)
+		}
+		best = min(best, took)
+	}
+	if budget := DefaultBudgetMs * time.Millisecond; best > budget/2 {
+		t.Errorf("5000 unknown words took %v, want well under the %v budget", best, budget)
 	}
 }
