@@ -1,50 +1,22 @@
-// Command geminivet is the driver for the gemini lint suite
-// (internal/lint): nodeterminism, hotpath, unitsafety, freqdomain,
-// locksafety, metricsconv, timertag — plus the suite-level stale-suppression
-// audit (an //gemini:allow that suppresses nothing is itself an error).
+// Command geminivet runs the gemini lint suite (internal/lint) over packages
+// of this module: nodeterminism, hotpath, unitsafety, freqdomain, locksafety,
+// metricsconv, plus the suite-level stale-suppression audit (an
+// //gemini:allow that suppresses nothing is itself an error).
 //
-// It speaks go vet's vettool protocol, so the usual invocation is
+//	go run ./cmd/geminivet ./...
+//	go run ./cmd/geminivet ./internal/sim ./internal/cpu
 //
-//	go build -o bin/geminivet ./cmd/geminivet
-//	go vet -vettool=$PWD/bin/geminivet ./...
-//
-// in which mode cmd/go calls it once per package with a vet.cfg describing
-// the compiled package (file list, import map, export data), exactly like
-// golang.org/x/tools' unitchecker — re-implemented here on the standard
-// library because the build image has no module proxy. Cross-package facts
-// (the timertag reserved-constant inventory) travel between invocations as
-// JSON in the protocol's vetx files: each run decodes the vetx of its
-// dependencies and encodes its own package's facts into VetxOutput.
-//
-// It also runs standalone, loading packages from source:
-//
-//	geminivet ./...
-//	geminivet -hotpath ./internal/sim ./internal/cpu
-//	geminivet -fix ./...
-//	geminivet -json ./... >vet.json
-//	geminivet -sarif=vet.sarif ./...
-//
-// Per-analyzer boolean flags select a subset; with none set, the full suite
-// runs. Diagnostics go to stderr as file:line:col: messages; the exit status
-// is 2 when any diagnostic is reported, matching go vet. Standalone-only
-// output modes: -fix applies each diagnostic's first suggested fix in place;
-// -json and -sarif write machine-readable reports ("-" or an empty value
-// means stdout) — the SARIF form is what CI uploads for inline PR
-// annotations.
+// Arguments are package patterns (dir, ./dir, dir/...); there are no flags.
+// Packages are type-checked from source through internal/lint/load and
+// analyzed by lint.RunModule, the call TestRepoIsClean makes inside
+// `go test ./...`. Diagnostics go to stderr as
+// file:line:col: message [analyzer], paths relative to the working
+// directory; the exit status is 2 when any diagnostic is reported, matching
+// go vet, and 1 when the packages cannot be loaded.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -53,396 +25,52 @@ import (
 	"gemini/internal/lint"
 	"gemini/internal/lint/analysis"
 	"gemini/internal/lint/load"
-	"gemini/internal/lint/report"
 )
 
 func main() {
-	os.Exit(run())
-}
-
-// enabled maps analyzer name to its selection flag.
-var enabled = map[string]*bool{}
-
-var (
-	fixFlag   = flag.Bool("fix", false, "apply each diagnostic's first suggested fix to the source (standalone mode)")
-	jsonFlag  = flag.String("json", "", "write diagnostics as JSON to `file` (\"-\" for stdout; standalone mode)")
-	sarifFlag = flag.String("sarif", "", "write diagnostics as SARIF 2.1.0 to `file` (\"-\" for stdout; standalone mode)")
-)
-
-func run() int {
-	flag.Usage = usage
-	flag.Var(versionFlag{}, "V", "print version and exit (-V=full, for the go command's cache key)")
-	printFlags := flag.Bool("flags", false, "print analyzer flags in JSON (vettool protocol)")
-	for _, a := range lint.All() {
-		enabled[a.Name] = flag.Bool(a.Name, false, firstLine(a.Doc))
+	if len(os.Args) < 2 || strings.HasPrefix(os.Args[1], "-") {
+		fmt.Fprintln(os.Stderr, "usage: geminivet <packages>   (dir, ./dir, dir/...; no flags)")
+		os.Exit(2)
 	}
-	flag.Parse()
-
-	if *printFlags {
-		emitFlagDefs()
-		return 0
-	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runUnitchecker(args[0])
-	}
-	if len(args) == 0 {
-		usage()
-		return 2
-	}
-	return runStandalone(args)
-}
-
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: geminivet [flags] <packages>|<vet.cfg>
-
-Output modes (standalone):
-  -fix          apply suggested fixes in place
-  -json FILE    machine-readable JSON report ("-" = stdout)
-  -sarif FILE   SARIF 2.1.0 report for CI annotation upload ("-" = stdout)
-
-Analyzers (none selected = full suite, plus the stale //gemini:allow audit):
-`)
-	for _, a := range lint.All() {
-		fmt.Fprintf(os.Stderr, "  -%s\n\t%s\n", a.Name, firstLine(a.Doc))
-	}
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
-// selected returns the analyzers to run: the flagged subset, or all.
-func selected() []*analysis.Analyzer {
-	var subset []*analysis.Analyzer
-	for _, a := range lint.All() {
-		if *enabled[a.Name] {
-			subset = append(subset, a)
-		}
-	}
-	if len(subset) == 0 {
-		return lint.All()
-	}
-	return subset
-}
-
-// ruleDocs describes the selected analyzers (and the stale-allow audit,
-// which always rides along) for the SARIF rules table.
-func ruleDocs() []report.RuleDoc {
-	var rules []report.RuleDoc
-	for _, a := range selected() {
-		rules = append(rules, report.RuleDoc{Name: a.Name, Doc: a.Doc})
-	}
-	rules = append(rules, report.RuleDoc{
-		Name: lint.StaleAllowName,
-		Doc:  "flag //gemini:allow suppressions that suppress nothing, name an unknown check, or omit their -- reason",
-	})
-	return rules
-}
-
-// versionFlag implements -V=full: the go command hashes this output into its
-// cache key, so it embeds a digest of the executable — rebuilding geminivet
-// invalidates cached vet results.
-type versionFlag struct{}
-
-func (versionFlag) String() string   { return "" }
-func (versionFlag) Get() any         { return nil }
-func (versionFlag) IsBoolFlag() bool { return true }
-
-func (versionFlag) Set(s string) error {
-	if s != "full" {
-		return fmt.Errorf("unsupported flag value: -V=%s", s)
-	}
-	exe, err := os.Executable()
+	n, err := run(os.Args[1:])
 	if err != nil {
-		return err
+		fmt.Fprintln(os.Stderr, "geminivet:", err)
+		os.Exit(1)
 	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n",
-		filepath.Base(exe), sha256.Sum256(data))
-	os.Exit(0)
-	return nil
-}
-
-// emitFlagDefs answers `geminivet -flags` with the JSON schema cmd/go uses
-// to validate pass-through vet flags. Only analyzer-selection flags are
-// declared: -fix/-json/-sarif are standalone modes, not vet pass-throughs.
-func emitFlagDefs() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var defs []jsonFlag
-	for _, a := range lint.All() {
-		defs = append(defs, jsonFlag{Name: a.Name, Bool: true, Usage: firstLine(a.Doc)})
-	}
-	data, _ := json.MarshalIndent(defs, "", "\t")
-	os.Stdout.Write(append(data, '\n'))
-}
-
-// vetConfig mirrors the JSON cmd/go writes to <objdir>/vet.cfg (see
-// cmd/go/internal/work.vetConfig).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ModulePath                string
-	ModuleVersion             string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	GoVersion                 string
-	SucceedOnTypecheckFailure bool
-}
-
-// loadDepFacts seeds a fact store with the vetx payloads of the package's
-// dependencies. Unreadable or pre-JSON payloads are skipped — a missing fact
-// only narrows what the importing analyzer can see.
-func loadDepFacts(cfg *vetConfig) *analysis.FactStore {
-	facts := analysis.NewFactStore()
-	for dep, vetxFile := range cfg.PackageVetx {
-		data, err := os.ReadFile(vetxFile)
-		if err != nil {
-			continue
-		}
-		facts.DecodePackage(dep, data)
-	}
-	return facts
-}
-
-// writeVetxFacts encodes the analyzed package's facts as its vetx payload.
-func writeVetxFacts(cfg *vetConfig, facts *analysis.FactStore) {
-	if cfg.VetxOutput == "" {
-		return
-	}
-	data, err := facts.EncodePackage(cfg.ImportPath)
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
-		fatal(err)
-	}
-}
-
-// runUnitchecker analyzes one compiled package described by a vet.cfg.
-func runUnitchecker(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fatal(err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fatal(fmt.Errorf("parsing %s: %w", cfgPath, err))
-	}
-
-	facts := loadDepFacts(&cfg)
-
-	if cfg.VetxOnly {
-		// Downstream packages only need this package's facts, not its
-		// diagnostics. Timer-tag facts are defined syntactically, so a plain
-		// parse (no export data, no type check) produces them.
-		fset := token.NewFileSet()
-		var files []*ast.File
-		for _, name := range cfg.GoFiles {
-			f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-			if err != nil {
-				continue // a package that does not parse exports no facts
-			}
-			files = append(files, f)
-		}
-		if decls := lint.CollectTimerTagFacts(fset, files); len(decls) > 0 {
-			if err := facts.Export(cfg.ImportPath, "timertag", lint.TimerTagFact{Decls: decls}); err != nil {
-				fatal(err)
-			}
-		}
-		writeVetxFacts(&cfg, facts)
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				writeVetxFacts(&cfg, facts)
-				return 0
-			}
-			fatal(err)
-		}
-		files = append(files, f)
-	}
-
-	// Imports resolve through the compiler's export data: ImportMap takes
-	// import paths to canonical package paths, PackageFile takes those to
-	// .a/export files readable by the gc importer.
-	compImp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no package file for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := importerFunc(func(importPath string) (*types.Package, error) {
-		path, ok := cfg.ImportMap[importPath]
-		if !ok {
-			return nil, fmt.Errorf("can't resolve import %q", importPath)
-		}
-		if path == "unsafe" {
-			return types.Unsafe, nil
-		}
-		return compImp.Import(path)
-	})
-
-	info := newTypesInfo()
-	tconf := types.Config{
-		Importer: imp,
-		Sizes:    types.SizesFor(cfg.Compiler, build.Default.GOARCH),
-	}
-	if cfg.GoVersion != "" && strings.HasPrefix(cfg.GoVersion, "go") {
-		tconf.GoVersion = cfg.GoVersion
-	}
-	pkg, err := tconf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			writeVetxFacts(&cfg, facts)
-			return 0
-		}
-		fatal(fmt.Errorf("type-checking %s: %w", cfg.ImportPath, err))
-	}
-
-	// Point the hotpath annotation oracle at the module so cross-package
-	// callee annotations resolve from source.
-	if root, err := load.FindModuleRoot(cfg.Dir); err == nil {
-		lint.SetModuleInfo(root, cfg.ModulePath)
-	}
-
-	n := analyze(fset, files, pkg, info, facts, nil)
-	writeVetxFacts(&cfg, facts)
 	if n > 0 {
-		return 2
+		os.Exit(2)
 	}
-	return 0
 }
 
-// runStandalone loads packages from source (no go vet in front).
-func runStandalone(patterns []string) int {
+// run analyzes the packages the patterns name, prints each diagnostic to
+// stderr and returns how many there were.
+func run(patterns []string) (int, error) {
 	wd, err := os.Getwd()
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
 	root, err := load.FindModuleRoot(wd)
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
 	loader, err := load.NewLoader(root)
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
-	lint.SetModuleInfo(loader.ModuleRoot, loader.ModulePath)
-
 	paths, err := expandPatterns(loader, wd, patterns)
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
-	facts := analysis.NewFactStore()
-	var collected []report.Diagnostic
-	total := 0
-	for _, ip := range paths {
-		pkg, err := loader.Load(ip)
-		if err != nil {
-			fatal(err)
+	n := 0
+	err = lint.RunModule(loader, paths, func(d analysis.Diagnostic) {
+		p := loader.Fset().Position(d.Pos)
+		if rel, err := filepath.Rel(wd, p.Filename); err == nil {
+			p.Filename = rel
 		}
-		var diags []analysis.Diagnostic
-		total += analyze(pkg.Fset, pkg.Files, pkg.Pkg, pkg.TypesInfo, facts, &diags)
-		for _, d := range diags {
-			collected = append(collected, report.Resolve(pkg.Fset, d))
-		}
-		if *fixFlag {
-			applyFixes(pkg.Fset, pkg.Files, diags)
-		}
-	}
-	if err := writeReports(collected, root); err != nil {
-		fatal(err)
-	}
-	if total > 0 {
-		return 2
-	}
-	return 0
-}
-
-// applyFixes rewrites, in place, every file a diagnostic's first suggested
-// fix edits.
-func applyFixes(fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
-	for _, f := range files {
-		name := fset.Position(f.Pos()).Filename
-		src, err := os.ReadFile(name)
-		if err != nil {
-			fatal(err)
-		}
-		fixed, n, err := analysis.ApplyFixes(fset, name, src, diags)
-		if err != nil {
-			fatal(err)
-		}
-		if n == 0 {
-			continue
-		}
-		if err := os.WriteFile(name, fixed, 0o666); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "geminivet: applied %d fix(es) to %s\n", n, name)
-	}
-}
-
-// writeReports emits the -json and -sarif reports when requested. The SARIF
-// output is validated before it is written: CI uploads it sight unseen, so a
-// malformed document must fail here, not in the annotation service.
-func writeReports(diags []report.Diagnostic, moduleRoot string) error {
-	if *jsonFlag != "" {
-		data, err := report.JSON(diags)
-		if err != nil {
-			return err
-		}
-		if err := writeOutput(*jsonFlag, data); err != nil {
-			return err
-		}
-	}
-	if *sarifFlag != "" {
-		data, err := report.SARIF(diags, moduleRoot, ruleDocs())
-		if err != nil {
-			return err
-		}
-		if err := report.ValidateSARIF(data); err != nil {
-			return fmt.Errorf("internal error: generated SARIF is invalid: %w", err)
-		}
-		if err := writeOutput(*sarifFlag, data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeOutput(dest string, data []byte) error {
-	if dest == "-" {
-		_, err := os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(dest, data, 0o666)
+		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", p, d.Message, d.Analyzer)
+		n++
+	})
+	return n, err
 }
 
 // expandPatterns resolves go-style package patterns (dir, ./dir, dir/...)
@@ -461,86 +89,29 @@ func expandPatterns(loader *load.Loader, wd string, patterns []string) ([]string
 		}
 	}
 	for _, pat := range patterns {
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			base := rest
-			if base == "." || base == "" {
-				base = wd
-			}
-			prefix, err := loader.ImportPathFor(absJoin(wd, base))
-			if err != nil {
-				return nil, err
-			}
-			matched := false
-			for _, ip := range all {
-				if ip == prefix || strings.HasPrefix(ip, prefix+"/") {
-					add(ip)
-					matched = true
-				}
-			}
-			if !matched {
-				return nil, fmt.Errorf("no packages match %q", pat)
-			}
-			continue
+		dir, recursive := strings.CutSuffix(pat, "/...")
+		if !filepath.IsAbs(dir) {
+			dir = filepath.Join(wd, dir)
 		}
-		ip, err := loader.ImportPathFor(absJoin(wd, pat))
+		ip, err := loader.ImportPathFor(dir)
 		if err != nil {
 			return nil, err
 		}
-		add(ip)
+		if !recursive {
+			add(ip)
+			continue
+		}
+		matched := false
+		for _, p := range all {
+			if p == ip || strings.HasPrefix(p, ip+"/") {
+				add(p)
+				matched = true
+			}
+		}
+		if !matched {
+			return nil, fmt.Errorf("no packages match %q", pat)
+		}
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-func absJoin(wd, p string) string {
-	if filepath.IsAbs(p) {
-		return p
-	}
-	return filepath.Join(wd, p)
-}
-
-// analyze runs the selected analyzers as one suite (shared //gemini:allow
-// tracking, stale-suppression audit, cross-package facts) over one package,
-// printing diagnostics to stderr; returns the diagnostic count. When sink is
-// non-nil the raw diagnostics are appended to it for -fix/-json/-sarif.
-func analyze(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info,
-	facts *analysis.FactStore, sink *[]analysis.Diagnostic) int {
-	n := 0
-	err := lint.RunPackage(lint.SuitePackage{
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		TypesInfo: info,
-	}, selected(), facts, func(d analysis.Diagnostic) {
-		p := fset.Position(d.Pos)
-		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", p, d.Message, d.Analyzer)
-		if sink != nil {
-			*sink = append(*sink, d)
-		}
-		n++
-	})
-	if err != nil {
-		fatal(fmt.Errorf("%s: %w", pkg.Path(), err))
-	}
-	return n
-}
-
-func newTypesInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-}
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "geminivet:", err)
-	os.Exit(1)
 }

@@ -62,9 +62,8 @@ func (p *Platform) CapacityReport(spec CapacitySpec, workers int) *Report {
 	}
 
 	rep := &Report{
-		Title: "Capacity planning (shards × replicas, power-aware routing)",
-		Header: []string{"replicas", "rps", "cap W", "queries", "drop", "viol",
-			"p99 ms", "avg W", "peak W", "throttles"},
+		Title:  "Capacity planning (shards × replicas, power-aware routing)",
+		Header: append([]string{"replicas", "rps"}, topologyHeader...),
 	}
 	for _, replicas := range spec.Replicas {
 		for _, rps := range spec.EngineRPS {
@@ -84,28 +83,40 @@ func (p *Platform) CapacityReport(spec CapacitySpec, workers int) *Report {
 				res := sim.RunTopologyWorkers(tc, wl, workers, func(int) sim.Policy {
 					return p.MustPolicy(spec.Policy)
 				})
-				capCell := "-"
-				if capW > 0 {
-					capCell = f1(capW)
-				}
-				rep.AddRow(
-					fmt.Sprintf("%d", replicas),
-					f1(rps),
-					capCell,
-					fmt.Sprintf("%d", res.Queries),
-					pct(res.DropRate()),
-					pct(res.ViolationRate()),
-					f2(res.TailLatencyMs(99)),
-					f2(res.ClusterPowerW(p.Power)),
-					f2(res.PeakModeledPowerW),
-					fmt.Sprintf("%d", res.CapThrottles))
+				rep.AddRow(append([]string{fmt.Sprintf("%d", replicas), f1(rps)},
+					p.topologyCells(capW, res)...)...)
 			}
 		}
 	}
 	rep.Note("shards=%d, router=%s, policy=%s, duration=%.0f ms, budget=%.0f ms",
 		spec.Shards, spec.Router, spec.Policy, spec.DurationMs, p.Opt.BudgetMs)
-	rep.Note("cluster RPS = per-ISN RPS × replicas (fixed per-core pressure); avg W is the modeled cluster average, peak W the coordinator's boundary peak")
+	rep.Note("cluster RPS = per-ISN RPS × replicas (fixed per-core pressure); drawn W is what the engines drew (realized energy over the run), believed peak W the cap coordinator's modeled boundary peak, the figure the cap acts on")
 	return rep
+}
+
+// topologyHeader names the columns CapacityReport and TopologyReport share;
+// topologyCells fills them. The two watt columns come from different books:
+// "drawn W" is the energy the engines realized over the run's duration,
+// "believed peak W" the highest cluster power the cap coordinator's model read
+// at a control boundary (0 with no cap). The cap acts on the second.
+var topologyHeader = []string{"cap W", "queries", "drop", "viol", "p99 ms",
+	"drawn W", "believed peak W", "throttles"}
+
+func (p *Platform) topologyCells(capW float64, res *sim.TopologyResult) []string {
+	capCell := "-"
+	if capW > 0 {
+		capCell = f1(capW)
+	}
+	return []string{
+		capCell,
+		fmt.Sprintf("%d", res.Queries),
+		pct(res.DropRate()),
+		pct(res.ViolationRate()),
+		f2(res.TailLatencyMs(99)),
+		f2(res.ClusterPowerW(p.Power)),
+		f2(res.PeakModeledPowerW),
+		fmt.Sprintf("%d", res.CapThrottles),
+	}
 }
 
 // TopologyRunSpec parameterizes one shards × replicas cell for the geminisim
@@ -165,27 +176,12 @@ func (p *Platform) TopologyReport(spec TopologyRunSpec, workers int) (*Report, s
 	})
 
 	rep := &Report{
-		Title: "Cluster topology run",
-		Header: []string{"shards", "replicas", "router", "cap W", "queries", "drop",
-			"viol", "p99 ms", "avg W", "peak W", "throttles", "events"},
+		Title:  "Cluster topology run",
+		Header: append(append([]string{"shards", "replicas", "router"}, topologyHeader...), "events"),
 	}
-	capCell := "-"
-	if spec.CapW > 0 {
-		capCell = f1(spec.CapW)
-	}
-	rep.AddRow(
-		fmt.Sprintf("%d", spec.Shards),
-		fmt.Sprintf("%d", spec.Replicas),
-		spec.Router,
-		capCell,
-		fmt.Sprintf("%d", res.Queries),
-		pct(res.DropRate()),
-		pct(res.ViolationRate()),
-		f2(res.TailLatencyMs(99)),
-		f2(res.ClusterPowerW(p.Power)),
-		f2(res.PeakModeledPowerW),
-		fmt.Sprintf("%d", res.CapThrottles),
-		fmt.Sprintf("%d", res.Events))
+	row := []string{fmt.Sprintf("%d", spec.Shards), fmt.Sprintf("%d", spec.Replicas), spec.Router}
+	row = append(row, p.topologyCells(spec.CapW, res)...)
+	rep.AddRow(append(row, fmt.Sprintf("%d", res.Events))...)
 	rep.Note("policy=%s, engine RPS=%.0f, duration=%.0f ms", spec.Policy, spec.EngineRPS, spec.DurationMs)
 
 	var sb strings.Builder

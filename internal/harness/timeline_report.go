@@ -107,7 +107,7 @@ func timelineTable(ts *telemetry.Timeseries, spec TimelineSpec, res *sim.Topolog
 	rows := ts.Rows()
 	rep := &Report{
 		Title: "Cluster timeline (drift / overload view)",
-		Header: []string{"t0 ms", "t1 ms", "avg W", "cap W", "thr",
+		Header: []string{"t0 ms", "t1 ms", "drawn W", "believed W", "thr",
 			"arrivals", "completions", "queue", "p99 ms", "state"},
 	}
 	capCell := "-"

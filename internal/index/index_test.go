@@ -201,3 +201,11 @@ func TestBuildDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func BenchmarkIndexBuild(b *testing.B) {
+	c := corpus.Generate(corpus.SmallSpec())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Build(c)
+	}
+}

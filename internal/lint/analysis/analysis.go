@@ -1,33 +1,25 @@
 // Package analysis is a minimal, dependency-free re-implementation of the
-// golang.org/x/tools/go/analysis vocabulary (Analyzer, Pass, Diagnostic,
-// SuggestedFix, package facts), just large enough to host the geminivet
-// analyzer suite. The container this repo builds in has no module proxy
-// access, so the real x/tools framework cannot be vendored; the API mirrors
-// it closely enough that swapping the import path is a mechanical change if
-// x/tools ever becomes available.
+// golang.org/x/tools/go/analysis vocabulary (Analyzer, Pass, Diagnostic),
+// just large enough to host the geminivet analyzer suite. The container this
+// repo builds in has no module proxy access, so the real x/tools framework
+// cannot be vendored; the API mirrors it closely enough that swapping the
+// import path is a mechanical change if x/tools ever becomes available.
 //
-// Supported beyond the PR 5 seed: suggested fixes (TextEdit/SuggestedFix on
-// Diagnostic, applied by ApplyFixes and `geminivet -fix`) and cross-package
-// package facts (FactStore, carried between go vet invocations through the
-// vetx files of the vettool protocol). Still unsupported: object facts and
-// sub-analyzer requirements — the geminivet analyzers need neither.
+// Unsupported: suggested fixes, facts and sub-analyzer requirements — the
+// geminivet analyzers need none of them.
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
-	"strings"
-	"sync"
 )
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and flags. It must be a
-	// valid Go identifier.
+	// Name identifies the analyzer in diagnostics. It must be a valid Go
+	// identifier.
 	Name string
 	// Doc is the help text: first line is a one-line summary.
 	Doc string
@@ -35,34 +27,17 @@ type Analyzer struct {
 	Run func(*Pass) error
 }
 
-// TextEdit is one replacement of the source interval [Pos, End) with
-// NewText. Pos == End inserts; empty NewText deletes.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
-}
-
-// SuggestedFix is one self-contained rewrite that resolves a diagnostic.
-// Edits must not overlap and must all lie in the diagnostic's file.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// Diagnostic is one reported problem. End, when set, closes the source
-// interval the finding covers (renderers fall back to Pos alone otherwise).
+// Diagnostic is one reported problem.
 type Diagnostic struct {
 	Pos      token.Pos
-	End      token.Pos
 	Message  string
 	Analyzer string
-	// SuggestedFixes are machine-applicable rewrites; geminivet -fix applies
-	// the first fix of each diagnostic.
-	SuggestedFixes []SuggestedFix
 }
 
 // Pass carries one package's parsed and type-checked view to an analyzer.
+// The driver's loader leaves _test.go files out: the analyzers enforce
+// production-path invariants, and tests may freely use wall clocks, literal
+// frequencies, and exact float comparisons against deterministic outputs.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
@@ -73,11 +48,11 @@ type Pass struct {
 	// Report receives each diagnostic as it is found.
 	Report func(Diagnostic)
 
-	// Facts, when non-nil, is the run-wide package-fact store: analyzers
-	// export facts about the package under analysis and import the facts of
-	// packages analyzed earlier (standalone mode) or of the package's
-	// dependencies (vet-tool mode, decoded from their vetx files).
-	Facts *FactStore
+	// ModuleFiles, when non-nil, returns the parsed files (comments included)
+	// of another package of the module under analysis, and nil for a path
+	// outside the module. The driver answers from the packages its loader
+	// already parsed; a pass without one cannot see past its own package.
+	ModuleFiles func(pkgPath string) []*ast.File
 
 	// SuiteAllow, when non-nil, is the suite-shared //gemini:allow tracker
 	// (managed by the lint package): all analyzers of one package run consume
@@ -91,22 +66,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
 }
 
-// ReportRangef reports a formatted diagnostic covering [pos, end).
-func (p *Pass) ReportRangef(pos, end token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, End: end, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
-}
-
 // Position resolves pos against the pass's file set.
 func (p *Pass) Position(pos token.Pos) token.Position {
 	return p.Fset.Position(pos)
-}
-
-// InTestFile reports whether pos lies in a _test.go file. The geminivet
-// analyzers enforce production-path invariants; tests may freely use wall
-// clocks, literal frequencies, and exact float comparisons against
-// deterministic outputs.
-func (p *Pass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
 // Inspect walks every file of the pass in depth-first order.
@@ -125,91 +87,4 @@ func FuncForPos(file *ast.File, pos token.Pos) *ast.FuncDecl {
 		}
 	}
 	return nil
-}
-
-// FactStore holds per-package, per-analyzer facts as JSON so they can cross
-// process boundaries through the vet protocol's vetx files. All methods are
-// safe for concurrent use.
-type FactStore struct {
-	mu sync.Mutex
-	m  map[string]map[string]json.RawMessage // pkg path -> analyzer -> fact
-}
-
-// NewFactStore creates an empty store.
-func NewFactStore() *FactStore {
-	return &FactStore{m: make(map[string]map[string]json.RawMessage)}
-}
-
-// Export records the analyzer's fact about pkgPath, replacing any previous
-// one.
-func (s *FactStore) Export(pkgPath, analyzer string, fact any) error {
-	data, err := json.Marshal(fact)
-	if err != nil {
-		return fmt.Errorf("analysis: encoding %s fact for %s: %w", analyzer, pkgPath, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m[pkgPath] == nil {
-		s.m[pkgPath] = make(map[string]json.RawMessage)
-	}
-	s.m[pkgPath][analyzer] = data
-	return nil
-}
-
-// Import decodes the analyzer's fact about pkgPath into fact, reporting
-// whether one was present.
-func (s *FactStore) Import(pkgPath, analyzer string, fact any) bool {
-	s.mu.Lock()
-	data, ok := s.m[pkgPath][analyzer]
-	s.mu.Unlock()
-	if !ok {
-		return false
-	}
-	return json.Unmarshal(data, fact) == nil
-}
-
-// Packages returns, sorted, the paths of every package holding a fact from
-// the named analyzer.
-func (s *FactStore) Packages(analyzer string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for path, facts := range s.m {
-		if _, ok := facts[analyzer]; ok {
-			out = append(out, path)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// EncodePackage renders one package's facts as the JSON payload written to
-// that package's vetx file ({} when the package exported nothing).
-func (s *FactStore) EncodePackage(pkgPath string) ([]byte, error) {
-	s.mu.Lock()
-	facts := s.m[pkgPath]
-	s.mu.Unlock()
-	if facts == nil {
-		return []byte("{}\n"), nil
-	}
-	data, err := json.Marshal(facts)
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// DecodePackage loads a vetx payload produced by EncodePackage as pkgPath's
-// facts. Payloads that are not JSON objects (for instance vetx files written
-// by older geminivet builds) are ignored without error: a missing fact only
-// widens what the importing analyzer cannot see, which is the protocol's
-// defined degradation.
-func (s *FactStore) DecodePackage(pkgPath string, data []byte) {
-	var facts map[string]json.RawMessage
-	if err := json.Unmarshal(data, &facts); err != nil || facts == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[pkgPath] = facts
 }

@@ -3,8 +3,8 @@
 // simulation (byte-identical serial-vs-parallel reports), zero-allocation
 // hot paths when telemetry is disabled, unit-suffix and float-comparison
 // hygiene, DVFS plans built only from validated frequency levels, lock
-// discipline on the live serving path, Prometheus metric naming conventions,
-// and the reserved-timer-tag namespace of the event engines.
+// discipline on the live serving path, and Prometheus metric naming
+// conventions.
 //
 // Directives recognized in source comments:
 //
@@ -83,7 +83,6 @@ type allowEntry struct {
 	check  string
 	reason string
 	pos    token.Pos
-	end    token.Pos
 	used   bool
 }
 
@@ -117,7 +116,7 @@ func scanAllows(fset *token.FileSet, files []*ast.File) allowIndex {
 					idx[p.Filename] = m
 				}
 				m[p.Line] = append(m[p.Line], &allowEntry{
-					check: check, reason: reason, pos: c.Pos(), end: c.End(),
+					check: check, reason: reason, pos: c.Pos(),
 				})
 			}
 		}
@@ -169,33 +168,12 @@ var checkOwner = map[string]string{
 	"metricunit":  "metricsconv",
 	"metrichelp":  "metricsconv",
 	"metriclabel": "metricsconv",
-
-	"timertag": "timertag",
 }
 
 // All returns the full geminivet suite in reporting order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		NoDeterminism, Hotpath, UnitSafety, FreqDomain,
-		LockSafety, MetricsConv, TimerTag,
+		LockSafety, MetricsConv,
 	}
-}
-
-// ByName resolves one analyzer (driver flag handling).
-func ByName(name string) *analysis.Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
-// pkgPathBase strips the unit-test variant decoration go vet appends to
-// ImportPath ("pkg [pkg.test]") so path gating matches both modes.
-func pkgPathBase(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		return path[:i]
-	}
-	return path
 }

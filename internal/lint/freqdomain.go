@@ -36,7 +36,7 @@ func isCPUFreq(t types.Type) bool {
 }
 
 func runFreqDomain(pass *analysis.Pass) error {
-	if strings.HasSuffix(pkgPathBase(pass.Pkg.Path()), "internal/cpu") {
+	if strings.HasSuffix(pass.Pkg.Path(), "internal/cpu") {
 		return nil // the ladder's home defines the literals
 	}
 	allow := buildAllowIndex(pass)
@@ -55,7 +55,7 @@ func runFreqDomain(pass *analysis.Pass) error {
 			if !containsBasicLit(e) || tv.Value.ExactString() == "0" {
 				return false
 			}
-			if !pass.InTestFile(e.Pos()) && !allow.allows(pass, e.Pos(), "freqliteral") {
+			if !allow.allows(pass, e.Pos(), "freqliteral") {
 				pass.Reportf(e.Pos(),
 					"literal frequency %s GHz: pick from the validated ladder (cpu.DefaultLevels / Ladder.Clamp) so plans stay inside real DVFS states",
 					tv.Value.String())

@@ -2,13 +2,9 @@ package lint
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync"
 
 	"gemini/internal/lint/analysis"
 )
@@ -44,28 +40,6 @@ var Hotpath = &analysis.Analyzer{
 	Run: runHotpath,
 }
 
-// moduleRoot and modulePath configure cross-package annotation lookup; the
-// driver and tests set them via SetModuleInfo. When unset, calls into other
-// module packages are reported (conservative).
-var (
-	hotpathMu     sync.Mutex
-	moduleRoot    string
-	modulePathStr string
-	hotpathCache  = map[string]map[string]bool{} // pkg path -> "Recv.Name" set
-)
-
-// SetModuleInfo tells the hotpath analyzer where the module lives so it can
-// resolve //gemini:hotpath annotations on functions in other packages by a
-// syntax-only scan of their source directory.
-func SetModuleInfo(root, path string) {
-	hotpathMu.Lock()
-	defer hotpathMu.Unlock()
-	if moduleRoot != root || modulePathStr != path {
-		moduleRoot, modulePathStr = root, path
-		hotpathCache = map[string]map[string]bool{}
-	}
-}
-
 // funcKey canonicalizes a function or method name for the annotation sets:
 // "Name" for functions, "Recv.Name" for methods (pointer stripped).
 func funcKey(recv, name string) string {
@@ -97,24 +71,10 @@ func recvTypeName(fd *ast.FuncDecl) string {
 	}
 }
 
-// annotatedInDir parses (syntax + comments only) the non-test Go files of a
-// package directory and returns its //gemini:hotpath function keys.
-func annotatedInDir(dir string) map[string]bool {
+// annotatedIn returns the //gemini:hotpath function keys declared in files.
+func annotatedIn(files []*ast.File) map[string]bool {
 	set := map[string]bool{}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return set
-	}
-	fset := token.NewFileSet()
-	for _, e := range ents {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, parser.ParseComments)
-		if err != nil {
-			continue
-		}
+	for _, f := range files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && hasDirective(fd.Doc, HotpathDirective) {
 				set[funcKey(recvTypeName(fd), fd.Name.Name)] = true
@@ -124,56 +84,30 @@ func annotatedInDir(dir string) map[string]bool {
 	return set
 }
 
-// annotatedInPkg resolves the annotation set of a module package by path.
-func annotatedInPkg(pkgPath string) map[string]bool {
-	hotpathMu.Lock()
-	defer hotpathMu.Unlock()
-	if set, ok := hotpathCache[pkgPath]; ok {
-		return set
-	}
-	set := map[string]bool{}
-	if moduleRoot != "" && modulePathStr != "" {
-		rel := strings.TrimPrefix(strings.TrimPrefix(pkgPath, modulePathStr), "/")
-		set = annotatedInDir(filepath.Join(moduleRoot, filepath.FromSlash(rel)))
-	}
-	hotpathCache[pkgPath] = set
-	return set
-}
-
-// inModule reports whether pkgPath belongs to this module.
-func inModule(pkgPath string) bool {
-	if modulePathStr != "" {
-		return pkgPath == modulePathStr || strings.HasPrefix(pkgPath, modulePathStr+"/")
-	}
-	// Fallback heuristic: module paths here have no dot (stdlib-style would
-	// too, but stdlib is matched first by the allowlist switch).
-	return strings.HasPrefix(pkgPath, "gemini")
-}
-
 func runHotpath(pass *analysis.Pass) error {
 	allow := buildAllowIndex(pass)
 
-	// Local annotation set: every //gemini:hotpath FuncDecl in this package.
-	local := map[string]bool{}
-	type annotated struct {
-		fd   *ast.FuncDecl
-		file *ast.File
+	// annotated resolves a package's annotation set: this package's up front,
+	// a callee's on first use from the files the driver already parsed. Nil
+	// means the package is outside the module, or that the driver supplied no
+	// module at all; every call into it is then reported.
+	sets := map[string]map[string]bool{pass.Pkg.Path(): annotatedIn(pass.Files)}
+	annotated := func(pkgPath string) map[string]bool {
+		set, seen := sets[pkgPath]
+		if !seen && pass.ModuleFiles != nil {
+			if files := pass.ModuleFiles(pkgPath); files != nil {
+				set = annotatedIn(files)
+			}
+			sets[pkgPath] = set
+		}
+		return set
 	}
-	var targets []annotated
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || !hasDirective(fd.Doc, HotpathDirective) {
-				continue
-			}
-			local[funcKey(recvTypeName(fd), fd.Name.Name)] = true
-			if fd.Body != nil && !pass.InTestFile(fd.Pos()) {
-				targets = append(targets, annotated{fd, f})
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && hasDirective(fd.Doc, HotpathDirective) {
+				checkHotpathFunc(pass, fd, annotated, allow)
 			}
 		}
-	}
-	for _, t := range targets {
-		checkHotpathFunc(pass, t.fd, local, allow)
 	}
 	return nil
 }
@@ -286,7 +220,7 @@ func hotpathStdAllowed(pkgPath, name string) bool {
 	return false
 }
 
-func checkHotpathFunc(pass *analysis.Pass, fd *ast.FuncDecl, local map[string]bool, allow allowIndex) {
+func checkHotpathFunc(pass *analysis.Pass, fd *ast.FuncDecl, annotated func(pkgPath string) map[string]bool, allow allowIndex) {
 	exempt := exemptRanges(pass, fd.Body)
 	report := func(pos token.Pos, format string, args ...any) {
 		if inRanges(exempt, pos) || allow.allows(pass, pos, "hotpath") {
@@ -323,13 +257,13 @@ func checkHotpathFunc(pass *analysis.Pass, fd *ast.FuncDecl, local map[string]bo
 				}
 			}
 		case *ast.CallExpr:
-			checkHotpathCall(pass, n, local, report)
+			checkHotpathCall(pass, n, annotated, report)
 		}
 		return true
 	})
 }
 
-func checkHotpathCall(pass *analysis.Pass, call *ast.CallExpr, local map[string]bool, report func(token.Pos, string, ...any)) {
+func checkHotpathCall(pass *analysis.Pass, call *ast.CallExpr, annotated func(pkgPath string) map[string]bool, report func(token.Pos, string, ...any)) {
 	// Conversions: flag the allocating string<->slice ones.
 	if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
 		if b, isBasic := tv.Type.Underlying().(*types.Basic); isBasic && b.Info()&types.IsString != 0 {
@@ -385,16 +319,14 @@ func checkHotpathCall(pass *analysis.Pass, call *ast.CallExpr, local map[string]
 			report(call.Pos(), "fmt.%s allocates (formatting on the hot path)", obj.Name())
 		case hotpathStdAllowed(pkgPath, obj.Name()):
 			// fine
-		case pkgPathBase(pkgPath) == pkgPathBase(pass.Pkg.Path()):
-			if !local[key] {
+		case pkgPath == pass.Pkg.Path():
+			if !annotated(pkgPath)[key] {
 				report(call.Pos(), "calls un-annotated %s (add //gemini:hotpath to the callee or guard the call)", key)
 			}
-		case inModule(pkgPath):
-			if !annotatedInPkg(pkgPath)[key] {
-				report(call.Pos(), "calls un-annotated %s.%s", pkgPath, key)
-			}
-		default:
+		case annotated(pkgPath) == nil:
 			report(call.Pos(), "calls %s.%s, which is outside the hot-path allowlist", pkgPath, obj.Name())
+		case !annotated(pkgPath)[key]:
+			report(call.Pos(), "calls un-annotated %s.%s", pkgPath, key)
 		}
 	case *types.Var:
 		// func-typed variable or field: dynamic.

@@ -10,26 +10,16 @@ import (
 	"gemini/internal/lint"
 	"gemini/internal/lint/analysis"
 	"gemini/internal/lint/linttest"
-	"gemini/internal/lint/load"
 )
 
-// loaderFor builds one module loader per test and points the hotpath
-// analyzer's cross-package annotation oracle at the module.
-func loaderFor(t *testing.T) *load.Loader {
-	t.Helper()
-	l := linttest.MustLoader(t)
-	lint.SetModuleInfo(l.ModuleRoot, l.ModulePath)
-	return l
-}
-
 func TestNoDeterminismFixture(t *testing.T) {
-	l := loaderFor(t)
+	l := linttest.MustLoader(t)
 	linttest.Run(t, l, linttest.Fixture(t, "nodeterminism"),
 		"fixture/internal/sim", lint.NoDeterminism)
 }
 
 func TestNoDeterminismRawSourceIsSimScoped(t *testing.T) {
-	l := loaderFor(t)
+	l := linttest.MustLoader(t)
 	// Same deterministic-package gate, but not internal/sim: seeded
 	// rand.New(rand.NewSource(...)) stays the sanctioned idiom there, so the
 	// fixture has no want comments.
@@ -38,7 +28,7 @@ func TestNoDeterminismRawSourceIsSimScoped(t *testing.T) {
 }
 
 func TestNoDeterminismTelemetryInScope(t *testing.T) {
-	l := loaderFor(t)
+	l := linttest.MustLoader(t)
 	// internal/telemetry joined the deterministic contract with the SLO
 	// tracker: explicit-nowMs APIs in, wall clocks out.
 	linttest.Run(t, l, linttest.Fixture(t, "nodeterminism_telemetry"),
@@ -46,7 +36,7 @@ func TestNoDeterminismTelemetryInScope(t *testing.T) {
 }
 
 func TestNoDeterminismExemptsLoadGenerator(t *testing.T) {
-	l := loaderFor(t)
+	l := linttest.MustLoader(t)
 	// cmd/geminiload measures real latencies by design: wall clocks are the
 	// point there, so the fixture has no want comments.
 	linttest.Run(t, l, linttest.Fixture(t, "nodeterminism_cmdload"),
@@ -54,7 +44,7 @@ func TestNoDeterminismExemptsLoadGenerator(t *testing.T) {
 }
 
 func TestNoDeterminismIgnoresOtherPackages(t *testing.T) {
-	l := loaderFor(t)
+	l := linttest.MustLoader(t)
 	// The fixture has wall-clock and global-rand uses but no want comments:
 	// under a non-deterministic import path the analyzer must stay silent.
 	linttest.Run(t, l, linttest.Fixture(t, "nodeterminism_otherpkg"),
@@ -62,31 +52,31 @@ func TestNoDeterminismIgnoresOtherPackages(t *testing.T) {
 }
 
 func TestHotpathFixture(t *testing.T) {
-	l := loaderFor(t)
+	l := linttest.MustLoader(t)
 	linttest.Run(t, l, linttest.Fixture(t, "hotpath"),
 		"fixture/hotpath", lint.Hotpath)
 }
 
 func TestUnitSafetyFixture(t *testing.T) {
-	l := loaderFor(t)
+	l := linttest.MustLoader(t)
 	linttest.Run(t, l, linttest.Fixture(t, "unitsafety"),
 		"fixture/unitsafety", lint.UnitSafety)
 }
 
 func TestFreqDomainFixture(t *testing.T) {
-	l := loaderFor(t)
+	l := linttest.MustLoader(t)
 	linttest.Run(t, l, linttest.Fixture(t, "freqdomain"),
 		"fixture/freqdomain", lint.FreqDomain)
 }
 
 func TestLockSafetyFixture(t *testing.T) {
-	l := loaderFor(t)
+	l := linttest.MustLoader(t)
 	linttest.Run(t, l, linttest.Fixture(t, "locksafety"),
 		"fixture/internal/server", lint.LockSafety)
 }
 
 func TestLockSafetyIgnoresOtherPackages(t *testing.T) {
-	l := loaderFor(t)
+	l := linttest.MustLoader(t)
 	// Same source, but outside internal/server and internal/telemetry: the
 	// lock contract binds only the live serving path, so every want comment
 	// would go unmatched — run through a bare pass and require silence.
@@ -96,9 +86,7 @@ func TestLockSafetyIgnoresOtherPackages(t *testing.T) {
 		t.Fatal(err)
 	}
 	var diags []analysis.Diagnostic
-	err = lint.RunPackage(lint.SuitePackage{
-		Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Pkg, TypesInfo: pkg.TypesInfo,
-	}, []*analysis.Analyzer{lint.LockSafety}, nil,
+	err = lint.RunPackage(l, pkg, []*analysis.Analyzer{lint.LockSafety},
 		func(d analysis.Diagnostic) { diags = append(diags, d) })
 	if err != nil {
 		t.Fatal(err)
@@ -112,76 +100,18 @@ func TestLockSafetyIgnoresOtherPackages(t *testing.T) {
 }
 
 func TestMetricsConvFixture(t *testing.T) {
-	l := loaderFor(t)
+	l := linttest.MustLoader(t)
 	linttest.Run(t, l, linttest.Fixture(t, "metricsconv"),
 		"fixture/server", lint.MetricsConv)
 }
 
-func TestTimerTagFixture(t *testing.T) {
-	l := loaderFor(t)
-	linttest.Run(t, l, linttest.Fixture(t, "timertag"),
-		"fixture/internal/sim", lint.TimerTag)
-}
-
-func TestTimerTagOutsideReservedPackage(t *testing.T) {
-	l := loaderFor(t)
-	linttest.Run(t, l, linttest.Fixture(t, "timertag_outside"),
-		"fixture/internal/engine", lint.TimerTag)
-}
-
-// TestTimerTagCrossPackageCollision drives the facts path end to end: a fact
-// exported by one package must surface a collision when a second package
-// declares the same reserved value under a different name.
-func TestTimerTagCrossPackageCollision(t *testing.T) {
-	l := loaderFor(t)
-	facts := analysis.NewFactStore()
-	if err := facts.Export("gemini/internal/other", "timertag", lint.TimerTagFact{
-		Decls: []lint.TimerTagDecl{{Name: "FlushTimerTag", Value: -5, Pos: "other.go:1"}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	pkg, err := l.CheckFiles("fixture/internal/engine",
-		linttest.Fixture(t, "timertag_outside"), fixtureFiles(t, "timertag_outside"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var msgs []string
-	err = lint.RunPackage(lint.SuitePackage{
-		Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Pkg, TypesInfo: pkg.TypesInfo,
-	}, []*analysis.Analyzer{lint.TimerTag}, facts,
-		func(d analysis.Diagnostic) { msgs = append(msgs, d.Message) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, m := range msgs {
-		if strings.Contains(m, "StrayTimerTag = -5 collides with FlushTimerTag declared in gemini/internal/other") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("expected cross-package collision diagnostic, got:\n%s", strings.Join(msgs, "\n"))
-	}
-
-	// The run must also have exported this package's own declarations.
-	var fact lint.TimerTagFact
-	if !facts.Import("fixture/internal/engine", "timertag", &fact) {
-		t.Fatal("timertag fact not exported for the analyzed package")
-	}
-	if len(fact.Decls) != 2 {
-		t.Errorf("exported fact has %d decls, want 2 (Stray + Retry): %+v", len(fact.Decls), fact.Decls)
-	}
-}
-
 func TestStaleAllowFixture(t *testing.T) {
-	l := loaderFor(t)
+	l := linttest.MustLoader(t)
 	linttest.Run(t, l, linttest.Fixture(t, "staleallow"),
 		"fixture/server", lint.UnitSafety)
 }
 
-// fixtureFiles lists the .go sources of a testdata fixture (golden siblings
-// excluded).
+// fixtureFiles lists the .go sources of a testdata fixture.
 func fixtureFiles(t *testing.T, name string) []string {
 	t.Helper()
 	dir := linttest.Fixture(t, name)
@@ -198,93 +128,29 @@ func fixtureFiles(t *testing.T, name string) []string {
 	return files
 }
 
-// TestReservedTimerTagFacts replaces the hand-written reservation tests: the
-// timertag fact collector, run over the real internal/sim package, must see
-// the engine's reserved constants with their contracted values, all unique.
-// New reserved timers extend the constants next to CapTimerTag and inherit
-// this check without another hand-written test.
-func TestReservedTimerTagFacts(t *testing.T) {
-	l := loaderFor(t)
-	pkg, err := l.Load(l.ModulePath + "/internal/sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	decls := lint.CollectTimerTagFacts(pkg.Fset, pkg.Files)
-	byName := map[string]int64{}
-	byValue := map[int64]string{}
-	for _, d := range decls {
-		byName[d.Name] = d.Value
-		if prev, dup := byValue[d.Value]; dup {
-			t.Errorf("reserved timer tags %s and %s share value %d", prev, d.Name, d.Value)
-		}
-		byValue[d.Value] = d.Name
-	}
-	if v, ok := byName["CapTimerTag"]; !ok || v != -1 {
-		t.Errorf("CapTimerTag fact = %d (present=%v), want -1", v, ok)
-	}
-	if v, ok := byName["SampleTimerTag"]; !ok || v != -2 {
-		t.Errorf("SampleTimerTag fact = %d (present=%v), want -2", v, ok)
-	}
-	for _, d := range decls {
-		if d.Value >= 0 {
-			t.Errorf("%s = %d: internal/sim timer-tag constants are reserved and must be negative", d.Name, d.Value)
-		}
-	}
-}
-
-// TestRepoIsClean runs the full geminivet suite — all seven analyzers plus
-// the stale-suppression audit, with timer-tag facts threaded across packages
-// — over every package of this module and requires zero diagnostics: the
-// same bar CI enforces through go vet -vettool. A failure here names the
-// offending lines directly.
+// TestRepoIsClean runs the full geminivet suite (all six analyzers plus the
+// stale-suppression audit) over every package of this module through
+// lint.RunModule, the same call `go run ./cmd/geminivet ./...` makes, and
+// requires zero diagnostics. A failure here names the offending lines
+// directly.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module from source")
 	}
-	l := loaderFor(t)
+	l := linttest.MustLoader(t)
 	paths, err := l.ListPackages()
 	if err != nil {
 		t.Fatal(err)
 	}
-	facts := analysis.NewFactStore()
 	var diags []string
-	for _, ip := range paths {
-		pkg, err := l.Load(ip)
-		if err != nil {
-			t.Fatalf("load %s: %v", ip, err)
-		}
-		err = lint.RunPackage(lint.SuitePackage{
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Pkg,
-			TypesInfo: pkg.TypesInfo,
-		}, lint.All(), facts, func(d analysis.Diagnostic) {
-			p := pkg.Fset.Position(d.Pos)
-			diags = append(diags, fmt.Sprintf("%s:%d:%d: %s: %s",
-				p.Filename, p.Line, p.Column, d.Analyzer, d.Message))
-		})
-		if err != nil {
-			t.Fatalf("suite on %s: %v", ip, err)
-		}
+	err = lint.RunModule(l, paths, func(d analysis.Diagnostic) {
+		diags = append(diags, fmt.Sprintf("%s: %s [%s]", l.Fset().Position(d.Pos), d.Message, d.Analyzer))
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(diags) > 0 {
 		t.Errorf("geminivet found %d violation(s) in the repo:\n%s",
 			len(diags), strings.Join(diags, "\n"))
-	}
-	// The module-wide sweep must have collected the engine's reserved-tag
-	// facts — the cross-package collision check is only as good as its input.
-	if got := facts.Packages("timertag"); len(got) == 0 {
-		t.Error("no timertag facts collected during the module sweep")
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, a := range lint.All() {
-		if got := lint.ByName(a.Name); got != a {
-			t.Errorf("ByName(%q) = %v, want %v", a.Name, got, a)
-		}
-	}
-	if lint.ByName("nosuch") != nil {
-		t.Error("ByName(nosuch) should be nil")
 	}
 }

@@ -14,11 +14,6 @@
 // suite-level machinery: //gemini:allow suppressions are tracked across the
 // whole analyzer set and the stale-suppression audit reports (as analyzer
 // "staleallow") just like in CI.
-//
-// Suggested fixes are golden-file tested: when a fixture file fixture.go has
-// a sibling fixture.go.golden, the first suggested fix of every diagnostic
-// is applied with analysis.ApplyFixes and the result must match the golden
-// bytes exactly (the same transformation `geminivet -fix` performs).
 package linttest
 
 import (
@@ -53,24 +48,11 @@ type expectation struct {
 // path chosen to exercise the analyzer's package gating.
 func Run(t *testing.T, loader *load.Loader, dir, importPath string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
-	RunFacts(t, loader, nil, dir, importPath, analyzers...)
-}
-
-// RunFacts is Run with a caller-supplied fact store, letting a test thread
-// facts between fixture packages the way a module-wide run does (seed the
-// store, run package A, then package B sees A's facts).
-func RunFacts(t *testing.T, loader *load.Loader, facts *analysis.FactStore, dir, importPath string, analyzers ...*analysis.Analyzer) {
-	t.Helper()
 	pkg, files := loadFixture(t, loader, dir, importPath)
 	expects := parseExpectations(t, files)
 
 	var diags []analysis.Diagnostic
-	err := lint.RunPackage(lint.SuitePackage{
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Pkg,
-		TypesInfo: pkg.TypesInfo,
-	}, analyzers, facts, func(d analysis.Diagnostic) { diags = append(diags, d) })
+	err := lint.RunPackage(loader, pkg, analyzers, func(d analysis.Diagnostic) { diags = append(diags, d) })
 	if err != nil {
 		t.Fatalf("linttest: %v", err)
 	}
@@ -94,8 +76,6 @@ func RunFacts(t *testing.T, loader *load.Loader, facts *analysis.FactStore, dir,
 			t.Errorf("%s:%d: expected diagnostic matching %q, got none", e.file, e.line, e.raw)
 		}
 	}
-
-	checkGolden(t, pkg, files, diags)
 }
 
 // loadFixture reads and type-checks the fixture package in dir.
@@ -120,37 +100,6 @@ func loadFixture(t *testing.T, loader *load.Loader, dir, importPath string) (*lo
 		t.Fatalf("linttest: %v", err)
 	}
 	return pkg, files
-}
-
-// checkGolden compares fix application against <file>.golden siblings. A
-// golden file is mandatory proof: if it exists, applying the diagnostics'
-// first fixes to the fixture must reproduce it byte-for-byte; if fixes edit
-// a file that has no golden sibling, the test fails so fixes never go
-// unasserted.
-func checkGolden(t *testing.T, pkg *load.Package, files []string, diags []analysis.Diagnostic) {
-	t.Helper()
-	for _, fn := range files {
-		golden := fn + ".golden"
-		goldenBytes, goldenErr := os.ReadFile(golden)
-		hasGolden := goldenErr == nil
-
-		src, err := os.ReadFile(fn)
-		if err != nil {
-			t.Fatalf("linttest: %v", err)
-		}
-		fixed, applied, err := analysis.ApplyFixes(pkg.Fset, fn, src, diags)
-		if err != nil {
-			t.Errorf("linttest: applying fixes to %s: %v", fn, err)
-			continue
-		}
-		switch {
-		case applied > 0 && !hasGolden:
-			t.Errorf("linttest: %d fix(es) edit %s but no golden file %s exists — add one asserting the -fix output", applied, fn, filepath.Base(golden))
-		case hasGolden && string(fixed) != string(goldenBytes):
-			t.Errorf("linttest: fixes applied to %s do not match %s:\n--- got ---\n%s\n--- want ---\n%s",
-				fn, filepath.Base(golden), fixed, goldenBytes)
-		}
-	}
 }
 
 // parseExpectations scans the fixture files for // want comments.

@@ -111,6 +111,27 @@ func modulePath(gomod string) (string, error) {
 // Fset returns the loader's shared file set.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
+// inModule reports whether importPath names a package of the loaded module.
+func (l *Loader) inModule(importPath string) bool {
+	return importPath == l.ModulePath || strings.HasPrefix(importPath, l.ModulePath+"/")
+}
+
+// ModuleFiles returns the parsed files (comments included) of a package of
+// the module, and nil for an import path outside it: what an analyzer needs
+// to read a callee's annotations. Anything an analyzed package imports was
+// loaded to type-check it, so this is a lookup in the memo, not a second
+// parse.
+func (l *Loader) ModuleFiles(importPath string) []*ast.File {
+	if !l.inModule(importPath) {
+		return nil
+	}
+	p, err := l.Load(importPath)
+	if err != nil {
+		return nil
+	}
+	return p.Files
+}
+
 // DirFor maps a module import path to its directory.
 func (l *Loader) DirFor(importPath string) string {
 	rel := strings.TrimPrefix(strings.TrimPrefix(importPath, l.ModulePath), "/")
@@ -270,7 +291,7 @@ func (l *Loader) check(importPath, dir string, filenames []string) (*Package, er
 // this loader; everything else (the standard library) goes through the
 // source importer.
 func (l *Loader) importPkg(path, srcDir string) (*types.Package, error) {
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
+	if l.inModule(path) {
 		p, err := l.load(path)
 		if err != nil {
 			return nil, err

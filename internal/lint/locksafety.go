@@ -42,7 +42,6 @@ var LockSafety = &analysis.Analyzer{
 var lockSafetyPkgs = []string{"internal/server", "internal/telemetry"}
 
 func isLockSafetyPkg(path string) bool {
-	path = pkgPathBase(path)
 	for _, frag := range lockSafetyPkgs {
 		if matchesPkgFrag(path, frag) {
 			return true
@@ -125,7 +124,7 @@ func runLockSafety(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || pass.InTestFile(fd.Pos()) {
+			if !ok || fd.Body == nil {
 				continue
 			}
 			regions := lockRegions(pass, fd)

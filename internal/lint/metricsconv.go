@@ -3,9 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"gemini/internal/lint/analysis"
@@ -17,12 +15,13 @@ import (
 //
 //   - metricname: every registered metric name carries the gemini_ prefix
 //     (one namespace on shared scrape endpoints), and counter names end in
-//     _total per Prometheus convention. Literal names get a SuggestedFix.
+//     _total per Prometheus convention.
 //   - metricunit: unit-bearing names use the canonical suffix table — _ms,
 //     _us, _ns, _watts, _mj, _bytes, _ghz, _pct — so dashboards never have
 //     to guess a scale. Alias spellings (_msec, _millis, _milliseconds, …)
-//     get a rename fix; _seconds is flagged without a fix because switching
-//     to _ms rescales every recorded value, which a text edit cannot do.
+//     are pure renames and the diagnostic spells the canonical suffix;
+//     _seconds is flagged as a rescale, because switching to _ms changes
+//     every recorded value and not only the name.
 //   - metrichelp: help strings are non-empty — `# HELP` lines are the only
 //     documentation a scrape consumer sees.
 //   - metriclabel: label values come from bounded sets: a constant, or a
@@ -53,7 +52,7 @@ var canonicalUnits = map[string]bool{
 
 // unitAliases maps non-canonical unit spellings to their canonical token.
 // These are pure renames: the recorded values already use the unit, only the
-// spelling drifts, so a text edit fully fixes the finding.
+// spelling drifts.
 var unitAliases = map[string]string{
 	"msec": "ms", "millis": "ms", "milliseconds": "ms", "millisecond": "ms",
 	"usec": "us", "micros": "us", "microseconds": "us",
@@ -64,7 +63,7 @@ var unitAliases = map[string]string{
 
 // rescaleUnits are unit spellings whose canonical replacement changes the
 // scale of recorded values; renaming the metric without rescaling its
-// observations would lie to every dashboard, so no fix is offered.
+// observations would lie to every dashboard.
 var rescaleUnits = map[string]string{
 	"seconds": "ms", "secs": "ms", "sec": "ms", "s": "ms",
 	"minutes": "ms", "hours": "ms",
@@ -83,7 +82,7 @@ func runMetricsConv(pass *analysis.Pass) error {
 	allow := buildAllowIndex(pass)
 	pass.Inspect(func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || pass.InTestFile(call.Pos()) {
+		if !ok {
 			return true
 		}
 		// The callee may appear as telemetry.L / reg.Counter from outside the
@@ -113,7 +112,7 @@ func runMetricsConv(pass *analysis.Pass) error {
 }
 
 func isTelemetryPkg(path string) bool {
-	return matchesPkgFrag(pkgPathBase(path), "internal/telemetry")
+	return matchesPkgFrag(path, "internal/telemetry")
 }
 
 // isRegistryMethod reports whether fn is a method on telemetry.Registry.
@@ -159,43 +158,24 @@ func checkRegistration(pass *analysis.Pass, call *ast.CallExpr, isCounter bool, 
 			if nameKnown {
 				msg = "metric " + name + " has an empty help string: # HELP is the only documentation a scrape consumer sees"
 			}
-			pass.ReportRangef(helpArg.Pos(), helpArg.End(), "%s", msg)
+			pass.Reportf(helpArg.Pos(), "%s", msg)
 		}
 	}
-}
-
-// litFix builds a whole-string-literal replacement fix when arg is a basic
-// string literal at the call site; named constants get no fix (their
-// declaration may feed other sites, so a human must rename it).
-func litFix(arg ast.Expr, message, newName string) []analysis.SuggestedFix {
-	lit, ok := arg.(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING {
-		return nil
-	}
-	return []analysis.SuggestedFix{{
-		Message: message,
-		TextEdits: []analysis.TextEdit{{
-			Pos: lit.Pos(), End: lit.End(), NewText: []byte("\"" + newName + "\""),
-		}},
-	}}
 }
 
 // nameViolation is one convention breach found in a metric name.
 type nameViolation struct {
 	check   string // metricname or metricunit
 	message string
-	fixable bool // whether the canonical rename fully resolves it
 }
 
-// canonicalizeName computes the convention-conforming spelling of name and
-// the list of violations on the way there. Rescale-only violations (wrong
-// unit scale, e.g. _seconds) are reported but excluded from the canonical
-// rename, since a rename cannot rescale recorded values.
-func canonicalizeName(name string, isCounter bool) (string, []nameViolation) {
+// nameViolations lists the convention breaches in name. Each message spells
+// the canonical text, except for a wrong unit scale (e.g. _seconds), where a
+// rename alone would mislabel the recorded values.
+func nameViolations(name string, isCounter bool) []nameViolation {
 	var viols []nameViolation
-	fixed := name
 
-	parts := strings.Split(fixed, "_")
+	parts := strings.Split(name, "_")
 	last := len(parts) - 1
 	if parts[last] == "total" && len(parts) >= 3 {
 		last-- // unit token sits before _total on counters
@@ -204,58 +184,41 @@ func canonicalizeName(name string, isCounter bool) (string, []nameViolation) {
 		tok := parts[last]
 		if canon, ok := unitAliases[tok]; ok {
 			viols = append(viols, nameViolation{
-				check: "metricunit", fixable: true,
+				check: "metricunit",
 				message: "metric " + name + " spells its unit _" + tok +
 					": the canonical suffix is _" + canon + " (see the unit table in CONTRIBUTING.md)",
 			})
-			parts[last] = canon
-			fixed = strings.Join(parts, "_")
 		} else if canon, ok := rescaleUnits[tok]; ok && !canonicalUnits[tok] {
 			viols = append(viols, nameViolation{
-				check: "metricunit", fixable: false,
+				check: "metricunit",
 				message: "metric " + name + " is scaled in _" + tok + " but the canonical unit is _" + canon +
-					": renaming alone would mislabel recorded values, so convert the instrumentation and rename together (no autofix)",
+					": renaming alone would mislabel recorded values, so convert the instrumentation and rename together",
 			})
 		}
 	}
 
-	if isCounter && !strings.HasSuffix(fixed, "_total") {
+	if isCounter && !strings.HasSuffix(name, "_total") {
 		viols = append(viols, nameViolation{
-			check: "metricname", fixable: true,
+			check:   "metricname",
 			message: "counter " + name + " must end in _total (Prometheus counter convention)",
 		})
-		fixed += "_total"
 	}
-	if !strings.HasPrefix(fixed, metricNamePrefix) {
+	if !strings.HasPrefix(name, metricNamePrefix) {
 		viols = append(viols, nameViolation{
-			check: "metricname", fixable: true,
+			check: "metricname",
 			message: "metric " + name + " lacks the " + metricNamePrefix +
 				" namespace prefix required of every registered metric",
 		})
-		fixed = metricNamePrefix + fixed
 	}
-	return fixed, viols
+	return viols
 }
 
-// checkName reports every naming violation. The canonical rename rides on
-// the first fixable violation only — attaching it to each would hand
-// ApplyFixes overlapping edits of the same literal.
+// checkName reports every naming violation not covered by an allow.
 func checkName(pass *analysis.Pass, arg ast.Expr, name string, isCounter bool, allow allowIndex) {
-	fixed, viols := canonicalizeName(name, isCounter)
-	fixAttached := false
-	for _, v := range viols {
-		if allow.allows(pass, arg.Pos(), v.check) {
-			continue
+	for _, v := range nameViolations(name, isCounter) {
+		if !allow.allows(pass, arg.Pos(), v.check) {
+			pass.Reportf(arg.Pos(), "%s", v.message)
 		}
-		var fixes []analysis.SuggestedFix
-		if v.fixable && !fixAttached {
-			fixes = litFix(arg, "rename to the canonical "+fixed, fixed)
-			fixAttached = fixes != nil
-		}
-		pass.Report(analysis.Diagnostic{
-			Pos: arg.Pos(), End: arg.End(), Analyzer: pass.Analyzer.Name,
-			Message: v.message, SuggestedFixes: fixes,
-		})
 	}
 }
 
@@ -297,18 +260,7 @@ func checkLabelValue(pass *analysis.Pass, call *ast.CallExpr, allow allowIndex) 
 	if labelName == "" {
 		labelName = "?"
 	}
-	pass.ReportRangef(value.Pos(), value.End(),
+	pass.Reportf(value.Pos(),
 		"label %s value %s is not from a bounded set (constant or strconv rendering of a bounded index): unbounded label values explode time-series cardinality — if the set is genuinely bounded, say why with //gemini:allow metriclabel",
 		labelName, exprName(value))
-}
-
-// sortedUnitTable renders the canonical unit suffixes for documentation and
-// usage text, sorted.
-func sortedUnitTable() []string {
-	out := make([]string, 0, len(canonicalUnits))
-	for u := range canonicalUnits {
-		out = append(out, "_"+u)
-	}
-	sort.Strings(out)
-	return out
 }

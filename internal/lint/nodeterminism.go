@@ -62,7 +62,6 @@ var bannedRawSource = map[string]bool{
 }
 
 func isDeterministicPkg(path string) bool {
-	path = pkgPathBase(path)
 	for _, frag := range deterministicPkgs {
 		if matchesPkgFrag(path, frag) {
 			return true
@@ -74,7 +73,7 @@ func isDeterministicPkg(path string) bool {
 // isSimPkg gates the rawsource ban to internal/sim proper — policy and
 // harness keep the plain seeded-generator idiom.
 func isSimPkg(path string) bool {
-	return matchesPkgFrag(pkgPathBase(path), "internal/sim")
+	return matchesPkgFrag(path, "internal/sim")
 }
 
 func matchesPkgFrag(path, frag string) bool {
@@ -108,9 +107,6 @@ func checkDeterminismUse(pass *analysis.Pass, id *ast.Ident, allow allowIndex) {
 	}
 	fn, ok := obj.(*types.Func)
 	if !ok || fn.Pkg() == nil {
-		return
-	}
-	if pass.InTestFile(id.Pos()) {
 		return
 	}
 	switch fn.Pkg().Path() {
@@ -148,9 +144,6 @@ func checkDeterminismUse(pass *analysis.Pass, id *ast.Ident, allow allowIndex) {
 // Go's map iteration order is randomized, so any such loop breaks the
 // byte-identical report contract unless the keys are sorted first.
 func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt, allow allowIndex) {
-	if pass.InTestFile(rng.Pos()) {
-		return
-	}
 	tv, ok := pass.TypesInfo.Types[rng.X]
 	if !ok {
 		return

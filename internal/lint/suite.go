@@ -1,13 +1,11 @@
 package lint
 
 import (
-	"go/ast"
-	"go/token"
-	"go/types"
+	"fmt"
 	"sort"
-	"strings"
 
 	"gemini/internal/lint/analysis"
+	"gemini/internal/lint/load"
 )
 
 // StaleAllowName is the pseudo-analyzer under which the stale-suppression
@@ -15,55 +13,58 @@ import (
 // emits it after the real analyzers have consumed their suppressions.
 const StaleAllowName = "staleallow"
 
-// SuitePackage is one package handed to RunPackage: the same view a Pass
-// carries, decoupled from any single analyzer.
-type SuitePackage struct {
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
+// RunModule is the vet suite's one driver: it loads each import path through
+// l and runs the full suite over it. cmd/geminivet and TestRepoIsClean both
+// call it, so the command line and the tier-1 test cannot disagree. Positions
+// resolve against l.Fset().
+func RunModule(l *load.Loader, paths []string, report func(analysis.Diagnostic)) error {
+	for _, ip := range paths {
+		pkg, err := l.Load(ip)
+		if err != nil {
+			return err
+		}
+		if err := RunPackage(l, pkg, All(), report); err != nil {
+			return fmt.Errorf("%s: %w", ip, err)
+		}
+	}
+	return nil
 }
 
 // RunPackage runs analyzers over one package with a single shared
 // //gemini:allow index, then audits the suppressions: an allow whose check
 // is owned by an analyzer that ran but which suppressed nothing is stale and
-// reported (with a deletion fix); an allow naming no known check, or missing
-// its `-- reason`, is reported unconditionally. Facts may be nil when no
-// analyzer in the set needs cross-package state.
-func RunPackage(sp SuitePackage, analyzers []*analysis.Analyzer, facts *analysis.FactStore, report func(analysis.Diagnostic)) error {
-	shared := scanAllows(sp.Fset, sp.Files)
+// reported; an allow naming no known check, or missing its `-- reason`, is
+// reported unconditionally. The loader that produced pkg answers the
+// analyzers' questions about the module's other packages.
+func RunPackage(l *load.Loader, pkg *load.Package, analyzers []*analysis.Analyzer, report func(analysis.Diagnostic)) error {
+	shared := scanAllows(pkg.Fset, pkg.Files)
 	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		ran[a.Name] = true
 		pass := &analysis.Pass{
-			Analyzer:   a,
-			Fset:       sp.Fset,
-			Files:      sp.Files,
-			Pkg:        sp.Pkg,
-			TypesInfo:  sp.TypesInfo,
-			Report:     report,
-			Facts:      facts,
-			SuiteAllow: shared,
+			Analyzer:    a,
+			Fset:        pkg.Fset,
+			Files:       pkg.Files,
+			Pkg:         pkg.Pkg,
+			TypesInfo:   pkg.TypesInfo,
+			Report:      report,
+			ModuleFiles: l.ModuleFiles,
+			SuiteAllow:  shared,
 		}
 		if err := a.Run(pass); err != nil {
 			return err
 		}
 	}
-	auditAllows(sp.Fset, shared, ran, report)
+	auditAllows(shared, ran, report)
 	return nil
 }
 
 // auditAllows reports the suite-level directive errors left in the shared
 // index after every analyzer ran.
-func auditAllows(fset *token.FileSet, idx allowIndex, ran map[string]bool, report func(analysis.Diagnostic)) {
+func auditAllows(idx allowIndex, ran map[string]bool, report func(analysis.Diagnostic)) {
 	// Deterministic order: sort entries by position.
 	var entries []*allowEntry
-	for file, lines := range idx {
-		if strings.HasSuffix(file, "_test.go") {
-			// Test files are outside every analyzer's jurisdiction (InTestFile
-			// gating), so their allows can never be consumed; don't judge them.
-			continue
-		}
+	for _, lines := range idx {
 		for _, es := range lines {
 			entries = append(entries, es...)
 		}
@@ -71,32 +72,19 @@ func auditAllows(fset *token.FileSet, idx allowIndex, ran map[string]bool, repor
 	sort.Slice(entries, func(i, j int) bool { return entries[i].pos < entries[j].pos })
 	for _, e := range entries {
 		owner, known := checkOwner[e.check]
+		var msg string
 		switch {
 		case !known:
-			report(analysis.Diagnostic{
-				Pos: e.pos, End: e.end, Analyzer: StaleAllowName,
-				Message: "//gemini:allow names unknown check " + quoteCheck(e.check) +
-					" (known checks are listed in CONTRIBUTING.md)",
-			})
+			msg = "//gemini:allow names unknown check \"" + e.check +
+				"\" (known checks are listed in CONTRIBUTING.md)"
 		case e.reason == "":
-			report(analysis.Diagnostic{
-				Pos: e.pos, End: e.end, Analyzer: StaleAllowName,
-				Message: "//gemini:allow " + e.check + " has no `-- reason`: every suppression must say why it is sound",
-			})
+			msg = "//gemini:allow " + e.check + " has no `-- reason`: every suppression must say why it is sound"
 		case ran[owner] && !e.used:
-			report(analysis.Diagnostic{
-				Pos: e.pos, End: e.end, Analyzer: StaleAllowName,
-				Message: "stale //gemini:allow " + e.check + ": the " + owner +
-					" analyzer reports nothing here — remove the suppression",
-				SuggestedFixes: []analysis.SuggestedFix{{
-					Message:   "delete the stale //gemini:allow comment",
-					TextEdits: []analysis.TextEdit{{Pos: e.pos, End: e.end}},
-				}},
-			})
+			msg = "stale //gemini:allow " + e.check + ": the " + owner +
+				" analyzer reports nothing here — remove the suppression"
+		default:
+			continue
 		}
+		report(analysis.Diagnostic{Pos: e.pos, Analyzer: StaleAllowName, Message: msg})
 	}
 }
-
-// quoteCheck quotes a check name for a diagnostic without importing fmt into
-// the audit path.
-func quoteCheck(s string) string { return "\"" + s + "\"" }

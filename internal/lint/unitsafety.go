@@ -88,9 +88,6 @@ func runUnitSafety(pass *analysis.Pass) error {
 	allow := buildAllowIndex(pass)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if pass.InTestFile(f.Pos()) {
-				return false
-			}
 			switch n := n.(type) {
 			case *ast.BinaryExpr:
 				checkFloatCompare(pass, n, allow)

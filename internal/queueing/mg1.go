@@ -1,15 +1,13 @@
-// Package queueing provides closed-form M/G/1 queueing results used to
-// validate the discrete-event simulator against theory and to reason about
-// ISN capacity: with Poisson arrivals (the paper's traces are modeled as
-// non-homogeneous Poisson processes) and a general service distribution, the
-// Pollaczek–Khinchine formula gives the exact mean waiting time — any
-// correct FIFO single-server simulator must converge to it.
+// Package queueing provides the closed-form M/G/1 result used to validate the
+// discrete-event simulator against theory: with Poisson arrivals (the paper's
+// traces are modeled as non-homogeneous Poisson processes) and a general
+// service distribution, the Pollaczek–Khinchine formula gives the exact mean
+// waiting time — any correct FIFO single-server simulator must converge to
+// it. internal/sim's TestEngineConvergesToPollaczekKhinchine holds both event
+// engines to it.
 package queueing
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // MG1 describes an M/G/1 queue: Poisson arrivals at Lambda (requests per
 // ms), i.i.d. service times with the given mean and variance (ms, ms²).
@@ -24,14 +22,6 @@ var ErrUnstable = errors.New("queueing: utilization >= 1, queue is unstable")
 
 // Rho returns the utilization λ·E[S].
 func (m MG1) Rho() float64 { return m.LambdaPerMs * m.MeanServiceMs }
-
-// SCV returns the squared coefficient of variation of service times.
-func (m MG1) SCV() float64 {
-	if m.MeanServiceMs == 0 {
-		return 0
-	}
-	return m.ServiceVarMs2 / (m.MeanServiceMs * m.MeanServiceMs)
-}
 
 // MeanWaitMs returns the mean queueing delay (Pollaczek–Khinchine):
 //
@@ -52,39 +42,4 @@ func (m MG1) MeanLatencyMs() (float64, error) {
 		return 0, err
 	}
 	return wq + m.MeanServiceMs, nil
-}
-
-// MeanQueueLen returns the time-average number in system (Little's law).
-func (m MG1) MeanQueueLen() (float64, error) {
-	w, err := m.MeanLatencyMs()
-	if err != nil {
-		return 0, err
-	}
-	return m.LambdaPerMs * w, nil
-}
-
-// MM1TailLatencyMs returns the p-quantile (0<p<1) of sojourn time for the
-// exponential-service special case (M/M/1), where the sojourn time is
-// exponential with rate µ−λ — a closed-form anchor for tail checks.
-func (m MG1) MM1TailLatencyMs(p float64) (float64, error) {
-	rho := m.Rho()
-	if rho >= 1 {
-		return 0, ErrUnstable
-	}
-	if p <= 0 || p >= 1 {
-		return 0, errors.New("queueing: quantile out of (0,1)")
-	}
-	mu := 1 / m.MeanServiceMs
-	return -math.Log(1-p) / (mu - m.LambdaPerMs), nil
-}
-
-// StableFrequencyGHz returns the minimum CPU frequency (relative to a
-// default-frequency work demand) keeping the queue stable with the given
-// headroom factor (<1): f ≥ λ·W_mean / headroom where W_mean = E[S]·fDefault.
-// This is the capacity floor any DVFS policy must respect on average.
-func StableFrequencyGHz(lambdaPerMs, meanServiceMsAtDefault, fDefaultGHz, headroom float64) float64 {
-	if headroom <= 0 || headroom > 1 {
-		headroom = 1
-	}
-	return lambdaPerMs * meanServiceMsAtDefault * fDefaultGHz / headroom
 }

@@ -12,16 +12,10 @@ import (
 	"gemini/internal/trace"
 )
 
-func TestRhoAndSCV(t *testing.T) {
+func TestRho(t *testing.T) {
 	m := MG1{LambdaPerMs: 0.05, MeanServiceMs: 10, ServiceVarMs2: 25}
 	if math.Abs(m.Rho()-0.5) > 1e-12 {
 		t.Errorf("rho = %v", m.Rho())
-	}
-	if math.Abs(m.SCV()-0.25) > 1e-12 {
-		t.Errorf("SCV = %v", m.SCV())
-	}
-	if (MG1{}).SCV() != 0 {
-		t.Error("zero-mean SCV")
 	}
 }
 
@@ -34,18 +28,6 @@ func TestMM1SpecialCase(t *testing.T) {
 	}
 	if math.Abs(w-20) > 1e-9 {
 		t.Errorf("M/M/1 mean latency = %v, want 20", w)
-	}
-	l, _ := m.MeanQueueLen()
-	if math.Abs(l-1.0) > 1e-9 { // L = λW = 0.05*20
-		t.Errorf("L = %v, want 1", l)
-	}
-	// p-quantile of exp(µ−λ=0.05): median = ln2/0.05 ≈ 13.86.
-	q, err := m.MM1TailLatencyMs(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(q-math.Ln2/0.05) > 1e-9 {
-		t.Errorf("median = %v", q)
 	}
 }
 
@@ -67,26 +49,6 @@ func TestUnstable(t *testing.T) {
 	}
 	if _, err := m.MeanLatencyMs(); err != ErrUnstable {
 		t.Errorf("err = %v", err)
-	}
-	if _, err := m.MeanQueueLen(); err != ErrUnstable {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := m.MM1TailLatencyMs(0.5); err != ErrUnstable {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := (MG1{LambdaPerMs: 0.01, MeanServiceMs: 10}).MM1TailLatencyMs(1.5); err == nil {
-		t.Error("bad quantile accepted")
-	}
-}
-
-func TestStableFrequency(t *testing.T) {
-	// 40 req/s × 10 ms at 2.7 GHz with 0.8 headroom: f ≥ 0.04·10·2.7/0.8.
-	f := StableFrequencyGHz(0.04, 10, 2.7, 0.8)
-	if math.Abs(f-1.35) > 1e-9 {
-		t.Errorf("stable frequency = %v", f)
-	}
-	if StableFrequencyGHz(0.04, 10, 2.7, 0) != 0.04*10*2.7 {
-		t.Error("headroom clamp wrong")
 	}
 }
 

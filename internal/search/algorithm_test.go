@@ -5,20 +5,18 @@ import (
 	"testing"
 
 	"gemini/internal/corpus"
-	"gemini/internal/index"
 )
 
 func TestAlgorithmString(t *testing.T) {
-	if AlgMaxScore.String() != "maxscore" || AlgWAND.String() != "wand" ||
-		AlgExhaustive.String() != "exhaustive" || Algorithm(99).String() != "unknown" {
+	if AlgMaxScore.String() != "maxscore" || AlgExhaustive.String() != "exhaustive" || Algorithm(99).String() != "unknown" {
 		t.Error("algorithm names wrong")
 	}
 }
 
 func TestNewEngineWith(t *testing.T) {
 	_, e := setup(t)
-	w := NewEngineWith(e.Index(), 5, AlgWAND)
-	if w.Algorithm() != AlgWAND || w.K() != 5 {
+	w := NewEngineWith(e.Index(), 5, AlgExhaustive)
+	if w.Algorithm() != AlgExhaustive || w.K() != 5 {
 		t.Errorf("engine config lost: %v %d", w.Algorithm(), w.K())
 	}
 	if NewEngine(e.Index(), 5).Algorithm() != AlgMaxScore {
@@ -26,13 +24,12 @@ func TestNewEngineWith(t *testing.T) {
 	}
 }
 
-// All three algorithms must return identical top-K scores on every query.
+// Both algorithms must return identical top-K scores on every query.
 func TestAlgorithmsAgree(t *testing.T) {
 	c, e := setup(t)
 	ix := e.Index()
 	engines := map[string]*Engine{
 		"maxscore":   NewEngineWith(ix, DefaultK, AlgMaxScore),
-		"wand":       NewEngineWith(ix, DefaultK, AlgWAND),
 		"exhaustive": NewEngineWith(ix, DefaultK, AlgExhaustive),
 	}
 	g := corpus.NewQueryGen(c, 77)
@@ -51,34 +48,6 @@ func TestAlgorithmsAgree(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// WAND must actually skip postings on multi-term queries.
-func TestWANDPrunes(t *testing.T) {
-	c, e := setup(t)
-	w := NewEngineWith(e.Index(), DefaultK, AlgWAND)
-	g := corpus.NewQueryGen(c, 21)
-	pruned := false
-	for i := 0; i < 200; i++ {
-		q := g.Next()
-		if q.Len() < 2 {
-			continue
-		}
-		ex := w.Search(q)
-		total := 0
-		for _, pl := range e.Index().AppendLists(nil, q) {
-			total += pl.Len()
-		}
-		if ex.Stats.PostingsVisited > total {
-			t.Fatalf("visited more postings than exist: %d > %d", ex.Stats.PostingsVisited, total)
-		}
-		if ex.Stats.PostingsVisited < total {
-			pruned = true
-		}
-	}
-	if !pruned {
-		t.Error("WAND never pruned on 200 multi-term queries")
 	}
 }
 
@@ -118,48 +87,6 @@ func TestPruningReducesWork(t *testing.T) {
 	}
 	if prunedW >= fullW {
 		t.Errorf("pruned work %v >= exhaustive %v", prunedW, fullW)
-	}
-}
-
-func TestGallop(t *testing.T) {
-	postings := make([]index.Posting, 100)
-	for i := range postings {
-		postings[i] = index.Posting{Doc: int32(i * 3)} // 0,3,6,...,297
-	}
-	lookups := 0
-	cases := []struct {
-		target int32
-		want   int
-	}{
-		{0, 0}, {1, 1}, {3, 1}, {150, 50}, {297, 99}, {298, 100}, {1000, 100},
-	}
-	for _, c := range cases {
-		if got := gallop(postings, c.target, &lookups); got != c.want {
-			t.Errorf("gallop(%d) = %d, want %d", c.target, got, c.want)
-		}
-	}
-	if lookups == 0 {
-		t.Error("no lookups counted")
-	}
-}
-
-func TestWANDSingleEmptyLists(t *testing.T) {
-	_, e := setup(t)
-	w := NewEngineWith(e.Index(), DefaultK, AlgWAND)
-	// Unknown-term query resolves to zero lists.
-	ex := w.Search(corpus.Query{Terms: []corpus.TermID{corpus.TermID(1 << 20)}})
-	if len(ex.Results) != 0 {
-		t.Error("results from empty lists")
-	}
-}
-
-func BenchmarkSearchWAND(b *testing.B) {
-	c, e := benchEngine(b)
-	w := NewEngineWith(e.Index(), DefaultK, AlgWAND)
-	q, _ := corpus.ParseQuery(c, "united kingdom")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Search(q)
 	}
 }
 

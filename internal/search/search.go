@@ -81,8 +81,6 @@ func (e *Engine) Search(q corpus.Query) Execution {
 		return e.searchExhaustive(lists)
 	case len(lists) == 1:
 		return e.searchSingle(lists[0])
-	case e.alg == AlgWAND:
-		return e.searchWAND(lists)
 	default:
 		return e.searchMaxScore(lists)
 	}

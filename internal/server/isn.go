@@ -104,11 +104,12 @@ type ISN struct {
 	// /debug/slo and as gemini_slo_* families by cmd/isnserver.
 	SLO *SLOBinding
 
-	queue   chan isnTask
-	started sync.Once
-	stopped chan struct{}
-	depth   int
-	mu      sync.Mutex
+	queue    chan isnTask
+	started  sync.Once
+	stopOnce sync.Once
+	stopped  chan struct{}
+	depth    int
+	mu       sync.Mutex
 
 	// Modeled DVFS state (real frequencies stay the simulator's domain; the
 	// live path models the plan each query would have executed, see the
@@ -175,24 +176,38 @@ func (n *ISN) Start() {
 	n.started.Do(func() { go n.worker() })
 }
 
-// Stop terminates the working thread after the queue drains.
-func (n *ISN) Stop() { close(n.stopped) }
+// Stop terminates the working thread without draining the queue: requests
+// still queued, and any that arrive later, are answered 503. Calling it more
+// than once is safe.
+func (n *ISN) Stop() { n.stopOnce.Do(func() { close(n.stopped) }) }
 
 func (n *ISN) worker() {
 	for {
 		select {
 		case t := <-n.queue:
 			t.resp <- n.execute(t)
-			n.mu.Lock()
-			n.depth--
-			depth := n.depth
-			n.mu.Unlock()
-			if n.met != nil {
-				n.met.queueDepth.Set(float64(depth))
-			}
 		case <-n.stopped:
 			return
 		}
+	}
+}
+
+// leave takes one request out of the admission count, on whichever path it
+// leaves the handler; shed marks it as refused, which burns SLO budget
+// without a latency.
+func (n *ISN) leave(shed bool) {
+	n.mu.Lock()
+	n.depth--
+	depth := n.depth
+	if shed && n.tlOn {
+		n.tlDrops++
+	}
+	n.mu.Unlock()
+	if n.met != nil {
+		n.met.queueDepth.Set(float64(depth))
+	}
+	if shed {
+		n.SLO.ObserveBad()
 	}
 }
 
@@ -446,7 +461,8 @@ func (n *ISN) applyModel(plan core.Plan, work cpu.Work) modelExec {
 
 // ServeHTTP implements the ISN's /search endpoint: enqueue the task on the
 // blocking queue and wait for the working thread (the Fig. 9 Callable +
-// Executor structure). A full queue is answered 503 at once.
+// Executor structure). A full queue is answered 503 at once, and so is every
+// request the working thread has not answered when the ISN stops.
 func (n *ISN) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n.Start()
 	var req SearchRequest
@@ -478,17 +494,19 @@ func (n *ISN) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	select {
 	case n.queue <- isnTask{query: q, k: req.K, enqueued: start, resp: respCh}:
 	default: // queue full: shed at once, the caller's deadline is lost anyway
-		n.mu.Lock()
-		n.depth-- // never enqueued: undo the admission count
-		if n.tlOn {
-			n.tlDrops++
-		}
-		n.mu.Unlock()
-		n.SLO.ObserveBad() // shed work burns budget without a latency
+		n.leave(true)
 		http.Error(w, "queue full", http.StatusServiceUnavailable)
 		return
 	}
-	resp := <-respCh
+	var resp ISNResponse
+	select {
+	case resp = <-respCh:
+	case <-n.stopped: // the working thread is gone: nobody will answer
+		n.leave(true)
+		http.Error(w, "shutting down", http.StatusServiceUnavailable)
+		return
+	}
+	n.leave(false)
 	resp.QueueDepth = depth
 	n.observe(&resp, start, depth, traceID)
 	latencyMs := msSince(start)

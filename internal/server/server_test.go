@@ -531,6 +531,62 @@ func TestISNQueueFullShedsImmediately(t *testing.T) {
 	}
 }
 
+// TestISNStopAnswersQueuedRequests: Stop neither hangs the handlers it leaves
+// behind nor panics when called twice. A request queued behind a working
+// thread that never runs is answered 503 as soon as the ISN stops, with the
+// admission count undone and the refusal counted as a drop and as burnt SLO
+// budget; a request that arrives afterwards gets the same; nothing is left
+// running.
+func TestISNStopAnswersQueuedRequests(t *testing.T) {
+	c := corpus.Generate(corpus.SmallSpec())
+	eng := search.NewEngine(index.Build(c), search.DefaultK)
+	isn := NewISN(0, c, eng, search.DefaultCostModel())
+	isn.started.Do(func() {}) // the worker never runs
+	isn.SLO = NewSLOBinding(telemetry.NewRegistry(), "isn-0", telemetry.SLOConfig{})
+	isn.TimelineCounters() // turns the drop counter on
+
+	post := func() int {
+		body, _ := json.Marshal(SearchRequest{Query: "canada"})
+		w := httptest.NewRecorder()
+		isn.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(body)))
+		return w.Code
+	}
+	goroutines := runtime.NumGoroutine()
+	queued := make(chan int, 1)
+	go func() { queued <- post() }()
+	for deadline := time.Now().Add(5 * time.Second); len(isn.queue) == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the request never reached the queue")
+		}
+	}
+
+	isn.Stop()
+	select {
+	case code := <-queued:
+		if code != http.StatusServiceUnavailable {
+			t.Errorf("queued request: status %d, want 503", code)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("queued request still waiting 100ms after Stop")
+	}
+	isn.Stop() // a second Stop is a no-op, not a close of a closed channel
+
+	if code := post(); code != http.StatusServiceUnavailable {
+		t.Errorf("request after Stop: status %d, want 503", code)
+	}
+	if tc := isn.TimelineCounters(); tc.QueueDepth != 0 || tc.Drops != 2 {
+		t.Errorf("after Stop: depth %v drops %d, want 0 and 2", tc.QueueDepth, tc.Drops)
+	}
+	if snap := isn.SLO.Snapshot(1); snap.Bad != 2 || snap.Good != 0 {
+		t.Errorf("SLO binding counted good=%d bad=%d, want 0 and 2", snap.Good, snap.Bad)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines running, %d before the requests", runtime.NumGoroutine(), goroutines)
+		}
+	}
+}
+
 // TestSearchInputIsBounded: both listeners refuse a body over
 // maxRequestBytes, and the largest query that fits costs a map lookup per
 // word, not a scan of the vocabulary: 5 000 unknown words against a

@@ -31,8 +31,8 @@ import "gemini/internal/cpu"
 const DefaultCapIntervalMs = 100.0
 
 // CapTimerTag is the reserved (negative) timer tag cappedPolicy uses to
-// replay ceiling schedules. Policies under topology runs must keep their own
-// timer tags non-negative (every in-repo policy uses tag 0).
+// replay ceiling schedules. Policies keep their own timer tags non-negative
+// (every in-repo policy uses tag 0); Sim.SetTimer panics on a negative one.
 const CapTimerTag int64 = -1
 
 // SampleTimerTag is the reserved (negative) timer tag the timeline sampler
@@ -227,7 +227,7 @@ func (p *cappedPolicy) OnTimer(s *Sim, tag int64) {
 // arm schedules the next pending ceiling step.
 func (p *cappedPolicy) arm(s *Sim) {
 	if p.i < len(p.steps) {
-		s.SetTimer(p.steps[p.i].AtMs, CapTimerTag)
+		s.setTimer(p.steps[p.i].AtMs, CapTimerTag)
 	}
 }
 

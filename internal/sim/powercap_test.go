@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"gemini/internal/cpu"
-	"gemini/internal/lint"
 )
 
 // capBoundOK is the coordinator invariant: post-adjustment modeled cluster
@@ -139,15 +138,30 @@ func TestPowerCapMonotonicity(t *testing.T) {
 	}
 }
 
-// TestCapTimerTagReserved is now a thin wiring check: the reservation
-// invariants (negative values, uniqueness, declared-beside-CapTimerTag, no
-// cross-package collisions) moved into the geminivet timertag analyzer,
-// whose facts-driven assertions run module-wide in TestReservedTimerTagFacts
-// and TestRepoIsClean (internal/lint). This test only guards against the
-// analyzer being unplugged from the suite.
+// TestCapTimerTagReserved pins the reserved timer-tag range where it is
+// enforced: the engine's own tags are negative and distinct, and Sim.SetTimer
+// refuses a negative tag from a policy on both engines, so a policy can
+// neither collide with the cap wrapper's timer nor have one swallowed by the
+// sampler. The wrapper and the sampler arm theirs through setTimer.
 func TestCapTimerTagReserved(t *testing.T) {
-	if lint.ByName("timertag") == nil {
-		t.Fatal("timertag analyzer missing from the geminivet suite: reserved-tag invariants are unenforced")
+	if CapTimerTag >= 0 || SampleTimerTag >= 0 || CapTimerTag == SampleTimerTag {
+		t.Fatalf("CapTimerTag = %d, SampleTimerTag = %d: reserved tags must be negative and distinct",
+			CapTimerTag, SampleTimerTag)
+	}
+	for _, tag := range []int64{SampleTimerTag, CapTimerTag} {
+		for _, linear := range []bool{false, true} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("linear=%v: SetTimer accepted reserved tag %d from a policy", linear, tag)
+					}
+				}()
+				cfg := DefaultConfig()
+				cfg.linear = linear
+				Run(cfg, mkWorkload(50, 100, [2]float64{0, 13.5}),
+					&hookPolicy{init: func(s *Sim) { s.SetTimer(10, tag) }})
+			}()
+		}
 	}
 }
 

@@ -284,7 +284,7 @@ func run(cfg Config, wl *Workload, pol Policy, cp *capture) *Result {
 			s.tsc.SetSLODeadline(wl.BudgetMs)
 			// Armed before pol.Init so a boundary coinciding with a policy
 			// timer samples first in both engines (lower insertion seq).
-			s.SetTimer(s.tsc.NextAt(), SampleTimerTag)
+			s.setTimer(s.tsc.NextAt(), SampleTimerTag)
 		}
 	}
 	pol.Init(s)
@@ -456,10 +456,24 @@ func (s *Sim) ClearPlannedChanges() {
 	s.events.clearPlanned()
 }
 
-// SetTimer schedules an OnTimer callback at the given absolute time.
+// SetTimer schedules an OnTimer callback at the given absolute time. Negative
+// tags are the engine's own (CapTimerTag, SampleTimerTag): a policy that arms
+// one would have its timer swallowed by the sampler or the cap wrapper, so
+// SetTimer panics on it.
 //
 //gemini:hotpath
 func (s *Sim) SetTimer(atMs float64, tag int64) {
+	if tag < 0 {
+		panic("sim: SetTimer: negative timer tags are reserved for the engine")
+	}
+	s.setTimer(atMs, tag)
+}
+
+// setTimer is SetTimer without the reserved-range check, for the engine's
+// own timers.
+//
+//gemini:hotpath
+func (s *Sim) setTimer(atMs float64, tag int64) {
 	if s.linear {
 		s.evSeq++
 		s.timers = append(s.timers, timerEvent{at: atMs, tag: tag, seq: s.evSeq})
@@ -716,7 +730,7 @@ func (s *Sim) sampleTick() {
 	}
 	s.tsc.Sample(s.now, s.acc.EnergyMJ(), float64(s.qlen()), inFlight)
 	if next := s.tsc.NextAt(); next >= 0 {
-		s.SetTimer(next, SampleTimerTag)
+		s.setTimer(next, SampleTimerTag)
 	}
 }
 
