@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"bytes"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -34,6 +37,44 @@ func TestPlatformBuild(t *testing.T) {
 	}
 	if p95 <= mean || min >= mean {
 		t.Errorf("degenerate distribution: mean %.2f p95 %.2f min %.2f", mean, p95, min)
+	}
+}
+
+// TestNewPlatformIndependentOfGOMAXPROCS builds the small platform on one core
+// and on four. The labelling pass spreads its searches over GOMAXPROCS
+// workers; nothing downstream of it may tell how many there were.
+func TestNewPlatformIndependentOfGOMAXPROCS(t *testing.T) {
+	build := func(procs int) *Platform {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return NewPlatform(SmallOptions())
+	}
+	one, four := build(1), build(4)
+	if !reflect.DeepEqual(one.Dataset, four.Dataset) {
+		t.Error("Dataset differs")
+	}
+	if !reflect.DeepEqual(one.Pool, four.Pool) {
+		t.Error("Pool differs")
+	}
+	if !reflect.DeepEqual(one.preds, four.preds) {
+		t.Error("prediction table differs")
+	}
+	saved := func(p *Platform) (clf, ep []byte) {
+		var a, b bytes.Buffer
+		if err := p.Classifier.Save(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.ErrPred.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		return a.Bytes(), b.Bytes()
+	}
+	c1, e1 := saved(one)
+	c4, e4 := saved(four)
+	if !bytes.Equal(c1, c4) {
+		t.Error("classifier weights differ")
+	}
+	if !bytes.Equal(e1, e4) {
+		t.Error("error network weights differ")
 	}
 }
 

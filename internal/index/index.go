@@ -8,7 +8,6 @@ package index
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"gemini/internal/corpus"
 )
@@ -63,26 +62,29 @@ func Build(c *corpus.Corpus) *Index {
 	avgDocLen := float64(totalLen) / float64(numDocs)
 
 	// Accumulate tf per (term, doc). Documents are visited in ascending ID
-	// order, so appending keeps posting lists sorted by document.
+	// order, so appending keeps posting lists sorted by document. A
+	// document's counts live in one array over the vocabulary; terms lists
+	// the ones it touched, in first-occurrence order, so only those are read
+	// back and reset. That order reaches no list: each term's list gets this
+	// document once, after every earlier document.
 	type tfEntry struct {
 		doc int32
 		tf  int32
 	}
 	perTerm := make([][]tfEntry, c.Spec.VocabSize)
+	counts := make([]int32, c.Spec.VocabSize)
+	var terms []corpus.TermID
 	for d, doc := range c.Docs {
-		// Count tf within this document.
-		counts := map[corpus.TermID]int32{}
+		terms = terms[:0]
 		for _, t := range doc {
+			if counts[t] == 0 {
+				terms = append(terms, t)
+			}
 			counts[t]++
 		}
-		// Deterministic iteration: collect and sort term IDs.
-		terms := make([]corpus.TermID, 0, len(counts))
-		for t := range counts {
-			terms = append(terms, t)
-		}
-		sort.Slice(terms, func(i, j int) bool { return terms[i] < terms[j] })
 		for _, t := range terms {
 			perTerm[t] = append(perTerm[t], tfEntry{doc: int32(d), tf: counts[t]})
+			counts[t] = 0
 		}
 	}
 

@@ -38,19 +38,19 @@ func Load(r io.Reader) (*Network, error) {
 		return nil, fmt.Errorf("nn: load: empty network")
 	}
 	net := &Network{}
-	for _, ls := range s.Layers {
-		if len(ls.W) != ls.In*ls.Out || len(ls.B) != ls.Out {
+	for i, ls := range s.Layers {
+		if ls.In <= 0 || ls.Out <= 0 || len(ls.W) != ls.In*ls.Out || len(ls.B) != ls.Out {
 			return nil, fmt.Errorf("nn: load: inconsistent layer shape %dx%d", ls.In, ls.Out)
 		}
-		d := &Dense{
-			In: ls.In, Out: ls.Out, Act: ls.Act,
-			W: ls.W, B: ls.B,
-			z: make([]float64, ls.Out), out: make([]float64, ls.Out),
-			in:    make([]float64, ls.In),
-			gradW: make([]float64, ls.Out*ls.In), gradB: make([]float64, ls.Out),
-			dIn: make([]float64, ls.In),
+		if ls.Act != Identity && ls.Act != ReLU {
+			return nil, fmt.Errorf("nn: load: layer %d has unknown activation %d", i, ls.Act)
 		}
-		net.Layers = append(net.Layers, d)
+		// Forward reads only as many weights per row as its input is wide: a
+		// wider layer would run and silently ignore the rest of each row.
+		if i > 0 && ls.In != s.Layers[i-1].Out {
+			return nil, fmt.Errorf("nn: load: layer %d takes %d inputs after a %d-wide layer", i, ls.In, s.Layers[i-1].Out)
+		}
+		net.Layers = append(net.Layers, newLayer(ls.In, ls.Out, ls.Act, ls.W, ls.B))
 	}
 	return net, nil
 }

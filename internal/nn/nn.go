@@ -38,19 +38,28 @@ type Dense struct {
 	gradW []float64
 	gradB []float64
 	dIn   []float64
+	cols  []int // input indices backward visits (len In)
+	rows  []int // live units backward visits (len Out)
+}
+
+// newLayer wraps weights w (out×in, row-major) and biases b in a layer with
+// all of its training scratch. NewDense and Load both build layers here, so a
+// loaded network trains exactly like the one that was saved.
+func newLayer(in, out int, act Activation, w, b []float64) *Dense {
+	return &Dense{
+		In: in, Out: out, Act: act, W: w, B: b,
+		z: make([]float64, out), out: make([]float64, out),
+		in:    make([]float64, in),
+		gradW: make([]float64, out*in), gradB: make([]float64, out),
+		dIn:  make([]float64, in),
+		cols: make([]int, in), rows: make([]int, out),
+	}
 }
 
 // NewDense creates a layer with He-uniform initialization (appropriate for
 // relu) from the given RNG.
 func NewDense(in, out int, act Activation, rng *rand.Rand) *Dense {
-	d := &Dense{
-		In: in, Out: out, Act: act,
-		W: make([]float64, out*in), B: make([]float64, out),
-		z: make([]float64, out), out: make([]float64, out),
-		in:    make([]float64, in),
-		gradW: make([]float64, out*in), gradB: make([]float64, out),
-		dIn: make([]float64, in),
-	}
+	d := newLayer(in, out, act, make([]float64, out*in), make([]float64, out))
 	limit := math.Sqrt(6.0 / float64(in))
 	for i := range d.W {
 		d.W[i] = (rng.Float64()*2 - 1) * limit
@@ -59,7 +68,7 @@ func NewDense(in, out int, act Activation, rng *rand.Rand) *Dense {
 }
 
 // Forward computes the layer output for input x, retaining the buffers
-// needed by a subsequent Backward call. The returned slice is owned by the
+// needed by a subsequent Network.Backward. The returned slice is owned by the
 // layer and valid until the next Forward.
 func (d *Dense) Forward(x []float64) []float64 {
 	copy(d.in, x)
@@ -123,27 +132,121 @@ func clampNegative(v []float64) {
 	}
 }
 
-// Backward accumulates parameter gradients for the last Forward given the
+// inputGrad says which entries of a layer's input gradient the layer below
+// reads, and so which ones backward computes.
+type inputGrad int
+
+const (
+	// noInputGrad: the network's first layer; nothing reads its dIn.
+	noInputGrad inputGrad = iota
+	// liveInputGrad: the layer below is ReLU. A zero input is exactly a unit
+	// below with z <= 0, which that layer skips, so dIn is computed only at
+	// the non-zero inputs.
+	liveInputGrad
+	// denseInputGrad: the layer below is Identity, whose zero outputs are
+	// still live; dIn is computed at every input.
+	denseInputGrad
+)
+
+// backward accumulates parameter gradients for the last Forward given the
 // loss gradient dOut w.r.t. this layer's output, and returns the gradient
-// w.r.t. the layer's input (owned by the layer).
-func (d *Dense) Backward(dOut []float64) []float64 {
-	for i := range d.dIn {
-		d.dIn[i] = 0
+// w.r.t. the layer's input (owned by the layer) at the entries grad names;
+// the rest of the returned slice is stale.
+//
+// Its bits are those of the row-at-a-time loop kept in reference_test.go,
+// whenever the gradients are finite:
+//   - A zero input adds g·(±0) = ±0 to gradW. Starting from ZeroGrad's +0, a
+//     sum is never −0 (round-to-nearest gives −0 only for −0 + −0), and
+//     adding ±0 to anything else changes nothing, so gradW visits only the
+//     non-zero inputs. Under denseInputGrad it visits all of them anyway.
+//   - dIn is skipped where grad says nobody reads it.
+//   - Rows go four at a time, so each x[i] is read and each dIn[i] loaded and
+//     stored once per four rows. dIn's sum keeps ascending row order, left to
+//     right, and starts from +0 as before.
+//
+//gemini:hotpath
+func (d *Dense) backward(dOut []float64, grad inputGrad) []float64 {
+	// Both lists are built without a branch on the data: every index is
+	// written and the count advances past the kept ones. Half the units of a
+	// ReLU layer are dead, at random, and a branch would mispredict on them.
+	// A ReLU unit is dead (z <= 0) exactly when its output is ±0.
+	all := 0
+	if d.Act != ReLU {
+		all = 1
 	}
-	for o := 0; o < d.Out; o++ {
-		g := dOut[o]
-		if d.Act == ReLU && d.z[o] <= 0 {
-			continue
+	rows, n := d.rows, 0
+	for o, y := range d.out {
+		rows[n] = o
+		n += nonZero(y) | all
+	}
+	rows = rows[:n]
+	all = 0
+	if grad == denseInputGrad {
+		all = 1
+	}
+	x := d.in
+	cols, n := d.cols, 0
+	for i, xi := range x {
+		cols[n] = i
+		n += nonZero(xi) | all
+	}
+	cols = cols[:n]
+	var dIn []float64
+	if grad != noInputGrad {
+		dIn = d.dIn
+		for _, i := range cols {
+			dIn[i] = 0
 		}
+	}
+
+	in := d.In
+	for len(rows) >= 4 {
+		o0, o1, o2, o3 := rows[0], rows[1], rows[2], rows[3]
+		g0, g1, g2, g3 := dOut[o0], dOut[o1], dOut[o2], dOut[o3]
+		d.gradB[o0] += g0
+		d.gradB[o1] += g1
+		d.gradB[o2] += g2
+		d.gradB[o3] += g3
+		gw0, gw1, gw2, gw3 := d.gradW[o0*in:][:in], d.gradW[o1*in:][:in], d.gradW[o2*in:][:in], d.gradW[o3*in:][:in]
+		for _, i := range cols {
+			xi := x[i]
+			gw0[i] += g0 * xi
+			gw1[i] += g1 * xi
+			gw2[i] += g2 * xi
+			gw3[i] += g3 * xi
+		}
+		if dIn != nil {
+			w0, w1, w2, w3 := d.W[o0*in:][:in], d.W[o1*in:][:in], d.W[o2*in:][:in], d.W[o3*in:][:in]
+			for _, i := range cols {
+				dIn[i] = dIn[i] + g0*w0[i] + g1*w1[i] + g2*w2[i] + g3*w3[i]
+			}
+		}
+		rows = rows[4:]
+	}
+	for _, o := range rows {
+		g := dOut[o]
 		d.gradB[o] += g
-		row := d.W[o*d.In : (o+1)*d.In]
-		gw := d.gradW[o*d.In : (o+1)*d.In]
-		for i := 0; i < d.In; i++ {
-			gw[i] += g * d.in[i]
-			d.dIn[i] += g * row[i]
+		gw := d.gradW[o*in:][:in]
+		for _, i := range cols {
+			gw[i] += g * x[i]
+		}
+		if dIn != nil {
+			w := d.W[o*in:][:in]
+			for _, i := range cols {
+				dIn[i] += g * w[i]
+			}
 		}
 	}
 	return d.dIn
+}
+
+// nonZero is 1 when v is neither +0 nor −0 (NaN counts as non-zero) and 0
+// when it is, computed on the bits without a branch.
+//
+//gemini:hotpath
+func nonZero(v float64) int {
+	b := math.Float64bits(v) << 1
+	return int((b | -b) >> 63)
 }
 
 // zeroGrad clears accumulated gradients.
@@ -185,12 +288,20 @@ func (n *Network) Forward(x []float64) []float64 {
 	return cur
 }
 
-// Backward propagates the output-gradient through all layers, accumulating
-// parameter gradients.
+// Backward propagates the output-gradient of the last Forward through all
+// layers, accumulating parameter gradients. Each layer computes only the part
+// of its input gradient the layer below reads.
 func (n *Network) Backward(dOut []float64) {
 	cur := dOut
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		cur = n.Layers[i].Backward(cur)
+		grad := denseInputGrad
+		switch {
+		case i == 0:
+			grad = noInputGrad
+		case n.Layers[i-1].Act == ReLU:
+			grad = liveInputGrad
+		}
+		cur = n.Layers[i].backward(cur, grad)
 	}
 }
 

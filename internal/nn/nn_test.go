@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -320,6 +321,68 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := LoadFile("/nonexistent/model.gob"); err == nil {
 		t.Error("missing file accepted")
+	}
+
+	// Files whose weights have the right sizes but that cannot run.
+	layer := func(in, out int, act Activation) layerSnapshot {
+		return layerSnapshot{In: in, Out: out, Act: act, W: make([]float64, in*out), B: make([]float64, out)}
+	}
+	for name, s := range map[string]snapshot{
+		"wider input than the layer below":    {Layers: []layerSnapshot{layer(4, 48, ReLU), layer(64, 3, Identity)}},
+		"narrower input than the layer below": {Layers: []layerSnapshot{layer(4, 48, ReLU), layer(16, 3, Identity)}},
+		"unknown activation":                  {Layers: []layerSnapshot{layer(4, 8, Activation(7)), layer(8, 3, Identity)}},
+		"zero-width layer":                    {Layers: []layerSnapshot{layer(4, 0, ReLU), layer(0, 3, Identity)}},
+	} {
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// A loaded network is built by the same constructor as a new one, so warm
+// training continues from it exactly as it would from the network it was
+// saved from.
+func TestLoadedNetworkTrainsIdentically(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	X := make([][]float64, 96)
+	Y := make([]float64, len(X))
+	for i := range X {
+		X[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), 0, rng.NormFloat64()}
+		Y[i] = float64(rng.Intn(5))
+	}
+	fit := func(net *Network, seed int64) {
+		tr := &Trainer{Net: net, Loss: &CrossEntropy{}, Opt: NewAdam(0.01), BatchSize: 16, Epochs: 3, Seed: seed}
+		if _, err := tr.Fit(X, Y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	orig := NewMLP(4, []int{12, 9}, 5, 4)
+	fit(orig, 1)
+	var buf bytes.Buffer
+	if err := orig.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit(orig, 2)
+	fit(loaded, 2)
+	for i, l := range orig.Layers {
+		for j := range l.W {
+			if math.Float64bits(l.W[j]) != math.Float64bits(loaded.Layers[i].W[j]) {
+				t.Fatalf("layer %d W[%d]: %v after Load, %v without", i, j, loaded.Layers[i].W[j], l.W[j])
+			}
+		}
+		for j := range l.B {
+			if math.Float64bits(l.B[j]) != math.Float64bits(loaded.Layers[i].B[j]) {
+				t.Fatalf("layer %d B[%d]: %v after Load, %v without", i, j, loaded.Layers[i].B[j], l.B[j])
+			}
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"gemini/internal/corpus"
 	"gemini/internal/index"
+	"gemini/internal/nn"
 	"gemini/internal/search"
 )
 
@@ -450,5 +451,49 @@ func TestTrainedWeightsGolden(t *testing.T) {
 	const want = "ce9002cd318dc38c"
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
 		t.Errorf("trained weights hash %s, want %s", got, want)
+	}
+}
+
+// weightsHash is TestTrainedWeightsGolden's hash: FNV-64a over the bits of
+// each layer's W, then its B.
+func weightsHash(net *nn.Network) string {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, l := range net.Layers {
+		for _, vs := range [][]float64{l.W, l.B} {
+			for _, v := range vs {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestDeepTrainedWeightsGolden pins what TestTrainedWeightsGolden's single
+// hidden layer cannot reach: a ReLU layer under a ReLU layer, where the upper
+// one computes its input gradient only at the lower one's live units. Both
+// networks have two hidden layers: the classifier, and the error network
+// TrainError fits to its residuals. amd64, like the other golden.
+func TestDeepTrainedWeightsGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the golden is amd64 output")
+	}
+	ds, _ := dataset(t)
+	cfg := TestConfig()
+	cfg.Hidden = []int{16, 16}
+	clf := TrainClassifier(ds.Train, nil, cfg)
+	ep := TrainError(ds.Train, clf, cfg)
+	for _, c := range []struct {
+		name string
+		net  *nn.Network
+		want string
+	}{
+		{"classifier", clf.Network(), "8b91e57affa3ad5c"},
+		{"error", ep.net, "4e898438fd373ece"},
+	} {
+		if got := weightsHash(c.net); got != c.want {
+			t.Errorf("%s weights hash %s, want %s", c.name, got, c.want)
+		}
 	}
 }
