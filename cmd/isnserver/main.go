@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"gemini/internal/corpus"
-	"gemini/internal/cpu"
 	"gemini/internal/index"
 	"gemini/internal/predictor"
 	"gemini/internal/search"
@@ -110,8 +109,7 @@ func main() {
 		mux.Handle("/debug/traces", telemetry.TracesHandler(spans, 20))
 		mux.Handle("/debug/slo", sloISN[s].Handler(120))
 		if *tlIv > 0 {
-			sampler := server.StartTimeline(isn.TimelineCounters, ladderGHz(), *tlIv, *tlCap)
-			mux.Handle("/debug/timeline", sampler.Handler(60))
+			mux.Handle("/debug/timeline", isn.StartTimeline(*tlIv, *tlCap).Handler(60))
 		}
 		registerPprof(mux)
 		addr := fmt.Sprintf("127.0.0.1:%d", *port+1+s)
@@ -144,8 +142,7 @@ func main() {
 	mux.Handle("/debug/traces", telemetry.TracesHandler(aggSpans, 20))
 	mux.Handle("/debug/slo", sloAgg.Handler(120))
 	if *tlIv > 0 {
-		sampler := server.StartTimeline(agg.TimelineCounters, nil, *tlIv, *tlCap)
-		mux.Handle("/debug/timeline", sampler.Handler(60))
+		mux.Handle("/debug/timeline", agg.StartTimeline(*tlIv, *tlCap).Handler(60))
 	}
 	registerPprof(mux)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -158,17 +155,6 @@ func main() {
 	}
 	log.Printf("aggregator: listen=%s shards=%d policy=%s predictor=%s trace-sample=%.2f budget=%.1fms", addr, *shards, policy, predictorMode(*predict), *sample, *budget)
 	log.Fatal(http.ListenAndServe(addr, mux))
-}
-
-// ladderGHz labels the /debug/timeline residency columns with the modeled
-// DVFS ladder's levels.
-func ladderGHz() []float64 {
-	levels := cpu.DefaultLadder().Levels()
-	ghz := make([]float64, len(levels))
-	for i, f := range levels {
-		ghz[i] = float64(f)
-	}
-	return ghz
 }
 
 // predictorMode renders the -predict flag for the startup summary lines.

@@ -224,8 +224,8 @@ func (pp Params) PlanGroup(nowMs, deadlineMs float64, eW cpu.Work, predErrNMs fl
 
 // WorkByDeadline integrates the work a plan completes between startMs and
 // the deadline, charging Tdvfs around each transition the way the simulator
-// does: used by tests to verify plans cover their budgeted work, and by the
-// policy to sanity-check group feasibility.
+// does. No policy calls it: it is the tests' oracle that plans cover their
+// budgeted work.
 func (pp Params) WorkByDeadline(p Plan, startMs, deadlineMs float64, startFreqDiffers bool) cpu.Work {
 	if p.Drop {
 		return 0

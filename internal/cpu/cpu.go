@@ -96,6 +96,16 @@ func (l *Ladder) Levels() []Freq {
 	return out
 }
 
+// GHz returns the ladder's frequencies as plain numbers, ascending: the
+// residency labels of a timeline.
+func (l *Ladder) GHz() []float64 {
+	out := make([]float64, len(l.levels))
+	for i, f := range l.levels {
+		out[i] = float64(f)
+	}
+	return out
+}
+
 // Min returns the lowest frequency.
 //
 //gemini:hotpath

@@ -77,7 +77,7 @@ type TraceCell struct {
 	TailMs       float64
 	ViolationPct float64
 	DropPct      float64
-	PowerSeriesW []float64 // socket watts per bucket
+	PowerSeriesW []float64 // socket watts per 10 s timeline window
 	Latencies    []float64
 }
 

@@ -97,11 +97,16 @@ func (p *Platform) TraceRunsWorkers(traces, policies []string, avgRPS, durationM
 		tr := trace.GenEvalTrace(trName, avgRPS*p.Opt.ShardFraction, durationMs, p.Opt.Seed+40+int64(ti))
 		wl := p.Workload(tr.Arrivals, durationMs, p.Opt.Seed+50+int64(ti))
 		cfg := p.SimConfig()
-		cfg.PowerSeriesResMs = 10_000 // 10 s buckets for the timeline
+		cfg.Series = sim.NewRunTimeseries(cfg.Ladder, durationMs, 10_000) // 10 s windows, as §V reads RAPL
 		if name == "Baseline" {
 			cfg.PredictOverheadMs = 0
 		}
 		res := sim.Run(cfg, wl, p.MustPolicy(name))
+		rows := cfg.Series.Rows()
+		socketW := make([]float64, len(rows))
+		for i, row := range rows {
+			socketW[i] = p.Power.UncoreW + float64(p.Power.Cores)*row.PowerW
+		}
 		slots[k] = traceSlot{
 			res: res,
 			cell: &TraceCell{
@@ -111,7 +116,7 @@ func (p *Platform) TraceRunsWorkers(traces, policies []string, avgRPS, durationM
 				TailMs:       res.TailLatencyMs(95),
 				ViolationPct: res.ViolationRate() * 100,
 				DropPct:      res.DropRate() * 100,
-				PowerSeriesW: res.SocketSeriesW(p.Power),
+				PowerSeriesW: socketW,
 				Latencies:    res.Latencies,
 			},
 		}

@@ -75,7 +75,7 @@ var rescaleUnits = map[string]string{
 // registryMethods maps telemetry.Registry registration methods to whether
 // the metric is a counter (and so must end _total).
 var registryMethods = map[string]bool{
-	"Counter": true, "Gauge": false, "Histogram": false, "Summary": false,
+	"Counter": true, "Gauge": false, "Histogram": false,
 }
 
 func runMetricsConv(pass *analysis.Pass) error {
@@ -140,7 +140,7 @@ func constString(pass *analysis.Pass, e ast.Expr) (string, bool) {
 }
 
 // checkRegistration applies metricname, metricunit, and metrichelp to one
-// Registry.Counter/Gauge/Histogram/Summary call.
+// Registry.Counter/Gauge/Histogram call.
 func checkRegistration(pass *analysis.Pass, call *ast.CallExpr, isCounter bool, allow allowIndex) {
 	if len(call.Args) < 2 {
 		return

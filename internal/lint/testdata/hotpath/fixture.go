@@ -168,13 +168,13 @@ func (s *sampler) onCompletion(latMs float64) {
 }
 
 //gemini:hotpath
-func (s *sampler) accrueGuarded(dtMs float64, level int) {
+func (s *sampler) tickGuarded(nowMs, energyMJ float64, level int) {
 	if s.tsc == nil {
 		return
 	}
 	// Early-out guard shape: everything below only runs with sampling on.
-	s.tsc.SetLevel(level)
-	s.tsc.Accrue(dtMs)
+	s.tsc.SetLevel(level, nowMs)
+	s.tsc.Sample(telemetry.TimeseriesRow{TimeMs: nowMs}, energyMJ)
 }
 
 //gemini:hotpath

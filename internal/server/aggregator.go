@@ -82,19 +82,14 @@ type Aggregator struct {
 
 	mu        sync.Mutex
 	seq       int
-	sampleAcc float64   // sampling accumulator, guarded by mu
-	startedAt time.Time // trace time origin, set on the first aggregation
-
-	// Timeline window accumulators, guarded by mu; dormant until the first
-	// TimelineCounters call (see timeline.go).
-	tlOn          bool
-	tlArrivals    uint64
-	tlCompletions uint64
-	tlDrops       uint64
-	tlViolations  uint64 // cumulative completions past the budget
-	tlInFlight    int
-	tlHW          float64 // deepest in-flight count this sample window
-	tlLats        []float64
+	sampleAcc float64 // sampling accumulator, guarded by mu
+	// startedAt is the time origin of decision records and timeline rows,
+	// set on the first aggregation or sampler attach.
+	startedAt time.Time
+	inFlight  int // aggregations under way, guarded by mu
+	// tsc is the timeline window, guarded by mu; nil until StartTimeline
+	// attaches a sampler.
+	tsc *telemetry.SampleCursor
 }
 
 // shardReply is one shard's settled fan-out leg: the decoded response (or
@@ -141,20 +136,24 @@ func (a *Aggregator) Search(ctx context.Context, query string) (*AggResponse, er
 	}
 	start := time.Now()
 	seq, t0, traceID := a.begin(start)
-	tlOK := false
-	defer func() { a.tlFinish(start, tlOK) }()
+	ok := false
+	defer func() { a.finish(start, ok) }()
 	body, err := json.Marshal(SearchRequest{Query: query, K: a.K})
 	if err != nil {
 		return nil, err
 	}
 
+	// The legs run under a context Search cancels on return, so a leg it
+	// stopped waiting for releases its shard and connection at once rather
+	// than at the client timeout.
+	legCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// One slot per leg: every leg sends exactly one reply and never blocks,
+	// whether or not Search is still receiving.
 	replies := make(chan shardReply, len(a.ShardURLs))
-	var wg sync.WaitGroup
 	for i, url := range a.ShardURLs {
-		wg.Add(1)
 		go func(idx int, u string) {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, u+"/search", bytes.NewReader(body))
+			req, err := http.NewRequestWithContext(legCtx, http.MethodPost, u+"/search", bytes.NewReader(body))
 			if err != nil {
 				replies <- shardReply{idx: idx, err: err}
 				return
@@ -182,14 +181,17 @@ func (a *Aggregator) Search(ctx context.Context, query string) (*AggResponse, er
 			replies <- shardReply{idx: idx, resp: r, sendMs: sendMs, recvMs: msBetween(start, time.Now())}
 		}(i, url)
 	}
-	go func() { wg.Wait(); close(replies) }()
 
 	quorum := a.Quorum
 	if quorum <= 0 || quorum > len(a.ShardURLs) {
 		quorum = len(a.ShardURLs)
 	}
-	deadline := time.NewTimer(a.Timeout)
-	defer deadline.Stop()
+	var cutoff <-chan time.Time // nil under WaitAll: never fires
+	if a.Policy == Partial {
+		deadline := time.NewTimer(a.Timeout)
+		defer deadline.Stop()
+		cutoff = deadline.C
+	}
 
 	agg := &AggResponse{
 		ShardsAsked: len(a.ShardURLs), TraceID: traceID,
@@ -203,30 +205,8 @@ collect:
 		if a.Policy == Partial && agg.ShardsResponded >= quorum {
 			break
 		}
-		if a.Policy == Partial {
-			select {
-			case rep, ok := <-replies:
-				if !ok {
-					break collect
-				}
-				settled[rep.idx] = true
-				if rep.err != nil {
-					a.shardError(rep.idx, &firstErr, rep.err, agg)
-					continue
-				}
-				agg.PerShard = append(agg.PerShard, rep.resp)
-				got = append(got, rep)
-				agg.ShardsResponded++
-			case <-deadline.C:
-				break collect // ignore stragglers
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		} else {
-			rep, ok := <-replies
-			if !ok {
-				break collect
-			}
+		select {
+		case rep := <-replies:
 			settled[rep.idx] = true
 			if rep.err != nil {
 				a.shardError(rep.idx, &firstErr, rep.err, agg)
@@ -235,6 +215,10 @@ collect:
 			agg.PerShard = append(agg.PerShard, rep.resp)
 			got = append(got, rep)
 			agg.ShardsResponded++
+		case <-cutoff:
+			break collect // ignore stragglers
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
 	}
 	// Every shard that never settled was abandoned in flight: a straggler
@@ -290,41 +274,38 @@ collect:
 		a.stitch(traceID, agg, got, stragglers)
 	}
 	a.observe(agg, seq, t0, start)
-	tlOK = true
+	ok = true
 	return agg, nil
 }
 
-// tlFinish settles one aggregation's accounting: successful queries complete
-// with their wall latency (classified against the budget for the timeline's
-// violation column and the SLO binding), failed ones count as drops / bad
-// budget burn.
-func (a *Aggregator) tlFinish(start time.Time, ok bool) {
+// budgetMs is the end-to-end latency budget, DefaultBudgetMs unless
+// configured.
+func (a *Aggregator) budgetMs() float64 {
+	if a.BudgetMs > 0 {
+		return a.BudgetMs
+	}
+	return DefaultBudgetMs
+}
+
+// finish settles one aggregation's accounting: a successful query completes
+// with its wall latency (classified against the budget by the SLO binding
+// and the timeline), a failed one counts as a drop and as bad budget burn.
+func (a *Aggregator) finish(start time.Time, ok bool) {
 	latencyMs := msSince(start)
 	if ok {
 		a.SLO.Observe(latencyMs)
 	} else {
 		a.SLO.ObserveBad()
 	}
-	budget := a.BudgetMs
-	if budget <= 0 {
-		budget = DefaultBudgetMs
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.tlInFlight > 0 {
-		a.tlInFlight--
-	}
-	if !a.tlOn {
-		return
-	}
-	if ok {
-		a.tlCompletions++
-		a.tlLats = append(a.tlLats, latencyMs)
-		if latencyMs > budget {
-			a.tlViolations++
-		}
-	} else {
-		a.tlDrops++
+	a.inFlight--
+	switch {
+	case a.tsc == nil:
+	case ok:
+		a.tsc.OnCompletion(latencyMs)
+	default:
+		a.tsc.OnDrop()
 	}
 }
 
@@ -335,12 +316,9 @@ func (a *Aggregator) begin(start time.Time) (seq int, t0 time.Time, traceID stri
 	defer a.mu.Unlock()
 	a.seq++
 	seq = a.seq
-	if a.tlOn {
-		a.tlArrivals++
-		a.tlInFlight++
-		if float64(a.tlInFlight) > a.tlHW {
-			a.tlHW = float64(a.tlInFlight)
-		}
+	a.inFlight++
+	if a.tsc != nil {
+		a.tsc.OnArrival(float64(a.inFlight))
 	}
 	if a.startedAt.IsZero() {
 		a.startedAt = start
@@ -362,10 +340,7 @@ func (a *Aggregator) begin(start time.Time) (seq int, t0 time.Time, traceID stri
 // tail, and one straggler span per abandoned shard recording the gap beyond
 // the fan-out deadline (ref [2]). All times are ms after Search start.
 func (a *Aggregator) stitch(traceID string, agg *AggResponse, got []shardReply, stragglers []int) {
-	budget := a.BudgetMs
-	if budget <= 0 {
-		budget = DefaultBudgetMs
-	}
+	budget := a.budgetMs()
 	spans := make([]telemetry.Span, 0, 2+3*len(got)+len(stragglers))
 	spans = append(spans, telemetry.Span{
 		TraceID: traceID, SpanID: "query", Name: "query",
@@ -457,10 +432,7 @@ func (a *Aggregator) observe(agg *AggResponse, seq int, t0 time.Time, start time
 	if a.Tracer == nil {
 		return
 	}
-	budget := a.BudgetMs
-	if budget <= 0 {
-		budget = DefaultBudgetMs
-	}
+	budget := a.budgetMs()
 	arrivalMs := float64(start.Sub(t0).Microseconds()) / 1000
 	d := telemetry.Decision{
 		Policy:          "aggregator",

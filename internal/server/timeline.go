@@ -1,120 +1,89 @@
 package server
 
 import (
+	"math"
 	"net/http"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
-	"gemini/internal/stats"
 	"gemini/internal/telemetry"
 )
 
 // Live timelines: the wall-clock counterpart of the simulator's fixed-interval
-// sampler. A TimelineSampler ticks on real time (this is the server package —
-// the one place wall clocks are allowed), drains a listener's windowed
-// counters, and appends telemetry.TimeseriesRow values with the exact schema
-// the simulated exports use, so `/debug/timeline` on a live listener and
-// `geminisim -timeline` are read by the same tooling (jq recipes, the HTML
-// dashboard, the examples/timeline scripts).
+// sampler. A listener with a sampler attached holds a telemetry.SampleCursor
+// under its own lock and feeds it the same lifecycle calls the engine makes;
+// a TimelineSampler ticks on real time (this is the server package — the one
+// place wall clocks are allowed), adds the runtime self-telemetry columns and
+// has the listener seal the window. Rows use the exact schema the simulated
+// exports use, so `/debug/timeline` on a live listener and `geminisim
+// -timeline` are read by the same tooling (jq recipes, the HTML dashboard,
+// the examples/timeline scripts). Row times are ms since the listener's time
+// origin, the one its decision records use.
 
-// TimelineCounters is one listener's instantaneous timeline view: cumulative
-// lifecycle counters, instantaneous depth gauges, the modeled energy
-// accumulator, the current modeled ladder level (-1 when the listener has no
-// DVFS model), and the latency window drained since the previous call.
-type TimelineCounters struct {
-	Arrivals, Completions, Drops uint64  // cumulative
-	Violations                   uint64  // cumulative completions past the budget
-	QueueDepth, InFlight         float64 // instantaneous
-	// QueueHighWater is the deepest queue observed since the previous drain
-	// (the per-window saturation mark; reset to the instantaneous depth on
-	// each call, mirroring the simulator cursor's carry-over rule).
-	QueueHighWater float64
-	EnergyMJ       float64 // cumulative modeled energy
-	FreqLevel      int     // current modeled ladder index, -1 = none
-	LatenciesMs    []float64
+// timelineSource is a listener a TimelineSampler can drive.
+type timelineSource interface {
+	// attachTimeline hands the listener the cursor it feeds from now on; nil
+	// detaches it.
+	attachTimeline(c *telemetry.SampleCursor)
+	// sampleTimeline stamps row with the listener's clock and instantaneous
+	// gauges and seals the window under the listener's lock.
+	sampleTimeline(row telemetry.TimeseriesRow)
 }
 
-// TimelineSampler samples a TimelineCounters source on a wall-clock ticker
-// into a ring-buffered telemetry.Timeseries.
+// TimelineSampler samples one listener on a wall-clock ticker into a
+// ring-buffered telemetry.Timeseries.
 type TimelineSampler struct {
-	ts   *telemetry.Timeseries
-	stop chan struct{}
-	once sync.Once
+	ts      *telemetry.Timeseries
+	src     timelineSource
+	lastMem runtime.MemStats // the previous window's runtime reading
+	stop    chan struct{}
+	done    chan struct{} // closed when run returns
+	once    sync.Once
 }
 
-// StartTimeline launches a sampler over src: every interval it drains the
-// source and appends one row; the ring retains the most recent `capacity`
-// rows. freqsGHz labels the residency columns (the source's FreqLevel indexes
-// into it); pass nil for listeners without a DVFS model. Returns nil on
-// invalid interval or capacity.
-func StartTimeline(src func() TimelineCounters, freqsGHz []float64, interval time.Duration, capacity int) *TimelineSampler {
-	intervalMs := float64(interval) / float64(time.Millisecond)
-	ts := telemetry.NewTimeseries(intervalMs, freqsGHz, capacity)
+// startTimeline attaches a sampler to src: every interval it seals one row;
+// the ring retains the most recent capacity rows. freqsGHz labels the
+// residency columns (nil for listeners without a DVFS model). Returns nil on
+// an invalid interval or capacity.
+func startTimeline(src timelineSource, freqsGHz []float64, interval time.Duration, capacity int) *TimelineSampler {
+	ts := telemetry.NewTimeseries(float64(interval)/float64(time.Millisecond), freqsGHz, capacity)
 	if ts == nil {
 		return nil
 	}
-	s := &TimelineSampler{ts: ts, stop: make(chan struct{})}
-	go s.run(src, interval, len(freqsGHz))
+	s := &TimelineSampler{ts: ts, src: src, stop: make(chan struct{}), done: make(chan struct{})}
+	runtime.ReadMemStats(&s.lastMem)
+	src.attachTimeline(ts.StartRun(math.Inf(1)))
+	go s.run(interval)
 	return s
 }
 
-func (s *TimelineSampler) run(src func() TimelineCounters, interval time.Duration, levels int) {
-	t0 := time.Now()
+func (s *TimelineSampler) run(interval time.Duration) {
+	defer close(s.done)
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	var prev TimelineCounters
-	lastMs := 0.0
-	// Runtime self-telemetry baseline: GC pause and heap deltas are measured
-	// window over window, anchored at sampler start.
-	var mem, lastMem runtime.MemStats
-	runtime.ReadMemStats(&lastMem)
 	for {
 		select {
-		case now := <-tick.C:
-			cur := src()
-			nowMs := msBetween(t0, now)
-			runtime.ReadMemStats(&mem)
-			row := telemetry.TimeseriesRow{
-				TimeMs:         nowMs,
-				QueueDepth:     cur.QueueDepth,
-				InFlight:       cur.InFlight,
-				Arrivals:       cur.Arrivals - prev.Arrivals,
-				Completions:    cur.Completions - prev.Completions,
-				Drops:          cur.Drops - prev.Drops,
-				SLOViolations:  cur.Violations - prev.Violations,
-				QueueHighWater: cur.QueueHighWater,
-				Goroutines:     float64(runtime.NumGoroutine()),
-				GCPauseMs:      float64(mem.PauseTotalNs-lastMem.PauseTotalNs) / 1e6,
-				HeapDeltaBytes: float64(mem.HeapAlloc) - float64(lastMem.HeapAlloc),
-			}
-			lastMem = mem
-			if dt := nowMs - lastMs; dt > 0 {
-				row.PowerW = (cur.EnergyMJ - prev.EnergyMJ) / dt
-			}
-			if levels > 0 {
-				resid := make([]float64, levels)
-				if cur.FreqLevel >= 0 && cur.FreqLevel < levels {
-					// The live path attributes the whole window to the level
-					// observed at the boundary — a sampled approximation of
-					// the simulator's exact per-level accrual.
-					resid[cur.FreqLevel] = 1
-				}
-				row.Residency = resid
-			}
-			if len(cur.LatenciesMs) > 0 {
-				sort.Float64s(cur.LatenciesMs)
-				row.P50Ms = stats.PercentileSorted(cur.LatenciesMs, 50)
-				row.P95Ms = stats.PercentileSorted(cur.LatenciesMs, 95)
-				row.P99Ms = stats.PercentileSorted(cur.LatenciesMs, 99)
-			}
-			s.ts.Append(row)
-			prev, lastMs = cur, nowMs
+		case <-tick.C:
+			s.sample()
 		case <-s.stop:
 			return
 		}
 	}
+}
+
+// sample seals the current window: the runtime columns here (goroutines at
+// the boundary, GC pause and heap-alloc delta across the window), the rest
+// in the listener.
+func (s *TimelineSampler) sample() {
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	s.src.sampleTimeline(telemetry.TimeseriesRow{
+		Goroutines:     float64(runtime.NumGoroutine()),
+		GCPauseMs:      float64(mem.PauseTotalNs-s.lastMem.PauseTotalNs) / 1e6,
+		HeapDeltaBytes: float64(mem.HeapAlloc) - float64(s.lastMem.HeapAlloc),
+	})
+	s.lastMem = mem
 }
 
 // Series exposes the sampled ring (nil-safe).
@@ -131,65 +100,76 @@ func (s *TimelineSampler) Handler(defaultN int) http.Handler {
 	return telemetry.TimelineHandler(s.Series(), defaultN)
 }
 
-// Stop terminates the sampling goroutine. Idempotent.
+// Stop terminates the sampling goroutine and detaches the listener's
+// cursor, returning once both are done; the ring keeps its rows. Idempotent.
 func (s *TimelineSampler) Stop() {
 	if s == nil {
 		return
 	}
-	s.once.Do(func() { close(s.stop) })
+	s.once.Do(func() {
+		close(s.stop)
+		<-s.done
+		s.src.attachTimeline(nil)
+	})
 }
 
-// TimelineCounters snapshots the ISN's live counters and drains its latency
-// window. It is the ISN's TimelineSampler source; sampling starts the
-// accumulation (the counters cost nothing until the first call).
-func (n *ISN) TimelineCounters() TimelineCounters {
+// StartTimeline attaches a wall-clock timeline sampler to the ISN. Attach it
+// before serving: requests already in flight are not counted. Residency is
+// over the modeled DVFS ladder, time-weighted like the simulator's: the share
+// of the window spent at each level, a level holding from the moment a
+// query's modeled plan switched to it. Power is the modeled energy drawn
+// across the window.
+func (n *ISN) StartTimeline(interval time.Duration, capacity int) *TimelineSampler {
+	return startTimeline(n, n.ladder.GHz(), interval, capacity)
+}
+
+func (n *ISN) attachTimeline(c *telemetry.SampleCursor) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.tlOn = true
-	tc := TimelineCounters{
-		Arrivals:       n.tlArrivals,
-		Completions:    n.tlCompletions,
-		Drops:          n.tlDrops,
-		Violations:     n.tlViolations,
-		QueueDepth:     float64(n.depth),
-		QueueHighWater: n.tlHW,
-		EnergyMJ:       n.energyMJ,
-		FreqLevel:      n.ladder.Index(n.modelFreq),
-		LatenciesMs:    n.tlLats,
+	if c != nil {
+		c.SetSLODeadline(n.budgetMs())
+		// Charged from the time origin: a sampler attached before serving
+		// has seen every modeled switch.
+		c.SetLevel(n.ladder.Index(n.modelFreq), 0)
 	}
-	if float64(n.depth) > tc.QueueHighWater {
-		tc.QueueHighWater = float64(n.depth)
-	}
-	if n.depth > 0 {
-		tc.InFlight = 1 // the single working thread (Fig. 9)
-	}
-	n.tlLats = nil
-	n.tlHW = float64(n.depth) // carry the boundary depth into the next window
-	return tc
+	n.tsc = c
 }
 
-// TimelineCounters snapshots the aggregator's live counters and drains its
-// latency window. The aggregator has no DVFS model, so energy stays zero and
-// FreqLevel is -1.
-func (a *Aggregator) TimelineCounters() TimelineCounters {
+func (n *ISN) sampleTimeline(row telemetry.TimeseriesRow) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	row.TimeMs = msSince(n.t0)
+	row.QueueDepth = float64(n.depth)
+	if n.depth > 0 {
+		row.InFlight = 1 // the single working thread (Fig. 9)
+	}
+	n.tsc.Sample(row, n.energyMJ)
+}
+
+// StartTimeline attaches a wall-clock timeline sampler to the aggregator. The
+// aggregator has no DVFS model: its rows carry no power and no residency,
+// and its queue depth is the aggregations in flight.
+func (a *Aggregator) StartTimeline(interval time.Duration, capacity int) *TimelineSampler {
+	return startTimeline(a, nil, interval, capacity)
+}
+
+func (a *Aggregator) attachTimeline(c *telemetry.SampleCursor) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.tlOn = true
-	tc := TimelineCounters{
-		Arrivals:       a.tlArrivals,
-		Completions:    a.tlCompletions,
-		Drops:          a.tlDrops,
-		Violations:     a.tlViolations,
-		QueueDepth:     float64(a.tlInFlight),
-		InFlight:       float64(a.tlInFlight),
-		QueueHighWater: a.tlHW,
-		FreqLevel:      -1,
-		LatenciesMs:    a.tlLats,
+	if c != nil {
+		c.SetSLODeadline(a.budgetMs())
 	}
-	if float64(a.tlInFlight) > tc.QueueHighWater {
-		tc.QueueHighWater = float64(a.tlInFlight)
+	if a.startedAt.IsZero() {
+		a.startedAt = time.Now()
 	}
-	a.tlLats = nil
-	a.tlHW = float64(a.tlInFlight) // carry the boundary depth forward
-	return tc
+	a.tsc = c
+}
+
+func (a *Aggregator) sampleTimeline(row telemetry.TimeseriesRow) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	row.TimeMs = msSince(a.startedAt)
+	row.QueueDepth = float64(a.inFlight)
+	row.InFlight = float64(a.inFlight)
+	a.tsc.Sample(row, 0)
 }

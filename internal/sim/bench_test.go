@@ -39,14 +39,6 @@ func BenchmarkRunFixedPolicy(b *testing.B) {
 	benchRun(b, func(*Workload) Config { return DefaultConfig() })
 }
 
-func BenchmarkRunWithPowerSeries(b *testing.B) {
-	benchRun(b, func(*Workload) Config {
-		cfg := DefaultConfig()
-		cfg.PowerSeriesResMs = 1000
-		return cfg
-	})
-}
-
 // BenchmarkRunTelemetryEnabled prices the decision-trace hook against
 // BenchmarkRunFixedPolicy; the disabled path must cost one nil test per
 // lifecycle event and nothing more (TestTelemetryDisabledAddsNoAllocsPerRequest).

@@ -61,13 +61,17 @@ func (p *loggingPolicy) OnTimer(s *Sim, tag int64) {
 }
 
 // runEngine executes one freshly-built workload/policy pair under the given
-// engine with full observability enabled, returning everything comparable.
-func runEngine(linear bool, wl *Workload, pol Policy) (*Result, []telemetry.Decision, []telemetry.Span, []callbackLog) {
+// engine with full observability enabled, the timeline sampler too when
+// sampled, returning everything comparable.
+func runEngine(linear, sampled bool, wl *Workload, pol Policy) (*Result, []telemetry.Decision, []telemetry.Span, []callbackLog) {
 	cfg := DefaultConfig()
 	cfg.linear = linear
 	cfg.RecordFreqTrace = true
 	cfg.Tracer = telemetry.NewTracer(4 * len(wl.Requests))
 	cfg.Spans = telemetry.NewSpanTracer(8 * len(wl.Requests))
+	if sampled {
+		cfg.Series = NewRunTimeseries(cfg.Ladder, wl.DurationMs, fuzzSampleMs)
+	}
 	lp := &loggingPolicy{inner: pol}
 	res := Run(cfg, wl, lp)
 	return res, cfg.Tracer.Ring().Snapshot(0), cfg.Spans.Spans(), lp.log
@@ -77,8 +81,8 @@ func runEngine(linear bool, wl *Workload, pol Policy) (*Result, []telemetry.Deci
 // workloads and policies and requires every observable to match exactly.
 func assertEnginesEqual(t *testing.T, label string, mkWl func() *Workload, mkPol func() Policy) {
 	t.Helper()
-	resL, decL, spL, logL := runEngine(true, mkWl(), mkPol())
-	resH, decH, spH, logH := runEngine(false, mkWl(), mkPol())
+	resL, decL, spL, logL := runEngine(true, false, mkWl(), mkPol())
+	resH, decH, spH, logH := runEngine(false, false, mkWl(), mkPol())
 
 	if !reflect.DeepEqual(logL, logH) {
 		n := len(logL)
@@ -219,14 +223,40 @@ func TestEnginesEquivalentChaos(t *testing.T) {
 	}
 }
 
+// fuzzSampleMs is the timeline interval of the sampled differential runs:
+// short and off the workloads' integer grid, so ticks land inside accrual
+// intervals.
+const fuzzSampleMs = 3.7
+
+// assertSamplingInert runs the workload/policy pair under each engine with
+// and without the timeline sampler and requires the sampled run to match bit
+// for bit — result, decision trace, spans and callback sequence — except
+// Events, which counts the ticks.
+func assertSamplingInert(t *testing.T, mkWl func() *Workload, mkPol func() Policy) {
+	t.Helper()
+	for _, linear := range []bool{false, true} {
+		wl := mkWl()
+		res, dec, sp, log := runEngine(linear, false, wl, mkPol())
+		resS, decS, spS, logS := runEngine(linear, true, mkWl(), mkPol())
+		if ticks := uint64(telemetry.SampleCount(wl.DurationMs, fuzzSampleMs)); resS.Events-res.Events != ticks {
+			t.Fatalf("linear=%v: sampling added %d events, want %d ticks", linear, resS.Events-res.Events, ticks)
+		}
+		resS.Events = res.Events
+		if !reflect.DeepEqual(res, resS) || !reflect.DeepEqual(dec, decS) || !reflect.DeepEqual(sp, spS) || !reflect.DeepEqual(log, logS) {
+			t.Fatalf("linear=%v: the timeline sampler changed the run", linear)
+		}
+	}
+}
+
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(10))
 	f.Add(int64(42), uint8(100))
 	f.Add(int64(-7), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
 		nn := int(n)%200 + 1
-		assertEnginesEqual(t, "fuzz",
-			func() *Workload { return chaosWorkload(seed, nn) },
-			func() Policy { return &chaosPolicy{rng: rand.New(rand.NewSource(seed ^ 0x9e3779b9))} })
+		mkWl := func() *Workload { return chaosWorkload(seed, nn) }
+		mkPol := func() Policy { return &chaosPolicy{rng: rand.New(rand.NewSource(seed ^ 0x9e3779b9))} }
+		assertEnginesEqual(t, "fuzz", mkWl, mkPol)
+		assertSamplingInert(t, mkWl, mkPol)
 	})
 }

@@ -26,6 +26,18 @@ func (s *Sim) loopLinear() {
 			return
 		}
 		s.res.Events++
+		var tm timerEvent
+		if kind == evTimer {
+			tm = s.timers[idx]
+			last := len(s.timers) - 1
+			s.timers[idx] = s.timers[last]
+			s.timers = s.timers[:last]
+			if tm.tag == SampleTimerTag {
+				// Sampled before the clock moves, as in the heap loop.
+				s.sampleTick(at)
+				continue
+			}
+		}
 		s.advanceTo(at)
 		switch kind {
 		case evCompletion:
@@ -42,18 +54,8 @@ func (s *Sim) loopLinear() {
 			s.nextArr++
 			s.arrive(r)
 		case evTimer:
-			tm := s.timers[idx]
-			last := len(s.timers) - 1
-			s.timers[idx] = s.timers[last]
-			s.timers = s.timers[:last]
-			if tm.tag == SampleTimerTag {
-				// Reserved sampler timer: engine-internal, never surfaced
-				// to any policy — identical to the heap loop.
-				s.sampleTick()
-			} else {
-				s.syncHead()
-				s.pol.OnTimer(s, tm.tag)
-			}
+			s.syncHead()
+			s.pol.OnTimer(s, tm.tag)
 		}
 	}
 }

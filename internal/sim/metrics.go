@@ -42,10 +42,6 @@ type Result struct {
 	Transitions int
 	DurationMs  float64
 
-	// Optional power-vs-time series (core watts per bucket).
-	PowerSeriesW     []float64
-	PowerSeriesResMs float64
-
 	// FreqTrace is the executed frequency plan (when
 	// Config.RecordFreqTrace is set): piecewise-constant segments in time
 	// order, adjacent segments differing in frequency or activity.
@@ -128,15 +124,6 @@ func (r *Result) DropRate() float64 {
 // receive the same query stream, so a single core is an unbiased sample.
 func (r *Result) SocketPowerW(m *cpu.PowerModel) float64 {
 	return m.UncoreW + float64(m.Cores)*r.AvgCorePowW
-}
-
-// SocketSeriesW converts the core power series to socket power.
-func (r *Result) SocketSeriesW(m *cpu.PowerModel) []float64 {
-	out := make([]float64, len(r.PowerSeriesW))
-	for i, p := range r.PowerSeriesW {
-		out[i] = m.UncoreW + float64(m.Cores)*p
-	}
-	return out
 }
 
 // PowerSavingVs returns the fractional socket-power saving of r relative to

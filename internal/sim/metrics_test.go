@@ -221,7 +221,6 @@ func TestRunAllocationPins(t *testing.T) {
 		with func(*Config)
 	}{
 		{"no sink", 9, func(*Config) {}},
-		{"PowerSeriesResMs", 11, func(c *Config) { c.PowerSeriesResMs = 1000 }},
 		{"Tracer(256)", 10, func(c *Config) { c.Tracer = telemetry.NewTracer(256) }},
 		{"Series 100 ms", 14, func(c *Config) { c.Series = NewRunTimeseries(c.Ladder, wl.DurationMs, 100) }},
 		{"Spans(256)", 270, func(c *Config) { c.Spans = telemetry.NewSpanTracer(256) }},

@@ -44,9 +44,6 @@ type Config struct {
 	// PredictOverheadMs, when positive, stalls the core on every arrival to
 	// model on-core predictor inference (paper: 79 µs, §IV-B).
 	PredictOverheadMs float64
-	// PowerSeriesResMs, when positive, records a power-vs-time series at
-	// this resolution (Fig. 12 timelines).
-	PowerSeriesResMs float64
 	// RecordFreqTrace keeps every (time, frequency, busy) segment — the
 	// executed frequency plan, for Fig. 2/4/5-style timelines and replay
 	// verification.
@@ -77,9 +74,12 @@ type Config struct {
 	// boundary and records modeled power, frequency residency, queue depth,
 	// in-flight count, arrival/completion/drop counts, and windowed latency
 	// percentiles into the Timeseries. The Series' residency levels must
-	// match the run's ladder. A nil Series follows the Tracer contract: one
-	// pointer test per lifecycle event, zero allocations
-	// (TestTimeseriesDisabledAddsNoAllocsPerRequest).
+	// match the run's ladder. The sampler reads the run without changing it:
+	// a tick neither advances the clock nor closes an accrual interval, so
+	// every Result field but Events (one more per tick) is bit-identical with
+	// and without it (TestObservationDoesNotPerturb). A nil Series follows
+	// the Tracer contract: one pointer test per lifecycle event, zero
+	// allocations (TestTimeseriesDisabledAddsNoAllocsPerRequest).
 	Series *telemetry.Timeseries
 }
 
@@ -159,10 +159,6 @@ type Sim struct {
 	sleepPowerW float64
 	sleepWakeMs float64
 
-	// Power series bookkeeping.
-	seriesRes float64
-	series    []float64 // energy (mJ) per bucket, converted to W at the end
-
 	freqTrace []FreqSegment
 
 	// Decision-trace state (nil/zero unless cfg.Tracer is set). pending holds
@@ -239,16 +235,15 @@ func run(cfg Config, wl *Workload, pol Policy, cp *capture) *Result {
 		cfg.StartFreq = cpu.FDefault
 	}
 	s := &Sim{
-		cfg:       cfg,
-		pol:       pol,
-		wl:        wl,
-		freq:      cfg.StartFreq,
-		acc:       cpu.NewEnergyAccumulator(cfg.Power),
-		seriesRes: cfg.PowerSeriesResMs,
-		tr:        cfg.Tracer,
-		sp:        cfg.Spans,
-		linear:    cfg.linear,
-		res:       newResult(pol.Name(), wl),
+		cfg:    cfg,
+		pol:    pol,
+		wl:     wl,
+		freq:   cfg.StartFreq,
+		acc:    cpu.NewEnergyAccumulator(cfg.Power),
+		tr:     cfg.Tracer,
+		sp:     cfg.Spans,
+		linear: cfg.linear,
+		res:    newResult(pol.Name(), wl),
 	}
 	if cp != nil {
 		s.held.decisions = cp.decisions
@@ -266,10 +261,6 @@ func run(cfg Config, wl *Workload, pol Policy, cp *capture) *Result {
 		}
 		s.held.spans = spanLog{policy: pol.Name(), limit: limit, recs: make([]spanRec, 0, size)}
 	}
-	if s.seriesRes > 0 {
-		n := int(math.Ceil(wl.DurationMs/s.seriesRes)) + 1
-		s.series = make([]float64, n)
-	}
 	if cfg.Series != nil {
 		if got, want := cfg.Series.LevelCount(), len(cfg.Ladder.Levels()); got != want {
 			panic("sim: Config.Series residency levels (" + strconv.Itoa(got) +
@@ -277,7 +268,7 @@ func run(cfg Config, wl *Workload, pol Policy, cp *capture) *Result {
 		}
 		s.tsc = cfg.Series.StartRun(wl.DurationMs)
 		if s.tsc != nil {
-			s.tsc.SetLevel(cfg.Ladder.Index(cfg.StartFreq))
+			s.tsc.SetLevel(cfg.Ladder.Index(cfg.StartFreq), 0)
 			// The workload's latency budget is the SLO deadline: completions
 			// past it land in the rows' slo_violations column. Identical per
 			// core, so sharded merges stay byte-identical.
@@ -400,7 +391,7 @@ func (s *Sim) SetFreq(f cpu.Freq) {
 	s.freq = f
 	s.transitions++
 	if s.tsc != nil {
-		s.tsc.SetLevel(s.cfg.Ladder.Index(f))
+		s.tsc.SetLevel(s.cfg.Ladder.Index(f), s.now)
 	}
 	until := s.now + s.cfg.TdvfsMs
 	if until > s.stallUntil {
@@ -689,12 +680,19 @@ func (s *Sim) loop() {
 			return
 		}
 		s.res.Events++
+		var e qevent
+		if kind == evPlanned || kind == evTimer {
+			e = s.events.pop()
+			if e.kind == qkTimer && e.tag == SampleTimerTag {
+				s.sampleTick(at)
+				continue
+			}
+		}
 		s.advanceTo(at)
 		switch kind {
 		case evCompletion:
 			s.completeHead()
 		case evPlanned:
-			e := s.events.pop()
 			s.SetFreq(e.freq)
 		case evArrival:
 			r := s.wl.Requests[s.nextArr]
@@ -702,33 +700,31 @@ func (s *Sim) loop() {
 			s.nextArr++
 			s.arrive(r)
 		case evTimer:
-			e := s.events.pop()
-			if e.tag == SampleTimerTag {
-				// Reserved sampler timer: drained by the engine itself,
-				// never surfaced to any policy (cappedPolicy included).
-				s.sampleTick()
-			} else {
-				s.syncHead()
-				s.pol.OnTimer(s, e.tag)
-			}
+			s.syncHead()
+			s.pol.OnTimer(s, e.tag)
 		}
 	}
 }
 
-// sampleTick seals the timeline window ending now and re-arms the reserved
-// sampler timer for the next boundary. Fired from both engine loops before
-// any policy sees the timer.
+// sampleTick seals the timeline window ending at the reserved sampler
+// timer's time at and re-arms the timer for the next boundary. Both engine
+// loops call it before advancing the clock, and no policy sees the timer
+// (cappedPolicy included). It reads the run without touching it: the clock
+// and the open accrual interval stay where they are, and the energy that
+// interval will have drawn by at is added to the meter's reading, not
+// committed to it. Nothing can change the core's draw before at: the tick
+// is the earliest pending event.
 //
 //gemini:hotpath
-func (s *Sim) sampleTick() {
+func (s *Sim) sampleTick(at float64) {
 	if s.tsc == nil {
 		return
 	}
-	inFlight := 0.0
+	now := telemetry.TimeseriesRow{TimeMs: at, QueueDepth: float64(s.qlen())}
 	if s.exec != nil {
-		inFlight = 1
+		now.InFlight = 1
 	}
-	s.tsc.Sample(s.now, s.acc.EnergyMJ(), float64(s.qlen()), inFlight)
+	s.tsc.Sample(now, s.acc.EnergyMJ()+s.powerW(s.qlen() > 0)*(at-s.now))
 	if next := s.tsc.NextAt(); next >= 0 {
 		s.setTimer(next, SampleTimerTag)
 	}
@@ -810,8 +806,18 @@ func (s *Sim) advanceTo(t float64) {
 	}
 }
 
-// accrue charges dt of energy at the current frequency/activity, splitting
-// across power-series buckets when enabled.
+// powerW is the core's draw at the current frequency and activity, or the
+// sleep state's draw while an idle core sleeps.
+//
+//gemini:hotpath
+func (s *Sim) powerW(busy bool) float64 {
+	if !busy && s.sleeping {
+		return s.sleepPowerW
+	}
+	return s.cfg.Power.CoreW(s.freq, busy)
+}
+
+// accrue charges dt of energy at the current frequency/activity.
 //
 //gemini:hotpath
 func (s *Sim) accrue(dt float64, busy bool) {
@@ -824,27 +830,7 @@ func (s *Sim) accrue(dt float64, busy bool) {
 			s.freqTrace = append(s.freqTrace, FreqSegment{StartMs: s.now, EndMs: s.now + dt, Freq: s.freq, Busy: busy})
 		}
 	}
-	p := s.cfg.Power.CoreW(s.freq, busy)
-	if !busy && s.sleeping {
-		p = s.sleepPowerW
-	}
-	s.acc.AccumulatePower(dt, p, busy)
-	if s.tsc != nil {
-		s.tsc.Accrue(dt)
-	}
-	if s.series == nil || dt <= 0 {
-		return
-	}
-	t0, t1 := s.now, s.now+dt
-	for t0 < t1 {
-		b := int(t0 / s.seriesRes)
-		bEnd := float64(b+1) * s.seriesRes
-		seg := math.Min(t1, bEnd) - t0
-		if b >= 0 && b < len(s.series) {
-			s.series[b] += p * seg
-		}
-		t0 += seg
-	}
+	s.acc.AccumulatePower(dt, s.powerW(busy), busy)
 }
 
 //gemini:hotpath
@@ -956,17 +942,4 @@ func (s *Sim) finish() {
 	}
 	s.res.seal(s.acc, s.transitions, s.wl.DurationMs)
 	s.res.FreqTrace = s.freqTrace
-	if s.series != nil {
-		// Convert per-bucket energy to average watts.
-		n := int(math.Ceil(s.wl.DurationMs / s.seriesRes))
-		if n > len(s.series) {
-			n = len(s.series)
-		}
-		watts := make([]float64, n)
-		for i := 0; i < n; i++ {
-			watts[i] = s.series[i] / s.seriesRes
-		}
-		s.res.PowerSeriesW = watts
-		s.res.PowerSeriesResMs = s.seriesRes
-	}
 }

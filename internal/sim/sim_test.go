@@ -355,28 +355,6 @@ func TestLowerFrequencySavesEnergyOnFixedWindow(t *testing.T) {
 	}
 }
 
-func TestPowerSeries(t *testing.T) {
-	wl := mkWorkload(50, 100, [2]float64{0, 27})
-	cfg := DefaultConfig()
-	cfg.PowerSeriesResMs = 10
-	res := Run(cfg, wl, &FixedPolicy{F: cpu.FDefault})
-	if len(res.PowerSeriesW) != 10 {
-		t.Fatalf("series buckets = %d", len(res.PowerSeriesW))
-	}
-	// Energy reconstructed from the series must match the accumulator.
-	sum := 0.0
-	for _, w := range res.PowerSeriesW {
-		sum += w * cfg.PowerSeriesResMs
-	}
-	if math.Abs(sum-res.EnergyMJ) > 1e-6 {
-		t.Errorf("series energy %v != accumulator %v", sum, res.EnergyMJ)
-	}
-	// First bucket (busy) must draw more than the last (idle).
-	if res.PowerSeriesW[0] <= res.PowerSeriesW[9] {
-		t.Errorf("busy bucket %v <= idle bucket %v", res.PowerSeriesW[0], res.PowerSeriesW[9])
-	}
-}
-
 func TestPredictionOverheadStallsCore(t *testing.T) {
 	wl := mkWorkload(50, 100, [2]float64{0, 27})
 	cfg := DefaultConfig()

@@ -28,16 +28,11 @@ func NewRunTimeseries(ladder *cpu.Ladder, durationMs, intervalMs float64) *telem
 	if ladder == nil {
 		ladder = cpu.DefaultLadder()
 	}
-	levels := ladder.Levels()
-	freqs := make([]float64, len(levels))
-	for i, f := range levels {
-		freqs[i] = float64(f)
-	}
 	n := telemetry.SampleCount(durationMs, intervalMs)
 	if n < 1 {
 		n = 1
 	}
-	return telemetry.NewTimeseries(intervalMs, freqs, n)
+	return telemetry.NewTimeseries(intervalMs, ladder.GHz(), n)
 }
 
 // coreSeries builds the private per-core capture series matching the

@@ -108,6 +108,54 @@ func TestTimeseriesSingleRun(t *testing.T) {
 	}
 }
 
+// TestPowerSeries: the timeline's power column conserves energy. On a run
+// whose requests all finish inside the horizon, Σ PowerW·dt over the rows is
+// the run's EnergyMJ — with frequency switches between ticks, idle
+// stretches, and a horizon that is not a multiple of the interval.
+func TestPowerSeries(t *testing.T) {
+	wl := traceWorkload(80, 5)
+	cfg := DefaultConfig()
+	cfg.Series = NewRunTimeseries(cfg.Ladder, wl.DurationMs, 7)
+	res := Run(cfg, wl, &chaosTimelinePolicy{})
+	for _, r := range wl.Requests {
+		if !r.Done || r.FinishMs > wl.DurationMs {
+			t.Fatalf("request %d did not finish inside the horizon; the fixture must", r.ID)
+		}
+	}
+	sum, prev := 0.0, 0.0
+	for _, row := range cfg.Series.Rows() {
+		sum += row.PowerW * (row.TimeMs - prev)
+		prev = row.TimeMs
+	}
+	if prev != wl.DurationMs {
+		t.Fatalf("rows end at %v, want the horizon %v", prev, wl.DurationMs)
+	}
+	if math.Abs(sum-res.EnergyMJ) > 1e-9*res.EnergyMJ {
+		t.Errorf("rows integrate to %v mJ, the run drew %v", sum, res.EnergyMJ)
+	}
+}
+
+// TestPowerSeriesPartialLastWindow: a horizon that is not a multiple of the
+// interval ends in a short window, and that row reads the watts drawn in it,
+// not its energy spread over a whole interval.
+func TestPowerSeriesPartialLastWindow(t *testing.T) {
+	wl := mkWorkload(50, 95, [2]float64{0, 27}) // busy for 10 ms, then idle
+	cfg := DefaultConfig()
+	cfg.Series = NewRunTimeseries(cfg.Ladder, wl.DurationMs, 10)
+	Run(cfg, wl, &FixedPolicy{F: cpu.FDefault})
+	rows := cfg.Series.Rows()
+	last := rows[len(rows)-1]
+	if len(rows) != 10 || last.TimeMs != 95 {
+		t.Fatalf("%d rows ending at %v, want 10 ending at 95", len(rows), last.TimeMs)
+	}
+	if idle := cfg.Power.CoreW(cpu.FDefault, false); math.Abs(last.PowerW-idle) > 1e-9*idle {
+		t.Errorf("the 5 ms last window reads %v W, an idle core draws %v W", last.PowerW, idle)
+	}
+	if rows[0].PowerW <= last.PowerW {
+		t.Errorf("busy window %v W <= idle window %v W", rows[0].PowerW, last.PowerW)
+	}
+}
+
 // TestTimeseriesEnginesEquivalent extends the engine-equivalence contract to
 // the sampler: the heap and linear engines must produce byte-identical
 // timeline exports (the reserved timer is intercepted identically in both

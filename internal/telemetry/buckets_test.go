@@ -30,14 +30,14 @@ func TestDefaultLatencyBucketsSubMillisecond(t *testing.T) {
 	}
 }
 
-// NewRegistryBuckets makes the nil-bounds default configurable per registry;
-// explicit bounds still win, and the given bounds are copied and sorted.
-func TestNewRegistryBuckets(t *testing.T) {
+// Explicit histogram bounds override DefaultLatencyBuckets, and the registry
+// copies and sorts them.
+func TestHistogramExplicitBounds(t *testing.T) {
 	bounds := []float64{10, 1, 5} // deliberately unsorted
-	reg := NewRegistryBuckets(bounds)
+	reg := NewRegistry()
+	h := reg.Histogram("h", "h", bounds)
 	bounds[0] = 99 // the registry must have copied, not aliased
 
-	h := reg.Histogram("h", "h", nil)
 	for _, v := range []float64{0.5, 3, 7, 50} {
 		h.Observe(v)
 	}
@@ -58,21 +58,5 @@ func TestNewRegistryBuckets(t *testing.T) {
 	}
 	if strings.Contains(out, `le="99"`) {
 		t.Error("registry aliased the caller's bounds slice")
-	}
-
-	// Explicit bounds override the registry default.
-	e := reg.Histogram("explicit", "e", []float64{2})
-	e.Observe(1)
-	buf.Reset()
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `explicit_bucket{le="2"} 1`) {
-		t.Errorf("explicit bounds ignored:\n%s", buf.String())
-	}
-
-	// Nil/empty falls back to DefaultLatencyBuckets.
-	if def := NewRegistryBuckets(nil); len(def.defBuckets) != len(DefaultLatencyBuckets) {
-		t.Errorf("nil bounds: defBuckets = %v", def.defBuckets)
 	}
 }

@@ -5,10 +5,9 @@
 // happened — the runtime view production DVFS controllers ship and the paper
 // only reports in post-hoc aggregates (Figs. 10–14).
 //
-// The registry's hot-path instruments (Counter, Gauge, Histogram) are
-// built on atomics so the live ISN serving path never contends on a
-// registry-wide lock; Summary reuses the internal/stats reservoir and
-// online estimators behind a small per-metric mutex.
+// The registry's instruments (Counter, Gauge, Histogram) are built on
+// atomics so the live ISN serving path never contends on a registry-wide
+// lock.
 package telemetry
 
 import (
@@ -20,8 +19,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"gemini/internal/stats"
 )
 
 // Label is one metric dimension, e.g. {Name: "shard", Value: "0"}.
@@ -128,58 +125,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Summary tracks quantiles via the internal/stats reservoir sampler plus
-// Welford online moments — the memory-bounded estimators the simulator's
-// long trace runs already rely on. A small mutex guards both.
-type Summary struct {
-	mu        sync.Mutex
-	online    stats.Online
-	res       *stats.Reservoir
-	quantiles []float64 // in (0, 1)
-}
-
-func newSummary(quantiles []float64) *Summary {
-	qs := make([]float64, len(quantiles))
-	copy(qs, quantiles)
-	sort.Float64s(qs)
-	// The reservoir seed is fixed: exposition must be deterministic for a
-	// deterministic observation stream.
-	return &Summary{res: stats.NewReservoir(1024, 1), quantiles: qs}
-}
-
-// Observe records one value.
-func (s *Summary) Observe(x float64) {
-	s.mu.Lock()
-	s.online.Add(x)
-	s.res.Add(x)
-	s.mu.Unlock()
-}
-
-// Quantile returns the estimated q-th quantile (q in (0,1)).
-func (s *Summary) Quantile(q float64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, err := s.res.Percentile(q * 100)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
-// Count returns the number of observations.
-func (s *Summary) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.online.N()
-}
-
-// Mean returns the running mean.
-func (s *Summary) Mean() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.online.Mean()
-}
-
 // metricKind is the Prometheus exposition type of a family.
 type metricKind string
 
@@ -187,13 +132,12 @@ const (
 	kindCounter   metricKind = "counter"
 	kindGauge     metricKind = "gauge"
 	kindHistogram metricKind = "histogram"
-	kindSummary   metricKind = "summary"
 )
 
 // child is one labeled instance within a family.
 type child struct {
 	labels []Label
-	metric any // *Counter | *Gauge | *Histogram | *Summary
+	metric any // *Counter | *Gauge | *Histogram
 }
 
 // family is one named metric with a fixed type and help string.
@@ -212,31 +156,11 @@ type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	order    []string
-	// defBuckets are the histogram bounds used when Histogram is called with
-	// nil bounds — DefaultLatencyBuckets unless the registry was created with
-	// NewRegistryBuckets.
-	defBuckets []float64
 }
 
-// NewRegistry creates an empty registry whose default histogram bounds are
-// DefaultLatencyBuckets.
+// NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return NewRegistryBuckets(nil)
-}
-
-// NewRegistryBuckets creates an empty registry with custom default histogram
-// bounds: every Histogram registered with nil bounds uses these instead of
-// DefaultLatencyBuckets (which a nil/empty argument selects). Bucket
-// boundaries are fixed per histogram at registration, so the place to widen
-// or refine them fleet-wide is registry creation.
-func NewRegistryBuckets(bounds []float64) *Registry {
-	if len(bounds) == 0 {
-		bounds = DefaultLatencyBuckets
-	}
-	bs := make([]float64, len(bounds))
-	copy(bs, bounds)
-	sort.Float64s(bs)
-	return &Registry{families: make(map[string]*family), defBuckets: bs}
+	return &Registry{families: make(map[string]*family)}
 }
 
 // labelKey renders labels into a canonical map key / exposition fragment.
@@ -293,21 +217,12 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 }
 
 // Histogram registers (or fetches) a histogram with the given upper bounds
-// (the registry's default bounds when nil — DefaultLatencyBuckets unless the
-// registry was created with NewRegistryBuckets).
+// (DefaultLatencyBuckets when nil).
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
 	if bounds == nil {
-		bounds = r.defBuckets
+		bounds = DefaultLatencyBuckets
 	}
 	return r.register(name, help, kindHistogram, labels, func() any { return newHistogram(bounds) }).(*Histogram)
-}
-
-// Summary registers (or fetches) a reservoir-backed quantile summary.
-func (r *Registry) Summary(name, help string, quantiles []float64, labels ...Label) *Summary {
-	if quantiles == nil {
-		quantiles = []float64{0.5, 0.95, 0.99}
-	}
-	return r.register(name, help, kindSummary, labels, func() any { return newSummary(quantiles) }).(*Summary)
 }
 
 // WritePrometheus renders every family in the text exposition format.
@@ -382,25 +297,6 @@ func writeChild(w io.Writer, f *family, c *child) error {
 			return err
 		}
 		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, joinLabels(base), m.Count())
-		return err
-	case *Summary:
-		m.mu.Lock()
-		n := m.online.N()
-		sum := m.online.Mean() * float64(n)
-		qvals := make([]float64, len(m.quantiles))
-		for i, q := range m.quantiles {
-			qvals[i], _ = m.res.Percentile(q * 100)
-		}
-		m.mu.Unlock()
-		for i, q := range m.quantiles {
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, joinLabels(base, `quantile="`+fmtFloat(q)+`"`), fmtFloat(qvals[i])); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, joinLabels(base), fmtFloat(sum)); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, joinLabels(base), n)
 		return err
 	}
 	return fmt.Errorf("telemetry: unknown metric type %T", c.metric)

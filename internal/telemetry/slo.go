@@ -331,25 +331,6 @@ func (t *SLOTracker) Snapshot(nowMs float64, n int) SLOSnapshot {
 	return s
 }
 
-// GoodBad splits the histogram's observations at the deadline using the
-// cumulative bucket counts: good is every observation in a bucket whose
-// upper bound le is <= deadlineMs, bad is the rest — the implicit le="+Inf"
-// bucket included, so observations beyond the largest finite bound always
-// count bad. When the deadline falls strictly inside a bucket the whole
-// bucket counts bad (the conservative reading: the SLO cannot claim
-// observations it cannot prove met the deadline).
-func (h *Histogram) GoodBad(deadlineMs float64) (good, bad uint64) {
-	for i, b := range h.bounds {
-		if b <= deadlineMs {
-			good += h.counts[i].Load()
-		} else {
-			bad += h.counts[i].Load()
-		}
-	}
-	bad += h.counts[len(h.bounds)].Load() // le="+Inf"
-	return good, bad
-}
-
 // SLOHandler serves an SLO snapshot as JSON — mount it at /debug/slo. The
 // snap callback supplies the snapshot so the clock stays with the caller
 // (wall time in internal/server, simulated time in tests); n is the clamped

@@ -186,30 +186,6 @@ func TestSLOTrackerNilSafe(t *testing.T) {
 	}
 }
 
-func TestHistogramGoodBad(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("t_lat_ms", "test", []float64{5, 10, 20})
-	for _, v := range []float64{3, 7, 15, 100} {
-		h.Observe(v) // lands in buckets le=5, le=10, le=20, le=+Inf
-	}
-	cases := []struct {
-		deadline  float64
-		good, bad uint64
-	}{
-		{10, 2, 2},  // le=5 and le=10 provably met the deadline
-		{12, 2, 2},  // deadline inside (10,20]: the straddling bucket counts bad
-		{20, 3, 1},  // only the +Inf observation is bad
-		{4, 0, 4},   // no bucket bound <= 4: nothing provable, all bad
-		{1e9, 3, 1}, // le="+Inf" stays bad at any finite deadline
-	}
-	for _, tc := range cases {
-		good, bad := h.GoodBad(tc.deadline)
-		if good != tc.good || bad != tc.bad {
-			t.Fatalf("GoodBad(%v) = %d/%d, want %d/%d", tc.deadline, good, bad, tc.good, tc.bad)
-		}
-	}
-}
-
 func TestClampDebugN(t *testing.T) {
 	cases := []struct {
 		s       string

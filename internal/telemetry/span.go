@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"sort"
 	"sync"
 )
 
@@ -364,22 +363,4 @@ func GroupSpansByTrace(spans []Span) (ids []string, byTrace map[string][]Span) {
 		byTrace[sp.TraceID] = append(byTrace[sp.TraceID], sp)
 	}
 	return ids, byTrace
-}
-
-// SortSpans orders spans by start time (ties: longer first, then by name) —
-// waterfall display order.
-func SortSpans(spans []Span) {
-	sort.SliceStable(spans, func(i, j int) bool {
-		switch {
-		case spans[i].StartMs < spans[j].StartMs:
-			return true
-		case spans[i].StartMs > spans[j].StartMs:
-			return false
-		case spans[i].EndMs > spans[j].EndMs:
-			return true
-		case spans[i].EndMs < spans[j].EndMs:
-			return false
-		}
-		return spans[i].Name < spans[j].Name
-	})
 }

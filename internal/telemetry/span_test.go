@@ -67,18 +67,6 @@ func TestGroupSpansByTraceOrder(t *testing.T) {
 	}
 }
 
-func TestSortSpans(t *testing.T) {
-	spans := []Span{
-		{SpanID: "c", Name: "c", StartMs: 2, EndMs: 3},
-		{SpanID: "b", Name: "b", StartMs: 0, EndMs: 1},
-		{SpanID: "a", Name: "a", StartMs: 0, EndMs: 5},
-	}
-	SortSpans(spans)
-	if spans[0].SpanID != "a" || spans[1].SpanID != "b" || spans[2].SpanID != "c" {
-		t.Errorf("order = %s %s %s", spans[0].SpanID, spans[1].SpanID, spans[2].SpanID)
-	}
-}
-
 // TestNilSpanTracerAllocFree proves the disabled path is allocation-free:
 // every method of a nil *SpanTracer must return without allocating.
 func TestNilSpanTracerAllocFree(t *testing.T) {

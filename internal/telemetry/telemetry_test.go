@@ -73,36 +73,11 @@ func TestHistogramBucketsAndExposition(t *testing.T) {
 	}
 }
 
-func TestSummaryQuantiles(t *testing.T) {
-	reg := NewRegistry()
-	s := reg.Summary("svc_ms", "service", []float64{0.5, 0.95})
-	for i := 1; i <= 100; i++ {
-		s.Observe(float64(i))
-	}
-	if s.Count() != 100 {
-		t.Fatalf("count = %d", s.Count())
-	}
-	if m := s.Mean(); m != 50.5 {
-		t.Errorf("mean = %v, want 50.5", m)
-	}
-	if q := s.Quantile(0.5); q < 40 || q > 61 {
-		t.Errorf("p50 = %v, want ~50", q)
-	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `svc_ms{quantile="0.5"}`) {
-		t.Errorf("summary exposition missing quantile line:\n%s", buf.String())
-	}
-}
-
 func TestInstrumentsConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c", "h")
 	g := reg.Gauge("g", "h")
 	h := reg.Histogram("h", "h", nil)
-	s := reg.Summary("s", "h", nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -112,7 +87,6 @@ func TestInstrumentsConcurrent(t *testing.T) {
 				c.Inc()
 				g.Add(1)
 				h.Observe(float64(i % 50))
-				s.Observe(float64(i % 50))
 			}
 		}()
 	}
@@ -123,8 +97,8 @@ func TestInstrumentsConcurrent(t *testing.T) {
 	if g.Value() != 8000 {
 		t.Errorf("gauge = %v, want 8000", g.Value())
 	}
-	if h.Count() != 8000 || s.Count() != 8000 {
-		t.Errorf("hist/summary counts = %d/%d, want 8000", h.Count(), s.Count())
+	if h.Count() != 8000 {
+		t.Errorf("histogram count = %d, want 8000", h.Count())
 	}
 }
 

@@ -278,17 +278,20 @@ func sampleBoundary(k int, intervalMs, durationMs float64) float64 {
 	return b
 }
 
-// SampleCursor is one run's sampling state: the window accumulators the
-// engine feeds between boundaries and drains into the Timeseries at each
-// reserved-timer fire. It lives in package telemetry — not sim — because the
-// hot-path analyzer exempts only statements guarded by a nil check on a
-// telemetry pointer, the same contract the decision tracer uses; every
-// engine-side touch sits under `if s.tsc != nil`.
+// SampleCursor is one run's sampling state: the window accumulators a
+// producer feeds between boundaries and drains into the Timeseries at each
+// boundary. It is the only window accumulator: the simulator's reserved
+// timer and the live listeners' wall-clock ticker both seal rows through
+// Sample, so the carry-over, residency and percentile rules exist once. It
+// lives in package telemetry — not sim — because the hot-path analyzer
+// exempts only statements guarded by a nil check on a telemetry pointer, the
+// same contract the decision tracer uses; every engine-side touch sits under
+// `if s.tsc != nil`.
 //
 // All methods are allocation-free except OnCompletion's amortized window
 // growth (sampling enabled implies the window buffer is part of the
-// contract). A SampleCursor is single-run, single-goroutine state: unlike
-// Timeseries it takes no locks.
+// contract). A SampleCursor takes no locks: it is single-run state, touched
+// by one goroutine or under its owner's lock.
 type SampleCursor struct {
 	ts         *Timeseries
 	intervalMs float64
@@ -300,9 +303,12 @@ type SampleCursor struct {
 	lastMs       float64
 	lastEnergyMJ float64
 
-	level                        int // current ladder level (residency key)
+	// Residency is charged from level-switch times: resid holds the ms each
+	// level held this window up to switchMs, and level has held since then.
+	level                        int // current ladder level, -1 with no levels
+	switchMs                     float64
 	arrivals, completions, drops uint64
-	resid                        []float64 // ms at each level this window
+	resid                        []float64
 	window                       []float64 // latencies completed this window
 
 	// SLO classification and queue saturation (zero-valued when unused).
@@ -311,30 +317,34 @@ type SampleCursor struct {
 	queueHW       float64 // deepest queue seen this window
 }
 
-// StartRun opens a sampling cursor for one run over [0, durationMs]. Returns
-// nil — a disabled cursor — for a nil series or a degenerate horizon.
+// StartRun opens a sampling cursor for one run over [0, durationMs]; a live
+// producer with no horizon passes +Inf. Returns nil — a disabled cursor — for
+// a nil series or a degenerate horizon.
 func (t *Timeseries) StartRun(durationMs float64) *SampleCursor {
 	if t == nil || durationMs <= 0 {
 		return nil
 	}
-	return &SampleCursor{
+	c := &SampleCursor{
 		ts:         t,
 		intervalMs: t.intervalMs,
 		durationMs: durationMs,
-		k:          0,
 		nextAt:     sampleBoundary(1, t.intervalMs, durationMs),
 		resid:      make([]float64, len(t.freqs)),
 		window:     make([]float64, 0, 64),
 	}
+	c.SetLevel(0, 0)
+	return c
 }
 
 // NextAt returns the next boundary to arm a timer for, or -1 when the run's
 // final boundary has been sampled.
 func (c *SampleCursor) NextAt() float64 { return c.nextAt }
 
-// SetLevel records a frequency-ladder level switch; subsequent Accrue time
-// lands on the new level. Out-of-range levels clamp into the table.
-func (c *SampleCursor) SetLevel(level int) {
+// SetLevel records a switch to a frequency-ladder level at nowMs: the time
+// since the previous switch, or since the window opened, is charged to the
+// old level. Out-of-range levels clamp into the table.
+func (c *SampleCursor) SetLevel(level int, nowMs float64) {
+	c.chargeLevel(nowMs)
 	if level < 0 {
 		level = 0
 	}
@@ -344,10 +354,14 @@ func (c *SampleCursor) SetLevel(level int) {
 	c.level = level
 }
 
-// Accrue charges dtMs of residency at the current level.
-func (c *SampleCursor) Accrue(dtMs float64) {
-	if dtMs > 0 && c.level >= 0 && c.level < len(c.resid) {
-		c.resid[c.level] += dtMs
+// chargeLevel charges the time from the last switch to nowMs to the current
+// level.
+func (c *SampleCursor) chargeLevel(nowMs float64) {
+	if dt := nowMs - c.switchMs; dt > 0 {
+		if c.level >= 0 {
+			c.resid[c.level] += dt
+		}
+		c.switchMs = nowMs
 	}
 }
 
@@ -386,26 +400,24 @@ func (c *SampleCursor) OnCompletion(latencyMs float64) {
 // OnDrop counts one drop in the current window.
 func (c *SampleCursor) OnDrop() { c.drops++ }
 
-// Sample seals the window ending at nowMs (a boundary the engine's reserved
-// timer just fired at): modeled power from the energy-meter delta, residency
-// fractions, windowed percentiles (the buffer is sorted in place), and the
-// instantaneous queue/in-flight readings — then resets the accumulators and
-// advances to the next boundary.
-func (c *SampleCursor) Sample(nowMs, energyMJ, queueDepth, inFlight float64) {
-	if queueDepth > c.queueHW {
-		c.queueHW = queueDepth
+// Sample seals the window ending at row.TimeMs and appends it. row carries
+// the producer's instantaneous readings (QueueDepth, InFlight, and the live
+// listeners' runtime columns) and leaves the windowed ones zero; Sample
+// fills those in: power
+// from the delta of the cumulative energyMJ reading, lifecycle and SLO
+// counts, the queue high-water mark, residency fractions and the windowed
+// percentiles (the buffer is sorted in place). It then resets the
+// accumulators and advances to the next boundary.
+func (c *SampleCursor) Sample(row TimeseriesRow, energyMJ float64) {
+	nowMs := row.TimeMs
+	c.chargeLevel(nowMs)
+	if row.QueueDepth > c.queueHW {
+		c.queueHW = row.QueueDepth
 	}
-	row := TimeseriesRow{
-		TimeMs:         nowMs,
-		QueueDepth:     queueDepth,
-		InFlight:       inFlight,
-		Arrivals:       c.arrivals,
-		Completions:    c.completions,
-		Drops:          c.drops,
-		SLOViolations:  c.sloViolations,
-		QueueHighWater: c.queueHW,
-		Residency:      c.resid,
-	}
+	row.Arrivals, row.Completions, row.Drops = c.arrivals, c.completions, c.drops
+	row.SLOViolations = c.sloViolations
+	row.QueueHighWater = c.queueHW
+	row.Residency = c.resid
 	if dt := nowMs - c.lastMs; dt > 0 {
 		// mJ per ms is watts.
 		row.PowerW = (energyMJ - c.lastEnergyMJ) / dt
@@ -427,7 +439,7 @@ func (c *SampleCursor) Sample(nowMs, energyMJ, queueDepth, inFlight float64) {
 	// The queue only grows at arrivals, so the boundary depth seeds the next
 	// window's high-water mark: a draining queue's mark falls with it, a
 	// saturated one carries over.
-	c.queueHW = queueDepth
+	c.queueHW = row.QueueDepth
 	for i := range c.resid {
 		c.resid[i] = 0
 	}
