@@ -11,9 +11,12 @@ import (
 // Telemetry hand-off. A run does not talk to Config.Spans while it executes:
 // it appends fixed-size, pointer-free phase records to a log bounded by the
 // sink's capacity, and the strings and telemetry.Span values are built once,
-// after the run, for the records the sink can still retain. Decisions go
-// straight to Config.Tracer, except under a sharded cluster run, where each
-// core fills a private slice that is replayed in core order afterwards.
+// after the run, for the records the sink can still retain. In a cluster run
+// a core whose records the later cores are sure to push out of the sink
+// writes none and only counts them. Decisions go straight to Config.Tracer,
+// except under a sharded cluster run, where each core fills a private slice
+// that is replayed in core order afterwards. A cluster run's timeline windows
+// stay in each core's capture cursor until the merge reads them.
 
 // spanRec is one phase span of one request in pointer-free form. phase is an
 // execution-phase index, or one of the two codes below. a holds the phase's
@@ -32,13 +35,15 @@ const (
 )
 
 // spanLog is one run's span records, oldest first: a ring of the last limit
-// records once that many were written, everything when limit is 0.
+// records once that many were written, everything when limit is 0. A
+// count-only log holds no records and only counts them in total.
 type spanLog struct {
-	policy string // TraceID prefix
-	recs   []spanRec
-	limit  int
-	next   int // overwrite cursor once len(recs) == limit
-	total  uint64
+	policy    string // TraceID prefix
+	recs      []spanRec
+	limit     int
+	next      int // overwrite cursor once len(recs) == limit
+	total     uint64
+	countOnly bool
 }
 
 // push appends one record, overwriting the oldest once the log is full.
@@ -93,28 +98,39 @@ type capture struct {
 	// decisions, when non-nil, receives the run's decision records in
 	// emission order in place of Config.Tracer.
 	decisions []telemetry.Decision
+	// timeline, when Config.Series is set, is the run's capture cursor
+	// (Timeseries.CaptureRun): the run's windows stay there for the merge
+	// instead of reaching the Series.
+	timeline *telemetry.SampleCursor
 }
 
 // flushSpans hands the runs' span logs to sink, in order, as one emission:
-// the records the sink can still retain as Spans, the rest as a count.
+// the records the sink can still retain as Spans, the rest as a count. It
+// panics if a count-only log would have kept a record: the logs after it must
+// hold at least the sink's capacity.
 func flushSpans(sink *telemetry.SpanTracer, caps []capture) {
-	budget := sink.Capacity()
+	limit := sink.Capacity()
 	var total uint64
 	held := 0
 	for c := range caps {
 		total += caps[c].spans.total
 		held += len(caps[c].spans.recs)
 	}
+	budget := limit
 	if budget == 0 || budget > held {
 		budget = held
 	}
 	// The last `budget` records of the concatenation: skip whole logs, then
 	// the head of the first one that still contributes.
 	tail := make([]telemetry.Span, 0, budget)
-	skip := held - budget
+	skip, after := held-budget, held
 	for c := range caps {
 		l := &caps[c].spans
 		n := len(l.recs)
+		after -= n
+		if l.countOnly && after < limit {
+			panic("sim: a count-only core's spans are within the sink's capacity of the end")
+		}
 		if skip >= n {
 			skip -= n
 			continue
@@ -127,51 +143,55 @@ func flushSpans(sink *telemetry.SpanTracer, caps []capture) {
 
 // runCores simulates part(c) under mk(c) for every core on `workers` OS
 // threads and hands the telemetry to cfg's sinks in core order, so that what
-// they hold does not depend on workers. part runs inside core c's job, so a
-// caller that builds a core's requests there builds them in parallel; it may
-// write only to core c's own state. Spans are flushed once for the whole
-// cluster. Decisions are captured per core and replayed only when cores run
-// concurrently: a serial run emits them live, which is already core order.
-// A Series is always captured per core, because its merge is window
-// arithmetic, not concatenation; coord, when non-nil, supplies the capped
-// power series for that merge.
-func runCores(cfg Config, cores int, part func(core int) *Workload, workers int, mk func(core int) Policy, coord *PowerCapCoordinator) []*Result {
+// they hold does not depend on workers. sizes[c] is core c's request count,
+// known before any core runs. part runs inside core c's job, so a caller that
+// builds a core's requests there builds them in parallel; it may write only
+// to core c's own state.
+//
+// Each sink gets only what it keeps. Spans are flushed once for the whole
+// cluster; every request emits at least a root and a queue record, so a core
+// followed by cores with capacity/2 requests or more has all its records
+// evicted, and only counts them. Decisions are captured per core and
+// replayed, each core's as one EmitRun, only when cores run concurrently: a
+// serial run emits them live, which is already core order. A Series is
+// always captured per core, because its merge is window arithmetic, not
+// concatenation; coord, when non-nil, supplies the capped power series for
+// that merge.
+func runCores(cfg Config, sizes []int, part func(core int) *Workload, workers int, mk func(core int) Policy, coord *PowerCapCoordinator) []*Result {
 	if cfg.Power == nil {
 		cfg.Power = cpu.DefaultPowerModel()
 	}
-	parts := make([]*Workload, cores)
+	cores := len(sizes)
 	results := make([]*Result, cores)
 	caps := make([]capture, cores)
-	var series []*telemetry.Timeseries
-	if cfg.Series != nil {
-		series = make([]*telemetry.Timeseries, cores)
+	if limit := cfg.Spans.Capacity(); limit > 0 {
+		after := 0 // requests on the cores after c
+		for c := cores - 1; c >= 0; c-- {
+			caps[c].spans.countOnly = 2*after >= limit
+			after += sizes[c]
+		}
 	}
 	replay := workers > 1 && cfg.Tracer != nil
 	par.Run(workers, cores, func(c int) {
-		ccfg := cfg
-		parts[c] = part(c)
+		wl := part(c)
 		if replay {
 			// One decision per request, at completion or drop.
-			caps[c].decisions = make([]telemetry.Decision, 0, len(parts[c].Requests))
+			caps[c].decisions = make([]telemetry.Decision, 0, len(wl.Requests))
 		}
-		if series != nil {
-			series[c] = coreSeries(cfg.Series, parts[c].DurationMs)
-			ccfg.Series = series[c]
-		}
-		results[c] = run(ccfg, parts[c], mk(c), &caps[c])
+		// At most one completion per request.
+		caps[c].timeline = cfg.Series.CaptureRun(wl.DurationMs, len(wl.Requests))
+		results[c] = run(cfg, wl, mk(c), &caps[c])
 	})
 	if replay {
 		for c := range caps {
-			for i := range caps[c].decisions {
-				cfg.Tracer.Emit(caps[c].decisions[i]) // stamps Seq in serial order
-			}
+			cfg.Tracer.EmitRun(caps[c].decisions) // stamps Seq in serial order
 		}
 	}
 	if cfg.Spans != nil {
 		flushSpans(cfg.Spans, caps)
 	}
-	if series != nil {
-		mergeTimeseries(cfg.Series, series, parts, cfg.Power.UncoreW, coord)
+	if cfg.Series != nil {
+		mergeTimeseries(cfg.Series, caps, cfg.Power.UncoreW, coord)
 	}
 	return results
 }

@@ -102,6 +102,47 @@ func TestSinkEvictionEquivalence(t *testing.T) {
 	}
 }
 
+// TestCountOnlySpansOracle runs the sharded 8×3 capped cell into span sinks
+// small enough that most cores' records can never be retained, so those
+// cores only count them. Whatever the capacity, the sink must hold the last B
+// spans of an accumulator run of the same cell and count as many: a
+// count-only bound that skips a core whose records survive changes the tail,
+// or trips flushSpans' check.
+func TestCountOnlySpansOracle(t *testing.T) {
+	run := func(spans *telemetry.SpanTracer) {
+		cfg := DefaultConfig()
+		cfg.Spans = spans
+		topo := Topology{Shards: 8, ReplicasPerShard: 3}
+		tc := TopologyConfig{
+			Sim:       cfg,
+			Topology:  topo,
+			Router:    RouterPowerAware{},
+			Seed:      3,
+			PowerCapW: 1.1 * ClusterFloorW(cfg.Power, cfg.Ladder, topo.Cores()),
+		}
+		res := RunTopologyWorkers(tc, clusterWorkload(600, 1, 6, 3), 4, mkPredictingStorm)
+		if res.CapThrottles == 0 {
+			t.Fatal("the cap never throttled; the fixture is supposed to bind")
+		}
+	}
+	acc := telemetry.NewSpanAccumulator()
+	run(acc)
+	all := acc.Spans()
+	for _, b := range []int{1, 64, 4096} {
+		if len(all) <= 2*b {
+			t.Fatalf("cap %d: the accumulator holds only %d spans", b, len(all))
+		}
+		sink := telemetry.NewSpanTracer(b)
+		run(sink)
+		if sink.Total() != acc.Total() {
+			t.Errorf("cap %d: total %d, the accumulator counted %d", b, sink.Total(), acc.Total())
+		}
+		if got := sink.Spans(); !reflect.DeepEqual(got, all[len(all)-b:]) {
+			t.Errorf("cap %d: retained spans differ from the accumulator's last %d", b, b)
+		}
+	}
+}
+
 // TestSharedSinkAcrossRuns hands one pair of sinks to two consecutive runs:
 // the second run's flush lands on top of the first's ring content, and the
 // result must be the tail of both runs' emissions in order.

@@ -48,7 +48,11 @@ func RunClusterWorkers(cfg Config, wl *Workload, cores, workers int, mkPolicy fu
 		cores = 1
 	}
 	parts := Dispatch(wl, cores)
-	results := runCores(cfg, cores, func(c int) *Workload { return parts[c] }, workers, mkPolicy, nil)
+	sizes := make([]int, cores)
+	for c, p := range parts {
+		sizes[c] = len(p.Requests)
+	}
+	results := runCores(cfg, sizes, func(c int) *Workload { return parts[c] }, workers, mkPolicy, nil)
 
 	cr := &ClusterResult{DurationMs: wl.DurationMs, PerCore: results}
 	lats := make([][]float64, cores)

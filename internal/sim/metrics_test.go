@@ -232,4 +232,21 @@ func TestRunAllocationPins(t *testing.T) {
 			t.Errorf("%s: sim.Run allocates %.0f times, pinned at %.0f", tc.name, got, tc.max)
 		}
 	}
+
+	// A sharded 3×2 topology run with all three sinks: the merge reads the
+	// cores' sealed windows in place, so five times the sample rows costs no
+	// more allocations (slack for the merge's window buffer growing).
+	topo := func(intervalMs float64) float64 {
+		cfg := DefaultConfig()
+		cfg.Tracer = telemetry.NewTracer(256)
+		cfg.Spans = telemetry.NewSpanTracer(256)
+		cfg.Series = NewRunTimeseries(cfg.Ladder, wl.DurationMs, intervalMs)
+		tc := TopologyConfig{Sim: cfg, Topology: Topology{Shards: 3, ReplicasPerShard: 2}, Seed: 1}
+		return testing.AllocsPerRun(5, func() {
+			RunTopologyWorkers(tc, wl, 2, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+		})
+	}
+	if coarse, fine := topo(50), topo(10); fine > coarse+4 {
+		t.Errorf("3×2 topology with every sink: %.0f allocations at 50 ms samples, %.0f at 10 ms", coarse, fine)
+	}
 }

@@ -221,9 +221,10 @@ func Run(cfg Config, wl *Workload, pol Policy) *Result {
 	return run(cfg, wl, pol, nil)
 }
 
-// run is Run with, when cp is non-nil, the span hand-off left to the caller:
-// the run's span log, and its decisions when cp.decisions is non-nil, are in
-// cp afterwards and cfg.Spans has not been touched.
+// run is Run with, when cp is non-nil, the hand-off left to the caller: the
+// run's span log, and its decisions when cp.decisions is non-nil, are in cp
+// afterwards and cfg.Spans has not been touched; the run samples into
+// cp.timeline, never into cfg.Series.
 func run(cfg Config, wl *Workload, pol Policy, cp *capture) *Result {
 	if cfg.Ladder == nil {
 		cfg.Ladder = cpu.DefaultLadder()
@@ -246,27 +247,34 @@ func run(cfg Config, wl *Workload, pol Policy, cp *capture) *Result {
 		res:    newResult(pol.Name(), wl),
 	}
 	if cp != nil {
-		s.held.decisions = cp.decisions
+		s.held = *cp
 	}
 	if s.tr != nil {
 		s.pending = make([]pendingDecision, len(wl.Requests))
 	}
 	if s.sp != nil {
-		limit := s.sp.Capacity()
-		// Two records per request plus one per execution phase; the log grows
-		// past the estimate by append, up to the limit.
-		size := 4 * len(wl.Requests)
-		if limit > 0 && size > limit {
-			size = limit
+		l := &s.held.spans
+		l.policy, l.limit = pol.Name(), s.sp.Capacity()
+		if !l.countOnly {
+			// Two records per request plus one per execution phase; the log
+			// grows past the estimate by append, up to the limit.
+			size := 4 * len(wl.Requests)
+			if l.limit > 0 && size > l.limit {
+				size = l.limit
+			}
+			l.recs = make([]spanRec, 0, size)
 		}
-		s.held.spans = spanLog{policy: pol.Name(), limit: limit, recs: make([]spanRec, 0, size)}
 	}
 	if cfg.Series != nil {
 		if got, want := cfg.Series.LevelCount(), len(cfg.Ladder.Levels()); got != want {
 			panic("sim: Config.Series residency levels (" + strconv.Itoa(got) +
 				") do not match the run's ladder (" + strconv.Itoa(want) + ")")
 		}
-		s.tsc = cfg.Series.StartRun(wl.DurationMs)
+		if cp != nil {
+			s.tsc = cp.timeline
+		} else {
+			s.tsc = cfg.Series.StartRun(wl.DurationMs)
+		}
 		if s.tsc != nil {
 			s.tsc.SetLevel(cfg.Ladder.Index(cfg.StartFreq), 0)
 			// The workload's latency budget is the SLO deadline: completions
@@ -620,10 +628,19 @@ func (s *Sim) emitDecision(r *Request) {
 // phase durations partition [ArrivalMs, FinishMs] exactly, and the execution
 // phases' energy attributes sum to the energy the decision trace attributes
 // to the request (both invariants are asserted by TestPhaseSpansSumToLatency).
+// A count-only log (runCores) counts the records and writes none.
 //
 //gemini:hotpath
 func (s *Sim) emitSpans(r *Request) {
 	log := &s.held.spans
+	phases := 0
+	if r.Started && s.tracking {
+		phases = len(s.marks)
+	}
+	if log.countOnly {
+		log.total += uint64(2 + phases)
+		return
+	}
 	log.push(spanRec{
 		req: r.ID, phase: phaseRequest, start: r.ArrivalMs, end: r.FinishMs,
 		a: [3]float64{r.DeadlineMs - r.FinishMs, boolAttr(r.Dropped), boolAttr(r.Violated())},
@@ -633,18 +650,16 @@ func (s *Sim) emitSpans(r *Request) {
 		queueEnd = r.StartMs
 	}
 	log.push(spanRec{req: r.ID, phase: phaseQueue, start: r.ArrivalMs, end: queueEnd})
-	if r.Started && s.tracking && len(s.marks) > 0 {
-		endEnergy := s.acc.EnergyMJ()
-		for i, m := range s.marks {
-			phaseEnd, phaseEndEnergy := r.FinishMs, endEnergy
-			if i+1 < len(s.marks) {
-				phaseEnd, phaseEndEnergy = s.marks[i+1].at, s.marks[i+1].energyMJ
-			}
-			log.push(spanRec{
-				req: r.ID, phase: int32(i), start: m.at, end: phaseEnd,
-				a: [3]float64{float64(m.freq), phaseEndEnergy - m.energyMJ},
-			})
+	endEnergy := s.acc.EnergyMJ()
+	for i, m := range s.marks[:phases] {
+		phaseEnd, phaseEndEnergy := r.FinishMs, endEnergy
+		if i+1 < phases {
+			phaseEnd, phaseEndEnergy = s.marks[i+1].at, s.marks[i+1].energyMJ
 		}
+		log.push(spanRec{
+			req: r.ID, phase: int32(i), start: m.at, end: phaseEnd,
+			a: [3]float64{float64(m.freq), phaseEndEnergy - m.energyMJ},
+		})
 	}
 }
 

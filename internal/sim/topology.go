@@ -472,12 +472,16 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 	}
 	// Each core's job builds its own requests from the table before it runs.
 	slabs := make([][]Request, cores)
+	sizes := make([]int, cores)
+	for c, n := range routeCounts {
+		sizes[c] = int(n)
+	}
 	part := func(c int) *Workload {
 		var reqs []*Request
 		slabs[c], reqs = coreSlab(wl.Requests, legs, topo.Shards, c/reps, int32(c), routeCounts[c])
 		return &Workload{Requests: reqs, BudgetMs: wl.BudgetMs, DurationMs: wl.DurationMs, Preds: wl.Preds}
 	}
-	results := runCores(cfg, cores, part, workers, mk, coord)
+	results := runCores(cfg, sizes, part, workers, mk, coord)
 
 	// --- deterministic merge ----------------------------------------------
 	tr := &TopologyResult{

@@ -259,13 +259,17 @@ func TestTopologyPublishesClusterMetrics(t *testing.T) {
 
 // FuzzRouterEquivalence is the CI smoke fuzz: arbitrary (seed, router, cap)
 // triples must keep the sharded topology run byte-identical to the serial
-// one — both the TopologyResult and the merged timeline export.
+// one — the TopologyResult, the merged timeline export, and the decision and
+// span sinks at fuzzed capacities (span capacity 0 is an accumulator). The
+// serial run emits decisions live; the sharded one replays each core's
+// through Tracer.EmitRun. Both leave the spans of cores the sink cannot
+// retain counted, not built.
 func FuzzRouterEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0))
-	f.Add(int64(7), uint8(1), uint8(1))
-	f.Add(int64(42), uint8(2), uint8(2))
-	f.Add(int64(-9), uint8(3), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, ri, capSel uint8) {
+	f.Add(int64(1), uint8(0), uint8(0), uint16(512), uint16(4096))
+	f.Add(int64(7), uint8(1), uint8(1), uint16(31), uint16(97))
+	f.Add(int64(42), uint8(2), uint8(2), uint16(1), uint16(1))
+	f.Add(int64(-9), uint8(3), uint8(1), uint16(2000), uint16(0))
+	f.Fuzz(func(t *testing.T, seed int64, ri, capSel uint8, ringCap, spanCap uint16) {
 		router, err := RouterByName(RouterNames[int(ri)%len(RouterNames)])
 		if err != nil {
 			t.Fatal(err)
@@ -277,10 +281,15 @@ func FuzzRouterEquivalence(f *testing.F) {
 		case 2:
 			capW = 19 // loose (max ≈22.5 W): throttles only under bursts
 		}
-		run := func(workers int) (*TopologyResult, []byte) {
+		run := func(workers int) (*TopologyResult, []byte, sinkState) {
 			wl := clusterWorkload(150, 2, 6, seed)
 			cfg := DefaultConfig()
 			cfg.Series = NewRunTimeseries(cfg.Ladder, wl.DurationMs, 50)
+			cfg.Tracer = telemetry.NewTracer(int(ringCap))
+			cfg.Spans = telemetry.NewSpanAccumulator()
+			if spanCap > 0 {
+				cfg.Spans = telemetry.NewSpanTracer(int(spanCap))
+			}
 			tc := TopologyConfig{
 				Sim:       cfg,
 				Topology:  Topology{Shards: 3, ReplicasPerShard: 2},
@@ -288,15 +297,15 @@ func FuzzRouterEquivalence(f *testing.F) {
 				Seed:      seed,
 				PowerCapW: capW,
 			}
-			tr := RunTopologyWorkers(tc, wl, workers, mkCountingPolicy)
+			tr := RunTopologyWorkers(tc, wl, workers, mkPredictingStorm)
 			var buf bytes.Buffer
 			if err := cfg.Series.WriteJSONL(&buf); err != nil {
 				t.Fatal(err)
 			}
-			return tr, buf.Bytes()
+			return tr, buf.Bytes(), readSinks(cfg)
 		}
-		serial, serialTL := run(1)
-		sharded, shardedTL := run(4)
+		serial, serialTL, serialSinks := run(1)
+		sharded, shardedTL, shardedSinks := run(4)
 		if !reflect.DeepEqual(serial, sharded) {
 			t.Fatalf("seed=%d router=%s cap=%v: sharded run diverges from serial",
 				seed, router.Name(), capW)
@@ -304,6 +313,11 @@ func FuzzRouterEquivalence(f *testing.F) {
 		if !bytes.Equal(serialTL, shardedTL) {
 			t.Fatalf("seed=%d router=%s cap=%v: sharded timeline diverges from serial",
 				seed, router.Name(), capW)
+		}
+		if !reflect.DeepEqual(serialSinks, shardedSinks) {
+			t.Fatalf("seed=%d router=%s cap=%v ring=%d spans=%d: sharded sinks diverge from serial "+
+				"(spans %d/%d, decisions %d/%d)", seed, router.Name(), capW, ringCap, spanCap,
+				shardedSinks.spanTotal, serialSinks.spanTotal, shardedSinks.emitted, serialSinks.emitted)
 		}
 	})
 }

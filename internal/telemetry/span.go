@@ -230,9 +230,10 @@ func NewSpanAccumulator() *SpanTracer {
 }
 
 // Capacity returns the number of spans the tracer retains; 0 means every one
-// (an accumulator).
+// (an accumulator). A nil tracer retains none and also reports 0: callers
+// that must tell the two apart test for nil first.
 func (t *SpanTracer) Capacity() int {
-	if t.unbounded {
+	if t == nil || t.unbounded {
 		return 0
 	}
 	return len(t.buf.slots)

@@ -79,8 +79,12 @@ func TestNilSpanTracerAllocFree(t *testing.T) {
 		_ = tr.Total()
 		_ = tr.Snapshot(4)
 		_ = tr.Traces(4)
+		_ = tr.Capacity()
 	}); n != 0 {
 		t.Errorf("nil tracer allocates %.1f per call set", n)
+	}
+	if c := tr.Capacity(); c != 0 {
+		t.Errorf("nil tracer capacity = %d, want 0", c)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -181,6 +183,60 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if err := tr.WriteJSONL(&bytes.Buffer{}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestTracerEmitRunEqualsEmits: one EmitRun must leave a tracer exactly as
+// emitting the run decision by decision would, on top of what it held: the
+// ring, its total, the Seq count, the quality audit and the sink's bytes.
+func TestTracerEmitRunEqualsEmits(t *testing.T) {
+	const ringCap = 8
+	mk := func(n, base int) []Decision {
+		ds := make([]Decision, n)
+		for i := range ds {
+			id := base + i
+			ds[i] = Decision{RequestID: id, PredictedMs: 5, PredErrMs: 1,
+				ActualMs: 4.5 + 0.25*float64(id%7), Dropped: id%5 == 4, CriticalID: -1}
+		}
+		return ds
+	}
+	type state struct {
+		ring    []Decision
+		total   uint64
+		emitted uint64
+		quality QualitySnapshot
+		sink    string
+	}
+	read := func(tr *Tracer, sink *bytes.Buffer) state {
+		return state{tr.Ring().Snapshot(0), tr.Ring().Total(), tr.Emitted(), tr.Quality(), sink.String()}
+	}
+	for _, n := range []int{0, 3, ringCap, 3 * ringCap} {
+		for _, withSink := range []bool{false, true} {
+			direct, run := NewTracer(ringCap), NewTracer(ringCap)
+			var directSink, runSink bytes.Buffer
+			if withSink {
+				direct.SetSink(&directSink)
+				run.SetSink(&runSink)
+			}
+			for _, d := range mk(5, 1000) { // prior content, partly evicted by the run
+				direct.Emit(d)
+				run.Emit(d)
+			}
+			ds := mk(n, 0)
+			orig := slices.Clone(ds)
+			for _, d := range ds {
+				direct.Emit(d)
+			}
+			run.EmitRun(ds)
+			if want, got := read(direct, &directSink), read(run, &runSink); !reflect.DeepEqual(got, want) {
+				t.Errorf("n=%d sink=%v: EmitRun leaves %+v, %d Emits leave %+v", n, withSink, got, n, want)
+			}
+			if !reflect.DeepEqual(ds, orig) {
+				t.Errorf("n=%d sink=%v: EmitRun modified its argument", n, withSink)
+			}
+		}
+	}
+	var nilTracer *Tracer
+	nilTracer.EmitRun(mk(3, 0))
 }
 
 func TestHTTPHandlers(t *testing.T) {

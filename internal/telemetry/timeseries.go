@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"gemini/internal/stats"
@@ -172,7 +173,8 @@ func (t *Timeseries) Rows() []TimeseriesRow {
 }
 
 // Snapshot returns the most recent n rows, oldest first (n <= 0 returns
-// every retained row). The rows own their Residency slices.
+// every retained row). The rows own their Residency slices, which share one
+// backing array: two allocations per call, whatever the row count.
 func (t *Timeseries) Snapshot(n int) []TimeseriesRow {
 	if t == nil {
 		return nil
@@ -180,8 +182,12 @@ func (t *Timeseries) Snapshot(n int) []TimeseriesRow {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := t.rows.snapshot(n)
+	lv := len(t.freqs)
+	resid := make([]float64, len(out)*lv)
 	for k := range out {
-		out[k].Residency = append(make([]float64, 0, len(t.freqs)), out[k].Residency...)
+		r := resid[k*lv : (k+1)*lv : (k+1)*lv]
+		copy(r, out[k].Residency)
+		out[k].Residency = r
 	}
 	return out
 }
@@ -215,7 +221,7 @@ func (t *Timeseries) WriteCSV(w io.Writer) error {
 	for _, f := range t.FreqsGHz() {
 		cols = append(cols, "resid_"+strconv.FormatFloat(f, 'g', -1, 64))
 	}
-	if _, err := fmt.Fprintln(w, join(cols)); err != nil {
+	if _, err := fmt.Fprintln(w, strings.Join(cols, ",")); err != nil {
 		return err
 	}
 	for _, row := range t.Rows() {
@@ -230,7 +236,7 @@ func (t *Timeseries) WriteCSV(w io.Writer) error {
 		for _, r := range row.Residency {
 			vals = append(vals, fcsv(r))
 		}
-		if _, err := fmt.Fprintln(w, join(vals)); err != nil {
+		if _, err := fmt.Fprintln(w, strings.Join(vals, ",")); err != nil {
 			return err
 		}
 	}
@@ -238,17 +244,6 @@ func (t *Timeseries) WriteCSV(w io.Writer) error {
 }
 
 func fcsv(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func join(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ","
-		}
-		out += p
-	}
-	return out
-}
 
 // SampleCount returns the number of sample boundaries a run of durationMs
 // produces at intervalMs: boundaries sit at k·interval for k = 1, 2, …, with
@@ -288,12 +283,17 @@ func sampleBoundary(k int, intervalMs, durationMs float64) float64 {
 // same contract the decision tracer uses; every engine-side touch sits under
 // `if s.tsc != nil`.
 //
+// A cursor opened by CaptureRun keeps its sealed rows, and each row's sorted
+// latencies, in memory instead of appending them to a Timeseries: a merge of
+// several runs' windows reads them in place (Rows, Latencies).
+//
 // All methods are allocation-free except OnCompletion's amortized window
 // growth (sampling enabled implies the window buffer is part of the
-// contract). A SampleCursor takes no locks: it is single-run state, touched
-// by one goroutine or under its owner's lock.
+// contract); a capture cursor is presized so that it never grows. A
+// SampleCursor takes no locks: it is single-run state, touched by one
+// goroutine or under its owner's lock.
 type SampleCursor struct {
-	ts         *Timeseries
+	ts         *Timeseries // nil for a capture cursor
 	intervalMs float64
 	durationMs float64
 
@@ -309,7 +309,18 @@ type SampleCursor struct {
 	switchMs                     float64
 	arrivals, completions, drops uint64
 	resid                        []float64
-	window                       []float64 // latencies completed this window
+
+	// lat holds completed latencies; the open window is lat[winStart:]. A
+	// live cursor empties it at every boundary, a capture cursor keeps each
+	// sealed window, sorted, with its end offset in latEnd.
+	lat      []float64
+	winStart int
+
+	// Capture cursor only: the sealed rows, their Residency slices cut from
+	// rowResid.
+	rows     []TimeseriesRow
+	rowResid []float64
+	latEnd   []int
 
 	// SLO classification and queue saturation (zero-valued when unused).
 	sloDeadlineMs float64 // 0 = no classification
@@ -324,16 +335,61 @@ func (t *Timeseries) StartRun(durationMs float64) *SampleCursor {
 	if t == nil || durationMs <= 0 {
 		return nil
 	}
+	c := t.openRun(durationMs)
+	c.ts = t
+	c.lat = make([]float64, 0, 64)
+	return c
+}
+
+// CaptureRun opens a cursor like StartRun whose sealed rows stay in the
+// cursor (Rows, Latencies) instead of reaching t; t supplies only the
+// interval and the residency levels. completions bounds the latencies the
+// run can record, so recording never grows the cursor's buffers. Returns nil
+// where StartRun does.
+func (t *Timeseries) CaptureRun(durationMs float64, completions int) *SampleCursor {
+	if t == nil || durationMs <= 0 {
+		return nil
+	}
+	c := t.openRun(durationMs)
+	n := SampleCount(durationMs, t.intervalMs)
+	c.lat = make([]float64, 0, completions)
+	c.rows = make([]TimeseriesRow, 0, n)
+	c.rowResid = make([]float64, 0, n*len(t.freqs))
+	c.latEnd = make([]int, 0, n)
+	return c
+}
+
+// openRun is the cursor state StartRun and CaptureRun share.
+func (t *Timeseries) openRun(durationMs float64) *SampleCursor {
 	c := &SampleCursor{
-		ts:         t,
 		intervalMs: t.intervalMs,
 		durationMs: durationMs,
 		nextAt:     sampleBoundary(1, t.intervalMs, durationMs),
 		resid:      make([]float64, len(t.freqs)),
-		window:     make([]float64, 0, 64),
 	}
 	c.SetLevel(0, 0)
 	return c
+}
+
+// Rows returns a capture cursor's sealed rows, oldest first. They alias the
+// cursor's storage: read them, do not keep or modify them. Nil for a live
+// cursor or a nil one.
+func (c *SampleCursor) Rows() []TimeseriesRow {
+	if c == nil {
+		return nil
+	}
+	return c.rows
+}
+
+// Latencies returns the latencies that completed inside sealed row k's
+// window, sorted ascending, aliasing the cursor's storage (capture cursor
+// only).
+func (c *SampleCursor) Latencies(k int) []float64 {
+	lo := 0
+	if k > 0 {
+		lo = c.latEnd[k-1]
+	}
+	return c.lat[lo:c.latEnd[k]]
 }
 
 // NextAt returns the next boundary to arm a timer for, or -1 when the run's
@@ -394,20 +450,20 @@ func (c *SampleCursor) OnCompletion(latencyMs float64) {
 	if c.sloDeadlineMs > 0 && latencyMs > c.sloDeadlineMs {
 		c.sloViolations++
 	}
-	c.window = append(c.window, latencyMs)
+	c.lat = append(c.lat, latencyMs)
 }
 
 // OnDrop counts one drop in the current window.
 func (c *SampleCursor) OnDrop() { c.drops++ }
 
-// Sample seals the window ending at row.TimeMs and appends it. row carries
-// the producer's instantaneous readings (QueueDepth, InFlight, and the live
-// listeners' runtime columns) and leaves the windowed ones zero; Sample
-// fills those in: power
-// from the delta of the cumulative energyMJ reading, lifecycle and SLO
-// counts, the queue high-water mark, residency fractions and the windowed
-// percentiles (the buffer is sorted in place). It then resets the
-// accumulators and advances to the next boundary.
+// Sample seals the window ending at row.TimeMs and appends it (a capture
+// cursor keeps it). row carries the producer's instantaneous readings
+// (QueueDepth, InFlight, and the live listeners' runtime columns) and leaves
+// the windowed ones zero; Sample fills those in: power from the delta of the
+// cumulative energyMJ reading, lifecycle and SLO counts, the queue
+// high-water mark, residency fractions and the windowed percentiles (the
+// buffer is sorted in place). It then resets the accumulators and advances
+// to the next boundary.
 func (c *SampleCursor) Sample(row TimeseriesRow, energyMJ float64) {
 	nowMs := row.TimeMs
 	c.chargeLevel(nowMs)
@@ -425,13 +481,18 @@ func (c *SampleCursor) Sample(row TimeseriesRow, energyMJ float64) {
 			c.resid[i] = r / dt
 		}
 	}
-	if len(c.window) > 0 {
-		sort.Float64s(c.window)
-		row.P50Ms = stats.PercentileSorted(c.window, 50)
-		row.P95Ms = stats.PercentileSorted(c.window, 95)
-		row.P99Ms = stats.PercentileSorted(c.window, 99)
+	if win := c.lat[c.winStart:]; len(win) > 0 {
+		sort.Float64s(win)
+		row.P50Ms = stats.PercentileSorted(win, 50)
+		row.P95Ms = stats.PercentileSorted(win, 95)
+		row.P99Ms = stats.PercentileSorted(win, 99)
 	}
-	c.ts.Append(row)
+	if c.ts != nil {
+		c.ts.Append(row)
+		c.lat = c.lat[:0]
+	} else {
+		c.keep(row)
+	}
 
 	c.lastMs, c.lastEnergyMJ = nowMs, energyMJ
 	c.arrivals, c.completions, c.drops = 0, 0, 0
@@ -443,13 +504,24 @@ func (c *SampleCursor) Sample(row TimeseriesRow, energyMJ float64) {
 	for i := range c.resid {
 		c.resid[i] = 0
 	}
-	c.window = c.window[:0]
 	c.k++
 	if nowMs >= c.durationMs {
 		c.nextAt = -1
 		return
 	}
 	c.nextAt = sampleBoundary(c.k+1, c.intervalMs, c.durationMs)
+}
+
+// keep stores a sealed row in a capture cursor: its residency copied out of
+// the accumulators, its window's latencies left in place behind an end
+// offset.
+func (c *SampleCursor) keep(row TimeseriesRow) {
+	lo := len(c.rowResid)
+	c.rowResid = append(c.rowResid, c.resid...)
+	row.Residency = c.rowResid[lo:len(c.rowResid):len(c.rowResid)]
+	c.rows = append(c.rows, row)
+	c.winStart = len(c.lat)
+	c.latEnd = append(c.latEnd, c.winStart)
 }
 
 // timelinePayload is the JSON body served by TimelineHandler.

@@ -3,7 +3,10 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -59,9 +62,73 @@ func TestTimeseriesAppendNoAllocs(t *testing.T) {
 	}
 }
 
+// TestTimeseriesSnapshotAllocs: Snapshot cuts every row's Residency from
+// one backing array, and the rows still own it apart from the ring.
+func TestTimeseriesSnapshotAllocs(t *testing.T) {
+	ts := NewTimeseries(100, []float64{1.2, 2.7}, 64)
+	for k := 0; k < 64; k++ {
+		ts.Append(sampleRow(k))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { ts.Snapshot(0) }); allocs != 2 {
+		t.Errorf("Snapshot of 64 rows allocates %.0f times, want 2", allocs)
+	}
+	rows := ts.Rows()
+	rows[0].Residency = append(rows[0].Residency, 9) // must not reach row 1
+	rows[1].Residency[0] = 9                         // must not reach the ring
+	if rows[1].Residency[0] != 9 || ts.Rows()[1].Residency[0] != 0.25 || len(rows[1].Residency) != 2 {
+		t.Errorf("snapshot rows share residency with each other or the ring: %v", ts.Rows()[1].Residency)
+	}
+}
+
+// TestCaptureRunMatchesStartRun: a capture cursor fed what a live cursor is
+// fed keeps exactly the rows the live one appends, and each row's latencies
+// sorted, with nothing in a window it does not end.
+func TestCaptureRunMatchesStartRun(t *testing.T) {
+	const dur = 450.0 // a partial last window
+	live := NewTimeseries(100, []float64{1.2, 2.7}, 8)
+	lc := live.StartRun(dur)
+	cc := live.CaptureRun(dur, 64)
+	var wins [][]float64
+	var win []float64
+	for k := 1; k <= SampleCount(dur, 100); k++ {
+		b := math.Min(float64(k)*100, dur)
+		for i := 0; i < k%4+1; i++ {
+			lat := float64((k*7+i*13)%17) + 0.5
+			win = append(win, lat)
+			for _, c := range []*SampleCursor{lc, cc} {
+				c.OnArrival(float64(i + 1))
+				c.OnCompletion(lat)
+				c.SetLevel((k+i)%2, b-50+float64(i))
+			}
+		}
+		for _, c := range []*SampleCursor{lc, cc} {
+			c.Sample(TimeseriesRow{TimeMs: b, QueueDepth: float64(k % 3)}, 3*b+float64(k))
+		}
+		slices.Sort(win)
+		wins = append(wins, win)
+		win = nil
+	}
+	cc.OnCompletion(99) // past the final boundary: in no window
+	if live.Len() != len(wins) {
+		t.Fatalf("live cursor sealed %d rows, want %d", live.Len(), len(wins))
+	}
+	if got, want := cc.Rows(), live.Rows(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("capture rows differ from the live cursor's:\n got %+v\nwant %+v", got, want)
+	}
+	for k, want := range wins {
+		if got := cc.Latencies(k); !slices.Equal(got, want) {
+			t.Errorf("window %d latencies %v, want %v", k, got, want)
+		}
+	}
+	if lc.Rows() != nil {
+		t.Error("a live cursor reports captured rows")
+	}
+}
+
 func TestTimeseriesNilSafe(t *testing.T) {
 	var ts *Timeseries
-	if ts.Len() != 0 || ts.Total() != 0 || ts.Rows() != nil || ts.StartRun(100) != nil {
+	if ts.Len() != 0 || ts.Total() != 0 || ts.Rows() != nil || ts.StartRun(100) != nil ||
+		ts.CaptureRun(100, 1) != nil || ts.CaptureRun(100, 1).Rows() != nil {
 		t.Fatal("nil Timeseries methods must be inert")
 	}
 	ts.Append(sampleRow(0))

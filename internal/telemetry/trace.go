@@ -217,6 +217,36 @@ func (t *Tracer) Emit(d Decision) {
 	t.ring.mu.Unlock()
 }
 
+// EmitRun records a run of decisions in one critical section, as len(ds)
+// calls of Emit would: each is stamped with the next Seq, folded into the
+// audit in order and streamed to the sink when one is attached, but only
+// those the ring will still hold once the run is in are copied into it; the
+// rest count in its total. ds itself is not modified. The simulator replays
+// each core's captured decisions through this after a sharded run. Nil-safe.
+func (t *Tracer) EmitRun(ds []Decision) {
+	if t == nil || len(ds) == 0 {
+		return
+	}
+	t.ring.mu.Lock()
+	skip := len(ds) - len(t.ring.buf.slots) // the run's own evictions
+	for i := range ds {
+		d := &ds[i]
+		t.seq++
+		if i < skip {
+			t.ring.buf.total++
+		} else {
+			t.ring.buf.slots[t.ring.buf.push(d)].Seq = t.seq
+		}
+		t.quality.Observe(d)
+		if t.enc != nil {
+			cp := *d
+			cp.Seq = t.seq
+			t.writeSink(cp)
+		}
+	}
+	t.ring.mu.Unlock()
+}
+
 // writeSink streams one decision under ring.mu. It takes the decision by
 // value so that the copy handed to the encoder is what moves to the heap,
 // and only when a sink is attached — Emit's own d stays on the stack.
