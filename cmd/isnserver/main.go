@@ -114,7 +114,7 @@ func main() {
 		registerPprof(mux)
 		addr := fmt.Sprintf("127.0.0.1:%d", *port+1+s)
 		go func(a string, m *http.ServeMux) {
-			log.Fatal(http.ListenAndServe(a, m))
+			log.Fatal(listen(a, m))
 		}(addr, mux)
 		urls = append(urls, "http://"+addr)
 		log.Printf("isn-%d: listen=%s docs=%d predictor=%s budget=%.1fms", s, addr, spec.NumDocs, predictorMode(*predict), *budget)
@@ -154,7 +154,23 @@ func main() {
 		policy = "partial"
 	}
 	log.Printf("aggregator: listen=%s shards=%d policy=%s predictor=%s trace-sample=%.2f budget=%.1fms", addr, *shards, policy, predictorMode(*predict), *sample, *budget)
-	log.Fatal(http.ListenAndServe(addr, mux))
+	log.Fatal(listen(addr, mux))
+}
+
+// A client gets readHeaderTimeout to send its request line and headers, and
+// a keep-alive connection is closed after idleTimeout without a request, so
+// a stalled or abandoned connection cannot hold a listener's goroutine
+// forever. Neither bounds a handler: /debug/pprof/profile streams for its
+// whole ?seconds= window.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// listen serves h on addr until the listener fails.
+func listen(addr string, h http.Handler) error {
+	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	return srv.ListenAndServe()
 }
 
 // predictorMode renders the -predict flag for the startup summary lines.

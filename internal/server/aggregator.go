@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"cmp"
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"sync"
@@ -42,18 +43,27 @@ type AggResponse struct {
 	// ShardErrors counts shards whose requests failed outright.
 	ShardErrors int     `json:"shard_errors"`
 	LatencyMs   float64 `json:"latency_ms"`
-	// PerShard carries each responding ISN's timing metadata.
+	// PerShard carries each responding ISN's reply without its results:
+	// timing, modeled service time, predictions and, for a traced query, its
+	// span set. The results are in Results, merged; per_shard[i].results is
+	// always null.
 	PerShard []ISNResponse `json:"per_shard"`
 }
 
 // Aggregator broadcasts queries to the shard ISNs and merges the top-K.
 type Aggregator struct {
+	// ShardURLs are the ISNs' base URLs, read once at the first Search;
+	// changing them afterwards has no effect.
 	ShardURLs []string
 	K         int
 	Policy    AggPolicy
 	Quorum    int           // Partial: shards to wait for (default all-1)
 	Timeout   time.Duration // Partial: straggler cutoff (default 100 ms)
-	Client    *http.Client
+	// Client carries the fan-out legs: its Transport (nil means
+	// http.DefaultTransport) sends them, and its Timeout (0 means none)
+	// bounds each Search's fan-out as a whole. The legs go straight to the
+	// Transport, so the Client's redirect policy and cookie jar play no part.
+	Client *http.Client
 
 	// BudgetMs is the end-to-end latency budget used for the decision
 	// trace's slack/violation fields (DefaultBudgetMs when zero).
@@ -90,7 +100,21 @@ type Aggregator struct {
 	// tsc is the timeline window, guarded by mu; nil until StartTimeline
 	// attaches a sampler.
 	tsc *telemetry.SampleCursor
+
+	targetsOnce sync.Once
+	targets     []shardTarget // ShardURLs, parsed by the first Search
 }
+
+// shardTarget is one shard's /search endpoint.
+type shardTarget struct {
+	raw string   // the URL, for error messages
+	url *url.URL // nil when raw does not parse; err says why
+	err error
+}
+
+// legHeader is the request header of every untraced fan-out leg. It is
+// shared and never modified.
+var legHeader = http.Header{"Content-Type": jsonContentType}
 
 // shardReply is one shard's settled fan-out leg: the decoded response (or
 // error) plus the leg's send/receive offsets on the aggregator's timeline,
@@ -129,62 +153,134 @@ func (a *Aggregator) Instrument(m *Metrics) {
 	}
 }
 
+// shardTargets parses ShardURLs on first use.
+func (a *Aggregator) shardTargets() []shardTarget {
+	a.targetsOnce.Do(func() {
+		a.targets = make([]shardTarget, len(a.ShardURLs))
+		for i, base := range a.ShardURLs {
+			t := &a.targets[i]
+			t.raw = base + "/search"
+			t.url, t.err = url.Parse(t.raw)
+		}
+	})
+	return a.targets
+}
+
+// fanout is what one Search's legs share.
+type fanout struct {
+	ctx     context.Context
+	rt      http.RoundTripper
+	start   time.Time
+	body    []byte
+	getBody func() (io.ReadCloser, error)
+	header  http.Header
+	// results backs every leg's decoded results: leg i owns the window
+	// [i·k, (i+1)·k), so a shard that answers with more than k results
+	// grows into an array of its own, never into its neighbour's.
+	results []ShardResult
+	k       int
+	replies chan shardReply
+}
+
+// legBody is a leg's request body.
+type legBody struct{ bytes.Reader }
+
+func (*legBody) Close() error { return nil }
+
+// newBody returns a fresh reader of the request body: a leg's first, and the
+// one the Transport asks for when it retries a leg on a stale keep-alive
+// connection.
+func (f *fanout) newBody() (io.ReadCloser, error) {
+	b := new(legBody)
+	b.Reset(f.body)
+	return b, nil
+}
+
+// leg sends the query to one shard and hands its settled reply to Search.
+func (f *fanout) leg(idx int, t *shardTarget) {
+	rep := shardReply{idx: idx, sendMs: msSince(f.start)}
+	rep.resp.Results = f.results[idx*f.k : idx*f.k : (idx+1)*f.k]
+	rep.err = f.call(t, &rep.resp)
+	rep.recvMs = msSince(f.start)
+	f.replies <- rep
+}
+
+// call runs one leg's round trip and decodes the shard's reply into resp.
+func (f *fanout) call(t *shardTarget, resp *ISNResponse) error {
+	if t.err != nil {
+		return t.err
+	}
+	body, _ := f.newBody() // cannot fail
+	req := (&http.Request{
+		Method:        http.MethodPost,
+		URL:           t.url,
+		Header:        f.header,
+		Body:          body,
+		GetBody:       f.getBody,
+		ContentLength: int64(len(f.body)),
+	}).WithContext(f.ctx)
+	httpResp, err := f.rt.RoundTrip(req)
+	if err != nil {
+		return &url.Error{Op: "Post", URL: t.raw, Err: err}
+	}
+	defer httpResp.Body.Close()
+	if httpResp.StatusCode != http.StatusOK {
+		return fmt.Errorf("shard %s: status %d", t.raw, httpResp.StatusCode)
+	}
+	buf := getBuf()
+	defer putBuf(buf)
+	if _, err := buf.ReadFrom(httpResp.Body); err != nil {
+		return err
+	}
+	return resp.decodeJSON(buf.Bytes())
+}
+
 // Search broadcasts the query and merges shard responses per the policy.
 func (a *Aggregator) Search(ctx context.Context, query string) (*AggResponse, error) {
-	if len(a.ShardURLs) == 0 {
+	targets := a.shardTargets()
+	if len(targets) == 0 {
 		return nil, fmt.Errorf("server: aggregator has no shards")
 	}
 	start := time.Now()
 	seq, t0, traceID := a.begin(start)
 	ok := false
 	defer func() { a.finish(start, ok) }()
-	body, err := json.Marshal(SearchRequest{Query: query, K: a.K})
-	if err != nil {
-		return nil, err
+	// Room for the query and the envelope around it: one allocation, kept by
+	// the legs (and a retry's GetBody) for as long as any of them runs.
+	body := (&SearchRequest{Query: query, K: a.K}).appendJSON(make([]byte, 0, len(query)+48))
+	f := &fanout{rt: http.DefaultTransport, start: start, body: body, header: legHeader, k: max(a.K, 0)}
+	var timeout time.Duration
+	if c := a.Client; c != nil {
+		timeout = c.Timeout
+		if c.Transport != nil {
+			f.rt = c.Transport
+		}
 	}
-
-	// The legs run under a context Search cancels on return, so a leg it
-	// stopped waiting for releases its shard and connection at once rather
-	// than at the client timeout.
-	legCtx, cancel := context.WithCancel(ctx)
+	// The legs run under one context, bounded by the Client's Timeout, that
+	// Search cancels on return: a leg it stopped waiting for releases its
+	// shard and connection at once rather than at the timeout.
+	var cancel context.CancelFunc
+	if timeout > 0 {
+		f.ctx, cancel = context.WithTimeout(ctx, timeout)
+	} else {
+		f.ctx, cancel = context.WithCancel(ctx)
+	}
 	defer cancel()
+	if traceID != "" {
+		f.header = http.Header{"Content-Type": jsonContentType, TraceHeader: {traceID}}
+	}
+	f.getBody = f.newBody
+	f.results = make([]ShardResult, len(targets)*f.k)
 	// One slot per leg: every leg sends exactly one reply and never blocks,
 	// whether or not Search is still receiving.
-	replies := make(chan shardReply, len(a.ShardURLs))
-	for i, url := range a.ShardURLs {
-		go func(idx int, u string) {
-			req, err := http.NewRequestWithContext(legCtx, http.MethodPost, u+"/search", bytes.NewReader(body))
-			if err != nil {
-				replies <- shardReply{idx: idx, err: err}
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			if traceID != "" {
-				req.Header.Set(TraceHeader, traceID)
-			}
-			sendMs := msBetween(start, time.Now())
-			httpResp, err := a.Client.Do(req)
-			if err != nil {
-				replies <- shardReply{idx: idx, err: err}
-				return
-			}
-			defer httpResp.Body.Close()
-			if httpResp.StatusCode != http.StatusOK {
-				replies <- shardReply{idx: idx, err: fmt.Errorf("shard %s: status %d", u, httpResp.StatusCode)}
-				return
-			}
-			var r ISNResponse
-			if err := json.NewDecoder(httpResp.Body).Decode(&r); err != nil {
-				replies <- shardReply{idx: idx, err: err}
-				return
-			}
-			replies <- shardReply{idx: idx, resp: r, sendMs: sendMs, recvMs: msBetween(start, time.Now())}
-		}(i, url)
+	f.replies = make(chan shardReply, len(targets))
+	for i := range targets {
+		go f.leg(i, &targets[i])
 	}
 
 	quorum := a.Quorum
-	if quorum <= 0 || quorum > len(a.ShardURLs) {
-		quorum = len(a.ShardURLs)
+	if quorum <= 0 || quorum > len(targets) {
+		quorum = len(targets)
 	}
 	var cutoff <-chan time.Time // nil under WaitAll: never fires
 	if a.Policy == Partial {
@@ -194,26 +290,28 @@ func (a *Aggregator) Search(ctx context.Context, query string) (*AggResponse, er
 	}
 
 	agg := &AggResponse{
-		ShardsAsked: len(a.ShardURLs), TraceID: traceID,
-		PerShard: make([]ISNResponse, 0, len(a.ShardURLs)),
+		ShardsAsked: len(targets), TraceID: traceID,
+		PerShard: make([]ISNResponse, 0, len(targets)),
 	}
-	settled := make([]bool, len(a.ShardURLs)) // responded or errored
-	var got []shardReply                      // responding legs, for span assembly
+	settled := make([]bool, len(targets)) // responded or errored
+	var got []shardReply                  // responding legs, for span assembly
 	var firstErr error
 collect:
-	for agg.ShardsResponded+agg.ShardErrors < len(a.ShardURLs) {
+	for agg.ShardsResponded+agg.ShardErrors < len(targets) {
 		if a.Policy == Partial && agg.ShardsResponded >= quorum {
 			break
 		}
 		select {
-		case rep := <-replies:
+		case rep := <-f.replies:
 			settled[rep.idx] = true
 			if rep.err != nil {
 				a.shardError(rep.idx, &firstErr, rep.err, agg)
 				continue
 			}
 			agg.PerShard = append(agg.PerShard, rep.resp)
-			got = append(got, rep)
+			if traceID != "" {
+				got = append(got, rep)
+			}
 			agg.ShardsResponded++
 		case <-cutoff:
 			break collect // ignore stragglers
@@ -251,8 +349,9 @@ collect:
 	if total > 0 { // as in ISN.execute: nothing found stays null
 		agg.Results = make([]ShardResult, 0, total)
 	}
-	for _, r := range agg.PerShard {
-		agg.Results = append(agg.Results, r.Results...)
+	for i := range agg.PerShard {
+		agg.Results = append(agg.Results, agg.PerShard[i].Results...)
+		agg.PerShard[i].Results = nil // per_shard is timing only
 	}
 	slices.SortFunc(agg.Results, func(a, b ShardResult) int {
 		switch {
@@ -474,8 +573,8 @@ func (a *Aggregator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	buf := getBuf()
+	defer putBuf(buf)
+	body, err := resp.appendJSON(buf.AvailableBuffer())
+	writeJSON(w, buf, body, err)
 }

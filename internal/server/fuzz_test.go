@@ -12,11 +12,12 @@ import (
 
 // FuzzTraceEnvelopeDecode hardens the ISN response envelope against
 // arbitrary bytes: whatever a (buggy or hostile) shard sends, the aggregator
-// path must either reject it at decode or handle it without panicking. For
-// every envelope that decodes, the properties the stitching code relies on
-// must hold: re-encoding is stable (canonical round trip), sorting into
-// waterfall order terminates and preserves the span count, and the rebase
-// shift applied by stitch preserves every span's duration.
+// path (ISNResponse.decodeJSON) must either reject it at decode or handle it
+// without panicking. For every envelope that decodes, the properties the
+// stitching code relies on must hold: re-encoding with the ISN's appendJSON
+// is stable (canonical round trip), sorting into waterfall order terminates
+// and preserves the span count, and the rebase shift applied by stitch
+// preserves every span's duration.
 func FuzzTraceEnvelopeDecode(f *testing.F) {
 	seed := ISNResponse{
 		Shard:     3,
@@ -42,22 +43,22 @@ func FuzzTraceEnvelopeDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r ISNResponse
-		if err := json.Unmarshal(data, &r); err != nil {
+		if err := r.decodeJSON(data); err != nil {
 			return // rejected at the envelope boundary: fine
 		}
 
 		// Canonical round trip: encode must succeed (JSON never yields
-		// NaN/Inf floats, the one thing Marshal rejects) and re-decode to an
-		// identically-encoding value.
-		enc1, err := json.Marshal(r)
+		// NaN/Inf floats, the one thing the encoder rejects) and re-decode to
+		// an identically-encoding value.
+		enc1, err := r.appendJSON(nil)
 		if err != nil {
 			t.Fatalf("decoded envelope does not re-encode: %v", err)
 		}
 		var r2 ISNResponse
-		if err := json.Unmarshal(enc1, &r2); err != nil {
+		if err := r2.decodeJSON(enc1); err != nil {
 			t.Fatalf("re-encoded envelope does not decode: %v", err)
 		}
-		enc2, err := json.Marshal(r2)
+		enc2, err := r2.appendJSON(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,7 @@
 package server
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -131,6 +131,7 @@ type ISN struct {
 }
 
 type isnTask struct {
+	ctx      context.Context // the request's: ended once its client has gone
 	query    corpus.Query
 	k        int
 	enqueued time.Time
@@ -178,6 +179,9 @@ func (n *ISN) worker() {
 	for {
 		select {
 		case t := <-n.queue:
+			if t.ctx.Err() != nil {
+				continue // its handler has left (ServeHTTP); nobody waits for the reply
+			}
 			t.resp <- n.execute(t)
 		case <-n.stopped:
 			return
@@ -237,11 +241,17 @@ func (n *ISN) execute(t isnTask) ISNResponse {
 // query is a line of text, and the ISN looks every word of it up.
 const maxRequestBytes = 64 << 10
 
-// decodeSearchRequest reads the JSON body of a POST /search into req,
-// answering the request itself (413 for a body over maxRequestBytes, 400 for
-// anything else that does not decode) and returning false when it could not.
+// decodeSearchRequest reads the JSON body of a POST /search into req, as
+// json.Unmarshal would decode it, answering the request itself (413 for a
+// body over maxRequestBytes, 400 for anything else that does not decode,
+// trailing bytes included) and returning false when it could not.
 func decodeSearchRequest(w http.ResponseWriter, r *http.Request, req *SearchRequest) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(req)
+	buf := getBuf()
+	defer putBuf(buf)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err == nil {
+		err = req.decodeJSON(buf.Bytes())
+	}
 	if err == nil {
 		return true
 	}
@@ -460,10 +470,17 @@ func (n *ISN) applyModel(plan core.Plan, work cpu.Work) modelExec {
 	return mx
 }
 
+// respChans recycles the ISNs' reply channels. A channel goes back only
+// after its reply was received: on every other way out of ServeHTTP the
+// working thread may still send into it.
+var respChans = sync.Pool{New: func() any { return make(chan ISNResponse, 1) }}
+
 // ServeHTTP implements the ISN's /search endpoint: enqueue the task on the
 // blocking queue and wait for the working thread (the Fig. 9 Callable +
 // Executor structure). A full queue is answered 503 at once, and so is every
-// request the working thread has not answered when the ISN stops.
+// request the working thread has not answered when the ISN stops. A request
+// whose client goes away while it waits leaves at once, counted as a drop,
+// and the working thread skips it.
 func (n *ISN) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n.Start()
 	var req SearchRequest
@@ -488,9 +505,9 @@ func (n *ISN) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		n.met.queueDepth.Set(float64(depth))
 	}
 
-	respCh := make(chan ISNResponse, 1)
+	respCh := respChans.Get().(chan ISNResponse)
 	select {
-	case n.queue <- isnTask{query: q, k: req.K, enqueued: start, resp: respCh}:
+	case n.queue <- isnTask{ctx: r.Context(), query: q, k: req.K, enqueued: start, resp: respCh}:
 	default: // queue full: shed at once, the caller's deadline is lost anyway
 		n.leave(true)
 		http.Error(w, "queue full", http.StatusServiceUnavailable)
@@ -499,6 +516,11 @@ func (n *ISN) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var resp ISNResponse
 	select {
 	case resp = <-respCh:
+		respChans.Put(respCh)
+	case <-r.Context().Done():
+		n.leave(true)
+		http.Error(w, "client went away", http.StatusServiceUnavailable)
+		return
 	case <-n.stopped: // the working thread is gone: nobody will answer
 		n.leave(true)
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
@@ -514,8 +536,8 @@ func (n *ISN) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		n.tsc.OnCompletion(latencyMs)
 	}
 	n.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	buf := getBuf()
+	defer putBuf(buf)
+	body, err := resp.appendJSON(buf.AvailableBuffer())
+	writeJSON(w, buf, body, err)
 }
