@@ -29,7 +29,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -295,7 +294,7 @@ func (r *runner) report(plan []arrival, d time.Duration) SoakReport {
 		rep.AchievedRPS = float64(r.sent) / elapsed
 	}
 	if len(r.lats) > 0 {
-		sort.Float64s(r.lats)
+		stats.SortAscending(r.lats)
 		rep.P50Ms = stats.PercentileSorted(r.lats, 50)
 		rep.P90Ms = stats.PercentileSorted(r.lats, 90)
 		rep.P95Ms = stats.PercentileSorted(r.lats, 95)

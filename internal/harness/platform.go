@@ -97,6 +97,9 @@ type Platform struct {
 	// cacheHit is the one entry every result-cache hit references
 	// (applyCache): no features, the engine's lookup cost.
 	cacheHit sim.PreparedQuery
+	// rubikSamples is the training set's measured service times, sorted
+	// once here and shared read-only by every Rubik instance.
+	rubikSamples []float64
 	// preds is the (S*, E*) output of Classifier and ErrPred for every pool
 	// entry, and for cacheHit in the slot after the last, computed once here
 	// and attached to every workload: a request is an arrival of a pool
@@ -189,6 +192,11 @@ func NewPlatform(opt Options) *Platform {
 	p.Classifier = predictor.TrainClassifier(p.Dataset.Train, nil, opt.NNConfig)
 	p.ErrPred = predictor.TrainError(p.Dataset.Train, p.Classifier, opt.NNConfig)
 	p.P95 = predictor.NewPercentile(p.Dataset.Train, 95)
+	p.rubikSamples = make([]float64, len(p.Dataset.Train))
+	for i, s := range p.Dataset.Train {
+		p.rubikSamples[i] = s.MeasuredMs
+	}
+	stats.SortAscending(p.rubikSamples)
 
 	p.Pool = sim.PrepareQueries(p.Extractor, cost, jit, feasible[nTrain:nAll], feasibleExecs[nTrain:nAll])
 	p.ServiceTimes = make([]float64, len(p.Pool))
@@ -287,7 +295,7 @@ func (p *Platform) NewPolicy(name string) (sim.Policy, error) {
 	case "Pegasus":
 		return policy.NewPegasus(), nil
 	case "Rubik":
-		return policy.NewRubikFromSamples(p.trainServiceTimes()), nil
+		return policy.NewRubikFromSorted(p.rubikSamples), nil
 	case "Gemini":
 		return p.markCached(policy.NewGemini(p.Classifier, p.ErrPred)), nil
 	case "Gemini-a":
@@ -316,14 +324,6 @@ func (p *Platform) MustPolicy(name string) sim.Policy {
 		panic(err)
 	}
 	return pol
-}
-
-func (p *Platform) trainServiceTimes() []float64 {
-	ts := make([]float64, len(p.Dataset.Train))
-	for i, s := range p.Dataset.Train {
-		ts[i] = s.MeasuredMs
-	}
-	return ts
 }
 
 // PoolStats summarizes the pool's base service-time distribution.

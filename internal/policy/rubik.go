@@ -15,7 +15,7 @@ import (
 // conservative estimator whose wasted headroom motivates Gemini's per-query
 // prediction.
 //
-// When built from distribution samples (NewRubikFromSamples), the executing
+// When built from distribution samples (NewRubikFromSorted), the executing
 // request's residual demand uses the *conditional* tail — the 95th
 // percentile of service times that exceed the work already executed — as in
 // Rubik's remaining-work distribution model: a request that has already run
@@ -26,7 +26,8 @@ type Rubik struct {
 	// IdleFreq is used when the queue drains (lowest ladder frequency).
 	IdleFreq cpu.Freq
 	// samples, when non-nil, holds the sorted service-time distribution for
-	// conditional-tail residual estimates.
+	// conditional-tail residual estimates. It is only read, so instances may
+	// share it.
 	samples []float64
 }
 
@@ -42,12 +43,11 @@ func (p *Rubik) armedFreq(budgetMs float64) cpu.Freq {
 	return cpu.DefaultLadder().ClampUp(f)
 }
 
-// NewRubikFromSamples builds Rubik from profiled service times (ms at the
-// default frequency), enabling the conditional remaining-work tail.
-func NewRubikFromSamples(serviceMs []float64) *Rubik {
-	s := make([]float64, len(serviceMs))
-	copy(s, serviceMs)
-	sort.Float64s(s)
+// NewRubikFromSorted builds Rubik from profiled service times (ms at the
+// default frequency), enabling the conditional remaining-work tail. s must be
+// sorted ascending. It is not copied: Rubik only reads it, so one slice can
+// back every instance, including instances running concurrently.
+func NewRubikFromSorted(s []float64) *Rubik {
 	s95 := 0.0
 	if len(s) > 0 {
 		s95 = s[int(0.95*float64(len(s)-1))]

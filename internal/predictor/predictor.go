@@ -1,9 +1,8 @@
 package predictor
 
 import (
-	"sort"
-
 	"gemini/internal/search"
+	"gemini/internal/stats"
 )
 
 // ServicePredictor estimates a query's service time (in ms at the default
@@ -55,7 +54,7 @@ func NewPercentile(train []Sample, p float64) *Percentile95 {
 	for i, s := range train {
 		times[i] = s.MeasuredMs
 	}
-	sort.Float64s(times)
+	stats.SortAscending(times)
 	v := 0.0
 	if len(times) > 0 {
 		idx := int(p / 100 * float64(len(times)-1))

@@ -55,18 +55,36 @@ func RunClusterWorkers(cfg Config, wl *Workload, cores, workers int, mkPolicy fu
 	results := runCores(cfg, sizes, func(c int) *Workload { return parts[c] }, workers, mkPolicy, nil)
 
 	cr := &ClusterResult{DurationMs: wl.DurationMs, PerCore: results}
-	lats := make([][]float64, cores)
-	for c, res := range results {
+	for _, res := range results {
 		cr.Total += res.Total
 		cr.Completed += res.Completed
 		cr.Dropped += res.Dropped
 		cr.Violations += res.Violations
 		cr.Events += res.Events
 		cr.EnergyMJ += res.EnergyMJ
-		lats[c] = res.Latencies
 	}
-	cr.Latencies = mergeSorted(lats)
+	cr.Latencies = allLatencies(results)
 	return cr
+}
+
+// allLatencies returns every core's latencies in one sorted slice, nil when
+// there are none. Latencies are finite and non-negative, so equal values
+// carry equal bits and sorting the concatenation gives the bytes a merge of
+// the cores' sorted runs would.
+func allLatencies(results []*Result) []float64 {
+	n := 0
+	for _, res := range results {
+		n += len(res.Latencies)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]float64, 0, n)
+	for _, res := range results {
+		out = append(out, res.Latencies...)
+	}
+	stats.SortAscending(out)
+	return out
 }
 
 // Dispatch splits a workload into per-core workloads using the
@@ -153,82 +171,6 @@ func brokerLess(hv []float64, hc []int, i, j int) bool {
 		return hv[i] < hv[j]
 	}
 	return hc[i] < hc[j]
-}
-
-// mergeSorted k-way merges already-sorted float slices. Equal values carry
-// identical bit patterns here (latencies are finite and non-negative), so the
-// output is byte-identical to sorting the concatenation — at O(N log k)
-// instead of O(N log N), which matters when merging hundreds of cores.
-func mergeSorted(lists [][]float64) []float64 {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]float64, 0, total)
-	// Cursor heap keyed (current value, list index).
-	type cursor struct {
-		v  float64
-		li int
-		i  int
-	}
-	h := make([]cursor, 0, len(lists))
-	less := func(a, b cursor) bool {
-		//gemini:allow floatcmp -- exact latency ties across cores are fine either way; broken by list index
-		if a.v != b.v {
-			return a.v < b.v
-		}
-		return a.li < b.li
-	}
-	push := func(c cursor) {
-		h = append(h, c)
-		for i := len(h) - 1; i > 0; {
-			p := (i - 1) / 2
-			if !less(h[i], h[p]) {
-				break
-			}
-			h[i], h[p] = h[p], h[i]
-			i = p
-		}
-	}
-	siftDown := func() {
-		i, n := 0, len(h)
-		for {
-			l := 2*i + 1
-			if l >= n {
-				return
-			}
-			m := l
-			if r := l + 1; r < n && less(h[r], h[l]) {
-				m = r
-			}
-			if !less(h[m], h[i]) {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	for li, l := range lists {
-		if len(l) > 0 {
-			push(cursor{v: l[0], li: li})
-		}
-	}
-	for len(h) > 0 {
-		c := h[0]
-		out = append(out, c.v)
-		if c.i+1 < len(lists[c.li]) {
-			h[0] = cursor{v: lists[c.li][c.i+1], li: c.li, i: c.i + 1}
-			siftDown()
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-			siftDown()
-		}
-	}
-	return out
 }
 
 // ViolationRate returns the fraction of all requests that missed deadlines.

@@ -176,19 +176,20 @@ func TestMergeSortedMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 50; trial++ {
 		k := 1 + rng.Intn(8)
-		lists := make([][]float64, k)
+		results := make([]*Result, k)
 		var all []float64
-		for i := range lists {
+		for i := range results {
+			results[i] = &Result{}
 			n := rng.Intn(40)
 			for j := 0; j < n; j++ {
-				// Quantized values force cross-list duplicates.
+				// Quantized values force cross-core duplicates.
 				v := float64(rng.Intn(20))
-				lists[i] = append(lists[i], v)
+				results[i].Latencies = append(results[i].Latencies, v)
 				all = append(all, v)
 			}
-			sort.Float64s(lists[i])
+			sort.Float64s(results[i].Latencies)
 		}
-		got := mergeSorted(lists)
+		got := allLatencies(results)
 		sort.Float64s(all)
 		if len(all) == 0 {
 			if got != nil {

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sort"
-
 	"gemini/internal/cpu"
 	"gemini/internal/stats"
 )
@@ -81,7 +79,7 @@ func (r *Result) seal(acc *cpu.EnergyAccumulator, transitions int, durationMs fl
 	r.Utilization = acc.Utilization()
 	r.Transitions = transitions
 	r.DurationMs = durationMs
-	sort.Float64s(r.Latencies)
+	stats.SortAscending(r.Latencies)
 }
 
 // TailLatencyMs returns the p-th percentile completion latency (0 if none).

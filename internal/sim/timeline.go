@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sort"
-
 	"gemini/internal/cpu"
 	"gemini/internal/stats"
 	"gemini/internal/telemetry"
@@ -106,7 +104,7 @@ func mergeTimeseries(dst *telemetry.Timeseries, caps []capture, uncoreW float64,
 		out.Residency = resid
 		if len(win) > 0 {
 			// The cores' runs are sorted; their concatenation is not.
-			sort.Float64s(win)
+			stats.SortAscending(win)
 			out.P50Ms = stats.PercentileSorted(win, 50)
 			out.P95Ms = stats.PercentileSorted(win, 95)
 			out.P99Ms = stats.PercentileSorted(win, 99)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"gemini/internal/cpu"
 	"gemini/internal/stats"
@@ -526,7 +525,7 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 			}
 		}
 	}
-	sort.Float64s(tr.QueryLatencies)
+	stats.SortAscending(tr.QueryLatencies)
 	if coord != nil {
 		tr.CapW = coord.capW
 		tr.CapIntervalMs = coord.intervalMs

@@ -17,6 +17,13 @@ import (
 // ErrEmpty is returned by routines that need at least one sample.
 var ErrEmpty = errors.New("stats: empty sample set")
 
+// errPercentileRange is returned (and panicked with by PercentileSorted) for
+// a percentile outside [0,100] or NaN.
+var errPercentileRange = errors.New("stats: percentile out of range [0,100]")
+
+// validPercentile reports whether p is in [0,100]; NaN is not.
+func validPercentile(p float64) bool { return p >= 0 && p <= 100 }
+
 // Percentile returns the p-th percentile (0 <= p <= 100) of values using
 // linear interpolation between closest ranks. The input slice is not
 // modified.
@@ -24,20 +31,24 @@ func Percentile(values []float64, p float64) (float64, error) {
 	if len(values) == 0 {
 		return 0, ErrEmpty
 	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range [0,100]")
+	if !validPercentile(p) {
+		return 0, errPercentileRange
 	}
 	sorted := make([]float64, len(values))
 	copy(sorted, values)
-	sort.Float64s(sorted)
+	SortAscending(sorted)
 	return percentileSorted(sorted, p), nil
 }
 
 // PercentileSorted is like Percentile but assumes values are already sorted
-// ascending and avoids the copy. It panics on an empty slice.
+// ascending and avoids the copy. It panics on an empty slice and on a
+// percentile outside [0,100] or NaN.
 func PercentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		panic("stats: PercentileSorted on empty slice")
+	}
+	if !validPercentile(p) {
+		panic(errPercentileRange)
 	}
 	return percentileSorted(sorted, p)
 }
@@ -158,7 +169,7 @@ func NewCDF(values []float64) (*CDF, error) {
 	}
 	sorted := make([]float64, len(values))
 	copy(sorted, values)
-	sort.Float64s(sorted)
+	SortAscending(sorted)
 	return &CDF{sorted: sorted}, nil
 }
 

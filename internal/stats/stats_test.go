@@ -48,6 +48,33 @@ func TestPercentileErrors(t *testing.T) {
 	}
 }
 
+func TestPercentileRange(t *testing.T) {
+	vals := []float64{1, 2, 3}
+	for _, c := range []struct {
+		p  float64
+		ok bool
+	}{
+		{0, true}, {100, true}, {50, true},
+		{-1, false}, {101, false}, {math.NaN(), false}, {math.Inf(-1), false}, {math.Inf(1), false},
+	} {
+		if _, err := Percentile(vals, c.p); (err == nil) != c.ok {
+			t.Errorf("Percentile(p=%v) error = %v, want ok=%v", c.p, err, c.ok)
+		}
+		panicked := func() (r any) {
+			defer func() { r = recover() }()
+			PercentileSorted(vals, c.p)
+			return nil
+		}()
+		want := any(errPercentileRange)
+		if c.ok {
+			want = nil
+		}
+		if panicked != want {
+			t.Errorf("PercentileSorted(p=%v) panicked with %v, want %v", c.p, panicked, want)
+		}
+	}
+}
+
 func TestPercentileDoesNotMutateInput(t *testing.T) {
 	vals := []float64{3, 1, 2}
 	if _, err := Percentile(vals, 50); err != nil {

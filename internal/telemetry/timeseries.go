@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -482,7 +481,7 @@ func (c *SampleCursor) Sample(row TimeseriesRow, energyMJ float64) {
 		}
 	}
 	if win := c.lat[c.winStart:]; len(win) > 0 {
-		sort.Float64s(win)
+		stats.SortAscending(win)
 		row.P50Ms = stats.PercentileSorted(win, 50)
 		row.P95Ms = stats.PercentileSorted(win, 95)
 		row.P99Ms = stats.PercentileSorted(win, 99)
