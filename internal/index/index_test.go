@@ -209,3 +209,116 @@ func BenchmarkIndexBuild(b *testing.B) {
 		Build(c)
 	}
 }
+
+// stepsLengths are the list lengths TestStepsMatchBinarySearch covers: every
+// length to 2100, then 2^k-1, 2^k and 2^k+1 up to 2^17, where the search
+// tree gains a level.
+func stepsLengths() []int {
+	var ns []int
+	for n := 0; n <= 2100; n++ {
+		ns = append(ns, n)
+	}
+	for k := 12; k <= 17; k++ {
+		ns = append(ns, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	return ns
+}
+
+// TestStepsMatchBinarySearch holds the Steps table and MissSteps to the step
+// count of a literal binary search over the whole list: a hit on every
+// posting and a miss before, between and after them. The list's documents
+// are the odd numbers, so every even number is a miss whose insertion point
+// is half of it.
+func TestStepsMatchBinarySearch(t *testing.T) {
+	for _, n := range stepsLengths() {
+		pl := &PostingList{Steps: make([]uint8, n)}
+		fillSteps(pl.Steps, 1)
+		docAt := func(i int) int32 { return int32(2*i + 1) }
+		for i := 0; i < n; i++ {
+			want, found := refSearch(n, docAt, docAt(i))
+			if !found || int(pl.Steps[i]) != want {
+				t.Fatalf("n=%d: Steps[%d] = %d, binary search finds it in %d", n, i, pl.Steps[i], want)
+			}
+		}
+		for p := 0; p <= n; p++ {
+			want, found := refSearch(n, docAt, int32(2*p))
+			if found || pl.MissSteps(p) != want {
+				t.Fatalf("n=%d: MissSteps(%d) = %d, binary search misses in %d", n, p, pl.MissSteps(p), want)
+			}
+		}
+	}
+}
+
+// blockCorpus is a corpus in which term 0 has a posting list of exactly n
+// postings with impacts that vary along the list, and term 1 fills some of
+// the same documents so document lengths vary too.
+func blockCorpus(n int) *corpus.Corpus {
+	docs := make([][]corpus.TermID, n)
+	for d := range docs {
+		for range d%5 + 1 {
+			docs[d] = append(docs[d], 0)
+		}
+		for range (d * 7) % 11 {
+			docs[d] = append(docs[d], 1)
+		}
+	}
+	return &corpus.Corpus{Spec: corpus.Spec{NumDocs: n, VocabSize: 2}, Docs: docs}
+}
+
+func checkBlockMax(t *testing.T, pl *PostingList) {
+	t.Helper()
+	if want := (pl.Len() + BlockSize - 1) / BlockSize; len(pl.BlockMax) != want {
+		t.Fatalf("term %d: %d postings in %d blocks, want %d", pl.Term, pl.Len(), len(pl.BlockMax), want)
+	}
+	top := float32(0)
+	for b, bm := range pl.BlockMax {
+		block := pl.Postings[b*BlockSize : min((b+1)*BlockSize, pl.Len())]
+		attained := false
+		for _, p := range block {
+			if p.Impact > bm {
+				t.Fatalf("term %d block %d: impact %v above BlockMax %v", pl.Term, b, p.Impact, bm)
+			}
+			attained = attained || p.Impact == bm
+		}
+		if !attained {
+			t.Fatalf("term %d block %d: BlockMax %v is no posting's impact", pl.Term, b, bm)
+		}
+		top = max(top, bm)
+	}
+	if top != pl.MaxImpact {
+		t.Fatalf("term %d: MaxImpact %v, largest BlockMax %v", pl.Term, pl.MaxImpact, top)
+	}
+}
+
+// TestBlockMaxBoundsBlocks checks that each BlockMax is the largest impact of
+// its block, on lists one short of, at and one past a block boundary and on
+// every list of the small corpus.
+func TestBlockMaxBoundsBlocks(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 128, 129} {
+		pl, err := Build(blockCorpus(n)).List(0)
+		if err != nil || pl.Len() != n {
+			t.Fatalf("n=%d: term 0 list %v, err %v", n, pl, err)
+		}
+		checkBlockMax(t, pl)
+	}
+	_, ix := buildSmall(t)
+	for term := 0; term < ix.VocabSize(); term++ {
+		if pl, err := ix.List(corpus.TermID(term)); err == nil {
+			checkBlockMax(t, pl)
+		}
+	}
+}
+
+// TestBuildAllocsIndependentOfLists pins that Build carves its lists, their
+// postings and both tables from one array each: the small corpus with
+// hundreds of lists costs the allocations a two-list corpus does.
+func TestBuildAllocsIndependentOfLists(t *testing.T) {
+	const want = 10
+	small := corpus.Generate(corpus.SmallSpec())
+	tiny := blockCorpus(3)
+	for name, c := range map[string]*corpus.Corpus{"SmallSpec": small, "two lists": tiny} {
+		if n := testing.AllocsPerRun(3, func() { Build(c) }); n != want {
+			t.Errorf("%s: Build makes %v allocations, want %d", name, n, want)
+		}
+	}
+}

@@ -11,7 +11,9 @@ import (
 )
 
 // refBuild is Build as it was before the counter array: a fresh map of term
-// frequencies per document, its keys sorted with sort.Slice. Build must
+// frequencies per document, its keys sorted with sort.Slice, one append-grown
+// slice per term. BlockMax is a separate pass over each block and Steps
+// counts the steps of a literal binary search for each posting. Build must
 // return the same Index.
 func refBuild(c *corpus.Corpus) *Index {
 	numDocs := len(c.Docs)
@@ -65,6 +67,21 @@ func refBuild(c *corpus.Corpus) *Index {
 				pl.MaxImpact = imp
 			}
 		}
+		for lo := 0; lo < len(pl.Postings); lo += BlockSize {
+			bm := float32(0)
+			for _, p := range pl.Postings[lo:min(lo+BlockSize, len(pl.Postings))] {
+				if p.Impact > bm {
+					bm = p.Impact
+				}
+			}
+			pl.BlockMax = append(pl.BlockMax, bm)
+		}
+		docAt := func(i int) int32 { return pl.Postings[i].Doc }
+		pl.Steps = make([]uint8, len(pl.Postings))
+		for i, p := range pl.Postings {
+			steps, _ := refSearch(len(pl.Postings), docAt, p.Doc)
+			pl.Steps[i] = uint8(steps)
+		}
 		lists[t] = pl
 	}
 
@@ -74,6 +91,28 @@ func refBuild(c *corpus.Corpus) *Index {
 		avgDocLen: avgDocLen,
 		docLens:   docLens,
 	}
+}
+
+// refSearch is the binary search probe ran over the whole list before the
+// Steps table, mid = (lo+hi)/2 of [lo, hi): it looks for doc among n
+// ascending documents docAt(0..n-1) and returns its step count and whether it
+// found doc.
+func refSearch(n int, docAt func(int) int32, doc int32) (int, bool) {
+	lo, hi, steps := 0, n, 0
+	for lo < hi {
+		steps++
+		mid := (lo + hi) / 2
+		d := docAt(mid)
+		switch {
+		case d == doc:
+			return steps, true
+		case d < doc:
+			lo = mid + 1
+		default:
+			hi = mid
+		}
+	}
+	return steps, false
 }
 
 // docBreak ends a document in corpusFrom's encoding.

@@ -1,6 +1,8 @@
 package search
 
 import (
+	"math"
+
 	"gemini/internal/corpus"
 	"gemini/internal/cpu"
 )
@@ -45,9 +47,11 @@ func (m *CostModel) WorkFor(st ExecStats) cpu.Work {
 
 // Calibrate adjusts Scale so that the mean service time of the sample
 // queries at the default frequency equals targetMeanMs. It returns the mean
-// before calibration (at Scale as configured) for diagnostics.
+// before calibration (at Scale as configured) for diagnostics. An empty
+// sample or a target that is not a positive finite number leaves Scale alone
+// and returns 0.
 func (m *CostModel) Calibrate(e *Engine, sample []corpus.Query, targetMeanMs float64) float64 {
-	if len(sample) == 0 || targetMeanMs <= 0 {
+	if len(sample) == 0 || !(targetMeanMs > 0) || math.IsInf(targetMeanMs, 1) {
 		return 0
 	}
 	total := 0.0

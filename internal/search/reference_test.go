@@ -199,26 +199,38 @@ func TestSearchScratchStaysOnStack(t *testing.T) {
 	}
 }
 
-var equivalenceEnv struct {
+// equivalenceEnvs holds FuzzSearchEquivalence's engines over the small
+// corpus ([0]) and the DefaultSpec one ([1]), each built on first use.
+var equivalenceEnvs [2]struct {
 	once    sync.Once
 	vocab   int
 	engines []*Engine
 }
 
 // FuzzSearchEquivalence is TestKernelsMatchReference with the fuzzer choosing
-// the query: seed draws the terms, maxTerms bounds their number (1–20) and k
-// picks the result-set size from equivalenceKs.
+// the query: seed draws the terms, maxTerms bounds their number (1–20), k
+// picks the result-set size from equivalenceKs and full picks the DefaultSpec
+// corpus over the small one, whose head lists run to hundreds of blocks and
+// whose probe trees are 15 levels deep.
 func FuzzSearchEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(2))
-	f.Add(int64(2), uint8(3), uint8(0))
-	f.Add(int64(3), uint8(12), uint8(1))
-	f.Add(int64(4), uint8(20), uint8(3))
-	f.Add(int64(-5), uint8(9), uint8(2))
+	f.Add(int64(1), uint8(1), uint8(2), false)
+	f.Add(int64(2), uint8(3), uint8(0), false)
+	f.Add(int64(3), uint8(12), uint8(1), false)
+	f.Add(int64(4), uint8(20), uint8(3), false)
+	f.Add(int64(-5), uint8(9), uint8(2), false)
+	f.Add(int64(6), uint8(1), uint8(2), true)
+	f.Add(int64(7), uint8(3), uint8(0), true)
+	f.Add(int64(8), uint8(12), uint8(3), true)
 
-	f.Fuzz(func(t *testing.T, seed int64, maxTerms, k uint8) {
-		env := &equivalenceEnv
+	f.Fuzz(func(t *testing.T, seed int64, maxTerms, k uint8, full bool) {
+		env, spec := &equivalenceEnvs[0], corpus.SmallSpec()
+		if full {
+			if testing.Short() {
+				t.Skip("the DefaultSpec corpus takes a second to build")
+			}
+			env, spec = &equivalenceEnvs[1], corpus.DefaultSpec()
+		}
 		env.once.Do(func() {
-			spec := corpus.SmallSpec()
 			spec.Seed = 7
 			ix := index.Build(corpus.Generate(spec))
 			env.vocab = spec.VocabSize

@@ -90,9 +90,10 @@ func (e *Engine) Search(q corpus.Query) Execution {
 // doc-ordered disjunction of one term, so cost is linear in list length —
 // the paper's observation that service time tracks the posting list,
 // modulated for multi-term queries by pruning. The first K postings fill the
-// heap; after that a posting costs one compare against θ unless it enters.
-// Every posting is visited and scored, so those two counters are the list
-// length and only heap entries are counted.
+// heap; after that a posting costs one compare against θ unless it enters,
+// and a block whose BlockMax is not above θ is passed over whole: each of its
+// postings would fail that compare. Every posting is visited and scored, so
+// those two counters are the list length and only heap entries are counted.
 //
 //gemini:hotpath
 func (e *Engine) searchSingle(pl *index.PostingList) Execution {
@@ -105,12 +106,18 @@ func (e *Engine) searchSingle(pl *index.PostingList) Execution {
 	}
 	if fill == e.k {
 		theta := h.items[0].Score
-		for _, p := range ps[fill:] {
-			if p.Impact <= theta {
+		for b := fill / index.BlockSize; b < len(pl.BlockMax); b++ {
+			if pl.BlockMax[b] <= theta {
 				continue
 			}
-			h.replaceMin(Result{Doc: p.Doc, Score: p.Impact})
-			theta = h.items[0].Score
+			lo, hi := max(b*index.BlockSize, fill), min((b+1)*index.BlockSize, len(ps))
+			for _, p := range ps[lo:hi] {
+				if p.Impact <= theta {
+					continue
+				}
+				h.replaceMin(Result{Doc: p.Doc, Score: p.Impact})
+				theta = h.items[0].Score
+			}
 		}
 	}
 	st := ExecStats{
@@ -129,12 +136,14 @@ const exhaustedDoc = math.MaxInt32
 
 // listCursor is one list's position in searchMaxScore. doc and impact cache
 // the posting under the cursor so the per-candidate passes over the lists
-// read this small struct, not the posting arrays.
+// read this small struct, not the posting arrays; pl holds the list's
+// BlockMax and Steps tables.
 type listCursor struct {
 	doc    int32
 	impact float32
 	pos    int
 	ps     []index.Posting
+	pl     *index.PostingList
 }
 
 // seek moves the cursor to pos and caches the posting there.
@@ -192,7 +201,7 @@ func (e *Engine) searchMaxScore(lists []*index.PostingList) Execution {
 	// prefixUB[i] = sum of MaxImpact of lists[0..i-1].
 	for i, l := range lists {
 		prefixUB[i+1] = prefixUB[i] + l.MaxImpact
-		cursors[i].ps = l.Postings
+		cursors[i].ps, cursors[i].pl = l.Postings, l
 		cursors[i].seek(0)
 	}
 
@@ -216,12 +225,25 @@ func (e *Engine) searchMaxScore(lists []*index.PostingList) Execution {
 		// One essential list left: each of its postings is the next
 		// candidate, and one whose impact cannot pass θ even with every
 		// non-essential bound is visited, scored and dropped. Skip the run
-		// of them at one compare each (the test below, negated as written).
+		// of them at one compare each (the test below, negated as written),
+		// and a block whose BlockMax fails that test at one compare: float32
+		// addition rounds monotonically, so each of its postings fails too.
 		if len(essential) == 1 {
 			c, ub := &essential[0], prefixUB[firstEssential]
 			pos := c.pos
-			for pos < len(c.ps) && !(c.ps[pos].Impact+ub > theta) {
-				pos++
+			for pos < len(c.ps) {
+				b := pos / index.BlockSize
+				end := min((b+1)*index.BlockSize, len(c.ps))
+				if !(c.pl.BlockMax[b]+ub > theta) {
+					pos = end
+					continue
+				}
+				for pos < end && !(c.ps[pos].Impact+ub > theta) {
+					pos++
+				}
+				if pos < end {
+					break
+				}
 			}
 			visited += pos - c.pos
 			scored += pos - c.pos
@@ -260,7 +282,7 @@ func (e *Engine) searchMaxScore(lists []*index.PostingList) Execution {
 				if score+prefixUB[i+1] <= theta {
 					break
 				}
-				imp, probes, ok := probe(cursors[i].ps, cand)
+				imp, probes, ok := cursors[i].probe(cand)
 				if ok {
 					score += imp
 				}
@@ -286,27 +308,40 @@ func (e *Engine) searchMaxScore(lists []*index.PostingList) Execution {
 	return Execution{Results: h.results(), Stats: st}
 }
 
-// probe binary-searches a posting list for doc, returning its impact, the
-// number of probe steps (charged as Lookups), and whether the doc was found.
-// The search always spans the whole list: Lookups is its step count, which
-// the cost model prices, so it may not gallop from a remembered position.
+// probe looks doc up in a non-essential list and returns its impact, the
+// step count of a binary search over the whole list for it (charged as
+// Lookups, read from the list's Steps table), and whether the doc was found.
+// A non-essential list is probed with rising documents, and the postings
+// before the cursor hold smaller ones, so the host gallops from the cursor
+// to doc's insertion point and leaves the cursor there; the cost model still
+// prices the full-span search, step for step.
 //
 //gemini:hotpath
-func probe(ps []index.Posting, doc int32) (float32, int, bool) {
-	lo, hi := 0, len(ps)
-	steps := 0
-	for lo < hi {
-		steps++
-		mid := int(uint(lo+hi) >> 1)
-		d := ps[mid].Doc
-		switch {
-		case d == doc:
-			return ps[mid].Impact, steps, true
-		case d < doc:
-			lo = mid + 1
-		default:
-			hi = mid
+func (c *listCursor) probe(doc int32) (float32, int, bool) {
+	ps, lo := c.ps, c.pos
+	if lo < len(ps) && ps[lo].Doc < doc {
+		// ps[lo].Doc < doc throughout; double the stride until ps[hi] is not
+		// below doc or hi runs off the list, then bisect (lo, hi).
+		hi, stride := lo+1, 1
+		for hi < len(ps) && ps[hi].Doc < doc {
+			lo = hi
+			stride <<= 1
+			hi = lo + stride
+		}
+		hi = min(hi, len(ps))
+		lo++
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if ps[mid].Doc < doc {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
 		}
 	}
-	return 0, steps, false
+	c.pos = lo
+	if lo < len(ps) && ps[lo].Doc == doc {
+		return ps[lo].Impact, int(c.pl.Steps[lo]), true
+	}
+	return 0, c.pl.MissSteps(lo), false
 }

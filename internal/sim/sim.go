@@ -120,6 +120,10 @@ type Sim struct {
 	now        float64
 	freq       cpu.Freq
 	stallUntil float64
+	// busyW and idleW are cfg.Power.CoreW(freq, true/false), refreshed at
+	// every write of freq, so an accrual reads the draw instead of
+	// recomputing it.
+	busyW, idleW float64
 
 	// queue[qhead:] is the live FIFO; queue[qhead] is executing once
 	// Started. Popping advances qhead instead of re-slicing so the backing
@@ -246,6 +250,7 @@ func run(cfg Config, wl *Workload, pol Policy, cp *capture) *Result {
 		linear: cfg.linear,
 		res:    newResult(pol.Name(), wl),
 	}
+	s.cacheCoreW()
 	if cp != nil {
 		s.held = *cp
 	}
@@ -397,6 +402,7 @@ func (s *Sim) SetFreq(f cpu.Freq) {
 		return
 	}
 	s.freq = f
+	s.cacheCoreW()
 	s.transitions++
 	if s.tsc != nil {
 		s.tsc.SetLevel(s.cfg.Ladder.Index(f), s.now)
@@ -441,7 +447,7 @@ func (s *Sim) PlanFreqChange(atMs float64, f cpu.Freq) {
 		s.planned = append(s.planned, plannedChange{at: atMs, freq: f, seq: s.evSeq})
 		return
 	}
-	s.events.pushPlanned(math.Max(atMs, s.now), f)
+	s.events.pushPlanned(max(atMs, s.now), f)
 }
 
 // ClearPlannedChanges cancels all scheduled frequency switches.
@@ -478,7 +484,7 @@ func (s *Sim) setTimer(atMs float64, tag int64) {
 		s.timers = append(s.timers, timerEvent{at: atMs, tag: tag, seq: s.evSeq})
 		return
 	}
-	s.events.pushTimer(math.Max(atMs, s.now), tag)
+	s.events.pushTimer(max(atMs, s.now), tag)
 }
 
 // Stall blocks the core for the given duration (prediction overhead).
@@ -790,7 +796,7 @@ func (s *Sim) completionTime() float64 {
 	if s.exec == nil {
 		return math.Inf(1)
 	}
-	t0 := math.Max(s.now, s.stallUntil)
+	t0 := max(s.now, s.stallUntil)
 	return t0 + cpu.TimeFor(s.execTotal-s.execDone, s.freq)
 }
 
@@ -800,12 +806,12 @@ func (s *Sim) completionTime() float64 {
 //gemini:hotpath
 func (s *Sim) advanceTo(t float64) {
 	if t <= s.now {
-		s.now = math.Max(s.now, t)
+		s.now = max(s.now, t)
 		return
 	}
 	busy := s.qlen() > 0
 	// Segment 1: stalled (no progress).
-	segEnd := math.Min(t, math.Max(s.now, s.stallUntil))
+	segEnd := min(t, max(s.now, s.stallUntil))
 	if segEnd > s.now {
 		s.accrue(segEnd-s.now, busy)
 		s.now = segEnd
@@ -826,10 +832,21 @@ func (s *Sim) advanceTo(t float64) {
 //
 //gemini:hotpath
 func (s *Sim) powerW(busy bool) float64 {
-	if !busy && s.sleeping {
+	switch {
+	case busy:
+		return s.busyW
+	case s.sleeping:
 		return s.sleepPowerW
 	}
-	return s.cfg.Power.CoreW(s.freq, busy)
+	return s.idleW
+}
+
+// cacheCoreW refreshes busyW and idleW after a write of freq.
+//
+//gemini:hotpath
+func (s *Sim) cacheCoreW() {
+	s.busyW = s.cfg.Power.CoreW(s.freq, true)
+	s.idleW = s.cfg.Power.CoreW(s.freq, false)
 }
 
 // accrue charges dt of energy at the current frequency/activity.
