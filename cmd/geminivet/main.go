@@ -1,7 +1,7 @@
 // Command geminivet runs the gemini lint suite (internal/lint) over packages
-// of this module: nodeterminism, hotpath, unitsafety, freqdomain, plus the
-// suite-level stale-suppression audit (an //gemini:allow that suppresses
-// nothing is itself an error).
+// of this module: nodeterminism and hotpath, plus the suite-level
+// stale-suppression audit (an //gemini:allow that suppresses nothing is
+// itself an error).
 //
 //	go run ./cmd/geminivet ./...
 //	go run ./cmd/geminivet ./internal/sim ./internal/cpu

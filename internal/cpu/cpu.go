@@ -78,7 +78,6 @@ func NewLadder(levels []Freq) *Ladder {
 	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
 	out := ls[:1]
 	for _, f := range ls[1:] {
-		//gemini:allow floatcmp -- deduplicating identical ladder entries; DVFS states are exact discrete values, not computed
 		if f != out[len(out)-1] {
 			out = append(out, f)
 		}
@@ -181,7 +180,7 @@ func (l *Ladder) Index(f Freq) int {
 // Contains reports whether f is exactly a ladder level.
 func (l *Ladder) Contains(f Freq) bool {
 	i := sort.Search(len(l.levels), func(i int) bool { return l.levels[i] >= f })
-	//gemini:allow floatcmp -- membership is exact by design: callers must pass a value taken from the ladder
+	// Membership is exact by design: callers pass a value taken from the ladder.
 	return i < len(l.levels) && l.levels[i] == f
 }
 

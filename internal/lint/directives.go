@@ -1,9 +1,9 @@
 // Package lint hosts the geminivet analyzer suite: domain-specific static
-// checks enforcing the repository's headline invariants — deterministic
-// simulation (byte-identical serial-vs-parallel reports), zero-allocation
-// hot paths when telemetry is disabled, unit-suffix and float-comparison
-// hygiene, and DVFS plans built only from validated frequency levels. Metric
-// naming is not here: telemetry.Registry checks it where a family registers.
+// checks enforcing two of the repository's headline invariants —
+// deterministic simulation (byte-identical serial-vs-parallel reports) and
+// zero-allocation hot paths when telemetry is disabled. The others are held
+// where they are cheaper: metric naming by telemetry.Registry where a family
+// registers, DVFS plans on the ladder and energy units by behaviour tests.
 //
 // Directives recognized in source comments:
 //
@@ -153,14 +153,9 @@ var checkOwner = map[string]string{
 	"rawsource":  "nodeterminism",
 
 	"hotpath": "hotpath",
-
-	"floatcmp": "unitsafety",
-	"units":    "unitsafety",
-
-	"freqliteral": "freqdomain",
 }
 
 // All returns the full geminivet suite in reporting order.
 func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{NoDeterminism, Hotpath, UnitSafety, FreqDomain}
+	return []*analysis.Analyzer{NoDeterminism, Hotpath}
 }

@@ -55,25 +55,13 @@ func TestHotpathFixture(t *testing.T) {
 		"fixture/hotpath", lint.Hotpath)
 }
 
-func TestUnitSafetyFixture(t *testing.T) {
-	l := linttest.MustLoader(t)
-	linttest.Run(t, l, linttest.Fixture(t, "unitsafety"),
-		"fixture/unitsafety", lint.UnitSafety)
-}
-
-func TestFreqDomainFixture(t *testing.T) {
-	l := linttest.MustLoader(t)
-	linttest.Run(t, l, linttest.Fixture(t, "freqdomain"),
-		"fixture/freqdomain", lint.FreqDomain)
-}
-
 func TestStaleAllowFixture(t *testing.T) {
 	l := linttest.MustLoader(t)
 	linttest.Run(t, l, linttest.Fixture(t, "staleallow"),
-		"fixture/server", lint.UnitSafety)
+		"fixture/server", lint.Hotpath)
 }
 
-// TestRepoIsClean runs the full geminivet suite (all four analyzers plus the
+// TestRepoIsClean runs the full geminivet suite (both analyzers plus the
 // stale-suppression audit) over every package of this module through
 // lint.RunModule, the same call `go run ./cmd/geminivet ./...` makes, and
 // requires zero diagnostics. A failure here names the offending lines

@@ -1,19 +1,22 @@
 // Package fixture exercises the suite-level //gemini:allow audit: an allow
-// that suppresses nothing is stale (and carries a deletion fix, asserted by
-// fixture.go.golden), an allow naming an unknown check or missing its reason
-// is malformed. Consumed allows stay silent.
+// that suppresses nothing is stale, and an allow naming an unknown check or
+// missing its reason is malformed. Consumed allows stay silent.
 package fixture
 
-// ratio carries a live floatcmp suppression: the comparison really fires, so
-// the allow is consumed and the audit stays quiet about it.
-func ratio(a, b float64) bool {
-	//gemini:allow floatcmp -- exact sentinel equality on a value stored verbatim
-	return a == b
+// grow carries a live hotpath suppression: the make really fires, so the
+// allow is consumed and the audit stays quiet about it.
+//
+//gemini:hotpath
+func grow(n int) []float64 {
+	//gemini:allow hotpath -- sized once by the caller, reused across requests
+	return make([]float64, n)
 }
 
-// scale's allow is stale: nothing on the next line triggers floatcmp.
+// scale's allow is stale: nothing on the next line triggers hotpath.
+//
+//gemini:hotpath
 func scale(v float64) float64 {
-	//gemini:allow floatcmp -- obsolete after the epsilon refactor // want "stale //gemini:allow floatcmp: the unitsafety analyzer reports nothing here"
+	//gemini:allow hotpath -- obsolete after the buffer moved to the caller // want "stale //gemini:allow hotpath: the hotpath analyzer reports nothing here"
 	return v * 2
 }
 
@@ -24,7 +27,9 @@ func mystery(v float64) float64 {
 }
 
 // unreasoned suppresses a real diagnostic but never says why.
-func unreasoned(a, b float64) bool {
-	//gemini:allow floatcmp // want "has no `-- reason`"
-	return a == b
+//
+//gemini:hotpath
+func unreasoned(n int) []int {
+	//gemini:allow hotpath // want "has no `-- reason`"
+	return make([]int, n)
 }

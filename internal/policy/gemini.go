@@ -53,9 +53,11 @@ type Gemini struct {
 	// Group state: while a critical request is in flight, every request up
 	// to and including it shares the group frequency and must not re-plan
 	// individually (§III-C: "all requests in between ... adopt the same
-	// frequency to minimize the frequency transition overhead").
-	groupMembers map[int]bool
-	criticalID   int
+	// frequency to minimize the frequency transition overhead"). The group
+	// is the FIFO prefix up to the critical request and closes when that
+	// request departs, so membership needs no set: any request that starts
+	// while criticalID >= 0 is ahead of the critical one in the queue.
+	criticalID int
 	// between is equivalentWork's scratch, reused across plans.
 	between []core.QueuedEstimate
 }
@@ -103,9 +105,6 @@ func (g *Gemini) Name() string {
 
 // Init implements sim.Policy.
 func (g *Gemini) Init(s *sim.Sim) {
-	if g.groupMembers == nil {
-		g.groupMembers = make(map[int]bool)
-	}
 	g.criticalID = -1
 	s.SetFreq(g.IdleFreq)
 }
@@ -156,17 +155,13 @@ func (g *Gemini) OnArrival(s *sim.Sim, r *sim.Request) {
 		s.PlanFreqChange(plan.BoostAt, plan.Boost)
 	}
 	g.tracePlan(s, r, freq, plan, r.ID)
-	clear(g.groupMembers)
-	for _, m := range q {
-		g.groupMembers[m.ID] = true
-	}
 	g.criticalID = r.ID
 }
 
 // OnStart implements sim.Policy: requests covered by an active group keep
 // the shared frequency; everything else gets its own two-step plan.
 func (g *Gemini) OnStart(s *sim.Sim, r *sim.Request) {
-	if !g.NoGrouping && g.criticalID >= 0 && g.groupMembers[r.ID] {
+	if !g.NoGrouping && g.criticalID >= 0 {
 		return
 	}
 	g.planHead(s, r)
@@ -204,10 +199,6 @@ func (g *Gemini) planHead(s *sim.Sim, r *sim.Request) {
 		s.PlanFreqChange(plan.BoostAt, plan.Boost)
 	}
 	g.tracePlan(s, r, plan.Initial, plan, crit.ID)
-	clear(g.groupMembers)
-	for _, m := range q[:bind+1] {
-		g.groupMembers[m.ID] = true
-	}
 	g.criticalID = crit.ID
 }
 
@@ -292,10 +283,8 @@ func (g *Gemini) OnDeparture(s *sim.Sim, r *sim.Request) {
 		actualMs := float64(r.WorkTotal) / float64(g.Params.FDefault)
 		ma.Observe(math.Abs(actualMs - r.PredictedMs))
 	}
-	delete(g.groupMembers, r.ID)
 	if r.ID == g.criticalID {
 		g.criticalID = -1
-		clear(g.groupMembers)
 		// The successor's OnStart (fired right after this) re-plans the
 		// remaining queue via planHead.
 	}

@@ -313,7 +313,7 @@ func (n *ISN) observe(resp *ISNResponse, start time.Time, depth int, traceID str
 	}
 	work := cpu.WorkFor(resp.ServiceMs, cpu.FDefault)
 	mx := n.applyModel(plan, work)
-	execMs, energyMJ, transitions, totalMJ, seq := mx.execMs, mx.energyMJ, mx.transitions, mx.totalMJ, mx.seq
+	execMs, energyMJ, transitions, seq := mx.execMs, mx.energyMJ, mx.transitions, mx.seq
 
 	// Feed the Gemini-α style moving-average estimator, when attached, with
 	// the observed error magnitude so E* adapts to the live stream.
@@ -325,7 +325,6 @@ func (n *ISN) observe(resp *ISNResponse, start time.Time, depth int, traceID str
 		n.met.requests.Inc()
 		n.met.latency.Observe(latencyMs)
 		n.met.service.Observe(resp.ServiceMs)
-		n.met.energy.Set(totalMJ)
 		if transitions > 0 {
 			n.met.transitions.Add(uint64(transitions))
 		}
@@ -416,7 +415,7 @@ func (n *ISN) buildSpans(traceID string, resp *ISNResponse, plan core.Plan, mx m
 
 // modelExec is one query's outcome under the modeled DVFS plan: total
 // execution time and energy, the initial-phase/boost-phase split (for the
-// span waterfall), and the shard's cumulative state after the query.
+// span waterfall), and the query's sequence number on the shard.
 type modelExec struct {
 	execMs      float64
 	energyMJ    float64
@@ -424,7 +423,6 @@ type modelExec struct {
 	initialMJ   float64
 	boosted     bool
 	transitions int
-	totalMJ     float64
 	seq         int
 }
 
@@ -436,7 +434,6 @@ func (n *ISN) applyModel(plan core.Plan, work cpu.Work) modelExec {
 	defer n.mu.Unlock()
 	var mx modelExec
 	f := plan.Initial
-	//gemini:allow floatcmp -- plan frequencies are discrete ladder levels; exact change detection counts real transitions
 	if f != n.modelFreq {
 		mx.transitions++
 		n.modelFreq = f
@@ -463,9 +460,12 @@ func (n *ISN) applyModel(plan core.Plan, work cpu.Work) modelExec {
 		n.tsc.SetLevel(n.ladder.Index(n.modelFreq), msSince(n.t0))
 	}
 	n.energyMJ += mx.energyMJ
+	if n.met != nil {
+		// Set under mu, so concurrent handlers publish totals in order.
+		n.met.energy.Set(n.energyMJ)
+	}
 	n.transitions += uint64(mx.transitions)
 	n.seq++
-	mx.totalMJ = n.energyMJ
 	mx.seq = n.seq
 	return mx
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -401,6 +403,74 @@ func TestISNObservability(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, text)
 		}
+	}
+}
+
+// TestISNDecisionEnergySumsToGauge holds the live ISN's energy units on what
+// it emitted: over a concurrent burst, the per-query Decision.EnergyMJ values
+// add up to the shard's cumulative modeled energy, which the energy gauge
+// reports. A decision that carried some other quantity (a latency, a
+// frequency) in its energy field would break the sum.
+func TestISNDecisionEnergySumsToGauge(t *testing.T) {
+	c := corpus.Generate(corpus.SmallSpec())
+	eng := search.NewEngine(index.Build(c), search.DefaultK)
+	isn := NewISN(0, c, eng, search.DefaultCostModel())
+	isn.Service = stubService{ms: 7.5}
+	isn.ErrPred = stubError{ms: 1.25}
+	met := NewMetrics(nil)
+	isn.Instrument(met)
+	tr := telemetry.NewTracer(64)
+	isn.Tracer = tr
+	isn.Start()
+	t.Cleanup(isn.Stop)
+	srv := httptest.NewServer(isn)
+	t.Cleanup(srv.Close)
+
+	queries := []string{"canada", "united kingdom", "united states", "kingdom"}
+	const clients, perClient = 4, 8
+	errs := make(chan error, clients*perClient)
+	var wg sync.WaitGroup
+	for cl := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perClient {
+				body, _ := json.Marshal(SearchRequest{Query: queries[(cl+i)%len(queries)]})
+				resp, err := http.Post(srv.URL, "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs <- err
+					continue
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("status %d", resp.StatusCode)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	decisions := tr.Ring().Snapshot(0)
+	if len(decisions) != clients*perClient {
+		t.Fatalf("decisions = %d, want %d", len(decisions), clients*perClient)
+	}
+	sum := 0.0
+	for _, d := range decisions {
+		sum += d.EnergyMJ
+	}
+	isn.mu.Lock()
+	total := isn.energyMJ
+	isn.mu.Unlock()
+	if gauge := isn.met.energy.Value(); gauge != total {
+		t.Errorf("energy gauge = %v mJ, shard's cumulative energy = %v mJ", gauge, total)
+	}
+	if math.Abs(sum-total) > 1e-9*total {
+		t.Errorf("decisions' EnergyMJ sum to %v, shard's cumulative energy is %v mJ", sum, total)
 	}
 }
 

@@ -166,7 +166,7 @@ func brokerSiftDown(hv []float64, hc []int) {
 //
 //gemini:hotpath
 func brokerLess(hv []float64, hc []int, i, j int) bool {
-	//gemini:allow floatcmp -- exact vFinish ties pick the lowest core index, matching the scan broker
+	// Exact vFinish ties pick the lowest core index, matching the scan broker.
 	if hv[i] != hv[j] {
 		return hv[i] < hv[j]
 	}

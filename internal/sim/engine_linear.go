@@ -75,14 +75,14 @@ func (s *Sim) nextEventLinear() (kind int, at float64, idx int) {
 	for i := range s.planned {
 		pc := &s.planned[i]
 		t := math.Max(pc.at, s.now)
-		//gemini:allow floatcmp -- exact timestamp ties are the common same-instant case; broken by (kind, seq)
+		// Exact timestamp ties are the common same-instant case; broken by (kind, seq).
 		if t < at || (t == at && (kind > evPlanned || (kind == evPlanned && pc.seq < seq))) {
 			kind, at, idx, seq = evPlanned, t, i, pc.seq
 		}
 	}
 	if s.nextArr < len(s.wl.Requests) {
 		t := s.wl.Requests[s.nextArr].ArrivalMs
-		//gemini:allow floatcmp -- exact timestamp ties are the common same-instant case; broken by event-kind priority
+		// Exact timestamp ties are the common same-instant case; broken by event-kind priority.
 		if t < at || (t == at && kind > evArrival) {
 			kind, at, idx = evArrival, t, -1
 		}
@@ -90,7 +90,6 @@ func (s *Sim) nextEventLinear() (kind int, at float64, idx int) {
 	for i := range s.timers {
 		tm := &s.timers[i]
 		t := math.Max(tm.at, s.now)
-		//gemini:allow floatcmp -- exact timestamp ties are the common same-instant case; broken by (kind, seq)
 		if t < at || (t == at && (kind > evTimer || (kind == evTimer && tm.seq < seq))) {
 			kind, at, idx, seq = evTimer, t, i, tm.seq
 		}

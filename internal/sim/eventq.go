@@ -44,7 +44,7 @@ type qevent struct {
 //
 //gemini:hotpath
 func qless(a, b *qevent) bool {
-	//gemini:allow floatcmp -- exact timestamp ties are the common same-instant case; broken by (kind, seq)
+	// Exact timestamp ties are the common same-instant case; broken by (kind, seq).
 	if a.at != b.at {
 		return a.at < b.at
 	}

@@ -143,7 +143,6 @@ func (pc *PowerCapCoordinator) adjust(t float64) {
 	}
 	// Commit: emit schedule steps only where the ceiling actually changed.
 	for c := 0; c < n; c++ {
-		//gemini:allow floatcmp -- ceilings are discrete ladder levels; the exact no-change check suppresses redundant schedule steps
 		if ceil[c] != st.ceilings[c] {
 			pc.schedules[c] = append(pc.schedules[c], CeilingStep{AtMs: t, Ceiling: ceil[c]})
 			st.ceilings[c] = ceil[c]

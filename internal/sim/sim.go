@@ -397,7 +397,6 @@ func (s *Sim) syncHead() {
 //
 //gemini:hotpath
 func (s *Sim) SetFreq(f cpu.Freq) {
-	//gemini:allow floatcmp -- frequencies are discrete ladder levels; the exact no-op check avoids phantom transition stalls
 	if f == s.freq {
 		return
 	}
@@ -423,7 +422,7 @@ func (s *Sim) SetFreq(f cpu.Freq) {
 //
 //gemini:hotpath
 func (s *Sim) markPhase() {
-	//gemini:allow floatcmp -- mark timestamps are copied from s.now verbatim; same-instant coalescing needs exact equality
+	// Mark timestamps are copied from s.now verbatim, so same-instant coalescing is exact equality.
 	if n := len(s.marks); n > 0 && s.marks[n-1].at == s.now {
 		s.marks[n-1].freq = s.freq
 		return
@@ -768,13 +767,12 @@ func (s *Sim) nextEvent() (kind int, at float64) {
 	}
 	if s.nextArr < len(s.wl.Requests) {
 		t := s.wl.Requests[s.nextArr].ArrivalMs
-		//gemini:allow floatcmp -- exact timestamp ties are the common same-instant case; broken by event-kind priority
+		// Exact timestamp ties are the common same-instant case; broken by event-kind priority.
 		if t < at || (t == at && kind > evArrival) {
 			kind, at = evArrival, t
 		}
 	}
 	if qat, qk, ok := s.events.peek(); ok {
-		//gemini:allow floatcmp -- exact timestamp ties are the common same-instant case; broken by event-kind priority
 		if qat < at || (qat == at && kind > int(qk)) {
 			kind, at = int(qk), qat
 		}
@@ -855,7 +853,7 @@ func (s *Sim) cacheCoreW() {
 func (s *Sim) accrue(dt float64, busy bool) {
 	if s.cfg.RecordFreqTrace && dt > 0 {
 		n := len(s.freqTrace)
-		//gemini:allow floatcmp -- segment coalescing compares values copied verbatim from s.freq / s.now
+		// Segment coalescing compares values copied verbatim from s.freq / s.now.
 		if n > 0 && s.freqTrace[n-1].Freq == s.freq && s.freqTrace[n-1].Busy == busy && s.freqTrace[n-1].EndMs == s.now {
 			s.freqTrace[n-1].EndMs = s.now + dt
 		} else {

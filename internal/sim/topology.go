@@ -305,12 +305,12 @@ func (RouterPowerAware) Pick(st *RouteState, shard int, r *Request) int {
 		}
 		pf, vf := st.PlannedFreq(shard, j), st.VFinish(shard, j)
 		switch {
-		//gemini:allow floatcmp -- planned freqs are discrete ladder levels and vFinish ties are exact by construction; equal scores must pool for the tie-break draw
+		// Planned freqs are discrete ladder levels and vFinish ties are exact by
+		// construction, so equal scores pool for the tie-break draw.
 		case len(tied) == 0 || pf > bestFreq || (pf == bestFreq && vf < bestVF):
 			bestFreq, bestVF = pf, vf
 			tied = tied[:0]
 			tied = append(tied, j)
-		//gemini:allow floatcmp -- exact-tie pooling, same as above
 		case pf == bestFreq && vf == bestVF:
 			tied = append(tied, j)
 		}
