@@ -1,250 +1,463 @@
-// Command geminisim runs the reproduction experiments: every table and
-// figure of the paper's evaluation, plus the ablation studies.
+// Command geminisim runs the reproduction: every table and figure of the
+// paper's evaluation and the ablations, plus the cluster, trace and predictor
+// tools around them, each a subcommand with its own flags.
 //
 // Usage:
 //
-//	geminisim -exp fig10            # one experiment
-//	geminisim -exp all              # everything
-//	geminisim -exp fig12 -small     # fast small-scale platform
-//	geminisim -list                 # list experiment names
+//	geminisim -exp fig10                    # one experiment; exp is the default subcommand
+//	geminisim -small -exp all               # everything, on the fast small-scale platform
+//	geminisim cell -timeline tl.jsonl -slo  # one shards × replicas cell, sampled
+//	geminisim trace -kind lucene -stats     # synthetic arrivals as CSV, or statistics
+//	geminisim train -save models/           # Figs. 6-8, and write the trained models
+//
+// `geminisim -h` lists the subcommands, `geminisim <subcommand> -h` its
+// flags. Reports go to stdout, progress to stderr. Any error exits with
+// status 2; a bad flag, name or combination is caught before the platform
+// is built.
 package main
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"gemini/internal/harness"
+	"gemini/internal/predictor"
+	"gemini/internal/sim"
+	"gemini/internal/stats"
+	"gemini/internal/telemetry"
+	"gemini/internal/trace"
 )
 
-func main() {
-	var (
-		exp          = flag.String("exp", "all", "experiment to run (see -list)")
-		small        = flag.Bool("small", false, "use the fast small-scale platform")
-		list         = flag.Bool("list", false, "list experiment names and exit")
-		durScale     = flag.Float64("durscale", 0, "scale simulated durations (default 1.0, or 0.2 with -small)")
-		workers      = flag.Int("workers", harness.DefaultWorkers(), "worker goroutines for the experiment grids and -cluster sharding (1 = serial; results are identical)")
-		cluster      = flag.Int("cluster", 0, "run the §V multi-core cluster sweep over this many cores and exit (sharded across -workers threads)")
-		shards       = flag.Int("shards", 0, "run one shards × replicas topology cell and exit: prints a summary and the gemini_cluster_* telemetry exposition")
-		replicas     = flag.Int("replicas", 1, "replicas per shard for -shards / -capacity")
-		router       = flag.String("router", "power-aware", "replica router for -shards / -capacity: round-robin, least-loaded, deadline-aware, power-aware")
-		powerCap     = flag.Float64("power-cap", 0, "cluster power cap in modeled watts for -shards / -capacity (0 = uncapped)")
-		capIvMs      = flag.Float64("cap-interval", 0, "power-cap control interval in ms (0 = default)")
-		capacity     = flag.Bool("capacity", false, "run the capacity-planning sweep (replicas × RPS × cap) over -shards shards and exit")
-		timeline     = flag.String("timeline", "", "run the cluster timeline cell and write the sampled series (JSONL) to this path; without -shards it runs the canonical 8×3 power-aware 40 W drift cell")
-		timelineCSV  = flag.String("timeline-csv", "", "also write the timeline as CSV to this path")
-		timelineHTML = flag.String("timeline-html", "", "also write the self-contained SVG timeline dashboard to this path")
-		sampleIvMs   = flag.Float64("sample-interval", 100, "timeline sample interval in simulated ms")
-		sloReport    = flag.Bool("slo", false, "with the timeline flags: also print the SLO error-budget burn table for the sampled run")
-		sloTarget    = flag.Float64("slo-target", 99, "SLO target percentile for -slo")
-		logPath      = flag.String("log-decisions", "", "write per-request decision records (JSONL) for one policy/trace cell to this path and exit")
-		logPol       = flag.String("log-policy", "Gemini", "policy for -log-decisions")
-		logTrace     = flag.String("log-trace", "wiki", "trace for -log-decisions (wiki, lucene, trec)")
-		phaseRep     = flag.Bool("phase-report", false, "print the per-phase latency/energy waterfall table (every policy on -log-trace) and exit")
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memProfile   = flag.String("memprofile", "", "write a heap profile to this path on exit")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+// command is one subcommand: setup registers its flags and returns the
+// function that runs it once they are parsed.
+type command struct {
+	name, summary string
+	setup         func(fs *flag.FlagSet, e *env) func() error
+}
+
+var commands = []command{
+	{"exp", "run paper experiments (the default subcommand)", expCmd},
+	{"list", "list experiment names", listCmd},
+	{"cell", "run one shards × replicas topology cell; the timeline flags sample it", cellCmd},
+	{"capacity", "run the capacity-planning grid (replicas × RPS × cap)", capacityCmd},
+	{"cluster", "run the §V multi-core broker for every Fig. 10/11 policy", clusterCmd},
+	{"decisions", "write per-request decision records for one policy/trace cell", decisionsCmd},
+	{"phases", "print every policy's per-phase latency/energy waterfall", phasesCmd},
+	{"trace", "write a synthetic arrival trace as CSV, or its statistics", traceCmd},
+	{"train", "print the predictor figures 6, 7 and 8; -save writes the models", trainCmd},
+}
+
+// env is what a subcommand runs with: the output streams and the flags
+// shared by the subcommands that build a platform.
+type env struct {
+	stdout, stderr         io.Writer
+	small                  bool
+	durScale               float64
+	workers                int
+	cpuProfile, memProfile string
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	name := "exp"
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name, args = args[0], args[1:]
+	}
+	i := slices.IndexFunc(commands, func(c command) bool { return c.name == name })
+	usage := func() {
+		fmt.Fprintln(stderr, "usage: geminisim [subcommand] [flags]; subcommands:")
+		for _, c := range commands {
+			fmt.Fprintf(stderr, "  %-10s %s\n", c.name, c.summary)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+	}
+	if i < 0 {
+		fmt.Fprintf(stderr, "geminisim: unknown subcommand %q\n", name)
+		usage()
+		return 2
+	}
+
+	e := &env{stdout: stdout, stderr: stderr}
+	fs := flag.NewFlagSet("geminisim "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exec := commands[i].setup(fs, e)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "geminisim %s: %s\n", name, commands[i].summary)
+		fs.PrintDefaults()
+		usage()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "geminisim %s: unexpected argument %q\n", name, fs.Arg(0))
+		return 2
+	}
+
+	if e.cpuProfile != "" {
+		f, err := os.Create(e.cpuProfile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		defer func() { pprof.StopCPUProfile(); f.Close() }()
 	}
-	if *memProfile != "" {
+	if e.memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+			if err := writeFile(e.memProfile, pprof.WriteHeapProfile); err != nil {
+				fmt.Fprintln(stderr, err)
 			}
 		}()
 	}
 
-	if *list {
-		set := harness.NewExperimentSet(nil, 1)
-		for _, n := range set.Names() {
-			fmt.Println(n)
-		}
-		return
+	if err := exec(); err != nil {
+		fmt.Fprintf(stderr, "geminisim %s: %v\n", name, err)
+		return 2
 	}
+	return 0
+}
 
+// platformFlags registers the flags every platform-building subcommand
+// shares. scaled adds -durscale and parallel -workers, for the subcommands
+// whose runs have a length to scale and cells to shard.
+func (e *env) platformFlags(fs *flag.FlagSet, scaled, parallel bool) {
+	fs.BoolVar(&e.small, "small", false, "use the fast small-scale platform")
+	if scaled {
+		fs.Float64Var(&e.durScale, "durscale", 0, "scale simulated durations (default 1.0, or 0.2 with -small)")
+	}
+	if parallel {
+		fs.IntVar(&e.workers, "workers", harness.DefaultWorkers(), "worker goroutines for the experiment grids and the cluster runs (1 = serial; results are identical)")
+	}
+	fs.StringVar(&e.cpuProfile, "cpuprofile", "", "write a CPU profile to this path")
+	fs.StringVar(&e.memProfile, "memprofile", "", "write a heap profile to this path on exit")
+}
+
+// scale is the simulated-duration multiplier: -durscale, else 1, or 0.2
+// with -small.
+func (e *env) scale() float64 {
+	switch {
+	case e.durScale > 0:
+		return e.durScale
+	case e.small:
+		return 0.2
+	}
+	return 1
+}
+
+// platform builds the platform -small picks, once per process; paper trains
+// the paper's 5x128 predictor architecture on a fresh one instead.
+func (e *env) platform(paper bool) *harness.Platform {
 	start := time.Now()
-	fmt.Fprintf(os.Stderr, "building platform (small=%v)...\n", *small)
-	p := harness.Shared(*small)
+	fmt.Fprintf(e.stderr, "building platform (small=%v)...\n", e.small)
+	var p *harness.Platform
+	if paper {
+		opts := harness.DefaultOptions()
+		if e.small {
+			opts = harness.SmallOptions()
+		}
+		opts.NNConfig = predictor.PaperConfig()
+		p = harness.NewPlatform(opts)
+	} else {
+		p = harness.Shared(e.small)
+	}
 	mean, p95, min, max := p.PoolStats()
-	fmt.Fprintf(os.Stderr, "platform ready in %v: pool service times mean %.2f ms, p95 %.2f, range %.2f-%.2f\n",
+	fmt.Fprintf(e.stderr, "platform ready in %v: pool service times mean %.2f ms, p95 %.2f, range %.2f-%.2f\n",
 		time.Since(start).Round(time.Millisecond), mean, p95, min, max)
+	return p
+}
 
-	scale := *durScale
-	if scale == 0 {
-		scale = 1
-		if *small {
-			scale = 0.2
-		}
-	}
-
-	if *logPath != "" {
-		f, err := os.Create(*logPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		res, tracer, err := p.LogDecisions(f, *logPol, *logTrace, 60, 120_000*scale)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		q := tracer.Quality()
-		fmt.Fprintf(os.Stderr, "%s on %s: %d decisions -> %s\n", *logPol, *logTrace, tracer.Emitted(), *logPath)
-		fmt.Fprintf(os.Stderr, "completed %d, dropped %d, violation %.2f%%, p95 %.2f ms\n",
-			res.Completed, res.Dropped, res.ViolationRate()*100, res.TailLatencyMs(95))
-		if q.N > 0 {
-			fmt.Fprintf(os.Stderr, "prediction audit: MAE %.2f ms, p95 |err| %.2f ms, coverage %.1f%% (n=%d)\n",
-				q.MAEMs, q.P95Ms, q.CoverageRate*100, q.N)
-		}
-		return
-	}
-
-	if *cluster > 0 {
-		rep := p.ClusterReport(*cluster, *workers, 60, 120_000*scale)
-		fmt.Println(rep.String())
-		return
-	}
-
-	if *capacity {
-		nShards := *shards
-		if nShards < 1 {
-			nShards = 2
-		}
-		caps := []float64{0}
-		if *powerCap > 0 {
-			caps = append(caps, *powerCap)
-		}
-		rep := p.CapacityReport(harness.CapacitySpec{
-			Shards:     nShards,
-			Replicas:   []int{1, 2, 3},
-			EngineRPS:  []float64{40, 60},
-			CapsW:      caps,
-			Router:     *router,
-			DurationMs: 60_000 * scale,
-			Seed:       1,
-		}, *workers)
-		fmt.Println(rep.String())
-		return
-	}
-
-	if *timeline != "" || *timelineCSV != "" || *timelineHTML != "" || *sloReport {
-		spec := harness.TimelineSpec{
-			DurationMs:       60_000 * scale,
-			SampleIntervalMs: *sampleIvMs,
-			Seed:             1,
-		}
-		if *shards > 0 {
-			spec.Shards = *shards
-			spec.Replicas = *replicas
-			spec.Router = *router
-			spec.CapW = *powerCap
-			spec.CapIntervalMs = *capIvMs
-		}
-		tlr, err := p.TimelineReport(spec, *workers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		write := func(path string, render func(f *os.File) error) {
-			if path == "" {
-				return
-			}
-			f, err := os.Create(path)
-			if err == nil {
-				err = render(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "timeline: %d samples -> %s\n", tlr.Series.Len(), path)
-		}
-		write(*timeline, func(f *os.File) error { return tlr.Series.WriteJSONL(f) })
-		write(*timelineCSV, func(f *os.File) error { return tlr.Series.WriteCSV(f) })
-		write(*timelineHTML, func(f *os.File) error {
-			title := fmt.Sprintf("Gemini cluster timeline — %d×%d %s", tlr.Spec.Shards, tlr.Spec.Replicas, tlr.Spec.Router)
-			return harness.WriteTimelineHTML(f, title, tlr.Series)
-		})
-		fmt.Println(tlr.Report.String())
-		if *sloReport {
-			fmt.Println(harness.SLOReport(tlr, *sloTarget).String())
-		}
-		return
-	}
-
-	if *shards > 0 {
-		rep, expo, err := p.TopologyReport(harness.TopologyRunSpec{
-			Shards:        *shards,
-			Replicas:      *replicas,
-			Router:        *router,
-			CapW:          *powerCap,
-			CapIntervalMs: *capIvMs,
-			DurationMs:    60_000 * scale,
-			Seed:          1,
-		}, *workers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Println(rep.String())
-		fmt.Print(expo)
-		return
-	}
-
-	if *phaseRep {
-		rep, err := p.PhaseReport(*logTrace, 60, 120_000*scale)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Println(rep.String())
-		return
-	}
-
-	set := harness.NewExperimentSet(p, scale)
-	set.Workers = *workers
-	fmt.Fprintf(os.Stderr, "experiment grids run on %d worker(s)\n", *workers)
-
-	names := []string{*exp}
-	if *exp == "all" {
-		names = set.Names()
-	}
+// experiments runs the named experiments on p through one ExperimentSet,
+// printing each report.
+func (e *env) experiments(p *harness.Platform, names []string) error {
+	set := harness.NewExperimentSet(p, e.scale())
+	set.Workers = e.workers
+	fmt.Fprintf(e.stderr, "experiment grids run on %d worker(s)\n", e.workers)
 	for _, name := range names {
 		t0 := time.Now()
-		rep, err := set.Run(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		if err := e.print(set.Run(name)); err != nil {
+			return err
 		}
-		fmt.Println(rep.String())
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n\n", name, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(e.stderr, "[%s done in %v]\n\n", name, time.Since(t0).Round(time.Millisecond))
 	}
+	return nil
+}
+
+// print writes rep to stdout, unless err is set.
+func (e *env) print(rep *harness.Report, err error) error {
+	if err == nil {
+		fmt.Fprintln(e.stdout, rep.String())
+	}
+	return err
+}
+
+func expCmd(fs *flag.FlagSet, e *env) func() error {
+	e.platformFlags(fs, true, true)
+	exp := fs.String("exp", "all", "experiment to run (see the list subcommand), or all")
+	return func() error {
+		names := harness.NewExperimentSet(nil, 1).Names()
+		if *exp != "all" {
+			if !slices.Contains(names, *exp) {
+				return fmt.Errorf("unknown experiment %q (see geminisim list)", *exp)
+			}
+			names = []string{*exp}
+		}
+		return e.experiments(e.platform(false), names)
+	}
+}
+
+func listCmd(_ *flag.FlagSet, e *env) func() error {
+	return func() error {
+		for _, n := range harness.NewExperimentSet(nil, 1).Names() {
+			fmt.Fprintln(e.stdout, n)
+		}
+		return nil
+	}
+}
+
+func cellCmd(fs *flag.FlagSet, e *env) func() error {
+	e.platformFlags(fs, true, true)
+	var spec harness.TimelineSpec
+	fs.IntVar(&spec.Shards, "shards", 8, "shards in the cell")
+	fs.IntVar(&spec.Replicas, "replicas", 3, "replicas per shard")
+	routerFlag(fs, &spec.Router)
+	fs.Float64Var(&spec.CapW, "power-cap", 40, "cluster power cap in modeled watts (0 = uncapped)")
+	fs.Float64Var(&spec.CapIntervalMs, "cap-interval", 0, "power-cap control interval in ms (0 = default)")
+	jsonl := fs.String("timeline", "", "sample the run and write the series (JSONL) to this path")
+	csv := fs.String("timeline-csv", "", "sample the run and write the series as CSV to this path")
+	html := fs.String("timeline-html", "", "sample the run and write the self-contained SVG dashboard to this path")
+	sampleIv := fs.Float64("sample-interval", 100, "timeline sample interval in simulated ms (setting it samples the run)")
+	slo := fs.Bool("slo", false, "sample the run and print its SLO error-budget burn table")
+	sloTarget := fs.Float64("slo-target", 99, "SLO target percentile (setting it implies -slo)")
+	return func() error {
+		if spec.CapW <= 0 && isSet(fs, "cap-interval") {
+			return errors.New("-cap-interval needs -power-cap > 0")
+		}
+		*slo = *slo || isSet(fs, "slo-target")
+		if *slo || *jsonl != "" || *csv != "" || *html != "" || isSet(fs, "sample-interval") {
+			if *sampleIv <= 0 {
+				return errors.New("-sample-interval must be positive")
+			}
+			spec.SampleIntervalMs = *sampleIv
+		}
+		spec.DurationMs = 60_000 * e.scale()
+		cr, err := e.platform(false).CellReport(spec, e.workers)
+		if err != nil {
+			return err
+		}
+		e.print(cr.Summary, nil)
+		fmt.Fprint(e.stdout, cr.Exposition)
+		if cr.Series == nil {
+			return nil
+		}
+		title := fmt.Sprintf("Gemini cluster timeline — %d×%d %s", cr.Spec.Shards, cr.Spec.Replicas, cr.Spec.Router)
+		for _, out := range []struct {
+			path  string
+			write func(io.Writer) error
+		}{
+			{*jsonl, cr.Series.WriteJSONL},
+			{*csv, cr.Series.WriteCSV},
+			{*html, func(w io.Writer) error { return harness.WriteTimelineHTML(w, title, cr.Series) }},
+		} {
+			if out.path == "" {
+				continue
+			}
+			if err := writeFile(out.path, out.write); err != nil {
+				return err
+			}
+			fmt.Fprintf(e.stderr, "timeline: %d samples -> %s\n", cr.Series.Len(), out.path)
+		}
+		e.print(cr.Timeline, nil)
+		if *slo {
+			e.print(harness.SLOReport(cr, *sloTarget), nil)
+		}
+		return nil
+	}
+}
+
+func capacityCmd(fs *flag.FlagSet, e *env) func() error {
+	e.platformFlags(fs, true, true)
+	spec := harness.CapacitySpec{Replicas: []int{1, 2, 3}, EngineRPS: []float64{40, 60}, Seed: 1}
+	fs.IntVar(&spec.Shards, "shards", 2, "shards in every cell")
+	routerFlag(fs, &spec.Router)
+	capW := fs.Float64("power-cap", 0, "also sweep this cluster power cap in modeled watts (the uncapped column always runs)")
+	return func() error {
+		spec.CapsW = []float64{0}
+		if *capW > 0 {
+			spec.CapsW = append(spec.CapsW, *capW)
+		}
+		spec.DurationMs = 60_000 * e.scale()
+		return e.print(e.platform(false).CapacityReport(spec, e.workers))
+	}
+}
+
+func clusterCmd(fs *flag.FlagSet, e *env) func() error {
+	e.platformFlags(fs, true, true)
+	cores := fs.Int("cores", 12, "cores the broker spreads the stream over")
+	return func() error {
+		return e.print(e.platform(false).ClusterReport(*cores, e.workers, 60, 120_000*e.scale()), nil)
+	}
+}
+
+func decisionsCmd(fs *flag.FlagSet, e *env) func() error {
+	e.platformFlags(fs, true, false)
+	out := fs.String("out", "", "write the decision records (JSONL) to this path (required)")
+	pol := "Gemini"
+	fs.Func("policy", "policy to run (default Gemini)", func(s string) error {
+		if !slices.Contains(harness.AllPolicyNames, s) {
+			return fmt.Errorf("unknown policy (%s)", strings.Join(harness.AllPolicyNames, ", "))
+		}
+		pol = s
+		return nil
+	})
+	tr := fs.String("trace", "wiki", "arrival trace: wiki, lucene, trec")
+	return func() error {
+		if *out == "" {
+			return errors.New("-out is required")
+		}
+		p := e.platform(false)
+		var res *sim.Result
+		var tracer *telemetry.Tracer
+		err := writeFile(*out, func(w io.Writer) (err error) {
+			res, tracer, err = p.LogDecisions(w, pol, *tr, 60, 120_000*e.scale())
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(e.stderr, "%s on %s: %d decisions -> %s\n", pol, *tr, tracer.Emitted(), *out)
+		fmt.Fprintf(e.stderr, "completed %d, dropped %d, violation %.2f%%, p95 %.2f ms\n",
+			res.Completed, res.Dropped, res.ViolationRate()*100, res.TailLatencyMs(95))
+		if q := tracer.Quality(); q.N > 0 {
+			fmt.Fprintf(e.stderr, "prediction audit: MAE %.2f ms, p95 |err| %.2f ms, coverage %.1f%% (n=%d)\n",
+				q.MAEMs, q.P95Ms, q.CoverageRate*100, q.N)
+		}
+		return nil
+	}
+}
+
+func phasesCmd(fs *flag.FlagSet, e *env) func() error {
+	e.platformFlags(fs, true, false)
+	tr := fs.String("trace", "wiki", "arrival trace: wiki, lucene, trec")
+	return func() error {
+		return e.print(e.platform(false).PhaseReport(*tr, 60, 120_000*e.scale()))
+	}
+}
+
+func traceCmd(fs *flag.FlagSet, e *env) func() error {
+	kind := fs.String("kind", "wiki", "trace model: wiki, lucene, trec, fixed, wiki-long")
+	rps := fs.Float64("rps", 60, "average request rate")
+	duration := fs.Float64("duration", 1000, "duration in seconds (hours for wiki-long)")
+	seed := fs.Int64("seed", 1, "random seed")
+	statsOnly := fs.Bool("stats", false, "print statistics instead of CSV")
+	return func() error {
+		var tr *trace.Trace
+		switch *kind {
+		case "fixed":
+			tr = trace.GenFixedRPS(*rps, *duration*1000, *seed)
+		case "wiki-long":
+			tr = trace.GenWikipediaLong(*rps, *duration, *seed)
+		default:
+			tr = trace.GenEvalTrace(*kind, *rps, *duration*1000, *seed)
+		}
+		if *statsOnly {
+			printTraceStats(e.stdout, tr)
+			return nil
+		}
+		w := bufio.NewWriter(e.stdout)
+		fmt.Fprintln(w, "arrival_ms")
+		for _, a := range tr.Arrivals {
+			fmt.Fprintf(w, "%.3f\n", a)
+		}
+		fmt.Fprintf(e.stderr, "%d arrivals, mean %.1f RPS\n", tr.Len(), tr.MeanRPS())
+		return w.Flush()
+	}
+}
+
+func printTraceStats(w io.Writer, tr *trace.Trace) {
+	fmt.Fprintf(w, "trace: %s\n", tr.Name)
+	fmt.Fprintf(w, "arrivals: %d over %.1f s (mean %.2f RPS)\n",
+		tr.Len(), tr.DurationMs()/1000, tr.MeanRPS())
+	if sec := tr.RPSSeries(1000, tr.DurationMs()); len(sec) > 0 {
+		mn, _ := stats.Min(sec)
+		mx, _ := stats.Max(sec)
+		mean, _ := stats.Mean(sec)
+		fmt.Fprintf(w, "per-second RPS: min %.1f mean %.1f max %.1f\n", mn, mean, mx)
+	}
+	if gaps := tr.InterArrivalsMs(); len(gaps) > 0 {
+		mean, _ := stats.Mean(gaps)
+		p99, _ := stats.Percentile(gaps, 99)
+		fmt.Fprintf(w, "inter-arrival: mean %.2f ms, p99 %.2f ms\n", mean, p99)
+	}
+}
+
+func trainCmd(fs *flag.FlagSet, e *env) func() error {
+	e.platformFlags(fs, false, true)
+	paper := fs.Bool("paper", false, "train the paper's 5x128 architecture (slow)")
+	save := fs.String("save", "", "directory to write the trained models to")
+	return func() error {
+		p := e.platform(*paper)
+		if err := e.experiments(p, []string{"fig6", "fig7", "fig8"}); err != nil || *save == "" {
+			return err
+		}
+		if err := os.MkdirAll(*save, 0o755); err != nil {
+			return err
+		}
+		for _, m := range []struct {
+			file string
+			save func(io.Writer) error
+		}{{"latency_classifier.gob", p.Classifier.Save}, {"error_predictor.gob", p.ErrPred.Save}} {
+			path := filepath.Join(*save, m.file)
+			if err := writeFile(path, m.save); err != nil {
+				return err
+			}
+			fmt.Fprintf(e.stderr, "wrote %s\n", path)
+		}
+		return nil
+	}
+}
+
+// routerFlag registers -router; an unknown name fails the parse.
+func routerFlag(fs *flag.FlagSet, router *string) {
+	*router = "power-aware"
+	fs.Func("router", "replica router: "+strings.Join(sim.RouterNames, ", ")+" (default power-aware)", func(s string) error {
+		*router = s
+		_, err := sim.RouterByName(s)
+		return err
+	})
+}
+
+// isSet reports whether the command line set flag name.
+func isSet(fs *flag.FlagSet, name string) (set bool) {
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

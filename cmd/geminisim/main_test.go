@@ -1,0 +1,125 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// runCLI runs the command line in process and returns its exit status and
+// both streams.
+func runCLI(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// TestRunRejectsBadInvocations: every usage error exits 2 with a message
+// naming the problem, before any platform is built.
+func TestRunRejectsBadInvocations(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "d.jsonl")
+	cases := []struct {
+		name string
+		args []string
+		want string // in stderr
+	}{
+		{"unknown subcommand", []string{"bogus"}, `unknown subcommand "bogus"`},
+		{"another subcommand's flag", []string{"cell", "-exp", "fig10"}, "flag provided but not defined: -exp"},
+		{"a flag capacity does not take", []string{"capacity", "-replicas", "3"}, "flag provided but not defined: -replicas"},
+		{"bad router", []string{"cell", "-small", "-router", "bogus"}, "round-robin, least-loaded, deadline-aware, power-aware"},
+		{"bad router, capacity", []string{"capacity", "-small", "-router", "bogus"}, "power-aware"},
+		{"bad policy", []string{"decisions", "-small", "-out", out, "-policy", "Nope"}, "Gemini+Sleep"},
+		{"decisions without -out", []string{"decisions", "-small"}, "-out is required"},
+		{"unknown experiment", []string{"-small", "-exp", "fig99"}, `unknown experiment "fig99"`},
+		{"stray argument", []string{"list", "fig10"}, `unexpected argument "fig10"`},
+		{"cap interval without a cap", []string{"cell", "-small", "-power-cap", "0", "-cap-interval", "50"}, "-cap-interval needs -power-cap"},
+		{"zero sample interval", []string{"cell", "-small", "-sample-interval", "0"}, "-sample-interval must be positive"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			code, _, stderr := runCLI(c.args...)
+			if code != 2 {
+				t.Fatalf("exit %d, want 2; stderr:\n%s", code, stderr)
+			}
+			if !strings.Contains(stderr, c.want) {
+				t.Errorf("stderr lacks %q:\n%s", c.want, stderr)
+			}
+			if strings.Contains(stderr, "building platform") {
+				t.Errorf("platform built before the error:\n%s", stderr)
+			}
+		})
+	}
+	if _, err := os.Stat(out); err == nil {
+		t.Error("a rejected decisions run created its output file")
+	}
+}
+
+// TestCellWorkersIdentical: the sampled cell's stdout (summary, exposition,
+// timeline and SLO tables) and its JSONL export are byte-identical at 1 and
+// 4 workers.
+func TestCellWorkersIdentical(t *testing.T) {
+	dir := t.TempDir()
+	cell := func(workers string) (string, []byte) {
+		path := filepath.Join(dir, "tl-"+workers+".jsonl")
+		code, stdout, stderr := runCLI("cell", "-small", "-durscale", "0.02", "-workers", workers, "-timeline", path, "-slo")
+		if code != 0 {
+			t.Fatalf("-workers %s: exit %d\n%s", workers, code, stderr)
+		}
+		jsonl, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stdout, jsonl
+	}
+	out1, jsonl1 := cell("1")
+	out4, jsonl4 := cell("4")
+	if out1 != out4 {
+		t.Errorf("stdout differs between -workers 1 and 4:\n--- 1\n%s\n--- 4\n%s", out1, out4)
+	}
+	if !bytes.Equal(jsonl1, jsonl4) {
+		t.Error("timeline JSONL differs between -workers 1 and 4")
+	}
+	for _, want := range []string{"Cluster topology run", `gemini_cluster_route_total{shard="7",replica="2"}`,
+		"Cluster timeline (drift / overload view)", "SLO attainment"} {
+		if !strings.Contains(out1, want) {
+			t.Errorf("stdout lacks %q", want)
+		}
+	}
+	if len(jsonl1) == 0 {
+		t.Error("empty timeline export")
+	}
+}
+
+// TestEverySubcommandRuns runs each subcommand once on the small platform at
+// a short run length: exit 0 and a non-empty report.
+func TestEverySubcommandRuns(t *testing.T) {
+	dir := t.TempDir()
+	short := []string{"-small", "-durscale", "0.02"}
+	cases := [][]string{
+		append([]string{"-exp", "fig3"}, short...),
+		{"list"},
+		append([]string{"cell"}, short...),
+		append([]string{"capacity", "-power-cap", "14"}, short...),
+		append([]string{"cluster", "-cores", "2"}, short...),
+		append([]string{"phases"}, short...),
+		{"trace", "-kind", "wiki", "-duration", "10", "-stats"},
+		{"train", "-small", "-save", dir},
+	}
+	for _, args := range cases {
+		code, stdout, stderr := runCLI(args...)
+		if code != 0 || stdout == "" {
+			t.Errorf("%v: exit %d, %d bytes out\n%s", args, code, len(stdout), stderr)
+		}
+	}
+	dec := filepath.Join(dir, "d.jsonl")
+	if code, _, stderr := runCLI(append([]string{"decisions", "-out", dec}, short...)...); code != 0 {
+		t.Errorf("decisions: exit %d\n%s", code, stderr)
+	}
+	for _, f := range []string{dec, filepath.Join(dir, "latency_classifier.gob"), filepath.Join(dir, "error_predictor.gob")} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("%s: missing or empty (%v)", f, err)
+		}
+	}
+}

@@ -146,7 +146,7 @@ type TraceSpec struct {
 	// three traces) or "fixed" for a constant-rate Poisson stream.
 	Kind string
 	// File, when set, replays arrivals from a CSV trace file (one
-	// arrival_ms per line, as written by cmd/tracegen) instead of
+	// arrival_ms per line, as written by geminisim trace) instead of
 	// generating them; the arrivals are taken as ISN-level (no shard
 	// fraction is applied) and Kind/EngineRPS are ignored.
 	File string
@@ -185,6 +185,12 @@ type Metrics struct {
 
 // Simulate runs one policy over a generated trace and returns its metrics.
 func (s *System) Simulate(policyName string, spec TraceSpec) (*Metrics, error) {
+	// Resolved first, for both paths: a bad name must come back as an
+	// error, not panic inside a cluster core's worker.
+	pol, err := s.p.NewPolicy(policyName)
+	if err != nil {
+		return nil, err
+	}
 	if spec.DurationMs <= 0 {
 		spec.DurationMs = 60_000
 	}
@@ -242,10 +248,6 @@ func (s *System) Simulate(policyName string, spec TraceSpec) (*Metrics, error) {
 		}, nil
 	}
 
-	pol, err := s.p.NewPolicy(policyName)
-	if err != nil {
-		return nil, err
-	}
 	res := sim.Run(cfg, wl, pol)
 	return &Metrics{
 		Policy:        policyName,

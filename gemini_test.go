@@ -130,6 +130,11 @@ func TestSimulateCluster(t *testing.T) {
 	if m.Requests == 0 || m.Completed+m.Dropped != m.Requests {
 		t.Fatalf("cluster accounting: %+v", m)
 	}
+	// An unknown name is an error on the cluster path too, not a panic in
+	// a core's worker.
+	if _, err := s.Simulate("Nope", gemini.TraceSpec{Cores: 4, Workers: 2, DurationMs: 1000}); err == nil {
+		t.Error("unknown policy accepted by the cluster path")
+	}
 }
 
 func TestGeminiBeatsBaselinePower(t *testing.T) {

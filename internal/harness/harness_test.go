@@ -78,14 +78,9 @@ func TestNewPlatformIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// allPolicyNames is every name Platform.NewPolicy accepts: the Fig. 10/11
-// five, then the ablations, extensions and governors.
-var allPolicyNames = append(append([]string(nil), PolicyNames...),
-	"Gemini-95th", "EETL", "PACE-oracle", "Gemini+Sleep", "ondemand", "conservative")
-
 func TestPolicyRegistry(t *testing.T) {
 	p := plat(t)
-	for _, name := range allPolicyNames {
+	for _, name := range AllPolicyNames {
 		pol, err := p.NewPolicy(name)
 		if err != nil || pol == nil {
 			t.Errorf("policy %s: %v", name, err)

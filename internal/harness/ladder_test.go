@@ -43,7 +43,7 @@ func TestExecutedFrequenciesOnLadder(t *testing.T) {
 			at += rng.ExpFloat64() * gapMs
 			arr = append(arr, at)
 		}
-		for _, name := range allPolicyNames {
+		for _, name := range AllPolicyNames {
 			cfg := p.SimConfig()
 			cfg.RecordFreqTrace = true
 			res := sim.Run(cfg, p.Workload(arr, at+100, 5), p.MustPolicy(name))

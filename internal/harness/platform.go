@@ -270,6 +270,12 @@ func (p *Platform) WorkloadBudget(arrivals []float64, durationMs float64, seed i
 // PolicyNames lists the five schemes of the Fig. 10/11 sweep in paper order.
 var PolicyNames = []string{"Baseline", "Rubik", "Pegasus", "Gemini-a", "Gemini"}
 
+// AllPolicyNames is every name NewPolicy accepts: the Fig. 10/11 five, then
+// the ablations, extensions and governors. A command checks a name against
+// it before it pays for a platform.
+var AllPolicyNames = append(append([]string(nil), PolicyNames...),
+	"Gemini-95th", "EETL", "PACE-oracle", "Gemini+Sleep", "ondemand", "conservative")
+
 // markCached lets a Gemini policy consume the platform's prediction table for
 // whichever of its predictors are the platform's shared NN instances — the
 // table was computed by exactly those, so cached and live values coincide

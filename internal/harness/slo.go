@@ -14,11 +14,11 @@ import (
 // deterministically-merged rows, the report is byte-identical for any
 // worker count, like every other harness table.
 
-// SLOReport folds a timeline run into the burn-rate table. targetPct is the
+// SLOReport folds a sampled cell run into the burn-rate table. targetPct is the
 // SLO target percentile (0 selects the tracker default, 99). The tracker's
 // buckets are aligned to whole seconds regardless of the sample interval, so
 // the default 1 s / 10 s / 60 s windows read the same as the live trackers'.
-func SLOReport(tlr *TimelineResult, targetPct float64) *Report {
+func SLOReport(tlr *CellResult, targetPct float64) *Report {
 	rows := tlr.Series.Rows()
 	tracker := telemetry.NewSLOTracker(telemetry.SLOConfig{
 		DeadlineMs: tlr.BudgetMs,

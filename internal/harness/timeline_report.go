@@ -8,94 +8,102 @@ import (
 
 	"gemini/internal/sim"
 	"gemini/internal/telemetry"
-	"gemini/internal/trace"
 )
 
-// TimelineSpec parameterizes the time-series view of one shards × replicas
-// topology cell. The zero value is the canonical drift/overload cell: the
-// 8 × 3 power-aware topology under the 40 W cluster cap (the cap-throttle
-// experiment from the capacity-planning PR) sampled every 100 ms — the run
-// whose timeline shows the coordinator stepping ceilings down as offered
-// load drifts the queues upward.
+// TimelineSpec parameterizes one shards × replicas topology cell running
+// Gemini on every replica at engine RPS 60. The zero value is the canonical
+// drift/overload cell: the 8 × 3 power-aware topology under the 40 W cluster
+// cap for 3 s — the run whose timeline shows the coordinator stepping
+// ceilings down as offered load drifts the queues upward.
 type TimelineSpec struct {
-	Shards, Replicas      int
-	Router, Policy        string  // "" = power-aware / Gemini
-	CapW, CapIntervalMs   float64 // CapW 0 with Shards 0 defaults to 40 W; explicit topologies keep 0 = uncapped
-	EngineRPS, DurationMs float64
-	SampleIntervalMs      float64 // 0 = 100 ms
-	Seed                  int64
+	Shards, Replicas    int
+	Router              string  // "" = power-aware
+	CapW, CapIntervalMs float64 // CapW 0 with Shards 0 defaults to 40 W; explicit topologies keep 0 = uncapped
+	DurationMs          float64
+	// SampleIntervalMs > 0 attaches the fixed-interval timeline sampler at
+	// that interval; 0 runs the cell unsampled.
+	SampleIntervalMs float64
 }
 
-// TimelineResult bundles one timeline run: the drift/overload report table,
-// the merged cluster series (for JSONL/CSV/HTML export), and the topology
-// result the series must stay consistent with.
-type TimelineResult struct {
-	Report *Report
-	Series *telemetry.Timeseries
-	Res    *sim.TopologyResult
-	Spec   TimelineSpec // spec after defaulting
+// The policy and offered load every topology cell runs.
+const (
+	cellPolicy    = "Gemini"
+	cellEngineRPS = 60
+)
+
+// normalize fills the zero fields of spec.
+func (s *TimelineSpec) normalize() {
+	if s.Shards < 1 {
+		s.Shards, s.Replicas = 8, 3
+		if s.CapW <= 0 {
+			s.CapW = 40
+		}
+	}
+	if s.Replicas < 1 {
+		s.Replicas = 1
+	}
+	if s.Router == "" {
+		s.Router = "power-aware"
+	}
+	if s.DurationMs <= 0 {
+		s.DurationMs = 3000
+	}
+}
+
+// CellResult bundles one topology cell run: the summary table and the
+// Prometheus exposition of its gemini_cluster_* families (route counters, cap
+// throttles, modeled power, query latency histogram), and, for a sampled run,
+// the merged cluster series (for JSONL/CSV/HTML export) with its
+// drift/overload table.
+type CellResult struct {
+	Summary    *Report
+	Exposition string
+	Timeline   *Report               // nil when unsampled
+	Series     *telemetry.Timeseries // nil when unsampled
+	Res        *sim.TopologyResult
+	Spec       TimelineSpec // spec after defaulting
 	// BudgetMs is the workload's latency budget — the SLO deadline the
 	// series' slo_violations column was classified against.
 	BudgetMs float64
 }
 
-// TimelineReport runs one topology cell with the fixed-interval sampler
-// attached and folds the merged cluster series into a drift/overload table:
-// coarse time buckets annotated with whether the power cap throttled and
-// whether the queues drifted (arrivals outpacing completions). The series is
-// merged deterministically in core order, so the table and every export are
-// byte-identical for any worker count.
-func (p *Platform) TimelineReport(spec TimelineSpec, workers int) (*TimelineResult, error) {
-	if spec.Shards < 1 {
-		// Canonical drift cell: 8 × 3 power-aware under the 40 W cap.
-		spec.Shards, spec.Replicas = 8, 3
-		if spec.CapW <= 0 {
-			spec.CapW = 40
-		}
+// CellReport runs one topology cell with cluster telemetry attached, and
+// with the fixed-interval sampler too when spec asks for it. The sampled
+// series is merged deterministically in core order, so every table and
+// export is byte-identical for any worker count. The sampler's ticks count
+// in the summary's events column, as in Result.Events; nothing else moves.
+func (p *Platform) CellReport(spec TimelineSpec, workers int) (*CellResult, error) {
+	spec.normalize()
+	cfg := p.SimConfig()
+	if spec.SampleIntervalMs > 0 {
+		cfg.Series = sim.NewRunTimeseries(cfg.Ladder, spec.DurationMs, spec.SampleIntervalMs)
 	}
-	if spec.Replicas < 1 {
-		spec.Replicas = 1
-	}
-	if spec.Router == "" {
-		spec.Router = "power-aware"
-	}
-	if spec.Policy == "" {
-		spec.Policy = "Gemini"
-	}
-	if spec.EngineRPS <= 0 {
-		spec.EngineRPS = 60
-	}
-	if spec.DurationMs <= 0 {
-		spec.DurationMs = 3000
-	}
-	if spec.SampleIntervalMs <= 0 {
-		spec.SampleIntervalMs = 100
-	}
-	router, err := sim.RouterByName(spec.Router)
+	reg := telemetry.NewRegistry()
+	tc := sim.TopologyConfig{Sim: cfg, Seed: 1, Metrics: telemetry.NewClusterMetrics(reg)}
+	res, err := p.runCell(spec, cellEngineRPS, tc, workers)
 	if err != nil {
 		return nil, err
 	}
 
-	isnRPS := spec.EngineRPS * p.Opt.ShardFraction * float64(spec.Replicas)
-	tr := trace.GenFixedRPS(isnRPS, spec.DurationMs, 1)
-	wl := p.Workload(tr.Arrivals, spec.DurationMs, 2)
-
-	cfg := p.SimConfig()
-	cfg.Series = sim.NewRunTimeseries(cfg.Ladder, spec.DurationMs, spec.SampleIntervalMs)
-	tc := sim.TopologyConfig{
-		Sim:           cfg,
-		Topology:      sim.Topology{Shards: spec.Shards, ReplicasPerShard: spec.Replicas},
-		Router:        router,
-		Seed:          spec.Seed,
-		PowerCapW:     spec.CapW,
-		CapIntervalMs: spec.CapIntervalMs,
+	out := &CellResult{Series: cfg.Series, Res: res, Spec: spec, BudgetMs: p.Opt.BudgetMs}
+	out.Summary = &Report{
+		Title:  "Cluster topology run",
+		Header: append(append([]string{"shards", "replicas", "router"}, topologyHeader...), "events"),
 	}
-	res := sim.RunTopologyWorkers(tc, wl, workers, func(int) sim.Policy {
-		return p.MustPolicy(spec.Policy)
-	})
+	row := []string{fmt.Sprintf("%d", spec.Shards), fmt.Sprintf("%d", spec.Replicas), spec.Router}
+	row = append(row, p.topologyCells(spec.CapW, res)...)
+	out.Summary.AddRow(append(row, fmt.Sprintf("%d", res.Events))...)
+	out.Summary.Note("policy=%s, engine RPS=%d, duration=%.0f ms", cellPolicy, cellEngineRPS, spec.DurationMs)
 
-	rep := timelineTable(cfg.Series, spec, res)
-	return &TimelineResult{Report: rep, Series: cfg.Series, Res: res, Spec: spec, BudgetMs: wl.BudgetMs}, nil
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		return nil, err
+	}
+	out.Exposition = sb.String()
+	if cfg.Series != nil {
+		out.Timeline = timelineTable(cfg.Series, spec, res)
+	}
+	return out, nil
 }
 
 // timelineDisplayBuckets caps the drift/overload table length: longer runs
@@ -115,7 +123,7 @@ func timelineTable(ts *telemetry.Timeseries, spec TimelineSpec, res *sim.Topolog
 		capCell = f1(spec.CapW)
 	}
 	rep.Note("topology %d×%d, router=%s, policy=%s, cap=%s W, sample interval %.0f ms",
-		spec.Shards, spec.Replicas, spec.Router, spec.Policy, capCell, spec.SampleIntervalMs)
+		spec.Shards, spec.Replicas, spec.Router, cellPolicy, capCell, spec.SampleIntervalMs)
 	rep.Note("state: throttled = cap ceiling step-downs in the bucket; drift = arrivals outpaced completions with the queue deeper at the bucket's end")
 	if len(rows) == 0 {
 		return rep

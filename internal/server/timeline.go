@@ -17,7 +17,7 @@ import (
 // place wall clocks are allowed), adds the runtime self-telemetry columns and
 // has the listener seal the window. Rows use the exact schema the simulated
 // exports use, so `/debug/timeline` on a live listener and `geminisim
-// -timeline` are read by the same tooling (jq recipes, the HTML dashboard,
+// cell -timeline` are read by the same tooling (jq recipes, the HTML dashboard,
 // the examples/timeline scripts). Row times are ms since the listener's time
 // origin, the one its decision records use.
 

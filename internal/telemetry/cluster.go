@@ -7,7 +7,7 @@ import "strconv"
 // (straggler) latency distribution. The topology runner publishes them once
 // per run, after its deterministic merge, so scraping them never perturbs a
 // simulation; the CI smoke job greps these exact family names from the
-// geminisim -shards exposition.
+// geminisim cell exposition.
 const (
 	ClusterRouteTotalName     = "gemini_cluster_route_total"
 	ClusterCapThrottleName    = "gemini_cluster_cap_throttle_total"

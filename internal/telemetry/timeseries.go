@@ -192,7 +192,7 @@ func (t *Timeseries) Snapshot(n int) []TimeseriesRow {
 }
 
 // WriteJSONL dumps the retained rows, oldest first, as JSON lines — the
-// geminisim -timeline export. Byte-stable for identical row contents, which
+// geminisim cell -timeline export. Byte-stable for identical row contents, which
 // is what the serial-vs-sharded identity smoke compares.
 func (t *Timeseries) WriteJSONL(w io.Writer) error {
 	if t == nil {

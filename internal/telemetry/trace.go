@@ -295,8 +295,8 @@ func (t *Tracer) SinkErr() error {
 }
 
 // WriteJSONL dumps the ring's retained decisions (oldest first) as JSON
-// lines — the offline-analysis export used by geminisim -log-decisions when
-// no streaming sink is attached.
+// lines — the offline-analysis export for a tracer with no streaming sink
+// attached.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
