@@ -61,3 +61,35 @@ func BenchmarkPegasusPolicy(b *testing.B) {
 func BenchmarkPACEOraclePolicy(b *testing.B) {
 	benchPolicy(b, func() sim.Policy { return NewPACEOracle() })
 }
+
+// TestDVFSRunAllocsIndependentOfRequests pins the allocations of the path the
+// paper is about: a whole sim.Run under each frequency-switching policy
+// allocates no more often at 2 000 requests than at 1 000, so nothing on the
+// per-request path (SetFreq, timers, planned boosts, the planner) allocates.
+// The pins in package sim all run FixedPolicy, which never switches. The one
+// allocation of slack is the engine's FIFO, which doubles with the deepest
+// queue a run sees; one allocation per request would add a thousand.
+func TestDVFSRunAllocsIndependentOfRequests(t *testing.T) {
+	reset := func(wl *sim.Workload) {
+		for _, r := range wl.Requests {
+			r.Started, r.Done, r.Dropped = false, false, false
+			r.StartMs, r.FinishMs, r.WorkDone = 0, 0, 0
+		}
+	}
+	for name, mk := range map[string]func() sim.Policy{
+		"Gemini":  func() sim.Policy { return NewGemini(featService{}, featError{}) },
+		"Pegasus": func() sim.Policy { return NewPegasus() },
+		"Rubik":   func() sim.Policy { return NewRubik(20) },
+	} {
+		allocs := func(n int) float64 {
+			wl := benchWL(n, 1)
+			return testing.AllocsPerRun(5, func() {
+				reset(wl)
+				sim.Run(sim.DefaultConfig(), wl, mk())
+			})
+		}
+		if small, large := allocs(1000), allocs(2000); large > small+1 {
+			t.Errorf("%s: sim.Run allocates %.0f times at 1 000 requests, %.0f at 2 000", name, small, large)
+		}
+	}
+}

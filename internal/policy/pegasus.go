@@ -15,7 +15,8 @@ type Pegasus struct {
 	// EpochMs is the controller period (125 ms in the paper's scaled setup).
 	EpochMs float64
 
-	epochLat []float64
+	// worst is the epoch's largest completed latency so far, 0 for none.
+	worst float64
 }
 
 // NewPegasus returns the controller with the paper's scaled epoch.
@@ -36,22 +37,19 @@ func (p *Pegasus) OnArrival(*sim.Sim, *sim.Request) {}
 // OnStart implements sim.Policy.
 func (p *Pegasus) OnStart(*sim.Sim, *sim.Request) {}
 
-// OnDeparture implements sim.Policy: record the completed latency for the
-// epoch's feedback decision.
+// OnDeparture implements sim.Policy: fold the completed latency into the
+// epoch's feedback signal, its worst latency.
 func (p *Pegasus) OnDeparture(s *sim.Sim, r *sim.Request) {
-	p.epochLat = append(p.epochLat, r.LatencyMs())
+	if l := r.LatencyMs(); l > p.worst {
+		p.worst = l
+	}
 }
 
 // OnTimer implements sim.Policy: the epoch controller.
 func (p *Pegasus) OnTimer(s *sim.Sim, _ int64) {
 	budget := s.BudgetMs()
-	worst := 0.0
-	for _, l := range p.epochLat {
-		if l > worst {
-			worst = l
-		}
-	}
-	p.epochLat = p.epochLat[:0]
+	worst := p.worst
+	p.worst = 0
 
 	ladder := s.Ladder()
 	switch {

@@ -13,10 +13,12 @@ import (
 // sink's capacity, and the strings and telemetry.Span values are built once,
 // after the run, for the records the sink can still retain. In a cluster run
 // a core whose records the later cores are sure to push out of the sink
-// writes none and only counts them. Decisions go straight to Config.Tracer,
-// except under a sharded cluster run, where each core fills a private slice
-// that is replayed in core order afterwards. A cluster run's timeline windows
-// stay in each core's capture cursor until the merge reads them.
+// writes none and only counts them. Decisions follow the same rule: a cluster
+// run's cores write every decision's audit tuple and build the full record
+// only for the decisions the tracer will retain, and both reach Config.Tracer
+// in one EmitRun afterwards. A cluster run's timeline windows stay in each
+// core's capture cursor until the merge reads them. The three hand-offs run
+// side by side once every core has finished.
 
 // spanRec is one phase span of one request in pointer-free form. phase is an
 // execution-phase index, or one of the two codes below. a holds the phase's
@@ -92,16 +94,69 @@ func (l *spanLog) appendSpans(dst []telemetry.Span, keep int) []telemetry.Span {
 	return dst
 }
 
+// decisionLog is one core's share of a cluster run's decisions. Every request
+// emits exactly one decision, so each decision's place in the run is fixed
+// before any core runs: core c's follow the earlier cores' request counts.
+// The core writes decision i's audit tuple to audits[i], and builds the full
+// record only if the tracer retains it, into recs[i-first]; both are the
+// core's stretch of buffers the whole run shares (placeDecisions).
+type decisionLog struct {
+	audits []telemetry.Audit
+	recs   []telemetry.Decision
+	first  int // the first decision built in full; len(audits) for none
+	n      int // decisions written so far
+}
+
 // capture is what one run holds back from the caller's sinks until it ends.
 type capture struct {
 	spans spanLog
-	// decisions, when non-nil, receives the run's decision records in
-	// emission order in place of Config.Tracer.
-	decisions []telemetry.Decision
+	// decisions, when its audits are non-nil, receives the run's decisions
+	// in place of Config.Tracer.
+	decisions decisionLog
 	// timeline, when Config.Series is set, is the run's capture cursor
 	// (Timeseries.CaptureRun): the run's windows stay there for the merge
 	// instead of reaching the Series.
 	timeline *telemetry.SampleCursor
+}
+
+// placeDecisions gives each core its stretch of the run's audit tuples and
+// of its retained tail: the last tr.Capacity() decisions (every one for a
+// tracer with a streaming sink). sizes[c] is core c's request count.
+func placeDecisions(tr *telemetry.Tracer, caps []capture, sizes []int) (audits []telemetry.Audit, tail []telemetry.Decision) {
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	keep := tr.Capacity()
+	if keep == 0 || keep > total {
+		keep = total
+	}
+	audits = make([]telemetry.Audit, total)
+	tail = make([]telemetry.Decision, keep)
+	cut, off := total-keep, 0 // decisions before cut are evicted
+	for c, n := range sizes {
+		l := &caps[c].decisions
+		l.audits = audits[off : off+n : off+n]
+		l.first = min(n, max(0, cut-off))
+		if l.first < n {
+			l.recs = tail[off+l.first-cut : off+n-cut]
+		}
+		off += n
+	}
+	return audits, tail
+}
+
+// flushDecisions hands the run's decisions to tr as one EmitRun. It panics if
+// a core emitted other than one decision per request, which the places
+// placeDecisions gave out assume.
+func flushDecisions(tr *telemetry.Tracer, caps []capture, audits []telemetry.Audit, tail []telemetry.Decision) {
+	for c := range caps {
+		if l := &caps[c].decisions; l.n != len(l.audits) {
+			panic("sim: core " + strconv.Itoa(c) + " emitted " + strconv.Itoa(l.n) +
+				" decisions for " + strconv.Itoa(len(l.audits)) + " requests")
+		}
+	}
+	tr.EmitRun(audits, tail)
 }
 
 // flushSpans hands the runs' span logs to sink, in order, as one emission:
@@ -151,12 +206,15 @@ func flushSpans(sink *telemetry.SpanTracer, caps []capture) {
 // Each sink gets only what it keeps. Spans are flushed once for the whole
 // cluster; every request emits at least a root and a queue record, so a core
 // followed by cores with capacity/2 requests or more has all its records
-// evicted, and only counts them. Decisions are captured per core and
-// replayed, each core's as one EmitRun, only when cores run concurrently: a
-// serial run emits them live, which is already core order. A Series is
+// evicted, and only counts them. Every request emits exactly one decision,
+// so a decision is built in full only if it is among the run's last
+// Tracer.Capacity(); the others leave only their audit tuple. A Series is
 // always captured per core, because its merge is window arithmetic, not
 // concatenation; coord, when non-nil, supplies the capped power series for
-// that merge.
+// that merge. The three hand-offs write different sinks and read only their
+// own part of each capture, so they run as concurrent jobs: the decision
+// fold, the longest, first, then the span flush, then the timeline merge in
+// chunks of windows. The merged rows are appended in order afterwards.
 func runCores(cfg Config, sizes []int, part func(core int) *Workload, workers int, mk func(core int) Policy, coord *PowerCapCoordinator) []*Result {
 	if cfg.Power == nil {
 		cfg.Power = cpu.DefaultPowerModel()
@@ -171,27 +229,31 @@ func runCores(cfg Config, sizes []int, part func(core int) *Workload, workers in
 			after += sizes[c]
 		}
 	}
-	replay := workers > 1 && cfg.Tracer != nil
+	var audits []telemetry.Audit
+	var tail []telemetry.Decision
+	if cfg.Tracer != nil {
+		audits, tail = placeDecisions(cfg.Tracer, caps, sizes)
+	}
 	par.Run(workers, cores, func(c int) {
 		wl := part(c)
-		if replay {
-			// One decision per request, at completion or drop.
-			caps[c].decisions = make([]telemetry.Decision, 0, len(wl.Requests))
-		}
 		// At most one completion per request.
 		caps[c].timeline = cfg.Series.CaptureRun(wl.DurationMs, len(wl.Requests))
 		results[c] = run(cfg, wl, mk(c), &caps[c])
 	})
-	if replay {
-		for c := range caps {
-			cfg.Tracer.EmitRun(caps[c].decisions) // stamps Seq in serial order
+	if cfg.Tracer == nil && cfg.Spans == nil && cfg.Series == nil {
+		return results
+	}
+	m := newTimelineMerge(cfg.Series, caps, cfg.Power.UncoreW, coord)
+	par.Run(workers, 2+m.chunks(), func(j int) {
+		switch {
+		case j == 0 && cfg.Tracer != nil:
+			flushDecisions(cfg.Tracer, caps, audits, tail)
+		case j == 1 && cfg.Spans != nil:
+			flushSpans(cfg.Spans, caps)
+		case j >= 2:
+			m.chunk(j - 2)
 		}
-	}
-	if cfg.Spans != nil {
-		flushSpans(cfg.Spans, caps)
-	}
-	if cfg.Series != nil {
-		mergeTimeseries(cfg.Series, caps, cfg.Power.UncoreW, coord)
-	}
+	})
+	m.appendTo(cfg.Series)
 	return results
 }

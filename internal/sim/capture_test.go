@@ -1,7 +1,12 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gemini/internal/cpu"
@@ -60,8 +65,9 @@ func lastOf(full sinkState, spanCap, ringCap int) sinkState {
 // one-by-one emission would have evicted.
 func TestSinkEvictionEquivalence(t *testing.T) {
 	const spanCap, ringCap = 97, 31
-	runners := map[string]func(cfg Config, workers int){
-		"topology": func(cfg Config, workers int) {
+	// Each runner returns its shard request count.
+	runners := map[string]func(cfg Config, workers int) int{
+		"topology": func(cfg Config, workers int) int {
 			tc := TopologyConfig{
 				Sim:       cfg,
 				Topology:  Topology{Shards: 3, ReplicasPerShard: 2},
@@ -69,10 +75,10 @@ func TestSinkEvictionEquivalence(t *testing.T) {
 				Seed:      5,
 				PowerCapW: 16,
 			}
-			RunTopologyWorkers(tc, clusterWorkload(300, 2, 6, 29), workers, mkPredictingStorm)
+			return RunTopologyWorkers(tc, clusterWorkload(300, 2, 6, 29), workers, mkPredictingStorm).ShardRequests
 		},
-		"cluster": func(cfg Config, workers int) {
-			RunClusterWorkers(cfg, clusterWorkload(500, 2, 6, 31), 8, workers, mkPredictingStorm)
+		"cluster": func(cfg Config, workers int) int {
+			return RunClusterWorkers(cfg, clusterWorkload(500, 2, 6, 31), 8, workers, mkPredictingStorm).Total
 		},
 	}
 	for name, runIt := range runners {
@@ -96,6 +102,28 @@ func TestSinkEvictionEquivalence(t *testing.T) {
 					t.Errorf("%s linear=%v workers=%d: small sinks differ from the tail of the full emission "+
 						"(spans %d/%d, decisions %d/%d)", name, linear, workers,
 						got.spanTotal, want.spanTotal, got.emitted, want.emitted)
+				}
+			}
+
+			// A tracer with a streaming sink needs every record, so no core
+			// may leave a decision as its audit tuple alone: one JSON line
+			// per shard request, the same bytes at every thread count.
+			var serial []byte
+			for _, workers := range []int{1, 4} {
+				var sink bytes.Buffer
+				cfg.Tracer = telemetry.NewTracer(ringCap)
+				cfg.Tracer.SetSink(&sink)
+				cfg.Spans = nil
+				requests := runIt(cfg, workers)
+				if lines := bytes.Count(sink.Bytes(), []byte("\n")); lines != requests {
+					t.Errorf("%s linear=%v workers=%d: the sink got %d lines for %d shard requests",
+						name, linear, workers, lines, requests)
+				}
+				if workers == 1 {
+					serial = sink.Bytes()
+				} else if !bytes.Equal(sink.Bytes(), serial) {
+					t.Errorf("%s linear=%v: the streamed decisions at workers=%d differ from workers=1",
+						name, linear, workers)
 				}
 			}
 		}
@@ -217,5 +245,49 @@ func TestTracerEnabledAllocsIndependentOfRequests(t *testing.T) {
 	small, large := sinkAllocsAtSizes(cfg, 600)
 	if small <= 0 || large-small > 2 {
 		t.Errorf("decision sink adds %.0f allocs at n and %.0f at 4n requests", small, large)
+	}
+}
+
+// TestObservedCellSinksGolden pins what all three sinks hold after the capped
+// 8×3 cell of TestCountOnlySpansOracle, against a hash taken before the
+// decision capture kept only audit tuples, the per-core cursors stopped
+// computing percentiles and the hand-offs ran side by side: the decision
+// ring, its emitted count and the quality audit, the span sink's spans and
+// total, and the merged timeline rows. The other sink tests compare a run
+// with another run of the same code; this one compares it with the old code.
+// amd64, like the other goldens.
+func TestObservedCellSinksGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the golden is amd64 output")
+	}
+	for _, workers := range []int{1, 4} {
+		wl := clusterWorkload(600, 1, 6, 3)
+		cfg := DefaultConfig()
+		cfg.Tracer = telemetry.NewTracer(300)
+		cfg.Spans = telemetry.NewSpanTracer(1000)
+		cfg.Series = NewRunTimeseries(cfg.Ladder, wl.DurationMs, 2)
+		topo := Topology{Shards: 8, ReplicasPerShard: 3}
+		tc := TopologyConfig{
+			Sim:       cfg,
+			Topology:  topo,
+			Router:    RouterPowerAware{},
+			Seed:      3,
+			PowerCapW: 1.1 * ClusterFloorW(cfg.Power, cfg.Ladder, topo.Cores()),
+		}
+		RunTopologyWorkers(tc, wl, workers, mkPredictingStorm)
+		h := fnv.New64a()
+		enc := json.NewEncoder(h)
+		for _, v := range []any{
+			cfg.Tracer.Ring().Snapshot(0), cfg.Tracer.Emitted(), cfg.Tracer.Quality(),
+			cfg.Spans.Spans(), cfg.Spans.Total(), cfg.Series.Rows(),
+		} {
+			if err := enc.Encode(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const want = "da29932bf04dab7f"
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+			t.Errorf("workers=%d: sinks hash %s, want %s", workers, got, want)
+		}
 	}
 }

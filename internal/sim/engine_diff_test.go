@@ -119,10 +119,12 @@ func assertEnginesEqual(t *testing.T, label string, mkWl func() *Workload, mkPol
 type tieStormPolicy struct {
 	arrivals int
 	timers   int
+	levels   []cpu.Freq // the ladder's, read once so arrivals allocate nothing
 }
 
 func (p *tieStormPolicy) Name() string { return "tiestorm" }
 func (p *tieStormPolicy) Init(s *Sim) {
+	p.levels = s.Ladder().Levels()
 	s.SetFreq(cpu.FDefault)
 	// Three timers at the same instant plus one already in the past (clamps
 	// to now=0): four same-instant events right at t=10 and t=0.
@@ -134,7 +136,7 @@ func (p *tieStormPolicy) Init(s *Sim) {
 func (p *tieStormPolicy) OnArrival(s *Sim, r *Request) {
 	p.arrivals++
 	now := s.Now()
-	lv := s.Ladder().Levels()
+	lv := p.levels
 	// Two plans at the same future instant, one at the current instant, one
 	// in the past (both clamp to now) — then sometimes cancel them all and
 	// replan, exercising generation-based clearing under ties.

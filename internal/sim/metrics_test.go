@@ -250,3 +250,59 @@ func TestRunAllocationPins(t *testing.T) {
 		t.Errorf("3×2 topology with every sink: %.0f allocations at 50 ms samples, %.0f at 10 ms", coarse, fine)
 	}
 }
+
+// TestObservedCellAllocsIndependentOfRequests pins the DVFS path of the
+// capped 8×3 cell run through RunTopologyWorkers, under the tie-storm policy,
+// which plans frequency switches and arms a timer on every arrival. Twice the
+// requests over the same duration:
+//   - leave what the decision and timeline sinks add on top of the span sink
+//     unchanged, within three allocations: a capture buffer grown by append
+//     would add one per core, an allocation per decision or sampler tick
+//     thousands;
+//   - add at most eight allocations per core without sinks, the slack
+//     TestTopologyAllocsIndependentOfRequests gives the engine's own buffers
+//     (each core's FIFO and event heap, the coordinator's ceiling schedules),
+//     which double with the load; an allocation per frequency switch would
+//     add thousands.
+//
+// The three allocations are noise: the counts move by one or two from run to
+// run (the worker pool's goroutines, and a FIFO whose deepest queue the
+// sampler's ticks can shift by an ulp of completion time). The span sink sits
+// on both sides of the first comparison because its allocations, the strings
+// of the spans it retains and the phase marks of the longest request, depend
+// on how many phases the requests had; TestSpansEnabledAllocsIndependentOfRequests
+// holds it.
+func TestObservedCellAllocsIndependentOfRequests(t *testing.T) {
+	const n, durationMs = 1200, 1500.0
+	topo := Topology{Shards: 8, ReplicasPerShard: 3}
+	allocs := func(requests int, spans, others bool) float64 {
+		wl := clusterWorkload(requests, durationMs/float64(requests+2), 6, 3)
+		wl.DurationMs = durationMs
+		return testing.AllocsPerRun(5, func() {
+			cfg := DefaultConfig()
+			if spans {
+				cfg.Spans = telemetry.NewSpanTracer(256)
+			}
+			if others {
+				cfg.Tracer = telemetry.NewTracer(64)
+				cfg.Series = NewRunTimeseries(cfg.Ladder, durationMs, 10)
+			}
+			tc := TopologyConfig{
+				Sim:       cfg,
+				Topology:  topo,
+				Router:    RouterPowerAware{},
+				Seed:      3,
+				PowerCapW: 1.1 * ClusterFloorW(cfg.Power, cfg.Ladder, topo.Cores()),
+			}
+			RunTopologyWorkers(tc, wl, 2, mkPredictingStorm)
+		})
+	}
+	sinks := func(requests int) float64 { return allocs(requests, true, true) - allocs(requests, true, false) }
+	if small, large := sinks(n), sinks(2*n); large > small+3 {
+		t.Errorf("the decision and timeline sinks add %.0f allocations at %d requests, %.0f at %d",
+			small, n, large, 2*n)
+	}
+	if small, large := allocs(n, false, false), allocs(2*n, false, false); large > small+8*float64(topo.Cores()) {
+		t.Errorf("without sinks: %.0f allocations at %d requests, %.0f at %d", small, n, large, 2*n)
+	}
+}

@@ -226,8 +226,8 @@ func Run(cfg Config, wl *Workload, pol Policy) *Result {
 }
 
 // run is Run with, when cp is non-nil, the hand-off left to the caller: the
-// run's span log, and its decisions when cp.decisions is non-nil, are in cp
-// afterwards and cfg.Spans has not been touched; the run samples into
+// run's span log, and its decisions when cp.decisions has its places, are in
+// cp afterwards and cfg.Spans has not been touched; the run samples into
 // cp.timeline, never into cfg.Series.
 func run(cfg Config, wl *Workload, pol Policy, cp *capture) *Result {
 	if cfg.Ladder == nil {
@@ -253,6 +253,12 @@ func run(cfg Config, wl *Workload, pol Policy, cp *capture) *Result {
 	s.cacheCoreW()
 	if cp != nil {
 		s.held = *cp
+	}
+	if l := &s.held.decisions; l.audits != nil && l.first == len(l.audits) {
+		// None of this core's decisions is retained: it writes their audit
+		// tuples only, and keeps none of the plan, start and attribution
+		// state a full record is built from.
+		s.tr = nil
 	}
 	if s.tr != nil {
 		s.pending = make([]pendingDecision, len(wl.Requests))
@@ -540,7 +546,7 @@ func (s *Sim) Drop(r *Request) {
 		if s.tsc != nil {
 			s.tsc.OnDrop()
 		}
-		if s.tr != nil {
+		if s.decides() {
 			s.emitDecision(r)
 		}
 		if s.sp != nil {
@@ -586,17 +592,49 @@ func (s *Sim) TracePlan(r *Request, initial, boost cpu.Freq, boostAtMs float64, 
 	d.criticalID = criticalID
 }
 
-// emitDecision seals and emits r's decision record (tracing enabled only).
+// decides reports whether the run emits decisions: to Config.Tracer, or
+// into a cluster run's capture, which for a core none of whose records is
+// retained holds only the audit tuples.
+//
+//gemini:hotpath
+func (s *Sim) decides() bool { return s.tr != nil || s.held.decisions.audits != nil }
+
+// emitDecision seals and emits r's decision record (tracing enabled only). In
+// a cluster run it writes r's audit tuple to its place, and the full record
+// only if the tracer will retain it.
 //
 //gemini:hotpath
 func (s *Sim) emitDecision(r *Request) {
+	a := telemetry.Audit{PredictedMs: r.PredictedMs, PredErrMs: r.PredErrMs, Dropped: r.Dropped}
+	if r.Done {
+		// The S* audit target: the request's true work expressed as service
+		// time at the default frequency (what eq. 1 predicts).
+		a.ActualMs = cpu.TimeFor(r.WorkTotal, cpu.FDefault)
+	}
+	l := &s.held.decisions
+	if l.audits == nil {
+		s.tr.Emit(s.decision(r, &a))
+		return
+	}
+	i := l.n
+	l.n++
+	l.audits[i] = a
+	if i >= l.first {
+		l.recs[i-l.first] = s.decision(r, &a)
+	}
+}
+
+// decision builds r's full decision record around its audit tuple a.
+//
+//gemini:hotpath
+func (s *Sim) decision(r *Request, a *telemetry.Audit) telemetry.Decision {
 	p := &s.pending[r.slot]
 	d := telemetry.Decision{
 		Policy:          s.pol.Name(),
 		RequestID:       r.ID,
 		ArrivalMs:       r.ArrivalMs,
-		PredictedMs:     r.PredictedMs,
-		PredErrMs:       r.PredErrMs,
+		PredictedMs:     a.PredictedMs,
+		PredErrMs:       a.PredErrMs,
 		InitialFreqGHz:  p.initialGHz,
 		BoostFreqGHz:    p.boostGHz,
 		BoostAtMs:       p.boostAtMs,
@@ -604,9 +642,10 @@ func (s *Sim) emitDecision(r *Request) {
 		QueueDepth:      p.queueDepth,
 		StartFreqGHz:    p.startGHz,
 		FinishMs:        r.FinishMs,
+		ActualMs:        a.ActualMs,
 		LatencyMs:       r.LatencyMs(),
 		DeadlineSlackMs: r.DeadlineMs - r.FinishMs,
-		Dropped:         r.Dropped,
+		Dropped:         a.Dropped,
 		Violated:        r.Violated(),
 	}
 	if r.Started {
@@ -615,16 +654,7 @@ func (s *Sim) emitDecision(r *Request) {
 		d.Transitions = s.transitions - s.headTrans0
 		d.EnergyMJ = s.acc.EnergyMJ() - s.headEnergy0
 	}
-	if r.Done {
-		// The S* audit target: the request's true work expressed as service
-		// time at the default frequency (what eq. 1 predicts).
-		d.ActualMs = cpu.TimeFor(r.WorkTotal, cpu.FDefault)
-	}
-	if s.held.decisions != nil {
-		s.held.decisions = append(s.held.decisions, d)
-		return
-	}
-	s.tr.Emit(d)
+	return d
 }
 
 // emitSpans logs r's phase-span waterfall (span tracing enabled only): the
@@ -949,14 +979,14 @@ func (s *Sim) completeHead() {
 		s.emitSpans(head)
 		s.tracking = false
 	}
-	if s.tr != nil {
+	if s.decides() {
 		s.emitDecision(head)
+	}
+	if s.tr != nil && s.qlen() > 0 {
 		// With a successor already queued there is no idle gap: open its
 		// attribution window now, so replanning transitions the policy makes
 		// in OnDeparture count toward the next head.
-		if s.qlen() > 0 {
-			s.headEnergy0, s.headTrans0, s.headSnapped = s.acc.EnergyMJ(), s.transitions, true
-		}
+		s.headEnergy0, s.headTrans0, s.headSnapped = s.acc.EnergyMJ(), s.transitions, true
 	}
 	s.pol.OnDeparture(s, head)
 	if s.qlen() > 0 && !s.head().Started {

@@ -260,10 +260,11 @@ func TestTopologyPublishesClusterMetrics(t *testing.T) {
 // FuzzRouterEquivalence is the CI smoke fuzz: arbitrary (seed, router, cap)
 // triples must keep the sharded topology run byte-identical to the serial
 // one — the TopologyResult, the merged timeline export, and the decision and
-// span sinks at fuzzed capacities (span capacity 0 is an accumulator). The
-// serial run emits decisions live; the sharded one replays each core's
-// through Tracer.EmitRun. Both leave the spans of cores the sink cannot
-// retain counted, not built.
+// span sinks at fuzzed capacities (span capacity 0 is an accumulator). Both
+// hand their decisions over in one Tracer.EmitRun, built in full only where
+// the ring retains them, and both leave the spans of cores the sink cannot
+// retain counted, not built; the sharded run does the three hand-offs
+// concurrently.
 func FuzzRouterEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint16(512), uint16(4096))
 	f.Add(int64(7), uint8(1), uint8(1), uint16(31), uint16(97))

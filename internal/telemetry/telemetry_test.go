@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"reflect"
 	"slices"
@@ -185,9 +186,11 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 }
 
-// TestTracerEmitRunEqualsEmits: one EmitRun must leave a tracer exactly as
-// emitting the run decision by decision would, on top of what it held: the
-// ring, its total, the Seq count, the quality audit and the sink's bytes.
+// TestTracerEmitRunEqualsEmits: one EmitRun of a run's audit tuples and its
+// last Capacity() records must leave a tracer exactly as emitting the run
+// decision by decision would, on top of what it held: the ring, its total,
+// the Seq count, the quality audit and the sink's bytes. A tail short of
+// Capacity() panics.
 func TestTracerEmitRunEqualsEmits(t *testing.T) {
 	const ringCap = 8
 	mk := func(n, base int) []Decision {
@@ -226,7 +229,22 @@ func TestTracerEmitRunEqualsEmits(t *testing.T) {
 			for _, d := range ds {
 				direct.Emit(d)
 			}
-			run.EmitRun(ds)
+			audits := make([]Audit, n)
+			for i := range ds {
+				audits[i] = ds[i].Audit()
+			}
+			keep := n
+			if c := run.Capacity(); c > 0 {
+				keep = min(keep, c)
+			}
+			probe := NewTracer(ringCap)
+			if withSink {
+				probe.SetSink(io.Discard)
+			}
+			if keep > 0 && !panics(func() { probe.EmitRun(audits, ds[n-keep+1:]) }) {
+				t.Errorf("n=%d: a tail one short of %d records did not panic", n, keep)
+			}
+			run.EmitRun(audits, ds[n-keep:])
 			if want, got := read(direct, &directSink), read(run, &runSink); !reflect.DeepEqual(got, want) {
 				t.Errorf("n=%d sink=%v: EmitRun leaves %+v, %d Emits leave %+v", n, withSink, got, n, want)
 			}
@@ -236,7 +254,14 @@ func TestTracerEmitRunEqualsEmits(t *testing.T) {
 		}
 	}
 	var nilTracer *Tracer
-	nilTracer.EmitRun(mk(3, 0))
+	nilTracer.EmitRun([]Audit{{}}, mk(1, 0))
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }
 
 func TestHTTPHandlers(t *testing.T) {

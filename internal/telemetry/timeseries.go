@@ -282,9 +282,10 @@ func sampleBoundary(k int, intervalMs, durationMs float64) float64 {
 // same contract the decision tracer uses; every engine-side touch sits under
 // `if s.tsc != nil`.
 //
-// A cursor opened by CaptureRun keeps its sealed rows, and each row's sorted
+// A cursor opened by CaptureRun keeps its sealed rows, and each row's
 // latencies, in memory instead of appending them to a Timeseries: a merge of
-// several runs' windows reads them in place (Rows, Latencies).
+// several runs' windows reads them in place (Rows, Latencies) and computes
+// the percentiles the rows leave zero.
 //
 // All methods are allocation-free except OnCompletion's amortized window
 // growth (sampling enabled implies the window buffer is part of the
@@ -309,11 +310,10 @@ type SampleCursor struct {
 	arrivals, completions, drops uint64
 	resid                        []float64
 
-	// lat holds completed latencies; the open window is lat[winStart:]. A
-	// live cursor empties it at every boundary, a capture cursor keeps each
-	// sealed window, sorted, with its end offset in latEnd.
-	lat      []float64
-	winStart int
+	// lat holds completed latencies. A live cursor empties it at every
+	// boundary; a capture cursor keeps each sealed window, unsorted, with its
+	// end offset in latEnd, and the open window after the last of them.
+	lat []float64
 
 	// Capture cursor only: the sealed rows, their Residency slices cut from
 	// rowResid.
@@ -381,7 +381,7 @@ func (c *SampleCursor) Rows() []TimeseriesRow {
 }
 
 // Latencies returns the latencies that completed inside sealed row k's
-// window, sorted ascending, aliasing the cursor's storage (capture cursor
+// window, in completion order, aliasing the cursor's storage (capture cursor
 // only).
 func (c *SampleCursor) Latencies(k int) []float64 {
 	lo := 0
@@ -460,9 +460,11 @@ func (c *SampleCursor) OnDrop() { c.drops++ }
 // (QueueDepth, InFlight, and the live listeners' runtime columns) and leaves
 // the windowed ones zero; Sample fills those in: power from the delta of the
 // cumulative energyMJ reading, lifecycle and SLO counts, the queue
-// high-water mark, residency fractions and the windowed percentiles (the
-// buffer is sorted in place). It then resets the accumulators and advances
-// to the next boundary.
+// high-water mark, residency fractions and, on a live cursor, the windowed
+// percentiles (the buffer is sorted in place). A capture cursor leaves the
+// percentiles zero and its window unsorted: the merge that reads it computes
+// them from the union of every run's window. Sample then resets the
+// accumulators and advances to the next boundary.
 func (c *SampleCursor) Sample(row TimeseriesRow, energyMJ float64) {
 	nowMs := row.TimeMs
 	c.chargeLevel(nowMs)
@@ -480,13 +482,13 @@ func (c *SampleCursor) Sample(row TimeseriesRow, energyMJ float64) {
 			c.resid[i] = r / dt
 		}
 	}
-	if win := c.lat[c.winStart:]; len(win) > 0 {
-		stats.SortAscending(win)
-		row.P50Ms = stats.PercentileSorted(win, 50)
-		row.P95Ms = stats.PercentileSorted(win, 95)
-		row.P99Ms = stats.PercentileSorted(win, 99)
-	}
 	if c.ts != nil {
+		if len(c.lat) > 0 {
+			stats.SortAscending(c.lat)
+			row.P50Ms = stats.PercentileSorted(c.lat, 50)
+			row.P95Ms = stats.PercentileSorted(c.lat, 95)
+			row.P99Ms = stats.PercentileSorted(c.lat, 99)
+		}
 		c.ts.Append(row)
 		c.lat = c.lat[:0]
 	} else {
@@ -519,8 +521,7 @@ func (c *SampleCursor) keep(row TimeseriesRow) {
 	c.rowResid = append(c.rowResid, c.resid...)
 	row.Residency = c.rowResid[lo:len(c.rowResid):len(c.rowResid)]
 	c.rows = append(c.rows, row)
-	c.winStart = len(c.lat)
-	c.latEnd = append(c.latEnd, c.winStart)
+	c.latEnd = append(c.latEnd, len(c.lat))
 }
 
 // timelinePayload is the JSON body served by TimelineHandler.

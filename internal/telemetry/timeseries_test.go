@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"gemini/internal/stats"
 )
 
 func sampleRow(k int) TimeseriesRow {
@@ -81,8 +83,10 @@ func TestTimeseriesSnapshotAllocs(t *testing.T) {
 }
 
 // TestCaptureRunMatchesStartRun: a capture cursor fed what a live cursor is
-// fed keeps exactly the rows the live one appends, and each row's latencies
-// sorted, with nothing in a window it does not end.
+// fed keeps exactly the rows the live one appends, but for the percentiles,
+// which it leaves to the merge, and each row's latencies in completion order,
+// with nothing in a window it does not end. The live row's percentiles are
+// those of the captured window, sorted.
 func TestCaptureRunMatchesStartRun(t *testing.T) {
 	const dur = 450.0 // a partial last window
 	live := NewTimeseries(100, []float64{1.2, 2.7}, 8)
@@ -104,7 +108,6 @@ func TestCaptureRunMatchesStartRun(t *testing.T) {
 		for _, c := range []*SampleCursor{lc, cc} {
 			c.Sample(TimeseriesRow{TimeMs: b, QueueDepth: float64(k % 3)}, 3*b+float64(k))
 		}
-		slices.Sort(win)
 		wins = append(wins, win)
 		win = nil
 	}
@@ -112,7 +115,19 @@ func TestCaptureRunMatchesStartRun(t *testing.T) {
 	if live.Len() != len(wins) {
 		t.Fatalf("live cursor sealed %d rows, want %d", live.Len(), len(wins))
 	}
-	if got, want := cc.Rows(), live.Rows(); !reflect.DeepEqual(got, want) {
+	want := live.Rows()
+	for k := range want {
+		w := &want[k]
+		sorted := slices.Clone(wins[k])
+		slices.Sort(sorted)
+		if w.P50Ms != stats.PercentileSorted(sorted, 50) || w.P95Ms != stats.PercentileSorted(sorted, 95) ||
+			w.P99Ms != stats.PercentileSorted(sorted, 99) {
+			t.Errorf("window %d: live percentiles %v/%v/%v are not those of its latencies %v",
+				k, w.P50Ms, w.P95Ms, w.P99Ms, sorted)
+		}
+		w.P50Ms, w.P95Ms, w.P99Ms = 0, 0, 0
+	}
+	if got := cc.Rows(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("capture rows differ from the live cursor's:\n got %+v\nwant %+v", got, want)
 	}
 	for k, want := range wins {

@@ -48,9 +48,22 @@ type Decision struct {
 	Violated        bool    `json:"violated,omitempty"`
 }
 
+// Audit is the part of a Decision the prediction audit reads. A cluster run
+// keeps it for every decision and builds the full record only for those the
+// ring will retain (Tracer.EmitRun).
+type Audit struct {
+	PredictedMs, PredErrMs, ActualMs float64
+	Dropped                          bool
+}
+
+// Audit returns d's audit tuple.
+func (d *Decision) Audit() Audit {
+	return Audit{PredictedMs: d.PredictedMs, PredErrMs: d.PredErrMs, ActualMs: d.ActualMs, Dropped: d.Dropped}
+}
+
 // AbsErrMs returns |actual − predicted| service time at FDefault.
-func (d *Decision) AbsErrMs() float64 {
-	e := d.ActualMs - d.PredictedMs
+func (a *Audit) AbsErrMs() float64 {
+	e := a.ActualMs - a.PredictedMs
 	if e < 0 {
 		e = -e
 	}
@@ -59,8 +72,8 @@ func (d *Decision) AbsErrMs() float64 {
 
 // Covered reports whether the budgeted estimate S* + E* bounded the actual
 // service time — the property eq. 7's boost time relies on.
-func (d *Decision) Covered() bool {
-	return d.ActualMs <= d.PredictedMs+d.PredErrMs
+func (a *Audit) Covered() bool {
+	return a.ActualMs <= a.PredictedMs+a.PredErrMs
 }
 
 // Ring is a bounded, concurrency-safe buffer of the most recent decisions; the
@@ -108,23 +121,23 @@ func NewQuality() *Quality {
 	return &Quality{res: stats.NewReservoir(2048, 1), buckets: make([]uint64, len(qualityBuckets)+1)}
 }
 
-// Observe folds one completed, predicted decision into the audit. Decisions
-// without a prediction (PredictedMs == 0) or without an executed outcome are
-// ignored.
-func (q *Quality) Observe(d *Decision) {
-	if d.PredictedMs <= 0 || d.ActualMs <= 0 || d.Dropped {
+// Observe folds one completed, predicted decision's audit tuple into the
+// audit. Decisions without a prediction (PredictedMs == 0) or without an
+// executed outcome are ignored.
+func (q *Quality) Observe(a *Audit) {
+	if a.PredictedMs <= 0 || a.ActualMs <= 0 || a.Dropped {
 		return
 	}
-	abs := d.AbsErrMs()
+	abs := a.AbsErrMs()
 	q.absErr.Add(abs)
-	q.signed.Add(d.ActualMs - d.PredictedMs)
+	q.signed.Add(a.ActualMs - a.PredictedMs)
 	q.res.Add(abs)
 	i := 0
 	for i < len(qualityBuckets) && abs > qualityBuckets[i] {
 		i++
 	}
 	q.buckets[i]++
-	if d.Covered() {
+	if a.Covered() {
 		q.covered++
 	}
 	q.total++
@@ -210,41 +223,57 @@ func (t *Tracer) Emit(d Decision) {
 	t.seq++
 	d.Seq = t.seq
 	t.ring.buf.push(&d)
-	t.quality.Observe(&d)
+	a := d.Audit()
+	t.quality.Observe(&a)
 	if t.enc != nil {
 		t.writeSink(d)
 	}
 	t.ring.mu.Unlock()
 }
 
-// EmitRun records a run of decisions in one critical section, as len(ds)
-// calls of Emit would: each is stamped with the next Seq, folded into the
-// audit in order and streamed to the sink when one is attached, but only
-// those the ring will still hold once the run is in are copied into it; the
-// rest count in its total. ds itself is not modified. The simulator replays
-// each core's captured decisions through this after a sharded run. Nil-safe.
-func (t *Tracer) EmitRun(ds []Decision) {
-	if t == nil || len(ds) == 0 {
+// EmitRun records a run of len(audits) decisions in one critical section, as
+// that many calls of Emit would, from what the caller kept of them: audits[i]
+// is decision i's audit tuple, and tail holds the run's last len(tail)
+// decisions in full. Each decision is stamped with the next Seq and folded
+// into the audit in order; the ones in tail are copied into the ring, stamped,
+// and streamed to the sink when one is attached. tail must hold at least the
+// run's last Capacity() decisions (every one, with a sink attached): the rest
+// then count in the ring's total exactly as its evictions would. The
+// simulator hands a cluster run's decisions over through this. Neither
+// argument is modified. Nil-safe.
+func (t *Tracer) EmitRun(audits []Audit, tail []Decision) {
+	if t == nil || len(audits) == 0 {
 		return
 	}
 	t.ring.mu.Lock()
-	skip := len(ds) - len(t.ring.buf.slots) // the run's own evictions
-	for i := range ds {
-		d := &ds[i]
+	defer t.ring.mu.Unlock()
+	need := len(audits)
+	if keep := t.capacity(); keep > 0 {
+		need = min(keep, need)
+	}
+	if len(tail) < need || len(tail) > len(audits) {
+		panic("telemetry: EmitRun's tail does not cover the decisions the tracer retains")
+	}
+	for i := range audits {
+		t.quality.Observe(&audits[i])
+	}
+	evicted := len(audits) - len(tail)
+	t.ring.buf.total += uint64(evicted)
+	t.seq += uint64(evicted)
+	skip := len(tail) - len(t.ring.buf.slots) // the tail's own evictions
+	for i := range tail {
 		t.seq++
 		if i < skip {
 			t.ring.buf.total++
 		} else {
-			t.ring.buf.slots[t.ring.buf.push(d)].Seq = t.seq
+			t.ring.buf.slots[t.ring.buf.push(&tail[i])].Seq = t.seq
 		}
-		t.quality.Observe(d)
 		if t.enc != nil {
-			cp := *d
+			cp := tail[i]
 			cp.Seq = t.seq
 			t.writeSink(cp)
 		}
 	}
-	t.ring.mu.Unlock()
 }
 
 // writeSink streams one decision under ring.mu. It takes the decision by
@@ -254,6 +283,26 @@ func (t *Tracer) writeSink(d Decision) {
 	if err := t.enc.Encode(&d); err != nil && t.sinkErr == nil {
 		t.sinkErr = err
 	}
+}
+
+// Capacity returns how many of a run's most recent decisions EmitRun needs
+// in full: the ring's capacity, or 0 — every one — with a streaming sink
+// attached. A nil tracer also reports 0: callers test for nil first.
+func (t *Tracer) Capacity() int {
+	if t == nil {
+		return 0
+	}
+	t.ring.mu.Lock()
+	defer t.ring.mu.Unlock()
+	return t.capacity()
+}
+
+// capacity is Capacity under ring.mu.
+func (t *Tracer) capacity() int {
+	if t.enc != nil {
+		return 0
+	}
+	return len(t.ring.buf.slots)
 }
 
 // Ring returns the bounded decision buffer (nil for a nil tracer).
