@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -238,7 +239,7 @@ func cellCmd(fs *flag.FlagSet, e *env) func() error {
 	fs.IntVar(&spec.Replicas, "replicas", 3, "replicas per shard")
 	routerFlag(fs, &spec.Router)
 	fs.Float64Var(&spec.CapW, "power-cap", 40, "cluster power cap in modeled watts (0 = uncapped)")
-	fs.Float64Var(&spec.CapIntervalMs, "cap-interval", 0, "power-cap control interval in ms (0 = default)")
+	fs.Float64Var(&spec.CapIntervalMs, "cap-interval", 0, "power-cap control interval in ms, positive (unset: 100)")
 	jsonl := fs.String("timeline", "", "sample the run and write the series (JSONL) to this path")
 	csv := fs.String("timeline-csv", "", "sample the run and write the series as CSV to this path")
 	html := fs.String("timeline-html", "", "sample the run and write the self-contained SVG dashboard to this path")
@@ -246,8 +247,14 @@ func cellCmd(fs *flag.FlagSet, e *env) func() error {
 	slo := fs.Bool("slo", false, "sample the run and print its SLO error-budget burn table")
 	sloTarget := fs.Float64("slo-target", 99, "SLO target percentile (setting it implies -slo)")
 	return func() error {
+		if math.IsNaN(spec.CapW) || math.IsInf(spec.CapW, 0) {
+			return errors.New("-power-cap must be finite")
+		}
 		if spec.CapW <= 0 && isSet(fs, "cap-interval") {
 			return errors.New("-cap-interval needs -power-cap > 0")
+		}
+		if iv := spec.CapIntervalMs; isSet(fs, "cap-interval") && (math.IsNaN(iv) || iv <= 0 || math.IsInf(iv, 1)) {
+			return errors.New("-cap-interval must be positive and finite")
 		}
 		*slo = *slo || isSet(fs, "slo-target")
 		if *slo || *jsonl != "" || *csv != "" || *html != "" || isSet(fs, "sample-interval") {
@@ -298,6 +305,9 @@ func capacityCmd(fs *flag.FlagSet, e *env) func() error {
 	routerFlag(fs, &spec.Router)
 	capW := fs.Float64("power-cap", 0, "also sweep this cluster power cap in modeled watts (the uncapped column always runs)")
 	return func() error {
+		if math.IsNaN(*capW) || math.IsInf(*capW, 0) {
+			return errors.New("-power-cap must be finite")
+		}
 		spec.CapsW = []float64{0}
 		if *capW > 0 {
 			spec.CapsW = append(spec.CapsW, *capW)

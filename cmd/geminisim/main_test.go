@@ -36,6 +36,13 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"stray argument", []string{"list", "fig10"}, `unexpected argument "fig10"`},
 		{"cap interval without a cap", []string{"cell", "-small", "-power-cap", "0", "-cap-interval", "50"}, "-cap-interval needs -power-cap"},
 		{"zero sample interval", []string{"cell", "-small", "-sample-interval", "0"}, "-sample-interval must be positive"},
+		{"NaN power cap", []string{"cell", "-small", "-power-cap", "NaN"}, "-power-cap must be finite"},
+		{"infinite power cap, capacity", []string{"capacity", "-small", "-power-cap", "Inf"}, "-power-cap must be finite"},
+		{"NaN power cap, capacity", []string{"capacity", "-small", "-power-cap", "NaN"}, "-power-cap must be finite"},
+		{"NaN cap interval", []string{"cell", "-small", "-cap-interval", "NaN"}, "-cap-interval must be positive and finite"},
+		{"negative cap interval", []string{"cell", "-small", "-cap-interval", "-5"}, "-cap-interval must be positive and finite"},
+		{"zero cap interval", []string{"cell", "-small", "-cap-interval", "0"}, "-cap-interval must be positive and finite"},
+		{"infinite cap interval", []string{"cell", "-small", "-cap-interval", "+Inf"}, "-cap-interval must be positive and finite"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

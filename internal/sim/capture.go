@@ -210,11 +210,12 @@ func flushSpans(sink *telemetry.SpanTracer, caps []capture) {
 // so a decision is built in full only if it is among the run's last
 // Tracer.Capacity(); the others leave only their audit tuple. A Series is
 // always captured per core, because its merge is window arithmetic, not
-// concatenation; coord, when non-nil, supplies the capped power series for
-// that merge. The three hand-offs write different sinks and read only their
-// own part of each capture, so they run as concurrent jobs: the decision
-// fold, the longest, first, then the span flush, then the timeline merge in
-// chunks of windows. The merged rows are appended in order afterwards.
+// concatenation. coord, when non-nil, gives each core its ceiling schedule
+// and supplies the capped power series for that merge. The three hand-offs
+// write different sinks and read only their own part of each capture, so
+// they run as concurrent jobs: the decision fold, the longest, first, then
+// the span flush, then the timeline merge in chunks of windows. The merged
+// rows are appended in order afterwards.
 func runCores(cfg Config, sizes []int, part func(core int) *Workload, workers int, mk func(core int) Policy, coord *PowerCapCoordinator) []*Result {
 	if cfg.Power == nil {
 		cfg.Power = cpu.DefaultPowerModel()
@@ -238,7 +239,11 @@ func runCores(cfg Config, sizes []int, part func(core int) *Workload, workers in
 		wl := part(c)
 		// At most one completion per request.
 		caps[c].timeline = cfg.Series.CaptureRun(wl.DurationMs, len(wl.Requests))
-		results[c] = run(cfg, wl, mk(c), &caps[c])
+		var ceil []CeilingStep
+		if coord != nil {
+			ceil = coord.Schedule(c)
+		}
+		results[c] = run(cfg, wl, mk(c), &caps[c], ceil)
 	})
 	if cfg.Tracer == nil && cfg.Spans == nil && cfg.Series == nil {
 		return results

@@ -248,46 +248,53 @@ func TestTracerEnabledAllocsIndependentOfRequests(t *testing.T) {
 	}
 }
 
-// TestObservedCellSinksGolden pins what all three sinks hold after the capped
-// 8×3 cell of TestCountOnlySpansOracle, against a hash taken before the
-// decision capture kept only audit tuples, the per-core cursors stopped
-// computing percentiles and the hand-offs ran side by side: the decision
-// ring, its emitted count and the quality audit, the span sink's spans and
-// total, and the merged timeline rows. The other sink tests compare a run
-// with another run of the same code; this one compares it with the old code.
-// amd64, like the other goldens.
+// TestObservedCellSinksGolden pins what all three sinks hold after the 8×3
+// cell of TestCountOnlySpansOracle, capped and uncapped, against hashes taken
+// before the decision capture kept only audit tuples, the per-core cursors
+// stopped computing percentiles and the hand-offs ran side by side: the
+// decision ring, its emitted count and the quality audit, the span sink's
+// spans and total, and the merged timeline rows. The other sink tests compare
+// a run with another run of the same code; this one compares it with the old
+// code. The capped hash was re-pinned when the engine took over the frequency
+// ceiling (planned boosts now obey it); the uncapped one never moved. amd64,
+// like the other goldens.
 func TestObservedCellSinksGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the golden is amd64 output")
 	}
-	for _, workers := range []int{1, 4} {
-		wl := clusterWorkload(600, 1, 6, 3)
-		cfg := DefaultConfig()
-		cfg.Tracer = telemetry.NewTracer(300)
-		cfg.Spans = telemetry.NewSpanTracer(1000)
-		cfg.Series = NewRunTimeseries(cfg.Ladder, wl.DurationMs, 2)
-		topo := Topology{Shards: 8, ReplicasPerShard: 3}
-		tc := TopologyConfig{
-			Sim:       cfg,
-			Topology:  topo,
-			Router:    RouterPowerAware{},
-			Seed:      3,
-			PowerCapW: 1.1 * ClusterFloorW(cfg.Power, cfg.Ladder, topo.Cores()),
-		}
-		RunTopologyWorkers(tc, wl, workers, mkPredictingStorm)
-		h := fnv.New64a()
-		enc := json.NewEncoder(h)
-		for _, v := range []any{
-			cfg.Tracer.Ring().Snapshot(0), cfg.Tracer.Emitted(), cfg.Tracer.Quality(),
-			cfg.Spans.Spans(), cfg.Spans.Total(), cfg.Series.Rows(),
-		} {
-			if err := enc.Encode(v); err != nil {
-				t.Fatal(err)
+	for _, tt := range []struct {
+		name   string
+		capped bool
+		want   string
+	}{
+		{"capped", true, "3e902154b33cee3d"},
+		{"uncapped", false, "25ef91a4386f6459"},
+	} {
+		for _, workers := range []int{1, 4} {
+			wl := clusterWorkload(600, 1, 6, 3)
+			cfg := DefaultConfig()
+			cfg.Tracer = telemetry.NewTracer(300)
+			cfg.Spans = telemetry.NewSpanTracer(1000)
+			cfg.Series = NewRunTimeseries(cfg.Ladder, wl.DurationMs, 2)
+			topo := Topology{Shards: 8, ReplicasPerShard: 3}
+			tc := TopologyConfig{Sim: cfg, Topology: topo, Router: RouterPowerAware{}, Seed: 3}
+			if tt.capped {
+				tc.PowerCapW = 1.1 * ClusterFloorW(cfg.Power, cfg.Ladder, topo.Cores())
 			}
-		}
-		const want = "da29932bf04dab7f"
-		if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
-			t.Errorf("workers=%d: sinks hash %s, want %s", workers, got, want)
+			RunTopologyWorkers(tc, wl, workers, mkPredictingStorm)
+			h := fnv.New64a()
+			enc := json.NewEncoder(h)
+			for _, v := range []any{
+				cfg.Tracer.Ring().Snapshot(0), cfg.Tracer.Emitted(), cfg.Tracer.Quality(),
+				cfg.Spans.Spans(), cfg.Spans.Total(), cfg.Series.Rows(),
+			} {
+				if err := enc.Encode(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := fmt.Sprintf("%016x", h.Sum64()); got != tt.want {
+				t.Errorf("%s, workers=%d: sinks hash %s, want %s", tt.name, workers, got, tt.want)
+			}
 		}
 	}
 }

@@ -61,9 +61,10 @@ func (p *loggingPolicy) OnTimer(s *Sim, tag int64) {
 }
 
 // runEngine executes one freshly-built workload/policy pair under the given
-// engine with full observability enabled, the timeline sampler too when
-// sampled, returning everything comparable.
-func runEngine(linear, sampled bool, wl *Workload, pol Policy) (*Result, []telemetry.Decision, []telemetry.Span, []callbackLog) {
+// engine and ceiling schedule (nil: uncapped) with full observability
+// enabled, the timeline sampler too when sampled, returning everything
+// comparable.
+func runEngine(linear, sampled bool, wl *Workload, pol Policy, steps []CeilingStep) (*Result, []telemetry.Decision, []telemetry.Span, []callbackLog) {
 	cfg := DefaultConfig()
 	cfg.linear = linear
 	cfg.RecordFreqTrace = true
@@ -73,16 +74,17 @@ func runEngine(linear, sampled bool, wl *Workload, pol Policy) (*Result, []telem
 		cfg.Series = NewRunTimeseries(cfg.Ladder, wl.DurationMs, fuzzSampleMs)
 	}
 	lp := &loggingPolicy{inner: pol}
-	res := Run(cfg, wl, lp)
+	res := run(cfg, wl, lp, nil, steps)
 	return res, cfg.Tracer.Ring().Snapshot(0), cfg.Spans.Spans(), lp.log
 }
 
 // assertEnginesEqual runs both engines on independently-built (but identical)
-// workloads and policies and requires every observable to match exactly.
-func assertEnginesEqual(t *testing.T, label string, mkWl func() *Workload, mkPol func() Policy) {
+// workloads and policies under one ceiling schedule and requires every
+// observable to match exactly.
+func assertEnginesEqual(t *testing.T, label string, mkWl func() *Workload, mkPol func() Policy, steps []CeilingStep) {
 	t.Helper()
-	resL, decL, spL, logL := runEngine(true, false, mkWl(), mkPol())
-	resH, decH, spH, logH := runEngine(false, false, mkWl(), mkPol())
+	resL, decL, spL, logL := runEngine(true, false, mkWl(), mkPol(), steps)
+	resH, decH, spH, logH := runEngine(false, false, mkWl(), mkPol(), steps)
 
 	if !reflect.DeepEqual(logL, logH) {
 		n := len(logL)
@@ -187,16 +189,17 @@ func tieWorkload(n int) *Workload {
 
 func TestEnginesEquivalentTieStorm(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 40, 150} {
-		assertEnginesEqual(t, "tiestorm",
-			func() *Workload { return tieWorkload(n) },
-			func() Policy { return &tieStormPolicy{} })
+		mkWl := func() *Workload { return tieWorkload(n) }
+		for _, steps := range [][]CeilingStep{nil, chaosCeilings(int64(n), mkWl().DurationMs)} {
+			assertEnginesEqual(t, "tiestorm", mkWl, func() Policy { return &tieStormPolicy{} }, steps)
+		}
 	}
 }
 
 func TestEnginesEquivalentFixed(t *testing.T) {
 	assertEnginesEqual(t, "fixed",
 		func() *Workload { return tieWorkload(60) },
-		func() Policy { return &FixedPolicy{F: cpu.FMax} })
+		func() Policy { return &FixedPolicy{F: cpu.FMax} }, nil)
 }
 
 // chaosWorkload builds a pseudo-random workload; same seed, same workload.
@@ -216,12 +219,36 @@ func chaosWorkload(seed int64, n int) *Workload {
 	return mkWorkload(30, at+100, reqs...)
 }
 
+// chaosCeilings draws a ceiling schedule for a differential run: about one
+// step per 7 ms of the run, each to a random ladder level, so the ceiling
+// falls and rises across the whole ladder. A third of the steps land on
+// integer times, where they tie with chaosWorkload's integer arrivals and
+// tieStormPolicy's planned changes and timers.
+func chaosCeilings(seed int64, durationMs float64) []CeilingStep {
+	rng := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
+	levels := cpu.DefaultLadder().Levels()
+	var steps []CeilingStep
+	at := 0.0
+	for {
+		if rng.Intn(3) == 0 {
+			at = float64(int(at) + 1 + rng.Intn(10))
+		} else {
+			at += rng.Float64() * 12
+		}
+		if at > durationMs {
+			return steps
+		}
+		steps = append(steps, CeilingStep{AtMs: at, Ceiling: levels[rng.Intn(len(levels))]})
+	}
+}
+
 func TestEnginesEquivalentChaos(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		n := 20 + int(seed)*7
-		assertEnginesEqual(t, "chaos",
-			func() *Workload { return chaosWorkload(seed, n) },
-			func() Policy { return &chaosPolicy{rng: rand.New(rand.NewSource(seed * 31))} })
+		mkWl := func() *Workload { return chaosWorkload(seed, n) }
+		assertEnginesEqual(t, "chaos", mkWl,
+			func() Policy { return &chaosPolicy{rng: rand.New(rand.NewSource(seed * 31))} },
+			chaosCeilings(seed, mkWl().DurationMs))
 	}
 }
 
@@ -230,16 +257,16 @@ func TestEnginesEquivalentChaos(t *testing.T) {
 // intervals.
 const fuzzSampleMs = 3.7
 
-// assertSamplingInert runs the workload/policy pair under each engine with
-// and without the timeline sampler and requires the sampled run to match bit
-// for bit — result, decision trace, spans and callback sequence — except
-// Events, which counts the ticks.
-func assertSamplingInert(t *testing.T, mkWl func() *Workload, mkPol func() Policy) {
+// assertSamplingInert runs the workload/policy pair under each engine and the
+// ceiling schedule with and without the timeline sampler and requires the
+// sampled run to match bit for bit — result, decision trace, spans and
+// callback sequence — except Events, which counts the ticks.
+func assertSamplingInert(t *testing.T, mkWl func() *Workload, mkPol func() Policy, steps []CeilingStep) {
 	t.Helper()
 	for _, linear := range []bool{false, true} {
 		wl := mkWl()
-		res, dec, sp, log := runEngine(linear, false, wl, mkPol())
-		resS, decS, spS, logS := runEngine(linear, true, mkWl(), mkPol())
+		res, dec, sp, log := runEngine(linear, false, wl, mkPol(), steps)
+		resS, decS, spS, logS := runEngine(linear, true, mkWl(), mkPol(), steps)
 		if ticks := uint64(telemetry.SampleCount(wl.DurationMs, fuzzSampleMs)); resS.Events-res.Events != ticks {
 			t.Fatalf("linear=%v: sampling added %d events, want %d ticks", linear, resS.Events-res.Events, ticks)
 		}
@@ -258,7 +285,8 @@ func FuzzEngineEquivalence(f *testing.F) {
 		nn := int(n)%200 + 1
 		mkWl := func() *Workload { return chaosWorkload(seed, nn) }
 		mkPol := func() Policy { return &chaosPolicy{rng: rand.New(rand.NewSource(seed ^ 0x9e3779b9))} }
-		assertEnginesEqual(t, "fuzz", mkWl, mkPol)
-		assertSamplingInert(t, mkWl, mkPol)
+		steps := chaosCeilings(seed, mkWl().DurationMs)
+		assertEnginesEqual(t, "fuzz", mkWl, mkPol, steps)
+		assertSamplingInert(t, mkWl, mkPol, steps)
 	})
 }

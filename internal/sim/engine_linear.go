@@ -48,6 +48,8 @@ func (s *Sim) loopLinear() {
 			s.planned[idx] = s.planned[last]
 			s.planned = s.planned[:last]
 			s.SetFreq(pc.freq)
+		case evCeiling:
+			s.stepCeiling()
 		case evArrival:
 			r := s.wl.Requests[s.nextArr]
 			r.slot = int32(s.nextArr)
@@ -61,8 +63,9 @@ func (s *Sim) loopLinear() {
 }
 
 // nextEventLinear picks the earliest pending event by scanning every list;
-// ties break by the priority completion < planned < arrival < timer, then by
-// insertion seq within a kind.
+// ties break by the priority completion < planned < ceiling < arrival <
+// timer, then by insertion seq within a kind. Ceiling steps come from the
+// core's schedule cursor, as in nextEvent.
 //
 //gemini:hotpath
 func (s *Sim) nextEventLinear() (kind int, at float64, idx int) {
@@ -78,6 +81,11 @@ func (s *Sim) nextEventLinear() (kind int, at float64, idx int) {
 		// Exact timestamp ties are the common same-instant case; broken by (kind, seq).
 		if t < at || (t == at && (kind > evPlanned || (kind == evPlanned && pc.seq < seq))) {
 			kind, at, idx, seq = evPlanned, t, i, pc.seq
+		}
+	}
+	if s.nextCeil < len(s.ceil) {
+		if t := s.ceil[s.nextCeil].AtMs; t < at || (t == at && kind > evCeiling) {
+			kind, at, idx = evCeiling, t, -1
 		}
 	}
 	if s.nextArr < len(s.wl.Requests) {

@@ -7,27 +7,28 @@ import (
 )
 
 // Event queue for the engine's policy-scheduled events: planned frequency
-// changes and timers. The next completion is derived from the executing head
-// and the next arrival from the workload cursor, so neither enters the queue.
+// changes and timers. The next completion is derived from the executing head,
+// and the next ceiling step and arrival from cursors over the core's ceiling
+// schedule and workload, so none of them enters the queue.
 //
 // Ordering contract: events dispatch in ascending (timestamp, kind, seq)
-// order. kind is the engine's same-instant priority (evPlanned < evTimer;
-// completion and arrival slot in via nextEvent) and seq the insertion index,
-// the tie-break the reference linear engine realizes through scan order.
-// Timestamps are clamped to the clock at insertion: a past-due event is always
-// the minimum, so the clock cannot pass it and the clamped key equals the
-// dispatch time the reference engine computes per scan.
+// order. kind is the engine's same-instant priority, completion < planned <
+// ceiling < arrival < timer (the queue holds the planned and timer kinds; the
+// others slot in via nextEvent), and seq the insertion index, the tie-break
+// the reference linear engine realizes through scan order. Timestamps are
+// clamped to the clock at insertion: a past-due event is always the minimum,
+// so the clock cannot pass it and the clamped key equals the dispatch time the
+// reference engine computes per scan.
 //
 // Structure: a binary min-heap in one slice, sized to the traffic it serves:
-// a core has at most a planned step, a policy timer, the cap coordinator's
-// timer and the sampler's timer pending (TestEventPopulationStaysSmall holds
-// the bound, DESIGN.md §9 has the measurements). A run that arms nothing
-// allocates nothing here.
+// a core has at most a planned step, a policy timer and the sampler's timer
+// pending (TestEventPopulationStaysSmall holds the bound, DESIGN.md §9 has the
+// measurements). A run that arms nothing allocates nothing here.
 
 // Queue event kinds: evPlanned and evTimer, narrow so a qevent packs small.
 const (
 	qkPlanned uint8 = iota + 1 // == evPlanned
-	qkTimer   uint8 = 3        // == evTimer
+	qkTimer   uint8 = 4        // == evTimer
 )
 
 // qevent is one scheduled event: freq for a planned change, tag for a timer.

@@ -22,23 +22,15 @@ import "gemini/internal/cpu"
 //     (TestPowerCapMonotonicity).
 //
 // The resulting per-replica ceiling schedules are fixed before any core
-// simulates, so cores stay share-nothing: each core's policy is wrapped in a
-// cappedPolicy that replays its schedule via timers and clamps the frequency,
-// and sharded execution stays byte-identical to serial.
+// simulates, so cores stay share-nothing and sharded execution stays
+// byte-identical to serial. The engine replays each core's schedule: a
+// ceiling step is an engine event read by a cursor, like an arrival, and the
+// core runs at min(policy setpoint, ceiling) in force, planned changes
+// included (Sim.SetFreq). The policy never sees the ceiling act.
 
 // DefaultCapIntervalMs is the coordinator's control interval — 100 ms, the
 // order of Pegasus's power-sampling epoch and long against Tdvfs.
 const DefaultCapIntervalMs = 100.0
-
-// CapTimerTag is the reserved (negative) timer tag cappedPolicy uses to
-// replay ceiling schedules. Policies keep their own timer tags non-negative
-// (every in-repo policy uses tag 0); Sim.SetTimer panics on a negative one.
-const CapTimerTag int64 = -1
-
-// SampleTimerTag is the reserved (negative) timer tag the timeline sampler
-// (Config.Series) rides. Both engine loops intercept it before OnTimer, so
-// no policy — cappedPolicy included — ever observes it.
-const SampleTimerTag int64 = -2
 
 // CeilingStep is one scheduled ceiling change for a replica core.
 type CeilingStep struct {
@@ -94,9 +86,6 @@ func (pc *PowerCapCoordinator) advanceTo(now float64) {
 		pc.next += pc.intervalMs
 	}
 }
-
-// finishTo processes the remaining boundaries through the workload horizon.
-func (pc *PowerCapCoordinator) finishTo(endMs float64) { pc.advanceTo(endMs) }
 
 // Schedule returns the core's ceiling-change schedule in time order.
 func (pc *PowerCapCoordinator) Schedule(core int) []CeilingStep { return pc.schedules[core] }
@@ -159,108 +148,4 @@ func (pc *PowerCapCoordinator) adjust(t float64) {
 // it.
 func ClusterFloorW(m *cpu.PowerModel, l *cpu.Ladder, cores int) float64 {
 	return m.UncoreW + float64(cores)*m.CoreW(l.Min(), true)
-}
-
-// cappedPolicy wraps a per-core policy with a fixed ceiling schedule: it
-// replays the coordinator's CeilingSteps through reserved timers and clamps
-// the core's frequency to the ceiling after every policy decision. The
-// wrapper tracks the frequency it clamped away from so a later relaxation
-// restores the policy's own choice (a hardware ceiling limits the governor's
-// setpoint, it does not rewrite it). Planned future changes the inner policy
-// scheduled are clamped at the next callback or boundary — control-interval
-// granularity, same as the coordinator's own model.
-type cappedPolicy struct {
-	inner Policy
-	steps []CeilingStep
-	i     int
-	// ceiling is the currently-active ceiling; clampedFrom, when positive,
-	// is the frequency the wrapper forced down from (and the inner policy
-	// has not overridden since).
-	ceiling     cpu.Freq
-	clampedFrom cpu.Freq
-}
-
-// wrapCapped returns pol unchanged when the schedule is empty (the cap never
-// bound for this core), so uncapped runs carry zero wrapper overhead.
-func wrapCapped(pol Policy, steps []CeilingStep) Policy {
-	if len(steps) == 0 {
-		return pol
-	}
-	return &cappedPolicy{inner: pol, steps: steps}
-}
-
-func (p *cappedPolicy) Name() string { return p.inner.Name() }
-
-func (p *cappedPolicy) Init(s *Sim) {
-	p.ceiling = s.Ladder().Max()
-	p.inner.Init(s)
-	p.afterInner(s)
-	p.arm(s)
-}
-
-func (p *cappedPolicy) OnArrival(s *Sim, r *Request) {
-	p.inner.OnArrival(s, r)
-	p.afterInner(s)
-}
-
-func (p *cappedPolicy) OnStart(s *Sim, r *Request) {
-	p.inner.OnStart(s, r)
-	p.afterInner(s)
-}
-
-func (p *cappedPolicy) OnDeparture(s *Sim, r *Request) {
-	p.inner.OnDeparture(s, r)
-	p.afterInner(s)
-}
-
-func (p *cappedPolicy) OnTimer(s *Sim, tag int64) {
-	if tag == CapTimerTag {
-		p.applySteps(s)
-		p.arm(s)
-		return
-	}
-	p.inner.OnTimer(s, tag)
-	p.afterInner(s)
-}
-
-// arm schedules the next pending ceiling step.
-func (p *cappedPolicy) arm(s *Sim) {
-	if p.i < len(p.steps) {
-		s.setTimer(p.steps[p.i].AtMs, CapTimerTag)
-	}
-}
-
-// applySteps applies every step due at or before now, then re-clamps or
-// restores the frequency against the new ceiling.
-func (p *cappedPolicy) applySteps(s *Sim) {
-	now := s.Now()
-	for p.i < len(p.steps) && p.steps[p.i].AtMs <= now {
-		p.ceiling = p.steps[p.i].Ceiling
-		p.i++
-	}
-	switch {
-	case s.Freq() > p.ceiling:
-		if p.clampedFrom <= 0 {
-			p.clampedFrom = s.Freq()
-		}
-		s.SetFreq(p.ceiling)
-	case p.clampedFrom > 0 && p.ceiling > s.Freq():
-		restore := p.clampedFrom
-		if restore > p.ceiling {
-			restore = p.ceiling // partially restored; the wrapper still owes the rest
-		} else {
-			p.clampedFrom = 0 // fully restored: the policy's choice is back
-		}
-		s.SetFreq(restore)
-	}
-}
-
-// afterInner clamps whatever frequency the inner policy just chose. The
-// policy's own choice supersedes any earlier clamp bookkeeping.
-func (p *cappedPolicy) afterInner(s *Sim) {
-	p.clampedFrom = 0
-	if s.Freq() > p.ceiling {
-		p.clampedFrom = s.Freq()
-		s.SetFreq(p.ceiling)
-	}
 }

@@ -138,33 +138,6 @@ func TestPowerCapMonotonicity(t *testing.T) {
 	}
 }
 
-// TestCapTimerTagReserved pins the reserved timer-tag range where it is
-// enforced: the engine's own tags are negative and distinct, and Sim.SetTimer
-// refuses a negative tag from a policy on both engines, so a policy can
-// neither collide with the cap wrapper's timer nor have one swallowed by the
-// sampler. The wrapper and the sampler arm theirs through setTimer.
-func TestCapTimerTagReserved(t *testing.T) {
-	if CapTimerTag >= 0 || SampleTimerTag >= 0 || CapTimerTag == SampleTimerTag {
-		t.Fatalf("CapTimerTag = %d, SampleTimerTag = %d: reserved tags must be negative and distinct",
-			CapTimerTag, SampleTimerTag)
-	}
-	for _, tag := range []int64{SampleTimerTag, CapTimerTag} {
-		for _, linear := range []bool{false, true} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("linear=%v: SetTimer accepted reserved tag %d from a policy", linear, tag)
-					}
-				}()
-				cfg := DefaultConfig()
-				cfg.linear = linear
-				Run(cfg, mkWorkload(50, 100, [2]float64{0, 13.5}),
-					&hookPolicy{init: func(s *Sim) { s.SetTimer(10, tag) }})
-			}()
-		}
-	}
-}
-
 // TestCappedTighterCapLowersEnergy ties the cap to the energy ledger: a
 // binding cap must not increase modeled energy relative to the uncapped run
 // (the whole point of throttling), on identical routing.
@@ -215,4 +188,148 @@ func FuzzPowerCapInvariant(f *testing.F) {
 			}
 		}
 	})
+}
+
+// runUnderCeiling runs one core under a fixed ceiling schedule, as runCores
+// runs each capped core of a topology.
+func runUnderCeiling(linear bool, wl *Workload, pol Policy, steps []CeilingStep) *Result {
+	cfg := DefaultConfig()
+	cfg.linear = linear
+	cfg.RecordFreqTrace = true
+	return run(cfg, wl, pol, nil, steps)
+}
+
+// overCeiling reports whether seg ran above a ceiling steps held in force at
+// some instant of it: the one in force at its start, or one stepped to inside
+// it.
+func overCeiling(seg FreqSegment, steps []CeilingStep, top cpu.Freq) bool {
+	ceiling := ceilingAt(steps, top, seg.StartMs)
+	for _, st := range steps {
+		if st.AtMs > seg.StartMs && st.AtMs < seg.EndMs {
+			ceiling = min(ceiling, st.Ceiling)
+		}
+	}
+	return seg.Freq > ceiling
+}
+
+// ceilingAt is the ceiling steps hold in force at t: the last step at or
+// before t, the ladder top before the first.
+func ceilingAt(steps []CeilingStep, top cpu.Freq, t float64) cpu.Freq {
+	for _, st := range steps {
+		if st.AtMs > t {
+			break
+		}
+		top = st.Ceiling
+	}
+	return top
+}
+
+// TestCeilingBindsExecutedFrequency holds the engine's ceiling against what
+// the core actually ran (its FreqTrace), not against what the policy asked
+// for: a planned boost obeys the ceiling in force when it fires, a setpoint
+// above the ceiling costs no transition, and a rising ceiling returns the
+// core to the policy's setpoint.
+func TestCeilingBindsExecutedFrequency(t *testing.T) {
+	l := cpu.DefaultLadder()
+	for _, linear := range []bool{false, true} {
+		// Every arrival drops to the floor and plans a boost to the top 3 ms
+		// later; from t = 1 ms the ceiling is 2.4 GHz.
+		var reqs [][2]float64
+		for i := 0; i < 40; i++ {
+			reqs = append(reqs, [2]float64{float64(5 * i), 10 + float64(i%7)})
+		}
+		boost := &hookPolicy{onArrival: func(s *Sim, r *Request) {
+			s.SetFreq(l.Min())
+			s.PlanFreqChange(s.Now()+3, l.Max())
+		}}
+		steps := []CeilingStep{{AtMs: 1, Ceiling: 2.4}}
+		res := runUnderCeiling(linear, mkWorkload(40, 250, reqs...), boost, steps)
+		over, atCeiling := 0, 0
+		for _, seg := range res.FreqTrace {
+			if seg.StartMs >= 1 && seg.Freq > 2.4 {
+				over++
+			}
+			if seg.Freq == 2.4 {
+				atCeiling++
+			}
+		}
+		if over > 0 || atCeiling == 0 {
+			t.Errorf("linear=%v: %d of %d segments from 1 ms on ran above the 2.4 GHz ceiling, %d at it",
+				linear, over, len(res.FreqTrace), atCeiling)
+		}
+
+		// The policy holds the top throughout; the ceiling dips to 2.4 GHz for
+		// [1, 5) ms. A setpoint renewed under the ceiling (2 ms) is free, and a
+		// callback that sets nothing (3 ms) must not make the core forget it.
+		hold := &hookPolicy{
+			init: func(s *Sim) { s.SetFreq(l.Max()) },
+			onArrival: func(s *Sim, r *Request) {
+				if r.ID == 1 {
+					s.SetFreq(l.Max())
+				}
+			},
+		}
+		steps = []CeilingStep{{AtMs: 1, Ceiling: 2.4}, {AtMs: 5, Ceiling: l.Max()}}
+		res = runUnderCeiling(linear, mkWorkload(40, 60, [2]float64{0, 54}, [2]float64{2, 5}, [2]float64{3, 5}), hold, steps)
+		if res.Transitions != 2 {
+			t.Errorf("linear=%v: %d frequency transitions, want 2 (down at 1 ms, up at 5 ms)", linear, res.Transitions)
+		}
+		for _, seg := range res.FreqTrace {
+			if want := ceilingAt(steps, l.Max(), seg.StartMs); seg.Freq != want {
+				t.Errorf("linear=%v: segment %+v runs %v GHz, want the %v GHz the ceiling allows the setpoint",
+					linear, seg, seg.Freq, want)
+			}
+		}
+	}
+}
+
+// ceilingProbe wraps a cell core's policy and keeps the ceiling schedule the
+// engine replays for that core.
+type ceilingProbe struct {
+	Policy
+	steps []CeilingStep
+}
+
+func (p *ceilingProbe) Init(s *Sim) {
+	p.steps = s.ceil
+	p.Policy.Init(s)
+}
+
+// TestCappedCellRunsUnderItsCeilings checks every executed segment of the
+// capped 8×3 tie-storm cell of TestObservedCellSinksGolden against the
+// ceilings its core's schedule held in force.
+func TestCappedCellRunsUnderItsCeilings(t *testing.T) {
+	wl := clusterWorkload(600, 1, 6, 3)
+	cfg := DefaultConfig()
+	cfg.RecordFreqTrace = true
+	topo := Topology{Shards: 8, ReplicasPerShard: 3}
+	tc := TopologyConfig{
+		Sim: cfg, Topology: topo, Router: RouterPowerAware{}, Seed: 3,
+		PowerCapW: 1.1 * ClusterFloorW(cfg.Power, cfg.Ladder, topo.Cores()),
+	}
+	probes := make([]*ceilingProbe, topo.Cores())
+	res := RunTopologyWorkers(tc, wl, 2, func(c int) Policy {
+		probes[c] = &ceilingProbe{Policy: mkPredictingStorm(c)}
+		return probes[c]
+	})
+	if res.CapThrottles == 0 {
+		t.Fatal("the cap never bound: the cell no longer exercises ceilings")
+	}
+	steps := 0
+	for c, r := range res.PerCore {
+		steps += len(probes[c].steps)
+		over := 0
+		for _, seg := range r.FreqTrace {
+			if overCeiling(seg, probes[c].steps, cfg.Ladder.Max()) {
+				over++
+			}
+		}
+		if over > 0 {
+			t.Errorf("core %d: %d of %d segments ran above the ceiling in force (%d steps)",
+				c, over, len(r.FreqTrace), len(probes[c].steps))
+		}
+	}
+	if steps == 0 {
+		t.Error("no core was handed a ceiling schedule")
+	}
 }

@@ -117,9 +117,17 @@ type Sim struct {
 	pol Policy
 	wl  *Workload
 
-	now        float64
-	freq       cpu.Freq
-	stallUntil float64
+	now float64
+	// freq is the running frequency, min(setpoint, ceiling): setpoint is the
+	// policy's last SetFreq or planned change, ceiling the power cap's limit
+	// in force (Ladder().Max() on an uncapped core). ceil is the core's
+	// immutable ceiling schedule and nextCeil its cursor, read the way
+	// arrivals are, so ceiling steps never enter the event queue.
+	freq              cpu.Freq
+	setpoint, ceiling cpu.Freq
+	ceil              []CeilingStep
+	nextCeil          int
+	stallUntil        float64
 	// busyW and idleW are cfg.Power.CoreW(freq, true/false), refreshed at
 	// every write of freq, so an accrual reads the draw instead of
 	// recomputing it.
@@ -222,14 +230,15 @@ type phaseMark struct {
 
 // Run simulates the workload under the policy and returns the metrics.
 func Run(cfg Config, wl *Workload, pol Policy) *Result {
-	return run(cfg, wl, pol, nil)
+	return run(cfg, wl, pol, nil, nil)
 }
 
-// run is Run with, when cp is non-nil, the hand-off left to the caller: the
-// run's span log, and its decisions when cp.decisions has its places, are in
-// cp afterwards and cfg.Spans has not been touched; the run samples into
-// cp.timeline, never into cfg.Series.
-func run(cfg Config, wl *Workload, pol Policy, cp *capture) *Result {
+// run is Run under the ceiling schedule ceil (nil: uncapped) with, when cp is
+// non-nil, the hand-off left to the caller: the run's span log, and its
+// decisions when cp.decisions has its places, are in cp afterwards and
+// cfg.Spans has not been touched; the run samples into cp.timeline, never
+// into cfg.Series.
+func run(cfg Config, wl *Workload, pol Policy, cp *capture, ceil []CeilingStep) *Result {
 	if cfg.Ladder == nil {
 		cfg.Ladder = cpu.DefaultLadder()
 	}
@@ -240,15 +249,18 @@ func run(cfg Config, wl *Workload, pol Policy, cp *capture) *Result {
 		cfg.StartFreq = cpu.FDefault
 	}
 	s := &Sim{
-		cfg:    cfg,
-		pol:    pol,
-		wl:     wl,
-		freq:   cfg.StartFreq,
-		acc:    cpu.NewEnergyAccumulator(cfg.Power),
-		tr:     cfg.Tracer,
-		sp:     cfg.Spans,
-		linear: cfg.linear,
-		res:    newResult(pol.Name(), wl),
+		cfg:      cfg,
+		pol:      pol,
+		wl:       wl,
+		freq:     cfg.StartFreq,
+		setpoint: cfg.StartFreq,
+		ceiling:  cfg.Ladder.Max(),
+		ceil:     ceil,
+		acc:      cpu.NewEnergyAccumulator(cfg.Power),
+		tr:       cfg.Tracer,
+		sp:       cfg.Spans,
+		linear:   cfg.linear,
+		res:      newResult(pol.Name(), wl),
 	}
 	s.cacheCoreW()
 	if cp != nil {
@@ -313,7 +325,8 @@ func run(cfg Config, wl *Workload, pol Policy, cp *capture) *Result {
 // Now returns the current simulation time in ms.
 func (s *Sim) Now() float64 { return s.now }
 
-// Freq returns the core's current frequency.
+// Freq returns the frequency the core runs at: the last SetFreq or planned
+// change, held down to the power cap's ceiling while one is in force.
 func (s *Sim) Freq() cpu.Freq { return s.freq }
 
 // Ladder returns the selectable frequency ladder.
@@ -398,11 +411,25 @@ func (s *Sim) syncHead() {
 	}
 }
 
-// SetFreq switches the core to f immediately; a change away from the
-// current frequency stalls the core for TdvfsMs.
+// SetFreq makes f the core's setpoint immediately. The core runs at f, or at
+// the power cap's ceiling while f is above it, as Linux's scaling_max_freq
+// bounds scaling_setspeed without rewriting it: when the ceiling rises the
+// core returns to f. A change of the running frequency stalls the core for
+// TdvfsMs; a setpoint the ceiling hides costs nothing.
 //
 //gemini:hotpath
 func (s *Sim) SetFreq(f cpu.Freq) {
+	s.setpoint = f
+	s.resolveFreq()
+}
+
+// resolveFreq runs the core at min(setpoint, ceiling). SetFreq, planned
+// changes and ceiling steps all switch the running frequency here, in both
+// engines.
+//
+//gemini:hotpath
+func (s *Sim) resolveFreq() {
+	f := min(s.setpoint, s.ceiling)
 	if f == s.freq {
 		return
 	}
@@ -467,9 +494,8 @@ func (s *Sim) ClearPlannedChanges() {
 }
 
 // SetTimer schedules an OnTimer callback at the given absolute time. Negative
-// tags are the engine's own (CapTimerTag, SampleTimerTag): a policy that arms
-// one would have its timer swallowed by the sampler or the cap wrapper, so
-// SetTimer panics on it.
+// tags are the engine's own (SampleTimerTag): a policy that arms one would
+// have its timer swallowed by the sampler, so SetTimer panics on it.
 //
 //gemini:hotpath
 func (s *Sim) SetTimer(atMs float64, tag int64) {
@@ -713,6 +739,7 @@ func boolAttr(b bool) float64 {
 const (
 	evCompletion = iota
 	evPlanned
+	evCeiling
 	evArrival
 	evTimer
 	evNone
@@ -744,6 +771,8 @@ func (s *Sim) loop() {
 			s.completeHead()
 		case evPlanned:
 			s.SetFreq(e.freq)
+		case evCeiling:
+			s.stepCeiling()
 		case evArrival:
 			r := s.wl.Requests[s.nextArr]
 			r.slot = int32(s.nextArr)
@@ -756,14 +785,22 @@ func (s *Sim) loop() {
 	}
 }
 
+// stepCeiling applies the core's next ceiling step; the clock is at its time.
+//
+//gemini:hotpath
+func (s *Sim) stepCeiling() {
+	s.ceiling = s.ceil[s.nextCeil].Ceiling
+	s.nextCeil++
+	s.resolveFreq()
+}
+
 // sampleTick seals the timeline window ending at the reserved sampler
 // timer's time at and re-arms the timer for the next boundary. Both engine
-// loops call it before advancing the clock, and no policy sees the timer
-// (cappedPolicy included). It reads the run without touching it: the clock
-// and the open accrual interval stay where they are, and the energy that
-// interval will have drawn by at is added to the meter's reading, not
-// committed to it. Nothing can change the core's draw before at: the tick
-// is the earliest pending event.
+// loops call it before advancing the clock, and no policy sees the timer. It
+// reads the run without touching it: the clock and the open accrual interval
+// stay where they are, and the energy that interval will have drawn by at is
+// added to the meter's reading, not committed to it. Nothing can change the
+// core's draw before at: the tick is the earliest pending event.
 //
 //gemini:hotpath
 func (s *Sim) sampleTick(at float64) {
@@ -781,12 +818,14 @@ func (s *Sim) sampleTick(at float64) {
 }
 
 // nextEvent picks the earliest pending event; ties break by the priority
-// completion < planned < arrival < timer so departures free the server
-// before a simultaneous arrival is observed. The completion candidate is
-// derived from the executing head, the arrival candidate from the workload
-// cursor, and the policy-scheduled candidates (planned changes, timers) from
-// the event queue's minimum — whose key already encodes the
-// (timestamp, kind, seq) contract.
+// completion < planned < ceiling < arrival < timer, so departures free the
+// server before a simultaneous arrival is observed, and an arrival at a
+// control boundary plans against the ceiling now in force. The completion
+// candidate is derived from the executing head, the ceiling and arrival
+// candidates from their cursors over the core's schedule and workload, and
+// the policy-scheduled candidates (planned changes, timers) from the event
+// queue's minimum — whose key already encodes the (timestamp, kind, seq)
+// contract.
 //
 //gemini:hotpath
 func (s *Sim) nextEvent() (kind int, at float64) {
@@ -794,6 +833,12 @@ func (s *Sim) nextEvent() (kind int, at float64) {
 
 	if c := s.completionTime(); c < at {
 		kind, at = evCompletion, c
+	}
+	if s.nextCeil < len(s.ceil) {
+		// Only a completion can be ahead so far, and it wins a tie.
+		if t := s.ceil[s.nextCeil].AtMs; t < at {
+			kind, at = evCeiling, t
+		}
 	}
 	if s.nextArr < len(s.wl.Requests) {
 		t := s.wl.Requests[s.nextArr].ArrivalMs

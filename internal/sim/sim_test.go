@@ -555,7 +555,11 @@ func (p *chaosPolicy) act(s *Sim) {
 	case 0:
 		s.SetFreq(s.Ladder().Levels()[p.rng.Intn(8)])
 	case 1:
-		s.PlanFreqChange(s.Now()+p.rng.Float64()*30, s.Ladder().Levels()[p.rng.Intn(8)])
+		at := s.Now() + p.rng.Float64()*30
+		if p.rng.Intn(2) == 0 {
+			at = math.Ceil(at) // ties with integer arrivals and ceiling steps
+		}
+		s.PlanFreqChange(at, s.Ladder().Levels()[p.rng.Intn(8)])
 	case 2:
 		s.ClearPlannedChanges()
 	case 3:

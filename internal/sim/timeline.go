@@ -22,6 +22,13 @@ import (
 // timeline export is byte-identical to the serial one under every router and
 // power cap (TestTopologyTimelineWorkersIdentical, FuzzRouterEquivalence).
 
+// SampleTimerTag is the reserved (negative) timer tag the timeline sampler
+// (Config.Series) rides. Both engine loops intercept it before OnTimer, so
+// no policy ever observes it. Policies keep their own timer tags
+// non-negative (every in-repo policy uses tag 0); Sim.SetTimer panics on a
+// negative one.
+const SampleTimerTag int64 = -2
+
 // NewRunTimeseries sizes a telemetry.Timeseries for one run: residency levels
 // from the ladder (DefaultLadder when nil) and capacity for every sample
 // boundary of a durationMs run at intervalMs, so nothing is ever evicted.

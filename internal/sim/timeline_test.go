@@ -350,3 +350,26 @@ func TestTimelineCapConsistency(t *testing.T) {
 		t.Errorf("exposition missing %q:\n%s", strings.TrimSpace(want), expo.String())
 	}
 }
+
+// TestSampleTimerTagReserved pins the reserved timer-tag range where it is
+// enforced: the sampler's tag is negative, and Sim.SetTimer refuses it from a
+// policy on both engines, so a policy cannot have a timer swallowed by the
+// sampler. The sampler arms its own through setTimer.
+func TestSampleTimerTagReserved(t *testing.T) {
+	if SampleTimerTag >= 0 {
+		t.Fatalf("SampleTimerTag = %d: the reserved tag must be negative", SampleTimerTag)
+	}
+	for _, linear := range []bool{false, true} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("linear=%v: SetTimer accepted reserved tag %d from a policy", linear, SampleTimerTag)
+				}
+			}()
+			cfg := DefaultConfig()
+			cfg.linear = linear
+			Run(cfg, mkWorkload(50, 100, [2]float64{0, 13.5}),
+				&hookPolicy{init: func(s *Sim) { s.SetTimer(10, SampleTimerTag) }})
+		}()
+	}
+}

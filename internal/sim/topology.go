@@ -460,15 +460,10 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 		}
 	}
 	if coord != nil {
-		coord.finishTo(wl.DurationMs)
+		coord.advanceTo(wl.DurationMs)
 	}
 
 	// --- independent per-core simulations (sharded) -----------------------
-	mk := mkPolicy
-	if coord != nil {
-		inner := mkPolicy
-		mk = func(c int) Policy { return wrapCapped(inner(c), coord.Schedule(c)) }
-	}
 	// Each core's job builds its own requests from the table before it runs.
 	slabs := make([][]Request, cores)
 	sizes := make([]int, cores)
@@ -480,7 +475,7 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 		slabs[c], reqs = coreSlab(wl.Requests, legs, topo.Shards, c/reps, int32(c), routeCounts[c])
 		return &Workload{Requests: reqs, BudgetMs: wl.BudgetMs, DurationMs: wl.DurationMs, Preds: wl.Preds}
 	}
-	results := runCores(cfg, sizes, part, workers, mk, coord)
+	results := runCores(cfg, sizes, part, workers, mkPolicy, coord)
 
 	// --- deterministic merge ----------------------------------------------
 	tr := &TopologyResult{

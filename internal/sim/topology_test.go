@@ -158,8 +158,8 @@ func runTopoOnce(router Router, capW float64, workers int) (*TopologyResult, []t
 // sharded topology run is byte-identical to the serial run under EVERY
 // router, capped and uncapped — results, query latencies, decision rings,
 // and spans. The policy is the tie-storm policy, the nastiest timer/plan
-// mix in the repo, so wrapper timers (CapTimerTag) must coexist with policy
-// timers without reordering anything.
+// mix in the repo, so the engine's ceiling steps must interleave with policy
+// timers and planned changes the same way on every shard.
 func TestTopologyWorkersMatchesSerial(t *testing.T) {
 	for _, name := range RouterNames {
 		router, err := RouterByName(name)
