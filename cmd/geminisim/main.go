@@ -107,6 +107,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "geminisim %s: unexpected argument %q\n", name, fs.Arg(0))
 		return 2
 	}
+	if d := e.durScale; !(d >= 0) || math.IsInf(d, 1) {
+		fmt.Fprintf(stderr, "geminisim %s: -durscale must be finite and >= 0\n", name)
+		return 2
+	}
 
 	if e.cpuProfile != "" {
 		f, err := os.Create(e.cpuProfile)
@@ -247,6 +251,9 @@ func cellCmd(fs *flag.FlagSet, e *env) func() error {
 	slo := fs.Bool("slo", false, "sample the run and print its SLO error-budget burn table")
 	sloTarget := fs.Float64("slo-target", 99, "SLO target percentile (setting it implies -slo)")
 	return func() error {
+		if spec.Shards < 1 || spec.Replicas < 1 {
+			return errors.New("-shards and -replicas must be at least 1")
+		}
 		if math.IsNaN(spec.CapW) || math.IsInf(spec.CapW, 0) {
 			return errors.New("-power-cap must be finite")
 		}
@@ -256,10 +263,13 @@ func cellCmd(fs *flag.FlagSet, e *env) func() error {
 		if iv := spec.CapIntervalMs; isSet(fs, "cap-interval") && (math.IsNaN(iv) || iv <= 0 || math.IsInf(iv, 1)) {
 			return errors.New("-cap-interval must be positive and finite")
 		}
+		if t := *sloTarget; !(t > 0 && t < 100) {
+			return errors.New("-slo-target must be in (0, 100)")
+		}
 		*slo = *slo || isSet(fs, "slo-target")
 		if *slo || *jsonl != "" || *csv != "" || *html != "" || isSet(fs, "sample-interval") {
-			if *sampleIv <= 0 {
-				return errors.New("-sample-interval must be positive")
+			if iv := *sampleIv; !(iv > 0) || math.IsInf(iv, 1) {
+				return errors.New("-sample-interval must be positive and finite")
 			}
 			spec.SampleIntervalMs = *sampleIv
 		}
@@ -305,6 +315,9 @@ func capacityCmd(fs *flag.FlagSet, e *env) func() error {
 	routerFlag(fs, &spec.Router)
 	capW := fs.Float64("power-cap", 0, "also sweep this cluster power cap in modeled watts (the uncapped column always runs)")
 	return func() error {
+		if spec.Shards < 1 {
+			return errors.New("-shards must be at least 1")
+		}
 		if math.IsNaN(*capW) || math.IsInf(*capW, 0) {
 			return errors.New("-power-cap must be finite")
 		}
@@ -321,6 +334,9 @@ func clusterCmd(fs *flag.FlagSet, e *env) func() error {
 	e.platformFlags(fs, true, true)
 	cores := fs.Int("cores", 12, "cores the broker spreads the stream over")
 	return func() error {
+		if *cores < 1 {
+			return errors.New("-cores must be at least 1")
+		}
 		return e.print(e.platform(false).ClusterReport(*cores, e.workers, 60, 120_000*e.scale()), nil)
 	}
 }

@@ -43,6 +43,18 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"negative cap interval", []string{"cell", "-small", "-cap-interval", "-5"}, "-cap-interval must be positive and finite"},
 		{"zero cap interval", []string{"cell", "-small", "-cap-interval", "0"}, "-cap-interval must be positive and finite"},
 		{"infinite cap interval", []string{"cell", "-small", "-cap-interval", "+Inf"}, "-cap-interval must be positive and finite"},
+		{"infinite durscale", []string{"cell", "-small", "-durscale", "Inf"}, "-durscale must be finite and >= 0"},
+		{"NaN durscale", []string{"-small", "-exp", "fig10", "-durscale", "NaN"}, "-durscale must be finite and >= 0"},
+		{"negative durscale", []string{"cluster", "-small", "-durscale", "-1"}, "-durscale must be finite and >= 0"},
+		{"NaN sample interval", []string{"cell", "-small", "-sample-interval", "NaN"}, "-sample-interval must be positive and finite"},
+		{"infinite sample interval", []string{"cell", "-small", "-sample-interval", "Inf"}, "-sample-interval must be positive and finite"},
+		{"SLO target of 100 or more", []string{"cell", "-small", "-slo-target", "150"}, "-slo-target must be in (0, 100)"},
+		{"NaN SLO target", []string{"cell", "-small", "-slo-target", "NaN"}, "-slo-target must be in (0, 100)"},
+		{"zero cores", []string{"cluster", "-small", "-cores", "0"}, "-cores must be at least 1"},
+		{"negative cores", []string{"cluster", "-small", "-cores", "-5"}, "-cores must be at least 1"},
+		{"negative shards", []string{"cell", "-small", "-shards", "-3"}, "-shards and -replicas must be at least 1"},
+		{"zero replicas", []string{"cell", "-small", "-replicas", "0"}, "-shards and -replicas must be at least 1"},
+		{"zero shards, capacity", []string{"capacity", "-small", "-shards", "0"}, "-shards must be at least 1"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

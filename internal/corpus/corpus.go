@@ -153,10 +153,8 @@ func syntheticWord(i int) string {
 // TermIDOf returns the TermID of the given word, or -1 if absent: one map
 // lookup, on the path of every parsed query. A word that occurs twice in
 // Vocab resolves to its first index.
-//
-//gemini:hotpath
 func (c *Corpus) TermIDOf(word string) TermID {
-	//gemini:allow hotpath -- builds the map on the first call; one atomic load on every later one
+	// Builds the map on the first call; one atomic load on every later one.
 	c.vocabOnce.Do(c.indexVocab)
 	if id, ok := c.vocabIDs[word]; ok {
 		return id

@@ -79,8 +79,6 @@ func (g *QueryGen) Batch(n int) []Query {
 // is already lower-case ASCII, which is what the generator and the load
 // tools send, is split where it lies: no lowered copy, no word slice, one
 // allocation for the terms. Anything else takes parseFolded.
-//
-//gemini:hotpath
 func ParseQuery(c *Corpus, text string) (Query, bool) {
 	// One pass to see that the text is plain and to count its words, so the
 	// terms are allocated once at their upper bound.
@@ -88,7 +86,7 @@ func ParseQuery(c *Corpus, text string) (Query, bool) {
 	for i := 0; i < len(text); i++ {
 		b := text[i]
 		if b >= utf8.RuneSelf || 'A' <= b && b <= 'Z' {
-			//gemini:allow hotpath -- upper case or non-ASCII: the copying route, which defines the result
+			// Upper case or non-ASCII: the copying route, which defines the result.
 			return parseFolded(c, text)
 		}
 		if asciiSpace(b) {
@@ -110,7 +108,7 @@ func ParseQuery(c *Corpus, text string) (Query, bool) {
 		}
 		if id := c.TermIDOf(text[start:i]); id >= 0 {
 			if terms == nil {
-				//gemini:allow hotpath -- the query's terms: its one allocation, made when the first word resolves
+				// The query's terms: its one allocation, made when the first word resolves.
 				terms = make([]TermID, 0, words)
 			}
 			terms = append(terms, id)
@@ -124,8 +122,6 @@ func ParseQuery(c *Corpus, text string) (Query, bool) {
 
 // asciiSpace reports whether b is one of the six ASCII bytes strings.Fields
 // splits on.
-//
-//gemini:hotpath
 func asciiSpace(b byte) bool {
 	return b == ' ' || '\t' <= b && b <= '\r'
 }

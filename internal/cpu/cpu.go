@@ -46,8 +46,6 @@ const (
 
 // TimeFor returns the time in ms needed to complete w units of work at
 // frequency f.
-//
-//gemini:hotpath
 func TimeFor(w Work, f Freq) float64 {
 	if f <= 0 {
 		return math.Inf(1)
@@ -56,8 +54,6 @@ func TimeFor(w Work, f Freq) float64 {
 }
 
 // WorkFor returns the work completed in tMs milliseconds at frequency f.
-//
-//gemini:hotpath
 func WorkFor(tMs float64, f Freq) Work {
 	return Work(tMs * float64(f))
 }
@@ -106,22 +102,16 @@ func (l *Ladder) GHz() []float64 {
 }
 
 // Min returns the lowest frequency.
-//
-//gemini:hotpath
 func (l *Ladder) Min() Freq { return l.levels[0] }
 
 // Max returns the highest frequency.
-//
-//gemini:hotpath
 func (l *Ladder) Max() Freq { return l.levels[len(l.levels)-1] }
 
 // ClampUp returns the lowest ladder frequency >= f. Requests above the top
 // level return the top level: the deadline may then be at risk and it is the
 // caller's (policy's) job to boost immediately or drop, per §III-A.
-//
-//gemini:hotpath
 func (l *Ladder) ClampUp(f Freq) Freq {
-	//gemini:allow hotpath -- sort.Search does not retain the predicate, so the closure stays on the stack
+	// sort.Search does not retain the predicate, so the closure stays on the stack.
 	i := sort.Search(len(l.levels), func(i int) bool { return l.levels[i] >= f })
 	if i == len(l.levels) {
 		return l.levels[len(l.levels)-1]
@@ -141,10 +131,8 @@ func (l *Ladder) ClampDown(f Freq) Freq {
 
 // StepDown returns the next frequency below f on the ladder (or the bottom
 // level if f already is the bottom).
-//
-//gemini:hotpath
 func (l *Ladder) StepDown(f Freq) Freq {
-	//gemini:allow hotpath -- sort.Search does not retain the predicate, so the closure stays on the stack
+	// sort.Search does not retain the predicate, so the closure stays on the stack.
 	i := sort.Search(len(l.levels), func(i int) bool { return l.levels[i] >= f })
 	if i <= 0 {
 		return l.levels[0]

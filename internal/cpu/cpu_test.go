@@ -213,10 +213,10 @@ func TestUniformSocketWClampsUtilization(t *testing.T) {
 
 func TestEnergyAccumulator(t *testing.T) {
 	m := DefaultPowerModel()
-	acc := NewEnergyAccumulator(m)
-	acc.Accumulate(10, 2.7, true)
-	acc.Accumulate(10, 1.2, false)
-	acc.Accumulate(-5, 2.7, true) // ignored
+	acc := NewEnergyAccumulator()
+	acc.AccumulatePower(10, m.CoreW(2.7, true), true)
+	acc.AccumulatePower(10, m.CoreW(1.2, false), false)
+	acc.AccumulatePower(-5, m.CoreW(2.7, true), true) // ignored
 	wantMJ := m.CoreW(2.7, true)*10 + m.CoreW(1.2, false)*10
 	if math.Abs(acc.EnergyMJ()-wantMJ) > 1e-9 {
 		t.Errorf("EnergyMJ = %v, want %v", acc.EnergyMJ(), wantMJ)
@@ -233,7 +233,7 @@ func TestEnergyAccumulator(t *testing.T) {
 }
 
 func TestEnergyAccumulatorEmpty(t *testing.T) {
-	acc := NewEnergyAccumulator(DefaultPowerModel())
+	acc := NewEnergyAccumulator()
 	if acc.AvgPowerW() != 0 || acc.Utilization() != 0 {
 		t.Errorf("empty accumulator should report zeros")
 	}
@@ -246,11 +246,12 @@ func TestEnergyAdditivityProperty(t *testing.T) {
 		dt := float64(dtRaw)/100 + 0.01
 		split := float64(splitRaw) / 65535 * dt
 		fq := Freq(1.2 + float64(fRaw%16)*0.1)
-		whole := NewEnergyAccumulator(m)
-		whole.Accumulate(dt, fq, active)
-		parts := NewEnergyAccumulator(m)
-		parts.Accumulate(split, fq, active)
-		parts.Accumulate(dt-split, fq, active)
+		w := m.CoreW(fq, active)
+		whole := NewEnergyAccumulator()
+		whole.AccumulatePower(dt, w, active)
+		parts := NewEnergyAccumulator()
+		parts.AccumulatePower(split, w, active)
+		parts.AccumulatePower(dt-split, w, active)
 		return math.Abs(whole.EnergyMJ()-parts.EnergyMJ()) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -42,24 +42,18 @@ func DefaultPowerModel() *PowerModel {
 
 // Voltage returns the modeled operating voltage at frequency f, linearly
 // interpolated (and linearly extrapolated outside [FMin, FMax]).
-//
-//gemini:hotpath
 func (m *PowerModel) Voltage(f Freq) float64 {
 	frac := (float64(f) - float64(FMin)) / (float64(FMax) - float64(FMin))
 	return m.VMin + (m.VMax-m.VMin)*frac
 }
 
 // DynW returns the full-activity dynamic power of one core at frequency f.
-//
-//gemini:hotpath
 func (m *PowerModel) DynW(f Freq) float64 {
 	v := m.Voltage(f)
 	return m.DynCoeff * float64(f) * v * v
 }
 
 // CoreW returns the power of a single core at frequency f, active or idle.
-//
-//gemini:hotpath
 func (m *PowerModel) CoreW(f Freq, active bool) float64 {
 	act := m.IdleActivity
 	if active {
@@ -93,39 +87,23 @@ func (m *PowerModel) UniformSocketW(f Freq, utilization float64) float64 {
 }
 
 // EnergyAccumulator integrates one core's energy over piecewise-constant
-// (frequency, activity) intervals. Energies are reported in millijoules
-// because simulated time is in milliseconds.
+// power intervals. Energies are reported in millijoules because simulated
+// time is in milliseconds.
 type EnergyAccumulator struct {
-	model    *PowerModel
 	energyMJ float64
 	busyMs   float64
 	totalMs  float64
 }
 
-// NewEnergyAccumulator creates an accumulator against the given model.
-func NewEnergyAccumulator(m *PowerModel) *EnergyAccumulator {
-	return &EnergyAccumulator{model: m}
+// NewEnergyAccumulator creates an empty accumulator.
+func NewEnergyAccumulator() *EnergyAccumulator {
+	return &EnergyAccumulator{}
 }
 
-// Accumulate charges dtMs milliseconds at frequency f with the given
-// activity. Negative intervals are ignored.
-//
-//gemini:hotpath
-func (e *EnergyAccumulator) Accumulate(dtMs float64, f Freq, active bool) {
-	if dtMs <= 0 {
-		return
-	}
-	e.energyMJ += e.model.CoreW(f, active) * dtMs
-	e.totalMs += dtMs
-	if active {
-		e.busyMs += dtMs
-	}
-}
-
-// AccumulatePower charges dtMs at an explicit power draw, bypassing the
-// frequency model — used for C-state residency in the sleep-state extension.
-//
-//gemini:hotpath
+// AccumulatePower charges dtMs at a draw of powerW. It is the engine's only
+// accrual: the caller prices the interval (PowerModel.CoreW at the core's
+// frequency and activity, or a sleep state's draw). Negative intervals are
+// ignored.
 func (e *EnergyAccumulator) AccumulatePower(dtMs, powerW float64, active bool) {
 	if dtMs <= 0 {
 		return
@@ -138,8 +116,6 @@ func (e *EnergyAccumulator) AccumulatePower(dtMs, powerW float64, active bool) {
 }
 
 // EnergyMJ returns the accumulated core energy in millijoules (W·ms).
-//
-//gemini:hotpath
 func (e *EnergyAccumulator) EnergyMJ() float64 { return e.energyMJ }
 
 // AvgPowerW returns the time-averaged core power in watts.

@@ -133,6 +133,36 @@ func TestAnalyzeSpansPhases(t *testing.T) {
 	}
 }
 
+// TestAnalyzeSpansPhaseOrder holds the waterfall's row order: phases come out
+// in the order their names first appear in the span set, on every call. The
+// set is analysed many times because a map's iteration order is random per
+// range and may happen to match on any one call.
+func TestAnalyzeSpansPhaseOrder(t *testing.T) {
+	want := []string{"request", "queue", "exec-initial", "exec-boost", "admit", "drain"}
+	var spans []telemetry.Span
+	for tr := 0; tr < 4; tr++ {
+		// The first trace names the phases in order, the later ones in
+		// reverse, so only first appearance gives want.
+		for k := range want {
+			name := want[k]
+			if tr > 0 {
+				name = want[len(want)-1-k]
+			}
+			spans = append(spans, telemetry.Span{TraceID: strconv.Itoa(tr), Name: name, StartMs: float64(k), EndMs: float64(k + 1)})
+		}
+	}
+	for i := 0; i < 200; i++ {
+		sum := AnalyzeSpans("Gemini", spans)
+		got := make([]string, len(sum.Phases))
+		for j, ph := range sum.Phases {
+			got[j] = ph.Name
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("call %d: phases %v, want first-appearance order %v", i, got, want)
+		}
+	}
+}
+
 func TestPhaseReportRenders(t *testing.T) {
 	rep, err := plat(t).PhaseReport("uniform", 400, 2000)
 	if err != nil {

@@ -49,8 +49,6 @@ func (p *PostingList) Len() int { return len(p.Postings) }
 
 // MissSteps is the step count of a binary search over the whole list for a
 // document it does not hold, whose insertion point is pos (see Steps).
-//
-//gemini:hotpath
 func (p *PostingList) MissSteps(pos int) int {
 	n := 0
 	if pos > 0 {

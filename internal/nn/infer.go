@@ -47,8 +47,6 @@ func (n *Network) Infer(x []float64, a *Arena) []float64 {
 
 // applyInto computes out = act(W·x + b) without touching the layer's
 // training scratch, through the kernel Forward uses.
-//
-//gemini:hotpath
 func (d *Dense) applyInto(x, out []float64) {
 	affineRows(d.W, d.B, d.In, x, out)
 	if d.Act == ReLU {

@@ -186,3 +186,52 @@ func TestKernelMatchesScalarReference(t *testing.T) {
 		}
 	}
 }
+
+// pinNet is the 15 → 5×128 → 40 shape of the latency classifier, with one
+// input vector drawn from a seeded stream.
+func pinNet() (*Network, []float64) {
+	net := NewMLP(15, []int{128, 128, 128, 128, 128}, 40, 1)
+	x := make([]float64, 15)
+	rng := rand.New(rand.NewSource(2))
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	return net, x
+}
+
+// TestInferAllocFree pins the per-query inference path (Network.Infer with a
+// reused Arena, through applyInto, affineRows and clampNegative) at zero
+// allocations: every decision in the simulator and the live ISN runs it.
+func TestInferAllocFree(t *testing.T) {
+	net, x := pinNet()
+	arena := net.NewArena()
+	if n := testing.AllocsPerRun(100, func() { net.Infer(x, arena) }); n != 0 {
+		t.Errorf("Infer allocates %v times per call, want 0", n)
+	}
+}
+
+// TestTrainStepAllocFree pins one training step on a warmed network at zero
+// allocations: Forward, Backward and ZeroGrad through every layer's kernels,
+// and an Adam step over every parameter group once its moments exist.
+func TestTrainStepAllocFree(t *testing.T) {
+	net, x := pinNet()
+	dOut := make([]float64, net.OutDim())
+	for i := range dOut {
+		dOut[i] = float64(i%5) - 2
+	}
+	opt := NewAdam(1e-3)
+	step := func() {
+		net.ZeroGrad()
+		net.Forward(x)
+		net.Backward(dOut)
+		opt.BeginStep()
+		for li, l := range net.Layers {
+			opt.Step(2*li, l.W, l.gradW)
+			opt.Step(2*li+1, l.B, l.gradB)
+		}
+	}
+	step() // Adam allocates each group's moments on its first step
+	if n := testing.AllocsPerRun(50, step); n != 0 {
+		t.Errorf("a training step allocates %v times, want 0", n)
+	}
+}

@@ -91,8 +91,6 @@ func (d *Dense) Forward(x []float64) []float64 {
 // downstream depend on that. The block loop advances by reslicing w, b and z
 // rather than by an index: with an index and four row slices live the
 // compiler runs out of registers and spills the inner loop's counter.
-//
-//gemini:hotpath
 func affineRows(w, b []float64, in int, x, z []float64) {
 	if len(x) > in {
 		panic("nn: input wider than the layer")
@@ -122,8 +120,6 @@ func affineRows(w, b []float64, in int, x, z []float64) {
 
 // clampNegative is ReLU in place. Only strictly negative values change, so a
 // pre-activation of -0 stays -0, as it always has.
-//
-//gemini:hotpath
 func clampNegative(v []float64) {
 	for i, s := range v {
 		if s < 0 {
@@ -163,8 +159,6 @@ const (
 //   - Rows go four at a time, so each x[i] is read and each dIn[i] loaded and
 //     stored once per four rows. dIn's sum keeps ascending row order, left to
 //     right, and starts from +0 as before.
-//
-//gemini:hotpath
 func (d *Dense) backward(dOut []float64, grad inputGrad) []float64 {
 	// Both lists are built without a branch on the data: every index is
 	// written and the count advances past the kept ones. Half the units of a
@@ -242,8 +236,6 @@ func (d *Dense) backward(dOut []float64, grad inputGrad) []float64 {
 
 // nonZero is 1 when v is neither +0 nor −0 (NaN counts as non-zero) and 0
 // when it is, computed on the bits without a branch.
-//
-//gemini:hotpath
 func nonZero(v float64) int {
 	b := math.Float64bits(v) << 1
 	return int((b | -b) >> 63)

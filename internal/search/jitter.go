@@ -82,10 +82,8 @@ func (j *Jitter) MeasuredWork(base cpu.Work, fv FeatureVector, rng *rand.Rand) c
 // workload builder evaluates it once per pool query and pays only this per
 // arrival; MeasuredWork goes through here too, which keeps the two
 // bit-identical.
-//
-//gemini:hotpath
 func (j *Jitter) MeasuredWorkBias(base cpu.Work, bias float64, rng *rand.Rand) cpu.Work {
-	//gemini:allow hotpath -- the caller's seeded stream; NormFloat64 on a rand.Rand does not allocate
+	// The caller's seeded stream; NormFloat64 on a rand.Rand does not allocate.
 	noise := j.NoiseSigma * rng.NormFloat64()
 	if noise > 3*j.NoiseSigma {
 		noise = 3 * j.NoiseSigma

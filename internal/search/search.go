@@ -94,8 +94,6 @@ func (e *Engine) Search(q corpus.Query) Execution {
 // and a block whose BlockMax is not above θ is passed over whole: each of its
 // postings would fail that compare. Every posting is visited and scored, so
 // those two counters are the list length and only heap entries are counted.
-//
-//gemini:hotpath
 func (e *Engine) searchSingle(pl *index.PostingList) Execution {
 	var store [stackK]Result
 	h := heapOver(store[:], e.k)
@@ -147,8 +145,6 @@ type listCursor struct {
 }
 
 // seek moves the cursor to pos and caches the posting there.
-//
-//gemini:hotpath
 func (c *listCursor) seek(pos int) {
 	c.pos = pos
 	if pos < len(c.ps) {
@@ -159,8 +155,6 @@ func (c *listCursor) seek(pos int) {
 }
 
 // byMaxImpact orders posting lists by ascending score upper bound.
-//
-//gemini:hotpath
 func byMaxImpact(a, b *index.PostingList) int {
 	switch {
 	case a.MaxImpact < b.MaxImpact:
@@ -176,10 +170,8 @@ func byMaxImpact(a, b *index.PostingList) int {
 // cumulative upper bound cannot alone beat the current threshold is only
 // probed (by binary search) for candidates produced by the remaining
 // "essential" lists.
-//
-//gemini:hotpath
 func (e *Engine) searchMaxScore(lists []*index.PostingList) Execution {
-	//gemini:allow hotpath -- pdqsort over a non-capturing comparison: no allocation, and the permutation sort.Slice gave
+	// Pdqsort over a non-capturing comparison: no allocation, and the permutation sort.Slice gave.
 	slices.SortFunc(lists, byMaxImpact)
 	n := len(lists)
 
@@ -190,9 +182,8 @@ func (e *Engine) searchMaxScore(lists []*index.PostingList) Execution {
 	)
 	prefixUB, cursors := ubStore[:], curStore[:]
 	if n > stackTerms {
-		//gemini:allow hotpath -- more terms than the stack arrays hold: no generated query, a long typed one
+		// More terms than the stack arrays hold: no generated query, a long typed one.
 		prefixUB = make([]float32, n+1)
-		//gemini:allow hotpath -- as above
 		cursors = make([]listCursor, n)
 	}
 	prefixUB, cursors = prefixUB[:n+1], cursors[:n]
@@ -315,8 +306,6 @@ func (e *Engine) searchMaxScore(lists []*index.PostingList) Execution {
 // before the cursor hold smaller ones, so the host gallops from the cursor
 // to doc's insertion point and leaves the cursor there; the cost model still
 // prices the full-span search, step for step.
-//
-//gemini:hotpath
 func (c *listCursor) probe(doc int32) (float32, int, bool) {
 	ps, lo := c.ps, c.pos
 	if lo < len(ps) && ps[lo].Doc < doc {

@@ -24,11 +24,9 @@ func newTopKHeap(k int) *topKHeap {
 // heapOver returns an empty heap of capacity k whose items live in store, or
 // in a slice of their own when store is too small for k. The kernels pass a
 // stack array of stackK entries, which a search at DefaultK never outgrows.
-//
-//gemini:hotpath
 func heapOver(store []Result, k int) topKHeap {
 	if k > cap(store) {
-		//gemini:allow hotpath -- a K beyond the caller's array is the caller's choice; DefaultK fits stackK
+		// A K beyond the caller's array is the caller's choice; DefaultK fits stackK.
 		store = make([]Result, 0, k)
 	}
 	return topKHeap{k: k, items: store[:0]}
@@ -47,8 +45,6 @@ func (h *topKHeap) full() bool { return len(h.items) >= h.k }
 
 // offer inserts the result if it beats the current threshold, returning
 // whether it was admitted.
-//
-//gemini:hotpath
 func (h *topKHeap) offer(r Result) bool {
 	if len(h.items) < h.k {
 		h.push(r)
@@ -65,8 +61,6 @@ func (h *topKHeap) offer(r Result) bool {
 // capacity every constructor gives items (>= k) where append would do the
 // same work: append makes escape analysis move a caller's stack array to the
 // heap.
-//
-//gemini:hotpath
 func (h *topKHeap) push(r Result) {
 	n := len(h.items)
 	h.items = h.items[:n+1]
@@ -77,15 +71,12 @@ func (h *topKHeap) push(r Result) {
 
 // replaceMin evicts the root of a full heap for r; the caller has checked
 // that r beats it.
-//
-//gemini:hotpath
 func (h *topKHeap) replaceMin(r Result) {
 	h.items[0] = r
 	h.siftDown(0)
 	h.pushes++
 }
 
-//gemini:hotpath
 func (h *topKHeap) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -97,7 +88,6 @@ func (h *topKHeap) siftUp(i int) {
 	}
 }
 
-//gemini:hotpath
 func (h *topKHeap) siftDown(i int) {
 	n := len(h.items)
 	for {
@@ -119,10 +109,8 @@ func (h *topKHeap) siftDown(i int) {
 
 // results returns the collected documents sorted by descending score (ties
 // broken by ascending document ID for determinism).
-//
-//gemini:hotpath
 func (h *topKHeap) results() []Result {
-	//gemini:allow hotpath -- the returned top-K outlives the search: the one allocation a query keeps
+	// The returned top-K outlives the search: the one allocation a query keeps.
 	out := make([]Result, len(h.items))
 	copy(out, h.items)
 	// Simple insertion-style sort is fine for K ≤ a few hundred.

@@ -49,8 +49,6 @@ type spanLog struct {
 }
 
 // push appends one record, overwriting the oldest once the log is full.
-//
-//gemini:hotpath
 func (l *spanLog) push(r spanRec) {
 	l.total++
 	if l.limit == 0 || len(l.recs) < l.limit {

@@ -139,8 +139,6 @@ func Dispatch(wl *Workload, cores int) []*Workload {
 }
 
 // brokerSiftDown restores the heap property after the root's key grew.
-//
-//gemini:hotpath
 func brokerSiftDown(hv []float64, hc []int) {
 	n := len(hv)
 	i := 0
@@ -163,8 +161,6 @@ func brokerSiftDown(hv []float64, hc []int) {
 }
 
 // brokerLess orders heap slots by (vFinish, coreIdx).
-//
-//gemini:hotpath
 func brokerLess(hv []float64, hc []int, i, j int) bool {
 	// Exact vFinish ties pick the lowest core index, matching the scan broker.
 	if hv[i] != hv[j] {

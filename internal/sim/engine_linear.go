@@ -18,7 +18,6 @@ import "math"
 // physical order no longer matters. The dispatch order is unchanged —
 // relative slice positions under splice removal equal insertion order.
 
-//gemini:hotpath
 func (s *Sim) loopLinear() {
 	for {
 		kind, at, idx := s.nextEventLinear()
@@ -66,8 +65,6 @@ func (s *Sim) loopLinear() {
 // ties break by the priority completion < planned < ceiling < arrival <
 // timer, then by insertion seq within a kind. Ceiling steps come from the
 // core's schedule cursor, as in nextEvent.
-//
-//gemini:hotpath
 func (s *Sim) nextEventLinear() (kind int, at float64, idx int) {
 	kind, at, idx = evNone, math.Inf(1), -1
 	var seq uint64

@@ -42,8 +42,6 @@ type qevent struct {
 
 // qless orders events by the dispatch key (at, kind, seq). Keys are unique:
 // seq increments on every insert.
-//
-//gemini:hotpath
 func qless(a, b *qevent) bool {
 	// Exact timestamp ties are the common same-instant case; broken by (kind, seq).
 	if a.at != b.at {
@@ -64,15 +62,11 @@ type eventQueue struct {
 }
 
 // pushPlanned schedules a frequency change at an already clamped time.
-//
-//gemini:hotpath
 func (q *eventQueue) pushPlanned(at float64, f cpu.Freq) {
 	q.push(qevent{at: at, freq: f, kind: qkPlanned})
 }
 
 // pushTimer schedules a policy timer. Same contract as pushPlanned.
-//
-//gemini:hotpath
 func (q *eventQueue) pushTimer(at float64, tag int64) {
 	q.push(qevent{at: at, tag: tag, kind: qkTimer})
 }
@@ -80,8 +74,6 @@ func (q *eventQueue) pushTimer(at float64, tag int64) {
 // push stamps e with the next insertion index and sifts it up from the end.
 // NaN timestamps are dropped: every comparison of the reference engine's scan
 // is false for NaN, so such an event never dispatches there either.
-//
-//gemini:hotpath
 func (q *eventQueue) push(e qevent) {
 	if math.IsNaN(e.at) {
 		return
@@ -99,8 +91,6 @@ func (q *eventQueue) push(e qevent) {
 }
 
 // down sifts h[i] towards the leaves until both children key above it.
-//
-//gemini:hotpath
 func (q *eventQueue) down(i int) {
 	h := q.h
 	for {
@@ -121,8 +111,6 @@ func (q *eventQueue) down(i int) {
 
 // clearPlanned cancels every planned event: it filters them out in place and
 // rebuilds the heap over the timers, O(n) at a population of three.
-//
-//gemini:hotpath
 func (q *eventQueue) clearPlanned() {
 	if q.planned == 0 {
 		return
@@ -142,8 +130,6 @@ func (q *eventQueue) clearPlanned() {
 }
 
 // peek returns the minimum event's dispatch key without removing it.
-//
-//gemini:hotpath
 func (q *eventQueue) peek() (at float64, kind uint8, ok bool) {
 	if len(q.h) == 0 {
 		return 0, 0, false
@@ -152,8 +138,6 @@ func (q *eventQueue) peek() (at float64, kind uint8, ok bool) {
 }
 
 // pop removes and returns the minimum event.
-//
-//gemini:hotpath
 func (q *eventQueue) pop() qevent {
 	last := len(q.h) - 1
 	if last < 0 {

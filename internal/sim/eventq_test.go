@@ -256,7 +256,7 @@ func TestEventQueueFarEvents(t *testing.T) {
 
 func TestEventQueueSteadyStateAllocFree(t *testing.T) {
 	// Push/pop churn at a stable population must not allocate: the heap
-	// reuses its slice (the //gemini:hotpath contract).
+	// reuses its slice.
 	var q eventQueue
 	for i := 0; i < 64; i++ {
 		q.pushTimer(float64(i), int64(i))

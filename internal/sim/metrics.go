@@ -56,7 +56,6 @@ func newResult(policy string, wl *Workload) *Result {
 	return res
 }
 
-//gemini:hotpath
 func (r *Result) recordCompletion(req *Request) {
 	r.Completed++
 	if req.Violated() {
@@ -65,7 +64,6 @@ func (r *Result) recordCompletion(req *Request) {
 	r.Latencies = append(r.Latencies, req.LatencyMs())
 }
 
-//gemini:hotpath
 func (r *Result) recordDrop(req *Request) {
 	r.Dropped++
 }

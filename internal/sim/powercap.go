@@ -95,8 +95,6 @@ func (pc *PowerCapCoordinator) Schedule(core int) []CeilingStep { return pc.sche
 // modeled planned frequency is stepped down one ladder level at a time until
 // the modeled cluster power fits under the cap or every loaded replica sits
 // at the floor.
-//
-//gemini:hotpath
 func (pc *PowerCapCoordinator) adjust(t float64) {
 	st := pc.st
 	n := len(st.ceilings)

@@ -283,6 +283,41 @@ func TestCeilingBindsExecutedFrequency(t *testing.T) {
 	}
 }
 
+// TestCeilingStepsAllocFree pins the ceiling-step path: one core, the same
+// arrivals, and a schedule that moves the ceiling n and then 2n times must
+// allocate the same amount over a whole run, so a step costs nothing.
+func TestCeilingStepsAllocFree(t *testing.T) {
+	l := cpu.DefaultLadder()
+	var reqs [][2]float64
+	for i := 0; i < 40; i++ {
+		reqs = append(reqs, [2]float64{float64(5 * i), 10 + float64(i%7)})
+	}
+	wl := mkWorkload(40, 250, reqs...)
+	pol := &FixedPolicy{F: l.Max()}
+	schedule := func(n int) []CeilingStep {
+		steps := make([]CeilingStep, n)
+		for i := range steps {
+			steps[i] = CeilingStep{AtMs: 200 * float64(i+1) / float64(n+1), Ceiling: 2.4}
+			if i%2 == 1 {
+				steps[i].Ceiling = l.Max()
+			}
+		}
+		return steps
+	}
+	for _, linear := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.linear = linear
+		allocs := func(steps []CeilingStep) float64 {
+			return testing.AllocsPerRun(10, func() { resetWorkload(wl); run(cfg, wl, pol, nil, steps) })
+		}
+		short, long := schedule(100), schedule(200)
+		if a, b := allocs(short), allocs(long); a != b {
+			t.Errorf("linear=%v: %v allocations under %d ceiling steps, %v under %d; want equal",
+				linear, a, len(short), b, len(long))
+		}
+	}
+}
+
 // ceilingProbe wraps a cell core's policy and keeps the ceiling schedule the
 // engine replays for that core.
 type ceilingProbe struct {

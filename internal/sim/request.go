@@ -63,21 +63,15 @@ type Request struct {
 
 // LatencyMs returns completion latency (finish − arrival); for dropped
 // requests it is the time until the drop.
-//
-//gemini:hotpath
 func (r *Request) LatencyMs() float64 { return r.FinishMs - r.ArrivalMs }
 
 // Violated reports whether the request missed its deadline (dropped requests
 // count as violations: the aggregator never got their results in time).
-//
-//gemini:hotpath
 func (r *Request) Violated() bool {
 	return r.Dropped || (r.Done && r.FinishMs > r.DeadlineMs)
 }
 
 // Remaining returns the work left to execute.
-//
-//gemini:hotpath
 func (r *Request) Remaining() cpu.Work { return r.WorkTotal - r.WorkDone }
 
 // PreparedQuery is one pool entry: the properties of a query that do not
@@ -121,8 +115,6 @@ type Predictions struct {
 
 // Lookup returns the cached pair for r's pool entry and whether the table
 // covers it.
-//
-//gemini:hotpath
 func (p *Predictions) Lookup(r *Request) (svcMs, errMs float64, ok bool) {
 	if p == nil || r.PoolIdx < 0 || int(r.PoolIdx) >= len(p.ServiceMs) {
 		return 0, 0, false

@@ -20,10 +20,10 @@ import "math/rand"
 // sequences bit-for-bit (TestWorkloadStreamMatchesLegacy and the golden
 // results in TestGoldenResultsUnchangedByRNGRefactor).
 //
-// This file is the only non-test file in internal/sim allowed to construct a
-// raw rand.NewSource: the geminivet nodeterminism analyzer bans it everywhere
-// else in the package so new code cannot quietly re-introduce a shared
-// stream.
+// This file is the only non-test file in internal/sim that constructs a raw
+// rand.NewSource. A raw source anywhere else would quietly re-introduce a
+// shared stream; TestBuildWorkloadUnchangedByRoutingDraws and
+// TestObservedCellSinksGolden fail when one does.
 
 // Subsystem names one independent random stream of a simulation run.
 type Subsystem uint8

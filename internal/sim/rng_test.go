@@ -101,8 +101,7 @@ func TestRNGStreamStableAcrossCalls(t *testing.T) {
 
 // TestWorkloadStreamMatchesLegacy pins the bit-compatibility contract: the
 // workload subsystem's stream is the historical rand.New(rand.NewSource(seed))
-// stream, verbatim. (Constructing the raw source here is fine — the geminivet
-// rawsource ban exempts test files.)
+// stream, verbatim. The raw source built here is the oracle.
 func TestWorkloadStreamMatchesLegacy(t *testing.T) {
 	for _, seed := range []int64{0, 1, 7, 42, -3} {
 		legacy := rand.New(rand.NewSource(seed))

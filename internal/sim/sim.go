@@ -256,7 +256,7 @@ func run(cfg Config, wl *Workload, pol Policy, cp *capture, ceil []CeilingStep) 
 		setpoint: cfg.StartFreq,
 		ceiling:  cfg.Ladder.Max(),
 		ceil:     ceil,
-		acc:      cpu.NewEnergyAccumulator(cfg.Power),
+		acc:      cpu.NewEnergyAccumulator(),
 		tr:       cfg.Tracer,
 		sp:       cfg.Spans,
 		linear:   cfg.linear,
@@ -348,21 +348,15 @@ func (s *Sim) Predictions() *Predictions { return s.wl.Preds }
 func (s *Sim) Queue() []*Request { return s.queue[s.qhead:] }
 
 // qlen is the live queue length.
-//
-//gemini:hotpath
 func (s *Sim) qlen() int { return len(s.queue) - s.qhead }
 
 // head is the live queue's front request; callers must check qlen() > 0.
-//
-//gemini:hotpath
 func (s *Sim) head() *Request { return s.queue[s.qhead] }
 
 // popHead dequeues the front request, recycling the backing array: when the
 // queue drains the slice resets to its full capacity, and a long-lived
 // non-empty queue compacts once the dead prefix dominates. Either way the
 // steady state appends into existing capacity — no per-request allocation.
-//
-//gemini:hotpath
 func (s *Sim) popHead() {
 	s.queue[s.qhead] = nil // release the reference
 	s.qhead++
@@ -383,8 +377,6 @@ func (s *Sim) popHead() {
 }
 
 // refreshHead re-derives exec after any queue-front mutation.
-//
-//gemini:hotpath
 func (s *Sim) refreshHead() {
 	s.exec = nil
 	if s.qlen() > 0 && s.queue[s.qhead].Started {
@@ -393,8 +385,6 @@ func (s *Sim) refreshHead() {
 }
 
 // setExec makes r the executing request and loads its progress.
-//
-//gemini:hotpath
 func (s *Sim) setExec(r *Request) {
 	s.exec, s.execDone, s.execTotal = r, r.WorkDone, r.WorkTotal
 }
@@ -403,8 +393,6 @@ func (s *Sim) setExec(r *Request) {
 // Called before every policy callback so policies reading
 // Queue()[0].WorkDone (Gemini's binding test, Rubik's residual estimate) see
 // the live value.
-//
-//gemini:hotpath
 func (s *Sim) syncHead() {
 	if s.exec != nil {
 		s.exec.WorkDone = s.execDone
@@ -416,8 +404,6 @@ func (s *Sim) syncHead() {
 // bounds scaling_setspeed without rewriting it: when the ceiling rises the
 // core returns to f. A change of the running frequency stalls the core for
 // TdvfsMs; a setpoint the ceiling hides costs nothing.
-//
-//gemini:hotpath
 func (s *Sim) SetFreq(f cpu.Freq) {
 	s.setpoint = f
 	s.resolveFreq()
@@ -426,8 +412,6 @@ func (s *Sim) SetFreq(f cpu.Freq) {
 // resolveFreq runs the core at min(setpoint, ceiling). SetFreq, planned
 // changes and ceiling steps all switch the running frequency here, in both
 // engines.
-//
-//gemini:hotpath
 func (s *Sim) resolveFreq() {
 	f := min(s.setpoint, s.ceiling)
 	if f == s.freq {
@@ -452,8 +436,6 @@ func (s *Sim) resolveFreq() {
 // moment (span tracing enabled only). Several same-instant switches — clear
 // plan, set initial, re-plan at an arrival — collapse into one boundary: the
 // phase that matters is the one time actually passes in.
-//
-//gemini:hotpath
 func (s *Sim) markPhase() {
 	// Mark timestamps are copied from s.now verbatim, so same-instant coalescing is exact equality.
 	if n := len(s.marks); n > 0 && s.marks[n-1].at == s.now {
@@ -471,8 +453,6 @@ func (s *Sim) markPhase() {
 // past-due event is pending the clock cannot advance past it (its effective
 // time is always the minimum), so the insertion-time clamp equals the
 // scan-time clamp at dispatch.
-//
-//gemini:hotpath
 func (s *Sim) PlanFreqChange(atMs float64, f cpu.Freq) {
 	if s.linear {
 		s.evSeq++
@@ -483,8 +463,6 @@ func (s *Sim) PlanFreqChange(atMs float64, f cpu.Freq) {
 }
 
 // ClearPlannedChanges cancels all scheduled frequency switches.
-//
-//gemini:hotpath
 func (s *Sim) ClearPlannedChanges() {
 	if s.linear {
 		s.planned = s.planned[:0]
@@ -496,8 +474,6 @@ func (s *Sim) ClearPlannedChanges() {
 // SetTimer schedules an OnTimer callback at the given absolute time. Negative
 // tags are the engine's own (SampleTimerTag): a policy that arms one would
 // have its timer swallowed by the sampler, so SetTimer panics on it.
-//
-//gemini:hotpath
 func (s *Sim) SetTimer(atMs float64, tag int64) {
 	if tag < 0 {
 		panic("sim: SetTimer: negative timer tags are reserved for the engine")
@@ -507,8 +483,6 @@ func (s *Sim) SetTimer(atMs float64, tag int64) {
 
 // setTimer is SetTimer without the reserved-range check, for the engine's
 // own timers.
-//
-//gemini:hotpath
 func (s *Sim) setTimer(atMs float64, tag int64) {
 	if s.linear {
 		s.evSeq++
@@ -519,8 +493,6 @@ func (s *Sim) setTimer(atMs float64, tag int64) {
 }
 
 // Stall blocks the core for the given duration (prediction overhead).
-//
-//gemini:hotpath
 func (s *Sim) Stall(ms float64) {
 	if ms <= 0 {
 		return
@@ -547,8 +519,6 @@ func (s *Sim) Sleep(powerW, wakeMs float64) {
 // paper drops requests that cannot meet their deadline even at the maximum
 // frequency (§III-A); the aggregator would discard their late responses
 // anyway.
-//
-//gemini:hotpath
 func (s *Sim) Drop(r *Request) {
 	for i := s.qhead; i < len(s.queue); i++ {
 		if s.queue[i] != r {
@@ -590,8 +560,6 @@ func (s *Sim) Drop(r *Request) {
 
 // TraceEnabled reports whether a decision tracer is attached; policies may
 // use it to skip building trace-only values.
-//
-//gemini:hotpath
 func (s *Sim) TraceEnabled() bool { return s.tr != nil }
 
 // TracePlan annotates r's pending decision record with the frequency plan
@@ -600,8 +568,6 @@ func (s *Sim) TraceEnabled() bool { return s.tr != nil }
 // single-step), and the critical request anchoring a group plan (-1 when the
 // request was planned alone). A no-op when tracing is disabled — the hook
 // costs policies one call with no allocation.
-//
-//gemini:hotpath
 func (s *Sim) TracePlan(r *Request, initial, boost cpu.Freq, boostAtMs float64, criticalID int) {
 	if s.tr == nil {
 		return
@@ -621,15 +587,11 @@ func (s *Sim) TracePlan(r *Request, initial, boost cpu.Freq, boostAtMs float64, 
 // decides reports whether the run emits decisions: to Config.Tracer, or
 // into a cluster run's capture, which for a core none of whose records is
 // retained holds only the audit tuples.
-//
-//gemini:hotpath
 func (s *Sim) decides() bool { return s.tr != nil || s.held.decisions.audits != nil }
 
 // emitDecision seals and emits r's decision record (tracing enabled only). In
 // a cluster run it writes r's audit tuple to its place, and the full record
 // only if the tracer will retain it.
-//
-//gemini:hotpath
 func (s *Sim) emitDecision(r *Request) {
 	a := telemetry.Audit{PredictedMs: r.PredictedMs, PredErrMs: r.PredErrMs, Dropped: r.Dropped}
 	if r.Done {
@@ -651,8 +613,6 @@ func (s *Sim) emitDecision(r *Request) {
 }
 
 // decision builds r's full decision record around its audit tuple a.
-//
-//gemini:hotpath
 func (s *Sim) decision(r *Request, a *telemetry.Audit) telemetry.Decision {
 	p := &s.pending[r.slot]
 	d := telemetry.Decision{
@@ -690,8 +650,6 @@ func (s *Sim) decision(r *Request, a *telemetry.Audit) telemetry.Decision {
 // phases' energy attributes sum to the energy the decision trace attributes
 // to the request (both invariants are asserted by TestPhaseSpansSumToLatency).
 // A count-only log (runCores) counts the records and writes none.
-//
-//gemini:hotpath
 func (s *Sim) emitSpans(r *Request) {
 	log := &s.held.spans
 	phases := 0
@@ -725,8 +683,6 @@ func (s *Sim) emitSpans(r *Request) {
 }
 
 // boolAttr renders a bool as a span attribute value.
-//
-//gemini:hotpath
 func boolAttr(b bool) float64 {
 	if b {
 		return 1
@@ -745,7 +701,6 @@ const (
 	evNone
 )
 
-//gemini:hotpath
 func (s *Sim) loop() {
 	if s.linear {
 		s.loopLinear()
@@ -786,8 +741,6 @@ func (s *Sim) loop() {
 }
 
 // stepCeiling applies the core's next ceiling step; the clock is at its time.
-//
-//gemini:hotpath
 func (s *Sim) stepCeiling() {
 	s.ceiling = s.ceil[s.nextCeil].Ceiling
 	s.nextCeil++
@@ -801,8 +754,6 @@ func (s *Sim) stepCeiling() {
 // stay where they are, and the energy that interval will have drawn by at is
 // added to the meter's reading, not committed to it. Nothing can change the
 // core's draw before at: the tick is the earliest pending event.
-//
-//gemini:hotpath
 func (s *Sim) sampleTick(at float64) {
 	if s.tsc == nil {
 		return
@@ -826,8 +777,6 @@ func (s *Sim) sampleTick(at float64) {
 // the policy-scheduled candidates (planned changes, timers) from the event
 // queue's minimum — whose key already encodes the (timestamp, kind, seq)
 // contract.
-//
-//gemini:hotpath
 func (s *Sim) nextEvent() (kind int, at float64) {
 	kind, at = evNone, math.Inf(1)
 
@@ -863,8 +812,6 @@ func (s *Sim) nextEvent() (kind int, at float64) {
 
 // completionTime returns when the executing request will finish under the
 // current frequency and stall state (+Inf if the server is idle).
-//
-//gemini:hotpath
 func (s *Sim) completionTime() float64 {
 	if s.exec == nil {
 		return math.Inf(1)
@@ -875,8 +822,6 @@ func (s *Sim) completionTime() float64 {
 
 // advanceTo moves simulated time forward, accruing head-request progress and
 // core energy across the stall boundary.
-//
-//gemini:hotpath
 func (s *Sim) advanceTo(t float64) {
 	if t <= s.now {
 		s.now = max(s.now, t)
@@ -902,8 +847,6 @@ func (s *Sim) advanceTo(t float64) {
 
 // powerW is the core's draw at the current frequency and activity, or the
 // sleep state's draw while an idle core sleeps.
-//
-//gemini:hotpath
 func (s *Sim) powerW(busy bool) float64 {
 	switch {
 	case busy:
@@ -915,16 +858,12 @@ func (s *Sim) powerW(busy bool) float64 {
 }
 
 // cacheCoreW refreshes busyW and idleW after a write of freq.
-//
-//gemini:hotpath
 func (s *Sim) cacheCoreW() {
 	s.busyW = s.cfg.Power.CoreW(s.freq, true)
 	s.idleW = s.cfg.Power.CoreW(s.freq, false)
 }
 
 // accrue charges dt of energy at the current frequency/activity.
-//
-//gemini:hotpath
 func (s *Sim) accrue(dt float64, busy bool) {
 	if s.cfg.RecordFreqTrace && dt > 0 {
 		n := len(s.freqTrace)
@@ -938,7 +877,6 @@ func (s *Sim) accrue(dt float64, busy bool) {
 	s.acc.AccumulatePower(dt, s.powerW(busy), busy)
 }
 
-//gemini:hotpath
 func (s *Sim) arrive(r *Request) {
 	s.queue = append(s.queue, r)
 	if s.qlen() == 1 {
@@ -975,7 +913,6 @@ func (s *Sim) arrive(r *Request) {
 	}
 }
 
-//gemini:hotpath
 func (s *Sim) startHead() {
 	head := s.head()
 	head.Started = true
@@ -1008,7 +945,6 @@ func (s *Sim) startHead() {
 	}
 }
 
-//gemini:hotpath
 func (s *Sim) completeHead() {
 	head := s.head()
 	head.Done = true

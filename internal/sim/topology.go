@@ -63,8 +63,6 @@ func (t Topology) Cores() int {
 }
 
 // Core maps (shard, replica) to the flat core index.
-//
-//gemini:hotpath
 func (t Topology) Core(shard, replica int) int {
 	return shard*t.ReplicasPerShard + replica
 }
@@ -110,26 +108,18 @@ func newRouteState(topo Topology, budgetMs float64, ladder *cpu.Ladder, rng *ran
 }
 
 // Replicas returns the replicas-per-shard count (newRouteState normalized it).
-//
-//gemini:hotpath
 func (st *RouteState) Replicas() int { return st.topo.ReplicasPerShard }
 
 // Now returns the routing pass's current time (the arrival being routed).
-//
-//gemini:hotpath
 func (st *RouteState) Now() float64 { return st.now }
 
 // VFinish returns the replica's virtual finish time: when its queue would
 // drain executing everything at the default frequency.
-//
-//gemini:hotpath
 func (st *RouteState) VFinish(shard, replica int) float64 {
 	return st.vFinish[st.topo.Core(shard, replica)]
 }
 
 // Ceiling returns the replica's current cap-coordinator frequency ceiling.
-//
-//gemini:hotpath
 func (st *RouteState) Ceiling(shard, replica int) cpu.Freq {
 	return st.ceilings[st.topo.Core(shard, replica)]
 }
@@ -140,8 +130,6 @@ func (st *RouteState) Ceiling(shard, replica int) cpu.Freq {
 // idle replica cruises at the ladder floor. This is the routing layer's model
 // of the per-core DVFS state — the same modeled-load idiom as vFinish — and
 // is what RouterPowerAware steers on.
-//
-//gemini:hotpath
 func (st *RouteState) PlannedFreq(shard, replica int) cpu.Freq {
 	c := st.topo.Core(shard, replica)
 	return plannedFreqFor(st.vFinish[c]-st.now, st.budgetMs, st.ladder, st.ceilings[c])
@@ -152,8 +140,6 @@ func (st *RouteState) PlannedFreq(shard, replica int) cpu.Freq {
 // is FDefault·backlog/budget clamped up to a ladder level and down to the
 // ceiling. Zero backlog (or a degenerate budget) models an idle core at the
 // ladder floor.
-//
-//gemini:hotpath
 func plannedFreqFor(backlogMs, budgetMs float64, ladder *cpu.Ladder, ceiling cpu.Freq) cpu.Freq {
 	if backlogMs <= 0 {
 		return ladder.Min()
@@ -174,8 +160,6 @@ func plannedFreqFor(backlogMs, budgetMs float64, ladder *cpu.Ladder, ceiling cpu
 // EstFinishMs estimates when the replica would finish r if routed there:
 // queue drain plus r's base service at the replica's ceiling-limited service
 // frequency. Deadline- and power-aware routing both rank on this.
-//
-//gemini:hotpath
 func (st *RouteState) EstFinishMs(shard, replica int, r *Request) float64 {
 	c := st.topo.Core(shard, replica)
 	start := st.now
@@ -192,8 +176,6 @@ func (st *RouteState) EstFinishMs(shard, replica int, r *Request) float64 {
 // assign commits r to the core, advancing its virtual finish time with the
 // broker's exact accounting (start at max(arrival, vFinish), serve BaseWork
 // at the default frequency).
-//
-//gemini:hotpath
 func (st *RouteState) assign(c int, r *Request) {
 	start := r.ArrivalMs
 	if st.vFinish[c] > start {
@@ -218,7 +200,6 @@ type RouterRoundRobin struct{}
 
 func (RouterRoundRobin) Name() string { return "round-robin" }
 
-//gemini:hotpath
 func (RouterRoundRobin) Pick(st *RouteState, shard int, r *Request) int {
 	j := st.rr[shard]
 	st.rr[shard] = (j + 1) % st.Replicas()
@@ -233,7 +214,6 @@ type RouterLeastLoaded struct{}
 
 func (RouterLeastLoaded) Name() string { return "least-loaded" }
 
-//gemini:hotpath
 func (RouterLeastLoaded) Pick(st *RouteState, shard int, r *Request) int {
 	best := 0
 	for j := 1; j < st.Replicas(); j++ {
@@ -256,7 +236,6 @@ type RouterDeadlineAware struct{}
 
 func (RouterDeadlineAware) Name() string { return "deadline-aware" }
 
-//gemini:hotpath
 func (RouterDeadlineAware) Pick(st *RouteState, shard int, r *Request) int {
 	bestMeet, bestMeetEst := -1, math.Inf(-1)
 	bestAny, bestAnyEst := 0, math.Inf(1)
@@ -288,7 +267,6 @@ type RouterPowerAware struct{}
 
 func (RouterPowerAware) Name() string { return "power-aware" }
 
-//gemini:hotpath
 func (RouterPowerAware) Pick(st *RouteState, shard int, r *Request) int {
 	reps := st.Replicas()
 	bestAny, bestAnyEst := 0, math.Inf(1)
@@ -321,7 +299,7 @@ func (RouterPowerAware) Pick(st *RouteState, shard int, r *Request) int {
 	if len(tied) == 1 {
 		return tied[0]
 	}
-	//gemini:allow hotpath -- the seeded routing stream is the sanctioned tie-break; Intn on a rand.Rand does not allocate
+	// The seeded routing stream breaks the tie; Intn on a rand.Rand does not allocate.
 	return tied[st.rng.Intn(len(tied))]
 }
 

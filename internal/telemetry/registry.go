@@ -32,8 +32,6 @@ type Label struct {
 func L(name, value string) Label { return Label{Name: name, Value: value} }
 
 // addFloatBits atomically adds v to a float64 stored as uint64 bits.
-//
-//gemini:hotpath
 func addFloatBits(bits *atomic.Uint64, v float64) {
 	for {
 		old := bits.Load()
@@ -51,18 +49,12 @@ type Counter struct {
 }
 
 // Inc adds one.
-//
-//gemini:hotpath
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
-//
-//gemini:hotpath
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
-//
-//gemini:hotpath
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is a float64 value that can go up and down.
@@ -71,18 +63,12 @@ type Gauge struct {
 }
 
 // Set replaces the value.
-//
-//gemini:hotpath
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add increments the value by v (v may be negative).
-//
-//gemini:hotpath
 func (g *Gauge) Add(v float64) { addFloatBits(&g.bits, v) }
 
 // Value returns the current value.
-//
-//gemini:hotpath
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // DefaultLatencyBuckets covers the repo's millisecond latency range: the
@@ -111,8 +97,6 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one value.
-//
-//gemini:hotpath
 func (h *Histogram) Observe(x float64) {
 	i := sort.SearchFloat64s(h.bounds, x) // first bound >= x
 	h.counts[i].Add(1)

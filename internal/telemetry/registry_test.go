@@ -145,3 +145,27 @@ func TestScrapeDoesNotBlockRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInstrumentsAllocFree pins the instrument fast paths at zero
+// allocations: the engine, the ISN and the aggregator call them per request.
+func TestInstrumentsAllocFree(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("gemini_pin_total", "pin")
+	g := r.Gauge("gemini_pin_watts", "pin")
+	h := r.Histogram("gemini_pin_ms", "pin", DefaultLatencyBuckets)
+	x := 0.0
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"Counter.Inc", func() { c.Inc() }},
+		{"Counter.Add", func() { c.Add(3) }},
+		{"Gauge.Add", func() { g.Add(0.5) }},
+		{"Gauge.Set", func() { g.Set(x) }},
+		{"Histogram.Observe", func() { x += 7.5; h.Observe(x) }},
+	} {
+		if n := testing.AllocsPerRun(200, tc.f); n != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", tc.name, n)
+		}
+	}
+}

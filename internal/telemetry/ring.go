@@ -21,8 +21,6 @@ func makeRing[T any](capacity int) ring[T] {
 
 // push stores *v, evicting the oldest value when the ring is full, and
 // returns the slot it wrote.
-//
-//gemini:hotpath
 func (r *ring[T]) push(v *T) int {
 	i := r.next
 	r.slots[i] = *v

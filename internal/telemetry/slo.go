@@ -22,8 +22,8 @@ import (
 // clock) and never reads a wall clock itself — it serves both the simulator
 // (simulated time via TimeseriesRow feeds, byte-identical serial vs -workers
 // N because the rows are) and the live listeners (internal/server supplies
-// wall time, the one layer allowed to). The geminivet nodeterminism analyzer
-// enforces this split: internal/telemetry is inside the wall-clock ban scope.
+// wall time, the one layer allowed to). TestSLOEmptyWindowBurnsZero fails if
+// the tracker reads a clock of its own.
 
 // SLOConfig parameterizes a tracker. The zero value is completed by
 // withDefaults: the paper's 40 ms deadline at p99, 1 s buckets, 1 s / 10 s /

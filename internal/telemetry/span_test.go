@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -52,6 +53,24 @@ func TestSpanTracerTraces(t *testing.T) {
 	// maxTraces keeps the most recent traces.
 	if views = tr.Traces(1); len(views) != 1 || views[0].TraceID != "b" {
 		t.Errorf("Traces(1) = %+v", views)
+	}
+
+	// Traces come in the order of their first retained span, with spans of
+	// different traces interleaved. A map's iteration order is random per
+	// range and may match on any one call, so the order is checked on many.
+	want := []string{"a", "b", "q", "c", "z", "d"}
+	for i, id := range want[2:] {
+		tr.EmitBatch([]Span{spanN(id, 0, 20, 21), spanN(want[i], 9, 20, 22)})
+	}
+	for i := 0; i < 200; i++ {
+		views = tr.Traces(0)
+		got := make([]string, len(views))
+		for j, v := range views {
+			got[j] = v.TraceID
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("call %d: traces %v, want first-appearance order %v", i, got, want)
+		}
 	}
 }
 
