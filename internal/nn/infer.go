@@ -7,8 +7,8 @@ package nn
 // the network's weights are only read, so any number of goroutines can run
 // Infer on one trained Network concurrently — each with its own Arena.
 //
-// Infer and Forward share one multiply-accumulate kernel (affineRows), so the
-// two paths produce bit-identical float64 outputs.
+// Infer and Forward share one multiply-accumulate (Dense.affine), so the two
+// paths produce bit-identical float64 outputs.
 
 // Arena holds the forward-pass scratch for one network shape: two ping-pong
 // activation buffers sized to the widest layer. An Arena must not be shared
@@ -48,7 +48,7 @@ func (n *Network) Infer(x []float64, a *Arena) []float64 {
 // applyInto computes out = act(W·x + b) without touching the layer's
 // training scratch, through the kernel Forward uses.
 func (d *Dense) applyInto(x, out []float64) {
-	affineRows(d.W, d.B, d.In, x, out)
+	d.affine(x, out)
 	if d.Act == ReLU {
 		clampNegative(out)
 	}

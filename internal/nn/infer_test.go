@@ -130,11 +130,16 @@ func refLayer(d *Dense, x []float64) []float64 {
 }
 
 // TestKernelMatchesScalarReference checks Forward ≡ Infer ≡ refLayer to the
-// bit over output widths on both sides of the kernel's four-row block and its
-// scalar tail, for both activations, on random inputs (negative sums under
-// ReLU) and on a layer built to produce -0 pre-activations, which ReLU must
-// not turn into +0.
+// bit over output widths on both sides of the Go loop's four-row block and
+// its scalar tail and of the AVX2 kernel's 16-lane block, for both
+// activations and on both paths, on random inputs (negative sums under ReLU),
+// on a layer built to produce -0 pre-activations, which ReLU must not turn
+// into +0, and on a sum that goes NaN before a NaN input arrives.
 func TestKernelMatchesScalarReference(t *testing.T) {
+	onEachKernel(t, testKernelMatchesScalarReference)
+}
+
+func testKernelMatchesScalarReference(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	rng := rand.New(rand.NewSource(21))
 	for _, out := range []int{1, 2, 3, 4, 5, 7, 48, 61} {
@@ -176,11 +181,35 @@ func TestKernelMatchesScalarReference(t *testing.T) {
 				for i := range d.W {
 					d.W[i] = math.Abs(d.W[i])
 				}
+				d.transposeW()
 				for i := range x {
 					x[i] = negZero
 				}
 				if got := check(x)[0]; math.Float64bits(got) != math.Float64bits(negZero) {
 					t.Fatalf("in=%d out=%d act=%d: the -0 case produced %v", in, out, act, got)
+				}
+
+				// With positive weights, +Inf then -Inf make the sum x86's
+				// default NaN; a NaN input then adds a product with another
+				// payload. Which payload survives is the compiler's choice in
+				// the Go loops (the ordinary amd64 build keeps the sum's, and
+				// -race or fuzzing builds move it), so they only have to
+				// agree that it is NaN. The kernel's choice is fixed: the
+				// accumulator is the add's first operand, and its NaN wins.
+				if in >= 3 {
+					x[0], x[1], x[2] = math.Inf(1), math.Inf(-1), math.NaN()
+					want := refLayer(d, x)
+					fwd := append([]float64(nil), d.Forward(x)...)
+					inf := net.Infer(x, arena)
+					for o := range want {
+						if !sameFloat(fwd[o], want[o]) || !sameFloat(inf[o], want[o]) {
+							t.Fatalf("in=%d out=%d act=%d NaN case row %d: reference %v, Forward %v, Infer %v", in, out, act, o, want[o], fwd[o], inf[o])
+						}
+					}
+					const defaultNaN = 0xfff8000000000000
+					if got := math.Float64bits(fwd[0]); useAVX2 && got != defaultNaN {
+						t.Fatalf("in=%d out=%d act=%d: the NaN case produced %x, want %x", in, out, act, got, uint64(defaultNaN))
+					}
 				}
 			}
 		}

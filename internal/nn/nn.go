@@ -40,13 +40,18 @@ type Dense struct {
 	dIn   []float64
 	cols  []int // input indices backward visits (len In)
 	rows  []int // live units backward visits (len Out)
+
+	// wt is W input-major for the AVX2 forward kernel, In rows of
+	// tStride(Out); nil where the CPU has no AVX2. Code that writes W calls
+	// transposeW after it (kernel.go).
+	wt []float64
 }
 
 // newLayer wraps weights w (out×in, row-major) and biases b in a layer with
 // all of its training scratch. NewDense and Load both build layers here, so a
 // loaded network trains exactly like the one that was saved.
 func newLayer(in, out int, act Activation, w, b []float64) *Dense {
-	return &Dense{
+	d := &Dense{
 		In: in, Out: out, Act: act, W: w, B: b,
 		z: make([]float64, out), out: make([]float64, out),
 		in:    make([]float64, in),
@@ -54,25 +59,30 @@ func newLayer(in, out int, act Activation, w, b []float64) *Dense {
 		dIn:  make([]float64, in),
 		cols: make([]int, in), rows: make([]int, out),
 	}
+	if hasAVX2 {
+		d.wt = make([]float64, in*tStride(out))
+		d.transposeW()
+	}
+	return d
 }
 
 // NewDense creates a layer with He-uniform initialization (appropriate for
 // relu) from the given RNG.
 func NewDense(in, out int, act Activation, rng *rand.Rand) *Dense {
-	d := newLayer(in, out, act, make([]float64, out*in), make([]float64, out))
+	w := make([]float64, out*in)
 	limit := math.Sqrt(6.0 / float64(in))
-	for i := range d.W {
-		d.W[i] = (rng.Float64()*2 - 1) * limit
+	for i := range w {
+		w[i] = (rng.Float64()*2 - 1) * limit
 	}
-	return d
+	return newLayer(in, out, act, w, make([]float64, out))
 }
 
 // Forward computes the layer output for input x, retaining the buffers
 // needed by a subsequent Network.Backward. The returned slice is owned by the
 // layer and valid until the next Forward.
 func (d *Dense) Forward(x []float64) []float64 {
+	d.affine(x, d.z)
 	copy(d.in, x)
-	affineRows(d.W, d.B, d.In, x, d.z)
 	copy(d.out, d.z)
 	if d.Act == ReLU {
 		clampNegative(d.out)
@@ -81,9 +91,10 @@ func (d *Dense) Forward(x []float64) []float64 {
 }
 
 // affineRows writes z[o] = b[o] + Σ_i w[o·in+i]·x[i] for every row o of the
-// row-major matrix w: the one multiply-accumulate kernel under Forward and
-// Infer. A single output is one chain of dependent adds, so a row at a time
-// runs at floating-point add latency; four rows per pass keep four
+// row-major matrix w: the Go multiply-accumulate under Forward and Infer
+// where the AVX2 kernel does not run (kernel.go). A single output is one
+// chain of dependent adds, so a row at a time runs at floating-point add
+// latency; four rows per pass keep four
 // independent chains in flight over one read of x, with a row-at-a-time tail
 // for the last len(z) % 4. Each output's own sum keeps its order (bias first,
 // then the products by ascending i), so the result is the row-at-a-time
@@ -92,9 +103,6 @@ func (d *Dense) Forward(x []float64) []float64 {
 // rather than by an index: with an index and four row slices live the
 // compiler runs out of registers and spills the inner loop's counter.
 func affineRows(w, b []float64, in int, x, z []float64) {
-	if len(x) > in {
-		panic("nn: input wider than the layer")
-	}
 	n := len(x)
 	for len(z) >= 4 {
 		r0, r1, r2, r3 := w[:n], w[in:][:n], w[2*in:][:n], w[3*in:][:n]
@@ -119,8 +127,14 @@ func affineRows(w, b []float64, in int, x, z []float64) {
 }
 
 // clampNegative is ReLU in place. Only strictly negative values change, so a
-// pre-activation of -0 stays -0, as it always has.
+// pre-activation of -0 stays -0, as it always has. The AVX2 kernel does it
+// without a branch per element, which mispredicts on about half of a ReLU
+// layer's units.
 func clampNegative(v []float64) {
+	if useAVX2 {
+		clampAVX2(v)
+		return
+	}
 	for i, s := range v {
 		if s < 0 {
 			v[i] = 0
@@ -159,7 +173,12 @@ const (
 //   - Rows go four at a time, so each x[i] is read and each dIn[i] loaded and
 //     stored once per four rows. dIn's sum keeps ascending row order, left to
 //     right, and starts from +0 as before.
+//
+// The AVX2 kernel (kernel.go) visits the same rows and every input, for gradW
+// and dIn alike: by the first two points the extra terms change nothing
+// anybody reads. It trusts the lengths, so dOut's is checked here.
 func (d *Dense) backward(dOut []float64, grad inputGrad) []float64 {
+	dOut = dOut[:d.Out]
 	// Both lists are built without a branch on the data: every index is
 	// written and the count advances past the kept ones. Half the units of a
 	// ReLU layer are dead, at random, and a branch would mispredict on them.
@@ -174,6 +193,14 @@ func (d *Dense) backward(dOut []float64, grad inputGrad) []float64 {
 		n += nonZero(y) | all
 	}
 	rows = rows[:n]
+	if useAVX2 {
+		dIn := d.dIn
+		if grad == noInputGrad {
+			dIn = nil
+		}
+		backwardAVX2(d.W, d.gradW, d.gradB, d.in, dOut, dIn, rows)
+		return d.dIn
+	}
 	all = 0
 	if grad == denseInputGrad {
 		all = 1

@@ -13,6 +13,7 @@ func TestDenseForwardKnownWeights(t *testing.T) {
 	d := NewDense(2, 2, Identity, rand.New(rand.NewSource(1)))
 	copy(d.W, []float64{1, 2, 3, 4})
 	copy(d.B, []float64{0.5, -0.5})
+	d.transposeW()
 	out := d.Forward([]float64{1, 1})
 	if math.Abs(out[0]-3.5) > 1e-12 || math.Abs(out[1]-6.5) > 1e-12 {
 		t.Errorf("out = %v, want [3.5 6.5]", out)
@@ -23,6 +24,7 @@ func TestReLUClampsNegative(t *testing.T) {
 	d := NewDense(1, 1, ReLU, rand.New(rand.NewSource(1)))
 	d.W[0] = -1
 	d.B[0] = 0
+	d.transposeW()
 	if out := d.Forward([]float64{5}); out[0] != 0 {
 		t.Errorf("relu(-5) = %v", out[0])
 	}
@@ -49,10 +51,13 @@ func TestGradientCheck(t *testing.T) {
 		for wi := 0; wi < len(l.W); wi += 7 { // sample every 7th weight
 			orig := l.W[wi]
 			l.W[wi] = orig + eps
+			l.transposeW()
 			lossPlus := loss.LossAndGrad(net.Forward(x), target, dOut)
 			l.W[wi] = orig - eps
+			l.transposeW()
 			lossMinus := loss.LossAndGrad(net.Forward(x), target, dOut)
 			l.W[wi] = orig
+			l.transposeW()
 			numGrad := (lossPlus - lossMinus) / (2 * eps)
 			anaGrad := l.gradW[wi]
 			if math.Abs(numGrad-anaGrad) > 1e-4*(1+math.Abs(numGrad)) {
@@ -78,10 +83,13 @@ func TestGradientCheckMSE(t *testing.T) {
 	for wi := range l.W {
 		orig := l.W[wi]
 		l.W[wi] = orig + eps
+		l.transposeW()
 		lp := loss.LossAndGrad(net.Forward(x), target, dOut)
 		l.W[wi] = orig - eps
+		l.transposeW()
 		lm := loss.LossAndGrad(net.Forward(x), target, dOut)
 		l.W[wi] = orig
+		l.transposeW()
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(num-l.gradW[wi]) > 1e-4*(1+math.Abs(num)) {
 			t.Fatalf("w[%d]: numerical %v vs analytical %v", wi, num, l.gradW[wi])
@@ -347,6 +355,10 @@ func TestLoadErrors(t *testing.T) {
 // training continues from it exactly as it would from the network it was
 // saved from.
 func TestLoadedNetworkTrainsIdentically(t *testing.T) {
+	onEachKernel(t, testLoadedNetworkTrainsIdentically)
+}
+
+func testLoadedNetworkTrainsIdentically(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	X := make([][]float64, 96)
 	Y := make([]float64, len(X))

@@ -74,6 +74,15 @@ func (a *Adam) Step(id int, params, grads []float64) {
 	v := a.v[id]
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	if useAVX2 {
+		// The kernel runs the loop below four elements at a time, each one's
+		// operations in the same order; it trusts the lengths, so they are
+		// checked here as the loop's indexing would.
+		n := len(params)
+		k := [8]float64{a.Beta1, 1 - a.Beta1, a.Beta2, 1 - a.Beta2, c1, c2, a.LR, a.Eps}
+		adamAVX2(params, grads[:n], m[:n], v[:n], &k)
+		return
+	}
 	for i := range params {
 		g := grads[i]
 		m[i] = a.Beta1*m[i] + (1-a.Beta1)*g

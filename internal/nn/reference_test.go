@@ -65,15 +65,24 @@ type backwardCase struct {
 	mse bool
 }
 
-// checkBackward runs c on the network and on a clone under the reference
-// loop and compares, bit for bit, each sample's input gradients where they
-// are read and the accumulated parameter gradients at the end. With finite
-// gradients everything must match. A non-finite loss gradient only has to
-// stay non-finite: gradB matches, and every layer whose reference gradients
-// went non-finite has a non-finite gradient on the new path too.
+// checkBackward runs c on a clone of the network under each kernel path
+// (eachKernel) and on another clone under the reference loop, and compares,
+// bit for bit, each sample's input gradients where they are read and the
+// accumulated parameter gradients at the end. With finite gradients
+// everything must match. A non-finite loss gradient only has to stay
+// non-finite: gradB matches, and every layer whose reference gradients went
+// non-finite has a non-finite gradient on the kernel's path too.
 func checkBackward(t *testing.T, c backwardCase) {
 	t.Helper()
-	net, ref := c.net, cloneNet(c.net)
+	eachKernel(func(path string) {
+		t.Helper()
+		checkBackwardOn(t, path, c)
+	})
+}
+
+func checkBackwardOn(t *testing.T, path string, c backwardCase) {
+	t.Helper()
+	net, ref := cloneNet(c.net), cloneNet(c.net)
 	var loss Loss = &CrossEntropy{}
 	if c.mse {
 		loss = MSE{}
@@ -102,7 +111,7 @@ func checkBackward(t *testing.T, c backwardCase) {
 			got, want := net.Layers[i].dIn, ref.Layers[i].dIn
 			for j := range want {
 				if readByBelow(net, i, j) && math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-					t.Fatalf("%v sample %d layer %d dIn[%d]: %v, reference %v", net, k, i, j, got[j], want[j])
+					t.Fatalf("%s %v sample %d layer %d dIn[%d]: %v, reference %v", path, net, k, i, j, got[j], want[j])
 				}
 			}
 		}
@@ -111,17 +120,17 @@ func checkBackward(t *testing.T, c backwardCase) {
 		r := ref.Layers[i]
 		for j := range r.gradB {
 			if math.Float64bits(l.gradB[j]) != math.Float64bits(r.gradB[j]) {
-				t.Fatalf("%v layer %d gradB[%d]: %v, reference %v", net, i, j, l.gradB[j], r.gradB[j])
+				t.Fatalf("%s %v layer %d gradB[%d]: %v, reference %v", path, net, i, j, l.gradB[j], r.gradB[j])
 			}
 		}
 		if finite {
 			for j := range r.gradW {
 				if math.Float64bits(l.gradW[j]) != math.Float64bits(r.gradW[j]) {
-					t.Fatalf("%v layer %d gradW[%d]: %v, reference %v", net, i, j, l.gradW[j], r.gradW[j])
+					t.Fatalf("%s %v layer %d gradW[%d]: %v, reference %v", path, net, i, j, l.gradW[j], r.gradW[j])
 				}
 			}
 		} else if nonFinite(r.gradW, r.gradB) && !nonFinite(l.gradW, l.gradB) {
-			t.Fatalf("%v layer %d: the reference diverged and backward did not", net, i)
+			t.Fatalf("%s %v layer %d: the reference diverged and backward did not", path, net, i)
 		}
 	}
 }
@@ -178,13 +187,19 @@ func randomCase(rng *rand.Rand, in int, hidden []int, out int, mse bool, zeros f
 	return c
 }
 
-var backwardWidths = []int{1, 2, 3, 4, 5, 6, 7, 48}
+// backwardWidths are the hidden widths the backward tests draw from: the
+// Go loop's four-row block and tail, and for the AVX2 kernel's 16-input
+// blocks a full block alone, a full block and a partial one, and three full.
+var backwardWidths = []int{1, 2, 3, 4, 5, 6, 7, 16, 17, 33, 48}
 
 // TestBackwardMatchesReference holds backward to refBackward over random MLPs
 // with one to three hidden ReLU layers, both losses, the classifier's output
 // widths, exact ±0 inputs, all-dead layers and several samples per
 // accumulation; then over the corners a random draw misses.
 func TestBackwardMatchesReference(t *testing.T) {
+	if !hasAVX2 {
+		t.Log(noAVX2)
+	}
 	rng := rand.New(rand.NewSource(17))
 	for depth := 1; depth <= 3; depth++ {
 		for _, out := range []int{1, 3, 61} {
@@ -215,6 +230,7 @@ func TestBackwardMatchesReference(t *testing.T) {
 			h.W[2*h.In+i] = 0
 		}
 		h.B[2] = negZero
+		h.transposeW()
 		c.xs = [][]float64{{negZero, negZero, negZero, negZero}, {1, -2, negZero, 0.5}}
 		c.ys = []float64{0, 2}
 		checkBackward(t, c)

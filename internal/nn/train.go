@@ -128,6 +128,7 @@ func (t *Trainer) Fit(X [][]float64, Y []float64) (float64, error) {
 				}
 				t.Opt.Step(2*li, l.W, l.gradW)
 				t.Opt.Step(2*li+1, l.B, l.gradB)
+				l.transposeW()
 			}
 		}
 		finalLoss = epochLoss / float64(len(order))

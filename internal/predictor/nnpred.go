@@ -45,8 +45,9 @@ type Config struct {
 
 // PaperConfig reproduces the paper's architecture: 5 hidden layers of 128
 // relu neurons, trained with Adam (§IV-A). On the full-scale training set
-// this takes ≈17 s for the classifier and ≈33 s with the error network on one
-// core of a 2-vCPU x86-64 host; use DefaultConfig for interactive runs.
+// this takes ≈15–18 s for the classifier and ≈29–32 s with the error network
+// on one core of a 2-vCPU x86-64 host with AVX2 (≈27–30 s and ≈52–60 s on
+// nn's Go loops); use DefaultConfig for interactive runs.
 func PaperConfig() Config {
 	return Config{Hidden: []int{128, 128, 128, 128, 128}, Epochs: 40, BatchSize: 32, LR: 1e-3, Seed: 1, MaxMs: 60}
 }

@@ -433,24 +433,36 @@ func TestErrorPredictorSaveLoad(t *testing.T) {
 // and on the order of every floating-point sum in the forward and backward
 // passes, so a host-loop rewrite that moves a counter or reorders a sum fails
 // here in a second, not at the results_full.txt smoke. amd64, like that file.
+// Both goldens run once on the Go loops and once on the AVX2 kernels
+// (onEachKernel): the two paths must train the same bits.
 func TestTrainedWeightsGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the golden is amd64 output")
 	}
 	ds, _ := dataset(t)
-	h := fnv.New64a()
-	var b [8]byte
-	for _, l := range TrainClassifier(ds.Train, nil, TestConfig()).Network().Layers {
-		for _, vs := range [][]float64{l.W, l.B} {
-			for _, v := range vs {
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-				h.Write(b[:])
-			}
+	onEachKernel(t, func(t *testing.T) {
+		const want = "ce9002cd318dc38c"
+		if got := weightsHash(TrainClassifier(ds.Train, nil, TestConfig()).Network()); got != want {
+			t.Errorf("trained weights hash %s, want %s", got, want)
 		}
-	}
-	const want = "ce9002cd318dc38c"
-	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
-		t.Errorf("trained weights hash %s, want %s", got, want)
+	})
+}
+
+// onEachKernel runs f as the subtests "go" and "avx2", with nn's Go loops
+// and then its AVX2 kernels selected; the second skips, saying why, where
+// CPUID reports no AVX2.
+func onEachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, k := range []struct {
+		name string
+		simd bool
+	}{{"go", false}, {"avx2", true}} {
+		t.Run(k.name, func(t *testing.T) {
+			if k.simd && !nn.HasSIMD() {
+				t.Skip("CPUID reports no AVX2: the Go loops are the only path on this machine")
+			}
+			defer nn.SetSIMD(nn.SetSIMD(k.simd))
+			f(t)
+		})
 	}
 }
 
@@ -480,20 +492,22 @@ func TestDeepTrainedWeightsGolden(t *testing.T) {
 		t.Skip("the golden is amd64 output")
 	}
 	ds, _ := dataset(t)
-	cfg := TestConfig()
-	cfg.Hidden = []int{16, 16}
-	clf := TrainClassifier(ds.Train, nil, cfg)
-	ep := TrainError(ds.Train, clf, cfg)
-	for _, c := range []struct {
-		name string
-		net  *nn.Network
-		want string
-	}{
-		{"classifier", clf.Network(), "8b91e57affa3ad5c"},
-		{"error", ep.net, "4e898438fd373ece"},
-	} {
-		if got := weightsHash(c.net); got != c.want {
-			t.Errorf("%s weights hash %s, want %s", c.name, got, c.want)
+	onEachKernel(t, func(t *testing.T) {
+		cfg := TestConfig()
+		cfg.Hidden = []int{16, 16}
+		clf := TrainClassifier(ds.Train, nil, cfg)
+		ep := TrainError(ds.Train, clf, cfg)
+		for _, c := range []struct {
+			name string
+			net  *nn.Network
+			want string
+		}{
+			{"classifier", clf.Network(), "8b91e57affa3ad5c"},
+			{"error", ep.net, "4e898438fd373ece"},
+		} {
+			if got := weightsHash(c.net); got != c.want {
+				t.Errorf("%s weights hash %s, want %s", c.name, got, c.want)
+			}
 		}
-	}
+	})
 }
