@@ -9,9 +9,12 @@ import (
 	"gemini/internal/trace"
 )
 
-// LogDecisions runs one (policy, trace) simulation cell — the same cell
-// geometry as the Fig. 12–14 grid — with a decision tracer attached,
-// streaming every per-request telemetry.Decision to w as one JSON line each.
+// LogDecisions runs one policy on one ISN under the named evaluation trace at
+// avgRPS (scaled by the shard fraction) for durationMs, with a decision
+// tracer attached, streaming every per-request telemetry.Decision to w as one
+// JSON line each. The trace and workload are seeded Seed+40 and Seed+50, as
+// for the first trace of the Fig. 12–14 grid, and every policy pays the
+// platform's prediction overhead (the grid waives it for Baseline).
 // It returns the run's Result and the tracer (whose Quality() snapshot
 // summarizes the predictors' live accuracy over the run).
 func (p *Platform) LogDecisions(w io.Writer, policyName, traceName string, avgRPS, durationMs float64) (*sim.Result, *telemetry.Tracer, error) {

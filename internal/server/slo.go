@@ -9,9 +9,8 @@ import (
 )
 
 // Live SLO tracking: the wall-clock binding of telemetry.SLOTracker. The
-// tracker itself never reads a clock (internal/telemetry sits inside the
-// nodeterminism wall-clock ban); this file — the server package, the one
-// layer allowed wall time — supplies every timestamp, mirrors the tracker's
+// tracker itself never reads a clock, so the simulator's runs through it stay
+// deterministic; this file supplies every timestamp, mirrors the tracker's
 // counters into gemini_slo_* Prometheus families, and serves /debug/slo.
 
 // SLO metric family names, one set per listener (distinguished by the

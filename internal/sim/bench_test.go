@@ -10,7 +10,7 @@ import (
 
 // benchRun is the shared body of the single-ISN benchmark family: a fresh
 // 2000-request BenchWorkload per iteration (built outside the timed region),
-// run under the config mkCfg yields. The sink and engine benchmarks differ
+// run under the config mkCfg yields. The sink benchmarks differ
 // from BenchmarkRunFixedPolicy only in mkCfg, so each reads against it by
 // construction.
 func benchRun(b *testing.B, mkCfg func(wl *Workload) Config) {
@@ -71,18 +71,6 @@ func BenchmarkRunTimeseriesEnabled(b *testing.B) {
 	})
 }
 
-// BenchmarkRunEngineLinear is BenchmarkRunFixedPolicy's workload under the
-// reference linear-scan loop. FixedPolicy arms no event at all, so the pair
-// bounds the heap engine's bookkeeping overhead at the population real runs
-// have (BenchmarkClusterLarge* is the synthetic large-population reading).
-func BenchmarkRunEngineLinear(b *testing.B) {
-	benchRun(b, func(*Workload) Config {
-		cfg := DefaultConfig()
-		cfg.linear = true
-		return cfg
-	})
-}
-
 func BenchmarkDispatch(b *testing.B) {
 	wl := BenchWorkload(10000, 1)
 	b.ResetTimer()
@@ -100,45 +88,11 @@ func BenchmarkRunCluster(b *testing.B) {
 	}
 }
 
-// timerHeavyPolicy is a synthetic load no shipped policy resembles: 128
-// staggered periodic timers stay armed for the whole run and every arrival
-// plans a boost-then-restore frequency pair, so well over a hundred events
-// are pending per core. Measured populations are far smaller: every
-// BENCHMARK.json workload, every geminisim experiment and every policy
-// Platform.NewPolicy builds peaks at two or three pending events per core
-// (DESIGN.md §9, TestEventPopulationStaysSmall). The benchmark stays to show
-// what the heap costs if that ever changes: against the calendar queue it
-// replaced it reads 0.61-0.77x here, against the linear reference 5.1-5.3x.
-type timerHeavyPolicy struct{ k int }
-
-const timerHeavySlots = 128
-
-func (p *timerHeavyPolicy) Name() string { return "timerheavy" }
-func (p *timerHeavyPolicy) Init(s *Sim) {
-	s.SetFreq(cpu.FDefault)
-	for i := int64(0); i < timerHeavySlots; i++ {
-		s.SetTimer(float64(i), i)
-	}
-}
-func (p *timerHeavyPolicy) OnArrival(s *Sim, r *Request) {
-	p.k++
-	lv := s.Ladder().Levels()
-	s.PlanFreqChange(s.Now()+2, lv[p.k%len(lv)])
-	s.PlanFreqChange(s.Now()+8, cpu.FDefault)
-}
-func (p *timerHeavyPolicy) OnStart(*Sim, *Request)     {}
-func (p *timerHeavyPolicy) OnDeparture(*Sim, *Request) {}
-func (p *timerHeavyPolicy) OnTimer(s *Sim, tag int64) {
-	// Re-arm unconditionally: the engine terminates re-arming timers once
-	// every request is served and the workload horizon has passed.
-	s.SetTimer(s.Now()+timerHeavySlots, tag)
-}
-
-// benchClusterLarge is the hundreds-of-ISNs cluster benchmark: 288 cores (24
-// sockets of 12 ISNs) fed 100k requests, a timer-heavy controller per core. The workload is built
-// per iteration outside the timed region; the timed region is dispatch,
-// engine execution, and the deterministic merge.
-func benchClusterLarge(b *testing.B, linear bool, workers int) {
+// BenchmarkClusterLargeSharded is the hundreds-of-ISNs cluster benchmark: 288
+// cores (24 sockets of 12 ISNs) fed 100k requests under FixedPolicy, on every
+// worker. The workload is built per iteration outside the timed region; the
+// timed region is dispatch, engine execution, and the deterministic merge.
+func BenchmarkClusterLargeSharded(b *testing.B) {
 	b.ReportAllocs()
 	const cores = 288
 	const n = 100000
@@ -146,17 +100,10 @@ func benchClusterLarge(b *testing.B, linear bool, workers int) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		wl := BenchWorkloadRate(n, int64(i), 25.0/float64(cores))
-		cfg := DefaultConfig()
-		cfg.linear = linear
 		b.StartTimer()
-		cr := RunClusterWorkers(cfg, wl, cores, workers, func(int) Policy { return &timerHeavyPolicy{} })
+		cr := RunClusterWorkers(DefaultConfig(), wl, cores, par.DefaultWorkers(),
+			func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
 		events += cr.Events
 	}
 	reportEventsPerSec(b, events)
-}
-
-func BenchmarkClusterLargeLinear(b *testing.B) { benchClusterLarge(b, true, 1) }
-func BenchmarkClusterLargeHeap(b *testing.B)   { benchClusterLarge(b, false, 1) }
-func BenchmarkClusterLargeSharded(b *testing.B) {
-	benchClusterLarge(b, false, par.DefaultWorkers())
 }

@@ -5,7 +5,7 @@ import (
 )
 
 // Shared benchmark scaffolding. The repo's benchmarks — the single-ISN family
-// and the ClusterLarge engine suite in internal/sim/bench_test.go, the
+// and BenchmarkClusterLargeSharded in internal/sim/bench_test.go, the
 // whole-stack benchmarks in the root bench_test.go — and the allocation pins
 // of TestRunAllocationPins all build their synthetic request streams and
 // no-op policies here, so the workload shape is defined exactly once and

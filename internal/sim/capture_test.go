@@ -82,49 +82,46 @@ func TestSinkEvictionEquivalence(t *testing.T) {
 		},
 	}
 	for name, runIt := range runners {
-		for _, linear := range []bool{false, true} {
-			cfg := DefaultConfig()
-			cfg.linear = linear
-			cfg.Tracer = telemetry.NewTracer(1 << 16)
-			cfg.Spans = telemetry.NewSpanAccumulator()
-			runIt(cfg, 1)
-			full := readSinks(cfg)
-			if int(full.spanTotal) <= 4*spanCap || int(full.emitted) <= 4*ringCap || full.quality.N == 0 {
-				t.Fatalf("%s: run too small to evict: %d spans, %d decisions, %d audited",
-					name, full.spanTotal, full.emitted, full.quality.N)
+		cfg := DefaultConfig()
+		cfg.Tracer = telemetry.NewTracer(1 << 16)
+		cfg.Spans = telemetry.NewSpanAccumulator()
+		runIt(cfg, 1)
+		full := readSinks(cfg)
+		if int(full.spanTotal) <= 4*spanCap || int(full.emitted) <= 4*ringCap || full.quality.N == 0 {
+			t.Fatalf("%s: run too small to evict: %d spans, %d decisions, %d audited",
+				name, full.spanTotal, full.emitted, full.quality.N)
+		}
+		want := lastOf(full, spanCap, ringCap)
+		for _, workers := range []int{1, 4} {
+			cfg.Tracer = telemetry.NewTracer(ringCap)
+			cfg.Spans = telemetry.NewSpanTracer(spanCap)
+			runIt(cfg, workers)
+			if got := readSinks(cfg); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s workers=%d: small sinks differ from the tail of the full emission "+
+					"(spans %d/%d, decisions %d/%d)", name, workers,
+					got.spanTotal, want.spanTotal, got.emitted, want.emitted)
 			}
-			want := lastOf(full, spanCap, ringCap)
-			for _, workers := range []int{1, 4} {
-				cfg.Tracer = telemetry.NewTracer(ringCap)
-				cfg.Spans = telemetry.NewSpanTracer(spanCap)
-				runIt(cfg, workers)
-				if got := readSinks(cfg); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s linear=%v workers=%d: small sinks differ from the tail of the full emission "+
-						"(spans %d/%d, decisions %d/%d)", name, linear, workers,
-						got.spanTotal, want.spanTotal, got.emitted, want.emitted)
-				}
-			}
+		}
 
-			// A tracer with a streaming sink needs every record, so no core
-			// may leave a decision as its audit tuple alone: one JSON line
-			// per shard request, the same bytes at every thread count.
-			var serial []byte
-			for _, workers := range []int{1, 4} {
-				var sink bytes.Buffer
-				cfg.Tracer = telemetry.NewTracer(ringCap)
-				cfg.Tracer.SetSink(&sink)
-				cfg.Spans = nil
-				requests := runIt(cfg, workers)
-				if lines := bytes.Count(sink.Bytes(), []byte("\n")); lines != requests {
-					t.Errorf("%s linear=%v workers=%d: the sink got %d lines for %d shard requests",
-						name, linear, workers, lines, requests)
-				}
-				if workers == 1 {
-					serial = sink.Bytes()
-				} else if !bytes.Equal(sink.Bytes(), serial) {
-					t.Errorf("%s linear=%v: the streamed decisions at workers=%d differ from workers=1",
-						name, linear, workers)
-				}
+		// A tracer with a streaming sink needs every record, so no core
+		// may leave a decision as its audit tuple alone: one JSON line
+		// per shard request, the same bytes at every thread count.
+		var serial []byte
+		for _, workers := range []int{1, 4} {
+			var sink bytes.Buffer
+			cfg.Tracer = telemetry.NewTracer(ringCap)
+			cfg.Tracer.SetSink(&sink)
+			cfg.Spans = nil
+			requests := runIt(cfg, workers)
+			if lines := bytes.Count(sink.Bytes(), []byte("\n")); lines != requests {
+				t.Errorf("%s workers=%d: the sink got %d lines for %d shard requests",
+					name, workers, lines, requests)
+			}
+			if workers == 1 {
+				serial = sink.Bytes()
+			} else if !bytes.Equal(sink.Bytes(), serial) {
+				t.Errorf("%s: the streamed decisions at workers=%d differ from workers=1",
+					name, workers)
 			}
 		}
 	}

@@ -28,9 +28,8 @@ type Result struct {
 	Latencies []float64
 
 	// Events counts dispatched engine events (completions, planned changes,
-	// arrivals, timers) — the denominator of the events/sec throughput
-	// metric the engine benchmarks report. Identical across engine
-	// implementations by construction (the differential tests assert it).
+	// ceiling steps, arrivals, timers) — the denominator of the events/sec
+	// throughput metric the engine benchmarks report.
 	Events uint64
 
 	// Core-level energy metrics.

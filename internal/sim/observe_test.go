@@ -27,12 +27,11 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestObservationDoesNotPerturb: attaching the timeline sampler reads a run
-// without changing it. For every paper policy and FixedPolicy, under both
-// engines, on one ISN, on the broker cluster at one and four workers and on
-// the capped 8×3 power-aware cell, the sampled run's results equal the
-// unsampled run's bit for bit — every count, every latency, the energy and
-// the coordinator's watts — except Events, which counts one more event per
-// core and tick.
+// without changing it. For every paper policy and FixedPolicy, on one ISN,
+// on the broker cluster at one and four workers and on the capped 8×3
+// power-aware cell, the sampled run's results equal the unsampled run's bit
+// for bit — every count, every latency, the energy and the coordinator's
+// watts — except Events, which counts one more event per core and tick.
 func TestObservationDoesNotPerturb(t *testing.T) {
 	p := harness.Shared(true)
 	const durationMs, intervalMs = 8_000, 100
@@ -65,37 +64,32 @@ func TestObservationDoesNotPerturb(t *testing.T) {
 		return p.MustPolicy(name)
 	}
 	for _, name := range names {
-		for _, linear := range []bool{false, true} {
-			engine := fmt.Sprintf("%s, linear=%v", name, linear)
-			single := func(on bool) *sim.Result {
-				cfg := p.SimConfig()
-				sim.SetLinearEngine(&cfg, linear)
-				series(&cfg, on)
-				tr := trace.GenFixedRPS(100*p.Opt.ShardFraction, durationMs, 3)
-				return sim.Run(cfg, p.Workload(tr.Arrivals, durationMs, 5), mk(name))
-			}
-			checkRun(engine+", sim.Run", single(false), single(true))
+		single := func(on bool) *sim.Result {
+			cfg := p.SimConfig()
+			series(&cfg, on)
+			tr := trace.GenFixedRPS(100*p.Opt.ShardFraction, durationMs, 3)
+			return sim.Run(cfg, p.Workload(tr.Arrivals, durationMs, 5), mk(name))
+		}
+		checkRun(name+", sim.Run", single(false), single(true))
 
-			const cores = 4
-			for _, workers := range []int{1, 4} {
-				cluster := func(on bool) *sim.ClusterResult {
-					cfg := p.SimConfig()
-					sim.SetLinearEngine(&cfg, linear)
-					series(&cfg, on)
-					tr := trace.GenFixedRPS(100*p.Opt.ShardFraction*cores, durationMs, 4)
-					return sim.RunClusterWorkers(cfg, p.Workload(tr.Arrivals, durationMs, 6), cores, workers,
-						func(int) sim.Policy { return mk(name) })
-				}
-				off, on := cluster(false), cluster(true)
-				what := fmt.Sprintf("%s, RunClusterWorkers workers=%d", engine, workers)
-				for c := range off.PerCore {
-					checkRun(what, off.PerCore[c], on.PerCore[c])
-				}
-				if on.Events-off.Events != cores*ticks || !sameBits(off.Latencies, on.Latencies) ||
-					math.Float64bits(off.EnergyMJ) != math.Float64bits(on.EnergyMJ) ||
-					off.Total != on.Total || off.Completed != on.Completed || off.Dropped != on.Dropped || off.Violations != on.Violations {
-					t.Errorf("%s: sampling changed the cluster result", what)
-				}
+		const cores = 4
+		for _, workers := range []int{1, 4} {
+			cluster := func(on bool) *sim.ClusterResult {
+				cfg := p.SimConfig()
+				series(&cfg, on)
+				tr := trace.GenFixedRPS(100*p.Opt.ShardFraction*cores, durationMs, 4)
+				return sim.RunClusterWorkers(cfg, p.Workload(tr.Arrivals, durationMs, 6), cores, workers,
+					func(int) sim.Policy { return mk(name) })
+			}
+			off, on := cluster(false), cluster(true)
+			what := fmt.Sprintf("%s, RunClusterWorkers workers=%d", name, workers)
+			for c := range off.PerCore {
+				checkRun(what, off.PerCore[c], on.PerCore[c])
+			}
+			if on.Events-off.Events != cores*ticks || !sameBits(off.Latencies, on.Latencies) ||
+				math.Float64bits(off.EnergyMJ) != math.Float64bits(on.EnergyMJ) ||
+				off.Total != on.Total || off.Completed != on.Completed || off.Dropped != on.Dropped || off.Violations != on.Violations {
+				t.Errorf("%s: sampling changed the cluster result", what)
 			}
 		}
 

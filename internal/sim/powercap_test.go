@@ -192,9 +192,8 @@ func FuzzPowerCapInvariant(f *testing.F) {
 
 // runUnderCeiling runs one core under a fixed ceiling schedule, as runCores
 // runs each capped core of a topology.
-func runUnderCeiling(linear bool, wl *Workload, pol Policy, steps []CeilingStep) *Result {
+func runUnderCeiling(wl *Workload, pol Policy, steps []CeilingStep) *Result {
 	cfg := DefaultConfig()
-	cfg.linear = linear
 	cfg.RecordFreqTrace = true
 	return run(cfg, wl, pol, nil, steps)
 }
@@ -231,54 +230,52 @@ func ceilingAt(steps []CeilingStep, top cpu.Freq, t float64) cpu.Freq {
 // core to the policy's setpoint.
 func TestCeilingBindsExecutedFrequency(t *testing.T) {
 	l := cpu.DefaultLadder()
-	for _, linear := range []bool{false, true} {
-		// Every arrival drops to the floor and plans a boost to the top 3 ms
-		// later; from t = 1 ms the ceiling is 2.4 GHz.
-		var reqs [][2]float64
-		for i := 0; i < 40; i++ {
-			reqs = append(reqs, [2]float64{float64(5 * i), 10 + float64(i%7)})
+	// Every arrival drops to the floor and plans a boost to the top 3 ms
+	// later; from t = 1 ms the ceiling is 2.4 GHz.
+	var reqs [][2]float64
+	for i := 0; i < 40; i++ {
+		reqs = append(reqs, [2]float64{float64(5 * i), 10 + float64(i%7)})
+	}
+	boost := &hookPolicy{onArrival: func(s *Sim, r *Request) {
+		s.SetFreq(l.Min())
+		s.PlanFreqChange(s.Now()+3, l.Max())
+	}}
+	steps := []CeilingStep{{AtMs: 1, Ceiling: 2.4}}
+	res := runUnderCeiling(mkWorkload(40, 250, reqs...), boost, steps)
+	over, atCeiling := 0, 0
+	for _, seg := range res.FreqTrace {
+		if seg.StartMs >= 1 && seg.Freq > 2.4 {
+			over++
 		}
-		boost := &hookPolicy{onArrival: func(s *Sim, r *Request) {
-			s.SetFreq(l.Min())
-			s.PlanFreqChange(s.Now()+3, l.Max())
-		}}
-		steps := []CeilingStep{{AtMs: 1, Ceiling: 2.4}}
-		res := runUnderCeiling(linear, mkWorkload(40, 250, reqs...), boost, steps)
-		over, atCeiling := 0, 0
-		for _, seg := range res.FreqTrace {
-			if seg.StartMs >= 1 && seg.Freq > 2.4 {
-				over++
-			}
-			if seg.Freq == 2.4 {
-				atCeiling++
-			}
+		if seg.Freq == 2.4 {
+			atCeiling++
 		}
-		if over > 0 || atCeiling == 0 {
-			t.Errorf("linear=%v: %d of %d segments from 1 ms on ran above the 2.4 GHz ceiling, %d at it",
-				linear, over, len(res.FreqTrace), atCeiling)
-		}
+	}
+	if over > 0 || atCeiling == 0 {
+		t.Errorf("%d of %d segments from 1 ms on ran above the 2.4 GHz ceiling, %d at it",
+			over, len(res.FreqTrace), atCeiling)
+	}
 
-		// The policy holds the top throughout; the ceiling dips to 2.4 GHz for
-		// [1, 5) ms. A setpoint renewed under the ceiling (2 ms) is free, and a
-		// callback that sets nothing (3 ms) must not make the core forget it.
-		hold := &hookPolicy{
-			init: func(s *Sim) { s.SetFreq(l.Max()) },
-			onArrival: func(s *Sim, r *Request) {
-				if r.ID == 1 {
-					s.SetFreq(l.Max())
-				}
-			},
-		}
-		steps = []CeilingStep{{AtMs: 1, Ceiling: 2.4}, {AtMs: 5, Ceiling: l.Max()}}
-		res = runUnderCeiling(linear, mkWorkload(40, 60, [2]float64{0, 54}, [2]float64{2, 5}, [2]float64{3, 5}), hold, steps)
-		if res.Transitions != 2 {
-			t.Errorf("linear=%v: %d frequency transitions, want 2 (down at 1 ms, up at 5 ms)", linear, res.Transitions)
-		}
-		for _, seg := range res.FreqTrace {
-			if want := ceilingAt(steps, l.Max(), seg.StartMs); seg.Freq != want {
-				t.Errorf("linear=%v: segment %+v runs %v GHz, want the %v GHz the ceiling allows the setpoint",
-					linear, seg, seg.Freq, want)
+	// The policy holds the top throughout; the ceiling dips to 2.4 GHz for
+	// [1, 5) ms. A setpoint renewed under the ceiling (2 ms) is free, and a
+	// callback that sets nothing (3 ms) must not make the core forget it.
+	hold := &hookPolicy{
+		init: func(s *Sim) { s.SetFreq(l.Max()) },
+		onArrival: func(s *Sim, r *Request) {
+			if r.ID == 1 {
+				s.SetFreq(l.Max())
 			}
+		},
+	}
+	steps = []CeilingStep{{AtMs: 1, Ceiling: 2.4}, {AtMs: 5, Ceiling: l.Max()}}
+	res = runUnderCeiling(mkWorkload(40, 60, [2]float64{0, 54}, [2]float64{2, 5}, [2]float64{3, 5}), hold, steps)
+	if res.Transitions != 2 {
+		t.Errorf("%d frequency transitions, want 2 (down at 1 ms, up at 5 ms)", res.Transitions)
+	}
+	for _, seg := range res.FreqTrace {
+		if want := ceilingAt(steps, l.Max(), seg.StartMs); seg.Freq != want {
+			t.Errorf("segment %+v runs %v GHz, want the %v GHz the ceiling allows the setpoint",
+				seg, seg.Freq, want)
 		}
 	}
 }
@@ -304,17 +301,14 @@ func TestCeilingStepsAllocFree(t *testing.T) {
 		}
 		return steps
 	}
-	for _, linear := range []bool{false, true} {
-		cfg := DefaultConfig()
-		cfg.linear = linear
-		allocs := func(steps []CeilingStep) float64 {
-			return testing.AllocsPerRun(10, func() { resetWorkload(wl); run(cfg, wl, pol, nil, steps) })
-		}
-		short, long := schedule(100), schedule(200)
-		if a, b := allocs(short), allocs(long); a != b {
-			t.Errorf("linear=%v: %v allocations under %d ceiling steps, %v under %d; want equal",
-				linear, a, len(short), b, len(long))
-		}
+	cfg := DefaultConfig()
+	allocs := func(steps []CeilingStep) float64 {
+		return testing.AllocsPerRun(10, func() { resetWorkload(wl); run(cfg, wl, pol, nil, steps) })
+	}
+	short, long := schedule(100), schedule(200)
+	if a, b := allocs(short), allocs(long); a != b {
+		t.Errorf("%v allocations under %d ceiling steps, %v under %d; want equal",
+			a, len(short), b, len(long))
 	}
 }
 

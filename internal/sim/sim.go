@@ -33,14 +33,6 @@ type Config struct {
 	Ladder  *cpu.Ladder
 	Power   *cpu.PowerModel
 	TdvfsMs float64
-	// linear swaps the heap-queue event loop for the original linear-scan
-	// one in engine_linear.go. Only this package's tests can set
-	// it: the reference is retained solely so equivalence stays
-	// machine-checked (TestEnginesEquivalent, FuzzEngineEquivalence), and both
-	// engines produce byte-identical results, traces, and decision logs.
-	linear bool
-	// StartFreq is the core's frequency at time zero (FDefault if zero).
-	StartFreq cpu.Freq
 	// PredictOverheadMs, when positive, stalls the core on every arrival to
 	// model on-core predictor inference (paper: 79 µs, §IV-B).
 	PredictOverheadMs float64
@@ -86,28 +78,10 @@ type Config struct {
 // DefaultConfig returns the standard testbed configuration.
 func DefaultConfig() Config {
 	return Config{
-		Ladder:    cpu.DefaultLadder(),
-		Power:     cpu.DefaultPowerModel(),
-		TdvfsMs:   cpu.TdvfsMs,
-		StartFreq: cpu.FDefault,
+		Ladder:  cpu.DefaultLadder(),
+		Power:   cpu.DefaultPowerModel(),
+		TdvfsMs: cpu.TdvfsMs,
 	}
-}
-
-// plannedChange / timerEvent are the reference linear engine's event records.
-// seq is the insertion index: the dispatch tie-break for same-instant events
-// of the same kind, which under the historical splice-on-dispatch scheme was
-// implicit in slice position. Carrying it explicitly lets dispatch swap-remove
-// in O(1) while preserving the exact historical order.
-type plannedChange struct {
-	at   float64
-	freq cpu.Freq
-	seq  uint64
-}
-
-type timerEvent struct {
-	at  float64
-	tag int64
-	seq uint64
 }
 
 // Sim is the event-driven ISN simulator. Policies receive it in callbacks
@@ -122,7 +96,7 @@ type Sim struct {
 	// policy's last SetFreq or planned change, ceiling the power cap's limit
 	// in force (Ladder().Max() on an uncapped core). ceil is the core's
 	// immutable ceiling schedule and nextCeil its cursor, read the way
-	// arrivals are, so ceiling steps never enter the event queue.
+	// arrivals are, so ceiling steps never enter the event lists.
 	freq              cpu.Freq
 	setpoint, ceiling cpu.Freq
 	ceil              []CeilingStep
@@ -152,12 +126,8 @@ type Sim struct {
 	execDone  cpu.Work
 	execTotal cpu.Work
 
-	// events is the heap queue holding planned changes and timers
-	// (default engine); linear selects the reference engine, which keeps
-	// them in the planned/timers slices instead (evSeq is its insertion
-	// counter).
-	events  eventQueue
-	linear  bool
+	// planned and timers are the pending policy-scheduled events (engine.go);
+	// evSeq is their insertion counter.
 	evSeq   uint64
 	planned []plannedChange
 	timers  []timerEvent
@@ -201,8 +171,9 @@ type Sim struct {
 	held     capture
 
 	// Timeline-sampler cursor (nil unless cfg.Series is set). Every touch in
-	// the engine sits under an `if s.tsc != nil` guard — the telemetry-gated
-	// zero-alloc discipline the hotpath analyzer enforces.
+	// the engine sits under an `if s.tsc != nil` guard, so a run without a
+	// sampler pays one pointer test per lifecycle event and allocates nothing
+	// for it (TestTimeseriesDisabledAddsNoAllocsPerRequest).
 	tsc *telemetry.SampleCursor
 
 	res *Result
@@ -245,21 +216,17 @@ func run(cfg Config, wl *Workload, pol Policy, cp *capture, ceil []CeilingStep) 
 	if cfg.Power == nil {
 		cfg.Power = cpu.DefaultPowerModel()
 	}
-	if cfg.StartFreq == 0 {
-		cfg.StartFreq = cpu.FDefault
-	}
 	s := &Sim{
 		cfg:      cfg,
 		pol:      pol,
 		wl:       wl,
-		freq:     cfg.StartFreq,
-		setpoint: cfg.StartFreq,
+		freq:     cpu.FDefault,
+		setpoint: cpu.FDefault,
 		ceiling:  cfg.Ladder.Max(),
 		ceil:     ceil,
 		acc:      cpu.NewEnergyAccumulator(),
 		tr:       cfg.Tracer,
 		sp:       cfg.Spans,
-		linear:   cfg.linear,
 		res:      newResult(pol.Name(), wl),
 	}
 	s.cacheCoreW()
@@ -299,13 +266,13 @@ func run(cfg Config, wl *Workload, pol Policy, cp *capture, ceil []CeilingStep) 
 			s.tsc = cfg.Series.StartRun(wl.DurationMs)
 		}
 		if s.tsc != nil {
-			s.tsc.SetLevel(cfg.Ladder.Index(cfg.StartFreq), 0)
+			s.tsc.SetLevel(cfg.Ladder.Index(cpu.FDefault), 0)
 			// The workload's latency budget is the SLO deadline: completions
 			// past it land in the rows' slo_violations column. Identical per
 			// core, so sharded merges stay byte-identical.
 			s.tsc.SetSLODeadline(wl.BudgetMs)
 			// Armed before pol.Init so a boundary coinciding with a policy
-			// timer samples first in both engines (lower insertion seq).
+			// timer samples first (lower insertion seq).
 			s.setTimer(s.tsc.NextAt(), SampleTimerTag)
 		}
 	}
@@ -410,8 +377,7 @@ func (s *Sim) SetFreq(f cpu.Freq) {
 }
 
 // resolveFreq runs the core at min(setpoint, ceiling). SetFreq, planned
-// changes and ceiling steps all switch the running frequency here, in both
-// engines.
+// changes and ceiling steps all switch the running frequency here.
 func (s *Sim) resolveFreq() {
 	f := min(s.setpoint, s.ceiling)
 	if f == s.freq {
@@ -447,29 +413,13 @@ func (s *Sim) markPhase() {
 
 // PlanFreqChange schedules a frequency switch at the given absolute time.
 // Past times apply on the next event dispatch.
-//
-// The heap engine clamps the timestamp to the present at insertion; the
-// reference engine clamps at every scan. The two are equivalent: while a
-// past-due event is pending the clock cannot advance past it (its effective
-// time is always the minimum), so the insertion-time clamp equals the
-// scan-time clamp at dispatch.
 func (s *Sim) PlanFreqChange(atMs float64, f cpu.Freq) {
-	if s.linear {
-		s.evSeq++
-		s.planned = append(s.planned, plannedChange{at: atMs, freq: f, seq: s.evSeq})
-		return
-	}
-	s.events.pushPlanned(max(atMs, s.now), f)
+	s.evSeq++
+	s.planned = append(s.planned, plannedChange{at: atMs, freq: f, seq: s.evSeq})
 }
 
 // ClearPlannedChanges cancels all scheduled frequency switches.
-func (s *Sim) ClearPlannedChanges() {
-	if s.linear {
-		s.planned = s.planned[:0]
-		return
-	}
-	s.events.clearPlanned()
-}
+func (s *Sim) ClearPlannedChanges() { s.planned = s.planned[:0] }
 
 // SetTimer schedules an OnTimer callback at the given absolute time. Negative
 // tags are the engine's own (SampleTimerTag): a policy that arms one would
@@ -484,12 +434,8 @@ func (s *Sim) SetTimer(atMs float64, tag int64) {
 // setTimer is SetTimer without the reserved-range check, for the engine's
 // own timers.
 func (s *Sim) setTimer(atMs float64, tag int64) {
-	if s.linear {
-		s.evSeq++
-		s.timers = append(s.timers, timerEvent{at: atMs, tag: tag, seq: s.evSeq})
-		return
-	}
-	s.events.pushTimer(max(atMs, s.now), tag)
+	s.evSeq++
+	s.timers = append(s.timers, timerEvent{at: atMs, tag: tag, seq: s.evSeq})
 }
 
 // Stall blocks the core for the given duration (prediction overhead).
@@ -692,54 +638,6 @@ func boolAttr(b bool) float64 {
 
 // --- engine ---------------------------------------------------------------
 
-const (
-	evCompletion = iota
-	evPlanned
-	evCeiling
-	evArrival
-	evTimer
-	evNone
-)
-
-func (s *Sim) loop() {
-	if s.linear {
-		s.loopLinear()
-		return
-	}
-	for {
-		kind, at := s.nextEvent()
-		if kind == evNone {
-			return
-		}
-		s.res.Events++
-		var e qevent
-		if kind == evPlanned || kind == evTimer {
-			e = s.events.pop()
-			if e.kind == qkTimer && e.tag == SampleTimerTag {
-				s.sampleTick(at)
-				continue
-			}
-		}
-		s.advanceTo(at)
-		switch kind {
-		case evCompletion:
-			s.completeHead()
-		case evPlanned:
-			s.SetFreq(e.freq)
-		case evCeiling:
-			s.stepCeiling()
-		case evArrival:
-			r := s.wl.Requests[s.nextArr]
-			r.slot = int32(s.nextArr)
-			s.nextArr++
-			s.arrive(r)
-		case evTimer:
-			s.syncHead()
-			s.pol.OnTimer(s, e.tag)
-		}
-	}
-}
-
 // stepCeiling applies the core's next ceiling step; the clock is at its time.
 func (s *Sim) stepCeiling() {
 	s.ceiling = s.ceil[s.nextCeil].Ceiling
@@ -748,8 +646,8 @@ func (s *Sim) stepCeiling() {
 }
 
 // sampleTick seals the timeline window ending at the reserved sampler
-// timer's time at and re-arms the timer for the next boundary. Both engine
-// loops call it before advancing the clock, and no policy sees the timer. It
+// timer's time at and re-arms the timer for the next boundary. The loop
+// calls it before advancing the clock, and no policy sees the timer. It
 // reads the run without touching it: the clock and the open accrual interval
 // stay where they are, and the energy that interval will have drawn by at is
 // added to the meter's reading, not committed to it. Nothing can change the
@@ -766,48 +664,6 @@ func (s *Sim) sampleTick(at float64) {
 	if next := s.tsc.NextAt(); next >= 0 {
 		s.setTimer(next, SampleTimerTag)
 	}
-}
-
-// nextEvent picks the earliest pending event; ties break by the priority
-// completion < planned < ceiling < arrival < timer, so departures free the
-// server before a simultaneous arrival is observed, and an arrival at a
-// control boundary plans against the ceiling now in force. The completion
-// candidate is derived from the executing head, the ceiling and arrival
-// candidates from their cursors over the core's schedule and workload, and
-// the policy-scheduled candidates (planned changes, timers) from the event
-// queue's minimum — whose key already encodes the (timestamp, kind, seq)
-// contract.
-func (s *Sim) nextEvent() (kind int, at float64) {
-	kind, at = evNone, math.Inf(1)
-
-	if c := s.completionTime(); c < at {
-		kind, at = evCompletion, c
-	}
-	if s.nextCeil < len(s.ceil) {
-		// Only a completion can be ahead so far, and it wins a tie.
-		if t := s.ceil[s.nextCeil].AtMs; t < at {
-			kind, at = evCeiling, t
-		}
-	}
-	if s.nextArr < len(s.wl.Requests) {
-		t := s.wl.Requests[s.nextArr].ArrivalMs
-		// Exact timestamp ties are the common same-instant case; broken by event-kind priority.
-		if t < at || (t == at && kind > evArrival) {
-			kind, at = evArrival, t
-		}
-	}
-	if qat, qk, ok := s.events.peek(); ok {
-		if qat < at || (qat == at && kind > int(qk)) {
-			kind, at = int(qk), qat
-		}
-	}
-	// Timers beyond the workload horizon with nothing left to do would spin
-	// the loop forever in policies that always re-arm (Pegasus): stop once
-	// all requests have been served and the horizon is passed.
-	if kind == evTimer && s.nextArr >= len(s.wl.Requests) && s.qlen() == 0 && at > s.wl.DurationMs {
-		return evNone, 0
-	}
-	return kind, at
 }
 
 // completionTime returns when the executing request will finish under the

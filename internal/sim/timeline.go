@@ -23,7 +23,7 @@ import (
 // power cap (TestTopologyTimelineWorkersIdentical, FuzzRouterEquivalence).
 
 // SampleTimerTag is the reserved (negative) timer tag the timeline sampler
-// (Config.Series) rides. Both engine loops intercept it before OnTimer, so
+// (Config.Series) rides. The engine loop intercepts it before OnTimer, so
 // no policy ever observes it. Policies keep their own timer tags
 // non-negative (every in-repo policy uses tag 0); Sim.SetTimer panics on a
 // negative one.

@@ -156,26 +156,6 @@ func TestPowerSeriesPartialLastWindow(t *testing.T) {
 	}
 }
 
-// TestTimeseriesEnginesEquivalent extends the engine-equivalence contract to
-// the sampler: the heap and linear engines must produce byte-identical
-// timeline exports (the reserved timer is intercepted identically in both
-// loops, before any policy sees it).
-func TestTimeseriesEnginesEquivalent(t *testing.T) {
-	run := func(linear bool) []byte {
-		wl := traceWorkload(400, 11)
-		cfg := DefaultConfig()
-		cfg.linear = linear
-		cfg.Series = NewRunTimeseries(cfg.Ladder, wl.DurationMs, 40)
-		Run(cfg, wl, &chaosTimelinePolicy{})
-		return timelineJSONL(t, cfg.Series)
-	}
-	hp, lin := run(false), run(true)
-	if !bytes.Equal(hp, lin) {
-		t.Fatalf("heap and linear engines produced different timelines (%d vs %d bytes)",
-			len(hp), len(lin))
-	}
-}
-
 // chaosTimelinePolicy mixes timers (tag 0), planned changes, and frequency
 // switches so the sampler's reserved timer has to coexist with a busy event
 // queue.
@@ -353,23 +333,20 @@ func TestTimelineCapConsistency(t *testing.T) {
 
 // TestSampleTimerTagReserved pins the reserved timer-tag range where it is
 // enforced: the sampler's tag is negative, and Sim.SetTimer refuses it from a
-// policy on both engines, so a policy cannot have a timer swallowed by the
+// policy, so a policy cannot have a timer swallowed by the
 // sampler. The sampler arms its own through setTimer.
 func TestSampleTimerTagReserved(t *testing.T) {
 	if SampleTimerTag >= 0 {
 		t.Fatalf("SampleTimerTag = %d: the reserved tag must be negative", SampleTimerTag)
 	}
-	for _, linear := range []bool{false, true} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("linear=%v: SetTimer accepted reserved tag %d from a policy", linear, SampleTimerTag)
-				}
-			}()
-			cfg := DefaultConfig()
-			cfg.linear = linear
-			Run(cfg, mkWorkload(50, 100, [2]float64{0, 13.5}),
-				&hookPolicy{init: func(s *Sim) { s.SetTimer(10, SampleTimerTag) }})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("SetTimer accepted reserved tag %d from a policy", SampleTimerTag)
+			}
 		}()
-	}
+		cfg := DefaultConfig()
+		Run(cfg, mkWorkload(50, 100, [2]float64{0, 13.5}),
+			&hookPolicy{init: func(s *Sim) { s.SetTimer(10, SampleTimerTag) }})
+	}()
 }

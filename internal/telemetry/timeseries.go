@@ -277,10 +277,10 @@ func sampleBoundary(k int, intervalMs, durationMs float64) float64 {
 // boundary. It is the only window accumulator: the simulator's reserved
 // timer and the live listeners' wall-clock ticker both seal rows through
 // Sample, so the carry-over, residency and percentile rules exist once. It
-// lives in package telemetry — not sim — because the hot-path analyzer
-// exempts only statements guarded by a nil check on a telemetry pointer, the
-// same contract the decision tracer uses; every engine-side touch sits under
-// `if s.tsc != nil`.
+// lives in package telemetry — not sim — because the live listeners in
+// package server use it too. Like the decision tracer it is reached through
+// a pointer that is nil when the sink is off: every engine-side touch sits
+// under `if s.tsc != nil`.
 //
 // A cursor opened by CaptureRun keeps its sealed rows, and each row's
 // latencies, in memory instead of appending them to a Timeseries: a merge of

@@ -211,8 +211,7 @@ func (t *Tracer) SetSink(w io.Writer) {
 }
 
 // Emit records one decision. Safe for concurrent use; nil-safe. Without a
-// sink it allocates nothing (TestTracerEmitAllocFree; the analyzer exempts
-// everything past the nil guard, so the test is what holds this).
+// sink it allocates nothing (TestTracerEmitAllocFree).
 func (t *Tracer) Emit(d Decision) {
 	if t == nil {
 		return
