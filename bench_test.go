@@ -274,7 +274,7 @@ func BenchmarkPlatformWorkload(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := trace.GenFixedRPS(60*p.Opt.ShardFraction*12, durationMs, int64(i))
-		requests += len(p.Workload(tr.Arrivals, durationMs, int64(i)).Requests)
+		requests += len(p.Workload(tr.Arrivals, durationMs, int64(i)).ArrivalMs)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(requests), "ns/request")
 }

@@ -75,28 +75,29 @@ func (p *Platform) ExtensionCacheWorkers(rps, durationMs float64, cacheSize, wor
 	return r, data
 }
 
-// applyCache replays the workload's query sequence through an LRU of the
-// given capacity and re-points every hit at the platform's cache-hit entry,
-// at the cache-lookup cost, returning the hit rate. The request sequence
-// matches the uncached run query-for-query (same workload seed), so the
-// comparison isolates the cache's effect. The hit entry has its own slot in
-// the prediction table, so cached and live prediction paths stay
+// applyCache replays the fresh workload's query sequence through an LRU of
+// the given capacity and re-points every hit at the platform's cache-hit
+// entry, at the cache-lookup cost, returning the hit rate. The request
+// sequence matches the uncached run query-for-query (same workload seed), so
+// the comparison isolates the cache's effect. The hit entry has its own slot
+// in the prediction table, so cached and live prediction paths stay
 // bit-identical.
 func (p *Platform) applyCache(wl *sim.Workload, capacity int) float64 {
 	hits := 0
 	seen := newLRUSet(capacity)
-	for _, req := range wl.Requests {
-		if seen.touch(req.Entry.Query.Text) {
+	slot := int32(len(p.Pool))
+	hit := sim.Draw{Base: p.cachedPool[slot].BaseWork, Work: p.cachedPool[slot].BaseWork, PoolIdx: slot}
+	for i := range wl.Draws {
+		if seen.touch(p.Pool[wl.Draws[i].PoolIdx].Query.Text) {
 			hits++
-			req.Entry, req.PoolIdx = &p.cacheHit, int32(len(p.Pool))
-			req.BaseWork = p.cacheHit.BaseWork
-			req.WorkTotal = p.cacheHit.BaseWork
+			wl.Draws[i] = hit
 		}
 	}
-	if len(wl.Requests) == 0 {
+	wl.Pool = p.cachedPool
+	if wl.Len() == 0 {
 		return 0
 	}
-	return float64(hits) / float64(len(wl.Requests))
+	return float64(hits) / float64(wl.Len())
 }
 
 // lruSet is a tiny LRU membership set for workload rewriting.

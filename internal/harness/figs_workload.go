@@ -202,12 +202,13 @@ type Fig3Data struct {
 func (p *Platform) Fig3() (*Report, *Fig3Data) {
 	// Pick the heaviest pool query (the paper used a long request: 40 ms at
 	// 2.7 GHz scaled to our platform).
-	heavy := &p.Pool[0]
+	k := 0
 	for i := range p.Pool {
-		if p.Pool[i].BaseWork > heavy.BaseWork {
-			heavy = &p.Pool[i]
+		if p.Pool[i].BaseWork > p.Pool[k].BaseWork {
+			k = i
 		}
 	}
+	heavy := &p.Pool[k]
 	data := &Fig3Data{}
 	var invF []float64
 	r := &Report{Title: "Fig. 3 — request latency vs CPU frequency"}
@@ -216,12 +217,8 @@ func (p *Platform) Fig3() (*Report, *Fig3Data) {
 	levels := cpu.DefaultLadder().Levels()
 	for i := len(levels) - 1; i >= 0; i-- {
 		f := levels[i]
-		wl := &sim.Workload{BudgetMs: 10_000, DurationMs: 10_000}
-		wl.Requests = []*sim.Request{{
-			Entry:    heavy,
-			BaseWork: heavy.BaseWork, WorkTotal: heavy.BaseWork,
-			ArrivalMs: 0, DeadlineMs: 10_000,
-		}}
+		wl := &sim.Workload{Pool: p.Pool, BudgetMs: 10_000, DurationMs: 10_000}
+		wl.Add(0, sim.Draw{Base: heavy.BaseWork, Work: heavy.BaseWork, PoolIdx: int32(k)})
 		res := sim.Run(sim.DefaultConfig(), wl, policy.FixedFreq{F: f})
 		lat := res.Latencies[0]
 		data.Freqs = append(data.Freqs, f)

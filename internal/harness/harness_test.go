@@ -317,13 +317,7 @@ func TestWorkloadSeedsDiffer(t *testing.T) {
 	arr := []float64{10, 20, 30}
 	a := p.Workload(arr, 100, 1)
 	b := p.Workload(arr, 100, 2)
-	same := true
-	for i := range a.Requests {
-		if a.Requests[i].WorkTotal != b.Requests[i].WorkTotal {
-			same = false
-		}
-	}
-	if same {
+	if reflect.DeepEqual(a.Draws, b.Draws) {
 		t.Error("different seeds produced identical workloads")
 	}
 }

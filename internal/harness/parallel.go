@@ -21,10 +21,11 @@ func DefaultWorkers() int { return par.DefaultWorkers() }
 
 // RPSSweepWorkers runs the Fig. 10/11 experiment: each policy at fixed request
 // rates for durationMs of simulated time (the paper holds each RPS for 120 s
-// on the Wikipedia query mix with a 40 ms budget). The (rps, policy) cells
-// are fanned across the worker pool; each regenerates its arrival trace and
-// workload from seeds that depend only on its grid position, so the returned
-// grid is identical for any worker count.
+// on the Wikipedia query mix with a 40 ms budget). Each rate's arrival trace
+// and workload come from seeds that depend only on the rate, so they are built
+// once per rate and shared read-only by that rate's policy cells, which are
+// fanned across the worker pool; the returned grid is identical for any
+// worker count.
 func (p *Platform) RPSSweepWorkers(rpsList []float64, durationMs float64, workers int) *SweepData {
 	if rpsList == nil {
 		rpsList = []float64{20, 40, 60, 80, 100}
@@ -34,17 +35,20 @@ func (p *Platform) RPSSweepWorkers(rpsList []float64, durationMs float64, worker
 		cell SweepCell
 		res  *sim.Result
 	}
+	wls := make([]*sim.Workload, len(rpsList))
+	par.Run(workers, len(wls), func(i int) {
+		tr := trace.GenFixedRPS(rpsList[i]*p.Opt.ShardFraction, durationMs, p.Opt.Seed+20+int64(i))
+		wls[i] = p.Workload(tr.Arrivals, durationMs, p.Opt.Seed+30+int64(i))
+	})
 	slots := make([]sweepSlot, len(rpsList)*nPol)
 	par.Run(workers, len(slots), func(k int) {
 		i, pi := k/nPol, k%nPol
 		rps, name := rpsList[i], PolicyNames[pi]
-		tr := trace.GenFixedRPS(rps*p.Opt.ShardFraction, durationMs, p.Opt.Seed+20+int64(i))
-		wl := p.Workload(tr.Arrivals, durationMs, p.Opt.Seed+30+int64(i))
 		cfg := p.SimConfig()
 		if name == "Baseline" {
 			cfg.PredictOverheadMs = 0
 		}
-		res := sim.Run(cfg, wl, p.MustPolicy(name))
+		res := sim.Run(cfg, wls[i], p.MustPolicy(name))
 		slots[k] = sweepSlot{
 			res: res,
 			cell: SweepCell{
@@ -71,7 +75,8 @@ func (p *Platform) RPSSweepWorkers(rpsList []float64, durationMs float64, worker
 }
 
 // TraceRunsWorkers drives the trace-driven experiments behind Figs. 12–14:
-// each policy over each named 1000 s trace at the given mean RPS, the
+// each policy over each named 1000 s trace at the given mean RPS. Each trace's
+// workload is built once and shared read-only by its policy cells, the
 // (trace, policy) cells fanned across the worker pool; results are identical
 // for any worker count.
 func (p *Platform) TraceRunsWorkers(traces, policies []string, avgRPS, durationMs float64, workers int) *TraceData {
@@ -90,18 +95,21 @@ func (p *Platform) TraceRunsWorkers(traces, policies []string, avgRPS, durationM
 		cell *TraceCell
 		res  *sim.Result
 	}
+	wls := make([]*sim.Workload, len(traces))
+	par.Run(workers, len(wls), func(ti int) {
+		tr := trace.GenEvalTrace(traces[ti], avgRPS*p.Opt.ShardFraction, durationMs, p.Opt.Seed+40+int64(ti))
+		wls[ti] = p.Workload(tr.Arrivals, durationMs, p.Opt.Seed+50+int64(ti))
+	})
 	slots := make([]traceSlot, len(traces)*nPol)
 	par.Run(workers, len(slots), func(k int) {
 		ti, pi := k/nPol, k%nPol
 		trName, name := traces[ti], ordered[pi]
-		tr := trace.GenEvalTrace(trName, avgRPS*p.Opt.ShardFraction, durationMs, p.Opt.Seed+40+int64(ti))
-		wl := p.Workload(tr.Arrivals, durationMs, p.Opt.Seed+50+int64(ti))
 		cfg := p.SimConfig()
 		cfg.Series = sim.NewRunTimeseries(cfg.Ladder, durationMs, 10_000) // 10 s windows, as §V reads RAPL
 		if name == "Baseline" {
 			cfg.PredictOverheadMs = 0
 		}
-		res := sim.Run(cfg, wl, p.MustPolicy(name))
+		res := sim.Run(cfg, wls[ti], p.MustPolicy(name))
 		rows := cfg.Series.Rows()
 		socketW := make([]float64, len(rows))
 		for i, row := range rows {

@@ -94,16 +94,17 @@ type Platform struct {
 	ServiceTimes []float64 // pool base service times at FDefault, ms
 	Power        *cpu.PowerModel
 
-	// cacheHit is the one entry every result-cache hit references
-	// (applyCache): no features, the engine's lookup cost.
-	cacheHit sim.PreparedQuery
+	// cachedPool is Pool and, in the slot after its last entry, the one
+	// entry every result-cache hit references (applyCache): no features, the
+	// engine's lookup cost. Pool is its prefix.
+	cachedPool []sim.PreparedQuery
 	// rubikSamples is the training set's measured service times, sorted
 	// once here and shared read-only by every Rubik instance.
 	rubikSamples []float64
-	// preds is the (S*, E*) output of Classifier and ErrPred for every pool
-	// entry, and for cacheHit in the slot after the last, computed once here
-	// and attached to every workload: a request is an arrival of a pool
-	// query, and a prediction is a property of the query.
+	// preds is the (S*, E*) output of Classifier and ErrPred for every entry
+	// of cachedPool, the cache hit in the slot after the pool's, computed
+	// once here and attached to every workload: a request is an arrival of a
+	// pool query, and a prediction is a property of the query.
 	preds *sim.Predictions
 }
 
@@ -198,25 +199,23 @@ func NewPlatform(opt Options) *Platform {
 	}
 	stats.SortAscending(p.rubikSamples)
 
-	p.Pool = sim.PrepareQueries(p.Extractor, cost, jit, feasible[nTrain:nAll], feasibleExecs[nTrain:nAll])
+	// A hit is trivially predictable: zeroed features make the NN place it in
+	// the smallest service-time bucket.
+	hit := sim.PreparedQuery{BaseWork: cost.WorkFor(search.CacheLookupStats)}
+	p.cachedPool = append(sim.PrepareQueries(p.Extractor, cost, jit, feasible[nTrain:nAll], feasibleExecs[nTrain:nAll]), hit)
+	n := len(p.cachedPool) - 1
+	p.Pool = p.cachedPool[:n:n]
 	p.ServiceTimes = make([]float64, len(p.Pool))
 	for i, pq := range p.Pool {
 		p.ServiceTimes[i] = cpu.TimeFor(pq.BaseWork, cpu.FDefault)
 	}
 
-	// A hit is trivially predictable: zeroed features make the NN place it in
-	// the smallest service-time bucket.
-	p.cacheHit = sim.PreparedQuery{BaseWork: cost.WorkFor(search.CacheLookupStats)}
-	n := len(p.Pool)
 	p.preds = &sim.Predictions{ServiceMs: make([]float64, n+1), ErrMs: make([]float64, n+1)}
-	predict := func(slot int, pq *sim.PreparedQuery) {
-		p.preds.ServiceMs[slot] = p.Classifier.PredictMs(pq.Features)
-		p.preds.ErrMs[slot] = p.ErrPred.PredictErrMs(pq.Features)
+	for i := range p.cachedPool {
+		pq := &p.cachedPool[i]
+		p.preds.ServiceMs[i] = p.Classifier.PredictMs(pq.Features)
+		p.preds.ErrMs[i] = p.ErrPred.PredictErrMs(pq.Features)
 	}
-	for i := range p.Pool {
-		predict(i, &p.Pool[i])
-	}
-	predict(n, &p.cacheHit)
 	return p
 }
 
@@ -251,10 +250,10 @@ func (p *Platform) SimConfig() sim.Config {
 	return cfg
 }
 
-// Workload materializes a request sequence from arrivals against the pool,
-// with the platform's prediction table attached. Per arrival it costs two
-// draws and a few stores: whatever depends only on the query was computed
-// per pool entry in NewPlatform.
+// Workload draws a workload over arrivals from the pool, with the platform's
+// prediction table attached. Per arrival it costs two draws and one 24-byte
+// store: whatever depends only on the query was computed per pool entry in
+// NewPlatform. The workload shares arrivals, which must stay unmodified.
 func (p *Platform) Workload(arrivals []float64, durationMs float64, seed int64) *sim.Workload {
 	return p.WorkloadBudget(arrivals, durationMs, seed, p.Opt.BudgetMs)
 }

@@ -25,15 +25,15 @@ func TestBuildWorkloadMatchesPerRequestJitter(t *testing.T) {
 
 	rng := sim.NewPartitionedRNG(seed).Workload()
 	biased := 0
-	for i, r := range wl.Requests {
+	for i, d := range wl.Draws {
 		k := rng.Intn(len(p.Pool))
 		pq := &p.Pool[k]
-		if r.Entry != pq || int(r.PoolIdx) != k {
-			t.Fatalf("request %d references entry %d, want pool entry %d", i, r.PoolIdx, k)
+		if int(d.PoolIdx) != k || d.Base != pq.BaseWork {
+			t.Fatalf("request %d draws entry %d, want pool entry %d", i, d.PoolIdx, k)
 		}
 		want := p.Jitter.MeasuredWork(pq.BaseWork, pq.Features, rng)
-		if math.Float64bits(float64(r.WorkTotal)) != math.Float64bits(float64(want)) {
-			t.Fatalf("request %d: WorkTotal %v, per-request jitter gives %v", i, r.WorkTotal, want)
+		if math.Float64bits(float64(d.Work)) != math.Float64bits(float64(want)) {
+			t.Fatalf("request %d: Work %v, per-request jitter gives %v", i, d.Work, want)
 		}
 		if pq.Bias != 0 {
 			biased++
@@ -53,10 +53,9 @@ func TestPoolPredictionsMatchLiveNN(t *testing.T) {
 		t.Fatalf("table has %d/%d slots, want %d", got, len(p.preds.ErrMs), want)
 	}
 	entries := make([]*sim.PreparedQuery, 0, len(p.Pool)+1)
-	for i := range p.Pool {
-		entries = append(entries, &p.Pool[i])
+	for i := range p.cachedPool {
+		entries = append(entries, &p.cachedPool[i])
 	}
-	entries = append(entries, &p.cacheHit)
 	for slot, pq := range entries {
 		svc, errMs, ok := p.preds.Lookup(&sim.Request{Entry: pq, PoolIdx: int32(slot)})
 		if !ok || svc != p.Classifier.PredictMs(pq.Features) || errMs != p.ErrPred.PredictErrMs(pq.Features) {

@@ -44,7 +44,7 @@ func (p *Platform) Fig2(nRequests int) *Report {
 		bar := strings.Repeat("#", int(float64(seg.Freq)/2.7*float64(maxBar)))
 		r.AddRow(f2(seg.StartMs), f2(seg.EndMs), f2(float64(seg.Freq)), state, bar)
 	}
-	for i, req := range wl.Requests {
+	for i, req := range res.Requests {
 		r.Note("R%d: predicted %.1f ms (E* %+.1f), actual %.1f ms, latency %.1f ms, violated=%v",
 			i+1, req.PredictedMs, req.PredErrMs,
 			float64(req.WorkTotal)/2.7, req.LatencyMs(), req.Violated())
@@ -83,8 +83,8 @@ func (p *Platform) ExtensionAggregateWorkers(nISNs int, rps, durationMs float64,
 			cfg.PredictOverheadMs = 0
 		}
 		res := sim.Run(cfg, wl, p.MustPolicy(name))
-		lats := make([]float64, len(wl.Requests))
-		for i, req := range wl.Requests {
+		lats := make([]float64, len(res.Requests))
+		for i, req := range res.Requests {
 			if req.Dropped {
 				lats[i] = -1 // excluded below: the aggregator ignored it
 			} else {

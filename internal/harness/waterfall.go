@@ -86,7 +86,7 @@ func (p *Platform) RunWaterfall(policyName, traceName string, avgRPS, durationMs
 	wl := p.Workload(tr.Arrivals, durationMs, p.Opt.Seed+50)
 
 	cfg := p.SimConfig()
-	sp := telemetry.NewSpanTracer(4 * len(wl.Requests))
+	sp := telemetry.NewSpanTracer(4 * wl.Len())
 	cfg.Spans = sp
 
 	res := sim.Run(cfg, wl, pol)

@@ -30,8 +30,8 @@ func TestPhaseSpansSumToLatency(t *testing.T) {
 			wl := p.Workload(tr.Arrivals, durationMs, p.Opt.Seed+50)
 
 			cfg := p.SimConfig()
-			sp := telemetry.NewSpanTracer(8 * len(wl.Requests))
-			dec := telemetry.NewTracer(2 * len(wl.Requests))
+			sp := telemetry.NewSpanTracer(8 * wl.Len())
+			dec := telemetry.NewTracer(2 * wl.Len())
 			cfg.Spans = sp
 			cfg.Tracer = dec
 

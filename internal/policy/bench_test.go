@@ -22,10 +22,8 @@ func benchWL(n int, seed int64) *sim.Workload {
 		fv[0] = ms
 		fv[1] = 0.5
 		w := cpu.Work(ms * 2.7)
-		wl.Requests = append(wl.Requests, &sim.Request{
-			ID: i, Entry: &sim.PreparedQuery{Features: fv}, BaseWork: w, WorkTotal: w,
-			ArrivalMs: at, DeadlineMs: at + 40,
-		})
+		wl.Pool = append(wl.Pool, sim.PreparedQuery{Features: fv})
+		wl.Add(at, sim.Draw{Base: w, Work: w, PoolIdx: int32(i)})
 	}
 	wl.DurationMs = at + 100
 	return wl
@@ -70,12 +68,6 @@ func BenchmarkPACEOraclePolicy(b *testing.B) {
 // allocation of slack is the engine's FIFO, which doubles with the deepest
 // queue a run sees; one allocation per request would add a thousand.
 func TestDVFSRunAllocsIndependentOfRequests(t *testing.T) {
-	reset := func(wl *sim.Workload) {
-		for _, r := range wl.Requests {
-			r.Started, r.Done, r.Dropped = false, false, false
-			r.StartMs, r.FinishMs, r.WorkDone = 0, 0, 0
-		}
-	}
 	for name, mk := range map[string]func() sim.Policy{
 		"Gemini":  func() sim.Policy { return NewGemini(featService{}, featError{}) },
 		"Pegasus": func() sim.Policy { return NewPegasus() },
@@ -83,10 +75,7 @@ func TestDVFSRunAllocsIndependentOfRequests(t *testing.T) {
 	} {
 		allocs := func(n int) float64 {
 			wl := benchWL(n, 1)
-			return testing.AllocsPerRun(5, func() {
-				reset(wl)
-				sim.Run(sim.DefaultConfig(), wl, mk())
-			})
+			return testing.AllocsPerRun(5, func() { sim.Run(sim.DefaultConfig(), wl, mk()) })
 		}
 		if small, large := allocs(1000), allocs(2000); large > small+1 {
 			t.Errorf("%s: sim.Run allocates %.0f times at 1 000 requests, %.0f at 2 000", name, small, large)

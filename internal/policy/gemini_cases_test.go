@@ -24,7 +24,7 @@ func TestFig4Case1NonCritical(t *testing.T) {
 	if res.Violations != 0 || res.Dropped != 0 {
 		t.Fatalf("violations=%d dropped=%d", res.Violations, res.Dropped)
 	}
-	r1, r2 := wl.Requests[0], wl.Requests[1]
+	r1, r2 := res.Requests[0], res.Requests[1]
 	// R1 was not rushed: it finishes near its own (margin-adjusted)
 	// deadline, not early.
 	if r1.LatencyMs() < 20 {
@@ -52,7 +52,7 @@ func TestFig4Case3CriticalBoost(t *testing.T) {
 	if res.Dropped != 0 {
 		t.Fatalf("dropped=%d (the pair is feasible at max frequency)", res.Dropped)
 	}
-	r1, r2 := wl.Requests[0], wl.Requests[1]
+	r1, r2 := res.Requests[0], res.Requests[1]
 	// The group boost must let R2 begin "even before D1" (paper): R1
 	// finishes well ahead of its own deadline.
 	if r1.FinishMs >= r1.DeadlineMs {
@@ -76,7 +76,7 @@ func TestFig4CriticalInfeasibleDropped(t *testing.T) {
 	if res.Dropped != 1 {
 		t.Fatalf("dropped = %d, want the infeasible critical arrival dropped", res.Dropped)
 	}
-	if wl.Requests[0].Violated() {
+	if res.Requests[0].Violated() {
 		t.Errorf("R1 must still complete in time after the drop")
 	}
 }
@@ -91,7 +91,7 @@ func TestFig5Case1GroupOfThree(t *testing.T) {
 		reqSpec{at: 6, actualMs: 12, predMs: 12, predErrMs: 0.5})
 	res := runPolicy(t, wl, newTestGemini())
 	if res.Violations != 0 || res.Dropped != 0 {
-		for _, r := range wl.Requests {
+		for _, r := range res.Requests {
 			t.Logf("req %d: finish %.2f deadline %.2f dropped %v", r.ID, r.FinishMs, r.DeadlineMs, r.Dropped)
 		}
 		t.Fatalf("violations=%d dropped=%d", res.Violations, res.Dropped)
@@ -112,14 +112,14 @@ func TestFig5Case2ReplanAfterCriticalDeparts(t *testing.T) {
 		reqSpec{at: 28, actualMs: 9, predMs: 9, predErrMs: 0.5})
 	res := runPolicy(t, wl, newTestGemini())
 	if res.Violations != 0 || res.Dropped != 0 {
-		for _, r := range wl.Requests {
+		for _, r := range res.Requests {
 			t.Logf("req %d: at %.1f finish %.2f deadline %.2f dropped %v",
 				r.ID, r.ArrivalMs, r.FinishMs, r.DeadlineMs, r.Dropped)
 		}
 		t.Fatalf("violations=%d dropped=%d (R5 is the Case 2a hazard)", res.Violations, res.Dropped)
 	}
 	// R5 in particular (the request the naive per-request plan would lose).
-	if wl.Requests[4].Violated() {
+	if res.Requests[4].Violated() {
 		t.Error("R5 violated — Case 2 re-planning failed")
 	}
 }

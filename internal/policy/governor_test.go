@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gemini/internal/cpu"
+	"gemini/internal/search"
 	"gemini/internal/sim"
 )
 
@@ -16,9 +17,7 @@ func governorWorkload(n int, gapMs float64, seed int64) *sim.Workload {
 		at += rng.ExpFloat64() * gapMs
 		ms := 2 + rng.Float64()*10
 		w := cpu.Work(ms * float64(cpu.FDefault))
-		wl.Requests = append(wl.Requests, &sim.Request{
-			ID: i, BaseWork: w, WorkTotal: w, ArrivalMs: at, DeadlineMs: at + 40,
-		})
+		wl.Add(at, sim.Draw{Base: w, Work: w})
 	}
 	wl.DurationMs = at + 200
 	return wl
@@ -76,12 +75,10 @@ func TestGovernorsAreDeadlineBlind(t *testing.T) {
 			at += rng.ExpFloat64() * 18
 			ms := 4 + rng.Float64()*18
 			w := cpu.Work(ms * float64(cpu.FDefault))
-			req := &sim.Request{
-				ID: i, Entry: &sim.PreparedQuery{}, BaseWork: w, WorkTotal: w, ArrivalMs: at, DeadlineMs: at + 40,
-			}
-			req.Entry.Features[0] = ms
-			req.Entry.Features[1] = 0.5
-			wl.Requests = append(wl.Requests, req)
+			var fv search.FeatureVector
+			fv[0], fv[1] = ms, 0.5
+			wl.Pool = append(wl.Pool, sim.PreparedQuery{Features: fv})
+			wl.Add(at, sim.Draw{Base: w, Work: w, PoolIdx: int32(i)})
 		}
 		wl.DurationMs = at + 200
 		return wl

@@ -39,10 +39,8 @@ func mkWL(budget, duration float64, specs ...reqSpec) *sim.Workload {
 		fv[0] = sp.predMs
 		fv[1] = sp.predErrMs
 		w := cpu.Work(sp.actualMs * float64(cpu.FDefault))
-		wl.Requests = append(wl.Requests, &sim.Request{
-			ID: i, Entry: &sim.PreparedQuery{Features: fv}, BaseWork: w, WorkTotal: w,
-			ArrivalMs: sp.at, DeadlineMs: sp.at + budget,
-		})
+		wl.Pool = append(wl.Pool, sim.PreparedQuery{Features: fv})
+		wl.Add(sp.at, sim.Draw{Base: w, Work: w, PoolIdx: int32(i)})
 	}
 	return wl
 }
@@ -67,8 +65,8 @@ func TestBaselineNeverViolatesLightLoad(t *testing.T) {
 		t.Errorf("baseline made %d transitions", res.Transitions)
 	}
 	// Latency equals service time at 2.7 GHz.
-	if math.Abs(wl.Requests[0].LatencyMs()-10) > 1e-9 {
-		t.Errorf("latency = %v", wl.Requests[0].LatencyMs())
+	if math.Abs(res.Requests[0].LatencyMs()-10) > 1e-9 {
+		t.Errorf("latency = %v", res.Requests[0].LatencyMs())
 	}
 }
 
@@ -80,7 +78,7 @@ func TestGeminiSingleRequestInitialFrequency(t *testing.T) {
 	if res.Violations != 0 {
 		t.Fatalf("violations = %d", res.Violations)
 	}
-	r := wl.Requests[0]
+	r := res.Requests[0]
 	// Slower than 2.7 GHz would be (20 ms), within the budget, and close to
 	// the margin-adjusted deadline (the "reshaping" of Fig. 13a).
 	if r.LatencyMs() <= 25 || r.LatencyMs() > 40 {
@@ -110,7 +108,7 @@ func TestGeminiBoostRescuesUnderprediction(t *testing.T) {
 	wl := mkWL(40, 200, reqSpec{at: 0, actualMs: 26, predMs: 20, predErrMs: 6})
 	res := runPolicy(t, wl, newTestGemini())
 	if res.Violations != 0 {
-		t.Fatalf("violated despite error slack: latency=%v", wl.Requests[0].LatencyMs())
+		t.Fatalf("violated despite error slack: latency=%v", res.Requests[0].LatencyMs())
 	}
 	if res.Transitions < 2 {
 		t.Errorf("expected a boost transition, got %d transitions", res.Transitions)
@@ -125,7 +123,7 @@ func TestGeminiWithoutErrorSlackViolates(t *testing.T) {
 	g := NewGemini(featService{}, predictor.ZeroError{})
 	res := runPolicy(t, wl, g)
 	if res.Violations == 0 {
-		t.Fatalf("expected a violation without error slack; latency=%v", wl.Requests[0].LatencyMs())
+		t.Fatalf("expected a violation without error slack; latency=%v", res.Requests[0].LatencyMs())
 	}
 }
 
@@ -169,12 +167,12 @@ func TestGeminiCriticalRequestGroupBoost(t *testing.T) {
 	if res.Violations != 0 || res.Dropped != 0 {
 		t.Fatalf("violations=%d dropped=%d (lat0=%v lat1=%v)",
 			res.Violations, res.Dropped,
-			wl.Requests[0].LatencyMs(), wl.Requests[1].LatencyMs())
+			res.Requests[0].LatencyMs(), res.Requests[1].LatencyMs())
 	}
 	// Both must finish before their deadlines with the shared frequency.
-	if wl.Requests[1].FinishMs > wl.Requests[1].DeadlineMs {
+	if res.Requests[1].FinishMs > res.Requests[1].DeadlineMs {
 		t.Errorf("critical request finished at %v, deadline %v",
-			wl.Requests[1].FinishMs, wl.Requests[1].DeadlineMs)
+			res.Requests[1].FinishMs, res.Requests[1].DeadlineMs)
 	}
 }
 
@@ -200,7 +198,7 @@ func TestGeminiQueueChain(t *testing.T) {
 	wl := mkWL(40, 300, specs...)
 	res := runPolicy(t, wl, newTestGemini())
 	if res.Violations != 0 || res.Completed != 5 {
-		for _, r := range wl.Requests {
+		for _, r := range res.Requests {
 			t.Logf("req %d: lat %.2f deadline %.2f dropped %v", r.ID, r.LatencyMs(), r.DeadlineMs-r.ArrivalMs, r.Dropped)
 		}
 		t.Fatalf("violations=%d completed=%d", res.Violations, res.Completed)
@@ -218,7 +216,7 @@ func TestGeminiAlphaObservesErrors(t *testing.T) {
 	g := NewGeminiAlpha(featService{})
 	res := runPolicy(t, wl, g)
 	// Early requests may violate; late ones must not.
-	late := wl.Requests[20:]
+	late := res.Requests[20:]
 	for _, r := range late {
 		if r.Violated() {
 			t.Errorf("late request %d still violates (lat %.2f)", r.ID, r.LatencyMs())
@@ -311,7 +309,7 @@ func TestPegasusRecoversFromViolation(t *testing.T) {
 	wl := mkWL(40, 1200, specs...)
 	res := runPolicy(t, wl, NewPegasus())
 	_ = res
-	last := wl.Requests[2]
+	last := res.Requests[2]
 	// After the violation epoch the controller is at max: 39 ms fits.
 	if last.Violated() {
 		t.Errorf("pegasus did not recover: latency %v", last.LatencyMs())
@@ -382,8 +380,8 @@ func TestSleepWrapperWakeLatencyCharged(t *testing.T) {
 	}
 	// The second request pays the wake latency on top of its service time;
 	// it must still be well within budget.
-	if wl.Requests[1].LatencyMs() <= wl.Requests[0].LatencyMs()-1e9 {
-		t.Errorf("unexpected latencies: %v vs %v", wl.Requests[1].LatencyMs(), wl.Requests[0].LatencyMs())
+	if res.Requests[1].LatencyMs() <= res.Requests[0].LatencyMs()-1e9 {
+		t.Errorf("unexpected latencies: %v vs %v", res.Requests[1].LatencyMs(), res.Requests[0].LatencyMs())
 	}
 }
 

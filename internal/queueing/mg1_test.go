@@ -88,17 +88,15 @@ func TestSimulatorMatchesPollaczekKhinchine(t *testing.T) {
 
 	wl := &sim.Workload{BudgetMs: 1e9, DurationMs: durationMs}
 	var sum, sumsq float64
-	for i, at := range tr.Arrivals {
+	for _, at := range tr.Arrivals {
 		// Uniform service on [2, 14] ms: mean 8, var 12.
 		ms := 2 + rng.Float64()*12
 		sum += ms
 		sumsq += ms * ms
 		w := cpu.Work(ms * float64(cpu.FDefault))
-		wl.Requests = append(wl.Requests, &sim.Request{
-			ID: i, BaseWork: w, WorkTotal: w, ArrivalMs: at, DeadlineMs: at + 1e9,
-		})
+		wl.Add(at, sim.Draw{Base: w, Work: w})
 	}
-	n := float64(len(wl.Requests))
+	n := float64(wl.Len())
 	empMean := sum / n
 	empVar := sumsq/n - empMean*empMean
 

@@ -29,10 +29,7 @@ func BenchWorkloadRate(n int, seed int64, meanGapMs float64) *Workload {
 	for i := 0; i < n; i++ {
 		at += rng.ExpFloat64() * meanGapMs
 		w := cpu.Work((2 + rng.Float64()*20) * 2.7)
-		wl.Requests = append(wl.Requests, &Request{
-			ID: i, BaseWork: w, WorkTotal: w,
-			ArrivalMs: at, DeadlineMs: at + 40,
-		})
+		wl.Add(at, Draw{Base: w, Work: w})
 	}
 	wl.DurationMs = at + 100
 	return wl

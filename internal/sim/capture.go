@@ -119,11 +119,11 @@ type capture struct {
 
 // placeDecisions gives each core its stretch of the run's audit tuples and
 // of its retained tail: the last tr.Capacity() decisions (every one for a
-// tracer with a streaming sink). sizes[c] is core c's request count.
-func placeDecisions(tr *telemetry.Tracer, caps []capture, sizes []int) (audits []telemetry.Audit, tail []telemetry.Decision) {
+// tracer with a streaming sink). lists[c] is core c's requests.
+func placeDecisions(tr *telemetry.Tracer, caps []capture, lists [][]int32) (audits []telemetry.Audit, tail []telemetry.Decision) {
 	total := 0
-	for _, n := range sizes {
-		total += n
+	for _, l := range lists {
+		total += len(l)
 	}
 	keep := tr.Capacity()
 	if keep == 0 || keep > total {
@@ -132,7 +132,8 @@ func placeDecisions(tr *telemetry.Tracer, caps []capture, sizes []int) (audits [
 	audits = make([]telemetry.Audit, total)
 	tail = make([]telemetry.Decision, keep)
 	cut, off := total-keep, 0 // decisions before cut are evicted
-	for c, n := range sizes {
+	for c, reqs := range lists {
+		n := len(reqs)
 		l := &caps[c].decisions
 		l.audits = audits[off : off+n : off+n]
 		l.first = min(n, max(0, cut-off))
@@ -194,12 +195,12 @@ func flushSpans(sink *telemetry.SpanTracer, caps []capture) {
 	sink.EmitRun(total-uint64(budget), tail)
 }
 
-// runCores simulates part(c) under mk(c) for every core on `workers` OS
-// threads and hands the telemetry to cfg's sinks in core order, so that what
-// they hold does not depend on workers. sizes[c] is core c's request count,
-// known before any core runs. part runs inside core c's job, so a caller that
-// builds a core's requests there builds them in parallel; it may write only
-// to core c's own state.
+// runCores simulates, for every core c, the requests of wl that lists[c]
+// indexes under mk(c), on `workers` OS threads, and hands the telemetry to
+// cfg's sinks in core order, so that what they hold does not depend on
+// workers. Each core materializes its own records inside its job, so the
+// builds run in parallel and each core's engine walks memory it has just
+// written. results[c].Requests holds core c's records afterwards.
 //
 // Each sink gets only what it keeps. Spans are flushed once for the whole
 // cluster; every request emits at least a root and a queue record, so a core
@@ -214,34 +215,33 @@ func flushSpans(sink *telemetry.SpanTracer, caps []capture) {
 // they run as concurrent jobs: the decision fold, the longest, first, then
 // the span flush, then the timeline merge in chunks of windows. The merged
 // rows are appended in order afterwards.
-func runCores(cfg Config, sizes []int, part func(core int) *Workload, workers int, mk func(core int) Policy, coord *PowerCapCoordinator) []*Result {
+func runCores(cfg Config, wl *Workload, lists [][]int32, workers int, mk func(core int) Policy, coord *PowerCapCoordinator) []*Result {
 	if cfg.Power == nil {
 		cfg.Power = cpu.DefaultPowerModel()
 	}
-	cores := len(sizes)
+	cores := len(lists)
 	results := make([]*Result, cores)
 	caps := make([]capture, cores)
 	if limit := cfg.Spans.Capacity(); limit > 0 {
 		after := 0 // requests on the cores after c
 		for c := cores - 1; c >= 0; c-- {
 			caps[c].spans.countOnly = 2*after >= limit
-			after += sizes[c]
+			after += len(lists[c])
 		}
 	}
 	var audits []telemetry.Audit
 	var tail []telemetry.Decision
 	if cfg.Tracer != nil {
-		audits, tail = placeDecisions(cfg.Tracer, caps, sizes)
+		audits, tail = placeDecisions(cfg.Tracer, caps, lists)
 	}
 	par.Run(workers, cores, func(c int) {
-		wl := part(c)
 		// At most one completion per request.
-		caps[c].timeline = cfg.Series.CaptureRun(wl.DurationMs, len(wl.Requests))
+		caps[c].timeline = cfg.Series.CaptureRun(wl.DurationMs, len(lists[c]))
 		var ceil []CeilingStep
 		if coord != nil {
 			ceil = coord.Schedule(c)
 		}
-		results[c] = run(cfg, wl, mk(c), &caps[c], ceil)
+		results[c] = run(cfg, wl, lists[c], mk(c), &caps[c], ceil)
 	})
 	if cfg.Tracer == nil && cfg.Spans == nil && cfg.Series == nil {
 		return results

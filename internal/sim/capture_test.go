@@ -198,14 +198,6 @@ func TestSharedSinkAcrossRuns(t *testing.T) {
 	}
 }
 
-// resetWorkload clears the lifecycle fields so a workload can be run again.
-func resetWorkload(wl *Workload) {
-	for _, r := range wl.Requests {
-		r.Started, r.Done, r.Dropped = false, false, false
-		r.StartMs, r.FinishMs, r.WorkDone = 0, 0, 0
-	}
-}
-
 // sinkAllocsAtSizes measures what attaching cfg's sinks adds to a whole Run's
 // allocation count, at n and at 4n requests.
 func sinkAllocsAtSizes(cfg Config, n int) (small, large float64) {
@@ -213,8 +205,8 @@ func sinkAllocsAtSizes(cfg Config, n int) (small, large float64) {
 	bare := cfg
 	bare.Tracer, bare.Spans = nil, nil
 	extra := func(wl *Workload) float64 {
-		with := testing.AllocsPerRun(10, func() { resetWorkload(wl); Run(cfg, wl, pol) })
-		without := testing.AllocsPerRun(10, func() { resetWorkload(wl); Run(bare, wl, pol) })
+		with := testing.AllocsPerRun(10, func() { Run(cfg, wl, pol) })
+		without := testing.AllocsPerRun(10, func() { Run(bare, wl, pol) })
 		return with - without
 	}
 	return extra(traceWorkload(n, 11)), extra(traceWorkload(4*n, 11))

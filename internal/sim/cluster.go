@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"sort"
+
 	"gemini/internal/cpu"
+	"gemini/internal/par"
 	"gemini/internal/stats"
 )
 
@@ -47,15 +50,11 @@ func RunClusterWorkers(cfg Config, wl *Workload, cores, workers int, mkPolicy fu
 	if cores < 1 {
 		cores = 1
 	}
-	parts := Dispatch(wl, cores)
-	sizes := make([]int, cores)
-	for c, p := range parts {
-		sizes[c] = len(p.Requests)
-	}
-	results := runCores(cfg, sizes, func(c int) *Workload { return parts[c] }, workers, mkPolicy, nil)
+	results := runCores(cfg, wl, Dispatch(wl, cores), workers, mkPolicy, nil)
 
 	cr := &ClusterResult{DurationMs: wl.DurationMs, PerCore: results}
 	for _, res := range results {
+		res.Requests = nil
 		cr.Total += res.Total
 		cr.Completed += res.Completed
 		cr.Dropped += res.Dropped
@@ -63,15 +62,19 @@ func RunClusterWorkers(cfg Config, wl *Workload, cores, workers int, mkPolicy fu
 		cr.Events += res.Events
 		cr.EnergyMJ += res.EnergyMJ
 	}
-	cr.Latencies = allLatencies(results)
+	cr.Latencies = allLatencies(results, workers)
 	return cr
 }
 
 // allLatencies returns every core's latencies in one sorted slice, nil when
-// there are none. Latencies are finite and non-negative, so equal values
-// carry equal bits and sorting the concatenation gives the bytes a merge of
-// the cores' sorted runs would.
-func allLatencies(results []*Result) []float64 {
+// there are none, sorting on `workers` OS threads. Latencies are finite and
+// non-negative, so equal values carry equal bits and every correct sort of
+// the concatenation writes the same bytes. The value range is cut into one
+// part per worker at splitters sampled from the cores' sorted runs; a part
+// gathers its stretch of every run, found by binary search, into its own
+// section of the output and sorts it there. Equal values fall into one part,
+// so the parts in order are the sorted whole.
+func allLatencies(results []*Result, workers int) []float64 {
 	n := 0
 	for _, res := range results {
 		n += len(res.Latencies)
@@ -79,17 +82,59 @@ func allLatencies(results []*Result) []float64 {
 	if n == 0 {
 		return nil
 	}
-	out := make([]float64, 0, n)
-	for _, res := range results {
-		out = append(out, res.Latencies...)
+	out := make([]float64, n)
+	parts := max(1, min(workers, n/minMergePart))
+	// Splitters: the part quantiles of samples evenly spaced along each run,
+	// so a part's share of every run is about its share of the whole.
+	var sample []float64
+	if parts > 1 {
+		const perRun = 64
+		sample = make([]float64, 0, perRun*len(results))
+		for _, res := range results {
+			if l := res.Latencies; len(l) > 0 {
+				for k := range perRun {
+					sample = append(sample, l[k*len(l)/perRun])
+				}
+			}
+		}
+		stats.SortAscending(sample)
 	}
-	stats.SortAscending(out)
+	// cut[j*cores+c] is where part j begins in core c's run; part j takes
+	// the values in [splitter j, splitter j+1).
+	cores := len(results)
+	cut := make([]int, (parts+1)*cores)
+	start := make([]int, parts+1)
+	for j := 1; j <= parts; j++ {
+		for c, res := range results {
+			l := res.Latencies
+			i := len(l)
+			if j < parts {
+				i = sort.SearchFloat64s(l, sample[j*len(sample)/parts])
+			}
+			cut[j*cores+c] = i
+			start[j] += i
+		}
+	}
+	par.Run(workers, parts, func(j int) {
+		dst := out[start[j]:start[j+1]]
+		off := 0
+		for c, res := range results {
+			off += copy(dst[off:], res.Latencies[cut[j*cores+c]:cut[(j+1)*cores+c]])
+		}
+		stats.SortAscending(dst)
+	})
 	return out
 }
 
-// Dispatch splits a workload into per-core workloads using the
-// least-expected-work broker. Request objects are shared (not copied); a
-// workload must not be dispatched and also run directly.
+// minMergePart is the fewest latencies worth a part of their own in
+// allLatencies: below it the sampling and the hand-off cost more than a
+// second thread saves.
+const minMergePart = 1 << 14
+
+// Dispatch assigns a workload's requests to cores with the
+// least-expected-work broker: the result lists, per core, the indices of the
+// requests it serves in arrival order, which is what the core's run
+// materializes its records from.
 //
 // The broker keeps the cores in a binary min-heap keyed (vFinish, coreIdx):
 // the lexicographic minimum is exactly the first minimal index a linear scan
@@ -97,9 +142,9 @@ func allLatencies(results []*Result) []float64 {
 // request, so each dispatch is one O(log cores) sift-down instead of an
 // O(cores) scan (TestDispatchHeapMatchesLinear checks the equivalence).
 //
-// The broker pass records only each request's core; the per-core Requests are
-// then carved, exact-size and in arrival order, from one backing array.
-func Dispatch(wl *Workload, cores int) []*Workload {
+// The broker pass records only each request's core; the per-core lists are
+// then carved, exact-size, from one backing array.
+func Dispatch(wl *Workload, cores int) [][]int32 {
 	// hv/hc form the heap: hv is the virtual finish time, hc the core index.
 	// The initial layout (all zeros, cores in index order) is already a valid
 	// heap: equal keys tie-break on hc, and parent indices precede children.
@@ -108,34 +153,42 @@ func Dispatch(wl *Workload, cores int) []*Workload {
 	for c := range hc {
 		hc[c] = c
 	}
-	coreOf := make([]int32, len(wl.Requests))
+	coreOf := make([]int32, wl.Len())
 	counts := make([]int, cores)
-	for i, r := range wl.Requests {
+	for i, at := range wl.ArrivalMs {
 		coreOf[i] = int32(hc[0])
 		counts[hc[0]]++
-		start := r.ArrivalMs
+		start := at
 		if hv[0] > start {
 			start = hv[0]
 		}
-		hv[0] = start + cpu.TimeFor(r.BaseWork, cpu.FDefault)
+		hv[0] = start + cpu.TimeFor(wl.Draws[i].Base, cpu.FDefault)
 		brokerSiftDown(hv, hc)
 	}
+	return carveLists(coreOf, 1, counts)
+}
 
-	backing := make([]*Request, len(wl.Requests))
-	parts := make([]*Workload, cores)
+// carveLists groups requests by core: owner holds stride cores per request,
+// request i's at owner[i*stride:][:stride], and list c holds, in ascending
+// order, the counts[c] requests core c is among the owners of. The lists are
+// carved, exact-size, from one backing array; counts is used up as the
+// lists' cursors.
+func carveLists(owner []int32, stride int, counts []int) [][]int32 {
+	backing := make([]int32, len(owner))
+	lists := make([][]int32, len(counts))
 	off := 0
 	for c, n := range counts {
-		// The prediction table is indexed by pool entry, so every per-core
-		// part shares the parent workload's table directly. The capacity is
-		// clipped so an append to one part cannot reach the next.
-		parts[c] = &Workload{Requests: backing[off : off : off+n], BudgetMs: wl.BudgetMs, DurationMs: wl.DurationMs, Preds: wl.Preds}
+		lists[c] = backing[off : off+n : off+n]
+		counts[c] = off
 		off += n
 	}
-	for i, r := range wl.Requests {
-		p := parts[coreOf[i]]
-		p.Requests = append(p.Requests, r)
+	for i := 0; i*stride < len(owner); i++ {
+		for _, c := range owner[i*stride:][:stride] {
+			backing[counts[c]] = int32(i)
+			counts[c]++
+		}
 	}
-	return parts
+	return lists
 }
 
 // brokerSiftDown restores the heap property after the root's key grew.

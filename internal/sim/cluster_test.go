@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -18,10 +19,7 @@ func clusterWorkload(n int, gapMs, serviceMs float64, seed int64) *Workload {
 	for i := 0; i < n; i++ {
 		at += rng.ExpFloat64() * gapMs
 		w := cpu.Work(serviceMs * float64(cpu.FDefault) * (0.5 + rng.Float64()))
-		wl.Requests = append(wl.Requests, &Request{
-			ID: i, BaseWork: w, WorkTotal: w,
-			ArrivalMs: at, DeadlineMs: at + 40,
-		})
+		wl.Add(at, Draw{Base: w, Work: w})
 	}
 	wl.DurationMs = at + 100
 	return wl
@@ -35,15 +33,12 @@ func TestDispatchPartitionsAll(t *testing.T) {
 	}
 	total := 0
 	for _, p := range parts {
-		total += len(p.Requests)
+		total += len(p)
 		// Arrival order must be preserved within each core.
-		for i := 1; i < len(p.Requests); i++ {
-			if p.Requests[i].ArrivalMs < p.Requests[i-1].ArrivalMs {
+		for i := 1; i < len(p); i++ {
+			if p[i] <= p[i-1] {
 				t.Fatal("per-core arrivals out of order")
 			}
-		}
-		if p.BudgetMs != 40 || p.DurationMs != wl.DurationMs {
-			t.Fatal("partition metadata lost")
 		}
 	}
 	if total != 200 {
@@ -55,8 +50,8 @@ func TestDispatchBalances(t *testing.T) {
 	wl := clusterWorkload(400, 2, 8, 2)
 	parts := Dispatch(wl, 4)
 	for c, p := range parts {
-		if len(p.Requests) < 50 || len(p.Requests) > 150 {
-			t.Errorf("core %d got %d of 400 requests — badly balanced", c, len(p.Requests))
+		if len(p) < 50 || len(p) > 150 {
+			t.Errorf("core %d got %d of 400 requests — badly balanced", c, len(p))
 		}
 	}
 }
@@ -122,22 +117,22 @@ func TestClusterEmptyWorkload(t *testing.T) {
 
 // dispatchLinearRef is the original O(cores) scan broker, kept here as the
 // reference for the heap broker's tie-break contract: first minimal index.
-func dispatchLinearRef(wl *Workload, cores int) [][]int {
-	assign := make([][]int, cores)
+func dispatchLinearRef(wl *Workload, cores int) [][]int32 {
+	assign := make([][]int32, cores)
 	vFinish := make([]float64, cores)
-	for _, r := range wl.Requests {
+	for i, at := range wl.ArrivalMs {
 		best := 0
 		for c := 1; c < cores; c++ {
 			if vFinish[c] < vFinish[best] {
 				best = c
 			}
 		}
-		start := r.ArrivalMs
+		start := at
 		if vFinish[best] > start {
 			start = vFinish[best]
 		}
-		vFinish[best] = start + cpu.TimeFor(r.BaseWork, cpu.FDefault)
-		assign[best] = append(assign[best], r.ID)
+		vFinish[best] = start + cpu.TimeFor(wl.Draws[i].Base, cpu.FDefault)
+		assign[best] = append(assign[best], int32(i))
 	}
 	return assign
 }
@@ -151,18 +146,14 @@ func TestDispatchHeapMatchesLinear(t *testing.T) {
 			wl := clusterWorkload(500, 3, 6, seed)
 			if seed%2 == 0 {
 				// Identical works + identical arrivals: all-ties stress.
-				for _, r := range wl.Requests {
-					r.BaseWork = 27
-					r.ArrivalMs = float64(int(r.ArrivalMs/5)) * 5
+				for i, at := range wl.ArrivalMs {
+					wl.Draws[i].Base = 27
+					wl.ArrivalMs[i] = float64(int(at/5)) * 5
 				}
 			}
 			want := dispatchLinearRef(wl, cores)
 			parts := Dispatch(wl, cores)
-			for c := range parts {
-				got := make([]int, 0, len(parts[c].Requests))
-				for _, r := range parts[c].Requests {
-					got = append(got, r.ID)
-				}
+			for c, got := range parts {
 				if !reflect.DeepEqual(got, want[c]) && !(len(got) == 0 && len(want[c]) == 0) {
 					t.Fatalf("seed %d cores %d: core %d assignment diverges:\n  heap:   %v\n  linear: %v",
 						seed, cores, c, got, want[c])
@@ -172,33 +163,42 @@ func TestDispatchHeapMatchesLinear(t *testing.T) {
 	}
 }
 
+// TestMergeSortedMatchesSort: the merged latencies are sort.Float64s's
+// bytes for any worker count, on runs small enough for one part and on runs
+// large enough to be cut into several, with values quantized so that equal
+// values straddle the cuts and repeat across cores.
 func TestMergeSortedMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		k := 1 + rng.Intn(8)
+		maxLen, levels := 40, 20
+		if trial%3 == 0 {
+			maxLen, levels = 3*minMergePart, 1+rng.Intn(4000)
+		}
 		results := make([]*Result, k)
 		var all []float64
 		for i := range results {
 			results[i] = &Result{}
-			n := rng.Intn(40)
+			n := rng.Intn(maxLen)
 			for j := 0; j < n; j++ {
-				// Quantized values force cross-core duplicates.
-				v := float64(rng.Intn(20))
+				v := float64(rng.Intn(levels)) / 8
 				results[i].Latencies = append(results[i].Latencies, v)
 				all = append(all, v)
 			}
 			sort.Float64s(results[i].Latencies)
 		}
-		got := allLatencies(results)
 		sort.Float64s(all)
-		if len(all) == 0 {
-			if got != nil {
-				t.Fatalf("trial %d: empty merge returned %v", trial, got)
+		for _, workers := range []int{1, 2, 3, 7} {
+			got := allLatencies(results, workers)
+			if len(all) == 0 {
+				if got != nil {
+					t.Fatalf("trial %d: empty merge returned %v", trial, got)
+				}
+				continue
 			}
-			continue
-		}
-		if !reflect.DeepEqual(got, all) {
-			t.Fatalf("trial %d: merge diverges from sort", trial)
+			if !reflect.DeepEqual(got, all) {
+				t.Fatalf("trial %d, %d workers: merge of %d latencies diverges from sort", trial, workers, len(all))
+			}
 		}
 	}
 }
@@ -246,4 +246,61 @@ func TestClusterEventsAggregated(t *testing.T) {
 	if cr.Events != sum || cr.Events == 0 {
 		t.Errorf("Events = %d, per-core sum = %d", cr.Events, sum)
 	}
+}
+
+// FuzzRunnersAgree: one core is one core whichever runner drives it. A chaos
+// workload of up to 64 requests gives the same per-request outcomes — the
+// decision trace — and the same core result through Run, through
+// RunClusterWorkers on one core and through a 1×1 least-loaded
+// RunTopologyWorkers, and each runner gives its first result again when it
+// runs the workload a second time.
+func FuzzRunnersAgree(f *testing.F) {
+	f.Add(int64(1), uint8(10))
+	f.Add(int64(42), uint8(63))
+	f.Add(int64(-7), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		wl := chaosWorkload(seed, int(n)%64+1)
+		mk := func(int) Policy { return &chaosPolicy{rng: rand.New(rand.NewSource(seed ^ 0x9e3779b9))} }
+		// traced runs fn with a decision tracer that retains every decision.
+		traced := func(fn func(cfg Config) *Result) (*Result, []telemetry.Decision) {
+			cfg := DefaultConfig()
+			cfg.Tracer = telemetry.NewTracer(wl.Len())
+			return fn(cfg), cfg.Tracer.Ring().Snapshot(0)
+		}
+		runners := []struct {
+			name string
+			run  func(cfg Config) *Result
+		}{
+			{"Run", func(cfg Config) *Result {
+				res := Run(cfg, wl, mk(0))
+				res.Requests = nil // the cluster runners drop theirs
+				return res
+			}},
+			{"RunClusterWorkers", func(cfg Config) *Result {
+				cr := RunClusterWorkers(cfg, wl, 1, 1, mk)
+				if !slices.Equal(cr.Latencies, cr.PerCore[0].Latencies) {
+					t.Fatal("RunClusterWorkers: merged latencies are not the core's")
+				}
+				return cr.PerCore[0]
+			}},
+			{"RunTopologyWorkers", func(cfg Config) *Result {
+				tr := RunTopologyWorkers(TopologyConfig{Sim: cfg, Router: RouterLeastLoaded{}}, wl, 1, mk)
+				res := tr.PerCore[0]
+				if tr.Completed != res.Completed || tr.Dropped != res.Dropped || tr.Violations != res.Violations ||
+					!slices.Equal(tr.QueryLatencies, res.Latencies) {
+					t.Fatal("RunTopologyWorkers: 1×1 query accounting is not the core's")
+				}
+				return res
+			}},
+		}
+		want, wantDec := traced(runners[0].run)
+		for _, r := range runners {
+			for pass := 1; pass <= 2; pass++ {
+				got, dec := traced(r.run)
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(dec, wantDec) {
+					t.Fatalf("seed %d, %d requests: %s, run %d, differs from Run's first run", seed, wl.Len(), r.name, pass)
+				}
+			}
+		}
+	})
 }

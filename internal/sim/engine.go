@@ -83,8 +83,7 @@ func (s *Sim) loop() {
 		case evCeiling:
 			s.stepCeiling()
 		case evArrival:
-			r := s.wl.Requests[s.nextArr]
-			r.slot = int32(s.nextArr)
+			r := &s.reqs[s.nextArr]
 			s.nextArr++
 			s.arrive(r)
 		case evTimer:
@@ -120,8 +119,8 @@ func (s *Sim) nextEvent() (kind int, at float64, idx int) {
 			kind, at, idx = evCeiling, t, -1
 		}
 	}
-	if s.nextArr < len(s.wl.Requests) {
-		t := s.wl.Requests[s.nextArr].ArrivalMs
+	if s.nextArr < len(s.reqs) {
+		t := s.reqs[s.nextArr].ArrivalMs
 		// Exact timestamp ties are the common same-instant case; broken by event-kind priority.
 		if t < at || (t == at && kind > evArrival) {
 			kind, at, idx = evArrival, t, -1
@@ -138,7 +137,7 @@ func (s *Sim) nextEvent() (kind int, at float64, idx int) {
 	// workload horizon with nothing left to do would spin the loop forever in
 	// policies that always re-arm (Pegasus): stop once all requests have been
 	// served and the horizon is passed.
-	if math.IsInf(at, 1) || (kind == evTimer && s.nextArr >= len(s.wl.Requests) && s.qlen() == 0 && at > s.wl.DurationMs) {
+	if math.IsInf(at, 1) || (kind == evTimer && s.nextArr >= len(s.reqs) && s.qlen() == 0 && at > s.wl.DurationMs) {
 		return evNone, 0, -1
 	}
 	return kind, at, idx

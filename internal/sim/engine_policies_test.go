@@ -24,18 +24,17 @@ func TestCachedPredictionsMatchLive(t *testing.T) {
 	}
 
 	cfg := p.SimConfig()
-	single := func(pol sim.Policy) (*sim.Result, *sim.Workload) {
+	single := func(pol sim.Policy) *sim.Result {
 		tr := trace.GenFixedRPS(100*p.Opt.ShardFraction, durationMs, 3)
-		wl := p.Workload(tr.Arrivals, durationMs, 5)
-		return sim.Run(cfg, wl, pol), wl
+		return sim.Run(cfg, p.Workload(tr.Arrivals, durationMs, 5), pol)
 	}
-	want, wantWL := single(live())
-	got, gotWL := single(p.MustPolicy("Gemini"))
+	want := single(live())
+	got := single(p.MustPolicy("Gemini"))
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("single-ISN results differ:\n got %+v\nwant %+v", got, want)
 	}
-	for i, r := range gotWL.Requests {
-		if w := wantWL.Requests[i]; r.PredictedMs != w.PredictedMs || r.PredErrMs != w.PredErrMs {
+	for i, r := range got.Requests {
+		if w := want.Requests[i]; r.PredictedMs != w.PredictedMs || r.PredErrMs != w.PredErrMs {
 			t.Fatalf("request %d predicted (%v, %v) from the table, (%v, %v) live",
 				i, r.PredictedMs, r.PredErrMs, w.PredictedMs, w.PredErrMs)
 		}
@@ -125,5 +124,50 @@ func TestEventPopulationStaysSmall(t *testing.T) {
 		for c, probe := range probes {
 			check(name, "capped 2x2 topology, core "+strconv.Itoa(c), probe.max)
 		}
+	}
+}
+
+// TestRerunGivesSameResult: no run writes to the workload it reads, so a
+// platform-built workload gives the same result however often and by
+// whichever runner it is run: twice through each runner, each on a workload
+// of its own, and through Run after the cluster runs.
+func TestRerunGivesSameResult(t *testing.T) {
+	p := harness.Shared(true)
+	const durationMs = 20_000
+	tr := trace.GenFixedRPS(60*p.Opt.ShardFraction*12, durationMs, 3)
+	workload := func() *sim.Workload { return p.Workload(tr.Arrivals, durationMs, 3) }
+	cfg := p.SimConfig()
+	mk := func(int) sim.Policy { return p.MustPolicy("Gemini") }
+	topo := sim.Topology{Shards: 2, ReplicasPerShard: 6}
+	tc := sim.TopologyConfig{
+		Sim: cfg, Topology: topo, Router: sim.RouterPowerAware{}, Seed: 3,
+		PowerCapW: sim.ClusterFloorW(cfg.Power, cfg.Ladder, topo.Cores()) + 4,
+	}
+
+	wl := workload()
+	first := sim.Run(cfg, wl, mk(0))
+	if again := sim.Run(cfg, wl, mk(0)); !reflect.DeepEqual(again, first) {
+		t.Errorf("Run, second time: %d events, %d completions; first %d, %d",
+			again.Events, again.Completed, first.Events, first.Completed)
+	}
+	wl = workload()
+	c1 := sim.RunClusterWorkers(cfg, wl, 12, 2, mk)
+	if c2 := sim.RunClusterWorkers(cfg, wl, 12, 2, mk); !reflect.DeepEqual(c2, c1) {
+		t.Errorf("RunClusterWorkers, second time: %d events, %d completions; first %d, %d",
+			c2.Events, c2.Completed, c1.Events, c1.Completed)
+	}
+	if after := sim.Run(cfg, wl, mk(0)); !reflect.DeepEqual(after, first) {
+		t.Errorf("Run after RunClusterWorkers: %d events, %d completions; on a fresh workload %d, %d",
+			after.Events, after.Completed, first.Events, first.Completed)
+	}
+	wl = workload()
+	t1 := sim.RunTopologyWorkers(tc, wl, 2, mk)
+	if t2 := sim.RunTopologyWorkers(tc, wl, 2, mk); !reflect.DeepEqual(t2, t1) {
+		t.Errorf("RunTopologyWorkers, second time: %d events, %d completions; first %d, %d",
+			t2.Events, t2.Completed, t1.Events, t1.Completed)
+	}
+	if first.Completed == 0 || c1.Completed == 0 || t1.Completed == 0 || t1.CapThrottles == 0 {
+		t.Fatalf("the runs did too little to compare: %d, %d, %d completions, %d throttles",
+			first.Completed, c1.Completed, t1.Completed, t1.CapThrottles)
 	}
 }

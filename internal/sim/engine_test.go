@@ -67,13 +67,13 @@ func (p *loggingPolicy) OnTimer(s *Sim, tag int64) {
 func runEngine(sampled bool, wl *Workload, pol Policy, steps []CeilingStep) (*Result, []telemetry.Decision, []telemetry.Span, []callbackLog) {
 	cfg := DefaultConfig()
 	cfg.RecordFreqTrace = true
-	cfg.Tracer = telemetry.NewTracer(4 * len(wl.Requests))
-	cfg.Spans = telemetry.NewSpanTracer(8 * len(wl.Requests))
+	cfg.Tracer = telemetry.NewTracer(4 * wl.Len())
+	cfg.Spans = telemetry.NewSpanTracer(8 * wl.Len())
 	if sampled {
 		cfg.Series = NewRunTimeseries(cfg.Ladder, wl.DurationMs, fuzzSampleMs)
 	}
 	lp := &loggingPolicy{inner: pol}
-	res := run(cfg, wl, lp, nil, steps)
+	res := run(cfg, wl, nil, lp, nil, steps)
 	return res, cfg.Tracer.Ring().Snapshot(0), cfg.Spans.Spans(), lp.log
 }
 
@@ -252,8 +252,7 @@ func TestDispatchOrder(t *testing.T) {
 		// The lone request completes at T; a planned change, a ceiling step,
 		// an arrival and a timer are all due at T too.
 		probe := mkWorkload(40, 100, [2]float64{0, 27})
-		Run(DefaultConfig(), probe, &hookPolicy{})
-		at := probe.Requests[0].FinishMs
+		at := Run(DefaultConfig(), probe, &hookPolicy{}).Requests[0].FinishMs
 		planned, ceiling := levels[len(levels)/2], levels[0]
 		pol := &hookPolicy{init: func(s *Sim) {
 			s.SetTimer(at, 7)

@@ -39,17 +39,22 @@ type Result struct {
 	Transitions int
 	DurationMs  float64
 
+	// Requests is the run's record of every request it simulated, in
+	// arrival order, with its outcome. A cluster run drops its cores'
+	// records once it has merged them.
+	Requests []Request
+
 	// FreqTrace is the executed frequency plan (when
 	// Config.RecordFreqTrace is set): piecewise-constant segments in time
 	// order, adjacent segments differing in frequency or activity.
 	FreqTrace []FreqSegment
 }
 
-// newResult sizes Latencies for every request completing, so recording one
-// never grows it.
-func newResult(policy string, wl *Workload) *Result {
-	res := &Result{Policy: policy, Total: len(wl.Requests)}
-	if n := len(wl.Requests); n > 0 {
+// newResult holds the run's records and sizes Latencies for every request
+// completing, so recording one never grows it.
+func newResult(policy string, reqs []Request) *Result {
+	res := &Result{Policy: policy, Total: len(reqs), Requests: reqs}
+	if n := len(reqs); n > 0 {
 		res.Latencies = make([]float64, 0, n)
 	}
 	return res

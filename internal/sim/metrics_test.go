@@ -13,7 +13,7 @@ import (
 // sorted ascending regardless of the order completions were recorded in.
 func TestLatenciesSortedContract(t *testing.T) {
 	// Direct seal path: record latencies badly out of order.
-	r := newResult("test", &Workload{})
+	r := newResult("test", nil)
 	for _, lat := range []float64{9, 1, 30, 4, 2} {
 		r.recordCompletion(&Request{ArrivalMs: 0, FinishMs: lat, DeadlineMs: 100, Done: true})
 	}
@@ -33,10 +33,7 @@ func TestLatenciesSortedContract(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		at += rng.ExpFloat64() * 8
 		w := cpu.Work((1 + rng.Float64()*25) * 2.7)
-		wl.Requests = append(wl.Requests, &Request{
-			ID: i, BaseWork: w, WorkTotal: w,
-			ArrivalMs: at, DeadlineMs: at + 40,
-		})
+		wl.Add(at, Draw{Base: w, Work: w})
 	}
 	wl.DurationMs = at + 200
 	res := Run(DefaultConfig(), wl, &FixedPolicy{F: 1.4})
@@ -56,10 +53,7 @@ func traceWorkload(n int, seed int64) *Workload {
 	for i := 0; i < n; i++ {
 		at += rng.ExpFloat64() * 20
 		w := cpu.Work((2 + rng.Float64()*18) * 2.7)
-		wl.Requests = append(wl.Requests, &Request{
-			ID: i, BaseWork: w, WorkTotal: w,
-			ArrivalMs: at, DeadlineMs: at + 40,
-		})
+		wl.Add(at, Draw{Base: w, Work: w})
 	}
 	wl.DurationMs = at + 100
 	return wl
@@ -194,10 +188,9 @@ func TestTelemetryDisabledAddsNoAllocsPerRequest(t *testing.T) {
 	const n = 600
 	wlA := traceWorkload(n, 11)
 	wlB := traceWorkload(2*n, 11)
-	reset := resetWorkload
 	pol := &FixedPolicy{F: cpu.FDefault}
-	allocsA := testing.AllocsPerRun(20, func() { reset(wlA); Run(cfg, wlA, pol) })
-	allocsB := testing.AllocsPerRun(20, func() { reset(wlB); Run(cfg, wlB, pol) })
+	allocsA := testing.AllocsPerRun(20, func() { Run(cfg, wlA, pol) })
+	allocsB := testing.AllocsPerRun(20, func() { Run(cfg, wlB, pol) })
 	perReq := (allocsB - allocsA) / float64(n)
 	if perReq > 0.05 {
 		t.Errorf("telemetry-disabled path allocates %.3f allocs/request (n: %.0f, 2n: %.0f)",
@@ -227,7 +220,7 @@ func TestRunAllocationPins(t *testing.T) {
 	} {
 		cfg := DefaultConfig()
 		tc.with(&cfg)
-		got := testing.AllocsPerRun(10, func() { resetWorkload(wl); Run(cfg, wl, pol) })
+		got := testing.AllocsPerRun(10, func() { Run(cfg, wl, pol) })
 		if got > tc.max {
 			t.Errorf("%s: sim.Run allocates %.0f times, pinned at %.0f", tc.name, got, tc.max)
 		}

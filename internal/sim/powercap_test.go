@@ -195,7 +195,7 @@ func FuzzPowerCapInvariant(f *testing.F) {
 func runUnderCeiling(wl *Workload, pol Policy, steps []CeilingStep) *Result {
 	cfg := DefaultConfig()
 	cfg.RecordFreqTrace = true
-	return run(cfg, wl, pol, nil, steps)
+	return run(cfg, wl, nil, pol, nil, steps)
 }
 
 // overCeiling reports whether seg ran above a ceiling steps held in force at
@@ -303,7 +303,7 @@ func TestCeilingStepsAllocFree(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	allocs := func(steps []CeilingStep) float64 {
-		return testing.AllocsPerRun(10, func() { resetWorkload(wl); run(cfg, wl, pol, nil, steps) })
+		return testing.AllocsPerRun(10, func() { run(cfg, wl, nil, pol, nil, steps) })
 	}
 	short, long := schedule(100), schedule(200)
 	if a, b := allocs(short), allocs(long); a != b {

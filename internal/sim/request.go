@@ -12,18 +12,19 @@ import (
 	"gemini/internal/search"
 )
 
-// Request is one arrival of a query at the ISN: a reference to the pool
-// entry that holds everything the query itself determines (text, Table II
-// features, and through PoolIdx its row of the platform's Predictions), plus
-// what this arrival alone determines — its jittered work, its times, its
-// lifecycle. A workload copies none of the entry, so a request is 104 bytes
-// (TestRequestSize holds it under 112) and a slab of them is cheap to zero,
-// fill and stream through.
+// Request is one run's record of one arrival of a query at the ISN: what the
+// workload fixed for it — a reference to the pool entry that holds everything
+// the query itself determines (text, Table II features, and through PoolIdx
+// its row of the platform's Predictions), its jittered work, its times — and
+// what the run did with it, its lifecycle. Policies and routers see requests;
+// a run builds its own from the workload's columns (Workload.requests), so a
+// request is 104 bytes (TestRequestSize holds it under 112) and a run's slab
+// of them is cheap to zero, fill and stream through.
 type Request struct {
+	// ID is the request's index in its workload.
 	ID int
 	// Entry is the pool query this request is an arrival of. Policies read
-	// Entry.Features; hand-built requests that no predictor looks at may
-	// leave it nil.
+	// Entry.Features; it is nil for a request of a workload without a pool.
 	Entry *PreparedQuery
 
 	// BaseWork is the deterministic execution cost; WorkTotal includes the
@@ -50,9 +51,8 @@ type Request struct {
 	// PoolIdx is Entry's index in the pool the workload was built from, the
 	// key of the pool-indexed tables (Predictions).
 	PoolIdx int32
-	// slot is the request's position in the workload of the run it is in,
-	// stamped when its arrival event fires; it indexes the decision trace's
-	// pending records.
+	// slot is the request's position in its run's slab; it indexes the
+	// decision trace's pending records.
 	slot int32
 
 	// Lifecycle flags, beside the two indices so that they share one word.
@@ -122,22 +122,88 @@ func (p *Predictions) Lookup(r *Request) (svcMs, errMs float64, ok bool) {
 	return p.ServiceMs[r.PoolIdx], p.ErrMs[r.PoolIdx], true
 }
 
-// Workload is a fully materialized request sequence for one simulation run.
+// Workload is what a run's arrivals and seed fix, as dense per-request
+// columns: request i arrives at ArrivalMs[i] and executes Draws[i]. No run
+// writes to it. Each run materializes its own Request records from it
+// (requests), so a workload gives the same result however often and by
+// whichever runner it is run, and concurrent runs may share it.
 type Workload struct {
-	Requests   []*Request
+	// ArrivalMs is the arrival time of each request, ascending. BuildWorkload
+	// shares its caller's arrivals here.
+	ArrivalMs []float64
+	// Draws is what the workload seed fixed for each request.
+	Draws []Draw
+	// Pool is the query pool Draws index, nil for a hand-built workload
+	// whose requests have no entry.
+	Pool []PreparedQuery
+
 	DurationMs float64
-	BudgetMs   float64
+	// BudgetMs is every request's latency budget: request i's deadline is
+	// ArrivalMs[i] + BudgetMs.
+	BudgetMs float64
 	// Preds, when non-nil, is the prediction table of the pool the requests
 	// were drawn from, shared by every policy simulating this workload (see
 	// Predictions).
 	Preds *Predictions
 }
 
+// Draw is one request's share of the workload seed: the index of the pool
+// entry it is an arrival of, and its base and jittered work (Request.PoolIdx,
+// BaseWork and WorkTotal). A hand-built request sets the two works itself.
+type Draw struct {
+	Base, Work cpu.Work
+	PoolIdx    int32
+}
+
+// Len returns the number of requests.
+func (wl *Workload) Len() int { return len(wl.ArrivalMs) }
+
+// Add appends a hand-built request arriving at arrivalMs.
+func (wl *Workload) Add(arrivalMs float64, d Draw) {
+	wl.ArrivalMs = append(wl.ArrivalMs, arrivalMs)
+	wl.Draws = append(wl.Draws, d)
+}
+
+// requests materializes the run records of the requests idx lists, in its
+// order, or of every request when idx is nil: one contiguous slab, in one
+// allocation, that the run's engine walks by value. Every run builds its
+// records here, inside its own job, so a core of a cluster run reads and
+// writes only memory it has just filled.
+func (wl *Workload) requests(idx []int32) []Request {
+	n := len(idx)
+	if idx == nil {
+		n = wl.Len()
+	}
+	slab := make([]Request, n)
+	for k := range slab {
+		i := k
+		if idx != nil {
+			i = int(idx[k])
+		}
+		wl.record(&slab[k], i)
+		slab[k].slot = int32(k)
+	}
+	return slab
+}
+
+// record writes what the workload fixes for request i into r, a record whose
+// other fields are zero.
+func (wl *Workload) record(r *Request, i int) {
+	d := &wl.Draws[i]
+	r.ID = i
+	if wl.Pool != nil {
+		r.Entry = &wl.Pool[d.PoolIdx]
+	}
+	r.PoolIdx = d.PoolIdx
+	r.BaseWork, r.WorkTotal = d.Base, d.Work
+	r.ArrivalMs = wl.ArrivalMs[i]
+	r.DeadlineMs = r.ArrivalMs + wl.BudgetMs
+}
+
 // BuildWorkload samples one pool query per arrival (uniformly, seeded) and
 // applies a fresh jitter draw per request instance — the same query arriving
-// twice takes different measured times, as on real hardware. A request
-// references its pool entry, so pool must outlive the workload and stay
-// unmodified.
+// twice takes different measured times, as on real hardware. The workload
+// shares arrivals and pool, so both must outlive it and stay unmodified.
 //
 // Draws come from the seed's workload stream (PartitionedRNG), which is
 // bit-compatible with the historical shared rand.New(rand.NewSource(seed)):
@@ -145,23 +211,16 @@ type Workload struct {
 // other subsystem (routing, sched) can never perturb them.
 func BuildWorkload(pool []PreparedQuery, arrivals []float64, jitter *search.Jitter, budgetMs, durationMs float64, seed int64) *Workload {
 	rng := NewPartitionedRNG(seed).Workload()
-	slab := make([]Request, len(arrivals)) // every request of the workload, contiguous in arrival order
-	reqs := make([]*Request, len(arrivals))
-	for i, at := range arrivals {
+	draws := make([]Draw, len(arrivals))
+	for i := range draws {
 		k := rng.Intn(len(pool))
 		pq := &pool[k]
-		r := &slab[i]
-		r.ID = i
-		r.Entry = pq
-		r.PoolIdx = int32(k)
-		r.BaseWork = pq.BaseWork
-		r.WorkTotal = jitter.MeasuredWorkBias(pq.BaseWork, pq.Bias, rng)
-		r.ArrivalMs = at
-		r.DeadlineMs = at + budgetMs
-		reqs[i] = r
+		draws[i] = Draw{Base: pq.BaseWork, Work: jitter.MeasuredWorkBias(pq.BaseWork, pq.Bias, rng), PoolIdx: int32(k)}
 	}
 	if durationMs == 0 && len(arrivals) > 0 {
 		durationMs = arrivals[len(arrivals)-1] + budgetMs
 	}
-	return &Workload{Requests: reqs, DurationMs: durationMs, BudgetMs: budgetMs}
+	// The capacity is clipped so that an Add cannot write into the caller's
+	// array.
+	return &Workload{ArrivalMs: arrivals[:len(arrivals):len(arrivals)], Draws: draws, Pool: pool, DurationMs: durationMs, BudgetMs: budgetMs}
 }

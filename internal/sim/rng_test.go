@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gemini/internal/cpu"
@@ -170,15 +171,16 @@ func TestGoldenResultsUnchangedByRNGRefactor(t *testing.T) {
 	for i, g := range goldenBench {
 		wl := BenchWorkload(50, g.seed)
 		var sumAt, sumW float64
-		for _, r := range wl.Requests {
-			sumAt += r.ArrivalMs
-			sumW += float64(r.WorkTotal)
+		for i, at := range wl.ArrivalMs {
+			sumAt += at
+			sumW += float64(wl.Draws[i].Work)
 		}
-		last := wl.Requests[len(wl.Requests)-1]
+		last := wl.Len() - 1
+		lastAt, lastW := wl.ArrivalMs[last], wl.Draws[last].Work
 		if !near(sumAt, g.sumAt) || !near(sumW, g.sumW) ||
-			!near(last.ArrivalMs, g.lastAt) || !near(float64(last.WorkTotal), g.lastW) {
+			!near(lastAt, g.lastAt) || !near(float64(lastW), g.lastW) {
 			t.Errorf("BenchWorkload seed %d diverged from pre-refactor golden: sumAt=%.12f sumW=%.12f lastAt=%.12f lastW=%.12f",
-				g.seed, sumAt, sumW, last.ArrivalMs, float64(last.WorkTotal))
+				g.seed, sumAt, sumW, lastAt, float64(lastW))
 		}
 
 		gr := goldenRun[i]
@@ -210,10 +212,7 @@ func TestBuildWorkloadUnchangedByRoutingDraws(t *testing.T) {
 	drawN(p.Routing(), 333)
 	drawN(p.Sched(), 77)
 	again := BenchWorkload(100, 11)
-	for i := range baseline.Requests {
-		a, b := baseline.Requests[i], again.Requests[i]
-		if a.ArrivalMs != b.ArrivalMs || a.WorkTotal != b.WorkTotal {
-			t.Fatalf("request %d diverged after routing draws", i)
-		}
+	if !reflect.DeepEqual(baseline, again) {
+		t.Fatal("the workload diverged after routing draws")
 	}
 }

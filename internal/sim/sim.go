@@ -90,6 +90,9 @@ type Sim struct {
 	cfg Config
 	pol Policy
 	wl  *Workload
+	// reqs is the run's own records of its requests, in arrival order
+	// (Workload.requests); the run reads wl and never writes it.
+	reqs []Request
 
 	now float64
 	// freq is the running frequency, min(setpoint, ceiling): setpoint is the
@@ -114,12 +117,11 @@ type Sim struct {
 	// this).
 	queue   []*Request
 	qhead   int
-	nextArr int // cursor into wl.Requests
+	nextArr int // cursor into reqs
 
 	// exec is the executing request (the head once Started, else nil) and
 	// execDone/execTotal its progress. The per-event accrual writes these, not
-	// the request: neighbouring cores' requests share cache lines of one
-	// slab, and accruing into Request.WorkDone read 0.92x on sim_sweep or
+	// the request: accruing into Request.WorkDone read 0.92x on sim_sweep or
 	// sim_cell and was never faster (DESIGN.md §9). syncHead stores execDone
 	// back before every policy callback.
 	exec      *Request
@@ -132,7 +134,7 @@ type Sim struct {
 	planned []plannedChange
 	timers  []timerEvent
 
-	acc         *cpu.EnergyAccumulator
+	acc         cpu.EnergyAccumulator
 	transitions int
 
 	// Sleep-state extension: while asleep an idle core draws sleepPowerW
@@ -199,17 +201,20 @@ type phaseMark struct {
 	energyMJ float64
 }
 
-// Run simulates the workload under the policy and returns the metrics.
+// Run simulates the workload under the policy and returns the metrics, with
+// the run's per-request records on Result.Requests.
 func Run(cfg Config, wl *Workload, pol Policy) *Result {
-	return run(cfg, wl, pol, nil, nil)
+	return run(cfg, wl, nil, pol, nil, nil)
 }
 
-// run is Run under the ceiling schedule ceil (nil: uncapped) with, when cp is
-// non-nil, the hand-off left to the caller: the run's span log, and its
-// decisions when cp.decisions has its places, are in cp afterwards and
-// cfg.Spans has not been touched; the run samples into cp.timeline, never
-// into cfg.Series.
-func run(cfg Config, wl *Workload, pol Policy, cp *capture, ceil []CeilingStep) *Result {
+// run simulates the requests of wl that idx lists (every request for a nil
+// idx) from records it materializes itself, under the ceiling schedule ceil
+// (nil: uncapped) with, when cp is non-nil, the hand-off left to the caller:
+// the run's span log, and its decisions when cp.decisions has its places, are
+// in cp afterwards and cfg.Spans has not been touched; the run samples into
+// cp.timeline, never into cfg.Series.
+func run(cfg Config, wl *Workload, idx []int32, pol Policy, cp *capture, ceil []CeilingStep) *Result {
+	reqs := wl.requests(idx)
 	if cfg.Ladder == nil {
 		cfg.Ladder = cpu.DefaultLadder()
 	}
@@ -220,14 +225,14 @@ func run(cfg Config, wl *Workload, pol Policy, cp *capture, ceil []CeilingStep) 
 		cfg:      cfg,
 		pol:      pol,
 		wl:       wl,
+		reqs:     reqs,
 		freq:     cpu.FDefault,
 		setpoint: cpu.FDefault,
 		ceiling:  cfg.Ladder.Max(),
 		ceil:     ceil,
-		acc:      cpu.NewEnergyAccumulator(),
 		tr:       cfg.Tracer,
 		sp:       cfg.Spans,
-		res:      newResult(pol.Name(), wl),
+		res:      newResult(pol.Name(), reqs),
 	}
 	s.cacheCoreW()
 	if cp != nil {
@@ -240,7 +245,7 @@ func run(cfg Config, wl *Workload, pol Policy, cp *capture, ceil []CeilingStep) 
 		s.tr = nil
 	}
 	if s.tr != nil {
-		s.pending = make([]pendingDecision, len(wl.Requests))
+		s.pending = make([]pendingDecision, len(reqs))
 	}
 	if s.sp != nil {
 		l := &s.held.spans
@@ -248,7 +253,7 @@ func run(cfg Config, wl *Workload, pol Policy, cp *capture, ceil []CeilingStep) 
 		if !l.countOnly {
 			// Two records per request plus one per execution phase; the log
 			// grows past the estimate by append, up to the limit.
-			size := 4 * len(wl.Requests)
+			size := 4 * len(reqs)
 			if l.limit > 0 && size > l.limit {
 				size = l.limit
 			}
@@ -837,6 +842,6 @@ func (s *Sim) finish() {
 	if s.now < s.wl.DurationMs {
 		s.advanceTo(s.wl.DurationMs)
 	}
-	s.res.seal(s.acc, s.transitions, s.wl.DurationMs)
+	s.res.seal(&s.acc, s.transitions, s.wl.DurationMs)
 	s.res.FreqTrace = s.freqTrace
 }

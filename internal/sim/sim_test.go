@@ -48,14 +48,8 @@ func (p *hookPolicy) OnTimer(s *Sim, tag int64) {
 // mkWorkload hand-builds a workload from (arrival, work) pairs.
 func mkWorkload(budget, duration float64, reqs ...[2]float64) *Workload {
 	wl := &Workload{BudgetMs: budget, DurationMs: duration}
-	for i, rw := range reqs {
-		wl.Requests = append(wl.Requests, &Request{
-			ID:         i,
-			WorkTotal:  cpu.Work(rw[1]),
-			BaseWork:   cpu.Work(rw[1]),
-			ArrivalMs:  rw[0],
-			DeadlineMs: rw[0] + budget,
-		})
+	for _, rw := range reqs {
+		wl.Add(rw[0], Draw{Base: cpu.Work(rw[1]), Work: cpu.Work(rw[1])})
 	}
 	return wl
 }
@@ -67,7 +61,7 @@ func TestSingleRequestAtDefault(t *testing.T) {
 	if res.Completed != 1 || res.Dropped != 0 {
 		t.Fatalf("completed=%d dropped=%d", res.Completed, res.Dropped)
 	}
-	r := wl.Requests[0]
+	r := res.Requests[0]
 	if math.Abs(r.FinishMs-15) > 1e-9 {
 		t.Errorf("finish = %v, want 15", r.FinishMs)
 	}
@@ -100,7 +94,7 @@ func TestFIFOQueueing(t *testing.T) {
 	// Two requests, second arrives while first executes.
 	wl := mkWorkload(100, 200, [2]float64{0, 27}, [2]float64{2, 13.5})
 	res := Run(DefaultConfig(), wl, &FixedPolicy{F: cpu.FDefault})
-	r0, r1 := wl.Requests[0], wl.Requests[1]
+	r0, r1 := res.Requests[0], res.Requests[1]
 	if math.Abs(r0.FinishMs-10) > 1e-9 {
 		t.Errorf("r0 finish = %v", r0.FinishMs)
 	}
@@ -181,8 +175,8 @@ func TestDropRequest(t *testing.T) {
 	if res.DropRate() != 1 {
 		t.Errorf("drop rate = %v", res.DropRate())
 	}
-	if !wl.Requests[0].Dropped || !wl.Requests[0].Violated() {
-		t.Errorf("request flags wrong: %+v", wl.Requests[0])
+	if !res.Requests[0].Dropped || !res.Requests[0].Violated() {
+		t.Errorf("request flags wrong: %+v", res.Requests[0])
 	}
 }
 
@@ -199,7 +193,7 @@ func TestDropHeadStartsNext(t *testing.T) {
 	if res.Dropped != 1 || res.Completed != 1 {
 		t.Fatalf("dropped=%d completed=%d", res.Dropped, res.Completed)
 	}
-	r1 := wl.Requests[1]
+	r1 := res.Requests[1]
 	if math.Abs(r1.StartMs-1) > 1e-9 {
 		t.Errorf("r1 started at %v, want 1 (right after the drop)", r1.StartMs)
 	}
@@ -268,12 +262,12 @@ func TestPolicySeesHeadProgress(t *testing.T) {
 			s.SetTimer(s.Now()+0.7, tag)
 		},
 	}
-	Run(cfg, wl, pol)
+	res := Run(cfg, wl, pol)
 
-	if seen < len(wl.Requests) || len(droppedAt) < 10 {
+	if seen < len(res.Requests) || len(droppedAt) < 10 {
 		t.Fatalf("%d observations of a running head and %d mid-service drops; the probe saw too little", seen, len(droppedAt))
 	}
-	for _, r := range wl.Requests {
+	for _, r := range res.Requests {
 		at, dropped := droppedAt[r.ID]
 		switch {
 		case r.Done == r.Dropped || r.Dropped != dropped:
@@ -412,7 +406,7 @@ func TestWorkConservationProperty(t *testing.T) {
 		if res.Completed != len(reqs) {
 			return false
 		}
-		for i, r := range wl.Requests {
+		for i, r := range res.Requests {
 			wantLat := float64(r.WorkTotal) / float64(freq)
 			if i == 0 && freq != cpu.FDefault {
 				wantLat += cfg.TdvfsMs // initial transition stall
@@ -600,7 +594,7 @@ func TestChaosPolicyInvariants(t *testing.T) {
 		if res.Utilization < 0 || res.Utilization > 1 {
 			t.Fatalf("seed %d: utilization %v", seed, res.Utilization)
 		}
-		for _, r := range wl.Requests {
+		for _, r := range res.Requests {
 			if r.Done && math.Abs(float64(r.WorkDone-r.WorkTotal)) > 1e-6 {
 				t.Fatalf("seed %d: request %d work not conserved", seed, r.ID)
 			}

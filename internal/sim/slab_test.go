@@ -10,7 +10,7 @@ import (
 )
 
 // Tests of the leg table and the per-core request slabs: what a cluster run
-// allocates is a function of the core count, every core is handed copies of
+// allocates is a function of the core count, every core is handed records of
 // exactly its legs in arrival order, and the caller's workload is read, never
 // written.
 
@@ -21,7 +21,7 @@ func mkFixed(int) Policy { return &FixedPolicy{F: cpu.FDefault} }
 func allocsAtSizes(n int, run func(wl *Workload)) (small, large float64) {
 	count := func(n int) float64 {
 		wl := clusterWorkload(n, 2, 6, 41)
-		return testing.AllocsPerRun(5, func() { resetWorkload(wl); run(wl) })
+		return testing.AllocsPerRun(5, func() { run(wl) })
 	}
 	return count(n), count(4 * n)
 }
@@ -49,7 +49,8 @@ func TestTopologyAllocsIndependentOfRequests(t *testing.T) {
 }
 
 // TestClusterAllocsIndependentOfRequests is the broker-cluster twin: Dispatch
-// carves every core's Requests from one array.
+// carves every core's list from one array, and each core's records are one
+// slab.
 func TestClusterAllocsIndependentOfRequests(t *testing.T) {
 	const n, cores = 1500, 6
 	small, large := allocsAtSizes(n, func(wl *Workload) { RunClusterWorkers(DefaultConfig(), wl, cores, 2, mkFixed) })
@@ -58,8 +59,8 @@ func TestClusterAllocsIndependentOfRequests(t *testing.T) {
 	}
 }
 
-// TestBuildWorkloadAllocsIndependentOfRequests: one slab and one pointer
-// slice, whatever the arrival count.
+// TestBuildWorkloadAllocsIndependentOfRequests: the draws column and the
+// Workload, whatever the arrival count.
 func TestBuildWorkloadAllocsIndependentOfRequests(t *testing.T) {
 	pool := []PreparedQuery{{BaseWork: 10}, {BaseWork: 25}, {BaseWork: 40}}
 	count := func(n int) float64 {
@@ -74,14 +75,13 @@ func TestBuildWorkloadAllocsIndependentOfRequests(t *testing.T) {
 	}
 }
 
-// TestTopologyLeavesInputUntouched: the cores run slab copies, so a topology
-// run reads wl.Requests and writes none of their fields, lifecycle included.
-func TestTopologyLeavesInputUntouched(t *testing.T) {
+// TestRunnersLeaveWorkloadUntouched: every run simulates records of its own,
+// so no runner writes to the workload it reads.
+func TestRunnersLeaveWorkloadUntouched(t *testing.T) {
 	wl := clusterWorkload(300, 2, 6, 19)
-	before := make([]Request, len(wl.Requests))
-	for i, r := range wl.Requests {
-		before[i] = *r
-	}
+	before := *wl
+	before.ArrivalMs = append([]float64(nil), wl.ArrivalMs...)
+	before.Draws = append([]Draw(nil), wl.Draws...)
 	tc := TopologyConfig{
 		Sim:       DefaultConfig(),
 		Topology:  Topology{Shards: 3, ReplicasPerShard: 2},
@@ -90,18 +90,18 @@ func TestTopologyLeavesInputUntouched(t *testing.T) {
 		PowerCapW: 16,
 	}
 	tr := RunTopologyWorkers(tc, wl, 2, mkPredictingStorm)
-	if tr.Completed+tr.Dropped != len(wl.Requests) {
-		t.Fatalf("completed %d + dropped %d != %d queries", tr.Completed, tr.Dropped, len(wl.Requests))
+	if tr.Completed+tr.Dropped != wl.Len() {
+		t.Fatalf("completed %d + dropped %d != %d queries", tr.Completed, tr.Dropped, wl.Len())
 	}
-	for i, r := range wl.Requests {
-		if !reflect.DeepEqual(*r, before[i]) {
-			t.Fatalf("request %d changed:\n got %+v\nwant %+v", i, *r, before[i])
-		}
+	RunClusterWorkers(DefaultConfig(), wl, 4, 2, mkPredictingStorm)
+	Run(DefaultConfig(), wl, &predictingStorm{})
+	if !reflect.DeepEqual(*wl, before) {
+		t.Fatal("a run wrote to its workload")
 	}
 }
 
 // arrivalLog records the requests one core is handed, in the order the engine
-// delivers them, which is the order of the core's Requests.
+// delivers them, which is the order of the core's records.
 type arrivalLog struct {
 	FixedPolicy
 	seen []Request
@@ -121,9 +121,9 @@ func (j routerConst) Pick(*RouteState, int, *Request) int { return int(j) }
 // out-of-range pick lands on the shard's replica 0.
 func TestTopologyCoreRequestsInArrivalOrder(t *testing.T) {
 	wl := clusterWorkload(240, 2, 6, 13)
-	pool := make([]PreparedQuery, 7)
-	for i, r := range wl.Requests {
-		r.Entry, r.PoolIdx = &pool[i%len(pool)], int32(i%len(pool))
+	wl.Pool = make([]PreparedQuery, 7)
+	for i := range wl.Draws {
+		wl.Draws[i].PoolIdx = int32(i % len(wl.Pool))
 	}
 	topo := Topology{Shards: 3, ReplicasPerShard: 2}
 	for _, router := range []Router{RouterRoundRobin{}, RouterPowerAware{}, routerConst(-1), routerConst(2)} {
@@ -142,27 +142,27 @@ func TestTopologyCoreRequestsInArrivalOrder(t *testing.T) {
 			}
 			perShard[c/topo.ReplicasPerShard] += len(l.seen)
 			for i, got := range l.seen {
-				src := wl.Requests[got.ID]
+				d, at := wl.Draws[got.ID], wl.ArrivalMs[got.ID]
 				if i > 0 && got.ID <= l.seen[i-1].ID {
 					t.Fatalf("%s core %d: request %d after %d", router.Name(), c, got.ID, l.seen[i-1].ID)
 				}
-				if got.Entry != src.Entry || got.PoolIdx != src.PoolIdx ||
-					got.BaseWork != src.BaseWork || got.WorkTotal != src.WorkTotal ||
-					got.ArrivalMs != src.ArrivalMs || got.DeadlineMs != src.DeadlineMs {
+				if got.Entry != &wl.Pool[d.PoolIdx] || got.PoolIdx != d.PoolIdx ||
+					got.BaseWork != d.Base || got.WorkTotal != d.Work ||
+					got.ArrivalMs != at || got.DeadlineMs != at+wl.BudgetMs {
 					t.Fatalf("%s core %d: request %d is not a copy of the query", router.Name(), c, got.ID)
 				}
 			}
 		}
 		for s, n := range perShard {
-			if n != len(wl.Requests) {
-				t.Errorf("%s shard %d: %d legs for %d queries", router.Name(), s, n, len(wl.Requests))
+			if n != wl.Len() {
+				t.Errorf("%s shard %d: %d legs for %d queries", router.Name(), s, n, wl.Len())
 			}
 		}
 		if _, outOfRange := router.(routerConst); outOfRange {
 			for c, n := range tr.RouteCounts {
 				want := uint64(0)
 				if c%topo.ReplicasPerShard == 0 {
-					want = uint64(len(wl.Requests))
+					want = uint64(wl.Len())
 				}
 				if n != want {
 					t.Errorf("%s: core %d routed %d legs, want %d (all on replica 0)", router.Name(), c, n, want)
@@ -172,20 +172,20 @@ func TestTopologyCoreRequestsInArrivalOrder(t *testing.T) {
 	}
 }
 
-// TestDispatchPartsDoNotOverlap: the per-core Requests share one backing
-// array, so each must be exact-size — an append to one part must not write
-// into the next.
+// TestDispatchPartsDoNotOverlap: the per-core lists share one backing array,
+// so each must be exact-size — an append to one list must not write into the
+// next.
 func TestDispatchPartsDoNotOverlap(t *testing.T) {
 	wl := clusterWorkload(200, 5, 8, 1)
 	parts := Dispatch(wl, 4)
 	for c, p := range parts {
-		if cap(p.Requests) != len(p.Requests) {
-			t.Errorf("part %d: cap %d, len %d", c, cap(p.Requests), len(p.Requests))
+		if cap(p) != len(p) {
+			t.Errorf("part %d: cap %d, len %d", c, cap(p), len(p))
 		}
 	}
-	first := parts[1].Requests[0]
-	parts[0].Requests = append(parts[0].Requests, &Request{ID: -1})
-	if parts[1].Requests[0] != first {
+	first := parts[1][0]
+	parts[0] = append(parts[0], -1)
+	if parts[1][0] != first {
 		t.Error("append to part 0 overwrote part 1's first request")
 	}
 }
@@ -194,8 +194,8 @@ func TestDispatchPartsDoNotOverlap(t *testing.T) {
 // front, and an empty workload reserves nothing.
 func TestLatenciesSizedOnce(t *testing.T) {
 	wl := traceWorkload(100, 3)
-	if res := Run(DefaultConfig(), wl, &FixedPolicy{F: cpu.FDefault}); cap(res.Latencies) != len(wl.Requests) {
-		t.Errorf("cap(Latencies) = %d for %d requests", cap(res.Latencies), len(wl.Requests))
+	if res := Run(DefaultConfig(), wl, &FixedPolicy{F: cpu.FDefault}); cap(res.Latencies) != wl.Len() {
+		t.Errorf("cap(Latencies) = %d for %d requests", cap(res.Latencies), wl.Len())
 	}
 	empty := &Workload{BudgetMs: 40, DurationMs: 100}
 	if res := Run(DefaultConfig(), empty, &FixedPolicy{F: cpu.FDefault}); res.Latencies != nil {
@@ -203,8 +203,8 @@ func TestLatenciesSizedOnce(t *testing.T) {
 	}
 }
 
-// TestRequestSize: every slab is this many bytes per request, zeroed, filled
-// and streamed through once per run, so what a query determines stays in its
+// TestRequestSize: every run's slab is this many bytes per request, zeroed,
+// filled and streamed through once, so what a query determines stays in its
 // pool entry and a new field has to fit the budget.
 func TestRequestSize(t *testing.T) {
 	if got := unsafe.Sizeof(Request{}); got > 112 {

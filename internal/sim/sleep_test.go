@@ -61,8 +61,8 @@ func TestSleepIgnoredWhileBusy(t *testing.T) {
 	}
 	res := Run(DefaultConfig(), wl, pol)
 	// No wake stall anywhere: r0 latency exactly 10 ms.
-	if math.Abs(wl.Requests[0].LatencyMs()-10) > 1e-9 {
-		t.Errorf("r0 latency = %v (sleep applied while busy?)", wl.Requests[0].LatencyMs())
+	if math.Abs(res.Requests[0].LatencyMs()-10) > 1e-9 {
+		t.Errorf("r0 latency = %v (sleep applied while busy?)", res.Requests[0].LatencyMs())
 	}
 	if res.Completed != 2 {
 		t.Errorf("completed = %d", res.Completed)
@@ -91,7 +91,7 @@ func TestSleepClearedAfterWake(t *testing.T) {
 		t.Errorf("energy %v too low: sleep state not cleared on wake", res.EnergyMJ)
 	}
 	// Second request pays no wake latency (already awake).
-	if math.Abs(wl.Requests[1].LatencyMs()-10) > 1e-9 {
-		t.Errorf("r1 latency = %v, want 10", wl.Requests[1].LatencyMs())
+	if math.Abs(res.Requests[1].LatencyMs()-10) > 1e-9 {
+		t.Errorf("r1 latency = %v, want 10", res.Requests[1].LatencyMs())
 	}
 }

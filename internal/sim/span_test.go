@@ -15,7 +15,7 @@ import (
 func TestSpansEmittedPerRequest(t *testing.T) {
 	wl := traceWorkload(300, 7)
 	cfg := DefaultConfig()
-	sp := telemetry.NewSpanTracer(8 * len(wl.Requests))
+	sp := telemetry.NewSpanTracer(8 * wl.Len())
 	cfg.Spans = sp
 
 	res := Run(cfg, wl, &FixedPolicy{F: cpu.FDefault})
@@ -62,10 +62,9 @@ func TestSpansDisabledAddsNoAllocsPerRequest(t *testing.T) {
 	const n = 600
 	wlA := traceWorkload(n, 11)
 	wlB := traceWorkload(2*n, 11)
-	reset := resetWorkload
 	pol := &FixedPolicy{F: cpu.FDefault}
-	allocsA := testing.AllocsPerRun(20, func() { reset(wlA); Run(cfg, wlA, pol) })
-	allocsB := testing.AllocsPerRun(20, func() { reset(wlB); Run(cfg, wlB, pol) })
+	allocsA := testing.AllocsPerRun(20, func() { Run(cfg, wlA, pol) })
+	allocsB := testing.AllocsPerRun(20, func() { Run(cfg, wlB, pol) })
 	perReq := (allocsB - allocsA) / float64(n)
 	if perReq > 0.05 {
 		t.Errorf("span-disabled path allocates %.3f allocs/request (n: %.0f, 2n: %.0f)",

@@ -32,10 +32,9 @@ func TestTimeseriesDisabledAddsNoAllocsPerRequest(t *testing.T) {
 	const n = 600
 	wlA := traceWorkload(n, 29)
 	wlB := traceWorkload(2*n, 29)
-	reset := resetWorkload
 	pol := &FixedPolicy{F: cpu.FDefault}
-	allocsA := testing.AllocsPerRun(20, func() { reset(wlA); Run(cfg, wlA, pol) })
-	allocsB := testing.AllocsPerRun(20, func() { reset(wlB); Run(cfg, wlB, pol) })
+	allocsA := testing.AllocsPerRun(20, func() { Run(cfg, wlA, pol) })
+	allocsB := testing.AllocsPerRun(20, func() { Run(cfg, wlB, pol) })
 	perReq := (allocsB - allocsA) / float64(n)
 	if perReq > 0.05 {
 		t.Errorf("sampler-disabled path allocates %.3f allocs/request (n: %.0f, 2n: %.0f)",
@@ -91,11 +90,11 @@ func TestTimeseriesSingleRun(t *testing.T) {
 		}
 		prev = row.TimeMs
 	}
-	if int(arrivals) != len(wl.Requests) {
-		t.Errorf("windowed arrivals sum to %d, want %d", arrivals, len(wl.Requests))
+	if int(arrivals) != wl.Len() {
+		t.Errorf("windowed arrivals sum to %d, want %d", arrivals, wl.Len())
 	}
 	inHorizon := 0
-	for _, r := range wl.Requests {
+	for _, r := range res.Requests {
 		if r.Done && !r.Dropped && r.FinishMs <= wl.DurationMs {
 			inHorizon++
 		}
@@ -117,7 +116,7 @@ func TestPowerSeries(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Series = NewRunTimeseries(cfg.Ladder, wl.DurationMs, 7)
 	res := Run(cfg, wl, &chaosTimelinePolicy{})
-	for _, r := range wl.Requests {
+	for _, r := range res.Requests {
 		if !r.Done || r.FinishMs > wl.DurationMs {
 			t.Fatalf("request %d did not finish inside the horizon; the fixture must", r.ID)
 		}

@@ -416,25 +416,29 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 		coord = newPowerCapCoordinator(tc.PowerCapW, tc.CapIntervalMs, cfg.Power, cfg.Ladder, st)
 	}
 	// legs is the leg table, the pre-pass's only per-request output: the core
-	// serving query qi on shard s, at legs[qi*Shards+s].
-	legs := make([]int32, len(wl.Requests)*topo.Shards)
-	routeCounts := make([]uint64, cores)
+	// serving query qi on shard s, at legs[qi*Shards+s]. Routers see each
+	// query as the record a run would begin it with.
+	n := wl.Len()
+	legs := make([]int32, n*topo.Shards)
+	counts := make([]int, cores)
 	reps := topo.ReplicasPerShard
-	for qi, r := range wl.Requests {
-		st.now = r.ArrivalMs
+	var q Request
+	for qi := range n {
+		wl.record(&q, qi)
+		st.now = q.ArrivalMs
 		if coord != nil {
-			coord.advanceTo(r.ArrivalMs)
+			coord.advanceTo(q.ArrivalMs)
 		}
 		fan := legs[qi*topo.Shards:][:topo.Shards]
 		for s := range fan {
-			j := router.Pick(st, s, r)
+			j := router.Pick(st, s, &q)
 			if j < 0 || j >= reps {
 				j = 0
 			}
 			c := topo.Core(s, j)
 			fan[s] = int32(c)
-			routeCounts[c]++
-			st.assign(c, r)
+			counts[c]++
+			st.assign(c, &q)
 		}
 	}
 	if coord != nil {
@@ -442,43 +446,35 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 	}
 
 	// --- independent per-core simulations (sharded) -----------------------
-	// Each core's job builds its own requests from the table before it runs.
-	slabs := make([][]Request, cores)
-	sizes := make([]int, cores)
-	for c, n := range routeCounts {
-		sizes[c] = int(n)
-	}
-	part := func(c int) *Workload {
-		var reqs []*Request
-		slabs[c], reqs = coreSlab(wl.Requests, legs, topo.Shards, c/reps, int32(c), routeCounts[c])
-		return &Workload{Requests: reqs, BudgetMs: wl.BudgetMs, DurationMs: wl.DurationMs, Preds: wl.Preds}
-	}
-	results := runCores(cfg, sizes, part, workers, mkPolicy, coord)
+	// Each core's job builds its own records from its leg list before it runs.
+	lists := carveLists(legs, topo.Shards, counts)
+	results := runCores(cfg, wl, lists, workers, mkPolicy, coord)
 
 	// --- deterministic merge ----------------------------------------------
 	tr := &TopologyResult{
 		Topology:    topo,
 		Router:      router.Name(),
 		PerCore:     results,
-		Queries:     len(wl.Requests),
+		Queries:     n,
 		DurationMs:  wl.DurationMs,
-		RouteCounts: routeCounts,
+		RouteCounts: make([]uint64, cores),
 	}
-	for _, res := range results {
+	for c, res := range results {
+		tr.RouteCounts[c] = uint64(len(lists[c]))
 		tr.ShardRequests += res.Total
 		tr.ShardDrops += res.Dropped
 		tr.Events += res.Events
 		tr.EnergyMJ += res.EnergyMJ
 	}
-	tr.QueryLatencies = make([]float64, 0, len(wl.Requests))
-	// A core's slab holds its legs in query order, so one cursor per core
+	tr.QueryLatencies = make([]float64, 0, n)
+	// A core's records hold its legs in query order, so one cursor per core
 	// finds every leg of the table without a per-leg pointer.
 	cursor := make([]int, cores)
-	for qi, r := range wl.Requests {
+	for qi, at := range wl.ArrivalMs {
 		dropped := false
 		finish := math.Inf(-1)
 		for _, c := range legs[qi*topo.Shards:][:topo.Shards] {
-			cl := &slabs[c][cursor[c]]
+			cl := &results[c].Requests[cursor[c]]
 			cursor[c]++
 			if cl.Dropped {
 				dropped = true
@@ -492,11 +488,14 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 			tr.Dropped++
 		default:
 			tr.Completed++
-			tr.QueryLatencies = append(tr.QueryLatencies, finish-r.ArrivalMs)
-			if finish > r.DeadlineMs {
+			tr.QueryLatencies = append(tr.QueryLatencies, finish-at)
+			if finish > at+wl.BudgetMs {
 				tr.Violations++
 			}
 		}
+	}
+	for _, res := range results {
+		res.Requests = nil
 	}
 	stats.SortAscending(tr.QueryLatencies)
 	if coord != nil {
@@ -514,34 +513,6 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 		tr.publish(tc.Metrics)
 	}
 	return tr
-}
-
-// coreSlab builds one core's requests from the shared, read-only workload:
-// a fresh Request in one contiguous slab for every query whose leg on shard
-// is routed to core, in arrival order, and the pointer slice the engine takes.
-// n is the core's route count, so both are exact-size. It runs inside the
-// core's own job: the zero-and-fill is parallel across workers, and the
-// engine then streams through memory it has just written.
-func coreSlab(queries []*Request, legs []int32, shards, shard int, core int32, n uint64) ([]Request, []*Request) {
-	slab := make([]Request, n)
-	reqs := make([]*Request, n)
-	k := 0
-	for qi, r := range queries {
-		if legs[qi*shards+shard] != core {
-			continue
-		}
-		cl := &slab[k]
-		cl.ID = r.ID
-		cl.Entry = r.Entry
-		cl.PoolIdx = r.PoolIdx
-		cl.BaseWork = r.BaseWork
-		cl.WorkTotal = r.WorkTotal
-		cl.ArrivalMs = r.ArrivalMs
-		cl.DeadlineMs = r.DeadlineMs
-		reqs[k] = cl
-		k++
-	}
-	return slab, reqs
 }
 
 // publish records the run's route/throttle/power telemetry (serial,

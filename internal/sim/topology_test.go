@@ -74,10 +74,8 @@ func TestTopologyStragglerAccounting(t *testing.T) {
 	// measured query.
 	long := cpu.Work(30 * float64(cpu.FDefault))
 	short := cpu.Work(2 * float64(cpu.FDefault))
-	wl.Requests = []*Request{
-		{ID: 0, BaseWork: long, WorkTotal: long, ArrivalMs: 0, DeadlineMs: 40},
-		{ID: 1, BaseWork: short, WorkTotal: short, ArrivalMs: 1, DeadlineMs: 41},
-	}
+	wl.Add(0, Draw{Base: long, Work: long})
+	wl.Add(1, Draw{Base: short, Work: short})
 	tc := TopologyConfig{
 		Sim:      DefaultConfig(),
 		Topology: Topology{Shards: 2, ReplicasPerShard: 1},
@@ -205,11 +203,8 @@ func TestTopologyRoutingDrawsIsolated(t *testing.T) {
 	RunTopologyWorkers(tc, wl, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
 
 	after := BenchWorkload(200, seed)
-	for i := range before.Requests {
-		a, b := before.Requests[i], after.Requests[i]
-		if a.ArrivalMs != b.ArrivalMs || a.WorkTotal != b.WorkTotal {
-			t.Fatalf("workload request %d perturbed by power-aware routing draws", i)
-		}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatal("workload perturbed by power-aware routing draws")
 	}
 }
 

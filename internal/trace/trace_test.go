@@ -41,6 +41,19 @@ func TestGenPoissonDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenFixedRPSAllocsIndependentOfDuration: GenPoisson reserves room for
+// the arrivals up front, so a trace four times as long (here the size of a
+// ledger sweep trace, 480 RPS for 360 s, and four times that) allocates no
+// more often.
+func TestGenFixedRPSAllocsIndependentOfDuration(t *testing.T) {
+	allocs := func(durationMs float64) float64 {
+		return testing.AllocsPerRun(10, func() { GenFixedRPS(480, durationMs, 5) })
+	}
+	if short, long := allocs(360_000), allocs(1_440_000); long != short {
+		t.Errorf("GenFixedRPS allocates %.0f times for 360 s and %.0f for 1440 s", short, long)
+	}
+}
+
 func TestInterArrivalsExponentialish(t *testing.T) {
 	tr := GenFixedRPS(100, 300_000, 3)
 	gaps := tr.InterArrivalsMs()
