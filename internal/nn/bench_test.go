@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -51,13 +52,16 @@ func BenchmarkTrainEpoch(b *testing.B) {
 		X[i] = row
 		Y[i] = float64(i % 61)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net := NewMLP(15, []int{48, 48}, 61, int64(i))
-		tr := &Trainer{Net: net, Loss: &CrossEntropy{}, Opt: NewAdam(1e-3), BatchSize: 32, Epochs: 1, Seed: 4}
-		if _, err := tr.Fit(X, Y); err != nil {
-			b.Fatal(err)
-		}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				net := NewMLP(15, []int{48, 48}, 61, int64(i))
+				tr := &Trainer{Net: net, Loss: &CrossEntropy{}, Opt: NewAdam(1e-3), BatchSize: 32, Epochs: 1, Seed: 4, Workers: workers}
+				if _, err := tr.Fit(X, Y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -80,14 +80,19 @@ func NewDense(in, out int, act Activation, rng *rand.Rand) *Dense {
 // Forward computes the layer output for input x, retaining the buffers
 // needed by a subsequent Network.Backward. The returned slice is owned by the
 // layer and valid until the next Forward.
-func (d *Dense) Forward(x []float64) []float64 {
+func (d *Dense) Forward(x []float64) []float64 { return d.forward(x, d.in, d.out) }
+
+// forward is Forward into the caller's copies of the input and the output,
+// the two buffers backward reads back. Forward passes the layer's own; a
+// training stage passes one pair per sample of the batch (train.go).
+func (d *Dense) forward(x, in, out []float64) []float64 {
 	d.affine(x, d.z)
-	copy(d.in, x)
-	copy(d.out, d.z)
+	copy(in, x)
+	copy(out, d.z)
 	if d.Act == ReLU {
-		clampNegative(d.out)
+		clampNegative(out)
 	}
-	return d.out
+	return out
 }
 
 // affineRows writes z[o] = b[o] + Σ_i w[o·in+i]·x[i] for every row o of the
@@ -158,10 +163,11 @@ const (
 	denseInputGrad
 )
 
-// backward accumulates parameter gradients for the last Forward given the
-// loss gradient dOut w.r.t. this layer's output, and returns the gradient
-// w.r.t. the layer's input (owned by the layer) at the entries grad names;
-// the rest of the returned slice is stale.
+// backward accumulates parameter gradients for the forward that wrote x (its
+// input copy) and y (its output), given the loss gradient dOut w.r.t. this
+// layer's output, and returns the gradient w.r.t. the layer's input (owned
+// by the layer) at the entries grad names; the rest of the returned slice is
+// stale.
 //
 // Its bits are those of the row-at-a-time loop kept in reference_test.go,
 // whenever the gradients are finite:
@@ -177,7 +183,7 @@ const (
 // The AVX2 kernel (kernel.go) visits the same rows and every input, for gradW
 // and dIn alike: by the first two points the extra terms change nothing
 // anybody reads. It trusts the lengths, so dOut's is checked here.
-func (d *Dense) backward(dOut []float64, grad inputGrad) []float64 {
+func (d *Dense) backward(x, y, dOut []float64, grad inputGrad) []float64 {
 	dOut = dOut[:d.Out]
 	// Both lists are built without a branch on the data: every index is
 	// written and the count advances past the kept ones. Half the units of a
@@ -188,9 +194,9 @@ func (d *Dense) backward(dOut []float64, grad inputGrad) []float64 {
 		all = 1
 	}
 	rows, n := d.rows, 0
-	for o, y := range d.out {
+	for o, yo := range y {
 		rows[n] = o
-		n += nonZero(y) | all
+		n += nonZero(yo) | all
 	}
 	rows = rows[:n]
 	if useAVX2 {
@@ -198,14 +204,13 @@ func (d *Dense) backward(dOut []float64, grad inputGrad) []float64 {
 		if grad == noInputGrad {
 			dIn = nil
 		}
-		backwardAVX2(d.W, d.gradW, d.gradB, d.in, dOut, dIn, rows)
+		backwardAVX2(d.W, d.gradW, d.gradB, x, dOut, dIn, rows)
 		return d.dIn
 	}
 	all = 0
 	if grad == denseInputGrad {
 		all = 1
 	}
-	x := d.in
 	cols, n := d.cols, 0
 	for i, xi := range x {
 		cols[n] = i
@@ -313,15 +318,21 @@ func (n *Network) Forward(x []float64) []float64 {
 func (n *Network) Backward(dOut []float64) {
 	cur := dOut
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad := denseInputGrad
-		switch {
-		case i == 0:
-			grad = noInputGrad
-		case n.Layers[i-1].Act == ReLU:
-			grad = liveInputGrad
-		}
-		cur = n.Layers[i].backward(cur, grad)
+		l := n.Layers[i]
+		cur = l.backward(l.in, l.out, cur, n.inputGrad(i))
 	}
+}
+
+// inputGrad is what layer i's backward must compute of its input gradient:
+// the part the layer below it reads.
+func (n *Network) inputGrad(i int) inputGrad {
+	switch {
+	case i == 0:
+		return noInputGrad
+	case n.Layers[i-1].Act == ReLU:
+		return liveInputGrad
+	}
+	return denseInputGrad
 }
 
 // ZeroGrad clears all accumulated gradients.

@@ -195,6 +195,9 @@ func TestTrainerErrors(t *testing.T) {
 	if _, err := tr.Fit([][]float64{{1}}, []float64{1, 2}); err == nil {
 		t.Error("mismatched set accepted")
 	}
+	if _, err := tr.Fit([][]float64{{1}, {1, 2}}, []float64{1, 2}); err == nil {
+		t.Error("a two-wide sample accepted by a one-input network")
+	}
 }
 
 func TestTrainerEarlyStop(t *testing.T) {

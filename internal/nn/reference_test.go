@@ -289,3 +289,53 @@ func FuzzBackwardEquivalence(f *testing.F) {
 		checkBackward(t, c)
 	})
 }
+
+// refFit is Trainer.Fit as it was before the stages: one loop over the whole
+// network, each sample's forward, loss and backward in turn, then every
+// group stepped through t.Opt after one BeginStep per batch. Fit must give
+// its weights, loss and optimizer state bit for bit at any Workers.
+func refFit(t *Trainer, X [][]float64, Y []float64) float64 {
+	rng := rand.New(rand.NewSource(t.Seed))
+	order := make([]int, len(X))
+	for i := range order {
+		order[i] = i
+	}
+	dOut := make([]float64, t.Net.OutDim())
+	finalLoss := 0.0
+	for epoch := 0; epoch < t.Epochs; epoch++ {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		epochLoss := 0.0
+		for start := 0; start < len(order); start += t.BatchSize {
+			end := min(start+t.BatchSize, len(order))
+			t.Net.ZeroGrad()
+			for _, idx := range order[start:end] {
+				out := t.Net.Forward(X[idx])
+				epochLoss += t.Loss.LossAndGrad(out, Y[idx], dOut)
+				t.Net.Backward(dOut)
+			}
+			scale := 1.0 / float64(end-start)
+			if s, ok := t.Opt.(steppable); ok {
+				s.BeginStep()
+			}
+			for li, l := range t.Net.Layers {
+				for i := range l.gradW {
+					l.gradW[i] *= scale
+					if t.WeightDecay > 0 {
+						l.gradW[i] += t.WeightDecay * l.W[i]
+					}
+				}
+				for i := range l.gradB {
+					l.gradB[i] *= scale
+				}
+				t.Opt.Step(2*li, l.W, l.gradW)
+				t.Opt.Step(2*li+1, l.B, l.gradB)
+				l.transposeW()
+			}
+		}
+		finalLoss = epochLoss / float64(len(order))
+		if t.OnEpoch != nil && !t.OnEpoch(epoch, finalLoss) {
+			break
+		}
+	}
+	return finalLoss
+}

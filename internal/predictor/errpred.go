@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"gemini/internal/nn"
+	"gemini/internal/par"
 	"gemini/internal/search"
 	"gemini/internal/stats"
 )
@@ -24,7 +25,8 @@ type NNError struct {
 	scratch scratchPool
 }
 
-// TrainError fits the error model for the residuals of sp on train.
+// TrainError fits the error model for the residuals of sp on train, on every
+// core.
 func TrainError(train []Sample, sp ServicePredictor, cfg Config) *NNError {
 	X, _ := featureMatrix(train, nil)
 	scaler := nn.FitScaler(X, logColumns(nil))
@@ -39,6 +41,7 @@ func TrainError(train []Sample, sp ServicePredictor, cfg Config) *NNError {
 	tr := &nn.Trainer{
 		Net: net, Loss: &nn.CrossEntropy{}, Opt: nn.NewAdam(cfg.LR),
 		BatchSize: cfg.BatchSize, Epochs: cfg.Epochs, Seed: cfg.Seed + 102,
+		Workers: par.DefaultWorkers(),
 	}
 	_, _ = tr.Fit(Xs, Y)
 	return &NNError{net: net, scaler: scaler}

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"gemini/internal/nn"
@@ -60,14 +61,44 @@ func LoadClassifier(r io.Reader) (*NNClassifier, error) {
 	if snap.Cols != nil {
 		wantIn = len(snap.Cols)
 	}
-	if net.InDim() != wantIn {
-		return nil, fmt.Errorf("predictor: network input %d does not match %d features", net.InDim(), wantIn)
+	if err := snap.check(net, wantIn); err != nil {
+		return nil, err
 	}
 	if net.OutDim() != snap.MaxMs+1 {
 		return nil, fmt.Errorf("predictor: network output %d does not match %d buckets", net.OutDim(), snap.MaxMs+1)
 	}
 	scaler := &nn.Scaler{LogCols: snap.LogCols, Mean: snap.Mean, Std: snap.Std}
 	return &NNClassifier{net: net, scaler: scaler, cols: snap.Cols, maxMs: snap.MaxMs}, nil
+}
+
+// check rejects a snapshot whose parts do not fit each other: the network
+// must take wantIn features, the scaler must hold one finite mean and one
+// finite, positive std per network input, and every column must name a
+// distinct Table II feature. Prediction indexes all of them without checks,
+// so a mismatch would panic on the first query or silently zero-pad it.
+func (snap *classifierSnapshot) check(net *nn.Network, wantIn int) error {
+	if net.InDim() != wantIn {
+		return fmt.Errorf("predictor: network input %d does not match %d features", net.InDim(), wantIn)
+	}
+	if len(snap.Mean) != net.InDim() || len(snap.Std) != net.InDim() {
+		return fmt.Errorf("predictor: scaler has %d means and %d stds for %d inputs", len(snap.Mean), len(snap.Std), net.InDim())
+	}
+	for j := range snap.Std {
+		if math.IsNaN(snap.Mean[j]) || math.IsInf(snap.Mean[j], 0) {
+			return fmt.Errorf("predictor: scaler mean %d is %v", j, snap.Mean[j])
+		}
+		if !(snap.Std[j] > 0) || math.IsInf(snap.Std[j], 1) {
+			return fmt.Errorf("predictor: scaler std %d is %v, not finite and positive", j, snap.Std[j])
+		}
+	}
+	var seen [search.NumFeatures]bool
+	for _, c := range snap.Cols {
+		if c < 0 || c >= search.NumFeatures || seen[c] {
+			return fmt.Errorf("predictor: feature column %d out of range or repeated", c)
+		}
+		seen[c] = true
+	}
+	return nil
 }
 
 // SaveFile writes the classifier to a file path.
@@ -117,6 +148,9 @@ func LoadError(r io.Reader) (*NNError, error) {
 	}
 	net, err := nn.Load(bytes.NewReader(snap.Net))
 	if err != nil {
+		return nil, err
+	}
+	if err := snap.check(net, search.NumFeatures); err != nil {
 		return nil, err
 	}
 	if net.OutDim() != 2*errRangeMs+1 {

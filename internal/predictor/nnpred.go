@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"gemini/internal/nn"
+	"gemini/internal/par"
 	"gemini/internal/search"
 )
 
@@ -80,8 +81,13 @@ type NNClassifier struct {
 }
 
 // TrainClassifier fits the classifier on the training samples using the
-// feature columns in cols (nil means all Table II features).
+// feature columns in cols (nil means all Table II features), on every core
+// (nn.Trainer.Workers); the weights are the same on one.
 func TrainClassifier(train []Sample, cols []int, cfg Config) *NNClassifier {
+	return trainClassifier(train, cols, cfg, par.DefaultWorkers())
+}
+
+func trainClassifier(train []Sample, cols []int, cfg Config, workers int) *NNClassifier {
 	X, Y := featureMatrix(train, cols)
 	scaler := nn.FitScaler(X, logColumns(cols))
 	Xs := scaler.TransformAll(X)
@@ -93,6 +99,7 @@ func TrainClassifier(train []Sample, cols []int, cfg Config) *NNClassifier {
 	tr := &nn.Trainer{
 		Net: net, Loss: &nn.CrossEntropy{}, Opt: nn.NewAdam(cfg.LR),
 		BatchSize: cfg.BatchSize, Epochs: cfg.Epochs, Seed: cfg.Seed + 100,
+		Workers: workers,
 	}
 	_, _ = tr.Fit(Xs, Y)
 	return &NNClassifier{net: net, scaler: scaler, cols: cols, maxMs: cfg.MaxMs}
@@ -156,7 +163,7 @@ type NNRegressor struct {
 	scratch scratchPool
 }
 
-// TrainRegressor fits the regressor on all Table II features.
+// TrainRegressor fits the regressor on all Table II features, on every core.
 func TrainRegressor(train []Sample, cfg Config) *NNRegressor {
 	X, Y := featureMatrix(train, nil)
 	scaler := nn.FitScaler(X, logColumns(nil))
@@ -165,6 +172,7 @@ func TrainRegressor(train []Sample, cfg Config) *NNRegressor {
 	tr := &nn.Trainer{
 		Net: net, Loss: nn.MSE{}, Opt: nn.NewRMSprop(cfg.LR),
 		BatchSize: cfg.BatchSize, Epochs: cfg.Epochs, Seed: cfg.Seed + 101,
+		Workers: par.DefaultWorkers(),
 	}
 	_, _ = tr.Fit(Xs, Y)
 	return &NNRegressor{net: net, scaler: scaler}

@@ -3,6 +3,7 @@ package predictor
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -426,6 +427,91 @@ func TestErrorPredictorSaveLoad(t *testing.T) {
 	if _, err := LoadError(bytes.NewReader(nil)); err == nil {
 		t.Error("empty error model accepted")
 	}
+}
+
+// snapshotWith gob-encodes a classifier snapshot around a fresh network of
+// in inputs and out outputs, with a scaler of unit stds unless edit changes
+// it: the raw material for the loader checks below.
+func snapshotWith(t *testing.T, in, out int, edit func(*classifierSnapshot)) *bytes.Buffer {
+	t.Helper()
+	var nb bytes.Buffer
+	if err := nn.NewMLP(in, []int{4}, out, 1).Save(&nb); err != nil {
+		t.Fatal(err)
+	}
+	snap := classifierSnapshot{MaxMs: out - 1, Mean: make([]float64, in), Std: make([]float64, in), Net: nb.Bytes()}
+	for j := range snap.Std {
+		snap.Std[j] = 1
+	}
+	if edit != nil {
+		edit(&snap)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// TestLoadersRejectMismatchedParts: a saved model whose network, scaler and
+// columns do not fit each other fails to load, rather than predicting from
+// zero-padded features or panicking on the first query.
+func TestLoadersRejectMismatchedParts(t *testing.T) {
+	const nf = search.NumFeatures
+	errOut, clsOut := 2*errRangeMs+1, 61
+	std := func(v float64) func(*classifierSnapshot) {
+		return func(s *classifierSnapshot) { s.Std[2] = v }
+	}
+	cols := func(c ...int) func(*classifierSnapshot) {
+		return func(s *classifierSnapshot) { s.Cols = c }
+	}
+	for _, c := range []struct {
+		name string
+		in   int
+		edit func(*classifierSnapshot)
+	}{
+		{"14 means, 3 stds", nf, func(s *classifierSnapshot) { s.Std = s.Std[:3] }},
+		{"13 means and stds", nf, func(s *classifierSnapshot) { s.Mean, s.Std = s.Mean[:nf-1], s.Std[:nf-1] }},
+		{"zero std", nf, std(0)},
+		{"negative std", nf, std(-1)},
+		{"NaN std", nf, std(math.NaN())},
+		{"infinite std", nf, std(math.Inf(1))},
+		{"NaN mean", nf, func(s *classifierSnapshot) { s.Mean[0] = math.NaN() }},
+	} {
+		if _, err := LoadClassifier(snapshotWith(t, c.in, clsOut, c.edit)); err == nil {
+			t.Errorf("LoadClassifier accepted %s", c.name)
+		}
+		if _, err := LoadError(snapshotWith(t, c.in, errOut, c.edit)); err == nil {
+			t.Errorf("LoadError accepted %s", c.name)
+		}
+	}
+	if _, err := LoadError(snapshotWith(t, 20, errOut, nil)); err == nil {
+		t.Error("LoadError accepted a 20-input network")
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*classifierSnapshot)
+	}{
+		{"column -1", cols(0, -1, 2)},
+		{"column 14", cols(0, nf, 2)},
+		{"a repeated column", cols(0, 5, 5)},
+	} {
+		if _, err := LoadClassifier(snapshotWith(t, 3, clsOut, c.edit)); err == nil {
+			t.Errorf("LoadClassifier accepted %s", c.name)
+		}
+	}
+
+	// The same snapshots, fitted together, load and predict.
+	clf, err := LoadClassifier(snapshotWith(t, 3, clsOut, cols(0, 5, 13)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := LoadError(snapshotWith(t, nf, errOut, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fv search.FeatureVector
+	clf.PredictMs(fv)
+	ep.PredictErrMs(fv)
 }
 
 // TestTrainedWeightsGolden pins the bits of a TestConfig-trained classifier.

@@ -27,14 +27,16 @@ func DefaultSweepOrder() []int {
 // Accuracy is the fraction of test samples predicted within ±1 ms. The
 // trainings share nothing but the read-only dataset, so they fan over
 // `workers` goroutines (1 runs serially), each into its own point; the
-// result is the same for any worker count.
+// result is the same for any worker count. Each training runs on one worker:
+// staged trainings nested in the fan-out contend for the same cores
+// (DESIGN.md §10).
 func FeatureSweep(ds *Dataset, cfg Config, order []int, workers int) []SweepPoint {
 	if order == nil {
 		order = DefaultSweepOrder()
 	}
 	points := make([]SweepPoint, len(order))
 	par.Run(workers, len(order), func(i int) {
-		clf := TrainClassifier(ds.Train, order[:i+1], cfg)
+		clf := trainClassifier(ds.Train, order[:i+1], cfg, 1)
 		points[i] = SweepPoint{Feature: search.FeatureNames[order[i]], Accuracy: classifierAccuracy(clf, ds.Test, 1.0)}
 	})
 	return points
