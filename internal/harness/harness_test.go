@@ -40,41 +40,47 @@ func TestPlatformBuild(t *testing.T) {
 	}
 }
 
-// TestNewPlatformIndependentOfGOMAXPROCS builds the small platform on one core
-// and on four. The labelling pass spreads its searches over GOMAXPROCS
-// workers; nothing downstream of it may tell how many there were.
-func TestNewPlatformIndependentOfGOMAXPROCS(t *testing.T) {
+// TestPlatformWorkersBitIdentical builds the small platform at GOMAXPROCS 1,
+// 2 and 3. Every pass of the build that runs on several cores (the corpus's
+// Zipf tries, the searches, the term profiles, both trainings, and the index
+// on a corpus large enough to split) takes its worker count from GOMAXPROCS;
+// nothing it builds may tell how many there were: the corpus, the index, the
+// dataset, both networks' weights, the pool and the prediction table are
+// equal bit for bit.
+func TestPlatformWorkersBitIdentical(t *testing.T) {
 	build := func(procs int) *Platform {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		return NewPlatform(SmallOptions())
 	}
-	one, four := build(1), build(4)
-	if !reflect.DeepEqual(one.Dataset, four.Dataset) {
-		t.Error("Dataset differs")
-	}
-	if !reflect.DeepEqual(one.Pool, four.Pool) {
-		t.Error("Pool differs")
-	}
-	if !reflect.DeepEqual(one.preds, four.preds) {
-		t.Error("prediction table differs")
-	}
-	saved := func(p *Platform) (clf, ep []byte) {
-		var a, b bytes.Buffer
-		if err := p.Classifier.Save(&a); err != nil {
+	weights := func(p *Platform) []byte { // both models as saved: gob keeps every weight's bits
+		var b bytes.Buffer
+		if err := p.Classifier.Save(&b); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.ErrPred.Save(&b); err != nil {
 			t.Fatal(err)
 		}
-		return a.Bytes(), b.Bytes()
+		return b.Bytes()
 	}
-	c1, e1 := saved(one)
-	c4, e4 := saved(four)
-	if !bytes.Equal(c1, c4) {
-		t.Error("classifier weights differ")
-	}
-	if !bytes.Equal(e1, e4) {
-		t.Error("error network weights differ")
+	one := build(1)
+	for procs := 2; procs <= 3; procs++ {
+		p := build(procs)
+		for _, c := range []struct {
+			what      string
+			got, want any
+		}{
+			{"corpus documents", p.Corpus.Docs, one.Corpus.Docs},
+			{"vocabulary", p.Corpus.Vocab, one.Corpus.Vocab},
+			{"index", p.Index, one.Index},
+			{"dataset", p.Dataset, one.Dataset},
+			{"network weights", weights(p), weights(one)},
+			{"pool", p.Pool, one.Pool},
+			{"prediction table", p.preds, one.preds},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Errorf("GOMAXPROCS=%d: %s differ from GOMAXPROCS=1", procs, c.what)
+			}
+		}
 	}
 }
 

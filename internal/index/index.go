@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"gemini/internal/corpus"
+	"gemini/internal/par"
 )
 
 // Posting is one (document, impact) entry of a posting list, sorted by
@@ -78,15 +79,29 @@ type Index struct {
 // ErrUnknownTerm is returned when a term has no posting list.
 var ErrUnknownTerm = errors.New("index: unknown term")
 
-// Build constructs the inverted index for a corpus in two passes over the
-// documents: the first counts each term's document frequency, which sizes
-// every posting list, and the second computes each (term, document) impact
-// into its place. Documents are visited in ascending ID order, so each list
-// comes out sorted by document. The lists, their postings and their two
-// tables are carved from one backing array each, so the allocation count
-// does not grow with the vocabulary or the corpus.
+// Build constructs the inverted index for a corpus. The documents are cut
+// into ranges, one per core, of at least minRangeDocs documents each, and
+// each pass over them runs a range per goroutine: the first counts each
+// term's document frequency in each range, which sizes every posting list
+// and places each range's postings of it after the earlier ranges'; the
+// second computes each (term, document) impact into its place. Each range
+// visits its documents in ascending ID order, so each list comes out sorted
+// by document, and a last pass over the lists takes their BlockMax, MaxImpact
+// and Steps tables. The lists, their postings and their tables are carved
+// from one backing array each, so the allocation count does not grow with
+// the vocabulary or the corpus.
 func Build(c *corpus.Corpus) *Index {
+	return build(c, min(par.DefaultWorkers(), len(c.Docs)/minRangeDocs))
+}
+
+// minRangeDocs is the fewest documents Build gives a range of their own:
+// below it, a goroutine costs more than the range saves.
+const minRangeDocs = 4096
+
+// build is Build over the given number of document ranges (at least one).
+func build(c *corpus.Corpus, ranges int) *Index {
 	numDocs := len(c.Docs)
+	ranges = max(1, min(ranges, numDocs))
 	docLens := make([]int32, numDocs)
 	totalLen, maxLen := 0, 0
 	for d, doc := range c.Docs {
@@ -96,28 +111,33 @@ func Build(c *corpus.Corpus) *Index {
 	}
 	avgDocLen := float64(totalLen) / float64(numDocs)
 
-	// A document's term frequencies live in one array over the vocabulary;
-	// terms lists the ones it touched, in first-occurrence order, so only
-	// those are read back and reset. That order reaches no list: each term's
-	// list gets this document once, after every earlier document.
+	// Each range has a vocabulary-wide array of term frequencies (counts), a
+	// buffer of the terms a document touched (terms; see countTerms), and
+	// pos, a vocabulary-wide array that first counts each term's documents in
+	// the range and then holds where the range writes its next posting.
 	vocab := c.Spec.VocabSize
-	counts := make([]int32, vocab)
-	terms := make([]corpus.TermID, 0, min(maxLen, vocab))
-	df := make([]int32, vocab)
-	for _, doc := range c.Docs {
-		terms = countTerms(doc, counts, terms)
-		for _, t := range terms {
-			df[t]++
-			counts[t] = 0
-		}
+	counts := make([]int32, ranges*vocab)
+	terms := make([]corpus.TermID, ranges*min(maxLen, vocab))
+	pos := make([]int32, ranges*vocab)
+	r := docRanges{docs: c.Docs, counts: counts, terms: terms, pos: pos, n: ranges}
+	// One range runs inline rather than through par.Run, whose job closure
+	// would add allocations to the ten TestBuildAllocsIndependentOfLists pins.
+	if ranges == 1 {
+		r.count(0)
+	} else {
+		par.Run(ranges, ranges, r.count)
 	}
 
 	numLists, numPostings, numBlocks := 0, 0, 0
-	for _, n := range df {
+	for t := 0; t < vocab; t++ {
+		n := 0
+		for k := t; k < len(pos); k += vocab {
+			n += int(pos[k])
+		}
 		if n > 0 {
 			numLists++
-			numPostings += int(n)
-			numBlocks += blocks(int(n))
+			numPostings += n
+			numBlocks += blocks(n)
 		}
 	}
 	store := make([]PostingList, numLists)
@@ -125,43 +145,35 @@ func Build(c *corpus.Corpus) *Index {
 	blockMax := make([]float32, numBlocks)
 	steps := make([]uint8, numPostings)
 	lists := make([]*PostingList, vocab)
-	p, b := 0, 0
-	for t, n := range df {
+	p, b, l := 0, 0, 0
+	for t := 0; t < vocab; t++ {
+		n := 0
+		for k := t; k < len(pos); k += vocab {
+			n, pos[k] = n+int(pos[k]), int32(n)
+		}
 		if n == 0 {
 			continue
 		}
-		pl := &store[0]
-		store = store[1:]
-		nb := blocks(int(n))
+		nb := blocks(n)
 		idf := math.Log(1 + (float64(numDocs)-float64(n)+0.5)/(float64(n)+0.5))
-		*pl = PostingList{
+		store[l] = PostingList{
 			Term:     corpus.TermID(t),
-			Postings: postings[p : p+int(n) : p+int(n)],
+			Postings: postings[p : p+n : p+n],
 			IDF:      idf,
 			BlockMax: blockMax[b : b+nb : b+nb],
-			Steps:    steps[p : p+int(n) : p+int(n)],
+			Steps:    steps[p : p+n : p+n],
 		}
-		fillSteps(pl.Steps, 1)
-		lists[t] = pl
-		p, b = p+int(n), b+nb
-		df[t] = 0 // from here on, the number of postings written
+		lists[t] = &store[l]
+		p, b, l = p+n, b+nb, l+1
 	}
 
-	for d, doc := range c.Docs {
-		terms = countTerms(doc, counts, terms)
-		dl := float64(docLens[d])
-		for _, t := range terms {
-			pl, i := lists[t], df[t]
-			df[t]++
-			tf := float64(counts[t])
-			counts[t] = 0
-			norm := tf * (BM25K1 + 1) / (tf + BM25K1*(1-BM25B+BM25B*dl/avgDocLen))
-			imp := float32(pl.IDF * norm)
-			pl.Postings[i] = Posting{Doc: int32(d), Impact: imp}
-			pl.MaxImpact = max(pl.MaxImpact, imp)
-			bm := &pl.BlockMax[i/BlockSize]
-			*bm = max(*bm, imp)
-		}
+	r.lists, r.docLens, r.avgDocLen = lists, docLens, avgDocLen
+	if ranges == 1 {
+		r.fill(0)
+		boundLists(store)
+	} else {
+		par.Run(ranges, ranges, r.fill)
+		par.Run(ranges, len(store), func(j int) { boundLists(store[j : j+1]) })
 	}
 
 	return &Index{
@@ -169,6 +181,70 @@ func Build(c *corpus.Corpus) *Index {
 		numDocs:   numDocs,
 		avgDocLen: avgDocLen,
 		docLens:   docLens,
+	}
+}
+
+// docRanges is what each of Build's passes over the documents reads and
+// writes; range k is documents [k·len(docs)/n, (k+1)·len(docs)/n).
+type docRanges struct {
+	docs        [][]corpus.TermID
+	counts, pos []int32
+	terms       []corpus.TermID
+	n           int
+	lists       []*PostingList
+	docLens     []int32
+	avgDocLen   float64
+}
+
+// part returns range k's first document and its slices of the scratch.
+func (r docRanges) part(k int) (lo, hi int, counts, pos []int32, terms []corpus.TermID) {
+	vocab, m := len(r.counts)/r.n, len(r.terms)/r.n
+	return k * len(r.docs) / r.n, (k + 1) * len(r.docs) / r.n,
+		r.counts[k*vocab : (k+1)*vocab], r.pos[k*vocab : (k+1)*vocab], r.terms[k*m : k*m : (k+1)*m]
+}
+
+// count sets range k's pos to the number of its documents each term occurs
+// in.
+func (r docRanges) count(k int) {
+	lo, hi, counts, df, terms := r.part(k)
+	for _, doc := range r.docs[lo:hi] {
+		terms = countTerms(doc, counts, terms)
+		for _, t := range terms {
+			df[t]++
+			counts[t] = 0
+		}
+	}
+}
+
+// fill writes range k's postings, each term's from where pos says the range's
+// part of its list starts.
+func (r docRanges) fill(k int) {
+	lo, hi, counts, pos, terms := r.part(k)
+	for d := lo; d < hi; d++ {
+		terms = countTerms(r.docs[d], counts, terms)
+		dl := float64(r.docLens[d])
+		for _, t := range terms {
+			pl, i := r.lists[t], pos[t]
+			pos[t]++
+			tf := float64(counts[t])
+			counts[t] = 0
+			norm := tf * (BM25K1 + 1) / (tf + BM25K1*(1-BM25B+BM25B*dl/r.avgDocLen))
+			pl.Postings[i] = Posting{Doc: int32(d), Impact: float32(pl.IDF * norm)}
+		}
+	}
+}
+
+// boundLists takes each list's BlockMax, MaxImpact and Steps tables from its
+// postings.
+func boundLists(store []PostingList) {
+	for j := range store {
+		pl := &store[j]
+		for i, pst := range pl.Postings {
+			bm := &pl.BlockMax[i/BlockSize]
+			*bm = max(*bm, pst.Impact)
+			pl.MaxImpact = max(pl.MaxImpact, pst.Impact)
+		}
+		fillSteps(pl.Steps, 1)
 	}
 }
 

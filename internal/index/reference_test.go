@@ -187,3 +187,38 @@ func FuzzIndexBuild(f *testing.F) {
 		checkBuildMatchesReference(t, "fuzz", corpusFrom(data))
 	})
 }
+
+// TestBuildRangesMatchReference holds build over one to three document
+// ranges to refBuild, reflect.DeepEqual on the whole Index: the platform's
+// corpora and random small ones, whose ranges may hold a document or none
+// of a term's list.
+func TestBuildRangesMatchReference(t *testing.T) {
+	corpora := []*corpus.Corpus{corpus.Generate(corpus.SmallSpec())}
+	if !testing.Short() {
+		corpora = append(corpora, corpus.Generate(corpus.DefaultSpec()))
+	}
+	rng := rand.New(rand.NewSource(6))
+	for range 100 {
+		corpora = append(corpora, corpusFrom(randomCorpusBytes(rng)))
+	}
+	for _, c := range corpora {
+		want := refBuild(c)
+		for ranges := 1; ranges <= 3; ranges++ {
+			if !reflect.DeepEqual(build(c, ranges), want) {
+				t.Fatalf("%d documents over %d ranges: build differs from the reference builder", len(c.Docs), ranges)
+			}
+		}
+	}
+}
+
+// FuzzBuildRanges is FuzzIndexBuild over one to four document ranges.
+func FuzzBuildRanges(f *testing.F) {
+	f.Add([]byte{0, 0, 0, docBreak, docBreak, 0}, uint8(1))
+	f.Add([]byte{7, 0, 6, 6, 6, 6, docBreak, 3, 6, 0, docBreak}, uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, ranges uint8) {
+		c := corpusFrom(data)
+		if !reflect.DeepEqual(build(c, 1+int(ranges)%4), refBuild(c)) {
+			t.Fatalf("%d documents over %d ranges: build differs from the reference builder", len(c.Docs), 1+int(ranges)%4)
+		}
+	})
+}

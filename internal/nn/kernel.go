@@ -3,7 +3,8 @@ package nn
 import "fmt"
 
 // Kernel selection. Where CPUID reports AVX2 (kernel_amd64.go), Dense.Forward,
-// Network.Infer, Dense.backward, the ReLU clamp and Adam.Step run the AVX2
+// Network.Infer, the input gradient (Dense.propagate), the gradient sums
+// (Dense.accumulate), the ReLU clamp and Adam's step run the AVX2
 // kernels in kernel_amd64.s; everywhere else they run the Go loops, which are
 // also the reference the tests hold the kernels to. Both produce the same bits
 // (DESIGN.md §10), so nothing a user sets chooses between them.
@@ -32,26 +33,33 @@ func tStride(out int) int { return (out + 15) &^ 15 }
 // transposeW copies W into wt, the forward kernel's input-major copy:
 // wt[i·tStride(Out)+o] = W[o·In+i], the padding left at zero. Every writer of
 // W calls it after writing: newLayer (so NewDense and Load) and Trainer.Fit
-// after each optimizer step. wt is nil, and this does nothing, where the CPU
-// has no AVX2. Rows go four at a time, so each store fills four neighbouring
-// entries of a wt row: one at a time, the strided stores took 17 % of
-// training the paper's 128-wide layers, against 7 %.
+// when it returns (during a Fit, each worker keeps a copy of its own). wt is
+// nil, and this does nothing, where the CPU has no AVX2.
 func (d *Dense) transposeW() {
-	if d.wt == nil {
+	if d.wt != nil {
+		d.transposeInto(d.wt)
+	}
+}
+
+// transposeInto writes W's input-major copy into wt: the AVX2 kernel moves
+// the blocks of four rows by four inputs, and the loops below the last rows
+// and inputs it leaves.
+func (d *Dense) transposeInto(wt []float64) {
+	s, in := tStride(d.Out), d.In
+	if in == 0 || d.Out == 0 {
 		return
 	}
-	s, in := tStride(d.Out), d.In
-	o := 0
-	for ; o+4 <= d.Out; o += 4 {
-		r0, r1, r2, r3 := d.W[o*in:][:in], d.W[(o+1)*in:][:in], d.W[(o+2)*in:][:in], d.W[(o+3)*in:][:in]
-		for i := range r0 {
-			t := d.wt[i*s+o:][:4]
-			t[0], t[1], t[2], t[3] = r0[i], r1[i], r2[i], r3[i]
+	w := d.W[:d.Out*in]
+	_ = wt[(in-1)*s+d.Out-1]
+	transposeAVX2(w, wt, in, s)
+	for o := d.Out &^ 3; o < d.Out; o++ {
+		for i, x := range w[o*in:][:in] {
+			wt[i*s+o] = x
 		}
 	}
-	for ; o < d.Out; o++ {
-		for i, w := range d.W[o*in:][:in] {
-			d.wt[i*s+o] = w
+	for i := in &^ 3; i < in; i++ {
+		for o := 0; o < d.Out&^3; o++ {
+			wt[i*s+o] = w[o*in+i]
 		}
 	}
 }
@@ -64,8 +72,14 @@ func (d *Dense) affine(x, z []float64) {
 	if len(x) != d.In {
 		panic(fmt.Sprintf("nn: %d inputs to a %d-input layer", len(x), d.In))
 	}
-	if useAVX2 && d.wt != nil {
-		affineT(d.wt, d.B, x, z)
+	d.affineWith(d.wt, x, z)
+}
+
+// affineWith is affine through the transposed weights wt, which Trainer.Fit
+// passes a worker's own copy of; nil runs the Go loop.
+func (d *Dense) affineWith(wt, x, z []float64) {
+	if useAVX2 && wt != nil {
+		affineT(wt, d.B, x, z)
 		return
 	}
 	affineRows(d.W, d.B, d.In, x, z)

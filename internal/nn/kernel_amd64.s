@@ -1,8 +1,8 @@
 #include "textflag.h"
 
-// The AVX2 kernels behind Dense.Forward, Network.Infer, Dense.backward, the
-// ReLU clamp and Adam.Step (kernel.go says when they run; DESIGN.md §10 has
-// the contract). Each YMM lane carries one output of the Go loop and runs
+// The AVX2 kernels behind Dense.Forward, Network.Infer, Dense.propagate,
+// Dense.accumulate, the ReLU clamp and Adam's step (kernel.go says when they
+// run; DESIGN.md §10 has the contract). Each YMM lane carries one output of the Go loop and runs
 // that loop's IEEE sequence: a VMULPD, then a VADDPD, never an FMA (which
 // rounds once where the Go loop rounds twice), every sum in its Go order.
 // Every add into a sum takes the sum as its first source operand, whose NaN
@@ -58,32 +58,21 @@ GLOBL laneMask<>(SB), RODATA|NOPTR, $256
 	VMOVUPD 64(AX), Y14;            \
 	VMOVUPD 96(AX), Y15
 
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
+// AFFINE adds x·w, x broadcast in xr, to the sum acc of the four outputs at
+// off(R10) in the current row of wt, through the product register tmp.
+#define AFFINE(off, xr, tmp, acc) \
+	VMULPD off(R10), xr, tmp; \
+	VADDPD tmp, acc, acc
 
 // func affineT(wt, b, x, z []float64)
 //
 // z[o] = b[o] + wt[0·s+o]·x[0] + wt[1·s+o]·x[1] + … for every o, where the
-// row stride s is len(z) rounded up to 16. Outputs go 16 at a time in four
-// accumulators of four lanes, which keeps both multiply-add ports busy; the
-// last block loads b and stores z through masks and reads the zero padding of
-// wt in its dead lanes.
+// row stride s is len(z) rounded up to 16. Each output is one chain of adds,
+// so outputs go 48 at a time in twelve accumulators of four lanes while 48
+// are left, then 32 at a time in eight, the second 16 through masks where
+// fewer are left, then 16 at a time in four: the more chains in flight, the
+// less the adds wait on each other. A masked block loads b and stores z
+// through masks and reads the zero padding of wt in its dead lanes.
 TEXT ·affineT(SB), NOSPLIT, $0-96
 	MOVQ wt_base+0(FP), SI
 	MOVQ b_base+24(FP), BX
@@ -94,6 +83,127 @@ TEXT ·affineT(SB), NOSPLIT, $0-96
 	LEAQ 15(R8), R9
 	ANDQ $-16, R9
 	SHLQ $3, R9              // bytes per row of wt
+
+ftriple:
+	CMPQ    R8, $48
+	JLT     fdouble
+	VMOVUPD 0(BX), Y0
+	VMOVUPD 32(BX), Y1
+	VMOVUPD 64(BX), Y2
+	VMOVUPD 96(BX), Y3
+	VMOVUPD 128(BX), Y4
+	VMOVUPD 160(BX), Y5
+	VMOVUPD 192(BX), Y6
+	VMOVUPD 224(BX), Y7
+	VMOVUPD 256(BX), Y8
+	VMOVUPD 288(BX), Y9
+	VMOVUPD 320(BX), Y10
+	VMOVUPD 352(BX), Y11
+	MOVQ    SI, R10
+	MOVQ    DI, R11
+	MOVQ    CX, R12
+	TESTQ   R12, R12
+	JEQ     ftstore
+
+ftloop:
+	VBROADCASTSD (R11), Y12
+	AFFINE(0, Y12, Y13, Y0)
+	AFFINE(32, Y12, Y14, Y1)
+	AFFINE(64, Y12, Y15, Y2)
+	AFFINE(96, Y12, Y13, Y3)
+	AFFINE(128, Y12, Y14, Y4)
+	AFFINE(160, Y12, Y15, Y5)
+	AFFINE(192, Y12, Y13, Y6)
+	AFFINE(224, Y12, Y14, Y7)
+	AFFINE(256, Y12, Y15, Y8)
+	AFFINE(288, Y12, Y13, Y9)
+	AFFINE(320, Y12, Y14, Y10)
+	AFFINE(352, Y12, Y15, Y11)
+	ADDQ         R9, R10
+	ADDQ         $8, R11
+	DECQ         R12
+	JNE          ftloop
+
+ftstore:
+	VMOVUPD Y0, 0(DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VMOVUPD Y4, 128(DX)
+	VMOVUPD Y5, 160(DX)
+	VMOVUPD Y6, 192(DX)
+	VMOVUPD Y7, 224(DX)
+	VMOVUPD Y8, 256(DX)
+	VMOVUPD Y9, 288(DX)
+	VMOVUPD Y10, 320(DX)
+	VMOVUPD Y11, 352(DX)
+	ADDQ    $384, SI
+	ADDQ    $384, BX
+	ADDQ    $384, DX
+	SUBQ    $48, R8
+	JNE     ftriple
+	VZEROUPPER
+	RET
+
+fdouble:
+	CMPQ R8, $17
+	JLT  fblock
+	MOVQ R8, R13
+	SUBQ $16, R13
+	CMPQ R13, $16
+	JLE  fdmask
+	MOVQ $16, R13
+
+fdmask:
+	LOADMASKS(R13)
+	VMOVUPD    0(BX), Y0
+	VMOVUPD    32(BX), Y1
+	VMOVUPD    64(BX), Y2
+	VMOVUPD    96(BX), Y3
+	VMASKMOVPD 128(BX), Y12, Y4
+	VMASKMOVPD 160(BX), Y13, Y5
+	VMASKMOVPD 192(BX), Y14, Y6
+	VMASKMOVPD 224(BX), Y15, Y7
+	MOVQ       SI, R10
+	MOVQ       DI, R11
+	MOVQ       CX, R12
+	TESTQ      R12, R12
+	JEQ        fdstore
+
+fdloop:
+	VBROADCASTSD (R11), Y8
+	AFFINE(0, Y8, Y9, Y0)
+	AFFINE(32, Y8, Y10, Y1)
+	AFFINE(64, Y8, Y11, Y2)
+	AFFINE(96, Y8, Y9, Y3)
+	AFFINE(128, Y8, Y10, Y4)
+	AFFINE(160, Y8, Y11, Y5)
+	AFFINE(192, Y8, Y9, Y6)
+	AFFINE(224, Y8, Y10, Y7)
+	ADDQ         R9, R10
+	ADDQ         $8, R11
+	DECQ         R12
+	JNE          fdloop
+
+fdstore:
+	VMOVUPD    Y0, 0(DX)
+	VMOVUPD    Y1, 32(DX)
+	VMOVUPD    Y2, 64(DX)
+	VMOVUPD    Y3, 96(DX)
+	VMASKMOVPD Y4, Y12, 128(DX)
+	VMASKMOVPD Y5, Y13, 160(DX)
+	VMASKMOVPD Y6, Y14, 192(DX)
+	VMASKMOVPD Y7, Y15, 224(DX)
+	SUBQ       $32, R8
+	JLE        fdone
+	ADDQ       $256, SI
+	ADDQ       $256, BX
+	ADDQ       $256, DX
+	JMP        ftriple
+
+fdone:
+	VZEROUPPER
+	RET
 
 fblock:
 	CMPQ R8, $16
@@ -156,35 +266,22 @@ fstorepartial:
 	VZEROUPPER
 	RET
 
-// Backward row steps. Y8 holds the row's loss gradient g in every lane, Y4–Y7
-// the block's inputs, Y0–Y3 its input-gradient sums; AX is the byte offset of
-// the block in the row, R8 the base of w and R9 of gradW.
+// Input-gradient row steps. Y8 holds the row's output gradient δ in every
+// lane, Y0–Y3 the block's input-gradient sums; AX is the byte offset of the
+// block in the row and R8 the base of w.
 
-// GW adds g·x to four entries of the gradW row: gradW + (x·g).
-#define GW(off, xr) \
-	VMULPD  Y8, xr, Y9;           \
-	VMOVUPD off(R9)(AX*1), Y10;   \
-	VADDPD  Y9, Y10, Y10;         \
-	VMOVUPD Y10, off(R9)(AX*1)
-
-// DIN adds g·w to four input-gradient sums: acc + (g·w).
+// DIN adds δ·w to four input-gradient sums: acc + (δ·w).
 #define DIN(off, acc) \
 	VMULPD off(R8)(AX*1), Y8, Y11; \
 	VADDPD Y11, acc, acc
 
-// GWM and DINM are GW and DIN through the masks in Y12–Y15.
-#define GWM(off, xr, mask) \
-	VMULPD     Y8, xr, Y9;                \
-	VMASKMOVPD off(R9)(AX*1), mask, Y10;  \
-	VADDPD     Y9, Y10, Y10;              \
-	VMASKMOVPD Y10, mask, off(R9)(AX*1)
-
+// DINM is DIN through a mask from Y12–Y15.
 #define DINM(off, acc, mask) \
 	VMASKMOVPD off(R8)(AX*1), mask, Y11; \
 	VMULPD     Y11, Y8, Y11;             \
 	VADDPD     Y11, acc, acc
 
-// ROWSTEP loads the next live row's g into Y8 and its block offset into AX,
+// ROWSTEP loads the next live row's δ into Y8 and its block offset into AX,
 // or jumps to done when the rows have run out.
 #define ROWSTEP(done) \
 	CMPQ         R14, R10;       \
@@ -195,131 +292,560 @@ fstorepartial:
 	ADDQ         R12, AX;        \
 	INCQ         R14
 
-// func backwardAVX2(w, gradW, gradB, x, dOut, dIn []float64, rows []int)
+// DIN3 is DIN with δ in Y12 and the product in Y13, for the 48-input pass.
+#define DIN3(off, acc) \
+	VMULPD off(R8)(AX*1), Y12, Y13; \
+	VADDPD Y13, acc, acc
+
+// ROWSTEP3 is ROWSTEP with δ into Y12.
+#define ROWSTEP3(done) \
+	CMPQ         R14, R10;       \
+	JGE          done;           \
+	MOVQ         (SI)(R14*8), AX; \
+	VBROADCASTSD (DX)(AX*8), Y12; \
+	IMULQ        R11, AX;        \
+	ADDQ         R12, AX;        \
+	INCQ         R14
+
+// func inputGradAVX2(w, delta, dIn []float64, rows []int)
 //
-// For every row o in rows, ascending: gradB[o] += dOut[o], and
-// gradW[o][i] += x[i]·dOut[o] at every input i. When dIn is not empty,
-// dIn[i] = Σ_o dOut[o]·w[o][i] from +0 over the same rows, at every i.
-// Inputs go 16 at a time: the block's x and its four dIn sums stay in
-// registers while the rows stream past; the last block goes through masks.
-TEXT ·backwardAVX2(SB), NOSPLIT, $0-168
+// dIn[i] = Σ_o delta[o]·w[o][i] from +0 over the rows in rows, ascending, at
+// every input i. The sums of a block of inputs stay in registers while the
+// rows stream past: 48 inputs in twelve registers of four lanes while 48
+// are left, then 32 in eight, the second 16 through masks where fewer are
+// left, then 16 in four, the last of them through masks. Each sum is one
+// chain of adds, so the wider the block, the less the adds wait on each
+// other.
+TEXT ·inputGradAVX2(SB), NOSPLIT, $0-96
 	MOVQ w_base+0(FP), R8
-	MOVQ gradW_base+24(FP), R9
-	MOVQ gradB_base+48(FP), BX
-	MOVQ dOut_base+96(FP), DX
-	MOVQ rows_base+144(FP), SI
-	MOVQ rows_len+152(FP), R10
-
-	XORQ R14, R14
-
-bbias:
-	CMPQ    R14, R10
-	JGE     bblocks
-	MOVQ    (SI)(R14*8), AX
-	VMOVSD  (BX)(AX*8), X0
-	VADDSD  (DX)(AX*8), X0, X0
-	VMOVSD  X0, (BX)(AX*8)
-	INCQ    R14
-	JMP     bbias
-
-bblocks:
-	MOVQ x_base+72(FP), BX
-	MOVQ x_len+80(FP), R13   // inputs left
-	MOVQ dIn_base+120(FP), DI
-	MOVQ dIn_len+128(FP), CX // 0: no input gradient
+	MOVQ delta_base+24(FP), DX
+	MOVQ dIn_base+48(FP), DI
+	MOVQ dIn_len+56(FP), R13 // inputs left
+	MOVQ rows_base+72(FP), SI
+	MOVQ rows_len+80(FP), R10
 	MOVQ R13, R11
 	SHLQ $3, R11             // bytes per row of w
 	XORQ R12, R12            // byte offset of the block
 
-bblock:
-	CMPQ R13, $16
-	JLT  bpartial
-	VMOVUPD 0(BX)(R12*1), Y4
-	VMOVUPD 32(BX)(R12*1), Y5
-	VMOVUPD 64(BX)(R12*1), Y6
-	VMOVUPD 96(BX)(R12*1), Y7
-	VXORPD  Y0, Y0, Y0
-	VXORPD  Y1, Y1, Y1
-	VXORPD  Y2, Y2, Y2
-	VXORPD  Y3, Y3, Y3
-	XORQ    R14, R14
-	TESTQ   CX, CX
-	JEQ     browgw
+itriple:
+	CMPQ   R13, $48
+	JLT    idouble
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	XORQ   R14, R14
 
-browdin:
-	ROWSTEP(bstore)
-	GW(0, Y4)
-	GW(32, Y5)
-	GW(64, Y6)
-	GW(96, Y7)
-	DIN(0, Y0)
-	DIN(32, Y1)
-	DIN(64, Y2)
-	DIN(96, Y3)
-	JMP browdin
+itrow:
+	ROWSTEP3(itstore)
+	DIN3(0, Y0)
+	DIN3(32, Y1)
+	DIN3(64, Y2)
+	DIN3(96, Y3)
+	DIN3(128, Y4)
+	DIN3(160, Y5)
+	DIN3(192, Y6)
+	DIN3(224, Y7)
+	DIN3(256, Y8)
+	DIN3(288, Y9)
+	DIN3(320, Y10)
+	DIN3(352, Y11)
+	JMP itrow
 
-browgw:
-	ROWSTEP(bnext)
-	GW(0, Y4)
-	GW(32, Y5)
-	GW(64, Y6)
-	GW(96, Y7)
-	JMP browgw
-
-bstore:
+itstore:
 	VMOVUPD Y0, 0(DI)(R12*1)
 	VMOVUPD Y1, 32(DI)(R12*1)
 	VMOVUPD Y2, 64(DI)(R12*1)
 	VMOVUPD Y3, 96(DI)(R12*1)
+	VMOVUPD Y4, 128(DI)(R12*1)
+	VMOVUPD Y5, 160(DI)(R12*1)
+	VMOVUPD Y6, 192(DI)(R12*1)
+	VMOVUPD Y7, 224(DI)(R12*1)
+	VMOVUPD Y8, 256(DI)(R12*1)
+	VMOVUPD Y9, 288(DI)(R12*1)
+	VMOVUPD Y10, 320(DI)(R12*1)
+	VMOVUPD Y11, 352(DI)(R12*1)
+	ADDQ    $384, R12
+	SUBQ    $48, R13
+	JNE     itriple
+	VZEROUPPER
+	RET
 
-bnext:
-	ADDQ $128, R12
-	SUBQ $16, R13
-	JNE  bblock
+idouble:
+	CMPQ R13, $17
+	JLT  iblock
+	MOVQ R13, R9
+	SUBQ $16, R9
+	CMPQ R9, $16
+	JLE  idmask
+	MOVQ $16, R9
+
+idmask:
+	LOADMASKS(R9)
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ   R14, R14
+
+idrow:
+	ROWSTEP(idstore)
+	DIN(0, Y0)
+	DIN(32, Y1)
+	DIN(64, Y2)
+	DIN(96, Y3)
+	DINM(128, Y4, Y12)
+	DINM(160, Y5, Y13)
+	DINM(192, Y6, Y14)
+	DINM(224, Y7, Y15)
+	JMP idrow
+
+idstore:
+	VMOVUPD    Y0, 0(DI)(R12*1)
+	VMOVUPD    Y1, 32(DI)(R12*1)
+	VMOVUPD    Y2, 64(DI)(R12*1)
+	VMOVUPD    Y3, 96(DI)(R12*1)
+	VMASKMOVPD Y4, Y12, 128(DI)(R12*1)
+	VMASKMOVPD Y5, Y13, 160(DI)(R12*1)
+	VMASKMOVPD Y6, Y14, 192(DI)(R12*1)
+	VMASKMOVPD Y7, Y15, 224(DI)(R12*1)
+	SUBQ       $32, R13
+	JLE        idone
+	ADDQ       $256, R12
+	JMP        itriple
+
+idone:
+	VZEROUPPER
+	RET
+
+iblock:
+	CMPQ   R13, $16
+	JLT    ipartial
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ   R14, R14
+
+irow:
+	ROWSTEP(istore)
+	DIN(0, Y0)
+	DIN(32, Y1)
+	DIN(64, Y2)
+	DIN(96, Y3)
+	JMP irow
+
+istore:
+	VMOVUPD Y0, 0(DI)(R12*1)
+	VMOVUPD Y1, 32(DI)(R12*1)
+	VMOVUPD Y2, 64(DI)(R12*1)
+	VMOVUPD Y3, 96(DI)(R12*1)
+	ADDQ    $128, R12
+	SUBQ    $16, R13
+	JNE     iblock
+	VZEROUPPER
+	RET
+
+ipartial:
+	LOADMASKS(R13)
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ   R14, R14
+
+imrow:
+	ROWSTEP(imstore)
+	DINM(0, Y0, Y12)
+	DINM(32, Y1, Y13)
+	DINM(64, Y2, Y14)
+	DINM(96, Y3, Y15)
+	JMP imrow
+
+imstore:
+	VMASKMOVPD Y0, Y12, 0(DI)(R12*1)
+	VMASKMOVPD Y1, Y13, 32(DI)(R12*1)
+	VMASKMOVPD Y2, Y14, 64(DI)(R12*1)
+	VMASKMOVPD Y3, Y15, 96(DI)(R12*1)
+	VZEROUPPER
+	RET
+
+// GRADSTEP adds one sample to a row's four block sums: Y8 holds the sample's
+// δ of the row in every lane and Y4–Y7 its block of x, and each sum takes
+// sum + (x·δ).
+#define GRADSTEP \
+	VMULPD Y8, Y4, Y4; \
+	VMULPD Y8, Y5, Y5; \
+	VMULPD Y8, Y6, Y6; \
+	VMULPD Y8, Y7, Y7; \
+	VADDPD Y4, Y0, Y0; \
+	VADDPD Y5, Y1, Y1; \
+	VADDPD Y6, Y2, Y2; \
+	VADDPD Y7, Y3, Y3
+
+// SCALE4 multiplies the sums in Y0–Y3 by Y8, sum·scale; SCALE8 also those in
+// Y4–Y7.
+#define SCALE4 \
+	VMULPD Y8, Y0, Y0; \
+	VMULPD Y8, Y1, Y1; \
+	VMULPD Y8, Y2, Y2; \
+	VMULPD Y8, Y3, Y3
+
+#define SCALE8 \
+	SCALE4;            \
+	VMULPD Y8, Y4, Y4; \
+	VMULPD Y8, Y5, Y5; \
+	VMULPD Y8, Y6, Y6; \
+	VMULPD Y8, Y7, Y7
+
+// PAIRSTEP adds one sample's four x at off(R8), loaded into Y10, to a sum of
+// each of two rows: a + (x·δ) with the first row's δ in Y8, b + (x·δ) with
+// the second's in Y9. PAIRSTEPM loads x through mask.
+#define PAIRSTEP(off, a, b) \
+	VMOVUPD off(R8), Y10; \
+	VMULPD  Y8, Y10, Y11; \
+	VMULPD  Y9, Y10, Y10; \
+	VADDPD  Y11, a, a;    \
+	VADDPD  Y10, b, b
+
+#define PAIRSTEPM(off, a, b, mask) \
+	VMASKMOVPD off(R8), mask, Y10; \
+	VMULPD     Y8, Y10, Y11;       \
+	VMULPD     Y9, Y10, Y10;       \
+	VADDPD     Y11, a, a;          \
+	VADDPD     Y10, b, b
+
+// func gradAVX2(gw, delta, x []float64, in, out, n int, scale float64)
+//
+// For every row r of gw, rows of in entries: gw[r][i] = (gw[r][i] + Σ_s
+// x[s·in+i]·delta[s·out+r])·scale, the sum over the n samples in order, at
+// every input i. Rows go two at a time and inputs 16 at a time: the two rows'
+// block sums, eight registers of four lanes, stay in registers while the
+// samples stream past, each sample's block of x loaded once for both rows;
+// a last odd row goes alone. The last block of a row goes through masks. n is
+// at least 1.
+TEXT ·gradAVX2(SB), NOSPLIT, $0-104
+	MOVQ gw_base+0(FP), DI
+	MOVQ gw_len+8(FP), SI
+	LEAQ (DI)(SI*8), SI      // the end of gw
+	MOVQ delta_base+24(FP), DX
+	MOVQ x_base+48(FP), BX
+	MOVQ in+72(FP), R9
+	SHLQ $3, R9              // bytes per row of gw and per sample of x
+	MOVQ out+80(FP), R10
+	SHLQ $3, R10             // bytes per sample of delta
+	MOVQ n+88(FP), R11
+
+gpair:
+	LEAQ (DI)(R9*2), AX
+	CMPQ AX, SI
+	JGT  grow                // fewer than two rows left
+	MOVQ in+72(FP), R13      // inputs left in the rows
+	XORQ R12, R12            // byte offset of the block
+
+gpblock:
+	LEAQ    (DI)(R9*1), AX   // the second row
+	CMPQ    R13, $16
+	JLT     gppartial
+	VMOVUPD 0(DI)(R12*1), Y0
+	VMOVUPD 32(DI)(R12*1), Y1
+	VMOVUPD 64(DI)(R12*1), Y2
+	VMOVUPD 96(DI)(R12*1), Y3
+	VMOVUPD 0(AX)(R12*1), Y4
+	VMOVUPD 32(AX)(R12*1), Y5
+	VMOVUPD 64(AX)(R12*1), Y6
+	VMOVUPD 96(AX)(R12*1), Y7
+	LEAQ    (BX)(R12*1), R8  // the block of sample 0's x
+	MOVQ    DX, R14          // sample 0's δ of the first row
+	MOVQ    R11, CX
+
+gpsample:
+	VBROADCASTSD (R14), Y8
+	VBROADCASTSD 8(R14), Y9
+	PAIRSTEP(0, Y0, Y4)
+	PAIRSTEP(32, Y1, Y5)
+	PAIRSTEP(64, Y2, Y6)
+	PAIRSTEP(96, Y3, Y7)
+	ADDQ         R9, R8
+	ADDQ         R10, R14
+	DECQ         CX
+	JNE          gpsample
+	VBROADCASTSD scale+96(FP), Y8
+	SCALE8
+	VMOVUPD      Y0, 0(DI)(R12*1)
+	VMOVUPD      Y1, 32(DI)(R12*1)
+	VMOVUPD      Y2, 64(DI)(R12*1)
+	VMOVUPD      Y3, 96(DI)(R12*1)
+	VMOVUPD      Y4, 0(AX)(R12*1)
+	VMOVUPD      Y5, 32(AX)(R12*1)
+	VMOVUPD      Y6, 64(AX)(R12*1)
+	VMOVUPD      Y7, 96(AX)(R12*1)
+	ADDQ         $128, R12
+	SUBQ         $16, R13
+	JNE          gpblock
+	JMP          gpnext
+
+gppartial:
+	LOADMASKS(R13)
+	LEAQ       (DI)(R9*1), AX
+	VMASKMOVPD 0(DI)(R12*1), Y12, Y0
+	VMASKMOVPD 32(DI)(R12*1), Y13, Y1
+	VMASKMOVPD 64(DI)(R12*1), Y14, Y2
+	VMASKMOVPD 96(DI)(R12*1), Y15, Y3
+	VMASKMOVPD 0(AX)(R12*1), Y12, Y4
+	VMASKMOVPD 32(AX)(R12*1), Y13, Y5
+	VMASKMOVPD 64(AX)(R12*1), Y14, Y6
+	VMASKMOVPD 96(AX)(R12*1), Y15, Y7
+	LEAQ       (BX)(R12*1), R8
+	MOVQ       DX, R14
+	MOVQ       R11, CX
+
+gpmsample:
+	VBROADCASTSD (R14), Y8
+	VBROADCASTSD 8(R14), Y9
+	PAIRSTEPM(0, Y0, Y4, Y12)
+	PAIRSTEPM(32, Y1, Y5, Y13)
+	PAIRSTEPM(64, Y2, Y6, Y14)
+	PAIRSTEPM(96, Y3, Y7, Y15)
+	ADDQ         R9, R8
+	ADDQ         R10, R14
+	DECQ         CX
+	JNE          gpmsample
+	VBROADCASTSD scale+96(FP), Y8
+	SCALE8
+	VMASKMOVPD   Y0, Y12, 0(DI)(R12*1)
+	VMASKMOVPD   Y1, Y13, 32(DI)(R12*1)
+	VMASKMOVPD   Y2, Y14, 64(DI)(R12*1)
+	VMASKMOVPD   Y3, Y15, 96(DI)(R12*1)
+	VMASKMOVPD   Y4, Y12, 0(AX)(R12*1)
+	VMASKMOVPD   Y5, Y13, 32(AX)(R12*1)
+	VMASKMOVPD   Y6, Y14, 64(AX)(R12*1)
+	VMASKMOVPD   Y7, Y15, 96(AX)(R12*1)
+
+gpnext:
+	LEAQ (DI)(R9*2), DI
+	ADDQ $16, DX
+	JMP  gpair
+
+grow:
+	CMPQ DI, SI
+	JGE  gdone
+	MOVQ in+72(FP), R13      // inputs left in the row
+	XORQ R12, R12            // byte offset of the block
+
+gblock:
+	CMPQ    R13, $16
+	JLT     gpartial
+	VMOVUPD 0(DI)(R12*1), Y0
+	VMOVUPD 32(DI)(R12*1), Y1
+	VMOVUPD 64(DI)(R12*1), Y2
+	VMOVUPD 96(DI)(R12*1), Y3
+	LEAQ    (BX)(R12*1), R8  // the block of sample 0's x
+	MOVQ    DX, R14          // sample 0's δ of the row
+	MOVQ    R11, CX
+
+gsample:
+	VBROADCASTSD (R14), Y8
+	VMOVUPD      0(R8), Y4
+	VMOVUPD      32(R8), Y5
+	VMOVUPD      64(R8), Y6
+	VMOVUPD      96(R8), Y7
+	GRADSTEP
+	ADDQ         R9, R8
+	ADDQ         R10, R14
+	DECQ         CX
+	JNE          gsample
+	VBROADCASTSD scale+96(FP), Y8
+	SCALE4
+	VMOVUPD      Y0, 0(DI)(R12*1)
+	VMOVUPD      Y1, 32(DI)(R12*1)
+	VMOVUPD      Y2, 64(DI)(R12*1)
+	VMOVUPD      Y3, 96(DI)(R12*1)
+	ADDQ         $128, R12
+	SUBQ         $16, R13
+	JNE          gblock
+	JMP          gnext
+
+gpartial:
+	LOADMASKS(R13)
+	VMASKMOVPD 0(DI)(R12*1), Y12, Y0
+	VMASKMOVPD 32(DI)(R12*1), Y13, Y1
+	VMASKMOVPD 64(DI)(R12*1), Y14, Y2
+	VMASKMOVPD 96(DI)(R12*1), Y15, Y3
+	LEAQ       (BX)(R12*1), R8
+	MOVQ       DX, R14
+	MOVQ       R11, CX
+
+gmsample:
+	VBROADCASTSD (R14), Y8
+	VMASKMOVPD   0(R8), Y12, Y4
+	VMASKMOVPD   32(R8), Y13, Y5
+	VMASKMOVPD   64(R8), Y14, Y6
+	VMASKMOVPD   96(R8), Y15, Y7
+	GRADSTEP
+	ADDQ         R9, R8
+	ADDQ         R10, R14
+	DECQ         CX
+	JNE          gmsample
+	VBROADCASTSD scale+96(FP), Y8
+	SCALE4
+	VMASKMOVPD   Y0, Y12, 0(DI)(R12*1)
+	VMASKMOVPD   Y1, Y13, 32(DI)(R12*1)
+	VMASKMOVPD   Y2, Y14, 64(DI)(R12*1)
+	VMASKMOVPD   Y3, Y15, 96(DI)(R12*1)
+
+gnext:
+	ADDQ R9, DI
+	ADDQ $8, DX
+	JMP  grow
+
+gdone:
+	VZEROUPPER
+	RET
+
+// func biasAVX2(gb, delta []float64, out, n int, scale float64)
+//
+// gb[r] = (gb[r] + Σ_s delta[s·out+r])·scale for every r, the sum over the n
+// samples in order. Rows go 16 at a time in four accumulators of four lanes;
+// the last block goes through masks. n is at least 1.
+TEXT ·biasAVX2(SB), NOSPLIT, $0-72
+	MOVQ         gb_base+0(FP), DI
+	MOVQ         gb_len+8(FP), R13 // rows left
+	MOVQ         delta_base+24(FP), DX
+	MOVQ         out+48(FP), R10
+	SHLQ         $3, R10           // bytes per sample of delta
+	MOVQ         n+56(FP), R11
+	VBROADCASTSD scale+64(FP), Y8
+
+bblock:
+	CMPQ    R13, $16
+	JLT     bpartial
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ    DX, R14
+	MOVQ    R11, CX
+
+bsample:
+	VADDPD 0(R14), Y0, Y0
+	VADDPD 32(R14), Y1, Y1
+	VADDPD 64(R14), Y2, Y2
+	VADDPD 96(R14), Y3, Y3
+	ADDQ   R10, R14
+	DECQ   CX
+	JNE    bsample
+	SCALE4
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, DX
+	SUBQ    $16, R13
+	JNE     bblock
 	VZEROUPPER
 	RET
 
 bpartial:
 	LOADMASKS(R13)
-	VMASKMOVPD 0(BX)(R12*1), Y12, Y4
-	VMASKMOVPD 32(BX)(R12*1), Y13, Y5
-	VMASKMOVPD 64(BX)(R12*1), Y14, Y6
-	VMASKMOVPD 96(BX)(R12*1), Y15, Y7
-	VXORPD     Y0, Y0, Y0
-	VXORPD     Y1, Y1, Y1
-	VXORPD     Y2, Y2, Y2
-	VXORPD     Y3, Y3, Y3
-	XORQ       R14, R14
-	TESTQ      CX, CX
-	JEQ        bmrowgw
+	VMASKMOVPD 0(DI), Y12, Y0
+	VMASKMOVPD 32(DI), Y13, Y1
+	VMASKMOVPD 64(DI), Y14, Y2
+	VMASKMOVPD 96(DI), Y15, Y3
+	MOVQ       DX, R14
+	MOVQ       R11, CX
 
-bmrowdin:
-	ROWSTEP(bmstore)
-	GWM(0, Y4, Y12)
-	GWM(32, Y5, Y13)
-	GWM(64, Y6, Y14)
-	GWM(96, Y7, Y15)
-	DINM(0, Y0, Y12)
-	DINM(32, Y1, Y13)
-	DINM(64, Y2, Y14)
-	DINM(96, Y3, Y15)
-	JMP bmrowdin
+bmsample:
+	VMASKMOVPD 0(R14), Y12, Y4
+	VMASKMOVPD 32(R14), Y13, Y5
+	VMASKMOVPD 64(R14), Y14, Y6
+	VMASKMOVPD 96(R14), Y15, Y7
+	VADDPD     Y4, Y0, Y0
+	VADDPD     Y5, Y1, Y1
+	VADDPD     Y6, Y2, Y2
+	VADDPD     Y7, Y3, Y3
+	ADDQ       R10, R14
+	DECQ       CX
+	JNE        bmsample
+	SCALE4
+	VMASKMOVPD Y0, Y12, 0(DI)
+	VMASKMOVPD Y1, Y13, 32(DI)
+	VMASKMOVPD Y2, Y14, 64(DI)
+	VMASKMOVPD Y3, Y15, 96(DI)
+	VZEROUPPER
+	RET
 
-bmrowgw:
-	ROWSTEP(bdone)
-	GWM(0, Y4, Y12)
-	GWM(32, Y5, Y13)
-	GWM(64, Y6, Y14)
-	GWM(96, Y7, Y15)
-	JMP bmrowgw
+// func transposeAVX2(w, wt []float64, in, stride int)
+//
+// wt[i·stride+o] = w[o·in+i] for o < len(w)/in and i < in, both rounded
+// down to multiples of four: blocks of four rows by four inputs, each loaded
+// as four rows, transposed in registers and stored as four rows of wt. The
+// caller copies the rest.
+TEXT ·transposeAVX2(SB), NOSPLIT, $0-64
+	MOVQ w_base+0(FP), SI
+	MOVQ w_len+8(FP), AX
+	MOVQ wt_base+24(FP), DI
+	MOVQ in+48(FP), R8
+	MOVQ stride+56(FP), R9
+	XORQ DX, DX
+	DIVQ R8                  // AX = rows
+	SHRQ $2, AX              // blocks of four rows
+	MOVQ R8, R10
+	SHRQ $2, R10             // blocks of four inputs
+	SHLQ $3, R8              // bytes per row of w
+	SHLQ $3, R9              // bytes per row of wt
+	LEAQ (R8)(R8*2), R11     // three rows of w
+	LEAQ (R9)(R9*2), R12     // three rows of wt
+	TESTQ R10, R10
+	JEQ  tdone
 
-bmstore:
-	VMASKMOVPD Y0, Y12, 0(DI)(R12*1)
-	VMASKMOVPD Y1, Y13, 32(DI)(R12*1)
-	VMASKMOVPD Y2, Y14, 64(DI)(R12*1)
-	VMASKMOVPD Y3, Y15, 96(DI)(R12*1)
+trows:
+	TESTQ AX, AX
+	JEQ   tdone
+	MOVQ  SI, BX             // the block's four rows of w, at input 0
+	MOVQ  DI, CX             // the block's four columns of wt, at input 0
+	MOVQ  R10, R13
 
-bdone:
+tcols:
+	VMOVUPD     (BX), Y0
+	VMOVUPD     (BX)(R8*1), Y1
+	VMOVUPD     (BX)(R8*2), Y2
+	VMOVUPD     (BX)(R11*1), Y3
+	VUNPCKLPD   Y1, Y0, Y4
+	VUNPCKHPD   Y1, Y0, Y5
+	VUNPCKLPD   Y3, Y2, Y6
+	VUNPCKHPD   Y3, Y2, Y7
+	VPERM2F128  $0x20, Y6, Y4, Y0
+	VPERM2F128  $0x20, Y7, Y5, Y1
+	VPERM2F128  $0x31, Y6, Y4, Y2
+	VPERM2F128  $0x31, Y7, Y5, Y3
+	VMOVUPD     Y0, (CX)
+	VMOVUPD     Y1, (CX)(R9*1)
+	VMOVUPD     Y2, (CX)(R9*2)
+	VMOVUPD     Y3, (CX)(R12*1)
+	ADDQ        $32, BX
+	LEAQ        (CX)(R9*4), CX
+	DECQ        R13
+	JNE         tcols
+	LEAQ        (SI)(R8*4), SI
+	ADDQ        $32, DI
+	DECQ        AX
+	JMP         trows
+
+tdone:
 	VZEROUPPER
 	RET
 
@@ -434,5 +960,37 @@ ctail:
 	VMASKMOVPD Y0, Y2, (DI)
 
 cdone:
+	VZEROUPPER
+	RET
+
+// func divAVX2(v []float64, d float64)
+//
+// v[i] = v[i] / d, four at a time; the last len(v) % 4 through a mask.
+TEXT ·divAVX2(SB), NOSPLIT, $0-32
+	MOVQ         v_base+0(FP), DI
+	MOVQ         v_len+8(FP), CX
+	VBROADCASTSD d+24(FP), Y1
+
+dloop:
+	CMPQ    CX, $4
+	JLT     dtail
+	VMOVUPD (DI), Y0
+	VDIVPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     dloop
+
+dtail:
+	TESTQ      CX, CX
+	JEQ        ddone
+	LEAQ       laneMask<>+128(SB), AX
+	NEGQ       CX
+	VMOVUPD    (AX)(CX*8), Y2
+	VMASKMOVPD (DI), Y2, Y0
+	VDIVPD     Y1, Y0, Y0
+	VMASKMOVPD Y0, Y2, (DI)
+
+ddone:
 	VZEROUPPER
 	RET

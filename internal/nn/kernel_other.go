@@ -8,7 +8,15 @@ const hasAVX2 = false
 
 func affineT(wt, b, x, z []float64) { panic("nn: no SIMD kernels on this architecture") }
 
-func backwardAVX2(w, gradW, gradB, x, dOut, dIn []float64, rows []int) {
+func inputGradAVX2(w, delta, dIn []float64, rows []int) {
+	panic("nn: no SIMD kernels on this architecture")
+}
+
+func gradAVX2(gw, delta, x []float64, in, out, n int, scale float64) {
+	panic("nn: no SIMD kernels on this architecture")
+}
+
+func biasAVX2(gb, delta []float64, out, n int, scale float64) {
 	panic("nn: no SIMD kernels on this architecture")
 }
 
@@ -17,3 +25,9 @@ func adamAVX2(p, grad, m, v []float64, k *[8]float64) {
 }
 
 func clampAVX2(v []float64) { panic("nn: no SIMD kernels on this architecture") }
+
+func divAVX2(v []float64, d float64) { panic("nn: no SIMD kernels on this architecture") }
+
+func transposeAVX2(w, wt []float64, in, stride int) {
+	panic("nn: no SIMD kernels on this architecture")
+}

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"gemini/internal/simd"
 )
 
 // Activation selects a layer's element-wise nonlinearity.
@@ -37,9 +39,10 @@ type Dense struct {
 	in    []float64 // copy of input (needed by backward)
 	gradW []float64
 	gradB []float64
+	delta []float64 // masked output gradient (len Out)
 	dIn   []float64
-	cols  []int // input indices backward visits (len In)
-	rows  []int // live units backward visits (len Out)
+	cols  []int // input indices propagate visits (len In)
+	rows  []int // live units propagate visits (len Out)
 
 	// wt is W input-major for the AVX2 forward kernel, In rows of
 	// tStride(Out); nil where the CPU has no AVX2. Code that writes W calls
@@ -56,7 +59,7 @@ func newLayer(in, out int, act Activation, w, b []float64) *Dense {
 		z: make([]float64, out), out: make([]float64, out),
 		in:    make([]float64, in),
 		gradW: make([]float64, out*in), gradB: make([]float64, out),
-		dIn:  make([]float64, in),
+		delta: make([]float64, out), dIn: make([]float64, in),
 		cols: make([]int, in), rows: make([]int, out),
 	}
 	if hasAVX2 {
@@ -80,19 +83,14 @@ func NewDense(in, out int, act Activation, rng *rand.Rand) *Dense {
 // Forward computes the layer output for input x, retaining the buffers
 // needed by a subsequent Network.Backward. The returned slice is owned by the
 // layer and valid until the next Forward.
-func (d *Dense) Forward(x []float64) []float64 { return d.forward(x, d.in, d.out) }
-
-// forward is Forward into the caller's copies of the input and the output,
-// the two buffers backward reads back. Forward passes the layer's own; a
-// training stage passes one pair per sample of the batch (train.go).
-func (d *Dense) forward(x, in, out []float64) []float64 {
+func (d *Dense) Forward(x []float64) []float64 {
 	d.affine(x, d.z)
-	copy(in, x)
-	copy(out, d.z)
+	copy(d.in, x)
+	copy(d.out, d.z)
 	if d.Act == ReLU {
-		clampNegative(out)
+		clampNegative(d.out)
 	}
-	return out
+	return d.out
 }
 
 // affineRows writes z[o] = b[o] + Σ_i w[o·in+i]·x[i] for every row o of the
@@ -148,7 +146,7 @@ func clampNegative(v []float64) {
 }
 
 // inputGrad says which entries of a layer's input gradient the layer below
-// reads, and so which ones backward computes.
+// reads, and so which ones propagate computes.
 type inputGrad int
 
 const (
@@ -163,107 +161,174 @@ const (
 	denseInputGrad
 )
 
-// backward accumulates parameter gradients for the forward that wrote x (its
-// input copy) and y (its output), given the loss gradient dOut w.r.t. this
-// layer's output, and returns the gradient w.r.t. the layer's input (owned
-// by the layer) at the entries grad names; the rest of the returned slice is
-// stale.
-//
-// Its bits are those of the row-at-a-time loop kept in reference_test.go,
-// whenever the gradients are finite:
-//   - A zero input adds g·(±0) = ±0 to gradW. Starting from ZeroGrad's +0, a
-//     sum is never −0 (round-to-nearest gives −0 only for −0 + −0), and
-//     adding ±0 to anything else changes nothing, so gradW visits only the
-//     non-zero inputs. Under denseInputGrad it visits all of them anyway.
-//   - dIn is skipped where grad says nobody reads it.
-//   - Rows go four at a time, so each x[i] is read and each dIn[i] loaded and
-//     stored once per four rows. dIn's sum keeps ascending row order, left to
-//     right, and starts from +0 as before.
-//
-// The AVX2 kernel (kernel.go) visits the same rows and every input, for gradW
-// and dIn alike: by the first two points the extra terms change nothing
-// anybody reads. It trusts the lengths, so dOut's is checked here.
-func (d *Dense) backward(x, y, dOut []float64, grad inputGrad) []float64 {
-	dOut = dOut[:d.Out]
-	// Both lists are built without a branch on the data: every index is
-	// written and the count advances past the kept ones. Half the units of a
-	// ReLU layer are dead, at random, and a branch would mispredict on them.
-	// A ReLU unit is dead (z <= 0) exactly when its output is ±0.
-	all := 0
+// mask writes into delta the gradient w.r.t. the layer's output: dOut at
+// the live units and +0 at the dead ones, a ReLU unit being dead (z <= 0)
+// exactly when its output y is ±0. It returns the live units, ascending, in
+// rows. The layer above leaves its input gradient stale wherever the layer
+// below does not read it (propagate), which is at the dead units; the mask is
+// what lets accumulate sum delta over every unit. Both are written without a
+// branch on the data: half the units of a ReLU layer are dead, at random, and
+// a branch would mispredict on them.
+func (d *Dense) mask(y, dOut, delta []float64, rows []int) []int {
+	dOut, delta, rows = dOut[:len(y)], delta[:len(y)], rows[:len(y)]
 	if d.Act != ReLU {
-		all = 1
-	}
-	rows, n := d.rows, 0
-	for o, yo := range y {
-		rows[n] = o
-		n += nonZero(yo) | all
-	}
-	rows = rows[:n]
-	if useAVX2 {
-		dIn := d.dIn
-		if grad == noInputGrad {
-			dIn = nil
+		copy(delta, dOut)
+		for o := range rows {
+			rows[o] = o
 		}
-		backwardAVX2(d.W, d.gradW, d.gradB, x, dOut, dIn, rows)
-		return d.dIn
+		return rows
 	}
-	all = 0
+	n := 0
+	for o, yo := range y {
+		live := nonZero(yo)
+		rows[n] = o
+		n += live
+		delta[o] = math.Float64frombits(math.Float64bits(dOut[o]) & -uint64(live))
+	}
+	return rows[:n]
+}
+
+// propagate writes into dIn the gradient w.r.t. the layer's input x, given
+// its masked output gradient delta and the live rows mask returned, at the
+// entries grad names; the rest of dIn is stale. dIn[i] sums delta[o]·w[o][i]
+// over the live rows, ascending, left to right from +0: the bits of the
+// row-at-a-time loop kept in reference_test.go. The Go loop takes the rows
+// four at a time, so each dIn[i] is loaded and stored once per four rows, and
+// visits only the inputs grad names; the AVX2 kernel (kernel.go) computes
+// every input, and nobody reads the extra ones.
+func (d *Dense) propagate(x, delta, dIn []float64, rows, cols []int, grad inputGrad) {
+	delta, dIn = delta[:d.Out], dIn[:d.In]
+	if useAVX2 {
+		inputGradAVX2(d.W[:d.Out*d.In], delta, dIn, rows)
+		return
+	}
+	all := 0
 	if grad == denseInputGrad {
 		all = 1
 	}
-	cols, n := d.cols, 0
+	n := 0
 	for i, xi := range x {
 		cols[n] = i
 		n += nonZero(xi) | all
 	}
 	cols = cols[:n]
-	var dIn []float64
-	if grad != noInputGrad {
-		dIn = d.dIn
-		for _, i := range cols {
-			dIn[i] = 0
-		}
+	for _, i := range cols {
+		dIn[i] = 0
 	}
-
 	in := d.In
 	for len(rows) >= 4 {
 		o0, o1, o2, o3 := rows[0], rows[1], rows[2], rows[3]
-		g0, g1, g2, g3 := dOut[o0], dOut[o1], dOut[o2], dOut[o3]
-		d.gradB[o0] += g0
-		d.gradB[o1] += g1
-		d.gradB[o2] += g2
-		d.gradB[o3] += g3
-		gw0, gw1, gw2, gw3 := d.gradW[o0*in:][:in], d.gradW[o1*in:][:in], d.gradW[o2*in:][:in], d.gradW[o3*in:][:in]
+		g0, g1, g2, g3 := delta[o0], delta[o1], delta[o2], delta[o3]
+		w0, w1, w2, w3 := d.W[o0*in:][:in], d.W[o1*in:][:in], d.W[o2*in:][:in], d.W[o3*in:][:in]
 		for _, i := range cols {
-			xi := x[i]
-			gw0[i] += g0 * xi
-			gw1[i] += g1 * xi
-			gw2[i] += g2 * xi
-			gw3[i] += g3 * xi
-		}
-		if dIn != nil {
-			w0, w1, w2, w3 := d.W[o0*in:][:in], d.W[o1*in:][:in], d.W[o2*in:][:in], d.W[o3*in:][:in]
-			for _, i := range cols {
-				dIn[i] = dIn[i] + g0*w0[i] + g1*w1[i] + g2*w2[i] + g3*w3[i]
-			}
+			dIn[i] = dIn[i] + g0*w0[i] + g1*w1[i] + g2*w2[i] + g3*w3[i]
 		}
 		rows = rows[4:]
 	}
 	for _, o := range rows {
-		g := dOut[o]
-		d.gradB[o] += g
-		gw := d.gradW[o*in:][:in]
+		g := delta[o]
+		w := d.W[o*in:][:in]
 		for _, i := range cols {
-			gw[i] += g * x[i]
-		}
-		if dIn != nil {
-			w := d.W[o*in:][:in]
-			for _, i := range cols {
-				dIn[i] += g * w[i]
-			}
+			dIn[i] += g * w[i]
 		}
 	}
-	return d.dIn
+}
+
+// accumulate adds n samples' gradients to rows [lo, hi) of gradW and gradB
+// and scales the sums: gradB[o] = (gradB[o] + Σ_s δ_s[o])·scale and
+// gradW[o][i] = (gradW[o][i] + Σ_s δ_s[o]·x_s[i])·scale, each sum in sample
+// order onto what the entry held, as one add after another. delta holds the
+// samples' masked output gradients (mask) and y their outputs, n rows of Out
+// each; x their inputs, n rows of In. Trainer.Fit passes entries of +0 and
+// 1/batch; Network.Backward its accumulated gradients and 1, by which a
+// product is the same bits.
+//
+// The sums are dense, every row at every input, and give the bits of the
+// reference loop (every live row at every input) whenever x is finite: a
+// dead row's δ is +0, so it adds δ·x = ±0, and a sum that starts from
+// ZeroGrad's +0 is never −0 (round-to-nearest gives −0 only for −0 + −0), so
+// adding ±0 to it changes nothing. Where some x is ±Inf or NaN, 0·x is NaN:
+// the caller passes dense false, and each sample adds to its live rows only.
+func (d *Dense) accumulate(delta, x, y []float64, n, lo, hi int, dense bool, scale float64) {
+	if n == 0 || lo == hi {
+		return
+	}
+	in, out := d.In, d.Out
+	gb, gw := d.gradB[lo:hi], d.gradW[lo*in:hi*in]
+	delta, x = delta[lo:(n-1)*out+hi], x[:n*in]
+	switch {
+	case !dense:
+		for s := 0; s < n; s++ {
+			xs := x[s*in:][:in]
+			for r := range hi - lo {
+				if d.Act == ReLU && nonZero(y[s*out+lo+r]) == 0 {
+					continue
+				}
+				g, row := delta[s*out+r], gw[r*in:][:in]
+				for i, xi := range xs {
+					row[i] += g * xi
+				}
+			}
+		}
+		for i := range gw {
+			gw[i] *= scale
+		}
+	case useAVX2:
+		gradAVX2(gw, delta, x, in, out, n, scale)
+		biasAVX2(gb, delta, out, n, scale)
+		return
+	default:
+		sumRows(gw, delta, x, in, out, n, scale)
+	}
+	for s := 0; s < n; s++ {
+		// The sum is the add's first operand, as in the reference loop: when
+		// both are NaN, x86 returns the first one's payload.
+		g := delta[s*out:][:len(gb)]
+		for o, b := range gb {
+			gb[o] = b + g[o]
+		}
+	}
+	for o := range gb {
+		gb[o] *= scale
+	}
+}
+
+// sumRows is accumulate's dense sum where the AVX2 kernel does not run. For
+// each row of gw, inputs go four at a time, their four sums held in
+// registers while the samples stream past.
+func sumRows(gw, delta, x []float64, in, out, n int, scale float64) {
+	for r := 0; r*in < len(gw); r++ {
+		row := gw[r*in:][:in]
+		i := 0
+		for ; i+4 <= in; i += 4 {
+			s0, s1, s2, s3 := row[i], row[i+1], row[i+2], row[i+3]
+			for s := 0; s < n; s++ {
+				g, xs := delta[s*out+r], x[s*in+i:][:4]
+				s0 += g * xs[0]
+				s1 += g * xs[1]
+				s2 += g * xs[2]
+				s3 += g * xs[3]
+			}
+			row[i], row[i+1], row[i+2], row[i+3] = s0*scale, s1*scale, s2*scale, s3*scale
+		}
+		for ; i < in; i++ {
+			sum := row[i]
+			for s := 0; s < n; s++ {
+				sum += delta[s*out+r] * x[s*in+i]
+			}
+			row[i] = sum * scale
+		}
+	}
+}
+
+// finite reports whether every entry of v is finite: x−x is NaN exactly
+// where x is ±Inf or NaN.
+func finite(v []float64) bool {
+	s := 0.0
+	for _, x := range v {
+		s += x - x
+	}
+	return s == 0
 }
 
 // nonZero is 1 when v is neither +0 nor −0 (NaN counts as non-zero) and 0
@@ -319,11 +384,16 @@ func (n *Network) Backward(dOut []float64) {
 	cur := dOut
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		l := n.Layers[i]
-		cur = l.backward(l.in, l.out, cur, n.inputGrad(i))
+		rows := l.mask(l.out, cur, l.delta, l.rows)
+		l.accumulate(l.delta, l.in, l.out, 1, 0, l.Out, finite(l.in), 1)
+		if i > 0 {
+			l.propagate(l.in, l.delta, l.dIn, rows, l.cols, n.inputGrad(i))
+			cur = l.dIn
+		}
 	}
 }
 
-// inputGrad is what layer i's backward must compute of its input gradient:
+// inputGrad is what layer i's propagate must compute of its input gradient:
 // the part the layer below it reads.
 func (n *Network) inputGrad(i int) inputGrad {
 	switch {
@@ -367,13 +437,28 @@ func (n *Network) String() string {
 }
 
 // Softmax writes the softmax of logits into out (which may alias logits),
-// computed stably by subtracting the max logit.
+// computed stably by subtracting the max logit. Where the AVX2 kernels run,
+// the exponentials (simd.Exp) and the divisions (divAVX2) go four at a time
+// with math.Exp's and the loop's bits; the sum stays in order.
 func Softmax(logits, out []float64) {
 	max := logits[0]
 	for _, v := range logits[1:] {
 		if v > max {
 			max = v
 		}
+	}
+	out = out[:len(logits)]
+	if useAVX2 {
+		for i, v := range logits {
+			out[i] = v - max
+		}
+		simd.Exp(out)
+		sum := 0.0
+		for _, e := range out {
+			sum += e
+		}
+		divAVX2(out, sum)
+		return
 	}
 	sum := 0.0
 	for i, v := range logits {

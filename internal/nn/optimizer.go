@@ -9,11 +9,24 @@ type Optimizer interface {
 	Step(id int, params, grads []float64)
 }
 
+// elementwise is an optimizer of this package. Its update of a parameter
+// reads only that parameter, its gradient, its moments and the step count, so
+// Trainer.Fit's workers step disjoint ranges of one group at once: moments
+// makes a group's vectors on the caller's goroutine before they start, and
+// update steps any range of it.
+type elementwise interface {
+	Optimizer
+	// moments returns group id's moment vectors, n long, made zero on first
+	// use; nil for a moment the optimizer does not keep.
+	moments(id, n int) (m, v []float64)
+	// update steps params by grads, with m and v the same range of the
+	// group's moments (nil where moments returned nil).
+	update(params, grads, m, v []float64)
+}
+
 // state is what the package's optimizers carry between steps: Adam's step
 // count and each parameter group's moment vectors, a group's made on its
-// first step. Trainer.Fit hands each pipeline stage a part holding only its
-// own layers' groups and the step count, and absorbs the parts back when the
-// stages have joined, so no two goroutines ever write the same state.
+// first step.
 type state struct {
 	t    int
 	m, v map[int][]float64
@@ -32,44 +45,6 @@ func vec(vs *map[int][]float64, id, n int) []float64 {
 	return x
 }
 
-// own returns the receiver; the optimizers embedding state inherit it.
-func (s *state) own() *state { return s }
-
-// part is a state with s's step count and the vectors of groups [lo, hi).
-func (s *state) part(lo, hi int) state {
-	p := state{t: s.t}
-	copyGroups(&p.m, s.m, lo, hi)
-	copyGroups(&p.v, s.v, lo, hi)
-	return p
-}
-
-// absorb takes back the part that held groups [lo, hi).
-func (s *state) absorb(p state, lo, hi int) {
-	s.t = p.t
-	copyGroups(&s.m, p.m, lo, hi)
-	copyGroups(&s.v, p.v, lo, hi)
-}
-
-// copyGroups puts src's vectors of groups [lo, hi) into *dst.
-func copyGroups(dst *map[int][]float64, src map[int][]float64, lo, hi int) {
-	for id := lo; id < hi; id++ {
-		if x, ok := src[id]; ok {
-			if *dst == nil {
-				*dst = make(map[int][]float64)
-			}
-			(*dst)[id] = x
-		}
-	}
-}
-
-// splittable is an optimizer whose state Fit can divide among its stages:
-// with returns a copy of it, same hyperparameters, carrying s.
-type splittable interface {
-	Optimizer
-	own() *state
-	with(s state) Optimizer
-}
-
 // SGD is stochastic gradient descent with optional classical momentum.
 type SGD struct {
 	LR       float64
@@ -81,20 +56,29 @@ type SGD struct {
 // Step applies v = Momentum·v − LR·g; params += v (plain descent when
 // Momentum is zero).
 func (s *SGD) Step(id int, params, grads []float64) {
+	m, v := s.moments(id, len(params))
+	s.update(params, grads, m, v)
+}
+
+func (s *SGD) moments(id, n int) (m, v []float64) {
+	if s.Momentum == 0 {
+		return nil, nil
+	}
+	return nil, vec(&s.v, id, n)
+}
+
+func (s *SGD) update(params, grads, _, v []float64) {
 	if s.Momentum == 0 {
 		for i := range params {
 			params[i] -= s.LR * grads[i]
 		}
 		return
 	}
-	v := vec(&s.v, id, len(params))
 	for i := range params {
 		v[i] = s.Momentum*v[i] - s.LR*grads[i]
 		params[i] += v[i]
 	}
 }
-
-func (s *SGD) with(st state) Optimizer { c := *s; c.state = st; return &c }
 
 // Adam implements Kingma & Ba's optimizer (the paper trains the latency
 // classifier with Adam, §IV-A).
@@ -118,7 +102,15 @@ func (a *Adam) Step(id int, params, grads []float64) {
 	if a.t == 0 {
 		a.t = 1 // tolerate callers that skip BeginStep
 	}
-	m, v := vec(&a.m, id, len(params)), vec(&a.v, id, len(params))
+	m, v := a.moments(id, len(params))
+	a.update(params, grads, m, v)
+}
+
+func (a *Adam) moments(id, n int) (m, v []float64) {
+	return vec(&a.m, id, n), vec(&a.v, id, n)
+}
+
+func (a *Adam) update(params, grads, m, v []float64) {
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	if useAVX2 {
@@ -140,8 +132,6 @@ func (a *Adam) Step(id int, params, grads []float64) {
 	}
 }
 
-func (a *Adam) with(st state) Optimizer { c := *a; c.state = st; return &c }
-
 // RMSprop implements the optimizer the paper uses for the NN regressor
 // variant (§IV-B).
 type RMSprop struct {
@@ -160,12 +150,16 @@ func (r *RMSprop) BeginStep() {}
 
 // Step applies one RMSprop update to a parameter group.
 func (r *RMSprop) Step(id int, params, grads []float64) {
-	v := vec(&r.v, id, len(params))
+	m, v := r.moments(id, len(params))
+	r.update(params, grads, m, v)
+}
+
+func (r *RMSprop) moments(id, n int) (m, v []float64) { return nil, vec(&r.v, id, n) }
+
+func (r *RMSprop) update(params, grads, _, v []float64) {
 	for i := range params {
 		g := grads[i]
 		v[i] = r.Rho*v[i] + (1-r.Rho)*g*g
 		params[i] -= r.LR * g / (math.Sqrt(v[i]) + r.Eps)
 	}
 }
-
-func (r *RMSprop) with(st state) Optimizer { c := *r; c.state = st; return &c }

@@ -339,3 +339,9 @@ func refFit(t *Trainer, X [][]float64, Y []float64) float64 {
 	}
 	return finalLoss
 }
+
+// splittable reads a package optimizer's state, its step count and moments,
+// for the Fit tests to compare.
+type splittable interface{ own() *state }
+
+func (s *state) own() *state { return s }

@@ -12,6 +12,8 @@ import (
 
 // Loss computes the scalar loss and the gradient of the loss w.r.t. the
 // network's raw output for one sample. The gradient is written into dOut.
+// Trainer.Fit calls it from each of its workers at once; the package's
+// losses keep no state.
 type Loss interface {
 	// LossAndGrad returns the loss for (output, target) and fills dOut.
 	// target's meaning depends on the loss (class index or regression value).
@@ -20,16 +22,12 @@ type Loss interface {
 
 // CrossEntropy is softmax + sparse categorical cross-entropy: targets are
 // class indices; the network's output layer produces raw logits.
-type CrossEntropy struct {
-	probs []float64
-}
+type CrossEntropy struct{}
 
-// LossAndGrad implements Loss.
+// LossAndGrad implements Loss. The probabilities are computed in dOut, which
+// then becomes their gradient.
 func (c *CrossEntropy) LossAndGrad(output []float64, target float64, dOut []float64) float64 {
-	if cap(c.probs) < len(output) {
-		c.probs = make([]float64, len(output))
-	}
-	p := c.probs[:len(output)]
+	p := dOut[:len(output)]
 	Softmax(output, p)
 	cls := int(target)
 	if cls < 0 {
@@ -38,12 +36,10 @@ func (c *CrossEntropy) LossAndGrad(output []float64, target float64, dOut []floa
 	if cls >= len(output) {
 		cls = len(output) - 1
 	}
-	for i := range dOut {
-		dOut[i] = p[i]
-	}
-	dOut[cls] -= 1
 	const tiny = 1e-12
-	return -math.Log(p[cls] + tiny)
+	loss := -math.Log(p[cls] + tiny)
+	p[cls] -= 1
+	return loss
 }
 
 // MSE is mean squared error for single-output regression networks.
@@ -59,8 +55,8 @@ func (MSE) LossAndGrad(output []float64, target float64, dOut []float64) float64
 	return d * d
 }
 
-// steppable lets the trainer advance an optimizer's step counter: once per
-// batch, on each stage's part of it.
+// steppable lets the trainer advance an optimizer's step counter once per
+// batch, before any group is stepped.
 type steppable interface {
 	BeginStep()
 }
@@ -76,9 +72,11 @@ type Trainer struct {
 	// WeightDecay adds L2 regularization: the loss gradient gains
 	// WeightDecay·w per weight (biases are not decayed).
 	WeightDecay float64
-	// Workers follows par.Run: at most 1 trains on the caller's goroutine,
-	// 2 or more run the network's two stages on two goroutines. The weights
-	// and the loss are the same bits for any value.
+	// Workers follows par.Run: at most 1 trains on the caller's goroutine;
+	// n ≥ 2 trains on the caller's and n−1 more (no more than a batch has
+	// samples), which split each batch's samples and then the network's
+	// weights among them. The weights and the loss are the same bits for any
+	// value.
 	Workers int
 
 	// OnEpoch, if set, is called on the caller's goroutine after each epoch
@@ -90,14 +88,16 @@ type Trainer struct {
 // Fit trains the network on inputs X and targets Y (class index or
 // regression value per sample). It returns the mean loss of the final epoch.
 //
-// Training is a two-stage pipeline over the layers (DESIGN.md §10): stage a
-// owns layers [0, s) and stage b layers [s, L) and the loss, each with the
-// weights, gradients and optimizer groups of its layers. Per sample, a
-// forwards into the sample's slot and publishes the boundary activation; b
-// forwards, takes the loss, runs its backward and returns the boundary
-// gradient in the slot; a runs its backward from it. Each stage steps its own
-// groups after its last backward of the batch. A one-layer network, or an
-// optimizer of another package, is one stage (s = 0).
+// Each batch runs in two phases (DESIGN.md §10), each split among the
+// workers and ended by a barrier. In phase A every sample's forward, loss and
+// backward run against the batch's fixed weights, the samples split among the
+// workers; each leaves its layer inputs and masked output gradients in its
+// slot. In phase B each worker owns a share of the network's rows: it sums
+// their gradients over the slots in sample order, then scales, decays and
+// steps them. No sum is split or reordered, so the weights, the optimizer
+// state and the loss are the bits of one loop over the samples at any worker
+// count. An optimizer of another package is stepped group by group on the
+// caller's goroutine after phase B.
 func (t *Trainer) Fit(X [][]float64, Y []float64) (float64, error) {
 	if len(X) == 0 || len(X) != len(Y) {
 		return 0, errors.New("nn: bad training set")
@@ -113,292 +113,394 @@ func (t *Trainer) Fit(X [][]float64, Y []float64) (float64, error) {
 	if t.Epochs <= 0 {
 		t.Epochs = 1
 	}
-	p := newPipeline(t, X, Y)
-	defer p.join()
-	if t.Workers <= 1 || p.s == 0 {
-		p.run(true, true)
-		return p.loss, nil
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		p.run(true, false)
-	}()
-	defer wg.Wait()
-	defer p.stop.Store(true)
-	p.run(false, true)
-	return p.loss, nil
+	f := newFit(t, X, Y)
+	defer f.stop()
+	return f.run(), nil
 }
 
-// stage is a run of consecutive layers that one goroutine owns for a whole
-// Fit: their weights, gradients and optimizer groups (2·i for layer i's W,
-// 2·i+1 for its B).
-type stage struct {
-	layers []*Dense
-	lo     int // the network index of layers[0]
-	opt    Optimizer
+// The phases a worker runs.
+const (
+	phaseA = iota // forward, loss and backward of the worker's samples
+	phaseB        // the sums and steps of the worker's rows
+	quit          // the helpers return
+)
+
+// fit is one Fit's state. Slot k holds the k-th sample of the current batch.
+// The caller's goroutine is worker 0; workers 1 to n−1 are helpers, which
+// wait for the caller to start a phase by advancing gen and add one to done
+// when through it (waitFor, signal). Each counter is written on one side and
+// polled on the other, so each has a cache line of its own. Each worker
+// forwards through a transposed copy of the weights of its own (wts), which
+// it refreshes at the start of phase A: no worker reads a cache line of it
+// that another has just written.
+type fit struct {
+	t       *Trainer
+	X       [][]float64
+	Y       []float64
+	layers  []*Dense
+	workers int
+	slots   int
+	order   []int
+	start   int           // the current batch is order[start : start+size]
+	size    int           // the current batch's samples, and slots in use
+	widths  []int         // widths[j]: layer j's input width; the last, the output's
+	acts    [][]float64   // acts[j]: a row of widths[j] per slot, layer j's input (the last: the output)
+	deltas  [][]float64   // deltas[j]: a row of Out per slot, layer j's masked output gradient
+	losses  []float64     // each slot's loss, a cache line apart (lossStride)
+	scratch []scratch     // each worker's backward buffers
+	wts     [][][]float64 // wts[w][j]: worker w's transposed copy of layer j's W (worker 0's is the layer's)
+	shares  [][]piece     // each worker's rows in phase B
+	opt     elementwise   // t.Opt, or nil when it is of another package
+	m, v    [][]float64   // each group's moments, for opt
+
+	phase int
+	_     [64]byte
+	gen   atomic.Int64 // phases the caller has started
+	_     [56]byte
+	done  atomic.Int64 // phases the helpers have finished, summed over them
+	_     [56]byte
+	taken atomic.Int64 // runs of phase A's slots the workers have taken
+	_     [56]byte
+	// wakes[w] is where worker w blocks when its wait runs long; nil where
+	// it never blocks (a core per worker).
+	wakes []chan struct{}
+	wg    sync.WaitGroup
 }
 
-func (s *stage) zeroGrad() {
-	for _, l := range s.layers {
-		l.zeroGrad()
-	}
+// scratch is one worker's buffers for a sample's backward, and bad[j]: the
+// input of layer j was not all finite in some slot of the batch the worker
+// ran. The buffers are made separately and at least a cache line long, so
+// no two workers write one line.
+type scratch struct {
+	dOut, dIn  []float64
+	rows, cols []int
+	bad        []bool
 }
 
-// step averages the batch's gradients, adds the weight decay and steps the
-// stage's groups.
-func (s *stage) step(size int, decay float64) {
-	if len(s.layers) == 0 {
-		return
-	}
-	scale := 1.0 / float64(size)
-	if st, ok := s.opt.(steppable); ok {
-		st.BeginStep()
-	}
-	for j, l := range s.layers {
-		for i := range l.gradW {
-			l.gradW[i] *= scale
-			if decay > 0 {
-				l.gradW[i] += decay * l.W[i]
-			}
-		}
-		for i := range l.gradB {
-			l.gradB[i] *= scale
-		}
-		li := s.lo + j
-		s.opt.Step(2*li, l.W, l.gradW)
-		s.opt.Step(2*li+1, l.B, l.gradB)
-		l.transposeW()
-	}
-}
+// lossStride is the distance between two slots' losses: a cache line, so
+// workers on neighbouring slots do not write one line.
+const lossStride = 8
 
-// pipeline is one Fit's state. Slot k is the k-th sample of the current
-// batch: its index into X, stage a's layer outputs and the boundary
-// gradient. The two counters hand samples across, numbered over the whole
-// Fit: fwd counts the samples a has forwarded, bwd the boundary gradients b
-// has returned. Each is written by one stage and polled by the other, so
-// each has a cache line of its own.
-type pipeline struct {
-	t     *Trainer
-	X     [][]float64
-	Y     []float64
-	s     int // the first layer of stage b
-	a, b  stage
-	rng   *rand.Rand
-	order []int       // stage a's shuffle of the samples
-	idx   []int       // slot → sample
-	outs  [][]float64 // outs[k*s+j]: layer j's output in slot k
-	grads [][]float64 // slot → boundary gradient
-	dOut  []float64   // stage b's loss gradient
-	loss  float64     // stage b's mean loss over the last epoch
+// piece is rows [lo, hi) of a layer, whose gradients one worker sums and
+// steps in phase B.
+type piece struct{ layer, lo, hi int }
 
-	_    [64]byte
-	fwd  atomic.Int64
-	_    [56]byte
-	bwd  atomic.Int64
-	_    [56]byte
-	stop atomic.Bool // set when b has finished; a gives up its wait
-}
-
-func newPipeline(t *Trainer, X [][]float64, Y []float64) *pipeline {
+func newFit(t *Trainer, X [][]float64, Y []float64) *fit {
 	layers := t.Net.Layers
-	p := &pipeline{t: t, X: X, Y: Y, rng: rand.New(rand.NewSource(t.Seed)),
-		order: make([]int, len(X)), dOut: make([]float64, t.Net.OutDim())}
-	for i := range p.order {
-		p.order[i] = i
-	}
-	p.b.opt = t.Opt
-	if sp, ok := t.Opt.(splittable); ok {
-		if p.s = boundary(layers); p.s > 0 {
-			st := sp.own()
-			p.a.opt = sp.with(st.part(0, 2*p.s))
-			p.b.opt = sp.with(st.part(2*p.s, 2*len(layers)))
-		}
-	}
-	p.a.layers, p.b.layers, p.b.lo = layers[:p.s], layers[p.s:], p.s
-
+	L := len(layers)
 	slots := min(t.BatchSize, len(X))
-	p.idx = make([]int, slots)
-	p.outs = make([][]float64, slots*p.s)
-	for i := range p.outs {
-		p.outs[i] = make([]float64, layers[i%p.s].Out)
+	f := &fit{t: t, X: X, Y: Y, layers: layers, workers: min(max(t.Workers, 1), slots), slots: slots,
+		order: make([]int, len(X)), widths: make([]int, L+1), acts: make([][]float64, L+1),
+		deltas: make([][]float64, L), losses: make([]float64, slots*lossStride)}
+	for i := range f.order {
+		f.order[i] = i
 	}
-	if p.s > 0 {
-		p.grads = make([][]float64, slots)
-		for k := range p.grads {
-			p.grads[k] = make([]float64, layers[p.s].In)
+	wide := 0
+	for j, l := range layers {
+		f.widths[j] = l.In
+		f.deltas[j] = make([]float64, slots*l.Out)
+		wide = max(wide, l.In, l.Out)
+	}
+	f.widths[L] = t.Net.OutDim()
+	for j, w := range f.widths {
+		f.acts[j] = make([]float64, slots*w)
+	}
+	f.scratch, f.wts = make([]scratch, f.workers), make([][][]float64, f.workers)
+	for w := range f.scratch {
+		f.scratch[w] = scratch{dOut: make([]float64, max(t.Net.OutDim(), 8)), dIn: make([]float64, max(wide, 8)),
+			rows: make([]int, max(wide, 8)), cols: make([]int, max(wide, 8)), bad: make([]bool, max(L, 64))}
+		f.wts[w] = make([][]float64, L)
+		for j, l := range layers {
+			if f.wts[w][j] = l.wt; w > 0 && l.wt != nil {
+				f.wts[w][j] = make([]float64, len(l.wt))
+			}
 		}
 	}
-	return p
+	f.shares = share(layers, f.workers)
+	if opt, ok := t.Opt.(elementwise); ok {
+		f.opt, f.m, f.v = opt, make([][]float64, 2*L), make([][]float64, 2*L)
+		for j, l := range layers {
+			f.m[2*j], f.v[2*j] = opt.moments(2*j, len(l.W))
+			f.m[2*j+1], f.v[2*j+1] = opt.moments(2*j+1, len(l.B))
+		}
+	}
+	if f.workers > 1 {
+		f.wakes = make([]chan struct{}, f.workers)
+		for w := range f.wakes {
+			if f.workers > runtime.NumCPU() {
+				f.wakes[w] = make(chan struct{}, 1)
+			}
+		}
+		for w := 1; w < f.workers; w++ {
+			f.wg.Add(1)
+			go f.help(w)
+		}
+	}
+	return f
 }
 
-// boundary is the first layer of stage b: the split that best balances the
-// two stages, a layer costing 3·In·Out (its forward, weight gradient and
-// input gradient) and the last one also 12·Out for the loss. A one-layer
-// network has one stage, 0.
-func boundary(layers []*Dense) int {
-	cost := func(i int) int {
-		l := layers[i]
-		c := 3 * l.In * l.Out
-		if i == len(layers)-1 {
-			c += 12 * l.Out
-		}
-		return c
-	}
+// share splits the network's rows among the workers in runs of four rows.
+// A row costs its sum over the batch and its step, the sum running its In
+// inputs in blocks of 16 (the last one masked): 16 per block and 8 more.
+// Worker w's runs start where the cost before them reaches w/workers of the
+// total, rounded to the nearest run; to a layer's first row instead where
+// that is within 1/16 of a worker's share of it, since a layer split between
+// two workers has both read all of the batch's inputs and gradients for it.
+func share(layers []*Dense, workers int) [][]piece {
+	cost := func(l *Dense) int { return (l.In+15)&^15 + 8 }
 	total := 0
-	for i := range layers {
-		total += cost(i)
+	for _, l := range layers {
+		total += l.Out * cost(l)
 	}
-	best, bestCost, a := 0, total, 0
-	for s := 1; s < len(layers); s++ {
-		a += cost(s - 1)
-		if c := max(a, total-a); c < bestCost {
-			best, bestCost = s, c
+	cuts := make([]int, workers-1) // the cost before worker w+1's first run
+	for w := range cuts {
+		target := (w + 1) * total / workers
+		run, edge, before := -1, -1, 0
+		for _, l := range layers {
+			if edge < 0 || abs(before-target) < abs(edge-target) {
+				edge = before
+			}
+			for lo := 0; lo < l.Out; lo += 4 {
+				if c := before + lo*cost(l); run < 0 || abs(c-target) < abs(run-target) {
+					run = c
+				}
+			}
+			before += l.Out * cost(l)
+		}
+		cuts[w] = run
+		if edge > 0 && abs(edge-target)*16*workers <= total {
+			cuts[w] = edge
 		}
 	}
-	return best
-}
-
-// join hands the stages' optimizer state back to the trainer's optimizer.
-func (p *pipeline) join() {
-	if p.s == 0 {
-		return
+	shares := make([][]piece, workers)
+	before := 0
+	for j, l := range layers {
+		for lo := 0; lo < l.Out; lo += 4 {
+			hi, w := min(lo+4, l.Out), 0
+			for w < len(cuts) && cuts[w] <= before {
+				w++
+			}
+			before += (hi - lo) * cost(l)
+			if s := shares[w]; len(s) > 0 && s[len(s)-1].layer == j && s[len(s)-1].hi == lo {
+				s[len(s)-1].hi = hi
+			} else {
+				shares[w] = append(s, piece{j, lo, hi})
+			}
+		}
 	}
-	st, L := p.t.Opt.(splittable).own(), len(p.t.Net.Layers)
-	st.absorb(*p.a.opt.(splittable).own(), 0, 2*p.s)
-	st.absorb(*p.b.opt.(splittable).own(), 2*p.s, 2*L)
+	return shares
 }
 
-// run is the training loop. It does stage a's part of each batch, stage b's,
-// or both: a's and b's on two goroutines, or both on one, where a batch is
-// a's forwards, then b's samples, then a's backwards. Each stage does its own
-// work in sample order whatever the other does, and only reads what the
-// other published, so every gradient sums sample by sample as it would in a
-// loop over the whole network, and the weights and the loss are that loop's
-// bits under either schedule. a starts a batch's forwards only after its own
-// step, by when b has read every slot of the last batch; after b stops early,
-// a's forwards of a batch b will not take change nothing it keeps.
-func (p *pipeline) run(a, b bool) {
-	t, n := p.t, len(p.X)
-	var seq int64      // samples before this batch
-	var fwd, bwd int64 // the last values this goroutine read of the counters
+func abs(x int) int { return max(x, -x) }
+
+// run is the training loop on the caller's goroutine; it returns the mean
+// loss of the last epoch it ran.
+func (f *fit) run() float64 {
+	t, n := f.t, len(f.X)
+	rng := rand.New(rand.NewSource(t.Seed))
+	loss := 0.0
 	for epoch := 0; epoch < t.Epochs; epoch++ {
-		if a {
-			p.rng.Shuffle(n, func(i, j int) { p.order[i], p.order[j] = p.order[j], p.order[i] })
-		}
-		epochLoss := 0.0
-		for start := 0; start < n; start += t.BatchSize {
-			size := min(t.BatchSize, n-start)
-			if a {
-				p.a.zeroGrad()
-				for k, i := range p.order[start : start+size] {
-					p.forwardA(k, i)
-					p.fwd.Store(seq + int64(k) + 1)
+		rng.Shuffle(n, func(i, j int) { f.order[i], f.order[j] = f.order[j], f.order[i] })
+		sum := 0.0
+		for f.start = 0; f.start < n; f.start += t.BatchSize {
+			f.size = min(t.BatchSize, n-f.start)
+			f.taken.Store(0)
+			f.each(phaseA)
+			for k := 0; k < f.size; k++ {
+				sum += f.losses[k*lossStride]
+			}
+			if st, ok := t.Opt.(steppable); ok {
+				st.BeginStep()
+			}
+			f.each(phaseB)
+			if f.opt == nil {
+				for j, l := range f.layers {
+					t.Opt.Step(2*j, l.W, l.gradW)
+					t.Opt.Step(2*j+1, l.B, l.gradB)
 				}
 			}
-			if b {
-				p.b.zeroGrad()
-				for k := 0; k < size; k++ {
-					p.await(&p.fwd, &fwd, seq+int64(k)+1)
-					epochLoss += p.sampleB(k)
-					p.bwd.Store(seq + int64(k) + 1)
-				}
-				p.b.step(size, t.WeightDecay)
-			}
-			if a {
-				for k := 0; k < size; k++ {
-					if !p.await(&p.bwd, &bwd, seq+int64(k)+1) {
-						return
-					}
-					p.backwardA(k)
-				}
-				p.a.step(size, t.WeightDecay)
-			}
-			seq += int64(size)
 		}
-		if b {
-			p.loss = epochLoss / float64(n)
-			if t.OnEpoch != nil && !t.OnEpoch(epoch, p.loss) {
-				return
-			}
-		}
-	}
-}
-
-// spins is how often a stage polls the other's counter before it yields its
-// thread between polls. A sample takes stage b a few microseconds, so the
-// wait is usually shorter than the spin.
-const spins = 1000
-
-// await waits until c reaches v. *seen is the last value the caller read of
-// c: while it already covers v, the caller does not touch c's cache line,
-// which the other stage is writing. await reports false if b has stopped
-// short of v; b advances its counter before it stops, so c is read again
-// after stop.
-func (p *pipeline) await(c *atomic.Int64, seen *int64, v int64) bool {
-	for i := 0; *seen < v; i++ {
-		if *seen = c.Load(); *seen >= v {
+		loss = sum / float64(n)
+		if t.OnEpoch != nil && !t.OnEpoch(epoch, loss) {
 			break
 		}
-		if p.stop.Load() {
-			*seen = c.Load()
-			return *seen >= v
-		}
-		if i >= spins {
-			runtime.Gosched()
-		}
 	}
-	return true
-}
-
-// input is layer j's input in slot k: the sample for the first layer, the
-// layer below's output in the slot for the rest of stage a's and for b's
-// first. A slot keeps no other copy of it.
-func (p *pipeline) input(k, j int) []float64 {
-	if j == 0 {
-		return p.X[p.idx[k]]
-	}
-	return p.outs[k*p.s+j-1]
-}
-
-// forwardA runs sample i through stage a's layers into slot k.
-func (p *pipeline) forwardA(k, i int) {
-	p.idx[k] = i
-	for j, l := range p.a.layers {
-		x := p.input(k, j)
-		l.forward(x, x, p.outs[k*p.s+j])
-	}
-}
-
-// sampleB runs slot k's sample through stage b: forward, loss and backward.
-// It leaves the boundary gradient in the slot and returns the loss.
-func (p *pipeline) sampleB(k int) float64 {
-	x := p.input(k, p.s)
-	for _, l := range p.b.layers {
-		x = l.Forward(x)
-	}
-	loss := p.t.Loss.LossAndGrad(x, p.Y[p.idx[k]], p.dOut)
-	g := p.dOut
-	for i := len(p.t.Net.Layers) - 1; i >= p.s; i-- {
-		l := p.t.Net.Layers[i]
-		g = l.backward(l.in, l.out, g, p.t.Net.inputGrad(i))
-	}
-	if p.s > 0 {
-		copy(p.grads[k], g)
+	for _, l := range f.layers {
+		l.transposeW()
 	}
 	return loss
 }
 
-// backwardA runs stage a's backward for slot k from its boundary gradient.
-func (p *pipeline) backwardA(k int) {
-	if p.s == 0 {
+// spins is how many times a worker polls the counter it waits on between two
+// yields of its goroutine (runtime.Gosched), and yields is how many yields it
+// makes before it blocks, where it may block. A phase takes tens of
+// microseconds: a worker with a core of its own seldom yields, and yielding
+// lets workers that share a P (GOMAXPROCS below the worker count) run. Where
+// the workers outnumber the cores, a worker blocks after about a tenth of a
+// millisecond and lets the one it waits for have the core; elsewhere it
+// never blocks, since a thread wake-up costs more than a phase, and more
+// still on a host whose other tenants hold its cores at times.
+const spins, yields = 1000, 100
+
+// waitFor returns once c reaches v. It polls c, then, if wake is not nil,
+// blocks on wake, where a token is put after every advance of c (signal). A
+// stale token only wakes it to look again, and an advance always leaves a
+// token, so none is lost.
+func waitFor(c *atomic.Int64, v int64, wake chan struct{}) {
+	for i := 1; c.Load() < v; i++ {
+		switch {
+		case wake != nil && i >= spins*yields:
+			<-wake
+		case i%spins == 0:
+			runtime.Gosched()
+		}
+	}
+}
+
+// signal puts a token on wake unless one is waiting there already (or wake is
+// nil).
+func signal(wake chan struct{}) {
+	select {
+	case wake <- struct{}{}:
+	default:
+	}
+}
+
+// each runs phase on every worker and returns when all are through it.
+func (f *fit) each(phase int) {
+	f.phase = phase
+	if f.workers == 1 {
+		f.work(0)
 		return
 	}
-	g := p.grads[k]
-	for j := p.s - 1; j >= 0; j-- {
-		g = p.a.layers[j].backward(p.input(k, j), p.outs[k*p.s+j], g, p.t.Net.inputGrad(j))
+	want := f.gen.Add(1) * int64(f.workers-1)
+	for _, wake := range f.wakes[1:] {
+		signal(wake)
 	}
+	f.work(0)
+	waitFor(&f.done, want, f.wakes[0])
+}
+
+// help is helper w's loop: each phase the caller starts, until quit.
+func (f *fit) help(w int) {
+	defer f.wg.Done()
+	for seen := int64(1); ; seen++ {
+		waitFor(&f.gen, seen, f.wakes[w])
+		if f.phase == quit {
+			return
+		}
+		f.work(w)
+		f.done.Add(1)
+		signal(f.wakes[0])
+	}
+}
+
+// stop ends the helpers; no goroutine of the Fit outlives it.
+func (f *fit) stop() {
+	if f.workers > 1 {
+		f.phase = quit
+		f.gen.Add(1)
+		for _, wake := range f.wakes[1:] {
+			signal(wake)
+		}
+		f.wg.Wait()
+	}
+}
+
+// work is worker w's part of the current phase. In phase A it refreshes its
+// transposed weights and then takes runs of the batch's slots, four runs
+// per worker, until none is left: a worker whose thread is slowed (by
+// another process on its core) leaves its runs to the others. In phase B it
+// steps its share of the rows.
+func (f *fit) work(w int) {
+	switch f.phase {
+	case phaseA:
+		for j, l := range f.layers {
+			if f.wts[w][j] != nil && useAVX2 {
+				l.transposeInto(f.wts[w][j])
+			}
+		}
+		clear(f.scratch[w].bad)
+		runs := 4 * f.workers
+		for r := int(f.taken.Add(1)) - 1; r < runs; r = int(f.taken.Add(1)) - 1 {
+			for k := r * f.size / runs; k < (r+1)*f.size/runs; k++ {
+				f.sample(w, k)
+			}
+		}
+	case phaseB:
+		for _, p := range f.shares[w] {
+			f.sumStep(p)
+		}
+	}
+}
+
+// act is layer j's input in slot k (j = L: the network's output).
+func (f *fit) act(j, k int) []float64 {
+	w := f.widths[j]
+	return f.acts[j][k*w:][:w]
+}
+
+// sample runs slot k's sample forward, through the loss and backward,
+// leaving every layer's input and masked output gradient in the slot.
+func (f *fit) sample(w, k int) {
+	sc, i := &f.scratch[w], f.order[f.start+k]
+	x := f.act(0, k)
+	copy(x, f.X[i])
+	for j, l := range f.layers {
+		sc.bad[j] = sc.bad[j] || !finite(x)
+		y := f.act(j+1, k)
+		l.affineWith(f.wts[w][j], x, y)
+		if l.Act == ReLU {
+			clampNegative(y)
+		}
+		x = y
+	}
+	f.losses[k*lossStride] = f.t.Loss.LossAndGrad(x, f.Y[i], sc.dOut)
+	g := sc.dOut
+	for j := len(f.layers) - 1; j >= 0; j-- {
+		l := f.layers[j]
+		delta := f.deltas[j][k*l.Out:][:l.Out]
+		rows := l.mask(f.act(j+1, k), g, delta, sc.rows)
+		if j > 0 {
+			l.propagate(f.act(j, k), delta, sc.dIn, rows, sc.cols, f.t.Net.inputGrad(j))
+			g = sc.dIn
+		}
+	}
+}
+
+// sumStep sums the batch's gradients of piece p's rows, averages them, adds
+// the weight decay and, for an optimizer of this package, steps the rows. A
+// layer whose input was not finite in some slot sums over each slot's live
+// rows only (accumulate).
+func (f *fit) sumStep(p piece) {
+	l, in := f.layers[p.layer], f.layers[p.layer].In
+	dense := true
+	for w := range f.scratch {
+		dense = dense && !f.scratch[w].bad[p.layer]
+	}
+	gw, gb, w := l.gradW[p.lo*in:p.hi*in], l.gradB[p.lo:p.hi], l.W[p.lo*in:p.hi*in]
+	clear(gw)
+	clear(gb)
+	l.accumulate(f.deltas[p.layer], f.acts[p.layer], f.acts[p.layer+1], f.size, p.lo, p.hi, dense, 1/float64(f.size))
+	if decay := f.t.WeightDecay; decay > 0 {
+		for i := range gw {
+			gw[i] += decay * w[i]
+		}
+	}
+	if f.opt == nil {
+		return
+	}
+	id := 2 * p.layer
+	f.opt.update(w, gw, part(f.m[id], p.lo*in, p.hi*in), part(f.v[id], p.lo*in, p.hi*in))
+	f.opt.update(l.B[p.lo:p.hi], gb, part(f.m[id+1], p.lo, p.hi), part(f.v[id+1], p.lo, p.hi))
+}
+
+// part is v[lo:hi], or nil for a moment the optimizer does not keep.
+func part(v []float64, lo, hi int) []float64 {
+	if v == nil {
+		return nil
+	}
+	return v[lo:hi]
 }
 
 // ClassifyAccuracy evaluates a classifier network: the fraction of samples

@@ -158,10 +158,9 @@ func settledGoroutines(want int) int {
 
 // TestFitWorkersBitIdentical holds Fit at 1, 2 and 3 workers to refFit,
 // on each kernel path, for every optimizer, with and without weight decay,
-// under both losses, at depths 1–6 (one stage, then two), on 53 samples in
-// batches of 8 (a partial batch every epoch, so slot k and the sample count
-// part ways after the first), and with OnEpoch stopping after the second of
-// three epochs (so stage a has forwarded a batch nobody trains on).
+// under both losses, at depths 1–6, on 53 samples in batches of 8 (a partial
+// batch every epoch, so slot k and the sample count part ways after the
+// first), and with OnEpoch stopping after the second of three epochs.
 func TestFitWorkersBitIdentical(t *testing.T) {
 	onEachKernel(t, func(t *testing.T) {
 		seed := int64(0)
@@ -202,8 +201,8 @@ func FuzzFitWorkersEquivalence(f *testing.F) {
 }
 
 // TestFitAllocsIndependentOfEpochs pins what a Fit allocates (the order,
-// the slots, the stage parts of the optimizer and, at two workers, the
-// stage's goroutine) as a count that training longer does not change.
+// the slots, the workers' scratch and, at two workers, the helper's
+// goroutine) as a count that training longer does not change.
 func TestFitAllocsIndependentOfEpochs(t *testing.T) {
 	c := fitCase{seed: 4, depth: 3, opt: "adam", n: 53, batch: 8}
 	X, Y := c.data()

@@ -2,6 +2,8 @@ package policy
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"gemini/internal/cpu"
@@ -67,7 +69,15 @@ func BenchmarkPACEOraclePolicy(b *testing.B) {
 // The pins in package sim all run FixedPolicy, which never switches. The one
 // allocation of slack is the engine's FIFO, which doubles with the deepest
 // queue a run sees; one allocation per request would add a thousand.
+//
+// The collector is off while it counts: after each cycle the runtime's
+// cleanup of the unique package's maps (which net/netip fills at init)
+// allocates on a goroutine of its own, and AllocsPerRun counts every
+// goroutine's allocations, so a cycle inside the measured runs read as two
+// to eight more for the run.
 func TestDVFSRunAllocsIndependentOfRequests(t *testing.T) {
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for name, mk := range map[string]func() sim.Policy{
 		"Gemini":  func() sim.Policy { return NewGemini(featService{}, featError{}) },
 		"Pegasus": func() sim.Policy { return NewPegasus() },

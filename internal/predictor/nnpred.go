@@ -45,17 +45,20 @@ type Config struct {
 }
 
 // PaperConfig reproduces the paper's architecture: 5 hidden layers of 128
-// relu neurons, trained with Adam (§IV-A). On the full-scale training set
-// this takes ≈15–18 s for the classifier and ≈29–32 s with the error network
-// on one core of a 2-vCPU x86-64 host with AVX2 (≈27–30 s and ≈52–60 s on
-// nn's Go loops); use DefaultConfig for interactive runs.
+// relu neurons, trained with Adam (§IV-A). Only `geminisim train -paper`
+// trains it. Its full-scale platform build, both networks trained on both
+// cores of a 2-vCPU x86-64 host with AVX2, took 19.9–31.4 s (four runs,
+// median 24.5 s), against ≈2 s with DefaultConfig; use DefaultConfig for
+// interactive runs.
 func PaperConfig() Config {
 	return Config{Hidden: []int{128, 128, 128, 128, 128}, Epochs: 40, BatchSize: 32, LR: 1e-3, Seed: 1, MaxMs: 60}
 }
 
 // DefaultConfig is the scaled-down architecture used by the experiment
-// harness: same shape (deep relu MLP + per-ms classifier head), sized so the
-// whole predictor suite trains in a few seconds.
+// harness: a relu MLP with two hidden layers of 48 (15→48→48→61 for the
+// classifier, 15→48→48→21 for the error network) and the paper's per-ms
+// classifier head, sized so the whole predictor suite trains in about a
+// second.
 func DefaultConfig() Config {
 	return Config{Hidden: []int{48, 48}, Epochs: 25, BatchSize: 32, LR: 2e-3, Seed: 1, MaxMs: 60}
 }

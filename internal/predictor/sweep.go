@@ -28,8 +28,8 @@ func DefaultSweepOrder() []int {
 // trainings share nothing but the read-only dataset, so they fan over
 // `workers` goroutines (1 runs serially), each into its own point; the
 // result is the same for any worker count. Each training runs on one worker:
-// staged trainings nested in the fan-out contend for the same cores
-// (DESIGN.md §10).
+// trainings on several workers nested in the fan-out contend for the same
+// cores (DESIGN.md §10).
 func FeatureSweep(ds *Dataset, cfg Config, order []int, workers int) []SweepPoint {
 	if order == nil {
 		order = DefaultSweepOrder()

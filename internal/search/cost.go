@@ -5,6 +5,7 @@ import (
 
 	"gemini/internal/corpus"
 	"gemini/internal/cpu"
+	"gemini/internal/par"
 )
 
 // CostModel converts execution counters into CPU work. The per-operation
@@ -49,15 +50,17 @@ func (m *CostModel) WorkFor(st ExecStats) cpu.Work {
 // queries at the default frequency equals targetMeanMs. It returns the mean
 // before calibration (at Scale as configured) for diagnostics. An empty
 // sample or a target that is not a positive finite number leaves Scale alone
-// and returns 0.
+// and returns 0. The searches run on every core; the times sum in sample
+// order.
 func (m *CostModel) Calibrate(e *Engine, sample []corpus.Query, targetMeanMs float64) float64 {
 	if len(sample) == 0 || !(targetMeanMs > 0) || math.IsInf(targetMeanMs, 1) {
 		return 0
 	}
+	stats := make([]ExecStats, len(sample))
+	par.Run(par.DefaultWorkers(), len(sample), func(i int) { stats[i] = e.Search(sample[i]).Stats })
 	total := 0.0
-	for _, q := range sample {
-		ex := e.Search(q)
-		total += cpu.TimeFor(m.WorkFor(ex.Stats), cpu.FDefault)
+	for _, st := range stats {
+		total += cpu.TimeFor(m.WorkFor(st), cpu.FDefault)
 	}
 	mean := total / float64(len(sample))
 	if mean > 0 {

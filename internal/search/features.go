@@ -3,6 +3,7 @@ package search
 import (
 	"gemini/internal/corpus"
 	"gemini/internal/index"
+	"gemini/internal/par"
 	"gemini/internal/stats"
 )
 
@@ -91,6 +92,31 @@ func (x *Extractor) Features(q corpus.Query) FeatureVector {
 	}
 	fv[FeatQueryLength] = float64(len(q.Terms))
 	return fv
+}
+
+// Prepare caches the profile of every term of queries that has none yet,
+// building them on workers goroutines (par.Run): Features then only reads
+// the cache for these queries. A profile is a function of its term's posting
+// list alone, so the cache ends as Features would have filled it.
+func (x *Extractor) Prepare(queries []corpus.Query, workers int) {
+	var todo []corpus.TermID
+	for _, q := range queries {
+		for _, t := range q.Terms {
+			if _, ok := x.cache[t]; !ok {
+				x.cache[t] = nil // claimed: listed once
+				todo = append(todo, t)
+			}
+		}
+	}
+	built := make([]*termProfile, len(todo))
+	par.Run(workers, len(todo), func(i int) {
+		if pl, err := x.engine.Index().List(todo[i]); err == nil {
+			built[i] = x.buildProfile(pl)
+		}
+	})
+	for i, t := range todo {
+		x.cache[t] = built[i]
+	}
 }
 
 func (x *Extractor) profile(t corpus.TermID) *termProfile {
