@@ -8,7 +8,6 @@ package gemini_test
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"gemini/internal/cpu"
 	"gemini/internal/harness"
@@ -89,7 +88,7 @@ func BenchmarkFig6FeatureImportance(b *testing.B) {
 	b.ResetTimer()
 	var first, last float64
 	for i := 0; i < b.N; i++ {
-		_, data := p.Fig6Workers(1)
+		_, data := p.Fig6()
 		first = data.Points[0].Accuracy
 		last = data.Points[len(data.Points)-1].Accuracy
 	}
@@ -124,7 +123,7 @@ func BenchmarkFig10PowerVsRPS(b *testing.B) {
 	b.ResetTimer()
 	var saving float64
 	for i := 0; i < b.N; i++ {
-		data := p.RPSSweepWorkers([]float64{20, 60, 100}, 10_000, 1)
+		data := p.RPSSweep([]float64{20, 60, 100}, 10_000)
 		cells := data.Cells["Gemini"]
 		saving = cells[len(cells)-1].SavingFrac
 	}
@@ -136,7 +135,7 @@ func BenchmarkFig11TailLatency(b *testing.B) {
 	b.ResetTimer()
 	var tail float64
 	for i := 0; i < b.N; i++ {
-		data := p.RPSSweepWorkers([]float64{20, 60, 100}, 10_000, 1)
+		data := p.RPSSweep([]float64{20, 60, 100}, 10_000)
 		cells := data.Cells["Gemini"]
 		tail = cells[len(cells)-1].TailMs
 	}
@@ -148,7 +147,7 @@ func BenchmarkFig12Traces(b *testing.B) {
 	b.ResetTimer()
 	var saving float64
 	for i := 0; i < b.N; i++ {
-		data := p.TraceRunsWorkers([]string{"wiki", "lucene", "trec"}, []string{"Rubik", "Pegasus", "Gemini"}, 60, 50_000, 1)
+		data := p.TraceRuns([]string{"wiki", "lucene", "trec"}, []string{"Rubik", "Pegasus", "Gemini"}, 60, 50_000)
 		saving = data.Cell("lucene", "Gemini").SavingFrac
 	}
 	b.ReportMetric(saving*100, "gemini-saving-%-lucene")
@@ -159,7 +158,7 @@ func BenchmarkFig13LatencyDistribution(b *testing.B) {
 	b.ResetTimer()
 	var viol float64
 	for i := 0; i < b.N; i++ {
-		data := p.TraceRunsWorkers([]string{"wiki"}, []string{"Rubik", "Pegasus", "Gemini"}, 60, 50_000, 1)
+		data := p.TraceRuns([]string{"wiki"}, []string{"Rubik", "Pegasus", "Gemini"}, 60, 50_000)
 		viol = data.Cell("wiki", "Gemini").ViolationPct
 	}
 	b.ReportMetric(viol, "gemini-violation-%")
@@ -170,7 +169,7 @@ func BenchmarkFig14Breakdown(b *testing.B) {
 	b.ResetTimer()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		data := p.TraceRunsWorkers([]string{"trec"}, []string{"Gemini", "Gemini-a", "Gemini-95th"}, 60, 50_000, 1)
+		data := p.TraceRuns([]string{"trec"}, []string{"Gemini", "Gemini-a", "Gemini-95th"}, 60, 50_000)
 		full := data.Cell("trec", "Gemini").SavingFrac
 		p95 := data.Cell("trec", "Gemini-95th").SavingFrac
 		if full > 0 {
@@ -184,7 +183,7 @@ func BenchmarkAblationNoBoost(b *testing.B) {
 	p := benchPlatform(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, data := p.AblationBoostWorkers(80, 10_000, 1); len(data.Cells) < 3 {
+		if _, data := p.AblationBoost(80, 10_000); len(data.Cells) < 3 {
 			b.Fatal("missing ablation cells")
 		}
 	}
@@ -194,7 +193,7 @@ func BenchmarkAblationPerRequestPlan(b *testing.B) {
 	p := benchPlatform(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, data := p.AblationGroupingWorkers(80, 10_000, 1); len(data.Cells) < 2 {
+		if _, data := p.AblationGrouping(80, 10_000); len(data.Cells) < 2 {
 			b.Fatal("missing ablation cells")
 		}
 	}
@@ -204,7 +203,7 @@ func BenchmarkAblationTdvfs(b *testing.B) {
 	p := benchPlatform(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, data := p.AblationTdvfsWorkers(80, 10_000, 1); len(data.Cells) != 4 {
+		if _, data := p.AblationTdvfs(80, 10_000); len(data.Cells) != 4 {
 			b.Fatal("missing ablation cells")
 		}
 	}
@@ -214,7 +213,7 @@ func BenchmarkAblationBudget(b *testing.B) {
 	p := benchPlatform(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, data := p.AblationBudgetWorkers(80, 10_000, 1); len(data.Cells) != 5 {
+		if _, data := p.AblationBudget(80, 10_000); len(data.Cells) != 5 {
 			b.Fatal("missing ablation cells")
 		}
 	}
@@ -224,42 +223,22 @@ func BenchmarkAblationSleep(b *testing.B) {
 	p := benchPlatform(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, data := p.AblationSleepWorkers(20, 10_000, 1); len(data.Cells) < 3 {
+		if _, data := p.AblationSleep(20, 10_000); len(data.Cells) < 3 {
 			b.Fatal("missing ablation cells")
 		}
 	}
 }
 
-// sweepArgs are shared by the serial/parallel grid-runner benchmark pair.
+// sweepRPS is the grid BenchmarkSweep runs.
 var sweepRPS = []float64{20, 40, 60, 80, 100}
 
-// BenchmarkSweepSerial runs the Fig. 10/11 grid on one worker — the
-// reference cost the parallel engine is measured against.
-func BenchmarkSweepSerial(b *testing.B) {
+// BenchmarkSweep runs the Fig. 10/11 grid on GOMAXPROCS workers; -cpu 1,N
+// compares the serial grid with the fanned one.
+func BenchmarkSweep(b *testing.B) {
 	p := benchPlatform(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.RPSSweepWorkers(sweepRPS, 10_000, 1)
-	}
-}
-
-// BenchmarkSweepParallel runs the same grid on all available workers and
-// reports the speedup over a serial reference run as a custom metric.
-func BenchmarkSweepParallel(b *testing.B) {
-	p := benchPlatform(b)
-	workers := harness.DefaultWorkers()
-	serialStart := time.Now()
-	p.RPSSweepWorkers(sweepRPS, 10_000, 1)
-	serial := time.Since(serialStart)
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		p.RPSSweepWorkers(sweepRPS, 10_000, workers)
-	}
-	perIter := time.Since(start) / time.Duration(b.N)
-	b.ReportMetric(float64(workers), "workers")
-	if perIter > 0 {
-		b.ReportMetric(float64(serial)/float64(perIter), "speedup-x")
+		p.RPSSweep(sweepRPS, 10_000)
 	}
 }
 

@@ -66,7 +66,6 @@ type env struct {
 	stdout, stderr         io.Writer
 	small                  bool
 	durScale               float64
-	workers                int
 	cpuProfile, memProfile string
 }
 
@@ -140,15 +139,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // platformFlags registers the flags every platform-building subcommand
-// shares. scaled adds -durscale and parallel -workers, for the subcommands
-// whose runs have a length to scale and cells to shard.
-func (e *env) platformFlags(fs *flag.FlagSet, scaled, parallel bool) {
+// shares. scaled adds -durscale, for the subcommands whose runs have a length
+// to scale. The experiment grids and the cluster runs take their worker
+// count from GOMAXPROCS; no output depends on it.
+func (e *env) platformFlags(fs *flag.FlagSet, scaled bool) {
 	fs.BoolVar(&e.small, "small", false, "use the fast small-scale platform")
 	if scaled {
 		fs.Float64Var(&e.durScale, "durscale", 0, "scale simulated durations (default 1.0, or 0.2 with -small)")
-	}
-	if parallel {
-		fs.IntVar(&e.workers, "workers", harness.DefaultWorkers(), "worker goroutines for the experiment grids and the cluster runs (1 = serial; results are identical)")
 	}
 	fs.StringVar(&e.cpuProfile, "cpuprofile", "", "write a CPU profile to this path")
 	fs.StringVar(&e.memProfile, "memprofile", "", "write a heap profile to this path on exit")
@@ -192,8 +189,7 @@ func (e *env) platform(paper bool) *harness.Platform {
 // printing each report.
 func (e *env) experiments(p *harness.Platform, names []string) error {
 	set := harness.NewExperimentSet(p, e.scale())
-	set.Workers = e.workers
-	fmt.Fprintf(e.stderr, "experiment grids run on %d worker(s)\n", e.workers)
+	fmt.Fprintf(e.stderr, "experiment grids run on %d worker(s) (GOMAXPROCS)\n", runtime.GOMAXPROCS(0))
 	for _, name := range names {
 		t0 := time.Now()
 		if err := e.print(set.Run(name)); err != nil {
@@ -213,7 +209,7 @@ func (e *env) print(rep *harness.Report, err error) error {
 }
 
 func expCmd(fs *flag.FlagSet, e *env) func() error {
-	e.platformFlags(fs, true, true)
+	e.platformFlags(fs, true)
 	exp := fs.String("exp", "all", "experiment to run (see the list subcommand), or all")
 	return func() error {
 		names := harness.NewExperimentSet(nil, 1).Names()
@@ -237,7 +233,7 @@ func listCmd(_ *flag.FlagSet, e *env) func() error {
 }
 
 func cellCmd(fs *flag.FlagSet, e *env) func() error {
-	e.platformFlags(fs, true, true)
+	e.platformFlags(fs, true)
 	var spec harness.TimelineSpec
 	fs.IntVar(&spec.Shards, "shards", 8, "shards in the cell")
 	fs.IntVar(&spec.Replicas, "replicas", 3, "replicas per shard")
@@ -274,7 +270,7 @@ func cellCmd(fs *flag.FlagSet, e *env) func() error {
 			spec.SampleIntervalMs = *sampleIv
 		}
 		spec.DurationMs = 60_000 * e.scale()
-		cr, err := e.platform(false).CellReport(spec, e.workers)
+		cr, err := e.platform(false).CellReport(spec)
 		if err != nil {
 			return err
 		}
@@ -309,7 +305,7 @@ func cellCmd(fs *flag.FlagSet, e *env) func() error {
 }
 
 func capacityCmd(fs *flag.FlagSet, e *env) func() error {
-	e.platformFlags(fs, true, true)
+	e.platformFlags(fs, true)
 	spec := harness.CapacitySpec{Replicas: []int{1, 2, 3}, EngineRPS: []float64{40, 60}, Seed: 1}
 	fs.IntVar(&spec.Shards, "shards", 2, "shards in every cell")
 	routerFlag(fs, &spec.Router)
@@ -326,23 +322,23 @@ func capacityCmd(fs *flag.FlagSet, e *env) func() error {
 			spec.CapsW = append(spec.CapsW, *capW)
 		}
 		spec.DurationMs = 60_000 * e.scale()
-		return e.print(e.platform(false).CapacityReport(spec, e.workers))
+		return e.print(e.platform(false).CapacityReport(spec))
 	}
 }
 
 func clusterCmd(fs *flag.FlagSet, e *env) func() error {
-	e.platformFlags(fs, true, true)
+	e.platformFlags(fs, true)
 	cores := fs.Int("cores", 12, "cores the broker spreads the stream over")
 	return func() error {
 		if *cores < 1 {
 			return errors.New("-cores must be at least 1")
 		}
-		return e.print(e.platform(false).ClusterReport(*cores, e.workers, 60, 120_000*e.scale()), nil)
+		return e.print(e.platform(false).ClusterReport(*cores, 60, 120_000*e.scale()), nil)
 	}
 }
 
 func decisionsCmd(fs *flag.FlagSet, e *env) func() error {
-	e.platformFlags(fs, true, false)
+	e.platformFlags(fs, true)
 	out := fs.String("out", "", "write the decision records (JSONL) to this path (required)")
 	pol := "Gemini"
 	fs.Func("policy", "policy to run (default Gemini)", func(s string) error {
@@ -379,7 +375,7 @@ func decisionsCmd(fs *flag.FlagSet, e *env) func() error {
 }
 
 func phasesCmd(fs *flag.FlagSet, e *env) func() error {
-	e.platformFlags(fs, true, false)
+	e.platformFlags(fs, true)
 	tr := fs.String("trace", "wiki", "arrival trace: wiki, lucene, trec")
 	return func() error {
 		return e.print(e.platform(false).PhaseReport(*tr, 60, 120_000*e.scale()))
@@ -434,7 +430,7 @@ func printTraceStats(w io.Writer, tr *trace.Trace) {
 }
 
 func trainCmd(fs *flag.FlagSet, e *env) func() error {
-	e.platformFlags(fs, false, true)
+	e.platformFlags(fs, false)
 	paper := fs.Bool("paper", false, "train the paper's 5x128 architecture (slow)")
 	save := fs.String("save", "", "directory to write the trained models to")
 	return func() error {

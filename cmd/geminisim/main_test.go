@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -76,15 +78,16 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 }
 
 // TestCellWorkersIdentical: the sampled cell's stdout (summary, exposition,
-// timeline and SLO tables) and its JSONL export are byte-identical at 1 and
-// 4 workers.
+// timeline and SLO tables) and its JSONL export are byte-identical at
+// GOMAXPROCS 1 and 4, which set the cell's worker count.
 func TestCellWorkersIdentical(t *testing.T) {
 	dir := t.TempDir()
-	cell := func(workers string) (string, []byte) {
-		path := filepath.Join(dir, "tl-"+workers+".jsonl")
-		code, stdout, stderr := runCLI("cell", "-small", "-durscale", "0.02", "-workers", workers, "-timeline", path, "-slo")
+	cell := func(procs int) (string, []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		path := filepath.Join(dir, fmt.Sprintf("tl-%d.jsonl", procs))
+		code, stdout, stderr := runCLI("cell", "-small", "-durscale", "0.02", "-timeline", path, "-slo")
 		if code != 0 {
-			t.Fatalf("-workers %s: exit %d\n%s", workers, code, stderr)
+			t.Fatalf("GOMAXPROCS=%d: exit %d\n%s", procs, code, stderr)
 		}
 		jsonl, err := os.ReadFile(path)
 		if err != nil {
@@ -92,13 +95,13 @@ func TestCellWorkersIdentical(t *testing.T) {
 		}
 		return stdout, jsonl
 	}
-	out1, jsonl1 := cell("1")
-	out4, jsonl4 := cell("4")
+	out1, jsonl1 := cell(1)
+	out4, jsonl4 := cell(4)
 	if out1 != out4 {
-		t.Errorf("stdout differs between -workers 1 and 4:\n--- 1\n%s\n--- 4\n%s", out1, out4)
+		t.Errorf("stdout differs between GOMAXPROCS 1 and 4:\n--- 1\n%s\n--- 4\n%s", out1, out4)
 	}
 	if !bytes.Equal(jsonl1, jsonl4) {
-		t.Error("timeline JSONL differs between -workers 1 and 4")
+		t.Error("timeline JSONL differs between GOMAXPROCS 1 and 4")
 	}
 	for _, want := range []string{"Cluster topology run", `gemini_cluster_route_total{shard="7",replica="2"}`,
 		"Cluster timeline (drift / overload view)", "SLO attainment"} {

@@ -31,6 +31,7 @@ import (
 	"gemini/internal/corpus"
 	"gemini/internal/cpu"
 	"gemini/internal/harness"
+	"gemini/internal/par"
 	"gemini/internal/search"
 	"gemini/internal/sim"
 	"gemini/internal/trace"
@@ -81,9 +82,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("gemini: zero Config; use gemini.Default() or gemini.Small()")
 	}
 	p := harness.NewPlatform(cfg.opts)
-	set := harness.NewExperimentSet(p, cfg.durScale)
-	set.Workers = harness.DefaultWorkers()
-	return &System{p: p, set: set}, nil
+	return &System{p: p, set: harness.NewExperimentSet(p, cfg.durScale)}, nil
 }
 
 // SearchResult is one scored document of a query evaluation.
@@ -162,11 +161,9 @@ type TraceSpec struct {
 	// socket power then counts the simulated cores plus an idle floor for
 	// the rest. Cores == 0 simulates a single ISN whose core power is
 	// extrapolated to all 12 sockets cores (the paper's measurement setup).
+	// A Cores > 0 run shards its cores over GOMAXPROCS OS threads; the
+	// metrics do not depend on GOMAXPROCS.
 	Cores int
-	// Workers shards a Cores > 0 run over this many OS threads. Results
-	// are byte-identical to the serial run (sim.RunClusterWorkers merges
-	// cores deterministically); <= 1 runs serially. Ignored when Cores == 0.
-	Workers int
 }
 
 // Metrics summarizes one simulation run.
@@ -225,7 +222,7 @@ func (s *System) Simulate(policyName string, spec TraceSpec) (*Metrics, error) {
 	cfg := s.p.SimConfig()
 
 	if spec.Cores > 0 {
-		cr := sim.RunClusterWorkers(cfg, wl, spec.Cores, spec.Workers, func(int) sim.Policy {
+		cr := sim.RunClusterWorkers(cfg, wl, spec.Cores, par.DefaultWorkers(), func(int) sim.Policy {
 			return s.p.MustPolicy(policyName)
 		})
 		mean := 0.0

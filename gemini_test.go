@@ -132,7 +132,7 @@ func TestSimulateCluster(t *testing.T) {
 	}
 	// An unknown name is an error on the cluster path too, not a panic in
 	// a core's worker.
-	if _, err := s.Simulate("Nope", gemini.TraceSpec{Cores: 4, Workers: 2, DurationMs: 1000}); err == nil {
+	if _, err := s.Simulate("Nope", gemini.TraceSpec{Cores: 4, DurationMs: 1000}); err == nil {
 		t.Error("unknown policy accepted by the cluster path")
 	}
 }

@@ -1,75 +1,36 @@
 package harness
 
 import (
-	"fmt"
-
-	"gemini/internal/par"
 	"gemini/internal/sim"
 	"gemini/internal/trace"
 )
 
-// ExtensionCacheWorkers measures how an ISN-side result cache (paper ref [22])
+// ExtensionCache measures how an ISN-side result cache (paper ref [22])
 // composes with Gemini: cache hits collapse to the engine's fixed lookup
 // cost, thinning the effective load the DVFS policy must serve. The Zipf
 // query stream makes hits frequent, so both the baseline and Gemini draw
-// less power — and Gemini's saving persists on the misses.
-//
-// The four variant cells are fanned across the worker pool. Each cell
-// materializes its own workload from the shared seed (the cached cells then
-// rewrite hits), so results are identical for any worker count.
-func (p *Platform) ExtensionCacheWorkers(rps, durationMs float64, cacheSize, workers int) (*Report, *AblationData) {
+// less power — and Gemini's saving persists on the misses. The cached cells
+// run the same workload with its hits rewritten.
+func (p *Platform) ExtensionCache(rps, durationMs float64, cacheSize int) (*Report, *AblationData) {
 	tr := trace.GenFixedRPS(rps*p.Opt.ShardFraction, durationMs, p.Opt.Seed+70)
-
-	variants := []struct {
-		name   string
-		policy string
-		cached bool
-	}{
-		{"Baseline", "Baseline", false},
-		{"Baseline+cache", "Baseline", true},
-		{"Gemini", "Gemini", false},
-		{"Gemini+cache", "Gemini", true},
-	}
-	type cacheSlot struct {
-		res     *sim.Result
-		hitRate float64
-	}
-	slots := make([]cacheSlot, len(variants))
-	par.Run(workers, len(variants), func(i int) {
-		v := variants[i]
-		wl := p.Workload(tr.Arrivals, durationMs, p.Opt.Seed+71)
-		hitRate := 0.0
-		if v.cached {
+	hitRate := 0.0
+	g := grid{workloads: []func() *sim.Workload{
+		func() *sim.Workload { return p.Workload(tr.Arrivals, durationMs, p.Opt.Seed+71) },
+		func() *sim.Workload {
+			wl := p.Workload(tr.Arrivals, durationMs, p.Opt.Seed+71)
 			hitRate = p.applyCache(wl, cacheSize)
-		}
-		cfg := p.SimConfig()
-		if v.policy == "Baseline" {
-			cfg.PredictOverheadMs = 0
-		}
-		slots[i] = cacheSlot{res: sim.Run(cfg, wl, p.MustPolicy(v.policy)), hitRate: hitRate}
-	})
-
-	data := &AblationData{Name: "cache"}
-	r := &Report{
-		Title:  "Extension — ISN result cache composed with DVFS policies",
-		Header: []string{"Variant", "Power (W)", "Saving", "p95 (ms)", "Violations", "Transitions"},
+			return wl
+		},
+	}}
+	for _, name := range []string{"Baseline", "Gemini"} {
+		g.cells = append(g.cells, p.cell(name, p.MustPolicy(name), 0, 0), p.cell(name+"+cache", p.MustPolicy(name), 1, 0))
 	}
-	base := slots[0].res
-	for i, variant := range variants {
-		res := slots[i].res
-		cell := AblationCell{
-			Variant:      variant.name,
-			SocketPowerW: res.SocketPowerW(p.Power),
-			SavingFrac:   res.PowerSavingVs(base, p.Power),
-			TailMs:       res.TailLatencyMs(95),
-			ViolationPct: res.ViolationRate() * 100,
-			Transitions:  res.Transitions,
-		}
-		data.Cells = append(data.Cells, cell)
-		r.AddRow(variant.name, f1(cell.SocketPowerW), pct(cell.SavingFrac),
-			f2(cell.TailMs), fmt.Sprintf("%.2f%%", cell.ViolationPct), fmt.Sprintf("%d", cell.Transitions))
-		if variant.cached {
-			r.Note("%s: cache hit rate %.0f%% (capacity %d, Zipf query stream)", variant.name, slots[i].hitRate*100, cacheSize)
+	cells, _ := p.runGrid(g)
+	data := &AblationData{Name: "cache", Cells: cells}
+	r := ablationReport("Extension — ISN result cache composed with DVFS policies", data)
+	for _, c := range g.cells {
+		if c.wl == 1 {
+			r.Note("%s: cache hit rate %.0f%% (capacity %d, Zipf query stream)", c.name, hitRate*100, cacheSize)
 		}
 	}
 	return r, data

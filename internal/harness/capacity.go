@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"gemini/internal/par"
 	"gemini/internal/sim"
 	"gemini/internal/trace"
 )
@@ -24,11 +25,7 @@ type CapacitySpec struct {
 // CapacityReport runs the replicas × RPS × cap grid over the shards ×
 // replicas topology and tabulates query-level quality against modeled
 // cluster power. An unknown router is an error.
-//
-// workers shards each cell's per-replica simulations over OS threads; the
-// topology runner is byte-identical for any worker count, so the report is
-// too (TestCapacityReportWorkersIdentical).
-func (p *Platform) CapacityReport(spec CapacitySpec, workers int) (*Report, error) {
+func (p *Platform) CapacityReport(spec CapacitySpec) (*Report, error) {
 	if spec.Shards < 1 {
 		spec.Shards = 1
 	}
@@ -56,7 +53,7 @@ func (p *Platform) CapacityReport(spec CapacitySpec, workers int) (*Report, erro
 		for _, rps := range spec.EngineRPS {
 			for _, capW := range spec.CapsW {
 				cell := TimelineSpec{Shards: spec.Shards, Replicas: replicas, Router: spec.Router, CapW: capW, DurationMs: spec.DurationMs}
-				res, err := p.runCell(cell, rps, sim.TopologyConfig{Sim: p.SimConfig(), Seed: spec.Seed}, workers)
+				res, err := p.runCell(cell, rps, sim.TopologyConfig{Sim: p.SimConfig(), Seed: spec.Seed})
 				if err != nil {
 					return nil, err
 				}
@@ -76,8 +73,9 @@ func (p *Platform) CapacityReport(spec CapacitySpec, workers int) (*Report, erro
 // Gemini instance per replica core. Offered load scales with the replica
 // count (cluster RPS = per-ISN RPS × replicas), so each replica sees a
 // per-core rate comparable to the single-ISN experiments. tc brings the
-// simulator config, sinks and routing seed; runCell fills in the rest.
-func (p *Platform) runCell(spec TimelineSpec, engineRPS float64, tc sim.TopologyConfig, workers int) (*sim.TopologyResult, error) {
+// simulator config, sinks and routing seed; runCell fills in the rest. The
+// replicas run on par.DefaultWorkers() OS threads, which changes no result.
+func (p *Platform) runCell(spec TimelineSpec, engineRPS float64, tc sim.TopologyConfig) (*sim.TopologyResult, error) {
 	router, err := sim.RouterByName(spec.Router)
 	if err != nil {
 		return nil, err
@@ -88,7 +86,7 @@ func (p *Platform) runCell(spec TimelineSpec, engineRPS float64, tc sim.Topology
 	isnRPS := engineRPS * p.Opt.ShardFraction * float64(spec.Replicas)
 	tr := trace.GenFixedRPS(isnRPS, spec.DurationMs, 1)
 	wl := p.Workload(tr.Arrivals, spec.DurationMs, 2)
-	return sim.RunTopologyWorkers(tc, wl, workers, func(int) sim.Policy {
+	return sim.RunTopologyWorkers(tc, wl, par.DefaultWorkers(), func(int) sim.Policy {
 		return p.MustPolicy(cellPolicy)
 	}), nil
 }

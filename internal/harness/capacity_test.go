@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestCapacityReportWorkersIdentical extends the -workers contract to the
-// topology sweep: the capacity report renders byte-identically for any
-// worker count.
+// TestCapacityReportWorkersIdentical extends the grids' contract to the
+// topology sweep: the capacity report renders byte-identically at any
+// GOMAXPROCS.
 func TestCapacityReportWorkersIdentical(t *testing.T) {
 	p := plat(t)
 	spec := CapacitySpec{
@@ -18,24 +18,24 @@ func TestCapacityReportWorkersIdentical(t *testing.T) {
 		DurationMs: 2000,
 		Seed:       5,
 	}
-	serial := mustCapacity(t, p, spec, 1).String()
-	sharded := mustCapacity(t, p, spec, 4).String()
-	if serial != sharded {
-		t.Fatalf("capacity report differs between serial and sharded runs:\n--- serial\n%s\n--- sharded\n%s", serial, sharded)
-	}
-	if !strings.Contains(serial, "p99 ms") || !strings.Contains(serial, "throttles") {
-		t.Fatalf("capacity report missing columns:\n%s", serial)
-	}
-	// 2 replicas × 1 rps × 2 caps = 4 rows.
-	lines := strings.Count(serial, "\n")
-	if lines < 7 {
-		t.Fatalf("capacity report too short:\n%s", serial)
-	}
+	sameAtGOMAXPROCS(t, map[string]func(*testing.T) string{
+		"capacity": func(t *testing.T) string {
+			rep := mustCapacity(t, p, spec)
+			if !strings.Contains(rep.String(), "p99 ms") || !strings.Contains(rep.String(), "throttles") {
+				t.Fatalf("capacity report missing columns:\n%s", rep)
+			}
+			// 2 replicas × 1 rps × 2 caps = 4 rows.
+			if len(rep.Rows) != 4 {
+				t.Fatalf("capacity report has %d rows, want 4:\n%s", len(rep.Rows), rep)
+			}
+			return rep.String()
+		},
+	})
 }
 
 func TestCapacityReportDefaults(t *testing.T) {
 	p := plat(t)
-	rep := mustCapacity(t, p, CapacitySpec{Shards: 1, Replicas: []int{1}, EngineRPS: []float64{30}, DurationMs: 1500}, 2)
+	rep := mustCapacity(t, p, CapacitySpec{Shards: 1, Replicas: []int{1}, EngineRPS: []float64{30}, DurationMs: 1500})
 	if len(rep.Rows) != 1 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
@@ -44,9 +44,9 @@ func TestCapacityReportDefaults(t *testing.T) {
 	}
 }
 
-func mustCapacity(t *testing.T, p *Platform, spec CapacitySpec, workers int) *Report {
+func mustCapacity(t *testing.T, p *Platform, spec CapacitySpec) *Report {
 	t.Helper()
-	rep, err := p.CapacityReport(spec, workers)
+	rep, err := p.CapacityReport(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func mustCapacity(t *testing.T, p *Platform, spec CapacitySpec, workers int) *Re
 // TestCapacityReportRejectsUnknownRouter: a bad router name is an error, not
 // a panic.
 func TestCapacityReportRejectsUnknownRouter(t *testing.T) {
-	if _, err := plat(t).CapacityReport(CapacitySpec{Router: "bogus", DurationMs: 100}, 1); err == nil {
+	if _, err := plat(t).CapacityReport(CapacitySpec{Router: "bogus", DurationMs: 100}); err == nil {
 		t.Fatal("router \"bogus\" accepted")
 	}
 }
@@ -85,12 +85,12 @@ func TestTimelineSpecZeroIsCanonicalCell(t *testing.T) {
 func TestCellSamplingMovesOnlyEvents(t *testing.T) {
 	p := plat(t)
 	spec := TimelineSpec{Shards: 2, Replicas: 2, CapW: 14, DurationMs: 2000}
-	plain, err := p.CellReport(spec, 2)
+	plain, err := p.CellReport(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.SampleIntervalMs = 100
-	sampled, err := p.CellReport(spec, 2)
+	sampled, err := p.CellReport(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"gemini/internal/par"
 	"gemini/internal/sim"
 	"gemini/internal/trace"
 )
@@ -12,12 +13,9 @@ import (
 // scheme of the Fig. 10/11 sweep, and tabulates cluster-level quality and
 // power. The offered load scales with the core count so each core sees the
 // same per-ISN rate as the single-ISN experiments.
-//
-// workers shards the per-core simulations over OS threads via
-// sim.RunClusterWorkers; the numbers are byte-identical for any worker count
-// (TestClusterReportWorkersIdentical), so -workers is purely a wall-clock
-// knob, exactly like the experiment grids.
-func (p *Platform) ClusterReport(cores, workers int, engineRPS, durationMs float64) *Report {
+// The per-core simulations are sharded over par.DefaultWorkers() OS threads
+// (sim.RunClusterWorkers), which changes no number.
+func (p *Platform) ClusterReport(cores int, engineRPS, durationMs float64) *Report {
 	if cores < 1 {
 		cores = 1
 	}
@@ -29,7 +27,7 @@ func (p *Platform) ClusterReport(cores, workers int, engineRPS, durationMs float
 	}
 	for _, name := range PolicyNames {
 		wl := p.Workload(tr.Arrivals, durationMs, 2)
-		cr := sim.RunClusterWorkers(p.SimConfig(), wl, cores, workers, func(int) sim.Policy {
+		cr := sim.RunClusterWorkers(p.SimConfig(), wl, cores, par.DefaultWorkers(), func(int) sim.Policy {
 			return p.MustPolicy(name)
 		})
 		rep.AddRow(name,

@@ -13,10 +13,6 @@ type ExperimentSet struct {
 	// DurScale scales the experiments' simulated durations (1 = the paper's
 	// 120 s sweep points and 1000 s traces); tests use a small fraction.
 	DurScale float64
-	// Workers is the grid-runner worker count for the parallelizable
-	// experiment grids; <= 0 (and 1) runs serially. Any value produces
-	// byte-identical reports — see parallel.go.
-	Workers int
 
 	sweep  *SweepData
 	traces *TraceData
@@ -30,18 +26,10 @@ func NewExperimentSet(p *Platform, durScale float64) *ExperimentSet {
 	return &ExperimentSet{P: p, DurScale: durScale}
 }
 
-// workers normalizes the Workers field to a valid grid-runner count.
-func (e *ExperimentSet) workers() int {
-	if e.Workers <= 0 {
-		return 1
-	}
-	return e.Workers
-}
-
 // Sweep returns the cached Fig. 10/11 measurement grid.
 func (e *ExperimentSet) Sweep() *SweepData {
 	if e.sweep == nil {
-		e.sweep = e.P.RPSSweepWorkers(nil, 120_000*e.DurScale, e.workers())
+		e.sweep = e.P.RPSSweep(nil, 120_000*e.DurScale)
 	}
 	return e.sweep
 }
@@ -50,7 +38,7 @@ func (e *ExperimentSet) Sweep() *SweepData {
 func (e *ExperimentSet) Traces() *TraceData {
 	if e.traces == nil {
 		pols := []string{"Rubik", "Pegasus", "Gemini", "Gemini-a", "Gemini-95th"}
-		e.traces = e.P.TraceRunsWorkers([]string{"wiki", "lucene", "trec"}, pols, 60, 1_000_000*e.DurScale, e.workers())
+		e.traces = e.P.TraceRuns([]string{"wiki", "lucene", "trec"}, pols, 60, 1_000_000*e.DurScale)
 	}
 	return e.traces
 }
@@ -58,14 +46,13 @@ func (e *ExperimentSet) Traces() *TraceData {
 // runners maps experiment names to their implementations.
 func (e *ExperimentSet) runners() map[string]func() *Report {
 	abl := 200_000 * e.DurScale
-	w := e.workers()
 	return map[string]func() *Report{
 		"table1": func() *Report { return e.P.Table1() },
 		"table2": func() *Report { r, _ := e.P.Table2(); return r },
 		"fig1b":  func() *Report { r, _ := e.P.Fig1b(); return r },
 		"fig1c":  func() *Report { r, _ := e.P.Fig1c(); return r },
 		"fig3":   func() *Report { r, _ := e.P.Fig3(); return r },
-		"fig6":   func() *Report { r, _ := e.P.Fig6Workers(w); return r },
+		"fig6":   func() *Report { r, _ := e.P.Fig6(); return r },
 		"fig7":   func() *Report { r, _ := e.P.Fig7(); return r },
 		"fig8":   func() *Report { r, _ := e.P.Fig8(); return r },
 		"fig10":  func() *Report { return e.P.Fig10(e.Sweep()) },
@@ -74,35 +61,35 @@ func (e *ExperimentSet) runners() map[string]func() *Report {
 		"fig13":  func() *Report { return e.P.Fig13(e.Traces()) },
 		"fig14":  func() *Report { return e.P.Fig14(e.Traces()) },
 		"ablation-boost": func() *Report {
-			r, _ := e.P.AblationBoostWorkers(80, abl, w)
+			r, _ := e.P.AblationBoost(80, abl)
 			return r
 		},
 		"ablation-grouping": func() *Report {
-			r, _ := e.P.AblationGroupingWorkers(80, abl, w)
+			r, _ := e.P.AblationGrouping(80, abl)
 			return r
 		},
 		"ablation-tdvfs": func() *Report {
-			r, _ := e.P.AblationTdvfsWorkers(80, abl, w)
+			r, _ := e.P.AblationTdvfs(80, abl)
 			return r
 		},
 		"ablation-budget": func() *Report {
-			r, _ := e.P.AblationBudgetWorkers(80, abl, w)
+			r, _ := e.P.AblationBudget(80, abl)
 			return r
 		},
 		"ablation-sleep": func() *Report {
-			r, _ := e.P.AblationSleepWorkers(20, abl, w)
+			r, _ := e.P.AblationSleep(20, abl)
 			return r
 		},
 		"extension-governors": func() *Report {
-			r, _ := e.P.ExtensionGovernorsWorkers(80, abl, w)
+			r, _ := e.P.ExtensionGovernors(80, abl)
 			return r
 		},
 		"extension-cache": func() *Report {
-			r, _ := e.P.ExtensionCacheWorkers(80, abl, 256, w)
+			r, _ := e.P.ExtensionCache(80, abl, 256)
 			return r
 		},
 		"extension-aggregate": func() *Report {
-			r, _ := e.P.ExtensionAggregateWorkers(4, 60, abl, w)
+			r, _ := e.P.ExtensionAggregate(4, 60, abl)
 			return r
 		},
 		"fig2": func() *Report { return e.P.Fig2(4) },

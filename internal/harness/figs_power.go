@@ -6,25 +6,14 @@ import (
 	"gemini/internal/stats"
 )
 
-// SweepCell is one (policy, RPS) measurement of the Fig. 10/11 sweep.
-type SweepCell struct {
-	Policy       string
-	RPS          float64
-	SocketPowerW float64
-	SavingFrac   float64 // vs baseline at the same RPS
-	TailMs       float64 // 95th percentile latency
-	ViolationPct float64
-	DropPct      float64
-}
-
 // SweepData carries the full Fig. 10/11 grid.
 type SweepData struct {
 	RPS   []float64
-	Cells map[string][]SweepCell // policy -> per-RPS cells
+	Cells map[string][]Cell // policy -> per-RPS cells
 }
 
 // Cell returns the measurement for (policy, rps index).
-func (d *SweepData) Cell(policy string, i int) SweepCell { return d.Cells[policy][i] }
+func (d *SweepData) Cell(policy string, i int) Cell { return d.Cells[policy][i] }
 
 // Fig10 renders the power and power-saving panels of Fig. 10.
 func (p *Platform) Fig10(data *SweepData) *Report {
@@ -68,28 +57,15 @@ func (p *Platform) Fig11(data *SweepData) *Report {
 	return r
 }
 
-// TraceCell is one (trace, policy) result of the Fig. 12–14 experiments.
-type TraceCell struct {
-	Trace        string
-	Policy       string
-	SocketPowerW float64
-	SavingFrac   float64
-	TailMs       float64
-	ViolationPct float64
-	DropPct      float64
-	PowerSeriesW []float64 // socket watts per 10 s timeline window
-	Latencies    []float64
-}
-
 // TraceData maps trace -> policy -> cell.
 type TraceData struct {
 	Traces   []string
 	Policies []string
-	Cells    map[string]map[string]*TraceCell
+	Cells    map[string]map[string]*Cell
 }
 
 // Cell returns the (trace, policy) cell.
-func (d *TraceData) Cell(tr, pol string) *TraceCell { return d.Cells[tr][pol] }
+func (d *TraceData) Cell(tr, pol string) *Cell { return d.Cells[tr][pol] }
 
 // Fig12 renders the trace-driven power timelines and average savings.
 func (p *Platform) Fig12(data *TraceData) *Report {

@@ -10,14 +10,12 @@ type Fig6Data struct {
 	Points []predictor.SweepPoint
 }
 
-// Fig6Workers reproduces the feature-addition sweep of Fig. 6: classifier
+// Fig6 reproduces the feature-addition sweep of Fig. 6: classifier
 // accuracy (±1 ms) as Table II features are added one at a time in the
 // figure's bottom-to-top order. The paper goes from 23% with the posting-list
-// length alone to 89% with all features, with a few features hurting. The
-// fourteen trainings are fanned across the worker pool; the report is
-// identical for any worker count.
-func (p *Platform) Fig6Workers(workers int) (*Report, *Fig6Data) {
-	pts := predictor.FeatureSweep(p.Dataset, p.Opt.NNConfig, nil, workers)
+// length alone to 89% with all features, with a few features hurting.
+func (p *Platform) Fig6() (*Report, *Fig6Data) {
+	pts := predictor.FeatureSweep(p.Dataset, p.Opt.NNConfig, nil)
 	data := &Fig6Data{Points: pts}
 	r := &Report{
 		Title:  "Fig. 6 — prediction accuracy vs feature set",

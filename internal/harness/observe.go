@@ -6,15 +6,14 @@ import (
 
 	"gemini/internal/sim"
 	"gemini/internal/telemetry"
-	"gemini/internal/trace"
 )
 
 // LogDecisions runs one policy on one ISN under the named evaluation trace at
 // avgRPS (scaled by the shard fraction) for durationMs, with a decision
 // tracer attached, streaming every per-request telemetry.Decision to w as one
-// JSON line each. The trace and workload are seeded Seed+40 and Seed+50, as
-// for the first trace of the Fig. 12–14 grid, and every policy pays the
-// platform's prediction overhead (the grid waives it for Baseline).
+// JSON line each. The workload is that of the first trace of the Fig. 12–14
+// grid (traceWorkload), and every policy pays the platform's prediction
+// overhead, Baseline too.
 // It returns the run's Result and the tracer (whose Quality() snapshot
 // summarizes the predictors' live accuracy over the run).
 func (p *Platform) LogDecisions(w io.Writer, policyName, traceName string, avgRPS, durationMs float64) (*sim.Result, *telemetry.Tracer, error) {
@@ -22,9 +21,7 @@ func (p *Platform) LogDecisions(w io.Writer, policyName, traceName string, avgRP
 	if err != nil {
 		return nil, nil, err
 	}
-	tr := trace.GenEvalTrace(traceName, avgRPS*p.Opt.ShardFraction, durationMs, p.Opt.Seed+40)
-	wl := p.Workload(tr.Arrivals, durationMs, p.Opt.Seed+50)
-
+	wl := p.traceWorkload(traceName, 0, avgRPS, durationMs)
 	cfg := p.SimConfig()
 	tracer := telemetry.NewTracer(4096)
 	tracer.SetSink(w)

@@ -158,7 +158,7 @@ func NewPlatform(opt Options) *Platform {
 	raw := gen.Batch(opt.PoolSize + opt.TrainQueries + 6000)
 	execs := make([]search.ExecStats, len(raw))
 	times := make([]float64, len(raw))
-	par.Run(DefaultWorkers(), len(raw), func(i int) {
+	par.Run(par.DefaultWorkers(), len(raw), func(i int) {
 		execs[i] = eng.Search(raw[i]).Stats
 		times[i] = cpu.TimeFor(cost.WorkFor(execs[i]), cpu.FDefault)
 	})
@@ -202,7 +202,7 @@ func NewPlatform(opt Options) *Platform {
 	// A hit is trivially predictable: zeroed features make the NN place it in
 	// the smallest service-time bucket.
 	hit := sim.PreparedQuery{BaseWork: cost.WorkFor(search.CacheLookupStats)}
-	p.Extractor.Prepare(feasible[nTrain:nAll], DefaultWorkers())
+	p.Extractor.Prepare(feasible[nTrain:nAll], par.DefaultWorkers())
 	p.cachedPool = append(sim.PrepareQueries(p.Extractor, cost, jit, feasible[nTrain:nAll], feasibleExecs[nTrain:nAll]), hit)
 	n := len(p.cachedPool) - 1
 	p.Pool = p.cachedPool[:n:n]

@@ -3,6 +3,7 @@ package harness
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gemini/internal/policy"
@@ -89,7 +90,7 @@ func TestPlatformWorkloadAllocsIndependentOfRequests(t *testing.T) {
 // TestCachedPredictionsMatchLiveOnCacheHits is the hit-entry half of
 // sim_test.TestCachedPredictionsMatchLive: the cache extension's Gemini cell,
 // whose hits read the table's last slot, equals the same cell with the
-// networks run per arrival, for any worker count.
+// networks run per arrival, at any GOMAXPROCS.
 func TestCachedPredictionsMatchLiveOnCacheHits(t *testing.T) {
 	p := plat(t)
 	const rps, durationMs, cacheSize = 80, 6_000, 256
@@ -105,13 +106,15 @@ func TestCachedPredictionsMatchLiveOnCacheHits(t *testing.T) {
 	if cached := run(p.MustPolicy("Gemini")); !reflect.DeepEqual(cached, live) {
 		t.Fatalf("cached run differs from live:\n got %+v\nwant %+v", cached, live)
 	}
-	for _, workers := range []int{1, 4} {
-		_, data := p.ExtensionCacheWorkers(rps, durationMs, cacheSize, workers)
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		_, data := p.ExtensionCache(rps, durationMs, cacheSize)
+		runtime.GOMAXPROCS(prev)
 		cell := data.Cells[3]
-		if cell.Variant != "Gemini+cache" || cell.SocketPowerW != live.SocketPowerW(p.Power) ||
+		if cell.Name != "Gemini+cache" || cell.SocketPowerW != live.SocketPowerW(p.Power) ||
 			cell.TailMs != live.TailLatencyMs(95) || cell.ViolationPct != live.ViolationRate()*100 ||
 			cell.Transitions != live.Transitions {
-			t.Errorf("workers=%d: extension cell %+v differs from the live run", workers, cell)
+			t.Errorf("GOMAXPROCS=%d: extension cell %+v differs from the live run", procs, cell)
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 // error-budget tracker, answering the question the paper's controller is
 // judged on — did the run hold the deadline at the target percentile, and
 // if not, when did the budget burn. Because the tracker is fed from the
-// deterministically-merged rows, the report is byte-identical for any
-// worker count, like every other harness table.
+// deterministically-merged rows, the report is byte-identical at any
+// GOMAXPROCS, like every other harness table.
 
 // SLOReport folds a sampled cell run into the burn-rate table. targetPct is the
 // SLO target percentile (0 selects the tracker default, 99). The tracker's

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"gemini/internal/par"
 	"gemini/internal/sim"
 	"gemini/internal/stats"
 	"gemini/internal/trace"
@@ -53,46 +52,30 @@ func (p *Platform) Fig2(nRequests int) *Report {
 	return r
 }
 
-// ExtensionAggregateWorkers measures the end-to-end partition-aggregate tail
-// the paper's introduction motivates: every query is broadcast to nISNs
-// shards (independent per-shard service draws), and the search result is
-// gated by the slowest shard. ISN-level Gemini must hold the end-to-end tail
-// at the budget while saving power on every shard. The (policy, shard)
-// simulations are fanned across the worker pool; the per-policy aggregation
-// walks shards in index order, so results are identical for any worker count.
-func (p *Platform) ExtensionAggregateWorkers(nISNs int, rps, durationMs float64, workers int) (*Report, *AblationData) {
+// ExtensionAggregate measures the end-to-end partition-aggregate tail the
+// paper's introduction motivates: every query is broadcast to nISNs shards
+// (independent per-shard service draws), and the search result is gated by
+// the slowest shard. ISN-level Gemini must hold the end-to-end tail at the
+// budget while saving power on every shard. Each shard's workload serves the
+// same arrivals with its own jitter draws and is shared by both policies.
+func (p *Platform) ExtensionAggregate(nISNs int, rps, durationMs float64) (*Report, *AblationData) {
 	if nISNs < 2 {
 		nISNs = 4
 	}
 	tr := trace.GenFixedRPS(rps*p.Opt.ShardFraction, durationMs, p.Opt.Seed+81)
-
-	// Each ISN serves the same arrivals with its own jitter draws; every
-	// (policy, shard) pair is an independent simulation.
 	names := []string{"Baseline", "Gemini"}
-	type shardSlot struct {
-		res  *sim.Result
-		lats []float64 // per-request latency, -1 = dropped
+	var g grid
+	for shard := range nISNs {
+		g.workloads = append(g.workloads, func() *sim.Workload {
+			return p.Workload(tr.Arrivals, durationMs, p.Opt.Seed+90+int64(shard))
+		})
 	}
-	slots := make([]shardSlot, len(names)*nISNs)
-	par.Run(workers, len(slots), func(k int) {
-		ni, shard := k/nISNs, k%nISNs
-		name := names[ni]
-		wl := p.Workload(tr.Arrivals, durationMs, p.Opt.Seed+90+int64(shard))
-		cfg := p.SimConfig()
-		if name == "Baseline" {
-			cfg.PredictOverheadMs = 0
+	for _, name := range names {
+		for shard := range nISNs {
+			g.cells = append(g.cells, p.cell(name, p.MustPolicy(name), shard, -1))
 		}
-		res := sim.Run(cfg, wl, p.MustPolicy(name))
-		lats := make([]float64, len(res.Requests))
-		for i, req := range res.Requests {
-			if req.Dropped {
-				lats[i] = -1 // excluded below: the aggregator ignored it
-			} else {
-				lats[i] = req.LatencyMs()
-			}
-		}
-		slots[k] = shardSlot{res: res, lats: lats}
-	})
+	}
+	_, results := p.runGrid(g)
 
 	data := &AblationData{Name: "aggregate"}
 	r := &Report{
@@ -100,32 +83,26 @@ func (p *Platform) ExtensionAggregateWorkers(nISNs int, rps, durationMs float64,
 		Header: []string{"Policy", "ISN p95 (ms)", "Aggregate p95 (ms)", "Aggregate p99", "Power/ISN (W)"},
 	}
 	for ni, name := range names {
-		perShard := make([][]float64, 0, nISNs) // per-shard latency per request index
+		shards := results[ni*nISNs:][:nISNs]
 		var isnTail, corePow float64
-		var dropped bool
-		for shard := 0; shard < nISNs; shard++ {
-			slot := slots[ni*nISNs+shard]
-			isnTail += slot.res.TailLatencyMs(95) / float64(nISNs)
-			corePow += slot.res.AvgCorePowW / float64(nISNs)
-			for _, l := range slot.lats {
-				if l < 0 {
-					dropped = true
-					break
-				}
-			}
-			perShard = append(perShard, slot.lats)
+		for _, res := range shards {
+			isnTail += res.TailLatencyMs(95) / float64(nISNs)
+			corePow += res.AvgCorePowW / float64(nISNs)
 		}
 		// Aggregate latency per request: max over shards that answered.
 		var agg []float64
+		dropped := false
 		for i := range tr.Arrivals {
-			worst := 0.0
-			answered := false
-			for shard := 0; shard < nISNs; shard++ {
-				if l := perShard[shard][i]; l >= 0 {
-					answered = true
-					if l > worst {
-						worst = l
-					}
+			worst, answered := 0.0, false
+			for _, res := range shards {
+				l := res.Requests[i].LatencyMs()
+				if res.Requests[i].Dropped || l < 0 {
+					dropped = true // the aggregator ignores the shard
+					continue
+				}
+				answered = true
+				if l > worst {
+					worst = l
 				}
 			}
 			if answered {
@@ -135,9 +112,7 @@ func (p *Platform) ExtensionAggregateWorkers(nISNs int, rps, durationMs float64,
 		p95, _ := stats.Percentile(agg, 95)
 		p99, _ := stats.Percentile(agg, 99)
 		r.AddRow(name, f2(isnTail), f2(p95), f2(p99), f2(corePow))
-		data.Cells = append(data.Cells, AblationCell{
-			Variant: name, SocketPowerW: corePow, TailMs: p95,
-		})
+		data.Cells = append(data.Cells, Cell{Name: name, SocketPowerW: corePow, TailMs: p95})
 		if dropped {
 			r.Note("%s: some shards dropped infeasible requests (the aggregator ignores stragglers)", name)
 		}

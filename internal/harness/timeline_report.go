@@ -70,9 +70,9 @@ type CellResult struct {
 // CellReport runs one topology cell with cluster telemetry attached, and
 // with the fixed-interval sampler too when spec asks for it. The sampled
 // series is merged deterministically in core order, so every table and
-// export is byte-identical for any worker count. The sampler's ticks count
+// export is byte-identical for any GOMAXPROCS. The sampler's ticks count
 // in the summary's events column, as in Result.Events; nothing else moves.
-func (p *Platform) CellReport(spec TimelineSpec, workers int) (*CellResult, error) {
+func (p *Platform) CellReport(spec TimelineSpec) (*CellResult, error) {
 	spec.normalize()
 	cfg := p.SimConfig()
 	if spec.SampleIntervalMs > 0 {
@@ -80,7 +80,7 @@ func (p *Platform) CellReport(spec TimelineSpec, workers int) (*CellResult, erro
 	}
 	reg := telemetry.NewRegistry()
 	tc := sim.TopologyConfig{Sim: cfg, Seed: 1, Metrics: telemetry.NewClusterMetrics(reg)}
-	res, err := p.runCell(spec, cellEngineRPS, tc, workers)
+	res, err := p.runCell(spec, cellEngineRPS, tc)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,6 @@ import (
 	"gemini/internal/sim"
 	"gemini/internal/stats"
 	"gemini/internal/telemetry"
-	"gemini/internal/trace"
 )
 
 // PhaseStats summarizes one span name (phase) across a run's traces.
@@ -82,8 +81,7 @@ func (p *Platform) RunWaterfall(policyName, traceName string, avgRPS, durationMs
 	if err != nil {
 		return nil, nil, err
 	}
-	tr := trace.GenEvalTrace(traceName, avgRPS*p.Opt.ShardFraction, durationMs, p.Opt.Seed+40)
-	wl := p.Workload(tr.Arrivals, durationMs, p.Opt.Seed+50)
+	wl := p.traceWorkload(traceName, 0, avgRPS, durationMs)
 
 	cfg := p.SimConfig()
 	sp := telemetry.NewSpanTracer(4 * wl.Len())

@@ -2,20 +2,20 @@ package nn
 
 import "math"
 
-// Optimizer updates a parameter vector in place given its gradient. The id
+// Optimizer updates parameter vectors in place given their gradients: SGD,
+// Adam and RMSprop, the package's optimizers, are the only ones. The id
 // distinguishes parameter groups (each layer's W and B) so stateful
-// optimizers keep separate moment estimates per group.
+// optimizers keep separate moment estimates per group. Its update of a
+// parameter reads only that parameter, its gradient, its moments and the step
+// count, so Trainer.Fit's workers step disjoint ranges of one group at once:
+// moments makes a group's vectors on the caller's goroutine before they
+// start, and update steps any range of it.
 type Optimizer interface {
+	// BeginStep advances the step count; call it once per batch, before
+	// stepping the parameter groups.
+	BeginStep()
+	// Step steps one whole parameter group.
 	Step(id int, params, grads []float64)
-}
-
-// elementwise is an optimizer of this package. Its update of a parameter
-// reads only that parameter, its gradient, its moments and the step count, so
-// Trainer.Fit's workers step disjoint ranges of one group at once: moments
-// makes a group's vectors on the caller's goroutine before they start, and
-// update steps any range of it.
-type elementwise interface {
-	Optimizer
 	// moments returns group id's moment vectors, n long, made zero on first
 	// use; nil for a moment the optimizer does not keep.
 	moments(id, n int) (m, v []float64)
@@ -24,13 +24,16 @@ type elementwise interface {
 	update(params, grads, m, v []float64)
 }
 
-// state is what the package's optimizers carry between steps: Adam's step
-// count and each parameter group's moment vectors, a group's made on its
-// first step.
+// state is what the package's optimizers carry between steps: the step count
+// (only Adam reads it) and each parameter group's moment vectors, a group's
+// made on its first step.
 type state struct {
 	t    int
 	m, v map[int][]float64
 }
+
+// BeginStep implements Optimizer.
+func (s *state) BeginStep() { s.t++ }
 
 // vec returns group id's vector in *vs, made zero and n long on first use.
 func vec(vs *map[int][]float64, id, n int) []float64 {
@@ -93,10 +96,6 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// BeginStep advances Adam's shared time step; call once per batch before
-// stepping the parameter groups.
-func (a *Adam) BeginStep() { a.t++ }
-
 // Step applies one Adam update to a parameter group.
 func (a *Adam) Step(id int, params, grads []float64) {
 	if a.t == 0 {
@@ -144,9 +143,6 @@ type RMSprop struct {
 func NewRMSprop(lr float64) *RMSprop {
 	return &RMSprop{LR: lr, Rho: 0.9, Eps: 1e-8}
 }
-
-// BeginStep is a no-op; RMSprop keeps no shared step counter.
-func (r *RMSprop) BeginStep() {}
 
 // Step applies one RMSprop update to a parameter group.
 func (r *RMSprop) Step(id int, params, grads []float64) {

@@ -314,9 +314,7 @@ func refFit(t *Trainer, X [][]float64, Y []float64) float64 {
 				t.Net.Backward(dOut)
 			}
 			scale := 1.0 / float64(end-start)
-			if s, ok := t.Opt.(steppable); ok {
-				s.BeginStep()
-			}
+			t.Opt.BeginStep()
 			for li, l := range t.Net.Layers {
 				for i := range l.gradW {
 					l.gradW[i] *= scale

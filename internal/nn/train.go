@@ -55,12 +55,6 @@ func (MSE) LossAndGrad(output []float64, target float64, dOut []float64) float64
 	return d * d
 }
 
-// steppable lets the trainer advance an optimizer's step counter once per
-// batch, before any group is stepped.
-type steppable interface {
-	BeginStep()
-}
-
 // Trainer runs mini-batch gradient training of a Network.
 type Trainer struct {
 	Net       *Network
@@ -96,8 +90,7 @@ type Trainer struct {
 // their gradients over the slots in sample order, then scales, decays and
 // steps them. No sum is split or reordered, so the weights, the optimizer
 // state and the loss are the bits of one loop over the samples at any worker
-// count. An optimizer of another package is stepped group by group on the
-// caller's goroutine after phase B.
+// count.
 func (t *Trainer) Fit(X [][]float64, Y []float64) (float64, error) {
 	if len(X) == 0 || len(X) != len(Y) {
 		return 0, errors.New("nn: bad training set")
@@ -150,8 +143,7 @@ type fit struct {
 	scratch []scratch     // each worker's backward buffers
 	wts     [][][]float64 // wts[w][j]: worker w's transposed copy of layer j's W (worker 0's is the layer's)
 	shares  [][]piece     // each worker's rows in phase B
-	opt     elementwise   // t.Opt, or nil when it is of another package
-	m, v    [][]float64   // each group's moments, for opt
+	m, v    [][]float64   // each group's moments in t.Opt
 
 	phase int
 	_     [64]byte
@@ -217,12 +209,10 @@ func newFit(t *Trainer, X [][]float64, Y []float64) *fit {
 		}
 	}
 	f.shares = share(layers, f.workers)
-	if opt, ok := t.Opt.(elementwise); ok {
-		f.opt, f.m, f.v = opt, make([][]float64, 2*L), make([][]float64, 2*L)
-		for j, l := range layers {
-			f.m[2*j], f.v[2*j] = opt.moments(2*j, len(l.W))
-			f.m[2*j+1], f.v[2*j+1] = opt.moments(2*j+1, len(l.B))
-		}
+	f.m, f.v = make([][]float64, 2*L), make([][]float64, 2*L)
+	for j, l := range layers {
+		f.m[2*j], f.v[2*j] = t.Opt.moments(2*j, len(l.W))
+		f.m[2*j+1], f.v[2*j+1] = t.Opt.moments(2*j+1, len(l.B))
 	}
 	if f.workers > 1 {
 		f.wakes = make([]chan struct{}, f.workers)
@@ -309,16 +299,8 @@ func (f *fit) run() float64 {
 			for k := 0; k < f.size; k++ {
 				sum += f.losses[k*lossStride]
 			}
-			if st, ok := t.Opt.(steppable); ok {
-				st.BeginStep()
-			}
+			t.Opt.BeginStep()
 			f.each(phaseB)
-			if f.opt == nil {
-				for j, l := range f.layers {
-					t.Opt.Step(2*j, l.W, l.gradW)
-					t.Opt.Step(2*j+1, l.B, l.gradB)
-				}
-			}
 		}
 		loss = sum / float64(n)
 		if t.OnEpoch != nil && !t.OnEpoch(epoch, loss) {
@@ -469,7 +451,7 @@ func (f *fit) sample(w, k int) {
 }
 
 // sumStep sums the batch's gradients of piece p's rows, averages them, adds
-// the weight decay and, for an optimizer of this package, steps the rows. A
+// the weight decay and steps the rows. A
 // layer whose input was not finite in some slot sums over each slot's live
 // rows only (accumulate).
 func (f *fit) sumStep(p piece) {
@@ -487,12 +469,9 @@ func (f *fit) sumStep(p piece) {
 			gw[i] += decay * w[i]
 		}
 	}
-	if f.opt == nil {
-		return
-	}
-	id := 2 * p.layer
-	f.opt.update(w, gw, part(f.m[id], p.lo*in, p.hi*in), part(f.v[id], p.lo*in, p.hi*in))
-	f.opt.update(l.B[p.lo:p.hi], gb, part(f.m[id+1], p.lo, p.hi), part(f.v[id+1], p.lo, p.hi))
+	id, opt := 2*p.layer, f.t.Opt
+	opt.update(w, gw, part(f.m[id], p.lo*in, p.hi*in), part(f.v[id], p.lo*in, p.hi*in))
+	opt.update(l.B[p.lo:p.hi], gb, part(f.m[id+1], p.lo, p.hi), part(f.v[id+1], p.lo, p.hi))
 }
 
 // part is v[lo:hi], or nil for a moment the optimizer does not keep.

@@ -4,7 +4,7 @@
 // counter; each job must write only into its own per-index slot so that the
 // serial path (workers <= 1, which runs inline with no goroutines) and the
 // parallel path produce byte-identical results after an index-ordered
-// assembly pass. The harness grid tests (TestParallelSweepMatchesSerial) and
+// assembly pass. The harness grid tests (TestGridsIndependentOfGOMAXPROCS) and
 // the sharded-run tests (TestClusterWorkersMatchesSerial) both pin this
 // discipline.
 package par

@@ -300,13 +300,17 @@ func TestFeatureSweepImproves(t *testing.T) {
 	cfg.Epochs = 6
 	// Use a short prefix of the order to keep the test fast.
 	order := DefaultSweepOrder()[:5]
-	pts := FeatureSweep(ds, cfg, order, 1)
+	sweep := func(procs int) []SweepPoint {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return FeatureSweep(ds, cfg, order)
+	}
+	pts := sweep(1)
 	if len(pts) != 5 {
 		t.Fatalf("sweep points = %d", len(pts))
 	}
 	// The trainings are independent: fanned out, every point is the same.
-	if fanned := FeatureSweep(ds, cfg, order, 3); !reflect.DeepEqual(fanned, pts) {
-		t.Errorf("3 workers: %+v, serial: %+v", fanned, pts)
+	if fanned := sweep(3); !reflect.DeepEqual(fanned, pts) {
+		t.Errorf("GOMAXPROCS=3: %+v, GOMAXPROCS=1: %+v", fanned, pts)
 	}
 	for _, p := range pts {
 		if p.Accuracy < 0 || p.Accuracy > 1 {

@@ -26,16 +26,16 @@ func DefaultSweepOrder() []int {
 // reports test accuracy after each addition — the reproduction of Fig. 6.
 // Accuracy is the fraction of test samples predicted within ±1 ms. The
 // trainings share nothing but the read-only dataset, so they fan over
-// `workers` goroutines (1 runs serially), each into its own point; the
-// result is the same for any worker count. Each training runs on one worker:
+// par.DefaultWorkers() goroutines (GOMAXPROCS), each into its own point; the
+// result is the same for any GOMAXPROCS. Each training runs on one worker:
 // trainings on several workers nested in the fan-out contend for the same
 // cores (DESIGN.md §10).
-func FeatureSweep(ds *Dataset, cfg Config, order []int, workers int) []SweepPoint {
+func FeatureSweep(ds *Dataset, cfg Config, order []int) []SweepPoint {
 	if order == nil {
 		order = DefaultSweepOrder()
 	}
 	points := make([]SweepPoint, len(order))
-	par.Run(workers, len(order), func(i int) {
+	par.Run(par.DefaultWorkers(), len(order), func(i int) {
 		clf := trainClassifier(ds.Train, order[:i+1], cfg, 1)
 		points[i] = SweepPoint{Feature: search.FeatureNames[order[i]], Accuracy: classifierAccuracy(clf, ds.Test, 1.0)}
 	})

@@ -20,8 +20,8 @@ import (
 //
 // The tracker takes every timestamp explicitly (milliseconds on the caller's
 // clock) and never reads a wall clock itself — it serves both the simulator
-// (simulated time via TimeseriesRow feeds, byte-identical serial vs -workers
-// N because the rows are) and the live listeners (internal/server supplies
+// (simulated time via TimeseriesRow feeds, byte-identical at any GOMAXPROCS
+// because the rows are) and the live listeners (internal/server supplies
 // wall time, the one layer allowed to). TestSLOEmptyWindowBurnsZero fails if
 // the tracker reads a clock of its own.
 
