@@ -47,15 +47,22 @@ type gridCell struct {
 	base int // index of the cell whose result is this one's saving reference; -1 = none
 }
 
-// cell is a grid cell running pol on workload wl with the platform's
-// simulator config, the prediction stall charged as paysPredictOverhead says.
-// Callers may adjust cfg.
+// cell is a grid cell running pol on workload wl with configFor's simulator
+// config. Callers may adjust cfg.
 func (p *Platform) cell(name string, pol sim.Policy, wl, base int) gridCell {
+	return gridCell{name: name, pol: pol, cfg: p.configFor(pol.Name()), wl: wl, base: base}
+}
+
+// configFor is the platform's simulator config for a run of the named
+// policy, the prediction stall charged as paysPredictOverhead says. Every
+// harness run of one policy (the grids, RunWaterfall, LogDecisions) starts
+// from it.
+func (p *Platform) configFor(policy string) sim.Config {
 	cfg := p.SimConfig()
-	if !paysPredictOverhead(pol.Name()) {
+	if !paysPredictOverhead(policy) {
 		cfg.PredictOverheadMs = 0
 	}
-	return gridCell{name: name, pol: pol, cfg: cfg, wl: wl, base: base}
+	return cfg
 }
 
 // paysPredictOverhead is the one rule for which grid cells pay the per-request

@@ -3,25 +3,8 @@ package harness
 import (
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
-
-	"gemini/internal/par"
 )
-
-func TestGridRunCoversAllJobs(t *testing.T) {
-	for _, workers := range []int{1, 3, 8, 100} {
-		n := 17
-		var done [17]atomic.Int32
-		par.Run(workers, n, func(i int) { done[i].Add(1) })
-		for i := range done {
-			if got := done[i].Load(); got != 1 {
-				t.Errorf("workers=%d: job %d ran %d times", workers, i, got)
-			}
-		}
-	}
-	par.Run(4, 0, func(int) { t.Error("job ran for n=0") })
-}
 
 // sameAtGOMAXPROCS holds each report to the grids' contract: the worker
 // count is GOMAXPROCS and no output depends on it. Each run is a subtest that

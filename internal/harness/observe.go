@@ -11,9 +11,9 @@ import (
 // LogDecisions runs one policy on one ISN under the named evaluation trace at
 // avgRPS (scaled by the shard fraction) for durationMs, with a decision
 // tracer attached, streaming every per-request telemetry.Decision to w as one
-// JSON line each. The workload is that of the first trace of the Fig. 12–14
-// grid (traceWorkload), and every policy pays the platform's prediction
-// overhead, Baseline too.
+// JSON line each. The workload and the config are those of the policy's
+// first Fig. 12–14 cell (traceWorkload, configFor): the prediction stall is
+// charged as paysPredictOverhead says, so Baseline runs without it.
 // It returns the run's Result and the tracer (whose Quality() snapshot
 // summarizes the predictors' live accuracy over the run).
 func (p *Platform) LogDecisions(w io.Writer, policyName, traceName string, avgRPS, durationMs float64) (*sim.Result, *telemetry.Tracer, error) {
@@ -22,7 +22,7 @@ func (p *Platform) LogDecisions(w io.Writer, policyName, traceName string, avgRP
 		return nil, nil, err
 	}
 	wl := p.traceWorkload(traceName, 0, avgRPS, durationMs)
-	cfg := p.SimConfig()
+	cfg := p.configFor(pol.Name())
 	tracer := telemetry.NewTracer(4096)
 	tracer.SetSink(w)
 	cfg.Tracer = tracer

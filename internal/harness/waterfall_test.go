@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"io"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -95,6 +97,46 @@ func TestPhaseSpansSumToLatency(t *testing.T) {
 			}
 			if execSeen < res.Completed {
 				t.Errorf("exec phases on %d traces, want >= completed (%d)", execSeen, res.Completed)
+			}
+		})
+	}
+}
+
+// TestSingleRunsTakeTheGridConfig: RunWaterfall (geminisim phases) and
+// LogDecisions (geminisim decisions) run a policy as its first Fig. 12–14
+// cell does, on the same trace workload and with the prediction stall
+// charged as paysPredictOverhead says, so Baseline runs without it and
+// Gemini with it. Their sinks change nothing in the Result.
+func TestSingleRunsTakeTheGridConfig(t *testing.T) {
+	p := plat(t)
+	const avgRPS, durationMs = 400, 3000
+	for _, name := range []string{"Baseline", "Gemini"} {
+		t.Run(name, func(t *testing.T) {
+			pol, err := p.NewPolicy(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := p.SimConfig()
+			if !paysPredictOverhead(name) {
+				cfg.PredictOverheadMs = 0
+			}
+			want := sim.Run(cfg, p.traceWorkload("uniform", 0, avgRPS, durationMs), pol)
+
+			res, _, err := p.RunWaterfall(name, "uniform", avgRPS, durationMs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Errorf("RunWaterfall: %d completed, %d violations, %.6f mJ; the grid cell: %d, %d, %.6f mJ",
+					res.Completed, res.Violations, res.EnergyMJ, want.Completed, want.Violations, want.EnergyMJ)
+			}
+			res, _, err = p.LogDecisions(io.Discard, name, "uniform", avgRPS, durationMs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Errorf("LogDecisions: %d completed, %d violations, %.6f mJ; the grid cell: %d, %d, %.6f mJ",
+					res.Completed, res.Violations, res.EnergyMJ, want.Completed, want.Violations, want.EnergyMJ)
 			}
 		})
 	}

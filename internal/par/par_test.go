@@ -5,14 +5,16 @@ import (
 	"testing"
 )
 
+// TestRunCoversEveryIndexOnce runs each index exactly once, for fewer
+// workers than jobs and for more (100 workers over 17 jobs, which Run clamps
+// to 17 goroutines).
 func TestRunCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 64} {
-		const n = 257
-		var hits [n]atomic.Int32
-		Run(workers, n, func(i int) { hits[i].Add(1) })
+	for _, tc := range []struct{ workers, n int }{{0, 257}, {1, 257}, {2, 257}, {7, 257}, {64, 257}, {100, 17}} {
+		hits := make([]atomic.Int32, tc.n)
+		Run(tc.workers, tc.n, func(i int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
+				t.Fatalf("workers=%d n=%d: index %d ran %d times", tc.workers, tc.n, i, got)
 			}
 		}
 	}

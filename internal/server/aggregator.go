@@ -57,7 +57,7 @@ type Aggregator struct {
 	ShardURLs []string
 	K         int
 	Policy    AggPolicy
-	Quorum    int           // Partial: shards to wait for (default all-1)
+	Quorum    int           // Partial: shards to wait for (NewAggregator sets all; ≤ 0 means all)
 	Timeout   time.Duration // Partial: straggler cutoff (default 100 ms)
 	// Client carries the fan-out legs: its Transport (nil means
 	// http.DefaultTransport) sends them, and its Timeout (0 means none)

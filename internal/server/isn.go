@@ -6,24 +6,24 @@
 // (wait-for-all vs. partial aggregation with a timeout, ref [2] — stragglers
 // beyond the timeout are ignored, which is why ISN-level deadlines matter).
 //
-// The servers run real retrieval; DVFS remains the domain of the simulator
-// (a real process cannot meaningfully change a laptop's frequency per
-// query), but each ISN response carries the modeled service time and the
-// predictors' view of the query, demonstrating the cross-process control
-// path the paper built on Solr.
+// The servers run real retrieval and report what they measured: each ISN
+// reply and decision record carries the wall-clock queue and execution
+// phases, the cost model's service time and the predictors' view of the
+// query (the inputs Gemini's controller would consume on Solr). DVFS and
+// energy exist only in the simulator: the live ISNs run at whatever
+// frequency the host gives them and have no power reading to report.
 package server
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"gemini/internal/core"
 	"gemini/internal/corpus"
 	"gemini/internal/cpu"
 	"gemini/internal/predictor"
@@ -86,12 +86,14 @@ type ISN struct {
 	Service predictor.ServicePredictor
 	ErrPred predictor.ErrorPredictor
 
-	// BudgetMs is the per-query latency budget driving the modeled DVFS plan
-	// and the deadline-slack telemetry (DefaultBudgetMs when zero).
+	// BudgetMs is the per-query latency budget behind the deadline-slack
+	// telemetry and the timeline's SLO column (DefaultBudgetMs when zero).
 	BudgetMs float64
 	// Tracer, when non-nil, receives one telemetry.Decision per served query:
-	// the predictors' view, the plan §III-A would have chosen, and the modeled
-	// outcome. Served at /debug/decisions by cmd/isnserver.
+	// the predictors' view, the queue depth, the cost model's service time
+	// and the measured queue, execution and end-to-end wall times. It carries
+	// no plan, frequency or energy. Served at /debug/decisions by
+	// cmd/isnserver.
 	Tracer *telemetry.Tracer
 	// Spans, when non-nil, retains the span sets of traced queries (those
 	// whose request carried TraceHeader) for the shard's own /debug/traces
@@ -110,17 +112,7 @@ type ISN struct {
 	stopped  chan struct{}
 	depth    int
 	mu       sync.Mutex
-
-	// Modeled DVFS state (real frequencies stay the simulator's domain; the
-	// live path models the plan each query would have executed, see the
-	// package comment). Guarded by mu.
-	planner     core.Params
-	power       *cpu.PowerModel
-	ladder      *cpu.Ladder
-	modelFreq   cpu.Freq
-	energyMJ    float64
-	transitions uint64
-	seq         int
+	seq      atomic.Int64 // decision records emitted; each record's RequestID is its ordinal
 
 	// tsc is the timeline window, guarded by mu; nil (a pointer test per
 	// lifecycle event) until StartTimeline attaches a sampler.
@@ -148,10 +140,6 @@ func NewISN(shard int, c *corpus.Corpus, eng *search.Engine, cost *search.CostMo
 		Cost:      cost,
 		queue:     make(chan isnTask, 1024),
 		stopped:   make(chan struct{}),
-		planner:   core.DefaultParams(),
-		power:     cpu.DefaultPowerModel(),
-		ladder:    cpu.DefaultLadder(),
-		modelFreq: cpu.FDefault,
 		t0:        time.Now(),
 	}
 }
@@ -281,19 +269,18 @@ func msBetween(a, b time.Time) float64 {
 }
 
 // observe records the served query into the shard's instruments and decision
-// trace — the wall latency, the §III-A plan the modeled DVFS would have
-// executed for the predicted service time, and its energy and transitions —
-// and, when the request carried a trace ID, attaches the shard's span set to
-// the response for the aggregator to stitch. A no-op unless the ISN is
-// instrumented or traced.
+// trace (the wall latency and its measured phases, the predictions and the
+// cost model's service time) and, when the request carried a trace ID,
+// attaches the shard's span set to the response for the aggregator to
+// stitch. A no-op unless the ISN is instrumented or traced.
 func (n *ISN) observe(resp *ISNResponse, start time.Time, depth int, traceID string) {
 	if n.met == nil && n.Tracer == nil && traceID == "" {
 		return
 	}
 	// Self-overhead meter: the wall cost of this observation block itself
-	// (metrics, modeled plan, decision emit, span assembly), so "bounded when
-	// enabled" is a measured claim. The clock reads only run when telemetry
-	// is on — the disabled path returned above.
+	// (metrics, decision emit, span assembly), so "bounded when enabled" is
+	// a measured claim. The clock reads only run when telemetry is on — the
+	// disabled path returned above.
 	obsStart := time.Now()
 	defer func() {
 		if n.met != nil {
@@ -302,18 +289,6 @@ func (n *ISN) observe(resp *ISNResponse, start time.Time, depth int, traceID str
 		}
 	}()
 	latencyMs := msSince(start)
-	budget := n.budgetMs()
-
-	// The plan §III-A would choose: eq. 5 initial frequency and eq. 7 boost
-	// for a predicted query, single-step FDefault when no predictor is
-	// attached.
-	plan := core.Plan{Initial: cpu.FDefault, Boost: cpu.FDefault, BoostAt: math.Inf(1)}
-	if resp.PredictedMs > 0 {
-		plan = n.planner.PlanSingle(0, budget, resp.PredictedMs, resp.PredErrMs)
-	}
-	work := cpu.WorkFor(resp.ServiceMs, cpu.FDefault)
-	mx := n.applyModel(plan, work)
-	execMs, energyMJ, transitions, seq := mx.execMs, mx.energyMJ, mx.transitions, mx.seq
 
 	// Feed the Gemini-α style moving-average estimator, when attached, with
 	// the observed error magnitude so E* adapts to the live stream.
@@ -325,9 +300,6 @@ func (n *ISN) observe(resp *ISNResponse, start time.Time, depth int, traceID str
 		n.met.requests.Inc()
 		n.met.latency.Observe(latencyMs)
 		n.met.service.Observe(resp.ServiceMs)
-		if transitions > 0 {
-			n.met.transitions.Add(uint64(transitions))
-		}
 		if resp.PredictedMs > 0 {
 			n.met.predTotal.Inc()
 			abs := resp.ServiceMs - resp.PredictedMs
@@ -341,52 +313,41 @@ func (n *ISN) observe(resp *ISNResponse, start time.Time, depth int, traceID str
 		}
 	}
 	if n.Tracer != nil {
-		arrivalMs := float64(start.Sub(n.t0).Microseconds()) / 1000
-		d := telemetry.Decision{
+		budget := n.budgetMs()
+		arrivalMs := msBetween(n.t0, start)
+		n.Tracer.Emit(telemetry.Decision{
 			Policy:          "isn-live",
-			RequestID:       seq,
+			RequestID:       int(n.seq.Add(1)),
 			ArrivalMs:       arrivalMs,
 			PredictedMs:     resp.PredictedMs,
 			PredErrMs:       resp.PredErrMs,
-			InitialFreqGHz:  float64(plan.Initial),
 			CriticalID:      -1,
 			QueueDepth:      depth,
-			StartFreqGHz:    float64(plan.Initial),
-			StartMs:         arrivalMs,
+			StartMs:         arrivalMs + resp.QueueWaitMs,
 			FinishMs:        arrivalMs + latencyMs,
-			ServiceMs:       execMs,
+			ServiceMs:       resp.ExecWallMs,
 			ActualMs:        resp.ServiceMs,
 			LatencyMs:       latencyMs,
 			DeadlineSlackMs: budget - latencyMs,
-			Transitions:     transitions,
-			EnergyMJ:        energyMJ,
 			Violated:        latencyMs > budget,
-		}
-		if plan.HasBoost() {
-			d.BoostFreqGHz = float64(plan.Boost)
-			d.BoostAtMs = plan.BoostAt
-		}
-		n.Tracer.Emit(d)
+		})
 	}
 	if traceID != "" {
-		resp.Spans = n.buildSpans(traceID, resp, plan, mx)
+		resp.Spans = n.buildSpans(traceID, resp)
 		n.Spans.EmitBatch(resp.Spans)
 	}
 }
 
-// buildSpans assembles the shard's span set for one traced query: the real
-// queue-wait and working-thread phases (Fig. 9), plus the modeled DVFS
-// phases — the time the query would have spent at the planned initial
-// frequency f* and at the boost frequency — nested under the execution span.
-// Times are ms relative to the ISN's receipt of the request (span 0 starts
-// at 0); the aggregator rebases them when stitching.
-func (n *ISN) buildSpans(traceID string, resp *ISNResponse, plan core.Plan, mx modelExec) []telemetry.Span {
+// buildSpans assembles the shard's span set for one traced query: the
+// queue-wait and working-thread phases of Fig. 9, as measured. Times are ms
+// relative to the ISN's receipt of the request (span 0 starts at 0); the
+// aggregator rebases them when stitching.
+func (n *ISN) buildSpans(traceID string, resp *ISNResponse) []telemetry.Span {
 	pfx := "isn" + strconv.Itoa(n.ShardID)
 	shardParent := "shard-" + strconv.Itoa(n.ShardID)
 	execStart := resp.QueueWaitMs
-	execEnd := execStart + resp.ExecWallMs
 	shard := telemetry.Attrs{}.With(telemetry.AttrShard, float64(n.ShardID))
-	spans := []telemetry.Span{
+	return []telemetry.Span{
 		{
 			TraceID: traceID, SpanID: pfx + "-queue", ParentID: shardParent, Name: "isn-queue",
 			StartMs: 0, EndMs: execStart,
@@ -394,80 +355,10 @@ func (n *ISN) buildSpans(traceID string, resp *ISNResponse, plan core.Plan, mx m
 		},
 		{
 			TraceID: traceID, SpanID: pfx + "-exec", ParentID: shardParent, Name: "isn-exec",
-			StartMs: execStart, EndMs: execEnd,
+			StartMs: execStart, EndMs: execStart + resp.ExecWallMs,
 			Attrs: shard.With(telemetry.AttrServiceMs, resp.ServiceMs),
 		},
-		{
-			TraceID: traceID, SpanID: pfx + "-model-initial", ParentID: pfx + "-exec", Name: "isn-model-initial",
-			StartMs: execStart, EndMs: execStart + mx.initialMs,
-			Attrs: telemetry.Attrs{}.With(telemetry.AttrFreqGHz, float64(plan.Initial)).With(telemetry.AttrEnergyMJ, mx.initialMJ),
-		},
 	}
-	if mx.boosted {
-		spans = append(spans, telemetry.Span{
-			TraceID: traceID, SpanID: pfx + "-model-boost", ParentID: pfx + "-exec", Name: "isn-model-boost",
-			StartMs: execStart + mx.initialMs, EndMs: execStart + mx.execMs,
-			Attrs: telemetry.Attrs{}.With(telemetry.AttrFreqGHz, float64(plan.Boost)).With(telemetry.AttrEnergyMJ, mx.energyMJ-mx.initialMJ),
-		})
-	}
-	return spans
-}
-
-// modelExec is one query's outcome under the modeled DVFS plan: total
-// execution time and energy, the initial-phase/boost-phase split (for the
-// span waterfall), and the query's sequence number on the shard.
-type modelExec struct {
-	execMs      float64
-	energyMJ    float64
-	initialMs   float64 // time in the initial (f*) step; == execMs when !boosted
-	initialMJ   float64
-	boosted     bool
-	transitions int
-	seq         int
-}
-
-// applyModel advances the shard's modeled DVFS state by one query: execute
-// the plan against the query's true work, counting the frequency transitions
-// it incurs and charging busy-core energy (W x ms = mJ) at each step.
-func (n *ISN) applyModel(plan core.Plan, work cpu.Work) modelExec {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var mx modelExec
-	f := plan.Initial
-	if f != n.modelFreq {
-		mx.transitions++
-		n.modelFreq = f
-	}
-	firstMs := cpu.TimeFor(work, f)
-	if plan.HasBoost() && firstMs > plan.BoostAt {
-		// The boost step engaged: the remainder runs at the maximum.
-		w1 := cpu.WorkFor(plan.BoostAt, f)
-		mx.boosted = true
-		mx.initialMs = plan.BoostAt
-		mx.initialMJ = n.power.CoreW(f, true) * plan.BoostAt
-		mx.execMs = plan.BoostAt + cpu.TimeFor(work-w1, plan.Boost)
-		mx.energyMJ = mx.initialMJ +
-			n.power.CoreW(plan.Boost, true)*(mx.execMs-plan.BoostAt)
-		mx.transitions++
-		n.modelFreq = plan.Boost
-	} else {
-		mx.execMs = firstMs
-		mx.initialMs = firstMs
-		mx.energyMJ = n.power.CoreW(f, true) * mx.execMs
-		mx.initialMJ = mx.energyMJ
-	}
-	if n.tsc != nil && mx.transitions > 0 {
-		n.tsc.SetLevel(n.ladder.Index(n.modelFreq), msSince(n.t0))
-	}
-	n.energyMJ += mx.energyMJ
-	if n.met != nil {
-		// Set under mu, so concurrent handlers publish totals in order.
-		n.met.energy.Set(n.energyMJ)
-	}
-	n.transitions += uint64(mx.transitions)
-	n.seq++
-	mx.seq = n.seq
-	return mx
 }
 
 // respChans recycles the ISNs' reply channels. A channel goes back only

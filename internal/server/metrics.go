@@ -22,24 +22,20 @@ const (
 	aggShardErrName  = "gemini_agg_shard_errors_total"
 	aggShardErrHelp  = "Shard requests that failed, by shard."
 
-	isnRequestsName    = "gemini_isn_requests_total"
-	isnRequestsHelp    = "Queries served by the ISN working thread, by shard."
-	isnLatencyName     = "gemini_isn_request_latency_ms"
-	isnLatencyHelp     = "ISN wall latency (queueing + execution) in milliseconds, by shard."
-	isnServiceName     = "gemini_isn_service_time_ms"
-	isnServiceHelp     = "Modeled service time at the default frequency in milliseconds, by shard."
-	isnDepthName       = "gemini_isn_queue_depth"
-	isnDepthHelp       = "Requests queued or executing on the ISN, by shard."
-	isnEnergyName      = "gemini_isn_energy_mj"
-	isnEnergyHelp      = "Cumulative modeled core energy under the per-query DVFS plan in millijoules, by shard."
-	isnTransitionsName = "gemini_isn_freq_transitions_total"
-	isnTransitionsHelp = "Modeled DVFS frequency transitions, by shard."
-	isnPredTotalName   = "gemini_isn_predictions_total"
-	isnPredTotalHelp   = "Requests served with a service-time prediction attached, by shard."
-	isnPredErrName     = "gemini_isn_predict_abs_err_ms"
-	isnPredErrHelp     = "Absolute error of the predicted service time S* versus the modeled actual, in milliseconds, by shard."
-	isnPredCoverName   = "gemini_isn_predictions_covered_total"
-	isnPredCoverHelp   = "Predictions whose budgeted estimate S*+E* bounded the actual service time, by shard."
+	isnRequestsName  = "gemini_isn_requests_total"
+	isnRequestsHelp  = "Queries served by the ISN working thread, by shard."
+	isnLatencyName   = "gemini_isn_request_latency_ms"
+	isnLatencyHelp   = "ISN wall latency (queueing + execution) in milliseconds, by shard."
+	isnServiceName   = "gemini_isn_service_time_ms"
+	isnServiceHelp   = "Modeled service time at the default frequency in milliseconds, by shard."
+	isnDepthName     = "gemini_isn_queue_depth"
+	isnDepthHelp     = "Requests queued or executing on the ISN, by shard."
+	isnPredTotalName = "gemini_isn_predictions_total"
+	isnPredTotalHelp = "Requests served with a service-time prediction attached, by shard."
+	isnPredErrName   = "gemini_isn_predict_abs_err_ms"
+	isnPredErrHelp   = "Absolute error of the predicted service time S* versus the modeled actual, in milliseconds, by shard."
+	isnPredCoverName = "gemini_isn_predictions_covered_total"
+	isnPredCoverHelp = "Predictions whose budgeted estimate S*+E* bounded the actual service time, by shard."
 
 	obsNsName    = "gemini_telemetry_observe_ns_total"
 	obsNsHelp    = "Cumulative wall nanoseconds spent in per-request observation blocks (metrics, decision trace, span assembly) across the process."
@@ -106,8 +102,6 @@ type isnInstruments struct {
 	latency     *telemetry.Histogram
 	service     *telemetry.Histogram
 	queueDepth  *telemetry.Gauge
-	energy      *telemetry.Gauge
-	transitions *telemetry.Counter
 	predTotal   *telemetry.Counter
 	predAbsErr  *telemetry.Histogram
 	predCovered *telemetry.Counter
@@ -124,8 +118,6 @@ func (m *Metrics) isnInstruments(shard int) *isnInstruments {
 		latency:     r.Histogram(isnLatencyName, isnLatencyHelp, nil, l),
 		service:     r.Histogram(isnServiceName, isnServiceHelp, nil, l),
 		queueDepth:  r.Gauge(isnDepthName, isnDepthHelp, l),
-		energy:      r.Gauge(isnEnergyName, isnEnergyHelp, l),
-		transitions: r.Counter(isnTransitionsName, isnTransitionsHelp, l),
 		predTotal:   r.Counter(isnPredTotalName, isnPredTotalHelp, l),
 		predAbsErr:  r.Histogram(isnPredErrName, isnPredErrHelp, predErrBuckets, l),
 		predCovered: r.Counter(isnPredCoverName, isnPredCoverHelp, l),

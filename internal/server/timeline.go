@@ -19,7 +19,9 @@ import (
 // exports use, so `/debug/timeline` on a live listener and `geminisim
 // cell -timeline` are read by the same tooling (jq recipes, the HTML dashboard,
 // the examples/timeline scripts). Row times are ms since the listener's time
-// origin, the one its decision records use.
+// origin, the one its decision records use. No live listener has a DVFS
+// model or a power reading, so live rows carry no frequency levels, no
+// residency and zero power; those columns are the simulator's.
 
 // timelineSource is a listener a TimelineSampler can drive.
 type timelineSource interface {
@@ -43,11 +45,10 @@ type TimelineSampler struct {
 }
 
 // startTimeline attaches a sampler to src: every interval it seals one row;
-// the ring retains the most recent capacity rows. freqsGHz labels the
-// residency columns (nil for listeners without a DVFS model). Returns nil on
-// an invalid interval or capacity.
-func startTimeline(src timelineSource, freqsGHz []float64, interval time.Duration, capacity int) *TimelineSampler {
-	ts := telemetry.NewTimeseries(float64(interval)/float64(time.Millisecond), freqsGHz, capacity)
+// the ring retains the most recent capacity rows. Returns nil on an invalid
+// interval or capacity.
+func startTimeline(src timelineSource, interval time.Duration, capacity int) *TimelineSampler {
+	ts := telemetry.NewTimeseries(float64(interval)/float64(time.Millisecond), nil, capacity)
 	if ts == nil {
 		return nil
 	}
@@ -114,13 +115,11 @@ func (s *TimelineSampler) Stop() {
 }
 
 // StartTimeline attaches a wall-clock timeline sampler to the ISN. Attach it
-// before serving: requests already in flight are not counted. Residency is
-// over the modeled DVFS ladder, time-weighted like the simulator's: the share
-// of the window spent at each level, a level holding from the moment a
-// query's modeled plan switched to it. Power is the modeled energy drawn
-// across the window.
+// before serving: requests already in flight are not counted. Its queue
+// depth counts the requests queued or executing, and its in-flight column is
+// the single working thread.
 func (n *ISN) StartTimeline(interval time.Duration, capacity int) *TimelineSampler {
-	return startTimeline(n, n.ladder.GHz(), interval, capacity)
+	return startTimeline(n, interval, capacity)
 }
 
 func (n *ISN) attachTimeline(c *telemetry.SampleCursor) {
@@ -128,9 +127,6 @@ func (n *ISN) attachTimeline(c *telemetry.SampleCursor) {
 	defer n.mu.Unlock()
 	if c != nil {
 		c.SetSLODeadline(n.budgetMs())
-		// Charged from the time origin: a sampler attached before serving
-		// has seen every modeled switch.
-		c.SetLevel(n.ladder.Index(n.modelFreq), 0)
 	}
 	n.tsc = c
 }
@@ -143,14 +139,13 @@ func (n *ISN) sampleTimeline(row telemetry.TimeseriesRow) {
 	if n.depth > 0 {
 		row.InFlight = 1 // the single working thread (Fig. 9)
 	}
-	n.tsc.Sample(row, n.energyMJ)
+	n.tsc.Sample(row, 0)
 }
 
-// StartTimeline attaches a wall-clock timeline sampler to the aggregator. The
-// aggregator has no DVFS model: its rows carry no power and no residency,
-// and its queue depth is the aggregations in flight.
+// StartTimeline attaches a wall-clock timeline sampler to the aggregator. Its
+// queue depth and in-flight columns are the aggregations in flight.
 func (a *Aggregator) StartTimeline(interval time.Duration, capacity int) *TimelineSampler {
-	return startTimeline(a, nil, interval, capacity)
+	return startTimeline(a, interval, capacity)
 }
 
 func (a *Aggregator) attachTimeline(c *telemetry.SampleCursor) {

@@ -25,7 +25,9 @@ func newSlowShard(t *testing.T, d time.Duration) string {
 
 // TestISNSpansOnlyWhenTraced pins the head-sampling contract on the shard
 // side: a request carrying TraceHeader gets the span set in its response
-// envelope (and into the ISN's own tracer), a plain request gets none.
+// envelope (and into the ISN's own tracer), a plain request gets none. The
+// set is the two measured Fig. 9 phases, isn-queue and isn-exec, and nothing
+// else.
 func TestISNSpansOnlyWhenTraced(t *testing.T) {
 	isns, _, urls := testCluster(t, 1)
 	isns[0].Spans = telemetry.NewSpanTracer(64)
@@ -51,8 +53,8 @@ func TestISNSpansOnlyWhenTraced(t *testing.T) {
 	if err := json.NewDecoder(httpResp.Body).Decode(&r); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Spans) < 3 {
-		t.Fatalf("traced request returned %d spans, want >= 3", len(r.Spans))
+	if len(r.Spans) != 2 {
+		t.Fatalf("traced request returned %d spans, want 2", len(r.Spans))
 	}
 	names := map[string]telemetry.Span{}
 	for _, sp := range r.Spans {
@@ -63,8 +65,7 @@ func TestISNSpansOnlyWhenTraced(t *testing.T) {
 	}
 	q, qok := names["isn-queue"]
 	e, eok := names["isn-exec"]
-	m, mok := names["isn-model-initial"]
-	if !qok || !eok || !mok {
+	if !qok || !eok {
 		t.Fatalf("span names = %v", names)
 	}
 	// Times are relative to request receipt: queue starts at 0 and hands off
@@ -76,9 +77,6 @@ func TestISNSpansOnlyWhenTraced(t *testing.T) {
 	// only up to float rounding.
 	if e.StartMs != q.EndMs || math.Abs(e.DurationMs()-r.ExecWallMs) > 1e-9 {
 		t.Errorf("exec span [%v, %v], exec wall %v", e.StartMs, e.EndMs, r.ExecWallMs)
-	}
-	if m.ParentID != e.SpanID || m.Attr("freq_ghz") <= 0 {
-		t.Errorf("model span parent %q freq %v", m.ParentID, m.Attr("freq_ghz"))
 	}
 	if got := isns[0].Spans.Total(); got != uint64(len(r.Spans)) {
 		t.Errorf("ISN retained %d spans, response carried %d", got, len(r.Spans))
