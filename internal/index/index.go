@@ -8,6 +8,7 @@ package index
 import (
 	"errors"
 	"math"
+	"math/bits"
 
 	"gemini/internal/corpus"
 	"gemini/internal/par"
@@ -23,6 +24,20 @@ type Posting struct {
 // BlockSize is the number of postings one BlockMax entry bounds.
 const BlockSize = 64
 
+// rankDensity sets which lists carry a rank table: those holding at least one
+// document in rankDensity. A table costs a RankWord per 64 documents of the
+// shard whatever the list's length, so only the dense lists, where a probe
+// would otherwise gallop furthest, carry one.
+const rankDensity = 16
+
+// RankWord is one 64-document word of a dense list's rank table: bit j of
+// Members is set when the list holds document 64w+j, and Before counts the
+// list's postings below document 64w.
+type RankWord struct {
+	Members uint64
+	Before  int32
+}
+
 // PostingList holds all postings of one term plus the precomputed upper
 // bounds used by MaxScore-style pruning and the probe cost table.
 //
@@ -36,6 +51,10 @@ const BlockSize = 64
 // empty child of the deeper of Postings[p-1] and Postings[p] (one of the two
 // is the other's ancestor), so it takes max(Steps[p-1], Steps[p]) steps, a
 // neighbour outside the list counting 0.
+//
+// Ranks is nil unless the list holds at least one of every 16 documents of
+// the shard; then it has a RankWord for every 64 documents of the shard, and
+// Rank reads a document's place in the list from it.
 type PostingList struct {
 	Term      corpus.TermID
 	Postings  []Posting
@@ -43,6 +62,7 @@ type PostingList struct {
 	IDF       float64
 	BlockMax  []float32
 	Steps     []uint8
+	Ranks     []RankWord
 }
 
 // Len returns the posting list length (a Table II feature).
@@ -59,6 +79,16 @@ func (p *PostingList) MissSteps(pos int) int {
 		n = max(n, int(p.Steps[pos]))
 	}
 	return n
+}
+
+// Rank returns the number of the list's postings below doc, which is doc's
+// insertion point in Postings, and whether the list holds doc. The list must
+// have a rank table (Ranks is not nil) and doc must be one of the shard's
+// documents.
+func (p *PostingList) Rank(doc int32) (int, bool) {
+	w := p.Ranks[uint32(doc)/64]
+	bit := uint64(1) << (uint32(doc) % 64)
+	return int(w.Before) + bits.OnesCount64(w.Members&(bit-1)), w.Members&bit != 0
 }
 
 // BM25 parameters (standard Robertson/Sparck-Jones defaults). Exported so
@@ -87,9 +117,9 @@ var ErrUnknownTerm = errors.New("index: unknown term")
 // second computes each (term, document) impact into its place. Each range
 // visits its documents in ascending ID order, so each list comes out sorted
 // by document, and a last pass over the lists takes their BlockMax, MaxImpact
-// and Steps tables. The lists, their postings and their tables are carved
-// from one backing array each, so the allocation count does not grow with
-// the vocabulary or the corpus.
+// and Steps tables and the dense lists' rank tables. The lists, their
+// postings and their tables are carved from one backing array each, so the
+// allocation count does not grow with the vocabulary or the corpus.
 func Build(c *corpus.Corpus) *Index {
 	return build(c, min(par.DefaultWorkers(), len(c.Docs)/minRangeDocs))
 }
@@ -128,7 +158,7 @@ func build(c *corpus.Corpus, ranges int) *Index {
 		par.Run(ranges, ranges, r.count)
 	}
 
-	numLists, numPostings, numBlocks := 0, 0, 0
+	numLists, numPostings, numBlocks, numDense := 0, 0, 0, 0
 	for t := 0; t < vocab; t++ {
 		n := 0
 		for k := t; k < len(pos); k += vocab {
@@ -138,12 +168,17 @@ func build(c *corpus.Corpus, ranges int) *Index {
 			numLists++
 			numPostings += n
 			numBlocks += blocks(n)
+			if dense(n, numDocs) {
+				numDense++
+			}
 		}
 	}
+	words := (numDocs + 63) / 64
 	store := make([]PostingList, numLists)
 	postings := make([]Posting, numPostings)
 	blockMax := make([]float32, numBlocks)
 	steps := make([]uint8, numPostings)
+	ranks := make([]RankWord, numDense*words)
 	lists := make([]*PostingList, vocab)
 	p, b, l := 0, 0, 0
 	for t := 0; t < vocab; t++ {
@@ -162,6 +197,9 @@ func build(c *corpus.Corpus, ranges int) *Index {
 			IDF:      idf,
 			BlockMax: blockMax[b : b+nb : b+nb],
 			Steps:    steps[p : p+n : p+n],
+		}
+		if dense(n, numDocs) {
+			store[l].Ranks, ranks = ranks[:words:words], ranks[words:]
 		}
 		lists[t] = &store[l]
 		p, b, l = p+n, b+nb, l+1
@@ -234,8 +272,8 @@ func (r docRanges) fill(k int) {
 	}
 }
 
-// boundLists takes each list's BlockMax, MaxImpact and Steps tables from its
-// postings.
+// boundLists takes each list's BlockMax, MaxImpact and Steps tables, and its
+// rank table if it has one, from its postings.
 func boundLists(store []PostingList) {
 	for j := range store {
 		pl := &store[j]
@@ -245,8 +283,22 @@ func boundLists(store []PostingList) {
 			pl.MaxImpact = max(pl.MaxImpact, pst.Impact)
 		}
 		fillSteps(pl.Steps, 1)
+		if pl.Ranks != nil {
+			for _, pst := range pl.Postings {
+				pl.Ranks[pst.Doc/64].Members |= 1 << (pst.Doc % 64)
+			}
+			before := 0
+			for w := range pl.Ranks {
+				pl.Ranks[w].Before = int32(before)
+				before += bits.OnesCount64(pl.Ranks[w].Members)
+			}
+		}
 	}
 }
+
+// dense reports whether a list of n postings over numDocs documents gets a
+// rank table: it holds at least one document in rankDensity.
+func dense(n, numDocs int) bool { return n*rankDensity >= numDocs }
 
 // countTerms adds doc's term frequencies to counts and returns terms refilled
 // with the distinct terms doc touched; the caller resets their counts.

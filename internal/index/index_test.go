@@ -310,15 +310,80 @@ func TestBlockMaxBoundsBlocks(t *testing.T) {
 }
 
 // TestBuildAllocsIndependentOfLists pins that Build carves its lists, their
-// postings and both tables from one array each: the small corpus with
+// postings and their three tables from one array each: the small corpus with
 // hundreds of lists costs the allocations a two-list corpus does.
 func TestBuildAllocsIndependentOfLists(t *testing.T) {
-	const want = 10
+	const want = 11
 	small := corpus.Generate(corpus.SmallSpec())
 	tiny := blockCorpus(3)
 	for name, c := range map[string]*corpus.Corpus{"SmallSpec": small, "two lists": tiny} {
 		if n := testing.AllocsPerRun(3, func() { Build(c) }); n != want {
 			t.Errorf("%s: Build makes %v allocations, want %d", name, n, want)
+		}
+	}
+}
+
+// rankCorpus is 1040 documents (a multiple of rankDensity, not of 64) in
+// which term 0 occurs in 64, term 1 in 65 and term 2 in 66: one list short
+// of the rank-table threshold of 1040/16 = 65 postings, one at it and one
+// past it. Term 1 reaches into the last, partial word and term 2 holds the
+// last document.
+func rankCorpus() *corpus.Corpus {
+	const numDocs = 1040
+	docs := make([][]corpus.TermID, numDocs)
+	for i := range 64 {
+		docs[16*i+3] = append(docs[16*i+3], 0)
+	}
+	for i := range 65 {
+		docs[16*i] = append(docs[16*i], 1)
+	}
+	for i := range 66 {
+		docs[numDocs-1-15*i] = append(docs[numDocs-1-15*i], 2)
+	}
+	return &corpus.Corpus{Spec: corpus.Spec{NumDocs: numDocs, VocabSize: 3}, Docs: docs}
+}
+
+// TestRankMatchesPostings holds every rank table to its postings: for each
+// document of the shard, Rank's insertion point and membership equal a
+// linear count over Postings. It also checks which lists have a table, on
+// rankCorpus's three lists around the threshold and on the platform's two
+// corpora.
+func TestRankMatchesPostings(t *testing.T) {
+	corpora := map[string]*corpus.Corpus{"threshold": rankCorpus(), "SmallSpec": corpus.Generate(corpus.SmallSpec())}
+	if !testing.Short() {
+		corpora["DefaultSpec"] = corpus.Generate(corpus.DefaultSpec())
+	}
+	for name, c := range corpora {
+		ix, tables := Build(c), 0
+		for term := 0; term < ix.VocabSize(); term++ {
+			pl, err := ix.List(corpus.TermID(term))
+			if err != nil {
+				continue
+			}
+			if want := pl.Len()*rankDensity >= ix.NumDocs(); (pl.Ranks != nil) != want {
+				t.Fatalf("%s term %d: %d postings over %d documents, rank table %v, want %v",
+					name, term, pl.Len(), ix.NumDocs(), pl.Ranks != nil, want)
+			}
+			if pl.Ranks == nil {
+				continue
+			}
+			tables++
+			below := 0
+			for doc := int32(0); int(doc) < ix.NumDocs(); doc++ {
+				for below < pl.Len() && pl.Postings[below].Doc < doc {
+					below++
+				}
+				held := below < pl.Len() && pl.Postings[below].Doc == doc
+				if pos, ok := pl.Rank(doc); pos != below || ok != held {
+					t.Fatalf("%s term %d doc %d: Rank = (%d, %v), postings say (%d, %v)", name, term, doc, pos, ok, below, held)
+				}
+			}
+		}
+		if tables == 0 {
+			t.Fatalf("%s: no list has a rank table", name)
+		}
+		if name == "threshold" && tables != 2 {
+			t.Fatalf("threshold: %d rank tables, want 2 (the 65- and 66-posting lists)", tables)
 		}
 	}
 }

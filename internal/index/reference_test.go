@@ -12,9 +12,10 @@ import (
 
 // refBuild is Build as it was before the counter array: a fresh map of term
 // frequencies per document, its keys sorted with sort.Slice, one append-grown
-// slice per term. BlockMax is a separate pass over each block and Steps
-// counts the steps of a literal binary search for each posting. Build must
-// return the same Index.
+// slice per term. BlockMax is a separate pass over each block, Steps
+// counts the steps of a literal binary search for each posting, and a dense
+// list's rank table sets one membership bit per posting and then walks the
+// postings with a running count. Build must return the same Index.
 func refBuild(c *corpus.Corpus) *Index {
 	numDocs := len(c.Docs)
 	docLens := make([]int32, numDocs)
@@ -81,6 +82,19 @@ func refBuild(c *corpus.Corpus) *Index {
 		for i, p := range pl.Postings {
 			steps, _ := refSearch(len(pl.Postings), docAt, p.Doc)
 			pl.Steps[i] = uint8(steps)
+		}
+		if len(pl.Postings)*rankDensity >= numDocs {
+			pl.Ranks = make([]RankWord, (numDocs+63)/64)
+			for _, p := range pl.Postings {
+				pl.Ranks[p.Doc/64].Members |= 1 << (p.Doc % 64)
+			}
+			i := 0
+			for w := range pl.Ranks {
+				for i < len(pl.Postings) && int(pl.Postings[i].Doc) < 64*w {
+					i++
+				}
+				pl.Ranks[w].Before = int32(i)
+			}
 		}
 		lists[t] = pl
 	}

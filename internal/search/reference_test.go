@@ -3,6 +3,7 @@ package search
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -154,12 +155,53 @@ func checkAgainstReference(t *testing.T, e *Engine, q corpus.Query) {
 	}
 }
 
+// shapeQueries are the query shapes searchMaxScore's host loop has states
+// for, over ix's lists: each of the 20 longest lists paired with each of the
+// 20 shortest, where bounded runs cross the long list between the short one's
+// documents, and 200 three-term queries over two lists with a rank table and
+// one without, where the tail loop, rank-table probes and the gallop meet in
+// one query. A sparse list's bound is nearly always above every dense one's,
+// so the triples draw the sparse list from the 20 lowest bounds and one dense
+// list from the 20 highest: ordered by bound, the sparse list often sits
+// below that dense one, turns non-essential before it and is galloped.
+func shapeQueries(ix *index.Index, rng *rand.Rand) []corpus.Query {
+	var all, dense, sparse []*index.PostingList
+	for term := range ix.VocabSize() {
+		if pl, err := ix.List(corpus.TermID(term)); err == nil {
+			all = append(all, pl)
+		}
+	}
+	slices.SortStableFunc(all, func(a, b *index.PostingList) int { return a.Len() - b.Len() })
+	for _, pl := range all {
+		if pl.Ranks != nil {
+			dense = append(dense, pl)
+		} else {
+			sparse = append(sparse, pl)
+		}
+	}
+	slices.SortStableFunc(dense, byMaxImpact)
+	slices.SortStableFunc(sparse, byMaxImpact)
+	top, low := dense[max(0, len(dense)-20):], sparse[:min(len(sparse), 20)]
+	var qs []corpus.Query
+	for _, long := range all[len(all)-20:] {
+		for _, short := range all[:20] {
+			qs = append(qs, corpus.Query{Terms: []corpus.TermID{long.Term, short.Term}})
+		}
+	}
+	for range 200 {
+		qs = append(qs, corpus.Query{Terms: []corpus.TermID{
+			dense[rng.Intn(len(dense))].Term, top[rng.Intn(len(top))].Term, low[rng.Intn(len(low))].Term,
+		}})
+	}
+	return qs
+}
+
 // TestKernelsMatchReference holds the contract on both corpus sizes: the
 // generator's own batches (what every experiment and the ledger run), random
 // queries of 1–12 terms with repeats and unknown IDs (past the stack-array
 // term bound, within sort.Slice's insertion-sort range) and a few of up to 20
 // (past it: slices.SortFunc must permute equal upper bounds as sort.Slice
-// did), at every K in equivalenceKs.
+// did), at every K in equivalenceKs; on DefaultSpec, shapeQueries too.
 func TestKernelsMatchReference(t *testing.T) {
 	specs := map[string]corpus.Spec{"small": corpus.SmallSpec()}
 	if !testing.Short() {
@@ -171,9 +213,16 @@ func TestKernelsMatchReference(t *testing.T) {
 			ix := index.Build(c)
 			batch := corpus.NewQueryGen(c, 11).Batch(400)
 			rng := rand.New(rand.NewSource(12))
+			var shapes []corpus.Query
+			if name == "default" {
+				shapes = shapeQueries(ix, rand.New(rand.NewSource(13)))
+			}
 			for _, k := range equivalenceKs {
 				e := NewEngine(ix, k)
 				for _, q := range batch {
+					checkAgainstReference(t, e, q)
+				}
+				for _, q := range shapes {
 					checkAgainstReference(t, e, q)
 				}
 				for i := 0; i < 300; i++ {

@@ -135,7 +135,7 @@ const exhaustedDoc = math.MaxInt32
 // listCursor is one list's position in searchMaxScore. doc and impact cache
 // the posting under the cursor so the per-candidate passes over the lists
 // read this small struct, not the posting arrays; pl holds the list's
-// BlockMax and Steps tables.
+// BlockMax, Steps and rank tables.
 type listCursor struct {
 	doc    int32
 	impact float32
@@ -170,6 +170,15 @@ func byMaxImpact(a, b *index.PostingList) int {
 // cumulative upper bound cannot alone beat the current threshold is only
 // probed (by binary search) for candidates produced by the remaining
 // "essential" lists.
+//
+// The host loop has two states. While two or more lists are essential, each
+// turn takes the lowest essential document; when one list alone holds it,
+// that list's postings below every other essential cursor are candidates of
+// that list alone, and the run of them that cannot pass θ is skipped (see
+// skipRun) before the turn scores the next candidate. Once one essential list
+// is left, which lasts to the end, the tail loop walks it with skipRun and
+// scores each posting that survives. Both keep every counter of the
+// one-candidate-at-a-time loop (DESIGN.md §10).
 func (e *Engine) searchMaxScore(lists []*index.PostingList) Execution {
 	// Pdqsort over a non-capturing comparison: no allocation, and the permutation sort.Slice gave.
 	slices.SortFunc(lists, byMaxImpact)
@@ -211,45 +220,39 @@ func (e *Engine) searchMaxScore(lists []*index.PostingList) Execution {
 		for full && firstEssential < n-1 && prefixUB[firstEssential+1] <= theta {
 			firstEssential++
 		}
-		essential := cursors[firstEssential:]
-
-		// One essential list left: each of its postings is the next
-		// candidate, and one whose impact cannot pass θ even with every
-		// non-essential bound is visited, scored and dropped. Skip the run
-		// of them at one compare each (the test below, negated as written),
-		// and a block whose BlockMax fails that test at one compare: float32
-		// addition rounds monotonically, so each of its postings fails too.
-		if len(essential) == 1 {
-			c, ub := &essential[0], prefixUB[firstEssential]
-			pos := c.pos
-			for pos < len(c.ps) {
-				b := pos / index.BlockSize
-				end := min((b+1)*index.BlockSize, len(c.ps))
-				if !(c.pl.BlockMax[b]+ub > theta) {
-					pos = end
-					continue
-				}
-				for pos < end && !(c.ps[pos].Impact+ub > theta) {
-					pos++
-				}
-				if pos < end {
-					break
-				}
-			}
-			visited += pos - c.pos
-			scored += pos - c.pos
-			c.seek(pos)
+		if firstEssential == n-1 {
+			break // one essential list left: the tail loop below
 		}
+		essential, ub := cursors[firstEssential:], prefixUB[firstEssential]
 
-		// Find the minimum current document among essential lists.
-		cand := int32(exhaustedDoc)
-		for i := range essential {
-			if d := essential[i].doc; d < cand {
-				cand = d
+		// The lowest essential document, the cursor on it, and the lowest
+		// document of the other cursors.
+		low, cand, next := 0, essential[0].doc, int32(exhaustedDoc)
+		for i := 1; i < len(essential); i++ {
+			switch d := essential[i].doc; {
+			case d < cand:
+				low, cand, next = i, d, cand
+			case d < next:
+				next = d
 			}
 		}
 		if cand == exhaustedDoc {
-			break // all essential lists exhausted
+			break // all essential lists exhausted, the last one too
+		}
+		if cand < next {
+			// A bounded run: θ and the boundary stay put while its
+			// candidates are dropped, so each is one visited and scored
+			// posting. A run that stops short of next stops at a candidate
+			// that passes, which the turn scores below.
+			c := &essential[low]
+			pos := skipRun(c.ps, c.pl.BlockMax, c.pos, next, ub, theta)
+			visited += pos - c.pos
+			scored += pos - c.pos
+			c.seek(pos)
+			if c.doc >= next {
+				continue
+			}
+			cand = c.doc
 		}
 
 		// Score the candidate: essential contributions by advancing cursors,
@@ -267,24 +270,38 @@ func (e *Engine) searchMaxScore(lists []*index.PostingList) Execution {
 		scored++
 
 		// Only consult non-essential lists if the doc could still make it.
-		if score+prefixUB[firstEssential] > theta {
-			for i := firstEssential - 1; i >= 0; i-- {
-				// Check whether even with list i..0 the doc can pass.
-				if score+prefixUB[i+1] <= theta {
-					break
-				}
-				imp, probes, ok := cursors[i].probe(cand)
-				if ok {
-					score += imp
-				}
-				lookups += probes
-			}
+		if score+ub > theta {
+			score, probes := complete(cursors[:firstEssential], prefixUB, cand, score, theta)
+			lookups += probes
 			if h.offer(Result{Doc: cand, Score: score}) {
 				entered++
 				if full = len(h.items) >= h.k; full {
 					theta = h.items[0].Score
 				}
 			}
+		}
+	}
+
+	// The tail loop: lists[n-1] is the one essential list, so each of its
+	// postings from the cursor on is the next candidate, visited and scored.
+	// The boundary can rise no further, and the heap is full (the boundary
+	// only rises then), so an admission is a replacement and θ its new root.
+	// An exhausted last list, where the loop above ran out, makes this a
+	// no-op.
+	c, ub := &cursors[n-1], prefixUB[n-1]
+	ps, blockMax := c.ps, c.pl.BlockMax
+	visited += len(ps) - c.pos
+	scored += len(ps) - c.pos
+	for pos := c.pos; ; pos++ {
+		if pos = skipRun(ps, blockMax, pos, exhaustedDoc, ub, theta); pos == len(ps) {
+			break
+		}
+		p := ps[pos]
+		score, probes := complete(cursors[:n-1], prefixUB, p.Doc, p.Impact, theta)
+		lookups += probes
+		if h.offer(Result{Doc: p.Doc, Score: score}) {
+			entered++
+			theta = h.items[0].Score
 		}
 	}
 
@@ -299,14 +316,67 @@ func (e *Engine) searchMaxScore(lists []*index.PostingList) Execution {
 	return Execution{Results: h.results(), Stats: st}
 }
 
+// skipRun returns the position of the first of ps[pos:] that is not a
+// dropped candidate of its list alone: a posting whose document is at or
+// past bound, one whose impact with the non-essential bound ub can pass θ
+// (the turn's test, negated as written), or len(ps). A block whose last
+// document is below bound and whose BlockMax fails that test is passed over
+// at one compare: float32 addition rounds monotonically, so each of its
+// postings fails too.
+func skipRun(ps []index.Posting, blockMax []float32, pos int, bound int32, ub, theta float32) int {
+	for pos < len(ps) {
+		b := pos / index.BlockSize
+		end := min((b+1)*index.BlockSize, len(ps))
+		if ps[end-1].Doc < bound && !(blockMax[b]+ub > theta) {
+			pos = end
+			continue
+		}
+		for pos < end && ps[pos].Doc < bound && !(ps[pos].Impact+ub > theta) {
+			pos++
+		}
+		if pos < end {
+			break
+		}
+	}
+	return pos
+}
+
+// complete adds to score, the candidate doc's essential score, what the
+// non-essential lists hold for it, probing them from the highest bound down
+// while score and the bounds of the lists left can still beat θ. It returns
+// the score and the probes' Lookups.
+func complete(nonEssential []listCursor, prefixUB []float32, doc int32, score, theta float32) (float32, int) {
+	lookups := 0
+	for i := len(nonEssential) - 1; i >= 0; i-- {
+		// Check whether even with list i..0 the doc can pass.
+		if score+prefixUB[i+1] <= theta {
+			break
+		}
+		imp, probes, ok := nonEssential[i].probe(doc)
+		if ok {
+			score += imp
+		}
+		lookups += probes
+	}
+	return score, lookups
+}
+
 // probe looks doc up in a non-essential list and returns its impact, the
 // step count of a binary search over the whole list for it (charged as
 // Lookups, read from the list's Steps table), and whether the doc was found.
-// A non-essential list is probed with rising documents, and the postings
-// before the cursor hold smaller ones, so the host gallops from the cursor
-// to doc's insertion point and leaves the cursor there; the cost model still
-// prices the full-span search, step for step.
+// A dense list answers from its rank table at one popcount. A sparse one is
+// probed with rising documents, and the postings before the cursor hold
+// smaller ones, so the host gallops from the cursor to doc's insertion point
+// and leaves the cursor there. Either way the cost model still prices the
+// full-span search, step for step.
 func (c *listCursor) probe(doc int32) (float32, int, bool) {
+	if c.pl.Ranks != nil {
+		lo, ok := c.pl.Rank(doc)
+		if ok {
+			return c.ps[lo].Impact, int(c.pl.Steps[lo]), true
+		}
+		return 0, c.pl.MissSteps(lo), false
+	}
 	ps, lo := c.ps, c.pos
 	if lo < len(ps) && ps[lo].Doc < doc {
 		// ps[lo].Doc < doc throughout; double the stride until ps[hi] is not

@@ -220,6 +220,13 @@ func (n *ISN) execute(t isnTask) ISNResponse {
 		if n.ErrPred != nil {
 			resp.PredErrMs = n.ErrPred.PredictErrMs(fv)
 		}
+		// Feed the Gemini-α style moving-average estimator, when attached,
+		// with this query's error magnitude so E* adapts to the live stream.
+		// The working thread is its one reader and writer, whatever
+		// telemetry is attached.
+		if ma, ok := n.ErrPred.(*predictor.MovingAvgError); ok && resp.PredictedMs > 0 {
+			ma.Observe(resp.ServiceMs - resp.PredictedMs)
+		}
 	}
 	resp.ExecWallMs = msSince(dequeued)
 	return resp
@@ -289,12 +296,6 @@ func (n *ISN) observe(resp *ISNResponse, start time.Time, depth int, traceID str
 		}
 	}()
 	latencyMs := msSince(start)
-
-	// Feed the Gemini-α style moving-average estimator, when attached, with
-	// the observed error magnitude so E* adapts to the live stream.
-	if ma, ok := n.ErrPred.(*predictor.MovingAvgError); ok && resp.PredictedMs > 0 {
-		ma.Observe(resp.ServiceMs - resp.PredictedMs)
-	}
 
 	if n.met != nil {
 		n.met.requests.Inc()

@@ -17,6 +17,7 @@ import (
 
 	"gemini/internal/corpus"
 	"gemini/internal/index"
+	"gemini/internal/predictor"
 	"gemini/internal/search"
 	"gemini/internal/telemetry"
 )
@@ -410,6 +411,71 @@ func TestISNObservability(t *testing.T) {
 	for _, gone := range []string{"gemini_isn_energy_mj", "gemini_isn_freq_transitions_total"} {
 		if strings.Contains(text, gone) {
 			t.Errorf("metrics still expose %s\n%s", gone, text)
+		}
+	}
+}
+
+// movingAvgISN is an ISN with a service predictor and Gemini-α's moving-
+// average error estimator, served over loopback.
+func movingAvgISN(t *testing.T) (*ISN, string) {
+	t.Helper()
+	c := corpus.Generate(corpus.SmallSpec())
+	isn := NewISN(0, c, search.NewEngine(index.Build(c), search.DefaultK), search.DefaultCostModel())
+	isn.Service, isn.ErrPred = stubService{ms: 1}, predictor.NewMovingAvgError(60)
+	isn.Start()
+	t.Cleanup(isn.Stop)
+	srv := httptest.NewServer(isn)
+	t.Cleanup(srv.Close)
+	return isn, srv.URL
+}
+
+// TestMovingAvgErrorConcurrentClients drives an instrumented ISN's
+// moving-average estimator from four clients at once; under -race (the CI
+// server race step) it fails if anything but the working thread touches the
+// estimator.
+func TestMovingAvgErrorConcurrentClients(t *testing.T) {
+	isn, url := movingAvgISN(t)
+	isn.Instrument(NewMetrics(nil))
+	isn.Tracer = telemetry.NewTracer(64)
+	const clients, posts = 4, 8
+	var wg sync.WaitGroup
+	for range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range posts {
+				body, _ := json.Marshal(SearchRequest{Query: "canada"})
+				resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("status %d", resp.StatusCode)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := isn.Tracer.Emitted(); got != clients*posts {
+		t.Fatalf("decisions = %d, want %d", got, clients*posts)
+	}
+}
+
+// TestMovingAvgErrorAdaptsWithoutTelemetry checks that E* follows the live
+// stream on an ISN with no tracer and no metrics: the first reply's estimate
+// is the empty window's 0, and each later one carries the errors before it.
+func TestMovingAvgErrorAdaptsWithoutTelemetry(t *testing.T) {
+	_, url := movingAvgISN(t)
+	for i := range 3 {
+		resp, r := postSearchTo(t, url, "canada")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		if moved := r.PredErrMs > 0; moved != (i > 0) || r.PredictedMs != 1 {
+			t.Fatalf("reply %d: E* = %v (S* %v, service %v); the estimator has seen %d errors", i, r.PredErrMs, r.PredictedMs, r.ServiceMs, i)
 		}
 	}
 }
