@@ -202,7 +202,6 @@ func NewPlatform(opt Options) *Platform {
 	// A hit is trivially predictable: zeroed features make the NN place it in
 	// the smallest service-time bucket.
 	hit := sim.PreparedQuery{BaseWork: cost.WorkFor(search.CacheLookupStats)}
-	p.Extractor.Prepare(feasible[nTrain:nAll], par.DefaultWorkers())
 	p.cachedPool = append(sim.PrepareQueries(p.Extractor, cost, jit, feasible[nTrain:nAll], feasibleExecs[nTrain:nAll]), hit)
 	n := len(p.cachedPool) - 1
 	p.Pool = p.cachedPool[:n:n]

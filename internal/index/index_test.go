@@ -387,3 +387,34 @@ func TestRankMatchesPostings(t *testing.T) {
 		}
 	}
 }
+
+// TestImpactsFiniteAndPositive holds the property the search kernels'
+// one-list scan relies on: every impact is finite and above zero. Then
+// adding a bound of 0 to an impact or a BlockMax leaves it as it was, and
+// "not above θ", the test the scan drops a posting by, is "at most θ", the
+// test an offer to the top-K heap rejects it by, so the scan and a posting-
+// at-a-time loop keep the same heap.
+func TestImpactsFiniteAndPositive(t *testing.T) {
+	specs := map[string]corpus.Spec{"SmallSpec": corpus.SmallSpec()}
+	if !testing.Short() {
+		specs["DefaultSpec"] = corpus.DefaultSpec()
+	}
+	for name, spec := range specs {
+		ix, lists := Build(corpus.Generate(spec)), 0
+		for term := 0; term < ix.VocabSize(); term++ {
+			pl, err := ix.List(corpus.TermID(term))
+			if err != nil {
+				continue
+			}
+			lists++
+			for i, p := range pl.Postings {
+				if v := float64(p.Impact); !(v > 0) || math.IsInf(v, 0) {
+					t.Fatalf("%s term %d posting %d (doc %d): impact %v, want finite and > 0", name, term, i, p.Doc, p.Impact)
+				}
+			}
+		}
+		if lists == 0 {
+			t.Fatalf("%s: no posting lists", name)
+		}
+	}
+}

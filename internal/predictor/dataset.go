@@ -11,7 +11,6 @@ import (
 
 	"gemini/internal/corpus"
 	"gemini/internal/cpu"
-	"gemini/internal/par"
 	"gemini/internal/search"
 )
 
@@ -72,11 +71,8 @@ func (b *Builder) Build(queries []corpus.Query, testFrac float64, seed int64) *D
 
 // BuildFrom is Build for a caller that has already run the queries: stats[i]
 // is what the engine counted executing queries[i]. The jitter draws fall in
-// query order, as in Build, so the two return the same dataset. The term
-// profiles the features read are built first, on every core
-// (search.Extractor.Prepare).
+// query order, as in Build, so the two return the same dataset.
 func (b *Builder) BuildFrom(queries []corpus.Query, stats []search.ExecStats, testFrac float64, seed int64) *Dataset {
-	b.Extractor.Prepare(queries, par.DefaultWorkers())
 	rng := rand.New(rand.NewSource(seed))
 	samples := make([]Sample, len(queries))
 	for i, q := range queries {

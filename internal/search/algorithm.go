@@ -31,10 +31,17 @@ func (a Algorithm) String() string {
 	}
 }
 
-// NewEngineWith creates an engine with an explicit evaluation algorithm.
+// NewEngineWith creates an engine with an explicit evaluation algorithm
+// (k<=0 means DefaultK). Only AlgMaxScore builds the one-term table: the
+// exhaustive oracle scans every list it is asked about.
 func NewEngineWith(ix *index.Index, k int, alg Algorithm) *Engine {
-	e := NewEngine(ix, k)
-	e.alg = alg
+	if k <= 0 {
+		k = DefaultK
+	}
+	e := &Engine{ix: ix, k: k, alg: alg}
+	if alg == AlgMaxScore {
+		e.one = oneTermTable(ix, k)
+	}
 	return e
 }
 

@@ -46,25 +46,40 @@ func BenchmarkSearchMixedQueries(b *testing.B) {
 }
 
 var poolFixture struct {
-	once    sync.Once
-	engine  *Engine
-	queries []corpus.Query
+	once       sync.Once
+	engine     *Engine
+	one, multi []corpus.Query
 }
 
 // BenchmarkSearchPool is the ledger's search layer without a platform build:
 // the full-size corpus and the 5 000-query generator pool that query_path and
-// live_search cycle over (bench/query.go), one Search per iteration.
+// live_search cycle over (bench/query.go), one Search per iteration, split
+// by the query's term count. The one-term queries, most of the pool, are
+// copies out of the engine's one-term table; the multi-term ones run
+// MaxScore, whose changes only the second sub-benchmark shows.
 func BenchmarkSearchPool(b *testing.B) {
 	f := &poolFixture
 	f.once.Do(func() { // once per process, not once per b.N the runner tries
 		c := corpus.Generate(corpus.DefaultSpec())
 		f.engine = NewEngine(index.Build(c), DefaultK)
-		f.queries = corpus.NewQueryGen(c, 1).Batch(5000)
+		for _, q := range corpus.NewQueryGen(c, 1).Batch(5000) {
+			if len(q.Terms) == 1 {
+				f.one = append(f.one, q)
+			} else {
+				f.multi = append(f.multi, q)
+			}
+		}
 	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.engine.Search(f.queries[i%len(f.queries)])
+	for _, sub := range []struct {
+		name    string
+		queries []corpus.Query
+	}{{"one-term", f.one}, {"multi-term", f.multi}} {
+		b.Run(sub.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f.engine.Search(sub.queries[i%len(sub.queries)])
+			}
+		})
 	}
 }
 
@@ -72,11 +87,6 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 	c, e := benchEngine(b)
 	x := NewExtractor(e)
 	qs := corpus.NewQueryGen(c, 2).Batch(256)
-	// Warm the per-term cache first: the steady-state cost is what the ISN
-	// pays per request.
-	for _, q := range qs {
-		x.Features(q)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x.Features(qs[i%len(qs)])

@@ -1,10 +1,12 @@
 package search
 
 import (
+	"math"
+
 	"gemini/internal/corpus"
 	"gemini/internal/index"
 	"gemini/internal/par"
-	"gemini/internal/stats"
+	"gemini/internal/simd"
 )
 
 // Feature indices of the Table II feature vector. The order matches the
@@ -51,42 +53,52 @@ var FeatureNames = [NumFeatures]string{
 // FeatureVector holds the Table II features of one query.
 type FeatureVector [NumFeatures]float64
 
-// termProfile caches the per-term feature values. Static list statistics
-// are computed from the posting list; the execution-derived features
-// (Docs_in_5%_of_KthScore, Docs_ever_in_TopK) come from profiling a
-// single-term top-K run, mirroring how a production predictor would learn
-// them from past executions of the term.
-type termProfile struct {
-	feats [NumFeatures - 1]float64 // all but Query_Length
-}
+// termProfile holds one term's feature values, all but Query_Length. Static
+// list statistics are computed from the posting list; the execution-derived
+// features (Docs_in_5%_of_KthScore, Docs_ever_in_TopK) come from the term's
+// entry in the engine's one-term table, its single-term top-K run,
+// mirroring how a production predictor would learn them from past
+// executions of the term.
+type termProfile [NumFeatures - 1]float64
 
-// Extractor computes Table II feature vectors, caching per-term profiles.
-// It is not safe for concurrent use.
+// Extractor computes Table II feature vectors from the profile of every term
+// of the index, built when the extractor is created. It only reads after
+// that, so it is safe for concurrent use.
 type Extractor struct {
-	engine *Engine
-	cache  map[corpus.TermID]*termProfile
+	profiles []termProfile // indexed by TermID; zero where the index has no list
 }
 
-// NewExtractor creates an extractor over the engine's index, using the
-// engine's K for the Kth-score features.
+// NewExtractor builds the profile of every term of the engine's index, on
+// every core (par.Run, each term into its own slot), using the engine's K
+// for the Kth-score features.
 func NewExtractor(e *Engine) *Extractor {
-	return &Extractor{engine: e, cache: make(map[corpus.TermID]*termProfile)}
+	one := e.one
+	if one == nil {
+		one = oneTermTable(e.ix, e.k) // an exhaustive engine keeps no table
+	}
+	profiles := make([]termProfile, len(one))
+	par.Run(par.DefaultWorkers(), len(profiles), func(t int) {
+		if pl, err := e.ix.List(corpus.TermID(t)); err == nil {
+			profiles[t] = buildProfile(pl, one[t])
+		}
+	})
+	return &Extractor{profiles: profiles}
 }
 
 // Features returns the feature vector of a query. For phrase queries (more
 // than one term), each per-term feature takes the maximum across the query's
-// terms, as in the paper. Unknown terms contribute nothing; a query with no
-// known terms yields the zero vector.
+// terms, as in the paper. Unknown terms contribute nothing (their profile is
+// zero, and no feature is negative); a query with no known terms yields the
+// zero vector.
 func (x *Extractor) Features(q corpus.Query) FeatureVector {
 	var fv FeatureVector
 	for _, t := range q.Terms {
-		p := x.profile(t)
-		if p == nil {
+		if uint(t) >= uint(len(x.profiles)) {
 			continue
 		}
-		for i := 0; i < NumFeatures-1; i++ {
-			if p.feats[i] > fv[i] {
-				fv[i] = p.feats[i]
+		for i, v := range &x.profiles[t] {
+			if v > fv[i] {
+				fv[i] = v
 			}
 		}
 	}
@@ -94,88 +106,67 @@ func (x *Extractor) Features(q corpus.Query) FeatureVector {
 	return fv
 }
 
-// Prepare caches the profile of every term of queries that has none yet,
-// building them on workers goroutines (par.Run): Features then only reads
-// the cache for these queries. A profile is a function of its term's posting
-// list alone, so the cache ends as Features would have filled it.
-func (x *Extractor) Prepare(queries []corpus.Query, workers int) {
-	var todo []corpus.TermID
-	for _, q := range queries {
-		for _, t := range q.Terms {
-			if _, ok := x.cache[t]; !ok {
-				x.cache[t] = nil // claimed: listed once
-				todo = append(todo, t)
-			}
-		}
-	}
-	built := make([]*termProfile, len(todo))
-	par.Run(workers, len(todo), func(i int) {
-		if pl, err := x.engine.Index().List(todo[i]); err == nil {
-			built[i] = x.buildProfile(pl)
-		}
-	})
-	for i, t := range todo {
-		x.cache[t] = built[i]
-	}
-}
-
-func (x *Extractor) profile(t corpus.TermID) *termProfile {
-	if p, ok := x.cache[t]; ok {
-		return p
-	}
-	pl, err := x.engine.Index().List(t)
-	if err != nil {
-		x.cache[t] = nil
-		return nil
-	}
-	p := x.buildProfile(pl)
-	x.cache[t] = p
-	return p
-}
-
-func (x *Extractor) buildProfile(pl *index.PostingList) *termProfile {
-	imps := make([]float64, pl.Len())
-	for i, pst := range pl.Postings {
-		imps[i] = float64(pst.Impact)
-	}
-	am, _ := stats.Mean(imps)
-	gm, _ := stats.GeometricMean(imps)
-	hm, _ := stats.HarmonicMean(imps)
-	vr, _ := stats.Variance(imps)
+// buildProfile computes the profile of pl from its postings and ex, the
+// list's single-term execution. Each statistic sums in posting order, as the
+// stats package's functions do over the impacts, so each has their bits: the
+// first pass takes the sums behind the three means and the counts, a chunk of
+// postings at a time so that simd.Log takes the chunk's logarithms; the
+// second, which needs the arithmetic mean, the variance and the local maxima.
+func buildProfile(pl *index.PostingList, ex Execution) termProfile {
+	const eps = 1e-12 // stats.GeometricMean's and stats.HarmonicMean's clamp
+	ps := pl.Postings
+	n := float64(len(ps))
 	max := float64(pl.MaxImpact)
-
-	// Local maxima of the impact sequence in document order (interior
-	// points strictly greater than both neighbors).
-	nLocalMax, nLocalMaxAboveAM := 0, 0
-	for i := 1; i < len(imps)-1; i++ {
-		if imps[i] > imps[i-1] && imps[i] > imps[i+1] {
-			nLocalMax++
-			if imps[i] > am {
-				nLocalMaxAboveAM++
-			}
-		}
-	}
-
-	nMax, in5Max := 0, 0
-	for _, v := range imps {
-		if v >= max { // nothing exceeds max, so this counts exact hits
-			nMax++
-		}
-		if v >= 0.95*max {
-			in5Max++
-		}
-	}
-
-	// Execution-derived features from a profiling run of the single term.
-	ex := x.engine.searchSingle(pl)
 	kth := 0.0
 	if len(ex.Results) > 0 {
 		kth = float64(ex.Results[len(ex.Results)-1].Score)
 	}
-	in5Kth := 0
-	for _, v := range imps {
-		if v >= 0.95*kth {
-			in5Kth++
+
+	var sum, sumLog, sumInv float64
+	nMax, in5Max, in5Kth := 0, 0, 0
+	var logs [256]float64 // a chunk's clamped impacts, then their logarithms
+	for lo := 0; lo < len(ps); lo += len(logs) {
+		chunk := ps[lo:min(lo+len(logs), len(ps))]
+		for i, p := range chunk {
+			v := float64(p.Impact)
+			sum += v
+			c := v
+			if c < eps {
+				c = eps
+			}
+			logs[i] = c
+			sumInv += 1 / c
+			if v >= max { // nothing exceeds max, so this counts exact hits
+				nMax++
+			}
+			if v >= 0.95*max {
+				in5Max++
+			}
+			if v >= 0.95*kth {
+				in5Kth++
+			}
+		}
+		simd.Log(logs[:len(chunk)]) // math.Log's bits, four at a time
+		for _, l := range logs[:len(chunk)] {
+			sumLog += l
+		}
+	}
+	am := sum / n
+	gm := math.Exp(sumLog / n)
+	hm := n / sumInv
+
+	// Local maxima of the impact sequence in document order (interior
+	// points strictly greater than both neighbors).
+	var sq float64
+	nLocalMax, nLocalMaxAboveAM := 0, 0
+	for i, p := range ps {
+		d := float64(p.Impact) - am
+		sq += d * d
+		if i > 0 && i < len(ps)-1 && p.Impact > ps[i-1].Impact && p.Impact > ps[i+1].Impact {
+			nLocalMax++
+			if float64(p.Impact) > am {
+				nLocalMaxAboveAM++
+			}
 		}
 	}
 
@@ -184,20 +175,20 @@ func (x *Extractor) buildProfile(pl *index.PostingList) *termProfile {
 	// plays the same role — cheap, never below the true max, and loose).
 	estMax := pl.IDF * (index.BM25K1 + 1)
 
-	p := &termProfile{}
-	p.feats[FeatPostingListLength] = float64(pl.Len())
-	p.feats[FeatIDF] = pl.IDF
-	p.feats[FeatMaxScore] = max
-	p.feats[FeatAMean] = am
-	p.feats[FeatGMean] = gm
-	p.feats[FeatHMean] = hm
-	p.feats[FeatVariance] = vr
-	p.feats[FeatEstimatedMaxScore] = estMax
-	p.feats[FeatNumLocalMaxima] = float64(nLocalMax)
-	p.feats[FeatLocalMaximaAboveAMean] = float64(nLocalMaxAboveAM)
-	p.feats[FeatNumMaxScore] = float64(nMax)
-	p.feats[FeatDocsIn5PctOfMaxScore] = float64(in5Max)
-	p.feats[FeatDocsIn5PctOfKthScore] = float64(in5Kth)
-	p.feats[FeatDocsEverInTopK] = float64(ex.Stats.DocsEverInTopK)
+	var p termProfile
+	p[FeatPostingListLength] = n
+	p[FeatIDF] = pl.IDF
+	p[FeatMaxScore] = max
+	p[FeatAMean] = am
+	p[FeatGMean] = gm
+	p[FeatHMean] = hm
+	p[FeatVariance] = sq / n
+	p[FeatEstimatedMaxScore] = estMax
+	p[FeatNumLocalMaxima] = float64(nLocalMax)
+	p[FeatLocalMaximaAboveAMean] = float64(nLocalMaxAboveAM)
+	p[FeatNumMaxScore] = float64(nMax)
+	p[FeatDocsIn5PctOfMaxScore] = float64(in5Max)
+	p[FeatDocsIn5PctOfKthScore] = float64(in5Kth)
+	p[FeatDocsEverInTopK] = float64(ex.Stats.DocsEverInTopK)
 	return p
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -10,6 +11,7 @@ import (
 
 	"gemini/internal/corpus"
 	"gemini/internal/index"
+	"gemini/internal/stats"
 )
 
 // The reference kernels: searchSingle and searchMaxScore as they stood before
@@ -108,6 +110,78 @@ func refSearchMaxScore(e *Engine, lists []*index.PostingList) Execution {
 
 	st.HeapOps = h.pushes
 	return Execution{Results: h.results(), Stats: st}
+}
+
+// refProfile is a term's profile the literal way: the impacts copied out as
+// float64s, the means and variance from the stats package, a pass per count,
+// and the execution-derived features from refSearchSingle.
+func refProfile(e *Engine, pl *index.PostingList) termProfile {
+	imps := make([]float64, pl.Len())
+	for i, p := range pl.Postings {
+		imps[i] = float64(p.Impact)
+	}
+	am, _ := stats.Mean(imps)
+	gm, _ := stats.GeometricMean(imps)
+	hm, _ := stats.HarmonicMean(imps)
+	vr, _ := stats.Variance(imps)
+	max := float64(pl.MaxImpact)
+
+	nLocalMax, nLocalMaxAboveAM := 0, 0
+	for i := 1; i < len(imps)-1; i++ {
+		if imps[i] > imps[i-1] && imps[i] > imps[i+1] {
+			nLocalMax++
+			if imps[i] > am {
+				nLocalMaxAboveAM++
+			}
+		}
+	}
+	nMax, in5Max := 0, 0
+	for _, v := range imps {
+		if v >= max {
+			nMax++
+		}
+		if v >= 0.95*max {
+			in5Max++
+		}
+	}
+	ex := refSearchSingle(e, pl)
+	kth := 0.0
+	if len(ex.Results) > 0 {
+		kth = float64(ex.Results[len(ex.Results)-1].Score)
+	}
+	in5Kth := 0
+	for _, v := range imps {
+		if v >= 0.95*kth {
+			in5Kth++
+		}
+	}
+
+	var p termProfile
+	p[FeatPostingListLength] = float64(pl.Len())
+	p[FeatIDF] = pl.IDF
+	p[FeatMaxScore] = max
+	p[FeatAMean] = am
+	p[FeatGMean] = gm
+	p[FeatHMean] = hm
+	p[FeatVariance] = vr
+	p[FeatEstimatedMaxScore] = pl.IDF * (index.BM25K1 + 1)
+	p[FeatNumLocalMaxima] = float64(nLocalMax)
+	p[FeatLocalMaximaAboveAMean] = float64(nLocalMaxAboveAM)
+	p[FeatNumMaxScore] = float64(nMax)
+	p[FeatDocsIn5PctOfMaxScore] = float64(in5Max)
+	p[FeatDocsIn5PctOfKthScore] = float64(in5Kth)
+	p[FeatDocsEverInTopK] = float64(ex.Stats.DocsEverInTopK)
+	return p
+}
+
+// sameProfile reports whether two profiles hold the same bits.
+func sameProfile(a, b *termProfile) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func refProbe(pl *index.PostingList, doc int32) (float32, int, bool) {

@@ -11,6 +11,7 @@ import (
 
 	"gemini/internal/corpus"
 	"gemini/internal/index"
+	"gemini/internal/par"
 )
 
 // DefaultK is the result-set size K used throughout the evaluation.
@@ -38,19 +39,23 @@ type Execution struct {
 	Stats   ExecStats
 }
 
-// Engine evaluates queries against an index shard.
+// Engine evaluates queries against an index shard. It only reads after
+// construction, so one engine serves any number of goroutines.
 type Engine struct {
 	ix  *index.Index
 	k   int
 	alg Algorithm
+	// one is the one-term table: one[t] is the Execution of a query whose
+	// one known term is t (the zero Execution where t has no list), its
+	// Results carved from one backing array. nil under AlgExhaustive.
+	one []Execution
 }
 
 // NewEngine creates an engine returning top-k results (k<=0 means DefaultK).
+// It evaluates every term of the index alone once, on every core, so that a
+// one-term Search is a copy (see oneTermTable).
 func NewEngine(ix *index.Index, k int) *Engine {
-	if k <= 0 {
-		k = DefaultK
-	}
-	return &Engine{ix: ix, k: k}
+	return NewEngineWith(ix, k, AlgMaxScore)
 }
 
 // K returns the engine's result-set size.
@@ -80,52 +85,79 @@ func (e *Engine) Search(q corpus.Query) Execution {
 	case e.alg == AlgExhaustive:
 		return e.searchExhaustive(lists)
 	case len(lists) == 1:
-		return e.searchSingle(lists[0])
+		one := e.one[lists[0].Term]
+		// The table's Results are shared: the caller gets its own copy, the
+		// one allocation a search keeps.
+		out := make([]Result, len(one.Results))
+		copy(out, one.Results)
+		return Execution{Results: out, Stats: one.Stats}
 	default:
 		return e.searchMaxScore(lists)
 	}
 }
 
-// searchSingle scans a single posting list: no pruning is possible for a
+// oneTermTable evaluates every term of ix alone at result-set size k: entry t
+// is searchSingle's Execution of term t's list, or the zero Execution where
+// the index has no list for t. Each term's Results take min(k, len) slots of
+// one backing array, placed by a count and a prefix sum before the terms are
+// scanned on every core (par.Run), each into its own slots, so the table is
+// the same at any GOMAXPROCS.
+func oneTermTable(ix *index.Index, k int) []Execution {
+	one := make([]Execution, ix.VocabSize())
+	off := make([]int, len(one)+1)
+	for t := range one {
+		n := 0
+		if pl, err := ix.List(corpus.TermID(t)); err == nil {
+			n = min(k, pl.Len())
+		}
+		off[t+1] = off[t] + n
+	}
+	store := make([]Result, off[len(one)])
+	par.Run(par.DefaultWorkers(), len(one), func(t int) {
+		if pl, err := ix.List(corpus.TermID(t)); err == nil {
+			dst := store[off[t]:off[t+1]:off[t+1]]
+			one[t] = Execution{Results: dst, Stats: searchSingle(pl, k, dst)}
+		}
+	})
+	return one
+}
+
+// searchSingle scans a single posting list into dst, which has min(k, len)
+// slots, and returns the scan's counters: no pruning is possible for a
 // doc-ordered disjunction of one term, so cost is linear in list length —
 // the paper's observation that service time tracks the posting list,
-// modulated for multi-term queries by pruning. The first K postings fill the
-// heap; after that a posting costs one compare against θ unless it enters,
-// and a block whose BlockMax is not above θ is passed over whole: each of its
-// postings would fail that compare. Every posting is visited and scored, so
-// those two counters are the list length and only heap entries are counted.
-func (e *Engine) searchSingle(pl *index.PostingList) Execution {
+// modulated for multi-term queries by pruning. The first k postings fill the
+// heap; after that skipRun, with no non-essential bound and no document
+// bound, passes over the postings that cannot enter (one compare each, a
+// block at one compare when its BlockMax cannot), and each one it stops at
+// replaces the root. Every posting is visited and scored, so those two
+// counters are the list length and only heap entries are counted.
+func searchSingle(pl *index.PostingList, k int, dst []Result) ExecStats {
 	var store [stackK]Result
-	h := heapOver(store[:], e.k)
+	h := heapOver(store[:], k)
 	ps := pl.Postings
-	fill := min(e.k, len(ps))
+	fill := min(k, len(ps))
 	for _, p := range ps[:fill] {
 		h.push(Result{Doc: p.Doc, Score: p.Impact})
 	}
-	if fill == e.k {
+	if fill == k {
 		theta := h.items[0].Score
-		for b := fill / index.BlockSize; b < len(pl.BlockMax); b++ {
-			if pl.BlockMax[b] <= theta {
-				continue
+		for pos := fill; ; pos++ {
+			if pos = skipRun(ps, pl.BlockMax, pos, exhaustedDoc, 0, theta); pos == len(ps) {
+				break
 			}
-			lo, hi := max(b*index.BlockSize, fill), min((b+1)*index.BlockSize, len(ps))
-			for _, p := range ps[lo:hi] {
-				if p.Impact <= theta {
-					continue
-				}
-				h.replaceMin(Result{Doc: p.Doc, Score: p.Impact})
-				theta = h.items[0].Score
-			}
+			h.replaceMin(Result{Doc: ps[pos].Doc, Score: ps[pos].Impact})
+			theta = h.items[0].Score
 		}
 	}
-	st := ExecStats{
+	h.sortInto(dst)
+	return ExecStats{
 		PostingsVisited: len(ps),
 		DocsScored:      len(ps),
 		DocsEverInTopK:  h.pushes,
 		HeapOps:         h.pushes,
 		Terms:           1,
 	}
-	return Execution{Results: h.results(), Stats: st}
 }
 
 // exhaustedDoc is the current document of a cursor that ran off its list;

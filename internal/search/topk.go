@@ -112,6 +112,13 @@ func (h *topKHeap) siftDown(i int) {
 func (h *topKHeap) results() []Result {
 	// The returned top-K outlives the search: the one allocation a query keeps.
 	out := make([]Result, len(h.items))
+	h.sortInto(out)
+	return out
+}
+
+// sortInto writes the collected documents to out, which has one slot per
+// item, in the order results returns them.
+func (h *topKHeap) sortInto(out []Result) {
 	copy(out, h.items)
 	// Simple insertion-style sort is fine for K ≤ a few hundred.
 	for i := 1; i < len(out); i++ {
@@ -129,5 +136,4 @@ func (h *topKHeap) results() []Result {
 			out[j-1], out[j] = b, a
 		}
 	}
-	return out
 }

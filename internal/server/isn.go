@@ -130,18 +130,23 @@ type isnTask struct {
 	resp     chan ISNResponse
 }
 
-// NewISN builds an ISN over its shard.
+// NewISN builds an ISN over its shard. Its extractor's term profiles are all
+// built here, so a request never builds one; an ISN built without an engine,
+// which can serve nothing, gets no extractor.
 func NewISN(shard int, c *corpus.Corpus, eng *search.Engine, cost *search.CostModel) *ISN {
-	return &ISN{
-		ShardID:   shard,
-		Corpus:    c,
-		Engine:    eng,
-		Extractor: search.NewExtractor(eng),
-		Cost:      cost,
-		queue:     make(chan isnTask, 1024),
-		stopped:   make(chan struct{}),
-		t0:        time.Now(),
+	n := &ISN{
+		ShardID: shard,
+		Corpus:  c,
+		Engine:  eng,
+		Cost:    cost,
+		queue:   make(chan isnTask, 1024),
+		stopped: make(chan struct{}),
+		t0:      time.Now(),
 	}
+	if eng != nil {
+		n.Extractor = search.NewExtractor(eng)
+	}
+	return n
 }
 
 // Instrument attaches the shared metrics bundle; the shard's labeled
