@@ -34,6 +34,7 @@ import (
 	"gemini/internal/par"
 	"gemini/internal/search"
 	"gemini/internal/sim"
+	"gemini/internal/stats"
 	"gemini/internal/trace"
 )
 
@@ -225,12 +226,10 @@ func (s *System) Simulate(policyName string, spec TraceSpec) (*Metrics, error) {
 		cr := sim.RunClusterWorkers(cfg, wl, spec.Cores, par.DefaultWorkers(), func(int) sim.Policy {
 			return s.p.MustPolicy(policyName)
 		})
-		mean := 0.0
-		if len(cr.Latencies) > 0 {
-			for _, l := range cr.Latencies {
-				mean += l
-			}
-			mean /= float64(len(cr.Latencies))
+		mean, _ := stats.Mean(cr.QueryLatencies) // 0 when nothing completed
+		transitions := 0
+		for _, res := range cr.PerCore {
+			transitions += res.Transitions
 		}
 		return &Metrics{
 			Policy:        policyName,
@@ -238,9 +237,10 @@ func (s *System) Simulate(policyName string, spec TraceSpec) (*Metrics, error) {
 			Completed:     cr.Completed,
 			Dropped:       cr.Dropped,
 			ViolationRate: cr.ViolationRate(),
-			DropRate:      float64(cr.Dropped) / float64(max(cr.Total, 1)),
+			DropRate:      cr.DropRate(),
 			TailLatencyMs: cr.TailLatencyMs(95),
 			MeanLatencyMs: mean,
+			Transitions:   transitions,
 			SocketPowerW:  cr.SocketPowerW(s.p.Power),
 		}, nil
 	}

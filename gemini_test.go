@@ -137,6 +137,31 @@ func TestSimulateCluster(t *testing.T) {
 	}
 }
 
+// TestSimulateOneCoreIsSingleISN: a one-core cluster is the single ISN, so
+// every metric but the socket power (extrapolated to the socket's cores on
+// one path, charged as idle on the other) must agree — the transition
+// count and the mean latency included.
+func TestSimulateOneCoreIsSingleISN(t *testing.T) {
+	s := testSystem(t)
+	spec := gemini.TraceSpec{Kind: "fixed", EngineRPS: 60, DurationMs: 20_000}
+	single, err := s.Simulate("Gemini", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Cores = 1
+	cluster, err := s.Simulate("Gemini", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.Transitions == 0 {
+		t.Fatal("the single ISN made no frequency transitions; the comparison shows nothing")
+	}
+	cluster.SocketPowerW = single.SocketPowerW
+	if *cluster != *single {
+		t.Errorf("Cores: 1 gives %+v, Cores: 0 gives %+v", *cluster, *single)
+	}
+}
+
 func TestGeminiBeatsBaselinePower(t *testing.T) {
 	s := testSystem(t)
 	spec := gemini.TraceSpec{Kind: "fixed", EngineRPS: 60, DurationMs: 30_000}

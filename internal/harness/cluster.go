@@ -32,7 +32,7 @@ func (p *Platform) ClusterReport(cores int, engineRPS, durationMs float64) *Repo
 		})
 		rep.AddRow(name,
 			fmt.Sprintf("%d", cr.Total), fmt.Sprintf("%d", cr.Completed),
-			pct(float64(cr.Dropped)/float64(max(cr.Total, 1))),
+			pct(cr.DropRate()),
 			pct(cr.ViolationRate()),
 			f2(cr.TailLatencyMs(95)),
 			f2(cr.SocketPowerW(p.Power)),

@@ -7,7 +7,6 @@ import (
 	"gemini/internal/corpus"
 	"gemini/internal/cpu"
 	"gemini/internal/index"
-	"gemini/internal/policy"
 	"gemini/internal/search"
 	"gemini/internal/sim"
 	"gemini/internal/stats"
@@ -219,7 +218,7 @@ func (p *Platform) Fig3() (*Report, *Fig3Data) {
 		f := levels[i]
 		wl := &sim.Workload{Pool: p.Pool, BudgetMs: 10_000, DurationMs: 10_000}
 		wl.Add(0, sim.Draw{Base: heavy.BaseWork, Work: heavy.BaseWork, PoolIdx: int32(k)})
-		res := sim.Run(sim.DefaultConfig(), wl, policy.FixedFreq{F: f})
+		res := sim.Run(sim.DefaultConfig(), wl, &sim.FixedPolicy{F: f})
 		lat := res.Latencies[0]
 		data.Freqs = append(data.Freqs, f)
 		data.Latencies = append(data.Latencies, lat)

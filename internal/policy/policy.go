@@ -32,25 +32,3 @@ func (Baseline) OnDeparture(*sim.Sim, *sim.Request) {}
 
 // OnTimer implements sim.Policy.
 func (Baseline) OnTimer(*sim.Sim, int64) {}
-
-// FixedFreq pins an arbitrary frequency — used by calibration experiments
-// such as the Fig. 3 latency-vs-frequency sweep.
-type FixedFreq struct{ F cpu.Freq }
-
-// Name implements sim.Policy.
-func (p FixedFreq) Name() string { return "Fixed" }
-
-// Init implements sim.Policy.
-func (p FixedFreq) Init(s *sim.Sim) { s.SetFreq(p.F) }
-
-// OnArrival implements sim.Policy.
-func (FixedFreq) OnArrival(*sim.Sim, *sim.Request) {}
-
-// OnStart implements sim.Policy.
-func (FixedFreq) OnStart(*sim.Sim, *sim.Request) {}
-
-// OnDeparture implements sim.Policy.
-func (FixedFreq) OnDeparture(*sim.Sim, *sim.Request) {}
-
-// OnTimer implements sim.Policy.
-func (FixedFreq) OnTimer(*sim.Sim, int64) {}

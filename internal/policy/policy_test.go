@@ -387,7 +387,7 @@ func TestSleepWrapperWakeLatencyCharged(t *testing.T) {
 
 func TestFixedFreqPolicy(t *testing.T) {
 	wl := mkWL(200, 300, reqSpec{at: 0, actualMs: 10, predMs: 10})
-	res := runPolicy(t, wl, FixedFreq{F: 1.2})
+	res := runPolicy(t, wl, &sim.FixedPolicy{F: 1.2})
 	want := 10*2.7/1.2 + cpu.TdvfsMs
 	if math.Abs(res.Latencies[0]-want) > 1e-6 {
 		t.Errorf("latency = %v, want %v", res.Latencies[0], want)

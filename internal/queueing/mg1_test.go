@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"gemini/internal/cpu"
-	"gemini/internal/policy"
 	"gemini/internal/sim"
 	"gemini/internal/trace"
 )
@@ -100,7 +99,7 @@ func TestSimulatorMatchesPollaczekKhinchine(t *testing.T) {
 	empMean := sum / n
 	empVar := sumsq/n - empMean*empMean
 
-	res := sim.Run(sim.DefaultConfig(), wl, policy.FixedFreq{F: cpu.FDefault})
+	res := sim.Run(sim.DefaultConfig(), wl, &sim.FixedPolicy{F: cpu.FDefault})
 	theory := MG1{
 		LambdaPerMs:   n / durationMs, // realized rate
 		MeanServiceMs: empMean,

@@ -115,8 +115,9 @@ func TestClusterEmptyWorkload(t *testing.T) {
 	}
 }
 
-// dispatchLinearRef is the original O(cores) scan broker, kept here as the
-// reference for the heap broker's tie-break contract: first minimal index.
+// dispatchLinearRef is the broker written as the plain O(cores) float scan,
+// the reference for the routing pass's tie-break contract: first minimal
+// index.
 func dispatchLinearRef(wl *Workload, cores int) [][]int32 {
 	assign := make([][]int32, cores)
 	vFinish := make([]float64, cores)
@@ -137,10 +138,11 @@ func dispatchLinearRef(wl *Workload, cores int) [][]int32 {
 	return assign
 }
 
-func TestDispatchHeapMatchesLinear(t *testing.T) {
-	// The heap broker must assign every request to the exact core the linear
-	// first-minimal-index scan picks — including tie-heavy workloads where
-	// many cores share a virtual finish time.
+func TestDispatchMatchesLinear(t *testing.T) {
+	// The routing pass must assign every request to the exact core the
+	// linear first-minimal-index scan picks — including tie-heavy workloads
+	// where many cores share a virtual finish time, which pin that
+	// RouterLeastLoaded's bits comparison keeps the first minimal index.
 	for seed := int64(1); seed <= 10; seed++ {
 		for _, cores := range []int{1, 2, 3, 7, 16, 33} {
 			wl := clusterWorkload(500, 3, 6, seed)
@@ -155,7 +157,7 @@ func TestDispatchHeapMatchesLinear(t *testing.T) {
 			parts := Dispatch(wl, cores)
 			for c, got := range parts {
 				if !reflect.DeepEqual(got, want[c]) && !(len(got) == 0 && len(want[c]) == 0) {
-					t.Fatalf("seed %d cores %d: core %d assignment diverges:\n  heap:   %v\n  linear: %v",
+					t.Fatalf("seed %d cores %d: core %d assignment diverges:\n  Dispatch: %v\n  linear:   %v",
 						seed, cores, c, got, want[c])
 				}
 			}
@@ -278,7 +280,7 @@ func FuzzRunnersAgree(f *testing.F) {
 			}},
 			{"RunClusterWorkers", func(cfg Config) *Result {
 				cr := RunClusterWorkers(cfg, wl, 1, 1, mk)
-				if !slices.Equal(cr.Latencies, cr.PerCore[0].Latencies) {
+				if !slices.Equal(cr.QueryLatencies, cr.PerCore[0].Latencies) {
 					t.Fatal("RunClusterWorkers: merged latencies are not the core's")
 				}
 				return cr.PerCore[0]

@@ -86,7 +86,7 @@ func TestObservationDoesNotPerturb(t *testing.T) {
 			for c := range off.PerCore {
 				checkRun(what, off.PerCore[c], on.PerCore[c])
 			}
-			if on.Events-off.Events != cores*ticks || !sameBits(off.Latencies, on.Latencies) ||
+			if on.Events-off.Events != cores*ticks || !sameBits(off.QueryLatencies, on.QueryLatencies) ||
 				math.Float64bits(off.EnergyMJ) != math.Float64bits(on.EnergyMJ) ||
 				off.Total != on.Total || off.Completed != on.Completed || off.Dropped != on.Dropped || off.Violations != on.Violations {
 				t.Errorf("%s: sampling changed the cluster result", what)

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
@@ -56,6 +58,21 @@ func TestClusterAllocsIndependentOfRequests(t *testing.T) {
 	small, large := allocsAtSizes(n, func(wl *Workload) { RunClusterWorkers(DefaultConfig(), wl, cores, 2, mkFixed) })
 	if small <= 0 || large-small > 8*cores {
 		t.Errorf("%.0f allocs at n and %.0f at 4n requests", small, large)
+	}
+}
+
+// TestClusterRunAllocs pins the allocations of a 12-core broker run, the
+// cluster half of sim_sweep's grid: the one-shard routing pass builds no
+// round-robin cursors, tie pool or routing stream, the route record lives
+// in the route state, and the merge sums the cores' counts. Each allocation
+// more per cluster run reads about +0.4 % on the sweep's allocs_per_op.
+func TestClusterRunAllocs(t *testing.T) {
+	wl := BenchWorkloadRate(3000, 3, 25.0/12)
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const pin = 121
+	if got := testing.AllocsPerRun(5, func() { RunClusterWorkers(DefaultConfig(), wl, 12, 2, mkFixed) }); got > pin {
+		t.Errorf("a 12-core RunClusterWorkers allocates %.0f times, pinned at %d", got, pin)
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 // one cluster-aggregate series.
 //
 // The discipline extends the span-accumulator contract: when Config.Series
-// is set, RunClusterWorkers and RunTopologyWorkers give every core a private
-// capture cursor (a shared sink would interleave samples nondeterministically
-// under workers > 1), then merge window-by-window in core order after every
-// core finished. Sample boundaries are bit-identical across cores — both the
+// is set, the cluster runner (RunTopologyWorkers, which RunClusterWorkers
+// calls) gives every core a private capture cursor (a shared sink would
+// interleave samples nondeterministically under workers > 1), then merges
+// window-by-window in core order after every core finished. Sample boundaries are bit-identical across cores — both the
 // engine's reserved timers and SampleCount multiply k·interval rather than
 // accumulating — so the merge is pure column arithmetic and the sharded
 // timeline export is byte-identical to the serial one under every router and

@@ -10,7 +10,8 @@ import (
 	"gemini/internal/telemetry"
 )
 
-// Cluster topology: shards × replicas above the per-core broker.
+// Cluster topology: shards × replicas, the package's one cluster runner (the
+// §V broker cluster is its one-shard case, RunClusterWorkers).
 //
 // The paper's evaluation stops at 12 single-thread ISNs behind one aggregator
 // (§V). This layer scales the same discrete-event machinery to a datacenter
@@ -68,13 +69,12 @@ func (t Topology) Core(shard, replica int) int {
 }
 
 // RouteState is the virtual per-replica view routers decide on during the
-// routing pre-pass. It deliberately mirrors the broker's accounting — vFinish
-// advances by each request's base service time at the default frequency — so
-// RouterLeastLoaded over a single shard reproduces Dispatch exactly, and it
-// adds the two signals the new routers need: a modeled per-replica DVFS
-// frequency (what a deadline-targeting policy like Gemini would currently
-// run, given the replica's backlog) and the PowerCapCoordinator's per-replica
-// frequency ceilings.
+// routing pre-pass. Its vFinish is the §V broker's accounting — each request
+// advances its core's virtual finish time by its base service time at the
+// default frequency — and it adds the two signals the other routers need: a
+// modeled per-replica DVFS frequency (what a deadline-targeting policy like
+// Gemini would currently run, given the replica's backlog) and the
+// PowerCapCoordinator's per-replica frequency ceilings.
 type RouteState struct {
 	topo     Topology
 	budgetMs float64
@@ -83,12 +83,18 @@ type RouteState struct {
 
 	vFinish  []float64  // virtual finish time per core (broker accounting)
 	ceilings []cpu.Freq // cap-coordinator ceilings (ladder.Max() when uncapped)
-	rr       []int      // per-shard round-robin cursors
-	tied     []int      // RouterPowerAware's tie pool, cap Replicas(), resliced per Pick
-	rng      *rand.Rand // PartitionedRNG routing stream
+
+	// Built on first use by the routers that need them, so a least-loaded
+	// pass allocates none of them.
+	rr   []int      // per-shard round-robin cursors
+	tied []int      // RouterPowerAware's tie pool, cap Replicas(), resliced per Pick
+	rng  *rand.Rand // PartitionedRNG routing stream
+	seed int64
+
+	q Request // the query being routed, as a run would begin it
 }
 
-func newRouteState(topo Topology, budgetMs float64, ladder *cpu.Ladder, rng *rand.Rand) *RouteState {
+func newRouteState(topo Topology, budgetMs float64, ladder *cpu.Ladder, seed int64) *RouteState {
 	topo = topo.normalized()
 	cores := topo.Cores()
 	st := &RouteState{
@@ -97,14 +103,47 @@ func newRouteState(topo Topology, budgetMs float64, ladder *cpu.Ladder, rng *ran
 		ladder:   ladder,
 		vFinish:  make([]float64, cores),
 		ceilings: make([]cpu.Freq, cores),
-		rr:       make([]int, topo.Shards),
-		tied:     make([]int, 0, topo.ReplicasPerShard),
-		rng:      rng,
+		seed:     seed,
 	}
 	for c := range st.ceilings {
 		st.ceilings[c] = ladder.Max()
 	}
 	return st
+}
+
+// route is the routing pre-pass: serial over arrivals, on virtual state only.
+// It returns the leg table, the pass's only per-request output — the core
+// serving query qi on shard s, at legs[qi*Shards+s] — and the number of legs
+// each core serves. Routers see each query as the record a run would begin
+// it with. coord, when non-nil, steps the cap's ceilings as time advances.
+func (st *RouteState) route(wl *Workload, router Router, coord *PowerCapCoordinator) (legs []int32, counts []int) {
+	shards, reps := st.topo.Shards, st.topo.ReplicasPerShard
+	n := wl.Len()
+	legs = make([]int32, n*shards)
+	counts = make([]int, st.topo.Cores())
+	q := &st.q
+	for qi := range n {
+		wl.record(q, qi)
+		st.now = q.ArrivalMs
+		if coord != nil {
+			coord.advanceTo(q.ArrivalMs)
+		}
+		fan := legs[qi*shards:][:shards]
+		for s := range fan {
+			j := router.Pick(st, s, q)
+			if j < 0 || j >= reps {
+				j = 0
+			}
+			c := st.topo.Core(s, j)
+			fan[s] = int32(c)
+			counts[c]++
+			st.assign(c, q)
+		}
+	}
+	if coord != nil {
+		coord.advanceTo(wl.DurationMs)
+	}
+	return legs, counts
 }
 
 // Replicas returns the replicas-per-shard count (newRouteState normalized it).
@@ -201,6 +240,9 @@ type RouterRoundRobin struct{}
 func (RouterRoundRobin) Name() string { return "round-robin" }
 
 func (RouterRoundRobin) Pick(st *RouteState, shard int, r *Request) int {
+	if st.rr == nil {
+		st.rr = make([]int, st.topo.Shards)
+	}
 	j := st.rr[shard]
 	st.rr[shard] = (j + 1) % st.Replicas()
 	return j
@@ -208,17 +250,23 @@ func (RouterRoundRobin) Pick(st *RouteState, shard int, r *Request) int {
 
 // RouterLeastLoaded picks the replica with the earliest virtual finish time,
 // first minimal index on exact ties — the §V broker's dispatch rule lifted to
-// a shard's replica set. Over a single shard it reproduces Dispatch exactly
-// (TestRouterLeastLoadedMatchesBroker). Draw-free.
+// a shard's replica set; over a single shard it is the broker (Dispatch).
+// Draw-free.
 type RouterLeastLoaded struct{}
 
 func (RouterLeastLoaded) Name() string { return "least-loaded" }
 
+// Pick compares the virtual finish times' bits: vFinish is finite and never
+// below +0, where the IEEE 754 bit patterns order as the values do, and an
+// integer minimum compiles to conditional moves where a float one branches
+// on every replica.
 func (RouterLeastLoaded) Pick(st *RouteState, shard int, r *Request) int {
-	best := 0
-	for j := 1; j < st.Replicas(); j++ {
-		if st.VFinish(shard, j) < st.VFinish(shard, best) {
-			best = j
+	reps := st.topo.ReplicasPerShard
+	vf := st.vFinish[shard*reps:][:reps]
+	best, bestBits := 0, math.Float64bits(vf[0])
+	for j := 1; j < len(vf); j++ {
+		if b := math.Float64bits(vf[j]); b < bestBits {
+			best, bestBits = j, b
 		}
 	}
 	return best
@@ -270,6 +318,9 @@ func (RouterPowerAware) Name() string { return "power-aware" }
 func (RouterPowerAware) Pick(st *RouteState, shard int, r *Request) int {
 	reps := st.Replicas()
 	bestAny, bestAnyEst := 0, math.Inf(1)
+	if st.tied == nil {
+		st.tied = make([]int, 0, reps)
+	}
 	tied := st.tied[:0]
 	var bestFreq cpu.Freq
 	var bestVF float64
@@ -300,6 +351,9 @@ func (RouterPowerAware) Pick(st *RouteState, shard int, r *Request) int {
 		return tied[0]
 	}
 	// The seeded routing stream breaks the tie; Intn on a rand.Rand does not allocate.
+	if st.rng == nil {
+		st.rng = NewPartitionedRNG(st.seed).Routing()
+	}
 	return tied[st.rng.Intn(len(tied))]
 }
 
@@ -326,7 +380,7 @@ var RouterNames = []string{"round-robin", "least-loaded", "deadline-aware", "pow
 type TopologyConfig struct {
 	// Sim is the per-core simulator configuration (engine, power model,
 	// telemetry sinks — sinks are captured per core and replayed in core
-	// order exactly as in RunClusterWorkers).
+	// order).
 	Sim Config
 	// Topology is the cluster shape; the zero value runs 1×1.
 	Topology Topology
@@ -395,6 +449,14 @@ type TopologyResult struct {
 // comment's determinism discipline). mkPolicy is called once per core,
 // possibly concurrently, and must return policies sharing no mutable state.
 func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy func(core int) Policy) *TopologyResult {
+	tr := new(TopologyResult)
+	runTopology(tr, tc, wl, workers, mkPolicy)
+	return tr
+}
+
+// runTopology is RunTopologyWorkers writing into tr, which RunClusterWorkers
+// embeds.
+func runTopology(tr *TopologyResult, tc TopologyConfig, wl *Workload, workers int, mkPolicy func(core int) Policy) {
 	topo := tc.Topology.normalized()
 	router := tc.Router
 	if router == nil {
@@ -410,40 +472,12 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 	cores := topo.Cores()
 
 	// --- routing pre-pass (serial, virtual state only) --------------------
-	st := newRouteState(topo, wl.BudgetMs, cfg.Ladder, NewPartitionedRNG(tc.Seed).Routing())
+	st := newRouteState(topo, wl.BudgetMs, cfg.Ladder, tc.Seed)
 	var coord *PowerCapCoordinator
 	if tc.PowerCapW > 0 {
 		coord = newPowerCapCoordinator(tc.PowerCapW, tc.CapIntervalMs, cfg.Power, cfg.Ladder, st)
 	}
-	// legs is the leg table, the pre-pass's only per-request output: the core
-	// serving query qi on shard s, at legs[qi*Shards+s]. Routers see each
-	// query as the record a run would begin it with.
-	n := wl.Len()
-	legs := make([]int32, n*topo.Shards)
-	counts := make([]int, cores)
-	reps := topo.ReplicasPerShard
-	var q Request
-	for qi := range n {
-		wl.record(&q, qi)
-		st.now = q.ArrivalMs
-		if coord != nil {
-			coord.advanceTo(q.ArrivalMs)
-		}
-		fan := legs[qi*topo.Shards:][:topo.Shards]
-		for s := range fan {
-			j := router.Pick(st, s, &q)
-			if j < 0 || j >= reps {
-				j = 0
-			}
-			c := topo.Core(s, j)
-			fan[s] = int32(c)
-			counts[c]++
-			st.assign(c, &q)
-		}
-	}
-	if coord != nil {
-		coord.advanceTo(wl.DurationMs)
-	}
+	legs, counts := st.route(wl, router, coord)
 
 	// --- independent per-core simulations (sharded) -----------------------
 	// Each core's job builds its own records from its leg list before it runs.
@@ -451,11 +485,11 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 	results := runCores(cfg, wl, lists, workers, mkPolicy, coord)
 
 	// --- deterministic merge ----------------------------------------------
-	tr := &TopologyResult{
+	*tr = TopologyResult{
 		Topology:    topo,
 		Router:      router.Name(),
 		PerCore:     results,
-		Queries:     n,
+		Queries:     wl.Len(),
 		DurationMs:  wl.DurationMs,
 		RouteCounts: make([]uint64, cores),
 	}
@@ -466,38 +500,21 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 		tr.Events += res.Events
 		tr.EnergyMJ += res.EnergyMJ
 	}
-	tr.QueryLatencies = make([]float64, 0, n)
-	// A core's records hold its legs in query order, so one cursor per core
-	// finds every leg of the table without a per-leg pointer.
-	cursor := make([]int, cores)
-	for qi, at := range wl.ArrivalMs {
-		dropped := false
-		finish := math.Inf(-1)
-		for _, c := range legs[qi*topo.Shards:][:topo.Shards] {
-			cl := &results[c].Requests[cursor[c]]
-			cursor[c]++
-			if cl.Dropped {
-				dropped = true
-			}
-			if cl.FinishMs > finish {
-				finish = cl.FinishMs
-			}
+	if topo.Shards == 1 {
+		// Every query is one leg, so the cores' counts and their sorted
+		// latency runs are the queries'.
+		for _, res := range results {
+			tr.Completed += res.Completed
+			tr.Dropped += res.Dropped
+			tr.Violations += res.Violations
 		}
-		switch {
-		case dropped:
-			tr.Dropped++
-		default:
-			tr.Completed++
-			tr.QueryLatencies = append(tr.QueryLatencies, finish-at)
-			if finish > at+wl.BudgetMs {
-				tr.Violations++
-			}
-		}
+		tr.QueryLatencies = allLatencies(results, workers)
+	} else {
+		tr.mergeStragglers(wl, legs)
 	}
 	for _, res := range results {
 		res.Requests = nil
 	}
-	stats.SortAscending(tr.QueryLatencies)
 	if coord != nil {
 		tr.CapW = coord.capW
 		tr.CapIntervalMs = coord.intervalMs
@@ -512,7 +529,41 @@ func RunTopologyWorkers(tc TopologyConfig, wl *Workload, workers int, mkPolicy f
 	if tc.Metrics != nil {
 		tr.publish(tc.Metrics)
 	}
-	return tr
+}
+
+// mergeStragglers accounts queries fanned over several shards in arrival
+// order: a query is dropped if any of its legs was, and otherwise completes
+// at its slowest leg's finish. A core's records hold its legs in query
+// order, so one cursor per core finds every leg of the table without a
+// per-leg pointer.
+func (tr *TopologyResult) mergeStragglers(wl *Workload, legs []int32) {
+	shards, results := tr.Topology.Shards, tr.PerCore
+	tr.QueryLatencies = make([]float64, 0, tr.Queries)
+	cursor := make([]int, len(results))
+	for qi, at := range wl.ArrivalMs {
+		dropped := false
+		finish := math.Inf(-1)
+		for _, c := range legs[qi*shards:][:shards] {
+			cl := &results[c].Requests[cursor[c]]
+			cursor[c]++
+			if cl.Dropped {
+				dropped = true
+			}
+			if cl.FinishMs > finish {
+				finish = cl.FinishMs
+			}
+		}
+		if dropped {
+			tr.Dropped++
+			continue
+		}
+		tr.Completed++
+		tr.QueryLatencies = append(tr.QueryLatencies, finish-at)
+		if finish > at+wl.BudgetMs {
+			tr.Violations++
+		}
+	}
+	stats.SortAscending(tr.QueryLatencies)
 }
 
 // publish records the run's route/throttle/power telemetry (serial,

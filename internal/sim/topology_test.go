@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -97,37 +99,52 @@ func TestTopologyStragglerAccounting(t *testing.T) {
 	}
 }
 
-// TestRouterLeastLoadedMatchesBroker is the property test anchoring the
-// topology layer to the existing broker: a single shard with R replicas under
-// RouterLeastLoaded must reproduce Dispatch's per-core assignment — and hence
-// RunClusterWorkers' per-core results — exactly, for every R and seed.
+// TestRouterLeastLoadedMatchesBroker holds the broker cluster — a 1×R
+// least-loaded topology, and RunClusterWorkers, which is one — to a
+// reference that shares none of its routing or merge code: the linear
+// first-minimal-index scan's partition, each core's part simulated alone
+// through Run, the sorted concatenation of those cores' latencies and their
+// summed counts. It must hold exactly, for every R and seed.
 func TestRouterLeastLoadedMatchesBroker(t *testing.T) {
+	mk := func(int) Policy { return &FixedPolicy{F: cpu.FDefault} }
 	for _, replicas := range []int{1, 2, 3, 5, 8} {
 		for seed := int64(1); seed <= 5; seed++ {
-			wlTopo := clusterWorkload(300, 2, 6, seed)
-			wlBroker := clusterWorkload(300, 2, 6, seed)
-
-			tc := TopologyConfig{
-				Sim:      DefaultConfig(),
-				Topology: Topology{Shards: 1, ReplicasPerShard: replicas},
-				Router:   RouterLeastLoaded{},
+			wl := clusterWorkload(300, 2, 6, seed)
+			var want []*Result
+			var lat []float64
+			var completed, dropped, violations int
+			for _, idx := range dispatchLinearRef(wl, replicas) {
+				part := &Workload{BudgetMs: wl.BudgetMs, DurationMs: wl.DurationMs}
+				for _, i := range idx {
+					part.Add(wl.ArrivalMs[i], wl.Draws[i])
+				}
+				res := Run(DefaultConfig(), part, mk(0))
+				res.Requests = nil // the cluster runners drop theirs
+				want = append(want, res)
+				lat = append(lat, res.Latencies...)
+				completed += res.Completed
+				dropped += res.Dropped
+				violations += res.Violations
 			}
-			tr := RunTopologyWorkers(tc, wlTopo, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
-			cr := RunClusterWorkers(DefaultConfig(), wlBroker, replicas, 1, func(int) Policy { return &FixedPolicy{F: cpu.FDefault} })
+			sort.Float64s(lat)
 
-			if len(tr.PerCore) != len(cr.PerCore) {
-				t.Fatalf("replicas=%d seed=%d: core counts differ", replicas, seed)
-			}
-			for c := range tr.PerCore {
-				if !reflect.DeepEqual(tr.PerCore[c], cr.PerCore[c]) {
-					t.Fatalf("replicas=%d seed=%d: core %d result diverges from broker dispatch",
-						replicas, seed, c)
+			tc := TopologyConfig{Sim: DefaultConfig(), Topology: Topology{Shards: 1, ReplicasPerShard: replicas}, Router: RouterLeastLoaded{}}
+			tr := RunTopologyWorkers(tc, wl, 1, mk)
+			cr := RunClusterWorkers(DefaultConfig(), wl, replicas, 2, mk)
+			for name, got := range map[string]*TopologyResult{"topology": tr, "cluster": &cr.TopologyResult} {
+				if !reflect.DeepEqual(got.PerCore, want) {
+					t.Fatalf("replicas=%d seed=%d: %s cores diverge from the linear broker's parts run alone", replicas, seed, name)
+				}
+				if !slices.Equal(got.QueryLatencies, lat) {
+					t.Fatalf("replicas=%d seed=%d: %s latencies are not the cores' sorted together", replicas, seed, name)
+				}
+				if got.Completed != completed || got.Dropped != dropped || got.Violations != violations {
+					t.Fatalf("replicas=%d seed=%d: %s counts %d/%d/%d, the cores' sum %d/%d/%d", replicas, seed, name,
+						got.Completed, got.Dropped, got.Violations, completed, dropped, violations)
 				}
 			}
-			// With one shard the query straggler is the lone shard request, so
-			// the merged latency distributions must agree too.
-			if !reflect.DeepEqual(tr.QueryLatencies, cr.Latencies) {
-				t.Fatalf("replicas=%d seed=%d: merged latencies diverge", replicas, seed)
+			if cr.Total != wl.Len() {
+				t.Fatalf("replicas=%d seed=%d: cluster total %d of %d requests", replicas, seed, cr.Total, wl.Len())
 			}
 		}
 	}

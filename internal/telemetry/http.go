@@ -42,6 +42,23 @@ func MetricsHandler(reg *Registry) http.Handler {
 	})
 }
 
+// debugJSONHandler is every /debug/ JSON endpoint: it answers 400 to a bad
+// ?n=, and otherwise writes payload(n), n clamped by ClampDebugN from the
+// default defaultN, as indented JSON.
+func debugJSONHandler(defaultN int, payload func(n int) any) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n, err := ClampDebugN(r.URL.Query().Get("n"), defaultN)
+		if err != nil {
+			http.Error(w, "bad n parameter", http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(payload(n))
+	})
+}
+
 // tracesPayload is the JSON body served by TracesHandler.
 type tracesPayload struct {
 	TotalSpans uint64      `json:"total_spans"`
@@ -52,12 +69,7 @@ type tracesPayload struct {
 // JSON — mount it at /debug/traces. The ?n= query parameter bounds the trace
 // count (default defaultN; n=0 returns every retained trace).
 func TracesHandler(t *SpanTracer, defaultN int) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n, err := ClampDebugN(r.URL.Query().Get("n"), defaultN)
-		if err != nil {
-			http.Error(w, "bad n parameter", http.StatusBadRequest)
-			return
-		}
+	return debugJSONHandler(defaultN, func(n int) any {
 		payload := tracesPayload{Traces: []TraceView{}}
 		if t != nil {
 			payload.TotalSpans = t.Total()
@@ -65,10 +77,7 @@ func TracesHandler(t *SpanTracer, defaultN int) http.Handler {
 				payload.Traces = views
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(payload)
+		return payload
 	})
 }
 
@@ -83,21 +92,13 @@ type decisionsPayload struct {
 // mount it at /debug/decisions. The ?n= query parameter bounds the count
 // (default defaultN; n=0 returns everything retained).
 func DecisionsHandler(t *Tracer, defaultN int) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n, err := ClampDebugN(r.URL.Query().Get("n"), defaultN)
-		if err != nil {
-			http.Error(w, "bad n parameter", http.StatusBadRequest)
-			return
-		}
+	return debugJSONHandler(defaultN, func(n int) any {
 		payload := decisionsPayload{Decisions: []Decision{}}
 		if t != nil {
 			payload.Total = t.Ring().Total()
 			payload.Decisions = t.Ring().Snapshot(n)
 			payload.Quality = t.Quality()
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(payload)
+		return payload
 	})
 }

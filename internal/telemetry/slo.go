@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"math"
 	"net/http"
 	"sync"
@@ -336,12 +335,7 @@ func (t *SLOTracker) Snapshot(nowMs float64, n int) SLOSnapshot {
 // (wall time in internal/server, simulated time in tests); n is the clamped
 // ?n= bucket bound (default defaultN, ClampDebugN semantics).
 func SLOHandler(snap func(n int) SLOSnapshot, defaultN int) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n, err := ClampDebugN(r.URL.Query().Get("n"), defaultN)
-		if err != nil {
-			http.Error(w, "bad n parameter", http.StatusBadRequest)
-			return
-		}
+	return debugJSONHandler(defaultN, func(n int) any {
 		s := snap(n)
 		if s.Windows == nil {
 			s.Windows = []SLOWindow{}
@@ -349,9 +343,6 @@ func SLOHandler(snap func(n int) SLOSnapshot, defaultN int) http.Handler {
 		if s.Buckets == nil {
 			s.Buckets = []SLOBucketView{}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s)
+		return s
 	})
 }

@@ -537,12 +537,7 @@ type timelinePayload struct {
 // (ClampDebugN semantics: default defaultN, hard ceiling MaxDebugN). The
 // schema matches the simulator's -timeline export row for row.
 func TimelineHandler(t *Timeseries, defaultN int) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n, err := ClampDebugN(r.URL.Query().Get("n"), defaultN)
-		if err != nil {
-			http.Error(w, "bad n parameter", http.StatusBadRequest)
-			return
-		}
+	return debugJSONHandler(defaultN, func(n int) any {
 		payload := timelinePayload{Samples: []TimeseriesRow{}}
 		if t != nil {
 			payload.IntervalMs = t.IntervalMs()
@@ -552,9 +547,6 @@ func TimelineHandler(t *Timeseries, defaultN int) http.Handler {
 				payload.Samples = rows
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(payload)
+		return payload
 	})
 }
