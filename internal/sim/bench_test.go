@@ -107,3 +107,20 @@ func BenchmarkClusterLargeSharded(b *testing.B) {
 	}
 	reportEventsPerSec(b, events)
 }
+
+// BenchmarkRoutePass times the routing pre-pass alone on the ledger cell's
+// shape: 8 shards × 3 replicas, the power-aware router and a 40 W cap.
+func BenchmarkRoutePass(b *testing.B) {
+	wl := BenchWorkloadRate(20000, 1, 25.0/3)
+	topo := Topology{Shards: 8, ReplicasPerShard: 3}
+	const capW = 40
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		st := newRouteState(topo, wl.BudgetMs, cpu.DefaultLadder(), 1)
+		coord := newPowerCapCoordinator(capW, 0, cpu.DefaultPowerModel(), st)
+		st.route(wl, RouterPowerAware{}, coord)
+	}
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(float64(b.N)*float64(wl.Len()*topo.Shards)/s, "picks/sec")
+	}
+}

@@ -115,6 +115,9 @@ type capture struct {
 	// (Timeseries.CaptureRun): the run's windows stay there for the merge
 	// instead of reaching the Series.
 	timeline *telemetry.SampleCursor
+	// keepOrder leaves the run's Latencies in completion order, for a
+	// caller that reads its latencies from the records instead.
+	keepOrder bool
 }
 
 // placeDecisions gives each core its stretch of the run's audit tuples and
@@ -200,7 +203,9 @@ func flushSpans(sink *telemetry.SpanTracer, caps []capture) {
 // cfg's sinks in core order, so that what they hold does not depend on
 // workers. Each core materializes its own records inside its job, so the
 // builds run in parallel and each core's engine walks memory it has just
-// written. results[c].Requests holds core c's records afterwards.
+// written. results[c].Requests holds core c's records afterwards, and
+// results[c].Latencies is sorted if sortLatencies is set, else in
+// completion order.
 //
 // Each sink gets only what it keeps. Spans are flushed once for the whole
 // cluster; every request emits at least a root and a queue record, so a core
@@ -215,13 +220,16 @@ func flushSpans(sink *telemetry.SpanTracer, caps []capture) {
 // they run as concurrent jobs: the decision fold, the longest, first, then
 // the span flush, then the timeline merge in chunks of windows. The merged
 // rows are appended in order afterwards.
-func runCores(cfg Config, wl *Workload, lists [][]int32, workers int, mk func(core int) Policy, coord *PowerCapCoordinator) []*Result {
+func runCores(cfg Config, wl *Workload, lists [][]int32, workers int, mk func(core int) Policy, coord *PowerCapCoordinator, sortLatencies bool) []*Result {
 	if cfg.Power == nil {
 		cfg.Power = cpu.DefaultPowerModel()
 	}
 	cores := len(lists)
 	results := make([]*Result, cores)
 	caps := make([]capture, cores)
+	for c := range caps {
+		caps[c].keepOrder = !sortLatencies
+	}
 	if limit := cfg.Spans.Capacity(); limit > 0 {
 		after := 0 // requests on the cores after c
 		for c := cores - 1; c >= 0; c-- {

@@ -143,7 +143,7 @@ func TestCountOnlySpansOracle(t *testing.T) {
 			Topology:  topo,
 			Router:    RouterPowerAware{},
 			Seed:      3,
-			PowerCapW: 1.1 * ClusterFloorW(cfg.Power, cfg.Ladder, topo.Cores()),
+			PowerCapW: 1.1 * clusterFloorW(cfg.Power, cfg.Ladder, topo.Cores()),
 		}
 		res := RunTopologyWorkers(tc, clusterWorkload(600, 1, 6, 3), 4, mkPredictingStorm)
 		if res.CapThrottles == 0 {
@@ -268,7 +268,7 @@ func TestObservedCellSinksGolden(t *testing.T) {
 			topo := Topology{Shards: 8, ReplicasPerShard: 3}
 			tc := TopologyConfig{Sim: cfg, Topology: topo, Router: RouterPowerAware{}, Seed: 3}
 			if tt.capped {
-				tc.PowerCapW = 1.1 * ClusterFloorW(cfg.Power, cfg.Ladder, topo.Cores())
+				tc.PowerCapW = 1.1 * clusterFloorW(cfg.Power, cfg.Ladder, topo.Cores())
 			}
 			RunTopologyWorkers(tc, wl, workers, mkPredictingStorm)
 			h := fnv.New64a()

@@ -120,21 +120,19 @@ func Dispatch(wl *Workload, cores int) [][]int32 {
 // carveLists groups requests by core: owner holds stride cores per request,
 // request i's at owner[i*stride:][:stride], and list c holds, in ascending
 // order, the counts[c] requests core c is among the owners of. The lists are
-// carved, exact-size, from one backing array; counts is used up as the
-// lists' cursors.
-func carveLists(owner []int32, stride int, counts []int) [][]int32 {
+// carved, exact-size, from one backing array, and each fills by append up to
+// its capacity.
+func carveLists(owner []int32, stride int, counts []uint64) [][]int32 {
 	backing := make([]int32, len(owner))
 	lists := make([][]int32, len(counts))
 	off := 0
 	for c, n := range counts {
-		lists[c] = backing[off : off+n : off+n]
-		counts[c] = off
-		off += n
+		lists[c] = backing[off : off : off+int(n)]
+		off += int(n)
 	}
 	for i := 0; i*stride < len(owner); i++ {
 		for _, c := range owner[i*stride:][:stride] {
-			backing[counts[c]] = int32(i)
-			counts[c]++
+			lists[c] = append(lists[c], int32(i))
 		}
 	}
 	return lists

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -169,5 +170,42 @@ func TestRerunGivesSameResult(t *testing.T) {
 	if first.Completed == 0 || c1.Completed == 0 || t1.Completed == 0 || t1.CapThrottles == 0 {
 		t.Fatalf("the runs did too little to compare: %d, %d, %d completions, %d throttles",
 			first.Completed, c1.Completed, t1.Completed, t1.CapThrottles)
+	}
+}
+
+// TestShardIsFullReplicaToday holds what a shard is today: every shard's leg
+// of a query runs the whole query's work with the same draw, so an S×1
+// topology's cores each simulate sim.Run's stream, and its query latencies,
+// violations and drops are sim.Run's. The fan-out cannot straggle. A
+// partitioned index, where each shard serves its own part of the work,
+// removes this property. Each core's latencies, kept in completion order on a
+// multi-shard run, sort to sim.Run's.
+func TestShardIsFullReplicaToday(t *testing.T) {
+	p := harness.Shared(true)
+	const durationMs = 8_000
+	cfg := p.SimConfig()
+	tr := trace.GenFixedRPS(100*p.Opt.ShardFraction, durationMs, 3)
+	for _, name := range []string{"Baseline", "Gemini"} {
+		want := sim.Run(cfg, p.Workload(tr.Arrivals, durationMs, 5), p.MustPolicy(name))
+		if want.Completed < 100 {
+			t.Fatalf("%s: sim.Run completed %d requests, too few to compare", name, want.Completed)
+		}
+		for _, shards := range []int{1, 4, 8} {
+			tc := sim.TopologyConfig{Sim: cfg, Topology: sim.Topology{Shards: shards, ReplicasPerShard: 1}}
+			got := sim.RunTopologyWorkers(tc, p.Workload(tr.Arrivals, durationMs, 5), 2, func(int) sim.Policy { return p.MustPolicy(name) })
+			what := name + " on " + strconv.Itoa(shards) + "x1"
+			if !reflect.DeepEqual(got.QueryLatencies, want.Latencies) ||
+				got.Violations != want.Violations || got.Dropped != want.Dropped || got.Completed != want.Completed {
+				t.Errorf("%s: %d completed, %d violations, %d drops; sim.Run %d, %d, %d",
+					what, got.Completed, got.Violations, got.Dropped, want.Completed, want.Violations, want.Dropped)
+			}
+			for c, res := range got.PerCore {
+				lat := slices.Clone(res.Latencies)
+				slices.Sort(lat)
+				if !reflect.DeepEqual(lat, want.Latencies) {
+					t.Errorf("%s: core %d's latencies, sorted, are not sim.Run's", what, c)
+				}
+			}
+		}
 	}
 }

@@ -19,12 +19,13 @@ type Result struct {
 	// Latencies holds the completion latency of every completed request in
 	// ms; nil when the workload was empty.
 	//
-	// Contract: once a Result has been sealed (i.e. whenever sim.Run has
-	// returned it), Latencies is sorted ascending. TailLatencyMs and every
-	// percentile consumer (reports, CDF figures) rely on this; seal sorts
-	// defensively rather than depending on completion-recording order, so
-	// the contract holds even though recordCompletion appends in event
-	// order.
+	// Contract: sim.Run and a one-shard cluster (RunClusterWorkers, or a
+	// topology with Shards == 1) sort every Latencies they return ascending,
+	// whatever order completions were recorded in; TailLatencyMs and every
+	// percentile consumer (reports, CDF figures) rely on this. A multi-shard
+	// topology's per-core Latencies keep completion order, the engine's
+	// dispatch order and as deterministic: its query latencies are the
+	// stragglers it merges from the records, so no reader needs them sorted.
 	Latencies []float64
 
 	// Events counts dispatched engine events (completions, planned changes,
@@ -76,16 +77,24 @@ func (r *Result) recordDrop(req *Request) {
 // the Latencies sorted-ascending contract (see the field comment) no matter
 // what order completions were recorded in.
 func (r *Result) seal(acc *cpu.EnergyAccumulator, transitions int, durationMs float64) {
+	r.settle(acc, transitions, durationMs)
+	stats.SortAscending(r.Latencies)
+}
+
+// settle fixes the energy metrics and leaves Latencies in completion order:
+// seal for a multi-shard topology's core.
+func (r *Result) settle(acc *cpu.EnergyAccumulator, transitions int, durationMs float64) {
 	r.EnergyMJ = acc.EnergyMJ()
 	r.AvgCorePowW = acc.AvgPowerW()
 	r.Utilization = acc.Utilization()
 	r.Transitions = transitions
 	r.DurationMs = durationMs
-	stats.SortAscending(r.Latencies)
 }
 
 // TailLatencyMs returns the p-th percentile completion latency (0 if none).
-// It requires the sealed Result's sorted Latencies (see the field contract).
+// It requires sorted Latencies: a result of sim.Run or of a one-shard
+// cluster, not a multi-shard topology's per-core result (see the field
+// contract).
 func (r *Result) TailLatencyMs(p float64) float64 {
 	if len(r.Latencies) == 0 {
 		return 0

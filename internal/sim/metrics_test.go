@@ -285,7 +285,7 @@ func TestObservedCellAllocsIndependentOfRequests(t *testing.T) {
 				Topology:  topo,
 				Router:    RouterPowerAware{},
 				Seed:      3,
-				PowerCapW: 1.1 * ClusterFloorW(cfg.Power, cfg.Ladder, topo.Cores()),
+				PowerCapW: 1.1 * clusterFloorW(cfg.Power, cfg.Ladder, topo.Cores()),
 			}
 			RunTopologyWorkers(tc, wl, 2, mkPredictingStorm)
 		})

@@ -60,16 +60,23 @@ type PowerCapCoordinator struct {
 	busy      []bool
 }
 
-func newPowerCapCoordinator(capW, intervalMs float64, model *cpu.PowerModel, ladder *cpu.Ladder, st *RouteState) *PowerCapCoordinator {
+// newPowerCapCoordinator steps st's ceilings, which it builds at the ladder
+// top, and plans on st's ladder and law.
+func newPowerCapCoordinator(capW, intervalMs float64, model *cpu.PowerModel, st *RouteState) *PowerCapCoordinator {
 	if intervalMs <= 0 {
 		intervalMs = DefaultCapIntervalMs
 	}
-	n := len(st.ceilings)
+	n := len(st.vFinish)
+	st.ceilings = make([]cpu.Freq, n)
+	for c := range st.ceilings {
+		st.ceilings[c] = st.ladder.Max()
+	}
+	st.law.build(st.ladder, st.budgetMs)
 	return &PowerCapCoordinator{
 		capW:       capW,
 		intervalMs: intervalMs,
 		model:      model,
-		ladder:     ladder,
+		ladder:     st.ladder,
 		st:         st,
 		next:       intervalMs,
 		schedules:  make([][]CeilingStep, n),
@@ -105,7 +112,7 @@ func (pc *PowerCapCoordinator) adjust(t float64) {
 	eff, busy, ceil := pc.eff, pc.busy, pc.ceil
 	watts := pc.model.UncoreW
 	for c := 0; c < n; c++ {
-		eff[c] = plannedFreqFor(st.vFinish[c]-t, st.budgetMs, pc.ladder, top)
+		eff[c] = st.law.freq(st.vFinish[c]-t, top)
 		busy[c] = st.vFinish[c] > t
 		watts += pc.model.CoreW(eff[c], busy[c])
 		ceil[c] = top
@@ -138,12 +145,4 @@ func (pc *PowerCapCoordinator) adjust(t float64) {
 	pc.seriesT = append(pc.seriesT, t)
 	pc.seriesW = append(pc.seriesW, watts)
 	pc.seriesThr = append(pc.seriesThr, pc.throttles-throttlesBefore)
-}
-
-// ClusterFloorW is the modeled cluster power of `cores` busy replicas at the
-// ladder floor plus uncore — the lowest wattage throttling can reach. A cap
-// below it is physically unenforceable and the invariant tests bound against
-// it.
-func ClusterFloorW(m *cpu.PowerModel, l *cpu.Ladder, cores int) float64 {
-	return m.UncoreW + float64(cores)*m.CoreW(l.Min(), true)
 }

@@ -15,6 +15,14 @@ func capBoundOK(w, capW, floorW float64) bool {
 	return w <= capW+eps || w <= floorW+eps
 }
 
+// clusterFloorW is the modeled cluster power of `cores` busy replicas at the
+// ladder floor plus uncore — the lowest wattage throttling can reach. A cap
+// below it is physically unenforceable and the invariant tests bound against
+// it.
+func clusterFloorW(m *cpu.PowerModel, l *cpu.Ladder, cores int) float64 {
+	return m.UncoreW + float64(cores)*m.CoreW(l.Min(), true)
+}
+
 func runCapped(seed int64, topo Topology, capW, intervalMs float64, router Router) *TopologyResult {
 	wl := clusterWorkload(250, 2, 6, seed)
 	tc := TopologyConfig{
@@ -37,7 +45,7 @@ func TestPowerCapInvariant(t *testing.T) {
 	m := cpu.DefaultPowerModel()
 	l := cpu.DefaultLadder()
 	topo := Topology{Shards: 3, ReplicasPerShard: 2}
-	floorW := ClusterFloorW(m, l, topo.Cores())
+	floorW := clusterFloorW(m, l, topo.Cores())
 	maxW := m.UncoreW + float64(topo.Cores())*m.CoreW(l.Max(), true)
 
 	for _, capW := range []float64{floorW - 5, floorW + 1, (floorW + maxW) / 2, maxW - 1, maxW + 10} {
@@ -66,7 +74,7 @@ func TestPowerCapUnsatisfiableSaturatesAtFloor(t *testing.T) {
 	m := cpu.DefaultPowerModel()
 	l := cpu.DefaultLadder()
 	topo := Topology{Shards: 2, ReplicasPerShard: 2}
-	floorW := ClusterFloorW(m, l, topo.Cores())
+	floorW := clusterFloorW(m, l, topo.Cores())
 
 	tr := runCapped(3, topo, floorW-3, 50, RouterRoundRobin{})
 	if tr.Completed+tr.Dropped != tr.Queries {
@@ -92,7 +100,7 @@ func TestPowerCapMonotonicity(t *testing.T) {
 	m := cpu.DefaultPowerModel()
 	l := cpu.DefaultLadder()
 	topo := Topology{Shards: 3, ReplicasPerShard: 2}
-	floorW := ClusterFloorW(m, l, topo.Cores())
+	floorW := clusterFloorW(m, l, topo.Cores())
 	maxW := m.UncoreW + float64(topo.Cores())*m.CoreW(l.Max(), true)
 
 	caps := []float64{
@@ -145,7 +153,7 @@ func TestCappedTighterCapLowersEnergy(t *testing.T) {
 	m := cpu.DefaultPowerModel()
 	l := cpu.DefaultLadder()
 	topo := Topology{Shards: 3, ReplicasPerShard: 2}
-	floorW := ClusterFloorW(m, l, topo.Cores())
+	floorW := clusterFloorW(m, l, topo.Cores())
 	maxW := m.UncoreW + float64(topo.Cores())*m.CoreW(l.Max(), true)
 
 	tight := runCapped(2, topo, floorW+0.15*(maxW-floorW), 50, RouterRoundRobin{})
@@ -170,7 +178,7 @@ func FuzzPowerCapInvariant(f *testing.F) {
 		topo := Topology{Shards: 1 + int(shards)%4, ReplicasPerShard: 1 + int(reps)%4}
 		m := cpu.DefaultPowerModel()
 		l := cpu.DefaultLadder()
-		floorW := ClusterFloorW(m, l, topo.Cores())
+		floorW := clusterFloorW(m, l, topo.Cores())
 		maxW := m.UncoreW + float64(topo.Cores())*m.CoreW(l.Max(), true)
 		// Map capSel onto [floorW-5, maxW+5]: covers unsatisfiable, binding,
 		// and slack caps.
@@ -334,7 +342,7 @@ func TestCappedCellRunsUnderItsCeilings(t *testing.T) {
 	topo := Topology{Shards: 8, ReplicasPerShard: 3}
 	tc := TopologyConfig{
 		Sim: cfg, Topology: topo, Router: RouterPowerAware{}, Seed: 3,
-		PowerCapW: 1.1 * ClusterFloorW(cfg.Power, cfg.Ladder, topo.Cores()),
+		PowerCapW: 1.1 * clusterFloorW(cfg.Power, cfg.Ladder, topo.Cores()),
 	}
 	probes := make([]*ceilingProbe, topo.Cores())
 	res := RunTopologyWorkers(tc, wl, 2, func(c int) Policy {

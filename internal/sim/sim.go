@@ -212,7 +212,8 @@ func Run(cfg Config, wl *Workload, pol Policy) *Result {
 // (nil: uncapped) with, when cp is non-nil, the hand-off left to the caller:
 // the run's span log, and its decisions when cp.decisions has its places, are
 // in cp afterwards and cfg.Spans has not been touched; the run samples into
-// cp.timeline, never into cfg.Series.
+// cp.timeline, never into cfg.Series, and the result's Latencies stay in
+// completion order if cp.keepOrder is set.
 func run(cfg Config, wl *Workload, idx []int32, pol Policy, cp *capture, ceil []CeilingStep) *Result {
 	reqs := wl.requests(idx)
 	if cfg.Ladder == nil {
@@ -842,6 +843,10 @@ func (s *Sim) finish() {
 	if s.now < s.wl.DurationMs {
 		s.advanceTo(s.wl.DurationMs)
 	}
-	s.res.seal(&s.acc, s.transitions, s.wl.DurationMs)
+	if s.held.keepOrder {
+		s.res.settle(&s.acc, s.transitions, s.wl.DurationMs)
+	} else {
+		s.res.seal(&s.acc, s.transitions, s.wl.DurationMs)
+	}
 	s.res.FreqTrace = s.freqTrace
 }

@@ -63,16 +63,38 @@ func TestClusterAllocsIndependentOfRequests(t *testing.T) {
 
 // TestClusterRunAllocs pins the allocations of a 12-core broker run, the
 // cluster half of sim_sweep's grid: the one-shard routing pass builds no
-// round-robin cursors, tie pool or routing stream, the route record lives
-// in the route state, and the merge sums the cores' counts. Each allocation
-// more per cluster run reads about +0.4 % on the sweep's allocs_per_op.
+// round-robin cursors, routing stream, cap ceilings or planned-frequency
+// table, the route record lives in the route state, the route counts become
+// the result's, and the merge sums the cores' counts. Each allocation more
+// per cluster run reads about +0.4 % on the sweep's allocs_per_op.
 func TestClusterRunAllocs(t *testing.T) {
 	wl := BenchWorkloadRate(3000, 3, 25.0/12)
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const pin = 121
+	const pin = 119
 	if got := testing.AllocsPerRun(5, func() { RunClusterWorkers(DefaultConfig(), wl, 12, 2, mkFixed) }); got > pin {
 		t.Errorf("a 12-core RunClusterWorkers allocates %.0f times, pinned at %d", got, pin)
+	}
+}
+
+// TestCappedCellRunAllocs pins the allocations of sim_cell's shape: 8 shards
+// × 3 replicas under the power-aware router and a 40 W cap. The planned-
+// frequency table lives in the route state for ladders of up to eight
+// levels, so it costs no allocation, and only the cap builds ceilings.
+func TestCappedCellRunAllocs(t *testing.T) {
+	wl := BenchWorkloadRate(3000, 3, 25.0/3)
+	tc := TopologyConfig{
+		Sim:       DefaultConfig(),
+		Topology:  Topology{Shards: 8, ReplicasPerShard: 3},
+		Router:    RouterPowerAware{},
+		Seed:      1,
+		PowerCapW: 40,
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const pin = 380
+	if got := testing.AllocsPerRun(5, func() { RunTopologyWorkers(tc, wl, 2, mkFixed) }); got > pin {
+		t.Errorf("the capped 8x3 power-aware run allocates %.0f times, pinned at %d", got, pin)
 	}
 }
 

@@ -302,7 +302,7 @@ func TestTimelineCapConsistency(t *testing.T) {
 	}
 
 	var integral uint64
-	bound := math.Max(tc.PowerCapW, ClusterFloorW(cfg.Power, cfg.Ladder, tc.Topology.Cores()))
+	bound := math.Max(tc.PowerCapW, clusterFloorW(cfg.Power, cfg.Ladder, tc.Topology.Cores()))
 	sawCapW := false
 	for k, row := range cfg.Series.Rows() {
 		integral += row.CapThrottles

@@ -15,12 +15,20 @@ import (
 //
 // The paper's evaluation stops at 12 single-thread ISNs behind one aggregator
 // (§V). This layer scales the same discrete-event machinery to a datacenter
-// topology: the index is split over Shards shards, each shard is served by
-// ReplicasPerShard replica cores, and every query fans out to exactly one
-// replica per shard. A pluggable Router picks the replica; the query's
-// latency is its straggler — the slowest shard's completion — which is what
-// makes replicas-per-shard vs. tail-latency vs. watts a real capacity-planning
-// trade-off ("Capacity Planning for Vertical Search Engines").
+// topology: Shards shards, each served by ReplicasPerShard replica cores, and
+// every query fans out to exactly one replica per shard. A pluggable Router
+// picks the replica; the query's latency is its straggler — the slowest
+// shard's completion.
+//
+// A shard is a full replica of the index today: the workload has one work
+// column, so every shard's leg of a query runs the whole query's work with
+// the same draw, and S shards spend S times the energy on one answer. An S×1
+// topology returns exactly sim.Run's latencies, violations and drops
+// (TestShardIsFullReplicaToday); with more replicas the legs of a query
+// differ only by routing and cap ceilings. The trade-off of replicas per
+// shard against tail latency and watts that "Capacity Planning for Vertical
+// Search Engines" plans for needs shards that partition the index, each
+// serving its own part of a query's work, which this layer does not model.
 //
 // Determinism discipline (the PR 6 contract, extended to fan-out/merge):
 // routing runs as a serial pre-pass over arrivals using only *virtual*
@@ -81,34 +89,31 @@ type RouteState struct {
 	ladder   *cpu.Ladder
 	now      float64
 
-	vFinish  []float64  // virtual finish time per core (broker accounting)
-	ceilings []cpu.Freq // cap-coordinator ceilings (ladder.Max() when uncapped)
+	vFinish []float64 // virtual finish time per core (broker accounting)
 
-	// Built on first use by the routers that need them, so a least-loaded
-	// pass allocates none of them.
-	rr   []int      // per-shard round-robin cursors
-	tied []int      // RouterPowerAware's tie pool, cap Replicas(), resliced per Pick
-	rng  *rand.Rand // PartitionedRNG routing stream
-	seed int64
+	// Built on first use by what reads them, so a round-robin or
+	// least-loaded pass builds none of them: the coordinator's ceilings (nil
+	// reads as ladder.Max() on every core), the planned-frequency law, the
+	// per-shard round-robin cursors and the PartitionedRNG routing stream.
+	ceilings []cpu.Freq
+	law      plannedLaw
+	rr       []int
+	rng      *rand.Rand
+	seed     int64
 
-	q Request // the query being routed, as a run would begin it
+	q       Request // the query being routed, as a run would begin it
+	qBaseMs float64 // q's base service time at the default frequency
 }
 
 func newRouteState(topo Topology, budgetMs float64, ladder *cpu.Ladder, seed int64) *RouteState {
 	topo = topo.normalized()
-	cores := topo.Cores()
-	st := &RouteState{
+	return &RouteState{
 		topo:     topo,
 		budgetMs: budgetMs,
 		ladder:   ladder,
-		vFinish:  make([]float64, cores),
-		ceilings: make([]cpu.Freq, cores),
+		vFinish:  make([]float64, topo.Cores()),
 		seed:     seed,
 	}
-	for c := range st.ceilings {
-		st.ceilings[c] = ladder.Max()
-	}
-	return st
 }
 
 // route is the routing pre-pass: serial over arrivals, on virtual state only.
@@ -116,15 +121,18 @@ func newRouteState(topo Topology, budgetMs float64, ladder *cpu.Ladder, seed int
 // serving query qi on shard s, at legs[qi*Shards+s] — and the number of legs
 // each core serves. Routers see each query as the record a run would begin
 // it with. coord, when non-nil, steps the cap's ceilings as time advances.
-func (st *RouteState) route(wl *Workload, router Router, coord *PowerCapCoordinator) (legs []int32, counts []int) {
+func (st *RouteState) route(wl *Workload, router Router, coord *PowerCapCoordinator) (legs []int32, counts []uint64) {
 	shards, reps := st.topo.Shards, st.topo.ReplicasPerShard
 	n := wl.Len()
 	legs = make([]int32, n*shards)
-	counts = make([]int, st.topo.Cores())
+	counts = make([]uint64, st.topo.Cores())
 	q := &st.q
 	for qi := range n {
 		wl.record(q, qi)
 		st.now = q.ArrivalMs
+		// One divide per query: every replica at or above the default
+		// frequency, and assign, serve q at this time.
+		st.qBaseMs = cpu.TimeFor(q.BaseWork, cpu.FDefault)
 		if coord != nil {
 			coord.advanceTo(q.ArrivalMs)
 		}
@@ -137,7 +145,7 @@ func (st *RouteState) route(wl *Workload, router Router, coord *PowerCapCoordina
 			c := st.topo.Core(s, j)
 			fan[s] = int32(c)
 			counts[c]++
-			st.assign(c, q)
+			st.assign(c)
 		}
 	}
 	if coord != nil {
@@ -160,7 +168,14 @@ func (st *RouteState) VFinish(shard, replica int) float64 {
 
 // Ceiling returns the replica's current cap-coordinator frequency ceiling.
 func (st *RouteState) Ceiling(shard, replica int) cpu.Freq {
-	return st.ceilings[st.topo.Core(shard, replica)]
+	return st.ceiling(st.topo.Core(shard, replica))
+}
+
+func (st *RouteState) ceiling(c int) cpu.Freq {
+	if st.ceilings == nil {
+		return st.ladder.Max()
+	}
+	return st.ceilings[c]
 }
 
 // PlannedFreq returns the replica's modeled DVFS frequency: the ladder level
@@ -170,28 +185,87 @@ func (st *RouteState) Ceiling(shard, replica int) cpu.Freq {
 // of the per-core DVFS state — the same modeled-load idiom as vFinish — and
 // is what RouterPowerAware steers on.
 func (st *RouteState) PlannedFreq(shard, replica int) cpu.Freq {
+	st.law.build(st.ladder, st.budgetMs)
 	c := st.topo.Core(shard, replica)
-	return plannedFreqFor(st.vFinish[c]-st.now, st.budgetMs, st.ladder, st.ceilings[c])
+	return st.law.freq(st.vFinish[c]-st.now, st.ceiling(c))
 }
 
-// plannedFreqFor is the shared modeled-DVFS law: backlogMs of work-time at
-// the default frequency must drain within budgetMs, so the planned frequency
-// is FDefault·backlog/budget clamped up to a ladder level and down to the
-// ceiling. Zero backlog (or a degenerate budget) models an idle core at the
-// ladder floor.
-func plannedFreqFor(backlogMs, budgetMs float64, ladder *cpu.Ladder, ceiling cpu.Freq) cpu.Freq {
+// plannedLaw is the shared modeled-DVFS law: backlogMs of work-time at the
+// default frequency must drain within budgetMs, so the planned frequency is
+// FDefault·backlog/budget clamped up to a ladder level and down to the
+// ceiling. Zero backlog models an idle core at the ladder floor, and a
+// budget that is not positive plans every backlog at the ladder top.
+//
+// The law is a table of thresholds: steps[i].upTo is the largest backlog
+// that plans at steps[i].f or below. b ↦ fl(fl(FDefault·b)/budget) is
+// monotone, so every backlog above the threshold plans higher, and the table
+// answers as the divide and the ladder search would, bit for bit.
+type plannedLaw struct {
+	steps []lawStep // one per ladder level, ascending; nil until built
+	buf   [8]lawStep
+}
+
+type lawStep struct {
+	upTo float64
+	f    cpu.Freq
+}
+
+// build fills the table on first use; steps lives in buf up to the default
+// ladder's eight levels, so building allocates nothing there.
+func (l *plannedLaw) build(ladder *cpu.Ladder, budgetMs float64) {
+	if l.steps != nil {
+		return
+	}
+	l.steps = l.buf[:0]
+	for f := ladder.Min(); ; {
+		// Planned at f or below: FDefault·b/budget is at most f. A NaN (or
+		// the +Inf that overflow gives) is past every level, as in ClampUp.
+		atOrBelow := func(b float64) bool {
+			return budgetMs > 0 && float64(cpu.FDefault)*b/budgetMs <= float64(f)
+		}
+		l.steps = append(l.steps, lawStep{upTo: lastFloatWhere(atOrBelow), f: f})
+		next := ladder.StepUp(f) // f itself at the top
+		if !(next > f) {
+			return
+		}
+		f = next
+	}
+}
+
+// lastFloatWhere returns the largest positive float64 that ok holds for, or
+// +0 when it holds for none, by bisection over the bit patterns: those of the
+// non-negative floats order as their values do. ok must hold on a prefix of
+// the positive floats and not at +Inf.
+func lastFloatWhere(ok func(float64) bool) float64 {
+	lo, hi := uint64(0), math.Float64bits(math.Inf(1))
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if ok(math.Float64frombits(mid)) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return math.Float64frombits(lo)
+}
+
+// freq is the law at backlogMs under ceiling; the table must be built. The
+// top level takes every backlog past the last threshold, NaN included.
+func (l *plannedLaw) freq(backlogMs float64, ceiling cpu.Freq) cpu.Freq {
+	s := l.steps
 	if backlogMs <= 0 {
-		return ladder.Min()
+		return s[0].f
 	}
-	f := ladder.Max()
-	if budgetMs > 0 {
-		f = ladder.ClampUp(cpu.Freq(float64(cpu.FDefault) * backlogMs / budgetMs))
+	i := 0
+	for i < len(s)-1 && !(backlogMs <= s[i].upTo) {
+		i++
 	}
+	f := s[i].f
 	if f > ceiling {
 		f = ceiling
 	}
-	if f < ladder.Min() {
-		f = ladder.Min()
+	if f < s[0].f {
+		f = s[0].f
 	}
 	return f
 }
@@ -201,26 +275,35 @@ func plannedFreqFor(backlogMs, budgetMs float64, ladder *cpu.Ladder, ceiling cpu
 // frequency. Deadline- and power-aware routing both rank on this.
 func (st *RouteState) EstFinishMs(shard, replica int, r *Request) float64 {
 	c := st.topo.Core(shard, replica)
-	start := st.now
-	if st.vFinish[c] > start {
-		start = st.vFinish[c]
-	}
-	sf := st.ceilings[c]
-	if sf > cpu.FDefault {
-		sf = cpu.FDefault
-	}
-	return start + cpu.TimeFor(r.BaseWork, sf)
+	return st.finishAt(st.vFinish[c], st.ceiling(c), r)
 }
 
-// assign commits r to the core, advancing its virtual finish time with the
-// broker's exact accounting (start at max(arrival, vFinish), serve BaseWork
-// at the default frequency).
-func (st *RouteState) assign(c int, r *Request) {
-	start := r.ArrivalMs
+// finishAt is EstFinishMs for a replica whose virtual finish time is vf and
+// whose ceiling is ceil. r's service at the default frequency is the one
+// route computed for the query being routed when r is that query.
+func (st *RouteState) finishAt(vf float64, ceil cpu.Freq, r *Request) float64 {
+	start := st.now
+	if vf > start {
+		start = vf
+	}
+	if ceil >= cpu.FDefault && r == &st.q {
+		return start + st.qBaseMs
+	}
+	if ceil > cpu.FDefault {
+		ceil = cpu.FDefault
+	}
+	return start + cpu.TimeFor(r.BaseWork, ceil)
+}
+
+// assign commits the query being routed to the core, advancing its virtual
+// finish time with the broker's exact accounting (start at max(arrival,
+// vFinish), serve BaseWork at the default frequency).
+func (st *RouteState) assign(c int) {
+	start := st.q.ArrivalMs
 	if st.vFinish[c] > start {
 		start = st.vFinish[c]
 	}
-	st.vFinish[c] = start + cpu.TimeFor(r.BaseWork, cpu.FDefault)
+	st.vFinish[c] = start + st.qBaseMs
 }
 
 // Router picks, for each query and shard, the replica that serves the
@@ -285,10 +368,12 @@ type RouterDeadlineAware struct{}
 func (RouterDeadlineAware) Name() string { return "deadline-aware" }
 
 func (RouterDeadlineAware) Pick(st *RouteState, shard int, r *Request) int {
+	reps := st.Replicas()
 	bestMeet, bestMeetEst := -1, math.Inf(-1)
 	bestAny, bestAnyEst := 0, math.Inf(1)
-	for j := 0; j < st.Replicas(); j++ {
-		est := st.EstFinishMs(shard, j, r)
+	for j := 0; j < reps; j++ {
+		c := shard*reps + j
+		est := st.finishAt(st.vFinish[c], st.ceiling(c), r)
 		if est < bestAnyEst {
 			bestAny, bestAnyEst = j, est
 		}
@@ -317,44 +402,54 @@ func (RouterPowerAware) Name() string { return "power-aware" }
 
 func (RouterPowerAware) Pick(st *RouteState, shard int, r *Request) int {
 	reps := st.Replicas()
+	st.law.build(st.ladder, st.budgetMs)
+	lo := shard * reps
 	bestAny, bestAnyEst := 0, math.Inf(1)
-	if st.tied == nil {
-		st.tied = make([]int, 0, reps)
-	}
-	tied := st.tied[:0]
+	best, ties := -1, 0
 	var bestFreq cpu.Freq
 	var bestVF float64
-	for j := 0; j < reps; j++ {
-		est := st.EstFinishMs(shard, j, r)
+	for j, vf := range st.vFinish[lo : lo+reps] {
+		ceil := st.ceiling(lo + j)
+		est := st.finishAt(vf, ceil, r)
 		if est < bestAnyEst {
 			bestAny, bestAnyEst = j, est
 		}
 		if est > r.DeadlineMs {
 			continue
 		}
-		pf, vf := st.PlannedFreq(shard, j), st.VFinish(shard, j)
+		pf := st.law.freq(vf-st.now, ceil)
 		switch {
 		// Planned freqs are discrete ladder levels and vFinish ties are exact by
 		// construction, so equal scores pool for the tie-break draw.
-		case len(tied) == 0 || pf > bestFreq || (pf == bestFreq && vf < bestVF):
-			bestFreq, bestVF = pf, vf
-			tied = tied[:0]
-			tied = append(tied, j)
+		case best < 0 || pf > bestFreq || (pf == bestFreq && vf < bestVF):
+			best, ties, bestFreq, bestVF = j, 1, pf, vf
 		case pf == bestFreq && vf == bestVF:
-			tied = append(tied, j)
+			ties++
 		}
 	}
-	if len(tied) == 0 {
+	switch {
+	case best < 0:
 		return bestAny
+	case ties == 1:
+		return best
 	}
-	if len(tied) == 1 {
-		return tied[0]
-	}
-	// The seeded routing stream breaks the tie; Intn on a rand.Rand does not allocate.
+	// The seeded routing stream draws one of the tied replicas, counted in
+	// index order from best (no earlier replica can tie it); Intn on a
+	// rand.Rand does not allocate.
 	if st.rng == nil {
 		st.rng = NewPartitionedRNG(st.seed).Routing()
 	}
-	return tied[st.rng.Intn(len(tied))]
+	k := st.rng.Intn(ties)
+	for j := best; j < reps; j++ {
+		vf, ceil := st.vFinish[lo+j], st.ceiling(lo+j)
+		if vf == bestVF && !(st.finishAt(vf, ceil, r) > r.DeadlineMs) && st.law.freq(vf-st.now, ceil) == bestFreq {
+			if k == 0 {
+				return j
+			}
+			k--
+		}
+	}
+	return best
 }
 
 // RouterByName resolves the flag spellings used by cmd/geminisim.
@@ -413,7 +508,11 @@ type TopologyConfig struct {
 type TopologyResult struct {
 	Topology Topology
 	Router   string
-	PerCore  []*Result
+	// PerCore holds each replica core's result, without its records. With
+	// one shard each core's Latencies are sorted ascending, as sim.Run's;
+	// with more they keep completion order (deterministic, but not a
+	// percentile's input: the query latencies are QueryLatencies).
+	PerCore []*Result
 
 	// Query-level (fan-out/straggler) accounting.
 	Queries    int
@@ -469,20 +568,22 @@ func runTopology(tr *TopologyResult, tc TopologyConfig, wl *Workload, workers in
 	if cfg.Power == nil {
 		cfg.Power = cpu.DefaultPowerModel()
 	}
-	cores := topo.Cores()
 
 	// --- routing pre-pass (serial, virtual state only) --------------------
 	st := newRouteState(topo, wl.BudgetMs, cfg.Ladder, tc.Seed)
 	var coord *PowerCapCoordinator
 	if tc.PowerCapW > 0 {
-		coord = newPowerCapCoordinator(tc.PowerCapW, tc.CapIntervalMs, cfg.Power, cfg.Ladder, st)
+		coord = newPowerCapCoordinator(tc.PowerCapW, tc.CapIntervalMs, cfg.Power, st)
 	}
 	legs, counts := st.route(wl, router, coord)
 
 	// --- independent per-core simulations (sharded) -----------------------
 	// Each core's job builds its own records from its leg list before it runs.
+	// One shard's query latencies are its cores' sorted runs merged; more
+	// shards' are stragglers taken from the records, and their cores' runs
+	// stay unsorted.
 	lists := carveLists(legs, topo.Shards, counts)
-	results := runCores(cfg, wl, lists, workers, mkPolicy, coord)
+	results := runCores(cfg, wl, lists, workers, mkPolicy, coord, topo.Shards == 1)
 
 	// --- deterministic merge ----------------------------------------------
 	*tr = TopologyResult{
@@ -491,10 +592,9 @@ func runTopology(tr *TopologyResult, tc TopologyConfig, wl *Workload, workers in
 		PerCore:     results,
 		Queries:     wl.Len(),
 		DurationMs:  wl.DurationMs,
-		RouteCounts: make([]uint64, cores),
+		RouteCounts: counts,
 	}
-	for c, res := range results {
-		tr.RouteCounts[c] = uint64(len(lists[c]))
+	for _, res := range results {
 		tr.ShardRequests += res.Total
 		tr.ShardDrops += res.Dropped
 		tr.Events += res.Events
