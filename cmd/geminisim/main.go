@@ -179,9 +179,9 @@ func (e *env) platform(paper bool) *harness.Platform {
 	} else {
 		p = harness.Shared(e.small)
 	}
-	mean, p95, min, max := p.PoolStats()
-	fmt.Fprintf(e.stderr, "platform ready in %v: pool service times mean %.2f ms, p95 %.2f, range %.2f-%.2f\n",
-		time.Since(start).Round(time.Millisecond), mean, p95, min, max)
+	ps := p.PoolStats()
+	fmt.Fprintf(e.stderr, "platform ready in %v: pool service times mean %.2f ms, p50 %.2f, p90 %.2f, p95 %.2f, min %.2f, max %.2f\n",
+		time.Since(start).Round(time.Millisecond), ps.Mean, ps.P50, ps.P90, ps.P95, ps.Min, ps.Max)
 	return p
 }
 

@@ -75,9 +75,10 @@ func (c Config) WithBudgetMs(budget float64) Config {
 	return c
 }
 
-// NewSystem builds the platform: generates and indexes the corpus,
-// calibrates the cost model, trains the latency and error predictors, and
-// prepares the workload pool. Construction is deterministic per Config.
+// NewSystem builds the platform: generates and indexes the corpus, scales
+// the cost model so that the heaviest query kept runs at 82% of the budget
+// at f_max, trains the latency and error predictors, and prepares the
+// workload pool. Construction is deterministic per Config.
 func NewSystem(cfg Config) (*System, error) {
 	if cfg.opts.PoolSize == 0 {
 		return nil, fmt.Errorf("gemini: zero Config; use gemini.Default() or gemini.Small()")

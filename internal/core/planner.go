@@ -221,33 +221,3 @@ func (pp Params) PlanGroup(nowMs, deadlineMs float64, eW cpu.Work, predErrNMs fl
 	}
 	return Plan{Initial: initial, Boost: pp.FDefault, BoostAt: boostAt}
 }
-
-// WorkByDeadline integrates the work a plan completes between startMs and
-// the deadline, charging Tdvfs around each transition the way the simulator
-// does. No policy calls it: it is the tests' oracle that plans cover their
-// budgeted work.
-func (pp Params) WorkByDeadline(p Plan, startMs, deadlineMs float64, startFreqDiffers bool) cpu.Work {
-	if p.Drop {
-		return 0
-	}
-	t := startMs
-	if startFreqDiffers {
-		t += pp.TdvfsMs
-	}
-	var w float64
-	if p.HasBoost() && p.BoostAt < deadlineMs {
-		if p.BoostAt > t {
-			w += (p.BoostAt - t) * float64(p.Initial)
-			t = p.BoostAt
-		}
-		t += pp.TdvfsMs // boost transition stall
-		if deadlineMs > t {
-			w += (deadlineMs - t) * float64(p.Boost)
-		}
-		return cpu.Work(w)
-	}
-	if deadlineMs > t {
-		w += (deadlineMs - t) * float64(p.Initial)
-	}
-	return cpu.Work(w)
-}

@@ -10,6 +10,35 @@ import (
 
 func params() Params { return DefaultParams() }
 
+// WorkByDeadline integrates the work a plan completes between startMs and
+// the deadline, charging Tdvfs around each transition the way the simulator
+// does: the oracle that plans cover their budgeted work.
+func (pp Params) WorkByDeadline(p Plan, startMs, deadlineMs float64, startFreqDiffers bool) cpu.Work {
+	if p.Drop {
+		return 0
+	}
+	t := startMs
+	if startFreqDiffers {
+		t += pp.TdvfsMs
+	}
+	var w float64
+	if p.HasBoost() && p.BoostAt < deadlineMs {
+		if p.BoostAt > t {
+			w += (p.BoostAt - t) * float64(p.Initial)
+			t = p.BoostAt
+		}
+		t += pp.TdvfsMs // boost transition stall
+		if deadlineMs > t {
+			w += (deadlineMs - t) * float64(p.Boost)
+		}
+		return cpu.Work(w)
+	}
+	if deadlineMs > t {
+		w += (deadlineMs - t) * float64(p.Initial)
+	}
+	return cpu.Work(w)
+}
+
 func TestPlanSingleAccuratePrediction(t *testing.T) {
 	pp := params()
 	// 21 ms predicted, no error, 38.5 ms planning window: continuous

@@ -334,12 +334,3 @@ func (c *Corpus) indexVocab() {
 		}
 	}
 }
-
-// TotalTokens returns the number of token occurrences across all documents.
-func (c *Corpus) TotalTokens() int {
-	n := 0
-	for _, d := range c.Docs {
-		n += len(d)
-	}
-	return n
-}

@@ -43,7 +43,11 @@ func TestGenerateShape(t *testing.T) {
 		}
 	}
 	// Mean length should be in the right ballpark of the log-normal target.
-	mean := float64(c.TotalTokens()) / float64(spec.NumDocs)
+	tokens := 0
+	for _, d := range c.Docs {
+		tokens += len(d)
+	}
+	mean := float64(tokens) / float64(spec.NumDocs)
 	if mean < spec.MeanDocLen*0.6 || mean > spec.MeanDocLen*1.6 {
 		t.Errorf("mean doc length %.1f far from target %.1f", mean, spec.MeanDocLen)
 	}

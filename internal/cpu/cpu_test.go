@@ -158,12 +158,20 @@ func TestActiveCostsMoreThanIdle(t *testing.T) {
 	}
 }
 
+// uniformSocketW is the socket's power when every core runs at frequency f
+// with the given busy fraction (time-average utilization): the closed form
+// the model's constants are calibrated against.
+func uniformSocketW(m *PowerModel, f Freq, utilization float64) float64 {
+	perCore := m.LeakPerCoreW + m.DynW(f)*(m.IdleActivity+(1-m.IdleActivity)*utilization)
+	return m.UncoreW + float64(m.Cores)*perCore
+}
+
 // Calibration: the 12-core socket at the default frequency must land inside
 // the paper's Fig. 10 baseline band (≈34 W at low load, ≈36.5 W at 100 RPS).
 func TestBaselineCalibration(t *testing.T) {
 	m := DefaultPowerModel()
-	lo := m.UniformSocketW(FDefault, 0.10)
-	hi := m.UniformSocketW(FDefault, 0.50)
+	lo := uniformSocketW(m, FDefault, 0.10)
+	hi := uniformSocketW(m, FDefault, 0.50)
 	if lo < 32 || lo > 36 {
 		t.Errorf("low-load socket power = %.2f W, want ≈34", lo)
 	}
@@ -179,41 +187,36 @@ func TestBaselineCalibration(t *testing.T) {
 // socket busy at 1.4 GHz must draw well under 65% of the busy 2.7 GHz power.
 func TestDVFSDynamicRange(t *testing.T) {
 	m := DefaultPowerModel()
-	slow := m.UniformSocketW(1.4, 0.9)
-	fast := m.UniformSocketW(FDefault, 0.5)
+	slow := uniformSocketW(m, 1.4, 0.9)
+	fast := uniformSocketW(m, FDefault, 0.5)
 	if ratio := slow / fast; ratio > 0.70 {
 		t.Errorf("slow/fast power ratio = %.2f, want < 0.70 (insufficient DVFS range)", ratio)
 	}
 }
 
+// The closed form the calibration tests read is the engine's per-core
+// pricing summed over the socket: every core busy (utilization 1) or every
+// core idle (utilization 0).
 func TestSocketWMatchesUniform(t *testing.T) {
 	m := DefaultPowerModel()
-	freqs := make([]Freq, m.Cores)
-	active := make([]bool, m.Cores)
-	for i := range freqs {
-		freqs[i] = FDefault
-		active[i] = true
-	}
-	got := m.SocketW(freqs, active)
-	want := m.UniformSocketW(FDefault, 1)
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("SocketW = %v, UniformSocketW = %v", got, want)
-	}
-}
-
-func TestUniformSocketWClampsUtilization(t *testing.T) {
-	m := DefaultPowerModel()
-	if m.UniformSocketW(FDefault, -1) != m.UniformSocketW(FDefault, 0) {
-		t.Errorf("negative utilization not clamped")
-	}
-	if m.UniformSocketW(FDefault, 2) != m.UniformSocketW(FDefault, 1) {
-		t.Errorf("excess utilization not clamped")
+	for _, active := range []bool{true, false} {
+		got := m.UncoreW
+		for i := 0; i < m.Cores; i++ {
+			got += m.CoreW(FDefault, active)
+		}
+		u := 0.0
+		if active {
+			u = 1
+		}
+		if want := uniformSocketW(m, FDefault, u); math.Abs(got-want) > 1e-9 {
+			t.Errorf("active=%v: Σ CoreW = %v, uniformSocketW = %v", active, got, want)
+		}
 	}
 }
 
 func TestEnergyAccumulator(t *testing.T) {
 	m := DefaultPowerModel()
-	acc := NewEnergyAccumulator()
+	acc := &EnergyAccumulator{}
 	acc.AccumulatePower(10, m.CoreW(2.7, true), true)
 	acc.AccumulatePower(10, m.CoreW(1.2, false), false)
 	acc.AccumulatePower(-5, m.CoreW(2.7, true), true) // ignored
@@ -227,13 +230,13 @@ func TestEnergyAccumulator(t *testing.T) {
 	if math.Abs(acc.Utilization()-0.5) > 1e-12 {
 		t.Errorf("Utilization = %v, want 0.5", acc.Utilization())
 	}
-	if acc.TotalMs() != 20 {
-		t.Errorf("TotalMs = %v", acc.TotalMs())
+	if acc.totalMs != 20 {
+		t.Errorf("totalMs = %v", acc.totalMs)
 	}
 }
 
 func TestEnergyAccumulatorEmpty(t *testing.T) {
-	acc := NewEnergyAccumulator()
+	acc := &EnergyAccumulator{}
 	if acc.AvgPowerW() != 0 || acc.Utilization() != 0 {
 		t.Errorf("empty accumulator should report zeros")
 	}
@@ -247,9 +250,9 @@ func TestEnergyAdditivityProperty(t *testing.T) {
 		split := float64(splitRaw) / 65535 * dt
 		fq := Freq(1.2 + float64(fRaw%16)*0.1)
 		w := m.CoreW(fq, active)
-		whole := NewEnergyAccumulator()
+		whole := &EnergyAccumulator{}
 		whole.AccumulatePower(dt, w, active)
-		parts := NewEnergyAccumulator()
+		parts := &EnergyAccumulator{}
 		parts.AccumulatePower(split, w, active)
 		parts.AccumulatePower(dt-split, w, active)
 		return math.Abs(whole.EnergyMJ()-parts.EnergyMJ()) < 1e-9

@@ -62,42 +62,13 @@ func (m *PowerModel) CoreW(f Freq, active bool) float64 {
 	return m.LeakPerCoreW + m.DynW(f)*act
 }
 
-// SocketW returns the instantaneous socket power given each core's frequency
-// and activity. len(freqs) and len(active) must equal Cores.
-func (m *PowerModel) SocketW(freqs []Freq, active []bool) float64 {
-	p := m.UncoreW
-	for i := range freqs {
-		p += m.CoreW(freqs[i], active[i])
-	}
-	return p
-}
-
-// UniformSocketW returns socket power when every core runs at frequency f
-// with the given busy fraction (time-average utilization), a convenient
-// closed form for calibration and quick estimates.
-func (m *PowerModel) UniformSocketW(f Freq, utilization float64) float64 {
-	if utilization < 0 {
-		utilization = 0
-	}
-	if utilization > 1 {
-		utilization = 1
-	}
-	perCore := m.LeakPerCoreW + m.DynW(f)*(m.IdleActivity+(1-m.IdleActivity)*utilization)
-	return m.UncoreW + float64(m.Cores)*perCore
-}
-
 // EnergyAccumulator integrates one core's energy over piecewise-constant
 // power intervals. Energies are reported in millijoules because simulated
-// time is in milliseconds.
+// time is in milliseconds. The zero value is an empty accumulator.
 type EnergyAccumulator struct {
 	energyMJ float64
 	busyMs   float64
 	totalMs  float64
-}
-
-// NewEnergyAccumulator creates an empty accumulator.
-func NewEnergyAccumulator() *EnergyAccumulator {
-	return &EnergyAccumulator{}
 }
 
 // AccumulatePower charges dtMs at a draw of powerW. It is the engine's only
@@ -133,6 +104,3 @@ func (e *EnergyAccumulator) Utilization() float64 {
 	}
 	return e.busyMs / e.totalMs
 }
-
-// TotalMs returns the total accumulated time.
-func (e *EnergyAccumulator) TotalMs() float64 { return e.totalMs }

@@ -26,10 +26,6 @@ type Options struct {
 	Small bool
 	// Seed drives all deterministic generation.
 	Seed int64
-	// TargetMeanMs calibrates the cost model's mean service time at the
-	// default frequency (the paper reports ≈10 ms average service time,
-	// Fig. 7b).
-	TargetMeanMs float64
 	// ShardFraction is the fraction of engine-level requests that reach one
 	// ISN. The paper's traces drive selective-search deployments (refs
 	// [3,4,8]: dynamic shard cutoff) where each query is served by a subset
@@ -51,7 +47,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		Seed:          1,
-		TargetMeanMs:  10.0,
 		ShardFraction: 0.4,
 		BudgetMs:      40,
 		PoolSize:      1500,
@@ -65,7 +60,6 @@ func SmallOptions() Options {
 	return Options{
 		Small:         true,
 		Seed:          1,
-		TargetMeanMs:  10.0,
 		ShardFraction: 0.4,
 		BudgetMs:      40,
 		PoolSize:      300,
@@ -108,9 +102,10 @@ type Platform struct {
 	preds *sim.Predictions
 }
 
-// NewPlatform builds the stack: generate the corpus, index it, calibrate the
-// cost model, label the training set, train both NNs, and prepare the query
-// pool. Construction is deterministic for a given Options value.
+// NewPlatform builds the stack: generate the corpus, index it, scale the
+// cost model by the budget rule, label the training set, train both NNs, and
+// prepare the query pool. Construction is deterministic for a given Options
+// value.
 func NewPlatform(opt Options) *Platform {
 	spec := corpus.DefaultSpec()
 	if opt.Small {
@@ -122,7 +117,9 @@ func NewPlatform(opt Options) *Platform {
 	eng := search.NewEngine(ix, search.DefaultK)
 	cost := search.DefaultCostModel()
 	gen := corpus.NewQueryGen(c, opt.Seed+1)
-	cost.Calibrate(eng, gen.Batch(500), opt.TargetMeanMs)
+	// The stream's first 500 queries go unused: drawing them keeps the raw
+	// batch below on the queries every pinned output was built from.
+	gen.Batch(500)
 
 	jit := search.DefaultJitter()
 	// The spike class must exclude whole-corpus scans regardless of corpus
@@ -146,10 +143,13 @@ func NewPlatform(opt Options) *Platform {
 	// heaviest queries with every request feasible inside the 40 ms budget
 	// (Fig. 1c; Fig. 11's baseline tails). The Zipf-synthetic corpus also
 	// produces a pathological ultra-heavy tail that the real Wikipedia mix
-	// does not exhibit, so the workload population keeps only queries whose
-	// base service time (plus worst-case jitter) fits the budget: 2.5x the
-	// target mean. The same population feeds predictor training and the
-	// workload pool, as on the paper's testbed.
+	// does not exhibit, so the workload population keeps only queries below
+	// the raw draw's 98th percentile, and the scale rule below prices them:
+	// the heaviest query kept runs at 82% of the budget at f_max. Nothing
+	// else sets the scale, so the mean is an outcome (full platform: mean
+	// 9.09 ms, p50 3.08, p90 29.82, p95 31.99, min 0.22, max 32.80; small
+	// platform: mean 15.06 ms). The same population feeds predictor training
+	// and the workload pool, as on the paper's testbed.
 	//
 	// This is the only pass that runs the queries: the labelling and the pool
 	// below price the counters it keeps, under the rescaled cost model. The
@@ -331,13 +331,25 @@ func (p *Platform) MustPolicy(name string) sim.Policy {
 	return pol
 }
 
-// PoolStats summarizes the pool's base service-time distribution.
-func (p *Platform) PoolStats() (mean, p95, min, max float64) {
-	mean, _ = stats.Mean(p.ServiceTimes)
-	p95, _ = stats.Percentile(p.ServiceTimes, 95)
-	min, _ = stats.Min(p.ServiceTimes)
-	max, _ = stats.Max(p.ServiceTimes)
-	return
+// PoolSummary is the pool's base service-time distribution at FDefault, ms.
+type PoolSummary struct {
+	Mean, P50, P90, P95, Min, Max float64
+}
+
+// PoolStats summarizes the pool's base service times: what NewPlatform's
+// scale rule leaves, whose Max is 0.82 × BudgetMs.
+func (p *Platform) PoolStats() PoolSummary {
+	sorted := append([]float64(nil), p.ServiceTimes...)
+	stats.SortAscending(sorted)
+	mean, _ := stats.Mean(p.ServiceTimes)
+	return PoolSummary{
+		Mean: mean,
+		P50:  stats.PercentileSorted(sorted, 50),
+		P90:  stats.PercentileSorted(sorted, 90),
+		P95:  stats.PercentileSorted(sorted, 95),
+		Min:  sorted[0],
+		Max:  sorted[len(sorted)-1],
+	}
 }
 
 // SampleQueries returns n pool queries drawn deterministically (for figure

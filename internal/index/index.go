@@ -100,10 +100,9 @@ const (
 
 // Index is the immutable inverted index of one shard.
 type Index struct {
-	lists     []*PostingList // indexed by TermID; nil for absent terms
-	numDocs   int
-	avgDocLen float64
-	docLens   []int32
+	lists   []*PostingList // indexed by TermID; nil for absent terms
+	numDocs int
+	docLens []int32
 }
 
 // ErrUnknownTerm is returned when a term has no posting list.
@@ -214,12 +213,7 @@ func build(c *corpus.Corpus, ranges int) *Index {
 		par.Run(ranges, len(store), func(j int) { boundLists(store[j : j+1]) })
 	}
 
-	return &Index{
-		lists:     lists,
-		numDocs:   numDocs,
-		avgDocLen: avgDocLen,
-		docLens:   docLens,
-	}
+	return &Index{lists: lists, numDocs: numDocs, docLens: docLens}
 }
 
 // docRanges is what each of Build's passes over the documents reads and
@@ -329,9 +323,6 @@ func fillSteps(steps []uint8, depth uint8) {
 
 // NumDocs returns the number of documents in the shard.
 func (ix *Index) NumDocs() int { return ix.numDocs }
-
-// AvgDocLen returns the average document length in tokens.
-func (ix *Index) AvgDocLen() float64 { return ix.avgDocLen }
 
 // List returns the posting list for a term.
 func (ix *Index) List(t corpus.TermID) (*PostingList, error) {

@@ -99,12 +99,7 @@ func refBuild(c *corpus.Corpus) *Index {
 		lists[t] = pl
 	}
 
-	return &Index{
-		lists:     lists,
-		numDocs:   numDocs,
-		avgDocLen: avgDocLen,
-		docLens:   docLens,
-	}
+	return &Index{lists: lists, numDocs: numDocs, docLens: docLens}
 }
 
 // refSearch is the binary search probe ran over the whole list before the

@@ -55,16 +55,6 @@ func Load(r io.Reader) (*Network, error) {
 	return net, nil
 }
 
-// SaveFile writes the network to a file path.
-func (n *Network) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return n.Save(f)
-}
-
 // LoadFile reads a network from a file path.
 func LoadFile(path string) (*Network, error) {
 	f, err := os.Open(path)

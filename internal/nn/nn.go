@@ -81,8 +81,9 @@ func NewDense(in, out int, act Activation, rng *rand.Rand) *Dense {
 }
 
 // Forward computes the layer output for input x, retaining the buffers
-// needed by a subsequent Network.Backward. The returned slice is owned by the
-// layer and valid until the next Forward.
+// needed by a subsequent backward pass (the tests' per-sample
+// Network.Backward). The returned slice is owned by the layer and valid
+// until the next Forward.
 func (d *Dense) Forward(x []float64) []float64 {
 	d.affine(x, d.z)
 	copy(d.in, x)
@@ -240,14 +241,14 @@ func (d *Dense) propagate(x, delta, dIn []float64, rows, cols []int, grad inputG
 // order onto what the entry held, as one add after another. delta holds the
 // samples' masked output gradients (mask) and y their outputs, n rows of Out
 // each; x their inputs, n rows of In. Trainer.Fit passes entries of +0 and
-// 1/batch; Network.Backward its accumulated gradients and 1, by which a
-// product is the same bits.
+// 1/batch; the tests' per-sample Network.Backward its accumulated gradients
+// and 1, by which a product is the same bits.
 //
 // The sums are dense, every row at every input, and give the bits of the
 // reference loop (every live row at every input) whenever x is finite: a
-// dead row's δ is +0, so it adds δ·x = ±0, and a sum that starts from
-// ZeroGrad's +0 is never −0 (round-to-nearest gives −0 only for −0 + −0), so
-// adding ±0 to it changes nothing. Where some x is ±Inf or NaN, 0·x is NaN:
+// dead row's δ is +0, so it adds δ·x = ±0, and a sum that starts from +0
+// (Fit clears the rows it sums) is never −0 (round-to-nearest gives −0 only
+// for −0 + −0), so adding ±0 to it changes nothing. Where some x is ±Inf or NaN, 0·x is NaN:
 // the caller passes dense false, and each sample adds to its live rows only.
 func (d *Dense) accumulate(delta, x, y []float64, n, lo, hi int, dense bool, scale float64) {
 	if n == 0 || lo == hi {
@@ -338,16 +339,6 @@ func nonZero(v float64) int {
 	return int((b | -b) >> 63)
 }
 
-// zeroGrad clears accumulated gradients.
-func (d *Dense) zeroGrad() {
-	for i := range d.gradW {
-		d.gradW[i] = 0
-	}
-	for i := range d.gradB {
-		d.gradB[i] = 0
-	}
-}
-
 // Network is a feed-forward stack of dense layers.
 type Network struct {
 	Layers []*Dense
@@ -377,22 +368,6 @@ func (n *Network) Forward(x []float64) []float64 {
 	return cur
 }
 
-// Backward propagates the output-gradient of the last Forward through all
-// layers, accumulating parameter gradients. Each layer computes only the part
-// of its input gradient the layer below reads.
-func (n *Network) Backward(dOut []float64) {
-	cur := dOut
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		l := n.Layers[i]
-		rows := l.mask(l.out, cur, l.delta, l.rows)
-		l.accumulate(l.delta, l.in, l.out, 1, 0, l.Out, finite(l.in), 1)
-		if i > 0 {
-			l.propagate(l.in, l.delta, l.dIn, rows, l.cols, n.inputGrad(i))
-			cur = l.dIn
-		}
-	}
-}
-
 // inputGrad is what layer i's propagate must compute of its input gradient:
 // the part the layer below it reads.
 func (n *Network) inputGrad(i int) inputGrad {
@@ -403,13 +378,6 @@ func (n *Network) inputGrad(i int) inputGrad {
 		return liveInputGrad
 	}
 	return denseInputGrad
-}
-
-// ZeroGrad clears all accumulated gradients.
-func (n *Network) ZeroGrad() {
-	for _, l := range n.Layers {
-		l.zeroGrad()
-	}
 }
 
 // NumParams returns the total number of trainable parameters.

@@ -6,6 +6,32 @@ import (
 	"testing"
 )
 
+// Backward propagates the output-gradient of the last Forward through all
+// layers, accumulating parameter gradients: the per-sample backward pass,
+// through the kernels Trainer.Fit runs a batch at a time (mask, accumulate,
+// propagate). Each layer computes only the part of its input gradient the
+// layer below reads.
+func (n *Network) Backward(dOut []float64) {
+	cur := dOut
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		l := n.Layers[i]
+		rows := l.mask(l.out, cur, l.delta, l.rows)
+		l.accumulate(l.delta, l.in, l.out, 1, 0, l.Out, finite(l.in), 1)
+		if i > 0 {
+			l.propagate(l.in, l.delta, l.dIn, rows, l.cols, n.inputGrad(i))
+			cur = l.dIn
+		}
+	}
+}
+
+// ZeroGrad clears all accumulated gradients.
+func (n *Network) ZeroGrad() {
+	for _, l := range n.Layers {
+		clear(l.gradW)
+		clear(l.gradB)
+	}
+}
+
 // refBackward is Dense.Backward as it was before the sparse kernel: every
 // live row, every input, one row at a time. backward must reproduce its
 // gradW and gradB bits, and its dIn wherever the layer below reads it.

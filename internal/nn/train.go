@@ -481,40 +481,3 @@ func part(v []float64, lo, hi int) []float64 {
 	}
 	return v[lo:hi]
 }
-
-// ClassifyAccuracy evaluates a classifier network: the fraction of samples
-// whose argmax prediction is within tol classes of the target class (tol 0
-// means exact). This matches the paper's "prediction error happens when the
-// predicted bucket differs by more than the threshold" definition.
-func ClassifyAccuracy(net *Network, X [][]float64, Y []float64, tol int) float64 {
-	if len(X) == 0 {
-		return 0
-	}
-	hits := 0
-	for i, x := range X {
-		pred := Argmax(net.Forward(x))
-		d := pred - int(Y[i])
-		if d < 0 {
-			d = -d
-		}
-		if d <= tol {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(X))
-}
-
-// RegressAccuracy evaluates a single-output regression network: the fraction
-// of samples with |prediction − target| <= tol.
-func RegressAccuracy(net *Network, X [][]float64, Y []float64, tol float64) float64 {
-	if len(X) == 0 {
-		return 0
-	}
-	hits := 0
-	for i, x := range X {
-		if math.Abs(net.Forward(x)[0]-Y[i]) <= tol {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(X))
-}

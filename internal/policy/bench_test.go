@@ -51,7 +51,7 @@ func BenchmarkGeminiPolicy(b *testing.B) {
 }
 
 func BenchmarkRubikPolicy(b *testing.B) {
-	benchPolicy(b, func() sim.Policy { return NewRubik(20) })
+	benchPolicy(b, func() sim.Policy { return newRubik(20) })
 }
 
 func BenchmarkPegasusPolicy(b *testing.B) {
@@ -81,7 +81,7 @@ func TestDVFSRunAllocsIndependentOfRequests(t *testing.T) {
 	for name, mk := range map[string]func() sim.Policy{
 		"Gemini":  func() sim.Policy { return NewGemini(featService{}, featError{}) },
 		"Pegasus": func() sim.Policy { return NewPegasus() },
-		"Rubik":   func() sim.Policy { return NewRubik(20) },
+		"Rubik":   func() sim.Policy { return newRubik(20) },
 	} {
 		allocs := func(n int) float64 {
 			wl := benchWL(n, 1)

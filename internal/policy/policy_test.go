@@ -52,6 +52,12 @@ func runPolicy(t *testing.T, wl *sim.Workload, p sim.Policy) *sim.Result {
 
 func newTestGemini() *Gemini { return NewGemini(featService{}, featError{}) }
 
+// newRubik is Rubik planning every request from the tail service time alone,
+// with no distribution for the conditional tail.
+func newRubik(s95Ms float64) *Rubik {
+	return &Rubik{S95Ms: s95Ms, IdleFreq: cpu.DefaultLadder().Min()}
+}
+
 func TestBaselineNeverViolatesLightLoad(t *testing.T) {
 	wl := mkWL(40, 1000,
 		reqSpec{at: 0, actualMs: 10, predMs: 10},
@@ -255,7 +261,7 @@ func TestRubikMeetsDeadlinesConservatively(t *testing.T) {
 		specs = append(specs, reqSpec{at: at, actualMs: actual, predMs: actual})
 	}
 	wl := mkWL(40, at+100, specs...)
-	res := runPolicy(t, wl, NewRubik(13))
+	res := runPolicy(t, wl, newRubik(13))
 	if res.Violations != 0 {
 		t.Fatalf("rubik violations = %d", res.Violations)
 	}
@@ -272,7 +278,7 @@ func TestRubikUsesMoreEnergyThanGemini(t *testing.T) {
 	dur := 30*50 + 100.0
 	// Rubik plans every request as a 30 ms tail case (2.2 GHz); Gemini's
 	// per-query prediction runs these 10 ms requests at 1.2 GHz.
-	rb := runPolicy(t, mkWL(40, dur, specs...), NewRubik(30))
+	rb := runPolicy(t, mkWL(40, dur, specs...), newRubik(30))
 	gm := runPolicy(t, mkWL(40, dur, specs...), newTestGemini())
 	if gm.Violations != 0 || rb.Violations != 0 {
 		t.Fatal("violations")

@@ -31,11 +31,6 @@ type Rubik struct {
 	samples []float64
 }
 
-// NewRubik builds Rubik from the profiled tail service time alone.
-func NewRubik(s95Ms float64) *Rubik {
-	return &Rubik{S95Ms: s95Ms, IdleFreq: cpu.DefaultLadder().Min()}
-}
-
 // armedFreq is the frequency Rubik starts at: able to serve one tail request
 // arriving into an idle core within the budget.
 func (p *Rubik) armedFreq(budgetMs float64) cpu.Freq {

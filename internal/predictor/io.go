@@ -101,16 +101,6 @@ func (snap *classifierSnapshot) check(net *nn.Network, wantIn int) error {
 	return nil
 }
 
-// SaveFile writes the classifier to a file path.
-func (c *NNClassifier) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return c.Save(f)
-}
-
 // LoadClassifierFile reads a classifier from a file path.
 func LoadClassifierFile(path string) (*NNClassifier, error) {
 	f, err := os.Open(path)

@@ -71,10 +71,10 @@ func TestConfig() Config {
 // NNClassifier is the paper's latency predictor: a relu MLP with one output
 // neuron per millisecond bucket, trained with sparse categorical
 // cross-entropy and Adam (§IV-A). Predictions return the bucket center.
-// PredictMs/PredictClass are goroutine-safe: inference runs through the
-// reentrant nn.Infer path with pooled scratch, so one trained classifier can
-// be shared by every worker of the parallel experiment harness and by
-// concurrent server handlers.
+// PredictMs is goroutine-safe: inference runs through the reentrant nn.Infer
+// path with pooled scratch, so one trained classifier can be shared by every
+// worker of the parallel experiment harness and by concurrent server
+// handlers.
 type NNClassifier struct {
 	net     *nn.Network
 	scaler  *nn.Scaler
@@ -139,14 +139,6 @@ func (c *NNClassifier) PredictMs(fv search.FeatureVector) float64 {
 	v := float64(nn.Argmax(c.net.Infer(c.project(fv, s), s.ar))) + 0.5
 	c.scratch.put(s)
 	return v
-}
-
-// PredictClass returns the raw argmax bucket.
-func (c *NNClassifier) PredictClass(fv search.FeatureVector) int {
-	s := c.scratch.get(c.net)
-	cls := nn.Argmax(c.net.Infer(c.project(fv, s), s.ar))
-	c.scratch.put(s)
-	return cls
 }
 
 // Name implements ServicePredictor.

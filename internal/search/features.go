@@ -107,13 +107,14 @@ func (x *Extractor) Features(q corpus.Query) FeatureVector {
 }
 
 // buildProfile computes the profile of pl from its postings and ex, the
-// list's single-term execution. Each statistic sums in posting order, as the
-// stats package's functions do over the impacts, so each has their bits: the
-// first pass takes the sums behind the three means and the counts, a chunk of
-// postings at a time so that simd.Log takes the chunk's logarithms; the
-// second, which needs the arithmetic mean, the variance and the local maxima.
+// list's single-term execution. Each statistic sums in posting order, as
+// refProfile's means and variance (reference_test.go) do over the impacts, so
+// each has their bits: the first pass takes the sums behind the three means
+// and the counts, a chunk of postings at a time so that simd.Log takes the
+// chunk's logarithms; the second, which needs the arithmetic mean, the
+// variance and the local maxima.
 func buildProfile(pl *index.PostingList, ex Execution) termProfile {
-	const eps = 1e-12 // stats.GeometricMean's and stats.HarmonicMean's clamp
+	const eps = 1e-12 // the floor the geometric and harmonic means clamp an impact to
 	ps := pl.Postings
 	n := float64(len(ps))
 	max := float64(pl.MaxImpact)

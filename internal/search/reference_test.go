@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"gemini/internal/corpus"
 	"gemini/internal/index"
@@ -112,8 +113,59 @@ func refSearchMaxScore(e *Engine, lists []*index.PostingList) Execution {
 	return Execution{Results: h.results(), Stats: st}
 }
 
+// meanEps is the floor both means clamp a value to, so that a zero impact
+// leaves them defined.
+const meanEps = 1e-12
+
+// geometricMean is exp of the mean logarithm, each value clamped to meanEps
+// and the logarithms summed in order.
+func geometricMean(values []float64) float64 {
+	sumLog := 0.0
+	for _, v := range values {
+		sumLog += math.Log(max(v, meanEps))
+	}
+	return math.Exp(sumLog / float64(len(values)))
+}
+
+// harmonicMean is the count over the sum of reciprocals, each value clamped
+// to meanEps and the reciprocals summed in order.
+func harmonicMean(values []float64) float64 {
+	sumInv := 0.0
+	for _, v := range values {
+		sumInv += 1 / max(v, meanEps)
+	}
+	return float64(len(values)) / sumInv
+}
+
+// Property: HM <= GM <= AM for positive values, and the means of {2, 8} are
+// 5, 4 and 3.2, so the oracle's two means are means.
+func TestMeanInequalityProperty(t *testing.T) {
+	if gm, hm := geometricMean([]float64{2, 8}), harmonicMean([]float64{2, 8}); math.Abs(gm-4) > 1e-9 || math.Abs(hm-3.2) > 1e-9 {
+		t.Errorf("means of {2, 8}: geometric %v, harmonic %v; want 4 and 3.2", gm, hm)
+	}
+	f := func(raw []float64) bool {
+		vals := make([]float64, 0, len(raw))
+		for _, v := range raw {
+			v = math.Abs(v)
+			if v > 1e-6 && v < 1e9 && !math.IsNaN(v) {
+				vals = append(vals, v)
+			}
+		}
+		if len(vals) == 0 {
+			return true
+		}
+		am, _ := stats.Mean(vals)
+		gm, hm := geometricMean(vals), harmonicMean(vals)
+		return hm <= gm*(1+1e-9) && gm <= am*(1+1e-9)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 // refProfile is a term's profile the literal way: the impacts copied out as
-// float64s, the means and variance from the stats package, a pass per count,
+// float64s, the arithmetic mean and variance from the stats package, the
+// other two means from geometricMean and harmonicMean, a pass per count,
 // and the execution-derived features from refSearchSingle.
 func refProfile(e *Engine, pl *index.PostingList) termProfile {
 	imps := make([]float64, pl.Len())
@@ -121,8 +173,7 @@ func refProfile(e *Engine, pl *index.PostingList) termProfile {
 		imps[i] = float64(p.Impact)
 	}
 	am, _ := stats.Mean(imps)
-	gm, _ := stats.GeometricMean(imps)
-	hm, _ := stats.HarmonicMean(imps)
+	gm, hm := geometricMean(imps), harmonicMean(imps)
 	vr, _ := stats.Variance(imps)
 	max := float64(pl.MaxImpact)
 

@@ -235,59 +235,6 @@ func TestCostModelMonotone(t *testing.T) {
 	}
 }
 
-func TestCalibrate(t *testing.T) {
-	c, e := setup(t)
-	m := DefaultCostModel()
-	sample := corpus.NewQueryGen(c, 3).Batch(300)
-	m.Calibrate(e, sample, 5.0)
-	total := 0.0
-	for _, q := range sample {
-		total += cpu.TimeFor(m.WorkFor(e.Search(q).Stats), cpu.FDefault)
-	}
-	mean := total / float64(len(sample))
-	if math.Abs(mean-5.0) > 0.01 {
-		t.Errorf("calibrated mean = %v ms, want 5.0", mean)
-	}
-}
-
-func TestCalibrateDegenerate(t *testing.T) {
-	m := DefaultCostModel()
-	before := m.Scale
-	m.Calibrate(nil, nil, 5)
-	if m.Scale != before {
-		t.Errorf("empty calibration changed scale")
-	}
-}
-
-// TestCalibrateRejectsBadTargets: a target that is not a positive finite
-// number returns 0 and leaves Scale as it was, instead of turning it (and
-// every WorkFor after it) into NaN or +Inf.
-func TestCalibrateRejectsBadTargets(t *testing.T) {
-	c, e := setup(t)
-	sample := corpus.NewQueryGen(c, 3).Batch(20)
-	for _, tc := range []struct {
-		name   string
-		target float64
-	}{
-		{"zero", 0},
-		{"negative zero", math.Copysign(0, -1)},
-		{"negative", -5},
-		{"NaN", math.NaN()},
-		{"+Inf", math.Inf(1)},
-		{"-Inf", math.Inf(-1)},
-	} {
-		m := DefaultCostModel()
-		m.Scale = 1.5
-		if got := m.Calibrate(e, sample, tc.target); got != 0 || m.Scale != 1.5 {
-			t.Errorf("%s: Calibrate = %v, Scale = %v; want 0 and Scale 1.5 kept", tc.name, got, m.Scale)
-		}
-	}
-	m := DefaultCostModel()
-	if got := m.Calibrate(e, sample, 5); !(got > 0) || m.Scale == 1 {
-		t.Errorf("finite target: Calibrate = %v, Scale = %v; want a mean and a new Scale", got, m.Scale)
-	}
-}
-
 // The paper's Fig. 1c: service times across queries must vary by an order
 // of magnitude (Canada was 14x Tokyo).
 func TestServiceTimeSpread(t *testing.T) {

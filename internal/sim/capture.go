@@ -37,8 +37,8 @@ const (
 )
 
 // spanLog is one run's span records, oldest first: a ring of the last limit
-// records once that many were written, everything when limit is 0. A
-// count-only log holds no records and only counts them in total.
+// records (the sink's capacity) once that many were written. A count-only
+// log holds no records and only counts them in total.
 type spanLog struct {
 	policy    string // TraceID prefix
 	recs      []spanRec
@@ -51,7 +51,7 @@ type spanLog struct {
 // push appends one record, overwriting the oldest once the log is full.
 func (l *spanLog) push(r spanRec) {
 	l.total++
-	if l.limit == 0 || len(l.recs) < l.limit {
+	if len(l.recs) < l.limit {
 		l.recs = append(l.recs, r)
 		return
 	}
@@ -173,10 +173,7 @@ func flushSpans(sink *telemetry.SpanTracer, caps []capture) {
 		total += caps[c].spans.total
 		held += len(caps[c].spans.recs)
 	}
-	budget := limit
-	if budget == 0 || budget > held {
-		budget = held
-	}
+	budget := min(limit, held)
 	// The last `budget` records of the concatenation: skip whole logs, then
 	// the head of the first one that still contributes.
 	tail := make([]telemetry.Span, 0, budget)

@@ -60,7 +60,7 @@ func lastOf(full sinkState, spanCap, ringCap int) sinkState {
 // TestSinkEvictionEquivalence runs a topology and a broker cluster into sinks
 // far smaller than what is emitted. Whatever the thread count and engine, the
 // sinks must read exactly as the tail of the full emission sequence, which a
-// serial run into an accumulator and a ring that never wraps records: the
+// serial run into two rings that never wrap records: the
 // deferred span flush and the per-core decision replay may drop only what a
 // one-by-one emission would have evicted.
 func TestSinkEvictionEquivalence(t *testing.T) {
@@ -84,7 +84,7 @@ func TestSinkEvictionEquivalence(t *testing.T) {
 	for name, runIt := range runners {
 		cfg := DefaultConfig()
 		cfg.Tracer = telemetry.NewTracer(1 << 16)
-		cfg.Spans = telemetry.NewSpanAccumulator()
+		cfg.Spans = telemetry.NewSpanTracer(1 << 16)
 		runIt(cfg, 1)
 		full := readSinks(cfg)
 		if int(full.spanTotal) <= 4*spanCap || int(full.emitted) <= 4*ringCap || full.quality.N == 0 {
@@ -130,9 +130,9 @@ func TestSinkEvictionEquivalence(t *testing.T) {
 // TestCountOnlySpansOracle runs the sharded 8×3 capped cell into span sinks
 // small enough that most cores' records can never be retained, so those
 // cores only count them. Whatever the capacity, the sink must hold the last B
-// spans of an accumulator run of the same cell and count as many: a
-// count-only bound that skips a core whose records survive changes the tail,
-// or trips flushSpans' check.
+// spans of a run of the same cell into a ring that never wraps, and count as
+// many: a count-only bound that skips a core whose records survive changes
+// the tail, or trips flushSpans' check.
 func TestCountOnlySpansOracle(t *testing.T) {
 	run := func(spans *telemetry.SpanTracer) {
 		cfg := DefaultConfig()
@@ -150,20 +150,23 @@ func TestCountOnlySpansOracle(t *testing.T) {
 			t.Fatal("the cap never throttled; the fixture is supposed to bind")
 		}
 	}
-	acc := telemetry.NewSpanAccumulator()
+	acc := telemetry.NewSpanTracer(1 << 16)
 	run(acc)
 	all := acc.Spans()
+	if uint64(len(all)) != acc.Total() {
+		t.Fatalf("the reference ring kept %d of %d spans", len(all), acc.Total())
+	}
 	for _, b := range []int{1, 64, 4096} {
 		if len(all) <= 2*b {
-			t.Fatalf("cap %d: the accumulator holds only %d spans", b, len(all))
+			t.Fatalf("cap %d: the reference ring holds only %d spans", b, len(all))
 		}
 		sink := telemetry.NewSpanTracer(b)
 		run(sink)
 		if sink.Total() != acc.Total() {
-			t.Errorf("cap %d: total %d, the accumulator counted %d", b, sink.Total(), acc.Total())
+			t.Errorf("cap %d: total %d, the reference ring counted %d", b, sink.Total(), acc.Total())
 		}
 		if got := sink.Spans(); !reflect.DeepEqual(got, all[len(all)-b:]) {
-			t.Errorf("cap %d: retained spans differ from the accumulator's last %d", b, b)
+			t.Errorf("cap %d: retained spans differ from the reference ring's last %d", b, b)
 		}
 	}
 }
@@ -183,7 +186,7 @@ func TestSharedSinkAcrossRuns(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.Tracer = telemetry.NewTracer(1 << 12)
-		cfg.Spans = telemetry.NewSpanAccumulator()
+		cfg.Spans = telemetry.NewSpanTracer(1 << 16)
 		want := lastOf(runBoth(cfg), spanCap, ringCap)
 
 		cfg.Tracer = telemetry.NewTracer(ringCap)

@@ -17,7 +17,7 @@ func TestLatenciesSortedContract(t *testing.T) {
 	for _, lat := range []float64{9, 1, 30, 4, 2} {
 		r.recordCompletion(&Request{ArrivalMs: 0, FinishMs: lat, DeadlineMs: 100, Done: true})
 	}
-	r.seal(cpu.NewEnergyAccumulator(), 0, 100)
+	r.seal(&cpu.EnergyAccumulator{}, 0, 100)
 	if !sort.Float64sAreSorted(r.Latencies) {
 		t.Fatalf("seal left Latencies unsorted: %v", r.Latencies)
 	}

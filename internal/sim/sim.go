@@ -254,11 +254,7 @@ func run(cfg Config, wl *Workload, idx []int32, pol Policy, cp *capture, ceil []
 		if !l.countOnly {
 			// Two records per request plus one per execution phase; the log
 			// grows past the estimate by append, up to the limit.
-			size := 4 * len(reqs)
-			if l.limit > 0 && size > l.limit {
-				size = l.limit
-			}
-			l.recs = make([]spanRec, 0, size)
+			l.recs = make([]spanRec, 0, min(4*len(reqs), l.limit))
 		}
 	}
 	if cfg.Series != nil {

@@ -12,7 +12,7 @@ import (
 // Cluster timelines: per-core sampled series merged deterministically into
 // one cluster-aggregate series.
 //
-// The discipline extends the span-accumulator contract: when Config.Series
+// The discipline extends the span sink's contract: when Config.Series
 // is set, the cluster runner (RunTopologyWorkers, which RunClusterWorkers
 // calls) gives every core a private capture cursor (a shared sink would
 // interleave samples nondeterministically under workers > 1), then merges

@@ -272,11 +272,11 @@ func TestTopologyPublishesClusterMetrics(t *testing.T) {
 // FuzzRouterEquivalence is the CI smoke fuzz: arbitrary (seed, router, cap)
 // triples must keep the sharded topology run byte-identical to the serial
 // one — the TopologyResult, the merged timeline export, and the decision and
-// span sinks at fuzzed capacities (span capacity 0 is an accumulator). Both
-// hand their decisions over in one Tracer.EmitRun, built in full only where
-// the ring retains them, and both leave the spans of cores the sink cannot
-// retain counted, not built; the sharded run does the three hand-offs
-// concurrently.
+// span sinks at fuzzed capacities (span capacity 0 is a ring that never
+// wraps). Both hand their decisions over in one Tracer.EmitRun, built in full
+// only where the ring retains them, and both leave the spans of cores the
+// sink cannot retain counted, not built; the sharded run does the three
+// hand-offs concurrently.
 func FuzzRouterEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint16(512), uint16(4096))
 	f.Add(int64(7), uint8(1), uint8(1), uint16(31), uint16(97))
@@ -299,7 +299,7 @@ func FuzzRouterEquivalence(f *testing.F) {
 			cfg := DefaultConfig()
 			cfg.Series = NewRunTimeseries(cfg.Ladder, wl.DurationMs, 50)
 			cfg.Tracer = telemetry.NewTracer(int(ringCap))
-			cfg.Spans = telemetry.NewSpanAccumulator()
+			cfg.Spans = telemetry.NewSpanTracer(1 << 16)
 			if spanCap > 0 {
 				cfg.Spans = telemetry.NewSpanTracer(int(spanCap))
 			}

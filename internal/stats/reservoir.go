@@ -37,9 +37,6 @@ func (r *Reservoir) Add(x float64) {
 	}
 }
 
-// Seen returns the total number of observations offered.
-func (r *Reservoir) Seen() int { return r.seen }
-
 // Sample returns a copy of the current sample.
 func (r *Reservoir) Sample() []float64 {
 	out := make([]float64, len(r.buf))

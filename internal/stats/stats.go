@@ -79,42 +79,6 @@ func Mean(values []float64) (float64, error) {
 	return sum / float64(len(values)), nil
 }
 
-// GeometricMean returns the geometric mean of values. Non-positive values
-// are clamped to a tiny epsilon so that score distributions containing zeros
-// remain well-defined (matching the feature extraction in the paper's
-// Table II, where scores are strictly positive anyway).
-func GeometricMean(values []float64) (float64, error) {
-	if len(values) == 0 {
-		return 0, ErrEmpty
-	}
-	const eps = 1e-12
-	sumLog := 0.0
-	for _, v := range values {
-		if v < eps {
-			v = eps
-		}
-		sumLog += math.Log(v)
-	}
-	return math.Exp(sumLog / float64(len(values))), nil
-}
-
-// HarmonicMean returns the harmonic mean of values, clamping non-positive
-// values to a tiny epsilon as in GeometricMean.
-func HarmonicMean(values []float64) (float64, error) {
-	if len(values) == 0 {
-		return 0, ErrEmpty
-	}
-	const eps = 1e-12
-	sumInv := 0.0
-	for _, v := range values {
-		if v < eps {
-			v = eps
-		}
-		sumInv += 1 / v
-	}
-	return float64(len(values)) / sumInv, nil
-}
-
 // Variance returns the population variance of values.
 func Variance(values []float64) (float64, error) {
 	if len(values) == 0 {

@@ -120,41 +120,8 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 }
 
 func TestMeans(t *testing.T) {
-	vals := []float64{2, 8}
-	am, _ := Mean(vals)
-	gm, _ := GeometricMean(vals)
-	hm, _ := HarmonicMean(vals)
-	if !almostEqual(am, 5, 1e-12) {
+	if am, _ := Mean([]float64{2, 8}); !almostEqual(am, 5, 1e-12) {
 		t.Errorf("Mean = %v, want 5", am)
-	}
-	if !almostEqual(gm, 4, 1e-9) {
-		t.Errorf("GeometricMean = %v, want 4", gm)
-	}
-	if !almostEqual(hm, 3.2, 1e-9) {
-		t.Errorf("HarmonicMean = %v, want 3.2", hm)
-	}
-}
-
-// Property: HM <= GM <= AM for positive values.
-func TestMeanInequalityProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		vals := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			v = math.Abs(v)
-			if v > 1e-6 && v < 1e9 && !math.IsNaN(v) {
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) == 0 {
-			return true
-		}
-		am, _ := Mean(vals)
-		gm, _ := GeometricMean(vals)
-		hm, _ := HarmonicMean(vals)
-		return hm <= gm*(1+1e-9) && gm <= am*(1+1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -353,8 +320,8 @@ func TestReservoirSmallStream(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Add(float64(i))
 	}
-	if r.Seen() != 5 {
-		t.Errorf("Seen = %d", r.Seen())
+	if r.seen != 5 {
+		t.Errorf("seen = %d", r.seen)
 	}
 	s := r.Sample()
 	if len(s) != 5 {

@@ -34,15 +34,6 @@ func (r *ring[T]) push(v *T) int {
 	return i
 }
 
-// grow appends *v to a ring that retains everything (the span accumulator).
-// Such a ring is always exactly full, so next stays 0 and snapshot reads it
-// in buffer order.
-func (r *ring[T]) grow(v *T) {
-	r.slots = append(r.slots, *v)
-	r.n++
-	r.total++
-}
-
 // snapshot returns up to n of the most recent values, oldest first (every
 // retained value when n <= 0).
 func (r *ring[T]) snapshot(n int) []T {

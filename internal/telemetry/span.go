@@ -213,9 +213,8 @@ func (a *Attrs) UnmarshalJSON(data []byte) error {
 // path and the disabled path allocates nothing (see
 // TestNilSpanTracerAllocFree and sim's TestSpansDisabledAddsNoAllocsPerRequest).
 type SpanTracer struct {
-	mu        sync.Mutex
-	buf       ring[Span]
-	unbounded bool
+	mu  sync.Mutex
+	buf ring[Span]
 }
 
 // NewSpanTracer creates a tracer retaining up to capacity spans (min 1).
@@ -223,17 +222,10 @@ func NewSpanTracer(capacity int) *SpanTracer {
 	return &SpanTracer{buf: makeRing[Span](capacity)}
 }
 
-// NewSpanAccumulator creates a tracer that retains every emitted span with no
-// ring bound, for offline analysis of a whole run.
-func NewSpanAccumulator() *SpanTracer {
-	return &SpanTracer{unbounded: true}
-}
-
-// Capacity returns the number of spans the tracer retains; 0 means every one
-// (an accumulator). A nil tracer retains none and also reports 0: callers
-// that must tell the two apart test for nil first.
+// Capacity returns the number of spans the tracer retains; a nil tracer
+// retains none and reports 0.
 func (t *SpanTracer) Capacity() int {
-	if t == nil || t.unbounded {
+	if t == nil {
 		return 0
 	}
 	return len(t.buf.slots)
@@ -245,7 +237,7 @@ func (t *SpanTracer) Emit(sp Span) {
 		return
 	}
 	t.mu.Lock()
-	t.push(&sp)
+	t.buf.push(&sp)
 	t.mu.Unlock()
 }
 
@@ -256,11 +248,11 @@ func (t *SpanTracer) EmitBatch(sps []Span) { t.EmitRun(0, sps) }
 
 // EmitRun records a run of evicted+len(tail) spans of which the caller kept
 // only the tail, in one critical section. The tail must hold at least the
-// run's last Capacity() spans (all of them for an accumulator): the dropped
-// ones are then exactly those the ring would have evicted, and Total and
-// Snapshot read as if every span had been emitted one by one. The simulator
-// flushes its per-run span log through this at the end of a run, so it
-// builds Span values only for records that can still be retained. Nil-safe.
+// run's last Capacity() spans: the dropped ones are then exactly those the
+// ring would have evicted, and Total and Snapshot read as if every span had
+// been emitted one by one. The simulator flushes its per-run span log
+// through this at the end of a run, so it builds Span values only for
+// records that can still be retained. Nil-safe.
 func (t *SpanTracer) EmitRun(evicted uint64, tail []Span) {
 	if t == nil || evicted+uint64(len(tail)) == 0 {
 		return
@@ -268,18 +260,9 @@ func (t *SpanTracer) EmitRun(evicted uint64, tail []Span) {
 	t.mu.Lock()
 	t.buf.total += evicted
 	for i := range tail {
-		t.push(&tail[i])
+		t.buf.push(&tail[i])
 	}
 	t.mu.Unlock()
-}
-
-// push appends under t.mu.
-func (t *SpanTracer) push(sp *Span) {
-	if t.unbounded {
-		t.buf.grow(sp)
-		return
-	}
-	t.buf.push(sp)
 }
 
 // Total returns the number of spans ever emitted.

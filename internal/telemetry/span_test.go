@@ -195,35 +195,12 @@ func TestTracesHandler(t *testing.T) {
 	}
 }
 
-func TestSpanAccumulatorUnbounded(t *testing.T) {
-	tr := NewSpanAccumulator()
-	const n = 5000
-	for i := 0; i < n; i++ {
-		tr.Emit(spanN("t", i, float64(i), float64(i+1)))
-	}
-	if tr.Total() != n {
-		t.Fatalf("total = %d", tr.Total())
-	}
-	got := tr.Spans()
-	if len(got) != n {
-		t.Fatalf("retained %d of %d — accumulator must never evict", len(got), n)
-	}
-	for i, s := range got {
-		if want := "s" + strconv.Itoa(i); s.SpanID != want {
-			t.Fatalf("span %d = %s, want %s (emission order)", i, s.SpanID, want)
-		}
-	}
-	if snap := tr.Snapshot(3); len(snap) != 3 || snap[2].SpanID != "s4999" {
-		t.Errorf("Snapshot(3) = %+v", snap)
-	}
-}
-
 func TestSpanAccumulatorReplayEqualsDirect(t *testing.T) {
-	// The sharded-cluster telemetry contract: capture into accumulators,
-	// replay via EmitBatch into a bounded ring — the ring must end up exactly
-	// as if the spans had been emitted directly.
+	// The sharded-cluster telemetry contract: capture into a ring that keeps
+	// every span, replay via EmitBatch into a bounded ring — the ring must end
+	// up exactly as if the spans had been emitted directly.
 	direct := NewSpanTracer(8)
-	acc := NewSpanAccumulator()
+	acc := NewSpanTracer(20)
 	for i := 0; i < 20; i++ {
 		sp := spanN("t", i, float64(i), float64(i+1))
 		direct.Emit(sp)
@@ -352,7 +329,7 @@ func TestSpanTracerEmitRunEqualsDirect(t *testing.T) {
 			}
 		}
 	}
-	if NewSpanAccumulator().Capacity() != 0 {
-		t.Error("an accumulator reports a capacity")
+	if (*SpanTracer)(nil).Capacity() != 0 {
+		t.Error("a nil tracer reports a capacity")
 	}
 }

@@ -55,16 +55,6 @@ func ReadCSV(r io.Reader, name string) (*Trace, error) {
 	return &Trace{Name: name, Arrivals: arrivals}, nil
 }
 
-// SaveFile writes the trace to a CSV file.
-func (t *Trace) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return t.WriteCSV(f)
-}
-
 // LoadFile reads a trace CSV file.
 func LoadFile(path string) (*Trace, error) {
 	f, err := os.Open(path)

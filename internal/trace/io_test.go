@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -33,7 +34,11 @@ func TestCSVRoundTrip(t *testing.T) {
 func TestCSVFileRoundTrip(t *testing.T) {
 	orig := GenFixedRPS(20, 10_000, 4)
 	path := t.TempDir() + "/trace.csv"
-	if err := orig.SaveFile(path); err != nil {
+	var buf bytes.Buffer
+	if err := orig.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadFile(path)

@@ -87,9 +87,6 @@ func TRECRate(avgRPS float64) RateFunc {
 	}
 }
 
-// EvalTraceNames lists the three trace-driven workloads of Figs. 12–14.
-var EvalTraceNames = []string{"wiki", "lucene", "trec"}
-
 // GenEvalTrace generates one of the named 1000 s evaluation traces at the
 // given average RPS.
 func GenEvalTrace(name string, avgRPS, durationMs float64, seed int64) *Trace {

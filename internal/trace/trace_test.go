@@ -123,7 +123,7 @@ func TestWikipediaEvalPerSecondVariability(t *testing.T) {
 }
 
 func TestEvalTraceMeanRates(t *testing.T) {
-	for _, name := range EvalTraceNames {
+	for _, name := range []string{"wiki", "lucene", "trec"} { // Figs. 12–14
 		tr := GenEvalTrace(name, 60, 1_000_000, 11)
 		got := tr.MeanRPS()
 		if got < 30 || got > 90 {
