@@ -307,3 +307,27 @@ func TestDynPowerSuperlinear(t *testing.T) {
 		t.Errorf("dynamic power not superlinear: %v vs 2x %v", m.DynW(2.4), m.DynW(1.2))
 	}
 }
+
+// TestWattsMatchesCoreW holds the per-level table to the model's CoreW bit
+// for bit, busy and idle: at every level of the default ladder, of
+// a one-level ladder and of a twelve-level one (whose levels past the
+// table's eight fall back), and at frequencies off the ladder (between and
+// outside the levels, 0, NaN and +Inf), for the default model and another.
+func TestWattsMatchesCoreW(t *testing.T) {
+	other := DefaultPowerModel()
+	other.LeakPerCoreW, other.IdleActivity, other.VMax = 0.45, 0.7, 1.3
+	twelve := NewLadder([]Freq{0.8, 1.0, 1.2, 1.3, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.7, 3.1})
+	off := []Freq{0, 1.1, 1.25, 2.71, 3.5, Freq(math.NaN()), Freq(math.Inf(1)), Freq(math.Nextafter(1.2, 2))}
+	for _, m := range []*PowerModel{DefaultPowerModel(), other} {
+		for _, l := range []*Ladder{DefaultLadder(), NewLadder([]Freq{2.0}), twelve} {
+			w := m.Watts(l)
+			for _, f := range append(l.Levels(), off...) {
+				for _, active := range []bool{true, false} {
+					if got, want := w.CoreW(f, active), m.CoreW(f, active); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%v at %v GHz, active %v: table %v, the model %v", l, f, active, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package cpu
 
+import "math"
+
 // PowerModel is an analytic CMOS socket power model:
 //
 //	P_socket = Uncore + Σ_cores [ Leak + Dyn(f)·activity ]
@@ -103,4 +105,76 @@ func (e *EnergyAccumulator) Utilization() float64 {
 		return 0
 	}
 	return e.busyMs / e.totalMs
+}
+
+// wattsSlots is the size of a Watts table: a power of two, four slots per
+// level it holds, so that a collision-free multiplier turns up in a few
+// tries.
+const wattsSlots = 32
+
+// Watts is a PowerModel's core draw at the levels of a Ladder, busy and
+// idle: CoreW's values, filled once, so that a caller switching among the
+// levels (the engine at every frequency change, the power-cap coordinator
+// at every control boundary) reads the draw instead of recomputing it. A
+// frequency off the ladder, or past its first wattsSlots/4 levels, falls
+// back to CoreW, so the result is CoreW's bits for any frequency.
+//
+// A level's slot is its bits times mult, top five bits: mult is the first
+// of a fixed sequence of odd multipliers under which no two levels share a
+// slot (the second, for the default ladder), or, if 64 tries find none, the
+// last, where a level that collides is left out and falls back. An empty slot
+// holds the key of the first level, which is always placed in a slot of its
+// own, so no frequency matches it. The zero Watts is not usable; build one
+// with PowerModel.Watts. It holds no pointer into the ladder and is copied
+// by value (the engine keeps one per core).
+type Watts struct {
+	m          *PowerModel
+	mult       uint64
+	key        [wattsSlots]uint64
+	busy, idle [wattsSlots]float64
+}
+
+// Watts fills the table of m's draw at the levels of l.
+func (m *PowerModel) Watts(l *Ladder) Watts {
+	levels := l.levels[:min(len(l.levels), wattsSlots/4)]
+	w := Watts{m: m, mult: 0x9e3779b97f4a7c15}
+	for try := 1; !w.place(levels) && try < 64; try++ {
+		w.mult += 0x9e3779b97f4a7c16
+	}
+	return w
+}
+
+// place fills the table under w.mult and reports whether every level found
+// a slot of its own; a level whose slot is taken is left out.
+func (w *Watts) place(levels []Freq) bool {
+	first := math.Float64bits(float64(levels[0]))
+	for i := range w.key {
+		w.key[i] = first
+	}
+	var taken [wattsSlots]bool
+	all := true
+	for _, f := range levels {
+		i := w.slot(f)
+		if taken[i] {
+			all = false
+			continue
+		}
+		taken[i] = true
+		w.key[i] = math.Float64bits(float64(f))
+		w.busy[i], w.idle[i] = w.m.CoreW(f, true), w.m.CoreW(f, false)
+	}
+	return all
+}
+
+func (w *Watts) slot(f Freq) uint64 { return math.Float64bits(float64(f)) * w.mult >> 59 }
+
+// CoreW returns the model's CoreW(f, active).
+func (w *Watts) CoreW(f Freq, active bool) float64 {
+	if i := w.slot(f); w.key[i] == math.Float64bits(float64(f)) {
+		if active {
+			return w.busy[i]
+		}
+		return w.idle[i]
+	}
+	return w.m.CoreW(f, active)
 }

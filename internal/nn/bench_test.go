@@ -20,9 +20,10 @@ func benchNet() (*Network, []float64) {
 
 func BenchmarkForward(b *testing.B) {
 	net, x := benchNet()
+	p := newPass(net)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Forward(x)
+		p.Forward(x)
 	}
 }
 
@@ -30,12 +31,13 @@ func BenchmarkForwardBackward(b *testing.B) {
 	net, x := benchNet()
 	loss := &CrossEntropy{}
 	dOut := make([]float64, net.OutDim())
+	p := newPass(net)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.ZeroGrad()
-		out := net.Forward(x)
+		out := p.Forward(x)
 		loss.LossAndGrad(out, 7, dOut)
-		net.Backward(dOut)
+		p.Backward(dOut)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 )
 
 // snapshot is the gob-serializable form of a network (scratch buffers are
@@ -45,22 +44,13 @@ func Load(r io.Reader) (*Network, error) {
 		if ls.Act != Identity && ls.Act != ReLU {
 			return nil, fmt.Errorf("nn: load: layer %d has unknown activation %d", i, ls.Act)
 		}
-		// Forward reads only as many weights per row as its input is wide: a
-		// wider layer would run and silently ignore the rest of each row.
+		// The forward pass reads only as many weights per row as its input
+		// is wide: a wider layer would run and silently ignore the rest of
+		// each row.
 		if i > 0 && ls.In != s.Layers[i-1].Out {
 			return nil, fmt.Errorf("nn: load: layer %d takes %d inputs after a %d-wide layer", i, ls.In, s.Layers[i-1].Out)
 		}
 		net.Layers = append(net.Layers, newLayer(ls.In, ls.Out, ls.Act, ls.W, ls.B))
 	}
 	return net, nil
-}
-
-// LoadFile reads a network from a file path.
-func LoadFile(path string) (*Network, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }

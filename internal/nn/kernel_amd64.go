@@ -6,13 +6,18 @@ import "gemini/internal/simd"
 var hasAVX2 = simd.AVX2
 
 // The kernels, in kernel_amd64.s. Each trusts its caller for the lengths:
-// wt holds len(x) rows of len(z) rounded up to 16; w holds len(delta) rows of
-// len(dIn), and every entry of rows indexes delta; gw is whole rows of in,
-// x holds n rows of in, and delta n rows of out, the last cut after
-// len(gw)/in (or len(gb)) entries; grad, m and v are at least len(p) long.
+// wt holds len(x) rows of len(z) rounded up to 16, and every entry of rows
+// indexes x; clampRowsAVX2's rows is at least len(v) long; w holds
+// len(delta) rows of len(dIn), and every entry of rows indexes delta; gw is
+// whole rows of in, x holds n rows of in, and delta n rows of out, the last
+// cut after len(gw)/in (or len(gb)) entries; grad, m and v are at least
+// len(p) long; mean and std at least len(v); argmaxAVX2's v at least 4.
 
 //go:noescape
-func affineT(wt, b, x, z []float64)
+func affineT(wt, b, x, z []float64, rows []int)
+
+//go:noescape
+func clampRowsAVX2(v []float64, rows []int, keep int) (n int)
 
 //go:noescape
 func inputGradAVX2(w, delta, dIn []float64, rows []int)
@@ -24,7 +29,7 @@ func gradAVX2(gw, delta, x []float64, in, out, n int, scale float64)
 func biasAVX2(gb, delta []float64, out, n int, scale float64)
 
 //go:noescape
-func transposeAVX2(w, wt []float64, in, stride int)
+func transposeAVX2(w, wt []float64, in, stride int) (sum float64)
 
 //go:noescape
 func adamAVX2(p, grad, m, v []float64, k *[8]float64)
@@ -34,3 +39,9 @@ func clampAVX2(v []float64)
 
 //go:noescape
 func divAVX2(v []float64, d float64)
+
+//go:noescape
+func standardizeAVX2(v, mean, std []float64)
+
+//go:noescape
+func argmaxAVX2(v []float64) (i int, ordered bool)

@@ -1,12 +1,13 @@
 #include "textflag.h"
 
-// The AVX2 kernels behind Dense.Forward, Network.Infer, Dense.propagate,
-// Dense.accumulate, the ReLU clamp and Adam's step (kernel.go says when they
-// run; DESIGN.md §10 has the contract). Each YMM lane carries one output of the Go loop and runs
-// that loop's IEEE sequence: a VMULPD, then a VADDPD, never an FMA (which
-// rounds once where the Go loop rounds twice), every sum in its Go order.
-// Every add into a sum takes the sum as its first source operand, whose NaN
-// x86 returns when both operands are NaN. Partial blocks go through masks
+// The AVX2 kernels behind the forward pass (Dense.affine and the row lists of
+// Dense.activate), Dense.propagate, Dense.accumulate, the ReLU clamp, Adam's
+// step, the scaler and Argmax (kernel.go says when they run; DESIGN.md §10
+// has the contract). Each YMM lane carries one output of the Go loop and
+// runs that loop's IEEE sequence: a VMULPD, then a VADDPD, never an FMA
+// (which rounds once where the Go loop rounds twice), every sum in its Go
+// order. Every add into a sum takes the sum as its first source operand,
+// whose NaN x86 returns when both operands are NaN. Partial blocks go through masks
 // from laneMask, so no kernel reads or writes outside its slices.
 
 // laneMask is sixteen all-ones quadwords, then sixteen zero ones. Four YMM
@@ -64,22 +65,33 @@ GLOBL laneMask<>(SB), RODATA|NOPTR, $256
 	VMULPD off(R10), xr, tmp; \
 	VADDPD tmp, acc, acc
 
-// func affineT(wt, b, x, z []float64)
+// NEXTROW takes the next entry i of the row list at R11: x[i] broadcast into
+// xr, and R10 at row i of wt in the current block of outputs.
+#define NEXTROW(xr) \
+	MOVQ         (R11), R10;      \
+	VBROADCASTSD (DI)(R10*8), xr; \
+	IMULQ        R9, R10;         \
+	ADDQ         SI, R10
+
+// func affineT(wt, b, x, z []float64, rows []int)
 //
-// z[o] = b[o] + wt[0·s+o]·x[0] + wt[1·s+o]·x[1] + … for every o, where the
-// row stride s is len(z) rounded up to 16. Each output is one chain of adds,
-// so outputs go 48 at a time in twelve accumulators of four lanes while 48
-// are left, then 32 at a time in eight, the second 16 through masks where
-// fewer are left, then 16 at a time in four: the more chains in flight, the
-// less the adds wait on each other. A masked block loads b and stores z
-// through masks and reads the zero padding of wt in its dead lanes.
-TEXT ·affineT(SB), NOSPLIT, $0-96
+// z[o] = b[o] + wt[i₀·s+o]·x[i₀] + wt[i₁·s+o]·x[i₁] + … for every o, over the
+// inputs i₀ < i₁ < … that rows lists, where the row stride s is len(z)
+// rounded up to 16. Each output is one chain of adds, so outputs go 48 at a
+// time in twelve accumulators of four lanes while 48 are left, then 32 at a
+// time in eight, the second 16 through masks where fewer are left, then 16
+// at a time in four: the more chains in flight, the less the adds wait on
+// each other. A masked block loads b and stores z
+// through masks and reads the zero padding of wt in its dead lanes. An input
+// left off rows costs nothing: no broadcast, no loads of its row of wt.
+TEXT ·affineT(SB), NOSPLIT, $0-120
 	MOVQ wt_base+0(FP), SI
 	MOVQ b_base+24(FP), BX
 	MOVQ x_base+48(FP), DI
-	MOVQ x_len+56(FP), CX
 	MOVQ z_base+72(FP), DX
 	MOVQ z_len+80(FP), R8
+	MOVQ rows_base+96(FP), R14
+	MOVQ rows_len+104(FP), CX
 	LEAQ 15(R8), R9
 	ANDQ $-16, R9
 	SHLQ $3, R9              // bytes per row of wt
@@ -99,14 +111,13 @@ ftriple:
 	VMOVUPD 288(BX), Y9
 	VMOVUPD 320(BX), Y10
 	VMOVUPD 352(BX), Y11
-	MOVQ    SI, R10
-	MOVQ    DI, R11
+	MOVQ    R14, R11
 	MOVQ    CX, R12
 	TESTQ   R12, R12
 	JEQ     ftstore
 
 ftloop:
-	VBROADCASTSD (R11), Y12
+	NEXTROW(Y12)
 	AFFINE(0, Y12, Y13, Y0)
 	AFFINE(32, Y12, Y14, Y1)
 	AFFINE(64, Y12, Y15, Y2)
@@ -119,7 +130,6 @@ ftloop:
 	AFFINE(288, Y12, Y13, Y9)
 	AFFINE(320, Y12, Y14, Y10)
 	AFFINE(352, Y12, Y15, Y11)
-	ADDQ         R9, R10
 	ADDQ         $8, R11
 	DECQ         R12
 	JNE          ftloop
@@ -164,14 +174,13 @@ fdmask:
 	VMASKMOVPD 160(BX), Y13, Y5
 	VMASKMOVPD 192(BX), Y14, Y6
 	VMASKMOVPD 224(BX), Y15, Y7
-	MOVQ       SI, R10
-	MOVQ       DI, R11
+	MOVQ       R14, R11
 	MOVQ       CX, R12
 	TESTQ      R12, R12
 	JEQ        fdstore
 
 fdloop:
-	VBROADCASTSD (R11), Y8
+	NEXTROW(Y8)
 	AFFINE(0, Y8, Y9, Y0)
 	AFFINE(32, Y8, Y10, Y1)
 	AFFINE(64, Y8, Y11, Y2)
@@ -180,7 +189,6 @@ fdloop:
 	AFFINE(160, Y8, Y11, Y5)
 	AFFINE(192, Y8, Y9, Y6)
 	AFFINE(224, Y8, Y10, Y7)
-	ADDQ         R9, R10
 	ADDQ         $8, R11
 	DECQ         R12
 	JNE          fdloop
@@ -222,14 +230,13 @@ fpartial:
 	VMASKMOVPD 96(BX), Y15, Y3
 
 fcols:
-	MOVQ  SI, R10
-	MOVQ  DI, R11
+	MOVQ  R14, R11
 	MOVQ  CX, R12
 	TESTQ R12, R12
 	JEQ   fstore
 
 floop:
-	VBROADCASTSD (R11), Y4
+	NEXTROW(Y4)
 	VMULPD       0(R10), Y4, Y5
 	VMULPD       32(R10), Y4, Y6
 	VMULPD       64(R10), Y4, Y7
@@ -238,7 +245,6 @@ floop:
 	VADDPD       Y6, Y1, Y1
 	VADDPD       Y7, Y2, Y2
 	VADDPD       Y8, Y3, Y3
-	ADDQ         R9, R10
 	ADDQ         $8, R11
 	DECQ         R12
 	JNE          floop
@@ -788,18 +794,20 @@ bmsample:
 	VZEROUPPER
 	RET
 
-// func transposeAVX2(w, wt []float64, in, stride int)
+// func transposeAVX2(w, wt []float64, in, stride int) (sum float64)
 //
 // wt[i·stride+o] = w[o·in+i] for o < len(w)/in and i < in, both rounded
 // down to multiples of four: blocks of four rows by four inputs, each loaded
 // as four rows, transposed in registers and stored as four rows of wt. The
-// caller copies the rest.
-TEXT ·transposeAVX2(SB), NOSPLIT, $0-64
+// caller copies the rest. It returns the sum of x−x over the weights it
+// moved: +0 when every one is finite, NaN when one is ±Inf or NaN.
+TEXT ·transposeAVX2(SB), NOSPLIT, $0-72
 	MOVQ w_base+0(FP), SI
 	MOVQ w_len+8(FP), AX
 	MOVQ wt_base+24(FP), DI
 	MOVQ in+48(FP), R8
 	MOVQ stride+56(FP), R9
+	VXORPD Y8, Y8, Y8
 	XORQ DX, DX
 	DIVQ R8                  // AX = rows
 	SHRQ $2, AX              // blocks of four rows
@@ -824,6 +832,14 @@ tcols:
 	VMOVUPD     (BX)(R8*1), Y1
 	VMOVUPD     (BX)(R8*2), Y2
 	VMOVUPD     (BX)(R11*1), Y3
+	VSUBPD      Y0, Y0, Y9
+	VADDPD      Y9, Y8, Y8
+	VSUBPD      Y1, Y1, Y9
+	VADDPD      Y9, Y8, Y8
+	VSUBPD      Y2, Y2, Y9
+	VADDPD      Y9, Y8, Y8
+	VSUBPD      Y3, Y3, Y9
+	VADDPD      Y9, Y8, Y8
 	VUNPCKLPD   Y1, Y0, Y4
 	VUNPCKHPD   Y1, Y0, Y5
 	VUNPCKLPD   Y3, Y2, Y6
@@ -846,6 +862,11 @@ tcols:
 	JMP         trows
 
 tdone:
+	VEXTRACTF128 $1, Y8, X9
+	VADDPD       X9, X8, X8
+	VUNPCKHPD    X8, X8, X9
+	VADDSD       X9, X8, X8
+	VMOVSD       X8, sum+64(FP)
 	VZEROUPPER
 	RET
 
@@ -992,5 +1013,250 @@ dtail:
 	VMASKMOVPD Y0, Y2, (DI)
 
 ddone:
+	VZEROUPPER
+	RET
+
+// rowLanes is, for each 4-bit mask m, the lanes whose bit m sets, ascending,
+// as four int64s (the unused ones 0): liveRowsAVX2 adds a block's first
+// index to the entry of the block's mask and stores all four.
+DATA rowLanes<>+0x000(SB)/8, $0
+DATA rowLanes<>+0x008(SB)/8, $0
+DATA rowLanes<>+0x010(SB)/8, $0
+DATA rowLanes<>+0x018(SB)/8, $0
+DATA rowLanes<>+0x020(SB)/8, $0
+DATA rowLanes<>+0x028(SB)/8, $0
+DATA rowLanes<>+0x030(SB)/8, $0
+DATA rowLanes<>+0x038(SB)/8, $0
+DATA rowLanes<>+0x040(SB)/8, $1
+DATA rowLanes<>+0x048(SB)/8, $0
+DATA rowLanes<>+0x050(SB)/8, $0
+DATA rowLanes<>+0x058(SB)/8, $0
+DATA rowLanes<>+0x060(SB)/8, $0
+DATA rowLanes<>+0x068(SB)/8, $1
+DATA rowLanes<>+0x070(SB)/8, $0
+DATA rowLanes<>+0x078(SB)/8, $0
+DATA rowLanes<>+0x080(SB)/8, $2
+DATA rowLanes<>+0x088(SB)/8, $0
+DATA rowLanes<>+0x090(SB)/8, $0
+DATA rowLanes<>+0x098(SB)/8, $0
+DATA rowLanes<>+0x0a0(SB)/8, $0
+DATA rowLanes<>+0x0a8(SB)/8, $2
+DATA rowLanes<>+0x0b0(SB)/8, $0
+DATA rowLanes<>+0x0b8(SB)/8, $0
+DATA rowLanes<>+0x0c0(SB)/8, $1
+DATA rowLanes<>+0x0c8(SB)/8, $2
+DATA rowLanes<>+0x0d0(SB)/8, $0
+DATA rowLanes<>+0x0d8(SB)/8, $0
+DATA rowLanes<>+0x0e0(SB)/8, $0
+DATA rowLanes<>+0x0e8(SB)/8, $1
+DATA rowLanes<>+0x0f0(SB)/8, $2
+DATA rowLanes<>+0x0f8(SB)/8, $0
+DATA rowLanes<>+0x100(SB)/8, $3
+DATA rowLanes<>+0x108(SB)/8, $0
+DATA rowLanes<>+0x110(SB)/8, $0
+DATA rowLanes<>+0x118(SB)/8, $0
+DATA rowLanes<>+0x120(SB)/8, $0
+DATA rowLanes<>+0x128(SB)/8, $3
+DATA rowLanes<>+0x130(SB)/8, $0
+DATA rowLanes<>+0x138(SB)/8, $0
+DATA rowLanes<>+0x140(SB)/8, $1
+DATA rowLanes<>+0x148(SB)/8, $3
+DATA rowLanes<>+0x150(SB)/8, $0
+DATA rowLanes<>+0x158(SB)/8, $0
+DATA rowLanes<>+0x160(SB)/8, $0
+DATA rowLanes<>+0x168(SB)/8, $1
+DATA rowLanes<>+0x170(SB)/8, $3
+DATA rowLanes<>+0x178(SB)/8, $0
+DATA rowLanes<>+0x180(SB)/8, $2
+DATA rowLanes<>+0x188(SB)/8, $3
+DATA rowLanes<>+0x190(SB)/8, $0
+DATA rowLanes<>+0x198(SB)/8, $0
+DATA rowLanes<>+0x1a0(SB)/8, $0
+DATA rowLanes<>+0x1a8(SB)/8, $2
+DATA rowLanes<>+0x1b0(SB)/8, $3
+DATA rowLanes<>+0x1b8(SB)/8, $0
+DATA rowLanes<>+0x1c0(SB)/8, $1
+DATA rowLanes<>+0x1c8(SB)/8, $2
+DATA rowLanes<>+0x1d0(SB)/8, $3
+DATA rowLanes<>+0x1d8(SB)/8, $0
+DATA rowLanes<>+0x1e0(SB)/8, $0
+DATA rowLanes<>+0x1e8(SB)/8, $1
+DATA rowLanes<>+0x1f0(SB)/8, $2
+DATA rowLanes<>+0x1f8(SB)/8, $3
+GLOBL rowLanes<>(SB), RODATA|NOPTR, $512
+
+// LISTBLOCK appends to the row list at DI, n in DX, the indices of the
+// block of four in Y0, whose first index is AX, that are not ±0 (an
+// unordered-or-not-equal compare with +0 in Y15: NaN is kept), or all four
+// where R9 is 15: the entry of rowLanes for the block's mask plus AX, stored
+// as four, and n plus the mask's count. No branch on the data. It clobbers
+// BX, R10, Y1 and Y2.
+#define LISTBLOCK \
+	VCMPPD       $4, Y15, Y0, Y2; \
+	VMOVMSKPD    Y2, BX;          \
+	ORQ          R9, BX;          \
+	VMOVQ        AX, X1;          \
+	VPBROADCASTQ X1, Y1;          \
+	MOVQ         BX, R10;         \
+	SHLQ         $5, R10;         \
+	VPADDQ       (R8)(R10*1), Y1, Y1; \
+	VMOVDQU      Y1, (DI)(DX*8);  \
+	POPCNTQ      BX, BX;          \
+	ADDQ         BX, DX
+
+// func clampRowsAVX2(v []float64, rows []int, keep int) (n int)
+//
+// The ReLU clamp and the next layer's row list in one pass over the blocks
+// of four below len(v) &^ 3: each block is clamped (v[i] = +0 wherever
+// v[i] < 0, as clampAVX2 does), stored, and listed: rows gets, ascending,
+// the indices of the entries now other than ±0, or of every entry where
+// keep is 15. It returns how many it wrote. Each store writes four entries
+// from rows[n] on, which the next block overwrites; n is at most the
+// block's first index, so it stays inside len(v).
+TEXT ·clampRowsAVX2(SB), NOSPLIT, $0-64
+	MOVQ   v_base+0(FP), SI
+	MOVQ   v_len+8(FP), CX
+	MOVQ   rows_base+24(FP), DI
+	MOVQ   keep+48(FP), R9
+	LEAQ   rowLanes<>(SB), R8
+	VXORPD Y15, Y15, Y15
+	XORQ   AX, AX            // the block's first index
+	XORQ   DX, DX            // rows written
+
+crloop:
+	LEAQ    4(AX), BX
+	CMPQ    BX, CX
+	JGT     crdone
+	VMOVUPD (SI)(AX*8), Y0
+	VCMPPD  $0x11, Y15, Y0, Y1
+	VANDNPD Y0, Y1, Y0
+	VMOVUPD Y0, (SI)(AX*8)
+	LISTBLOCK
+	ADDQ    $4, AX
+	JMP     crloop
+
+crdone:
+	MOVQ DX, n+56(FP)
+	VZEROUPPER
+	RET
+
+// func standardizeAVX2(v, mean, std []float64)
+//
+// v[i] = (v[i] − mean[i]) / std[i], four at a time; the last len(v) % 4
+// through a mask.
+TEXT ·standardizeAVX2(SB), NOSPLIT, $0-72
+	MOVQ v_base+0(FP), DI
+	MOVQ v_len+8(FP), CX
+	MOVQ mean_base+24(FP), SI
+	MOVQ std_base+48(FP), DX
+
+sloop:
+	CMPQ    CX, $4
+	JLT     stail
+	VMOVUPD (DI), Y0
+	VSUBPD  (SI), Y0, Y0
+	VDIVPD  (DX), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	SUBQ    $4, CX
+	JMP     sloop
+
+stail:
+	TESTQ      CX, CX
+	JEQ        sdone
+	LEAQ       laneMask<>+128(SB), AX
+	NEGQ       CX
+	VMOVUPD    (AX)(CX*8), Y2
+	VMASKMOVPD (DI), Y2, Y0
+	VMASKMOVPD (SI), Y2, Y1
+	VSUBPD     Y1, Y0, Y0
+	VMASKMOVPD (DX), Y2, Y1
+	VDIVPD     Y1, Y0, Y0
+	VMASKMOVPD Y0, Y2, (DI)
+
+sdone:
+	VZEROUPPER
+	RET
+
+// func argmaxAVX2(v []float64) (i int, ordered bool)
+//
+// i is the first index of v's maximum, and ordered is false when v holds a
+// NaN (i then means nothing). The maximum comes four lanes a compare in two
+// chains of VMAXPD, the last block the last four elements, overlapping the
+// one before; then a scan from the start compares each block with it and
+// stops at the first that holds it. +0 and −0 compare equal there, so
+// either may stand for a zero maximum. len(v) is at least 4.
+TEXT ·argmaxAVX2(SB), NOSPLIT, $0-33
+	MOVQ    v_base+0(FP), DI
+	MOVQ    v_len+8(FP), CX
+	LEAQ    -32(DI)(CX*8), SI // the last four
+	MOVQ    DI, DX
+	VMOVUPD (SI), Y0
+	VMOVAPD Y0, Y3
+	VCMPPD  $3, Y0, Y0, Y1    // unordered: NaN
+	VMOVAPD Y1, Y4
+
+apair:
+	LEAQ    32(DX), AX
+	CMPQ    AX, SI
+	JGE     aone
+	VMOVUPD (DX), Y2
+	VMOVUPD 32(DX), Y5
+	VMAXPD  Y2, Y0, Y0
+	VMAXPD  Y5, Y3, Y3
+	VCMPPD  $3, Y2, Y2, Y2
+	VCMPPD  $3, Y5, Y5, Y5
+	VORPD   Y2, Y1, Y1
+	VORPD   Y5, Y4, Y4
+	ADDQ    $64, DX
+	JMP     apair
+
+aone:
+	CMPQ    DX, SI
+	JGE     areduce
+	VMOVUPD (DX), Y2
+	VMAXPD  Y2, Y0, Y0
+	VCMPPD  $3, Y2, Y2, Y2
+	VORPD   Y2, Y1, Y1
+
+areduce:
+	VMAXPD       Y3, Y0, Y0
+	VORPD        Y4, Y1, Y1
+	VMOVMSKPD    Y1, AX
+	TESTQ        AX, AX
+	SETEQ        ordered+32(FP)
+	JNE          adone
+	VEXTRACTF128 $1, Y0, X2
+	VMAXPD       X2, X0, X0
+	VUNPCKHPD    X0, X0, X2
+	VMAXSD       X2, X0, X0
+	VBROADCASTSD X0, Y0
+	MOVQ         DI, DX
+
+ascan:
+	CMPQ      DX, SI
+	JGE       alast
+	VCMPPD    $0, (DX), Y0, Y2
+	VMOVMSKPD Y2, AX
+	TESTQ     AX, AX
+	JNE       afound
+	ADDQ      $32, DX
+	JMP       ascan
+
+alast:
+	MOVQ      SI, DX
+	VCMPPD    $0, (DX), Y0, Y2
+	VMOVMSKPD Y2, AX
+
+afound:
+	BSFQ AX, AX
+	SUBQ DI, DX
+	SHRQ $3, DX
+	ADDQ DX, AX
+	MOVQ AX, i+24(FP)
+
+adone:
 	VZEROUPPER
 	RET

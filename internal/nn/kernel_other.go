@@ -6,7 +6,11 @@ package nn
 // kernels below are never called.
 const hasAVX2 = false
 
-func affineT(wt, b, x, z []float64) { panic("nn: no SIMD kernels on this architecture") }
+func affineT(wt, b, x, z []float64, rows []int) { panic("nn: no SIMD kernels on this architecture") }
+
+func clampRowsAVX2(v []float64, rows []int, keep int) (n int) {
+	panic("nn: no SIMD kernels on this architecture")
+}
 
 func inputGradAVX2(w, delta, dIn []float64, rows []int) {
 	panic("nn: no SIMD kernels on this architecture")
@@ -28,6 +32,12 @@ func clampAVX2(v []float64) { panic("nn: no SIMD kernels on this architecture") 
 
 func divAVX2(v []float64, d float64) { panic("nn: no SIMD kernels on this architecture") }
 
-func transposeAVX2(w, wt []float64, in, stride int) {
+func standardizeAVX2(v, mean, std []float64) { panic("nn: no SIMD kernels on this architecture") }
+
+func transposeAVX2(w, wt []float64, in, stride int) (sum float64) {
+	panic("nn: no SIMD kernels on this architecture")
+}
+
+func argmaxAVX2(v []float64) (i int, ordered bool) {
 	panic("nn: no SIMD kernels on this architecture")
 }

@@ -43,21 +43,21 @@ func eachKernel(f func(path string)) {
 	}
 }
 
-// checkNetMatchesRef requires Forward and Infer to return, bit for bit, what
-// the row-major refLayer chain does on x: the transposed weights the AVX2
-// forward reads must be W's current value.
+// checkNetMatchesRef requires the dense forward chain and Infer to return,
+// bit for bit, what the row-major refLayer chain does on x: the transposed
+// weights the AVX2 forward reads must be W's current value.
 func checkNetMatchesRef(t *testing.T, what string, net *Network, x []float64) {
 	t.Helper()
 	want := x
 	for _, l := range net.Layers {
 		want = refLayer(l, want)
 	}
-	fwd := append([]float64(nil), net.Forward(x)...)
+	fwd := append([]float64(nil), newPass(net).Forward(x)...)
 	inf := net.Infer(x, net.NewArena())
 	for o, w := range want {
 		wb, fb, ib := math.Float64bits(w), math.Float64bits(fwd[o]), math.Float64bits(inf[o])
 		if fb != wb || ib != wb {
-			t.Fatalf("%s: output %d: reference %x, Forward %x, Infer %x", what, o, wb, fb, ib)
+			t.Fatalf("%s: output %d: reference %x, forward %x, Infer %x", what, o, wb, fb, ib)
 		}
 	}
 }
@@ -113,17 +113,17 @@ func TestTransposedWeightsCurrent(t *testing.T) {
 	}
 }
 
-// TestInputWidthMustMatch: Forward and Infer read exactly In inputs, so a
+// TestInputWidthMustMatch: the forward pass reads exactly In inputs, so a
 // shorter or longer x panics on either path instead of dropping columns or
 // reading the last sample's tail.
 func TestInputWidthMustMatch(t *testing.T) {
 	onEachKernel(t, func(t *testing.T) {
 		net := NewMLP(5, []int{8}, 3, 1)
-		arena := net.NewArena()
+		arena, p := net.NewArena(), newPass(net)
 		for _, n := range []int{0, 4, 6, 9} {
 			x := make([]float64, n)
 			for name, run := range map[string]func(){
-				"Forward": func() { net.Forward(x) },
+				"forward": func() { p.Forward(x) },
 				"Infer":   func() { net.Infer(x, arena) },
 			} {
 				func() {
@@ -157,16 +157,20 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// FuzzForwardEquivalence holds Forward and Infer to refLayer (sameFloat) on
-// every path this CPU has, for layers 1–70 wide in and out (every 4-lane
-// tail and 16-lane block boundary of the AVX2 kernel) and inputs and biases
-// drawn partly from specialFloats.
+// FuzzForwardEquivalence holds the dense forward chain, Infer and the
+// upper-layer forward (over the non-zero inputs, where the guard allows) to
+// refLayer (sameFloat) on every path this CPU has, for layers 1–70 wide in
+// and out (every 4-lane tail and 16-lane block boundary of the AVX2 kernel),
+// inputs and biases drawn partly from specialFloats and partly exact zeros,
+// and weights now and then ±Inf or NaN.
 func FuzzForwardEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(15), uint8(48), uint8(0), false)
-	f.Add(int64(2), uint8(48), uint8(61), uint8(30), true)
-	f.Add(int64(3), uint8(70), uint8(1), uint8(100), true)
-	f.Add(int64(4), uint8(1), uint8(17), uint8(60), false)
-	f.Fuzz(func(t *testing.T, seed int64, inSel, outSel, specialPct uint8, relu bool) {
+	f.Add(int64(1), uint8(15), uint8(48), uint8(0), uint8(0), false)
+	f.Add(int64(2), uint8(48), uint8(61), uint8(30), uint8(50), true)
+	f.Add(int64(3), uint8(70), uint8(1), uint8(100), uint8(0), true)
+	f.Add(int64(4), uint8(1), uint8(17), uint8(60), uint8(90), false)
+	f.Add(int64(5), uint8(48), uint8(48), uint8(0), uint8(55), true)  // hidden zeros, guard on
+	f.Add(int64(6), uint8(33), uint8(20), uint8(12), uint8(60), true) // −0 biases and non-finite weights
+	f.Fuzz(func(t *testing.T, seed int64, inSel, outSel, specialPct, zeroPct uint8, relu bool) {
 		in, out := 1+int(inSel)%70, 1+int(outSel)%70
 		rng := rand.New(rand.NewSource(seed))
 		act := Identity
@@ -174,17 +178,27 @@ func FuzzForwardEquivalence(f *testing.F) {
 			act = ReLU
 		}
 		d := NewDense(in, out, act, rng)
+		special := func(pct int) bool { return rng.Intn(100) < pct%101 }
 		draw := func() float64 {
-			if rng.Intn(100) < int(specialPct%101) {
+			switch {
+			case special(int(specialPct)):
 				return specialFloats[rng.Intn(len(specialFloats))]
+			case special(int(zeroPct)):
+				return []float64{0, math.Copysign(0, -1)}[rng.Intn(2)]
 			}
 			return rng.NormFloat64() * 2
 		}
 		for o := range d.B {
 			d.B[o] = draw()
 		}
+		for i := range d.W {
+			if special(int(specialPct) / 8) {
+				d.W[i] = specialFloats[rng.Intn(len(specialFloats))]
+			}
+		}
+		d.transposeW()
 		net := &Network{Layers: []*Dense{d}}
-		arena := net.NewArena()
+		arena, p := net.NewArena(), newPass(net)
 		x := make([]float64, in)
 		for n := 0; n < 4; n++ {
 			for i := range x {
@@ -192,12 +206,13 @@ func FuzzForwardEquivalence(f *testing.F) {
 			}
 			want := refLayer(d, x)
 			eachKernel(func(path string) {
-				fwd := d.Forward(x)
+				fwd := p.Forward(x)
 				inf := net.Infer(x, arena)
+				up := upper(d, x)
 				for o, w := range want {
-					if !sameFloat(fwd[o], w) || !sameFloat(inf[o], w) {
-						t.Fatalf("%s in=%d out=%d act=%d row %d: reference %x, Forward %x, Infer %x", path, in, out, act, o,
-							math.Float64bits(w), math.Float64bits(fwd[o]), math.Float64bits(inf[o]))
+					if !sameFloat(fwd[o], w) || !sameFloat(inf[o], w) || !sameFloat(up[o], w) {
+						t.Fatalf("%s in=%d out=%d act=%d row %d: reference %x, forward %x, Infer %x, upper layer %x", path, in, out, act, o,
+							math.Float64bits(w), math.Float64bits(fwd[o]), math.Float64bits(inf[o]), math.Float64bits(up[o]))
 					}
 				}
 			})
@@ -296,6 +311,85 @@ func TestSoftmaxKernelsMatchGo(t *testing.T) {
 		}
 		if j := firstDiff(outs[1], outs[0]); j >= 0 {
 			t.Fatalf("softmax of %d logits, output %d: AVX2 %x, Go %x", len(logits), j, math.Float64bits(outs[1][j]), math.Float64bits(outs[0][j]))
+		}
+	}
+}
+
+// TestArgmaxMatchesScalar holds Argmax to argmaxLoop on both paths, at
+// lengths 1–70 around the kernel's four lanes and its overlapping last
+// block: random logits, ties (the first must win), +0 against −0 in either
+// order as the maximum, and NaN first, in the middle or last.
+func TestArgmaxMatchesScalar(t *testing.T) {
+	onEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(9))
+		for trial := 0; trial < 20000; trial++ {
+			v := make([]float64, 1+trial%70)
+			for i := range v {
+				v[i] = rng.NormFloat64()
+			}
+			switch trial % 6 {
+			case 1: // ties at the maximum
+				m := 5.0
+				for k := 0; k < 1+rng.Intn(3); k++ {
+					v[rng.Intn(len(v))] = m
+				}
+			case 2: // signed zeros as the maximum
+				for i := range v {
+					v[i] = -math.Abs(v[i]) - 1
+				}
+				for k := 0; k < 1+rng.Intn(3); k++ {
+					v[rng.Intn(len(v))] = []float64{0, math.Copysign(0, -1)}[rng.Intn(2)]
+				}
+			case 3:
+				v[0] = math.NaN()
+			case 4:
+				v[rng.Intn(len(v))] = math.NaN()
+			case 5:
+				v[len(v)-1] = math.NaN()
+			}
+			if got, want := Argmax(v), argmaxLoop(v); got != want {
+				t.Fatalf("Argmax(%v) = %d, the loop %d", v, got, want)
+			}
+		}
+	})
+}
+
+// TestScalerKernelsMatchLoop holds TransformInto on the AVX2 path (gathered
+// simd.Log1p, standardizeAVX2) to the loop, bit for bit, at widths 1–40 (over
+// the 16-column gather and every four-lane tail), with random log columns,
+// inputs negative, zero, small and large (both of Log1p's paths and blocks it
+// leaves to math.Log1p), and a scaler narrower than the input.
+func TestScalerKernelsMatchLoop(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip(noAVX2)
+	}
+	defer SetSIMD(SetSIMD(true))
+	rng := rand.New(rand.NewSource(14))
+	values := []float64{-3, math.Copysign(0, -1), 0, 1e-12, 0.1, 0.4142135623730951, 1, 3, 7, 1e9, math.Inf(1), math.NaN()}
+	for trial := 0; trial < 4000; trial++ {
+		dim := 1 + trial%40
+		s := &Scaler{LogCols: make([]bool, dim), Mean: make([]float64, dim), Std: make([]float64, dim)}
+		for j := range s.Mean {
+			s.LogCols[j] = rng.Intn(2) == 0
+			s.Mean[j] = rng.NormFloat64()
+			s.Std[j] = 0.1 + rng.Float64()
+		}
+		if trial%5 == 0 {
+			w := rng.Intn(dim + 1)
+			s.LogCols, s.Mean, s.Std = s.LogCols[:min(w+1, dim)], s.Mean[:w], s.Std[:w]
+		}
+		x := make([]float64, dim)
+		for j := range x {
+			x[j] = rng.ExpFloat64() * 50
+			if rng.Intn(4) == 0 {
+				x[j] = values[rng.Intn(len(values))]
+			}
+		}
+		want, got := make([]float64, dim), make([]float64, dim)
+		s.transformLoop(x, want)
+		s.TransformInto(x, got)
+		if j := firstDiff(got, want); j >= 0 {
+			t.Fatalf("dim %d column %d (log %v) of %v: AVX2 %x, loop %x", dim, j, s.logCol(j), x[j], math.Float64bits(got[j]), math.Float64bits(want[j]))
 		}
 	}
 }

@@ -33,34 +33,25 @@ type Dense struct {
 	B       []float64 // len Out
 	Act     Activation
 
-	// Scratch buffers reused across forward/backward passes.
-	z     []float64 // pre-activation
-	out   []float64 // post-activation
-	in    []float64 // copy of input (needed by backward)
+	// gradW and gradB are the gradient sums Trainer.Fit steps W and B by.
 	gradW []float64
 	gradB []float64
-	delta []float64 // masked output gradient (len Out)
-	dIn   []float64
-	cols  []int // input indices propagate visits (len In)
-	rows  []int // live units propagate visits (len Out)
 
 	// wt is W input-major for the AVX2 forward kernel, In rows of
 	// tStride(Out); nil where the CPU has no AVX2. Code that writes W calls
-	// transposeW after it (kernel.go).
-	wt []float64
+	// transposeW after it (kernel.go), which also sets sparse: whether the
+	// kernel may skip the layer's ±0 inputs and keep the dense sum's bits.
+	wt     []float64
+	sparse bool
 }
 
 // newLayer wraps weights w (out×in, row-major) and biases b in a layer with
-// all of its training scratch. NewDense and Load both build layers here, so a
-// loaded network trains exactly like the one that was saved.
+// its gradient sums. NewDense and Load both build layers here, so a loaded
+// network trains exactly like the one that was saved.
 func newLayer(in, out int, act Activation, w, b []float64) *Dense {
 	d := &Dense{
 		In: in, Out: out, Act: act, W: w, B: b,
-		z: make([]float64, out), out: make([]float64, out),
-		in:    make([]float64, in),
 		gradW: make([]float64, out*in), gradB: make([]float64, out),
-		delta: make([]float64, out), dIn: make([]float64, in),
-		cols: make([]int, in), rows: make([]int, out),
 	}
 	if hasAVX2 {
 		d.wt = make([]float64, in*tStride(out))
@@ -80,23 +71,9 @@ func NewDense(in, out int, act Activation, rng *rand.Rand) *Dense {
 	return newLayer(in, out, act, w, make([]float64, out))
 }
 
-// Forward computes the layer output for input x, retaining the buffers
-// needed by a subsequent backward pass (the tests' per-sample
-// Network.Backward). The returned slice is owned by the layer and valid
-// until the next Forward.
-func (d *Dense) Forward(x []float64) []float64 {
-	d.affine(x, d.z)
-	copy(d.in, x)
-	copy(d.out, d.z)
-	if d.Act == ReLU {
-		clampNegative(d.out)
-	}
-	return d.out
-}
-
 // affineRows writes z[o] = b[o] + Σ_i w[o·in+i]·x[i] for every row o of the
-// row-major matrix w: the Go multiply-accumulate under Forward and Infer
-// where the AVX2 kernel does not run (kernel.go). A single output is one
+// row-major matrix w: the Go multiply-accumulate of the forward pass where
+// the AVX2 kernel does not run (kernel.go). A single output is one
 // chain of dependent adds, so a row at a time runs at floating-point add
 // latency; four rows per pass keep four
 // independent chains in flight over one read of x, with a row-at-a-time tail
@@ -358,16 +335,6 @@ func NewMLP(in int, hidden []int, out int, seed int64) *Network {
 	return &Network{Layers: layers}
 }
 
-// Forward runs the network on x; the returned slice is owned by the last
-// layer and valid until the next Forward.
-func (n *Network) Forward(x []float64) []float64 {
-	cur := x
-	for _, l := range n.Layers {
-		cur = l.Forward(cur)
-	}
-	return cur
-}
-
 // inputGrad is what layer i's propagate must compute of its input gradient:
 // the part the layer below it reads.
 func (n *Network) inputGrad(i int) inputGrad {
@@ -439,8 +406,26 @@ func Softmax(logits, out []float64) {
 	}
 }
 
-// Argmax returns the index of the largest element.
+// Argmax returns the index of the largest element: the first one, where
+// several compare equal (+0 and −0 do). That is the index the loop that
+// takes i wherever v[i] > v[best] returns (argmaxLoop), the Go path; its
+// branch mispredicts wherever the running maximum moves. Where the AVX2
+// kernels run, Argmax reduces to the maximum four lanes at a time and
+// returns the first element equal to it (argmaxAVX2). A NaN compares
+// greater than nothing and less than nothing, so the order of the elements
+// decides which one the loop keeps: a slice holding one goes to the loop.
 func Argmax(v []float64) int {
+	if !useAVX2 || len(v) < 4 {
+		return argmaxLoop(v)
+	}
+	if i, ordered := argmaxAVX2(v); ordered {
+		return i
+	}
+	return argmaxLoop(v)
+}
+
+// argmaxLoop is Argmax as one compare per element against the best so far.
+func argmaxLoop(v []float64) int {
 	best := 0
 	for i, x := range v[1:] {
 		if x > v[best] {

@@ -15,7 +15,7 @@ func TestDenseForwardKnownWeights(t *testing.T) {
 	copy(d.W, []float64{1, 2, 3, 4})
 	copy(d.B, []float64{0.5, -0.5})
 	d.transposeW()
-	out := d.Forward([]float64{1, 1})
+	out := forward(d, []float64{1, 1})
 	if math.Abs(out[0]-3.5) > 1e-12 || math.Abs(out[1]-6.5) > 1e-12 {
 		t.Errorf("out = %v, want [3.5 6.5]", out)
 	}
@@ -26,10 +26,10 @@ func TestReLUClampsNegative(t *testing.T) {
 	d.W[0] = -1
 	d.B[0] = 0
 	d.transposeW()
-	if out := d.Forward([]float64{5}); out[0] != 0 {
+	if out := forward(d, []float64{5}); out[0] != 0 {
 		t.Errorf("relu(-5) = %v", out[0])
 	}
-	if out := d.Forward([]float64{-5}); out[0] != 5 {
+	if out := forward(d, []float64{-5}); out[0] != 5 {
 		t.Errorf("relu(5) = %v", out[0])
 	}
 }
@@ -41,11 +41,12 @@ func TestGradientCheck(t *testing.T) {
 	x := []float64{0.3, -0.7, 1.2}
 	target := 1.0
 	dOut := make([]float64, 2)
+	p := newPass(net)
 
 	net.ZeroGrad()
-	out := net.Forward(x)
+	out := p.Forward(x)
 	loss.LossAndGrad(out, target, dOut)
-	net.Backward(dOut)
+	p.Backward(dOut)
 
 	const eps = 1e-6
 	for li, l := range net.Layers {
@@ -53,10 +54,10 @@ func TestGradientCheck(t *testing.T) {
 			orig := l.W[wi]
 			l.W[wi] = orig + eps
 			l.transposeW()
-			lossPlus := loss.LossAndGrad(net.Forward(x), target, dOut)
+			lossPlus := loss.LossAndGrad(p.Forward(x), target, dOut)
 			l.W[wi] = orig - eps
 			l.transposeW()
-			lossMinus := loss.LossAndGrad(net.Forward(x), target, dOut)
+			lossMinus := loss.LossAndGrad(p.Forward(x), target, dOut)
 			l.W[wi] = orig
 			l.transposeW()
 			numGrad := (lossPlus - lossMinus) / (2 * eps)
@@ -74,10 +75,11 @@ func TestGradientCheckMSE(t *testing.T) {
 	x := []float64{0.5, -1.5}
 	target := 2.0
 	dOut := make([]float64, 1)
+	p := newPass(net)
 
 	net.ZeroGrad()
-	loss.LossAndGrad(net.Forward(x), target, dOut)
-	net.Backward(dOut)
+	loss.LossAndGrad(p.Forward(x), target, dOut)
+	p.Backward(dOut)
 
 	const eps = 1e-6
 	l := net.Layers[0]
@@ -85,10 +87,10 @@ func TestGradientCheckMSE(t *testing.T) {
 		orig := l.W[wi]
 		l.W[wi] = orig + eps
 		l.transposeW()
-		lp := loss.LossAndGrad(net.Forward(x), target, dOut)
+		lp := loss.LossAndGrad(p.Forward(x), target, dOut)
 		l.W[wi] = orig - eps
 		l.transposeW()
-		lm := loss.LossAndGrad(net.Forward(x), target, dOut)
+		lm := loss.LossAndGrad(p.Forward(x), target, dOut)
 		l.W[wi] = orig
 		l.transposeW()
 		num := (lp - lm) / (2 * eps)
@@ -159,8 +161,9 @@ func TestTrainClassifierXOR(t *testing.T) {
 	if _, err := tr.Fit(Xs, Ys); err != nil {
 		t.Fatal(err)
 	}
+	arena := net.NewArena()
 	for i, x := range X {
-		if got := Argmax(net.Forward(x)); got != int(Y[i]) {
+		if got := Argmax(net.Infer(x, arena)); got != int(Y[i]) {
 			t.Errorf("XOR%v = class %d, want %v", x, got, Y[i])
 		}
 	}
@@ -185,8 +188,9 @@ func TestTrainRegressorLine(t *testing.T) {
 		t.Errorf("final MSE = %v too high", loss)
 	}
 	hits := 0
+	arena := net.NewArena()
 	for i, x := range X {
-		if math.Abs(net.Forward(x)[0]-Y[i]) <= 0.25 {
+		if math.Abs(net.Infer(x, arena)[0]-Y[i]) <= 0.25 {
 			hits++
 		}
 	}
@@ -304,8 +308,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{0.1, -0.2, 0.3, 0.9}
-	a := net.Forward(x)
-	b := loaded.Forward(x)
+	a := net.Infer(x, net.NewArena())
+	b := loaded.Infer(x, loaded.NewArena())
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("output %d differs after round trip: %v vs %v", i, a[i], b[i])
@@ -328,10 +332,20 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{1, 2}
-	a, b := net.Forward(x), loaded.Forward(x)
+	a, b := net.Infer(x, net.NewArena()), loaded.Infer(x, loaded.NewArena())
 	if a[0] != b[0] || a[1] != b[1] {
 		t.Error("file round trip mismatch")
 	}
+}
+
+// LoadFile reads a network from a file path.
+func LoadFile(path string) (*Network, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Load(f)
 }
 
 func TestLoadErrors(t *testing.T) {
@@ -543,9 +557,10 @@ func TestWarmStartRetraining(t *testing.T) {
 	}
 	// Distribution shift: slope flips. A short warm-start run must adapt.
 	X2, Y2 := mkSet(-2)
+	arena := net.NewArena()
 	before := 0.0
 	for i := range X2 {
-		d := net.Forward(X2[i])[0] - Y2[i]
+		d := net.Infer(X2[i], arena)[0] - Y2[i]
 		before += d * d
 	}
 	tr2 := &Trainer{Net: net, Loss: MSE{}, Opt: NewAdam(0.01), BatchSize: 16, Epochs: 40, Seed: 8}
@@ -554,7 +569,7 @@ func TestWarmStartRetraining(t *testing.T) {
 	}
 	after := 0.0
 	for i := range X2 {
-		d := net.Forward(X2[i])[0] - Y2[i]
+		d := net.Infer(X2[i], arena)[0] - Y2[i]
 		after += d * d
 	}
 	if after >= before/4 {

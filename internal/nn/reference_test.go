@@ -6,20 +6,71 @@ import (
 	"testing"
 )
 
+// pass is the tests' per-sample forward and backward chain over a network,
+// with the scratch it needs: each layer's pre-activation, output, input copy,
+// masked output gradient, input gradient and row lists. Trainer.Fit keeps
+// the same per slot of a batch; Infer needs none of it.
+type pass struct {
+	net    *Network
+	layers []layerPass
+	dense  []int
+}
+
+type layerPass struct {
+	z, out, in, delta, dIn []float64
+	cols, rows             []int
+}
+
+func newPass(n *Network) *pass {
+	p := &pass{net: n, layers: make([]layerPass, len(n.Layers))}
+	for j, l := range n.Layers {
+		p.dense = denseRows(max(len(p.dense), l.In))
+		p.layers[j] = layerPass{
+			z: make([]float64, l.Out), out: make([]float64, l.Out), in: make([]float64, l.In),
+			delta: make([]float64, l.Out), dIn: make([]float64, l.In),
+			cols: make([]int, l.In), rows: make([]int, l.Out),
+		}
+	}
+	return p
+}
+
+// forward is one layer's pass on x, through a pass of its own.
+func forward(d *Dense, x []float64) []float64 {
+	return newPass(&Network{Layers: []*Dense{d}}).Forward(x)
+}
+
+// Forward runs the network on x, every layer over all of its inputs,
+// retaining what Backward reads. The returned slice is the pass's and valid
+// until its next Forward.
+func (p *pass) Forward(x []float64) []float64 {
+	cur := x
+	for j, l := range p.net.Layers {
+		lp := &p.layers[j]
+		l.affine(l.wt, cur, lp.z, p.dense[:l.In])
+		copy(lp.in, cur)
+		copy(lp.out, lp.z)
+		if l.Act == ReLU {
+			clampNegative(lp.out)
+		}
+		cur = lp.out
+	}
+	return cur
+}
+
 // Backward propagates the output-gradient of the last Forward through all
 // layers, accumulating parameter gradients: the per-sample backward pass,
 // through the kernels Trainer.Fit runs a batch at a time (mask, accumulate,
 // propagate). Each layer computes only the part of its input gradient the
 // layer below reads.
-func (n *Network) Backward(dOut []float64) {
+func (p *pass) Backward(dOut []float64) {
 	cur := dOut
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		l := n.Layers[i]
-		rows := l.mask(l.out, cur, l.delta, l.rows)
-		l.accumulate(l.delta, l.in, l.out, 1, 0, l.Out, finite(l.in), 1)
+	for i := len(p.net.Layers) - 1; i >= 0; i-- {
+		l, lp := p.net.Layers[i], &p.layers[i]
+		rows := l.mask(lp.out, cur, lp.delta, lp.rows)
+		l.accumulate(lp.delta, lp.in, lp.out, 1, 0, l.Out, finite(lp.in), 1)
 		if i > 0 {
-			l.propagate(l.in, l.delta, l.dIn, rows, l.cols, n.inputGrad(i))
-			cur = l.dIn
+			l.propagate(lp.in, lp.delta, lp.dIn, rows, lp.cols, p.net.inputGrad(i))
+			cur = lp.dIn
 		}
 	}
 }
@@ -35,35 +86,35 @@ func (n *Network) ZeroGrad() {
 // refBackward is Dense.Backward as it was before the sparse kernel: every
 // live row, every input, one row at a time. backward must reproduce its
 // gradW and gradB bits, and its dIn wherever the layer below reads it.
-func refBackward(d *Dense, dOut []float64) []float64 {
-	for i := range d.dIn {
-		d.dIn[i] = 0
+func refBackward(d *Dense, lp *layerPass, dOut []float64) []float64 {
+	for i := range lp.dIn {
+		lp.dIn[i] = 0
 	}
 	for o := 0; o < d.Out; o++ {
 		g := dOut[o]
-		if d.Act == ReLU && d.z[o] <= 0 {
+		if d.Act == ReLU && lp.z[o] <= 0 {
 			continue
 		}
 		d.gradB[o] += g
 		row := d.W[o*d.In : (o+1)*d.In]
 		gw := d.gradW[o*d.In : (o+1)*d.In]
 		for i := 0; i < d.In; i++ {
-			gw[i] += g * d.in[i]
-			d.dIn[i] += g * row[i]
+			gw[i] += g * lp.in[i]
+			lp.dIn[i] += g * row[i]
 		}
 	}
-	return d.dIn
+	return lp.dIn
 }
 
-// refNetBackward is Network.Backward over refBackward.
-func refNetBackward(n *Network, dOut []float64) {
+// refNetBackward is pass.Backward over refBackward.
+func refNetBackward(p *pass, dOut []float64) {
 	cur := dOut
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		cur = refBackward(n.Layers[i], cur)
+	for i := len(p.net.Layers) - 1; i >= 0; i-- {
+		cur = refBackward(p.net.Layers[i], &p.layers[i], cur)
 	}
 }
 
-// cloneNet copies the weights into a network with scratch of its own.
+// cloneNet copies the weights into a network of its own.
 func cloneNet(n *Network) *Network {
 	c := &Network{}
 	for _, l := range n.Layers {
@@ -75,10 +126,10 @@ func cloneNet(n *Network) *Network {
 }
 
 // readByBelow reports whether the layer under layer i reads entry j of
-// layer i's input gradient: always under Identity, at live units under ReLU.
-func readByBelow(n *Network, i, j int) bool {
-	below := n.Layers[i-1]
-	return below.Act != ReLU || !(below.z[j] <= 0)
+// layer i's input gradient in p's last pass: always under Identity, at live
+// units under ReLU.
+func readByBelow(p *pass, i, j int) bool {
+	return p.net.Layers[i-1].Act != ReLU || !(p.layers[i-1].z[j] <= 0)
 }
 
 // backwardCase is one network and the samples run through it between two
@@ -109,6 +160,7 @@ func checkBackward(t *testing.T, c backwardCase) {
 func checkBackwardOn(t *testing.T, path string, c backwardCase) {
 	t.Helper()
 	net, ref := cloneNet(c.net), cloneNet(c.net)
+	pn, pr := newPass(net), newPass(ref)
 	var loss Loss = &CrossEntropy{}
 	if c.mse {
 		loss = MSE{}
@@ -120,23 +172,23 @@ func checkBackwardOn(t *testing.T, path string, c backwardCase) {
 	for k, x := range c.xs {
 		// The clone has the same weights, so its Forward has the same bits and
 		// one loss gradient serves both passes (neither writes dOut).
-		out := net.Forward(x)
-		ref.Forward(x)
+		out := pn.Forward(x)
+		pr.Forward(x)
 		if c.dys != nil && c.dys[k] != nil {
 			copy(dOut, c.dys[k])
 		} else {
 			loss.LossAndGrad(out, c.ys[k], dOut)
 		}
 		finite = finite && !nonFinite(dOut)
-		net.Backward(dOut)
-		refNetBackward(ref, dOut)
+		pn.Backward(dOut)
+		refNetBackward(pr, dOut)
 		if !finite {
 			continue
 		}
 		for i := 1; i < len(net.Layers); i++ {
-			got, want := net.Layers[i].dIn, ref.Layers[i].dIn
+			got, want := pn.layers[i].dIn, pr.layers[i].dIn
 			for j := range want {
-				if readByBelow(net, i, j) && math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				if readByBelow(pn, i, j) && math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 					t.Fatalf("%s %v sample %d layer %d dIn[%d]: %v, reference %v", path, net, k, i, j, got[j], want[j])
 				}
 			}
@@ -260,7 +312,7 @@ func TestBackwardMatchesReference(t *testing.T) {
 		c.xs = [][]float64{{negZero, negZero, negZero, negZero}, {1, -2, negZero, 0.5}}
 		c.ys = []float64{0, 2}
 		checkBackward(t, c)
-		if got := h.Forward(c.xs[0])[2]; math.Float64bits(got) != math.Float64bits(negZero) {
+		if got := forward(h, c.xs[0])[2]; math.Float64bits(got) != math.Float64bits(negZero) {
 			t.Fatalf("the rigged unit produced %v, not -0", got)
 		}
 	})
@@ -327,6 +379,7 @@ func refFit(t *Trainer, X [][]float64, Y []float64) float64 {
 		order[i] = i
 	}
 	dOut := make([]float64, t.Net.OutDim())
+	p := newPass(t.Net)
 	finalLoss := 0.0
 	for epoch := 0; epoch < t.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -335,9 +388,9 @@ func refFit(t *Trainer, X [][]float64, Y []float64) float64 {
 			end := min(start+t.BatchSize, len(order))
 			t.Net.ZeroGrad()
 			for _, idx := range order[start:end] {
-				out := t.Net.Forward(X[idx])
+				out := p.Forward(X[idx])
 				epochLoss += t.Loss.LossAndGrad(out, Y[idx], dOut)
-				t.Net.Backward(dOut)
+				p.Backward(dOut)
 			}
 			scale := 1.0 / float64(end-start)
 			t.Opt.BeginStep()

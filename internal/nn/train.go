@@ -134,6 +134,7 @@ type fit struct {
 	workers int
 	slots   int
 	order   []int
+	dense   []int         // every input of the first layer (Dense.affine)
 	start   int           // the current batch is order[start : start+size]
 	size    int           // the current batch's samples, and slots in use
 	widths  []int         // widths[j]: layer j's input width; the last, the output's
@@ -159,14 +160,16 @@ type fit struct {
 	wg    sync.WaitGroup
 }
 
-// scratch is one worker's buffers for a sample's backward, and bad[j]: the
-// input of layer j was not all finite in some slot of the batch the worker
-// ran. The buffers are made separately and at least a cache line long, so
-// no two workers write one line.
+// scratch is one worker's buffers for a sample's forward and backward;
+// bad[j]: the input of layer j was not all finite in some slot of the batch
+// the worker ran; sparse[j]: the guard of layer j's skip of zero inputs holds
+// for the batch's weights (Dense.transposeInto). The buffers are made
+// separately and at least a cache line long, so no two workers write one
+// line.
 type scratch struct {
-	dOut, dIn  []float64
-	rows, cols []int
-	bad        []bool
+	dOut, dIn   []float64
+	rows, cols  []int
+	bad, sparse []bool
 }
 
 // lossStride is the distance between two slots' losses: a cache line, so
@@ -182,8 +185,8 @@ func newFit(t *Trainer, X [][]float64, Y []float64) *fit {
 	L := len(layers)
 	slots := min(t.BatchSize, len(X))
 	f := &fit{t: t, X: X, Y: Y, layers: layers, workers: min(max(t.Workers, 1), slots), slots: slots,
-		order: make([]int, len(X)), widths: make([]int, L+1), acts: make([][]float64, L+1),
-		deltas: make([][]float64, L), losses: make([]float64, slots*lossStride)}
+		order: make([]int, len(X)), dense: denseRows(t.Net.InDim()), widths: make([]int, L+1),
+		acts: make([][]float64, L+1), deltas: make([][]float64, L), losses: make([]float64, slots*lossStride)}
 	for i := range f.order {
 		f.order[i] = i
 	}
@@ -200,7 +203,8 @@ func newFit(t *Trainer, X [][]float64, Y []float64) *fit {
 	f.scratch, f.wts = make([]scratch, f.workers), make([][][]float64, f.workers)
 	for w := range f.scratch {
 		f.scratch[w] = scratch{dOut: make([]float64, max(t.Net.OutDim(), 8)), dIn: make([]float64, max(wide, 8)),
-			rows: make([]int, max(wide, 8)), cols: make([]int, max(wide, 8)), bad: make([]bool, max(L, 64))}
+			rows: make([]int, max(wide, 8)), cols: make([]int, max(wide, 8)),
+			bad: make([]bool, max(L, 64)), sparse: make([]bool, max(L, 64))}
 		f.wts[w] = make([][]float64, L)
 		for j, l := range layers {
 			if f.wts[w][j] = l.wt; w > 0 && l.wt != nil {
@@ -390,16 +394,16 @@ func (f *fit) stop() {
 }
 
 // work is worker w's part of the current phase. In phase A it refreshes its
-// transposed weights and then takes runs of the batch's slots, four runs
-// per worker, until none is left: a worker whose thread is slowed (by
-// another process on its core) leaves its runs to the others. In phase B it
-// steps its share of the rows.
+// transposed weights and their guards and then takes runs of the batch's
+// slots, four runs per worker, until none is left: a worker whose thread is
+// slowed (by another process on its core) leaves its runs to the others. In
+// phase B it steps its share of the rows.
 func (f *fit) work(w int) {
 	switch f.phase {
 	case phaseA:
 		for j, l := range f.layers {
 			if f.wts[w][j] != nil && useAVX2 {
-				l.transposeInto(f.wts[w][j])
+				f.scratch[w].sparse[j] = l.transposeInto(f.wts[w][j])
 			}
 		}
 		clear(f.scratch[w].bad)
@@ -423,18 +427,22 @@ func (f *fit) act(j, k int) []float64 {
 }
 
 // sample runs slot k's sample forward, through the loss and backward,
-// leaving every layer's input and masked output gradient in the slot.
+// leaving every layer's input and masked output gradient in the slot. The
+// forward is Infer's: every layer above the first skips its zero inputs
+// where the worker's copy of its weights allows.
 func (f *fit) sample(w, k int) {
 	sc, i := &f.scratch[w], f.order[f.start+k]
-	x := f.act(0, k)
+	x, rows := f.act(0, k), f.dense
 	copy(x, f.X[i])
 	for j, l := range f.layers {
 		sc.bad[j] = sc.bad[j] || !finite(x)
 		y := f.act(j+1, k)
-		l.affineWith(f.wts[w][j], x, y)
-		if l.Act == ReLU {
-			clampNegative(y)
+		l.affine(f.wts[w][j], x, y, rows)
+		above, skip := []int(nil), false
+		if j+1 < len(f.layers) {
+			above, skip = sc.rows, sc.sparse[j+1]
 		}
+		rows = l.activate(y, above, skip)
 		x = y
 	}
 	f.losses[k*lossStride] = f.t.Loss.LossAndGrad(x, f.Y[i], sc.dOut)

@@ -52,10 +52,10 @@ func runPolicy(t *testing.T, wl *sim.Workload, p sim.Policy) *sim.Result {
 
 func newTestGemini() *Gemini { return NewGemini(featService{}, featError{}) }
 
-// newRubik is Rubik planning every request from the tail service time alone,
-// with no distribution for the conditional tail.
+// newRubik is Rubik profiled on the one service time s95Ms: its tail, and
+// the conditional tail of every request still short of it, is s95Ms.
 func newRubik(s95Ms float64) *Rubik {
-	return &Rubik{S95Ms: s95Ms, IdleFreq: cpu.DefaultLadder().Min()}
+	return NewRubikFromSorted([]float64{s95Ms})
 }
 
 func TestBaselineNeverViolatesLightLoad(t *testing.T) {

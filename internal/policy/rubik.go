@@ -15,17 +15,17 @@ import (
 // conservative estimator whose wasted headroom motivates Gemini's per-query
 // prediction.
 //
-// When built from distribution samples (NewRubikFromSorted), the executing
-// request's residual demand uses the *conditional* tail — the 95th
-// percentile of service times that exceed the work already executed — as in
-// Rubik's remaining-work distribution model: a request that has already run
-// long reveals itself to be a tail request and its residual estimate grows.
+// The executing request's residual demand uses the *conditional* tail — the
+// 95th percentile of the profiled service times that exceed the work already
+// executed — as in Rubik's remaining-work distribution model: a request that
+// has already run long reveals itself to be a tail request and its residual
+// estimate grows. NewRubikFromSorted builds it from that profile.
 type Rubik struct {
 	// S95Ms is the 95th-percentile service time at the default frequency.
 	S95Ms float64
 	// IdleFreq is used when the queue drains (lowest ladder frequency).
 	IdleFreq cpu.Freq
-	// samples, when non-nil, holds the sorted service-time distribution for
+	// samples holds the sorted service-time distribution for the
 	// conditional-tail residual estimates. It is only read, so instances may
 	// share it.
 	samples []float64
@@ -53,9 +53,6 @@ func NewRubikFromSorted(s []float64) *Rubik {
 // condTail95 returns the 95th percentile of service times conditioned on
 // exceeding elapsedMs of FDefault-equivalent execution.
 func (p *Rubik) condTail95(elapsedMs float64) float64 {
-	if p.samples == nil {
-		return p.S95Ms
-	}
 	i := sort.SearchFloat64s(p.samples, elapsedMs)
 	rest := p.samples[i:]
 	if len(rest) == 0 {

@@ -11,6 +11,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"gemini/internal/corpus"
@@ -616,4 +617,35 @@ func TestDeepTrainedWeightsGolden(t *testing.T) {
 			}
 		}
 	})
+}
+
+// raceEnabled is set under the race detector, whose sync.Pool drops a
+// random share of the items put back.
+var raceEnabled bool
+
+// TestPredictAllocFree pins both predictions on the decision path at zero
+// allocations once their scratch pools hold an entry: the scaler's gathered
+// log columns, the arena's row lists and the argmax all stay in place. The
+// collector is off while it counts, since a cycle empties a sync.Pool.
+func TestPredictAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops scratch at random")
+	}
+	ds, _ := dataset(t)
+	cfg := TestConfig()
+	cfg.Hidden = []int{48, 48}
+	clf := TrainClassifier(ds.Train, nil, cfg)
+	ep := TrainError(ds.Train, clf, cfg)
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fv := ds.Test[0].Features
+	for name, f := range map[string]func(){
+		"PredictMs":    func() { clf.PredictMs(fv) },
+		"PredictErrMs": func() { ep.PredictErrMs(fv) },
+	} {
+		f()
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", name, n)
+		}
+	}
 }

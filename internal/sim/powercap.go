@@ -44,6 +44,7 @@ type PowerCapCoordinator struct {
 	capW       float64
 	intervalMs float64
 	model      *cpu.PowerModel
+	watts      cpu.Watts // model's CoreW at every ladder level
 	ladder     *cpu.Ladder
 	st         *RouteState
 
@@ -76,6 +77,7 @@ func newPowerCapCoordinator(capW, intervalMs float64, model *cpu.PowerModel, st 
 		capW:       capW,
 		intervalMs: intervalMs,
 		model:      model,
+		watts:      model.Watts(st.ladder),
 		ladder:     st.ladder,
 		st:         st,
 		next:       intervalMs,
@@ -114,7 +116,7 @@ func (pc *PowerCapCoordinator) adjust(t float64) {
 	for c := 0; c < n; c++ {
 		eff[c] = st.law.freq(st.vFinish[c]-t, top)
 		busy[c] = st.vFinish[c] > t
-		watts += pc.model.CoreW(eff[c], busy[c])
+		watts += pc.watts.CoreW(eff[c], busy[c])
 		ceil[c] = top
 	}
 	for watts > pc.capW {
@@ -129,10 +131,10 @@ func (pc *PowerCapCoordinator) adjust(t float64) {
 			break // every replica at the floor: the cap is below modeled minimum
 		}
 		nf := pc.ladder.StepDown(eff[hot])
-		watts -= pc.model.CoreW(eff[hot], busy[hot])
+		watts -= pc.watts.CoreW(eff[hot], busy[hot])
 		eff[hot] = nf
 		ceil[hot] = nf
-		watts += pc.model.CoreW(eff[hot], busy[hot])
+		watts += pc.watts.CoreW(eff[hot], busy[hot])
 		pc.throttles++
 	}
 	// Commit: emit schedule steps only where the ceiling actually changed.

@@ -106,9 +106,10 @@ type Sim struct {
 	nextCeil          int
 	stallUntil        float64
 	// busyW and idleW are cfg.Power.CoreW(freq, true/false), refreshed at
-	// every write of freq, so an accrual reads the draw instead of
-	// recomputing it.
+	// every write of freq from watts, the model's table over cfg.Ladder, so
+	// an accrual reads the draw instead of recomputing it.
 	busyW, idleW float64
+	watts        cpu.Watts
 
 	// queue[qhead:] is the live FIFO; queue[qhead] is executing once
 	// Started. Popping advances qhead instead of re-slicing so the backing
@@ -234,6 +235,7 @@ func run(cfg Config, wl *Workload, idx []int32, pol Policy, cp *capture, ceil []
 		tr:       cfg.Tracer,
 		sp:       cfg.Spans,
 		res:      newResult(pol.Name(), reqs),
+		watts:    cfg.Power.Watts(cfg.Ladder),
 	}
 	s.cacheCoreW()
 	if cp != nil {
@@ -717,8 +719,8 @@ func (s *Sim) powerW(busy bool) float64 {
 
 // cacheCoreW refreshes busyW and idleW after a write of freq.
 func (s *Sim) cacheCoreW() {
-	s.busyW = s.cfg.Power.CoreW(s.freq, true)
-	s.idleW = s.cfg.Power.CoreW(s.freq, false)
+	s.busyW = s.watts.CoreW(s.freq, true)
+	s.idleW = s.watts.CoreW(s.freq, false)
 }
 
 // accrue charges dt of energy at the current frequency/activity.

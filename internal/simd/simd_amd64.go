@@ -37,3 +37,6 @@ func expAVX2(v []float64) int
 
 //go:noescape
 func logAVX2(v []float64) int
+
+//go:noescape
+func log1pAVX2(v []float64) int
