@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"slices"
@@ -59,10 +57,10 @@ type Aggregator struct {
 	Policy    AggPolicy
 	Quorum    int           // Partial: shards to wait for (NewAggregator sets all; ≤ 0 means all)
 	Timeout   time.Duration // Partial: straggler cutoff (default 100 ms)
-	// Client carries the fan-out legs: its Transport (nil means
-	// http.DefaultTransport) sends them, and its Timeout (0 means none)
-	// bounds each Search's fan-out as a whole. The legs go straight to the
-	// Transport, so the Client's redirect policy and cookie jar play no part.
+	// Client's Timeout (0 means none) bounds each Search's fan-out as a
+	// whole; nothing else of it is read. The legs run on the aggregator's
+	// own keep-alive connections (CloseIdleConnections closes the idle
+	// ones), not on the Client's Transport.
 	Client *http.Client
 
 	// BudgetMs is the end-to-end latency budget used for the decision
@@ -104,17 +102,6 @@ type Aggregator struct {
 	targetsOnce sync.Once
 	targets     []shardTarget // ShardURLs, parsed by the first Search
 }
-
-// shardTarget is one shard's /search endpoint.
-type shardTarget struct {
-	raw string   // the URL, for error messages
-	url *url.URL // nil when raw does not parse; err says why
-	err error
-}
-
-// legHeader is the request header of every untraced fan-out leg. It is
-// shared and never modified.
-var legHeader = http.Header{"Content-Type": jsonContentType}
 
 // shardReply is one shard's settled fan-out leg: the decoded response (or
 // error) plus the leg's send/receive offsets on the aggregator's timeline,
@@ -158,81 +145,153 @@ func (a *Aggregator) shardTargets() []shardTarget {
 	a.targetsOnce.Do(func() {
 		a.targets = make([]shardTarget, len(a.ShardURLs))
 		for i, base := range a.ShardURLs {
-			t := &a.targets[i]
-			t.raw = base + "/search"
-			t.url, t.err = url.Parse(t.raw)
+			a.targets[i].parse(base)
 		}
 	})
 	return a.targets
 }
 
+// CloseIdleConnections closes the fan-out's keep-alive connections that no
+// leg is using.
+func (a *Aggregator) CloseIdleConnections() {
+	targets := a.shardTargets()
+	for i := range targets {
+		targets[i].pool.closeIdle()
+	}
+}
+
 // fanout is what one Search's legs share.
 type fanout struct {
-	ctx     context.Context
-	rt      http.RoundTripper
-	start   time.Time
-	body    []byte
-	getBody func() (io.ReadCloser, error)
-	header  http.Header
+	ctx      context.Context // Search's caller's context: a dial ends with it
+	deadline time.Time       // the legs' dial and socket deadline; zero for none
+	start    time.Time
+	body     []byte
+	traceID  string
 	// results backs every leg's decoded results: leg i owns the window
 	// [i·k, (i+1)·k), so a shard that answers with more than k results
 	// grows into an array of its own, never into its neighbour's.
 	results []ShardResult
 	k       int
 	replies chan shardReply
-}
 
-// legBody is a leg's request body.
-type legBody struct{ bytes.Reader }
-
-func (*legBody) Close() error { return nil }
-
-// newBody returns a fresh reader of the request body: a leg's first, and the
-// one the Transport asks for when it retries a leg on a stale keep-alive
-// connection.
-func (f *fanout) newBody() (io.ReadCloser, error) {
-	b := new(legBody)
-	b.Reset(f.body)
-	return b, nil
+	mu        sync.Mutex
+	conns     []*legConn // leg i's connection while it runs, guarded by mu
+	abandoned bool       // Search has returned, guarded by mu
 }
 
 // leg sends the query to one shard and hands its settled reply to Search.
 func (f *fanout) leg(idx int, t *shardTarget) {
 	rep := shardReply{idx: idx, sendMs: msSince(f.start)}
 	rep.resp.Results = f.results[idx*f.k : idx*f.k : (idx+1)*f.k]
-	rep.err = f.call(t, &rep.resp)
+	rep.err = f.call(idx, t, &rep.resp)
 	rep.recvMs = msSince(f.start)
 	f.replies <- rep
 }
 
-// call runs one leg's round trip and decodes the shard's reply into resp.
-func (f *fanout) call(t *shardTarget, resp *ISNResponse) error {
+// call runs one leg's exchange and decodes the shard's reply into resp.
+func (f *fanout) call(idx int, t *shardTarget, resp *ISNResponse) error {
 	if t.err != nil {
 		return t.err
 	}
-	body, _ := f.newBody() // cannot fail
-	req := (&http.Request{
-		Method:        http.MethodPost,
-		URL:           t.url,
-		Header:        f.header,
-		Body:          body,
-		GetBody:       f.getBody,
-		ContentLength: int64(len(f.body)),
-	}).WithContext(f.ctx)
-	httpResp, err := f.rt.RoundTrip(req)
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.Grow(len(t.head) + len(f.body) + len(f.traceID) + 64) // the request, in buf's spare room
+	c, err := f.send(idx, t, t.appendRequest(buf.AvailableBuffer(), f.body, f.traceID))
 	if err != nil {
 		return &url.Error{Op: "Post", URL: t.raw, Err: err}
 	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		return fmt.Errorf("shard %s: status %d", t.raw, httpResp.StatusCode)
+	status, body, reuse, err := readReply(c.br, buf)
+	if err != nil {
+		f.release(idx, t, c, false)
+		return &url.Error{Op: "Post", URL: t.raw, Err: err}
 	}
-	buf := getBuf()
-	defer putBuf(buf)
-	if _, err := buf.ReadFrom(httpResp.Body); err != nil {
-		return err
+	// The body may lie in c's buffer: decode it before another leg can
+	// take c.
+	if status != http.StatusOK {
+		err = fmt.Errorf("shard %s: status %d", t.raw, status)
+	} else {
+		err = resp.decodeJSON(body)
 	}
-	return resp.decodeJSON(buf.Bytes())
+	f.release(idx, t, c, reuse)
+	return err
+}
+
+// send writes req on a connection to t, an idle one when there is one, and
+// waits for the reply's first byte. A reused connection that the shard had
+// closed is replaced by one new dial.
+func (f *fanout) send(idx int, t *shardTarget, req []byte) (*legConn, error) {
+	c := t.pool.get()
+	reused := c != nil
+	for {
+		if c == nil {
+			var err error
+			if c, err = dialLeg(f.ctx, t.addr, f.deadline); err != nil {
+				return nil, err
+			}
+		}
+		if !f.hold(idx, c) {
+			c.Close()
+			return nil, errAbandoned
+		}
+		c.left = maxReplyBytes
+		err := c.SetDeadline(f.deadline)
+		if err == nil {
+			_, err = c.Write(req)
+		}
+		if err == nil {
+			_, err = c.br.Peek(1)
+		}
+		if err == nil {
+			return c, nil
+		}
+		f.release(idx, t, c, false)
+		if !reused || !stale(err) {
+			return nil, err
+		}
+		c, reused = nil, false
+	}
+}
+
+// hold records c as leg idx's connection, or reports false when Search has
+// already returned.
+func (f *fanout) hold(idx int, c *legConn) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.abandoned {
+		return false
+	}
+	f.conns[idx] = c
+	return true
+}
+
+// release ends leg idx's use of c: back to t's idle pool when reuse holds,
+// nothing is left unread and Search still waits for the leg, closed
+// otherwise.
+func (f *fanout) release(idx int, t *shardTarget, c *legConn, reuse bool) {
+	f.mu.Lock()
+	f.conns[idx] = nil
+	reuse = reuse && !f.abandoned && c.br.Buffered() == 0
+	f.mu.Unlock()
+	if reuse {
+		t.pool.put(c)
+	} else {
+		c.Close()
+	}
+}
+
+// abandon closes the connections of the legs still running when Search
+// returns, so each shard sees its request's client hang up; a leg that gets
+// its connection afterwards closes it at once.
+func (f *fanout) abandon() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.abandoned = true
+	for i, c := range f.conns {
+		if c != nil {
+			c.Close()
+			f.conns[i] = nil
+		}
+	}
 }
 
 // Search broadcasts the query and merges shard responses per the policy.
@@ -246,30 +305,21 @@ func (a *Aggregator) Search(ctx context.Context, query string) (*AggResponse, er
 	ok := false
 	defer func() { a.finish(start, ok) }()
 	// Room for the query and the envelope around it: one allocation, kept by
-	// the legs (and a retry's GetBody) for as long as any of them runs.
+	// the legs for as long as any of them runs.
 	body := (&SearchRequest{Query: query, K: a.K}).appendJSON(make([]byte, 0, len(query)+48))
-	f := &fanout{rt: http.DefaultTransport, start: start, body: body, header: legHeader, k: max(a.K, 0)}
-	var timeout time.Duration
-	if c := a.Client; c != nil {
-		timeout = c.Timeout
-		if c.Transport != nil {
-			f.rt = c.Transport
-		}
+	f := &fanout{ctx: ctx, start: start, body: body, traceID: traceID, k: max(a.K, 0)}
+	// The legs' dials and sockets share one deadline: the Client's Timeout
+	// from now, or ctx's deadline when that comes first. A leg Search stops
+	// waiting for has its connection closed on return rather than at the
+	// deadline, and its shard sees the hang-up.
+	if a.Client != nil && a.Client.Timeout > 0 {
+		f.deadline = start.Add(a.Client.Timeout)
 	}
-	// The legs run under one context, bounded by the Client's Timeout, that
-	// Search cancels on return: a leg it stopped waiting for releases its
-	// shard and connection at once rather than at the timeout.
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		f.ctx, cancel = context.WithTimeout(ctx, timeout)
-	} else {
-		f.ctx, cancel = context.WithCancel(ctx)
+	if d, ok := ctx.Deadline(); ok && (f.deadline.IsZero() || d.Before(f.deadline)) {
+		f.deadline = d
 	}
-	defer cancel()
-	if traceID != "" {
-		f.header = http.Header{"Content-Type": jsonContentType, TraceHeader: {traceID}}
-	}
-	f.getBody = f.newBody
+	f.conns = make([]*legConn, len(targets))
+	defer f.abandon()
 	f.results = make([]ShardResult, len(targets)*f.k)
 	// One slot per leg: every leg sends exactly one reply and never blocks,
 	// whether or not Search is still receiving.
