@@ -92,7 +92,7 @@ type Fig8Data struct {
 // accuracy (paper: 85%).
 func (p *Platform) Fig8() (*Report, *Fig8Data) {
 	data := &Fig8Data{
-		Accuracy:   p.ErrPred.Accuracy(p.Dataset.Test, p.Classifier, 1.0),
+		Accuracy:   predictor.EvaluateError(p.ErrPred, p.Classifier, p.Dataset.Test, 1.0),
 		LatencyAcc: 1 - predictor.Evaluate(p.Classifier, p.Dataset.Test, 1.0).ErrorRate,
 	}
 	pos, neg := 0, 0

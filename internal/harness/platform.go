@@ -192,7 +192,7 @@ func NewPlatform(opt Options) *Platform {
 	p.Dataset = p.Builder.BuildFrom(feasible[:nTrain], feasibleExecs[:nTrain], 0.2, opt.Seed+2)
 	p.Classifier = predictor.TrainClassifier(p.Dataset.Train, nil, opt.NNConfig)
 	p.ErrPred = predictor.TrainError(p.Dataset.Train, p.Classifier, opt.NNConfig)
-	p.P95 = predictor.NewPercentile(p.Dataset.Train, 95)
+	p.P95 = predictor.NewPercentile(p.Dataset.Train)
 	p.rubikSamples = make([]float64, len(p.Dataset.Train))
 	for i, s := range p.Dataset.Train {
 		p.rubikSamples[i] = s.MeasuredMs

@@ -234,7 +234,7 @@ func TestGeminiAlphaObservesErrors(t *testing.T) {
 }
 
 func TestGemini95UsesConstantEstimate(t *testing.T) {
-	p95 := &predictor.Percentile95{ValueMs: 35, P: 95}
+	p95 := &predictor.Percentile95{ValueMs: 35}
 	g := NewGemini95(p95)
 	// Short request (15 ms) still planned as if 35 ms: runs faster than
 	// necessary (2.4 GHz instead of 1.2), wasting energy vs full Gemini —

@@ -85,52 +85,3 @@ func (b *Builder) BuildFrom(queries []corpus.Query, stats []search.ExecStats, te
 	}
 	return &Dataset{Train: samples[nTest:], Test: samples[:nTest]}
 }
-
-// featureMatrix extracts the raw feature rows (optionally restricted to a
-// subset of feature indices) and the measured-ms labels.
-func featureMatrix(samples []Sample, cols []int) ([][]float64, []float64) {
-	X := make([][]float64, len(samples))
-	Y := make([]float64, len(samples))
-	for i, s := range samples {
-		if cols == nil {
-			row := make([]float64, search.NumFeatures)
-			copy(row, s.Features[:])
-			X[i] = row
-		} else {
-			row := make([]float64, len(cols))
-			for j, c := range cols {
-				row[j] = s.Features[c]
-			}
-			X[i] = row
-		}
-		Y[i] = s.MeasuredMs
-	}
-	return X, Y
-}
-
-// logColumns returns which Table II features should be log1p-compressed
-// before standardization (the count-like, heavy-tailed ones).
-func logColumns(cols []int) []bool {
-	heavy := map[int]bool{
-		search.FeatPostingListLength:     true,
-		search.FeatNumLocalMaxima:        true,
-		search.FeatLocalMaximaAboveAMean: true,
-		search.FeatNumMaxScore:           true,
-		search.FeatDocsIn5PctOfMaxScore:  true,
-		search.FeatDocsIn5PctOfKthScore:  true,
-		search.FeatDocsEverInTopK:        true,
-		search.FeatVariance:              true,
-	}
-	if cols == nil {
-		out := make([]bool, search.NumFeatures)
-		for i := range out {
-			out[i] = heavy[i]
-		}
-		return out
-	}
-	out := make([]bool, len(cols))
-	for j, c := range cols {
-		out[j] = heavy[c]
-	}
-	return out
-}

@@ -19,32 +19,14 @@ const errRangeMs = 10
 // keep track of the measured request latencies in the past").
 // PredictErrMs is goroutine-safe (reentrant inference with pooled scratch),
 // so the platform's shared error NN can serve every parallel sweep worker.
-type NNError struct {
-	net     *nn.Network
-	scaler  *nn.Scaler
-	scratch scratchPool
-}
+type NNError struct{ *model }
 
 // TrainError fits the error model for the residuals of sp on train, on every
 // core.
 func TrainError(train []Sample, sp ServicePredictor, cfg Config) *NNError {
-	X, _ := featureMatrix(train, nil)
-	scaler := nn.FitScaler(X, logColumns(nil))
-	Xs := scaler.TransformAll(X)
-	Y := make([]float64, len(train))
-	for i, s := range train {
-		e := s.MeasuredMs - sp.PredictMs(s.Features)
-		Y[i] = float64(errClass(e))
-	}
-	classes := 2*errRangeMs + 1
-	net := nn.NewMLP(len(Xs[0]), cfg.Hidden, classes, cfg.Seed+2)
-	tr := &nn.Trainer{
-		Net: net, Loss: &nn.CrossEntropy{}, Opt: nn.NewAdam(cfg.LR),
-		BatchSize: cfg.BatchSize, Epochs: cfg.Epochs, Seed: cfg.Seed + 102,
-		Workers: par.DefaultWorkers(),
-	}
-	_, _ = tr.Fit(Xs, Y)
-	return &NNError{net: net, scaler: scaler}
+	label := func(s Sample) float64 { return float64(errClass(s.MeasuredMs - sp.PredictMs(s.Features))) }
+	tr := &nn.Trainer{Loss: &nn.CrossEntropy{}, Opt: nn.NewAdam(cfg.LR), Workers: par.DefaultWorkers()}
+	return &NNError{fitModel(train, nil, label, 2*errRangeMs+1, cfg, 2, tr)}
 }
 
 // errClass maps a signed ms error to a class index 0..2*errRangeMs by
@@ -65,24 +47,11 @@ func classToErr(c int) float64 { return float64(c - errRangeMs) }
 
 // PredictErrMs implements ErrorPredictor.
 func (e *NNError) PredictErrMs(fv search.FeatureVector) float64 {
-	s := e.scratch.get(e.net)
-	e.scaler.TransformInto(fv[:], s.in)
-	v := classToErr(nn.Argmax(e.net.Infer(s.in, s.ar)))
-	e.scratch.put(s)
-	return v
+	return e.predict(fv, func(out []float64) float64 { return classToErr(nn.Argmax(out)) })
 }
 
 // Name implements ErrorPredictor.
 func (e *NNError) Name() string { return "NN error predictor" }
-
-// OverheadUs implements ErrorPredictor.
-func (e *NNError) OverheadUs() float64 { return modelOverheadUs(e.net.NumParams()) }
-
-// Accuracy returns the fraction of test samples whose predicted error is
-// within tolMs of the true residual of sp (the paper reports 85%, Fig. 8b).
-func (e *NNError) Accuracy(test []Sample, sp ServicePredictor, tolMs float64) float64 {
-	return EvaluateError(e, sp, test, tolMs)
-}
 
 // MovingAvgError is Gemini-α's estimator (§VI-A): a moving average of the
 // prediction-error magnitudes observed over the past window (60) request

@@ -12,13 +12,14 @@ import (
 	"gemini/internal/search"
 )
 
-// Model persistence: a trained classifier (or error predictor) is only
-// usable with the exact feature scaler and bucket configuration it was
-// trained with, so Save/Load bundle all three.
+// Model persistence: a trained model is only usable with the exact feature
+// scaler, column list and bucket configuration it was trained with, so one
+// snapshot bundles them all. The scaler always covers every Table II
+// feature; Cols (nil for all) names the network's inputs among them.
 
 type classifierSnapshot struct {
 	Cols    []int
-	MaxMs   int
+	MaxMs   int // the network's outputs, less one
 	LogCols []bool
 	Mean    []float64
 	Std     []float64
@@ -27,18 +28,18 @@ type classifierSnapshot struct {
 	Net []byte
 }
 
-// Save writes the classifier (network + scaler + configuration) to w.
-func (c *NNClassifier) Save(w io.Writer) error {
+// save writes the model (network + scaler + columns) to w.
+func (m *model) save(w io.Writer) error {
 	var nb bytes.Buffer
-	if err := c.net.Save(&nb); err != nil {
+	if err := m.net.Save(&nb); err != nil {
 		return err
 	}
 	snap := classifierSnapshot{
-		Cols:    c.cols,
-		MaxMs:   c.maxMs,
-		LogCols: c.scaler.LogCols,
-		Mean:    c.scaler.Mean,
-		Std:     c.scaler.Std,
+		Cols:    m.cols,
+		MaxMs:   m.net.OutDim() - 1,
+		LogCols: m.scaler.LogCols,
+		Mean:    m.scaler.Mean,
+		Std:     m.scaler.Std,
 		Net:     nb.Bytes(),
 	}
 	if err := gob.NewEncoder(w).Encode(snap); err != nil {
@@ -47,8 +48,8 @@ func (c *NNClassifier) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadClassifier reads a classifier written by Save.
-func LoadClassifier(r io.Reader) (*NNClassifier, error) {
+// loadModel reads a model written by save.
+func loadModel(r io.Reader) (*model, error) {
 	var snap classifierSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("predictor: load: %w", err)
@@ -57,31 +58,32 @@ func LoadClassifier(r io.Reader) (*NNClassifier, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := snap.check(net); err != nil {
+		return nil, err
+	}
+	scaler := &nn.Scaler{LogCols: snap.LogCols, Mean: snap.Mean, Std: snap.Std}
+	return &model{net: net, scaler: scaler, cols: snap.Cols}, nil
+}
+
+// check rejects a snapshot whose parts do not fit each other: the scaler
+// must hold one finite mean and one finite, positive std per Table II
+// feature, every column must name a distinct feature, the network must take
+// one input per column (every feature when Cols is nil) and have MaxMs+1
+// outputs. Prediction indexes all of them without checks, so a mismatch
+// would panic on the first query or silently zero-pad it.
+func (snap *classifierSnapshot) check(net *nn.Network) error {
 	wantIn := search.NumFeatures
 	if snap.Cols != nil {
 		wantIn = len(snap.Cols)
 	}
-	if err := snap.check(net, wantIn); err != nil {
-		return nil, err
-	}
-	if net.OutDim() != snap.MaxMs+1 {
-		return nil, fmt.Errorf("predictor: network output %d does not match %d buckets", net.OutDim(), snap.MaxMs+1)
-	}
-	scaler := &nn.Scaler{LogCols: snap.LogCols, Mean: snap.Mean, Std: snap.Std}
-	return &NNClassifier{net: net, scaler: scaler, cols: snap.Cols, maxMs: snap.MaxMs}, nil
-}
-
-// check rejects a snapshot whose parts do not fit each other: the network
-// must take wantIn features, the scaler must hold one finite mean and one
-// finite, positive std per network input, and every column must name a
-// distinct Table II feature. Prediction indexes all of them without checks,
-// so a mismatch would panic on the first query or silently zero-pad it.
-func (snap *classifierSnapshot) check(net *nn.Network, wantIn int) error {
 	if net.InDim() != wantIn {
 		return fmt.Errorf("predictor: network input %d does not match %d features", net.InDim(), wantIn)
 	}
-	if len(snap.Mean) != net.InDim() || len(snap.Std) != net.InDim() {
-		return fmt.Errorf("predictor: scaler has %d means and %d stds for %d inputs", len(snap.Mean), len(snap.Std), net.InDim())
+	if net.OutDim() != snap.MaxMs+1 {
+		return fmt.Errorf("predictor: network output %d does not match %d buckets", net.OutDim(), snap.MaxMs+1)
+	}
+	if len(snap.Mean) != search.NumFeatures || len(snap.Std) != search.NumFeatures {
+		return fmt.Errorf("predictor: scaler has %d means and %d stds for %d features", len(snap.Mean), len(snap.Std), search.NumFeatures)
 	}
 	for j := range snap.Std {
 		if math.IsNaN(snap.Mean[j]) || math.IsInf(snap.Mean[j], 0) {
@@ -101,6 +103,18 @@ func (snap *classifierSnapshot) check(net *nn.Network, wantIn int) error {
 	return nil
 }
 
+// Save writes the classifier to w.
+func (c *NNClassifier) Save(w io.Writer) error { return c.save(w) }
+
+// LoadClassifier reads a classifier written by Save.
+func LoadClassifier(r io.Reader) (*NNClassifier, error) {
+	m, err := loadModel(r)
+	if err != nil {
+		return nil, err
+	}
+	return &NNClassifier{m}, nil
+}
+
 // LoadClassifierFile reads a classifier from a file path.
 func LoadClassifierFile(path string) (*NNClassifier, error) {
 	f, err := os.Open(path)
@@ -111,41 +125,17 @@ func LoadClassifierFile(path string) (*NNClassifier, error) {
 	return LoadClassifier(f)
 }
 
-// Save writes the error predictor (network + scaler) to w.
-func (e *NNError) Save(w io.Writer) error {
-	var nb bytes.Buffer
-	if err := e.net.Save(&nb); err != nil {
-		return err
-	}
-	snap := classifierSnapshot{
-		MaxMs:   2 * errRangeMs,
-		LogCols: e.scaler.LogCols,
-		Mean:    e.scaler.Mean,
-		Std:     e.scaler.Std,
-		Net:     nb.Bytes(),
-	}
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("predictor: save: %w", err)
-	}
-	return nil
-}
+// Save writes the error predictor to w.
+func (e *NNError) Save(w io.Writer) error { return e.save(w) }
 
 // LoadError reads an error predictor written by (*NNError).Save.
 func LoadError(r io.Reader) (*NNError, error) {
-	var snap classifierSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("predictor: load: %w", err)
-	}
-	net, err := nn.Load(bytes.NewReader(snap.Net))
+	m, err := loadModel(r)
 	if err != nil {
 		return nil, err
 	}
-	if err := snap.check(net, search.NumFeatures); err != nil {
-		return nil, err
+	if m.net.OutDim() != 2*errRangeMs+1 {
+		return nil, fmt.Errorf("predictor: network output %d does not match error buckets", m.net.OutDim())
 	}
-	if net.OutDim() != 2*errRangeMs+1 {
-		return nil, fmt.Errorf("predictor: network output %d does not match error buckets", net.OutDim())
-	}
-	scaler := &nn.Scaler{LogCols: snap.LogCols, Mean: snap.Mean, Std: snap.Std}
-	return &NNError{net: net, scaler: scaler}, nil
+	return &NNError{m}, nil
 }

@@ -1,38 +1,10 @@
 package predictor
 
 import (
-	"sync"
-
 	"gemini/internal/nn"
 	"gemini/internal/par"
 	"gemini/internal/search"
 )
-
-// inferScratch bundles the per-call buffers of one NN prediction: the raw
-// feature projection, the scaled network input, and the forward-pass arena.
-// Predictors keep these in a sync.Pool so PredictMs is allocation-free and
-// safe to call from many goroutines at once (the trained networks and
-// scalers are read-only at inference time).
-type inferScratch struct {
-	raw []float64
-	in  []float64
-	ar  *nn.Arena
-}
-
-// scratchPool amortizes inferScratch allocation for one trained network.
-type scratchPool struct {
-	pool sync.Pool
-}
-
-func (p *scratchPool) get(net *nn.Network) *inferScratch {
-	if s, ok := p.pool.Get().(*inferScratch); ok {
-		return s
-	}
-	in := net.InDim()
-	return &inferScratch{raw: make([]float64, in), in: make([]float64, in), ar: net.NewArena()}
-}
-
-func (p *scratchPool) put(s *inferScratch) { p.pool.Put(s) }
 
 // Config selects the architecture and training budget of the NN predictors.
 type Config struct {
@@ -71,17 +43,8 @@ func TestConfig() Config {
 // NNClassifier is the paper's latency predictor: a relu MLP with one output
 // neuron per millisecond bucket, trained with sparse categorical
 // cross-entropy and Adam (§IV-A). Predictions return the bucket center.
-// PredictMs is goroutine-safe: inference runs through the reentrant nn.Infer
-// path with pooled scratch, so one trained classifier can be shared by every
-// worker of the parallel experiment harness and by concurrent server
-// handlers.
-type NNClassifier struct {
-	net     *nn.Network
-	scaler  *nn.Scaler
-	cols    []int // feature subset (nil = all); supports the Fig. 6 sweep
-	maxMs   int
-	scratch scratchPool
-}
+// PredictMs is goroutine-safe (see model).
+type NNClassifier struct{ *model }
 
 // TrainClassifier fits the classifier on the training samples using the
 // feature columns in cols (nil means all Table II features), on every core
@@ -91,21 +54,17 @@ func TrainClassifier(train []Sample, cols []int, cfg Config) *NNClassifier {
 }
 
 func trainClassifier(train []Sample, cols []int, cfg Config, workers int) *NNClassifier {
-	X, Y := featureMatrix(train, cols)
-	scaler := nn.FitScaler(X, logColumns(cols))
-	Xs := scaler.TransformAll(X)
-	classes := cfg.MaxMs + 1
-	for i := range Y {
-		Y[i] = float64(clampClass(Y[i], cfg.MaxMs))
-	}
-	net := nn.NewMLP(len(Xs[0]), cfg.Hidden, classes, cfg.Seed)
-	tr := &nn.Trainer{
-		Net: net, Loss: &nn.CrossEntropy{}, Opt: nn.NewAdam(cfg.LR),
-		BatchSize: cfg.BatchSize, Epochs: cfg.Epochs, Seed: cfg.Seed + 100,
-		Workers: workers,
-	}
-	_, _ = tr.Fit(Xs, Y)
-	return &NNClassifier{net: net, scaler: scaler, cols: cols, maxMs: cfg.MaxMs}
+	label := func(s Sample) float64 { return float64(clampClass(s.MeasuredMs, cfg.MaxMs)) }
+	tr := &nn.Trainer{Loss: &nn.CrossEntropy{}, Opt: nn.NewAdam(cfg.LR), Workers: workers}
+	return &NNClassifier{fitModel(train, cols, label, cfg.MaxMs+1, cfg, 0, tr)}
+}
+
+// TrainLinear fits Fig. 7's "simple linear classifier": the classifier with
+// no hidden layer, a multinomial logistic regression straight from features
+// to per-ms buckets.
+func TrainLinear(train []Sample, cfg Config) *NNClassifier {
+	cfg.Hidden = nil
+	return TrainClassifier(train, nil, cfg)
 }
 
 func clampClass(ms float64, maxMs int) int {
@@ -119,100 +78,40 @@ func clampClass(ms float64, maxMs int) int {
 	return c
 }
 
-// project fills s.in with the scaled (and optionally column-projected)
-// feature vector.
-func (c *NNClassifier) project(fv search.FeatureVector, s *inferScratch) []float64 {
-	if c.cols == nil {
-		c.scaler.TransformInto(fv[:], s.in)
-	} else {
-		for j, col := range c.cols {
-			s.raw[j] = fv[col]
-		}
-		c.scaler.TransformInto(s.raw[:len(c.cols)], s.in)
-	}
-	return s.in
-}
-
 // PredictMs implements ServicePredictor: the center of the argmax bucket.
 func (c *NNClassifier) PredictMs(fv search.FeatureVector) float64 {
-	s := c.scratch.get(c.net)
-	v := float64(nn.Argmax(c.net.Infer(c.project(fv, s), s.ar))) + 0.5
-	c.scratch.put(s)
-	return v
+	return c.predict(fv, func(out []float64) float64 { return float64(nn.Argmax(out)) + 0.5 })
 }
 
-// Name implements ServicePredictor.
-func (c *NNClassifier) Name() string { return "NN classifier" }
-
-// OverheadUs implements ServicePredictor.
-func (c *NNClassifier) OverheadUs() float64 { return modelOverheadUs(c.net.NumParams()) }
-
-// Network exposes the underlying model (for persistence).
-func (c *NNClassifier) Network() *nn.Network { return c.net }
+// Name implements ServicePredictor. A classifier with no hidden layer is the
+// linear one.
+func (c *NNClassifier) Name() string {
+	if len(c.net.Layers) == 1 {
+		return "Linear classifier"
+	}
+	return "NN classifier"
+}
 
 // NNRegressor is the Fig. 7 baseline: same MLP body with a single linear
 // output trained on MSE with RMSprop (§IV-B). PredictMs is goroutine-safe.
-type NNRegressor struct {
-	net     *nn.Network
-	scaler  *nn.Scaler
-	scratch scratchPool
-}
+type NNRegressor struct{ *model }
 
 // TrainRegressor fits the regressor on all Table II features, on every core.
 func TrainRegressor(train []Sample, cfg Config) *NNRegressor {
-	X, Y := featureMatrix(train, nil)
-	scaler := nn.FitScaler(X, logColumns(nil))
-	Xs := scaler.TransformAll(X)
-	net := nn.NewMLP(len(Xs[0]), cfg.Hidden, 1, cfg.Seed+1)
-	tr := &nn.Trainer{
-		Net: net, Loss: nn.MSE{}, Opt: nn.NewRMSprop(cfg.LR),
-		BatchSize: cfg.BatchSize, Epochs: cfg.Epochs, Seed: cfg.Seed + 101,
-		Workers: par.DefaultWorkers(),
-	}
-	_, _ = tr.Fit(Xs, Y)
-	return &NNRegressor{net: net, scaler: scaler}
+	label := func(s Sample) float64 { return s.MeasuredMs }
+	tr := &nn.Trainer{Loss: nn.MSE{}, Opt: nn.NewRMSprop(cfg.LR), Workers: par.DefaultWorkers()}
+	return &NNRegressor{fitModel(train, nil, label, 1, cfg, 1, tr)}
 }
 
 // PredictMs implements ServicePredictor.
 func (r *NNRegressor) PredictMs(fv search.FeatureVector) float64 {
-	s := r.scratch.get(r.net)
-	r.scaler.TransformInto(fv[:], s.in)
-	v := r.net.Infer(s.in, s.ar)[0]
-	r.scratch.put(s)
-	if v < 0 {
-		v = 0
-	}
-	return v
+	return r.predict(fv, func(out []float64) float64 {
+		if out[0] < 0 {
+			return 0
+		}
+		return out[0]
+	})
 }
 
 // Name implements ServicePredictor.
 func (r *NNRegressor) Name() string { return "NN regressor" }
-
-// OverheadUs implements ServicePredictor.
-func (r *NNRegressor) OverheadUs() float64 { return modelOverheadUs(r.net.NumParams()) }
-
-// LinearClassifier is the Fig. 7 "simple linear classifier": multinomial
-// logistic regression straight from features to per-ms buckets.
-type LinearClassifier struct {
-	inner *NNClassifier
-}
-
-// TrainLinear fits the linear classifier.
-func TrainLinear(train []Sample, cfg Config) *LinearClassifier {
-	linCfg := cfg
-	linCfg.Hidden = nil
-	return &LinearClassifier{inner: TrainClassifier(train, nil, linCfg)}
-}
-
-// PredictMs implements ServicePredictor.
-func (l *LinearClassifier) PredictMs(fv search.FeatureVector) float64 {
-	return l.inner.PredictMs(fv)
-}
-
-// Name implements ServicePredictor.
-func (l *LinearClassifier) Name() string { return "Linear classifier" }
-
-// OverheadUs implements ServicePredictor.
-func (l *LinearClassifier) OverheadUs() float64 {
-	return modelOverheadUs(l.inner.net.NumParams())
-}

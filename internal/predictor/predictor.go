@@ -39,17 +39,15 @@ func modelOverheadUs(params int) float64 {
 	return overheadBaseUs + overheadPerParamUs*float64(params)
 }
 
-// Percentile95 predicts the same value for every query: the p-th percentile
-// of the training service-time distribution. With p=95 this is exactly the
-// conservative estimator Rubik uses and the one Gemini-95th falls back to
-// (paper §VI-D).
+// Percentile95 predicts the same value for every query: the 95th percentile
+// of the training service-time distribution, the conservative estimator
+// Rubik uses and the one Gemini-95th falls back to (paper §VI-D).
 type Percentile95 struct {
 	ValueMs float64
-	P       float64
 }
 
-// NewPercentile returns a distribution-tail estimator fitted on train.
-func NewPercentile(train []Sample, p float64) *Percentile95 {
+// NewPercentile returns the distribution-tail estimator fitted on train.
+func NewPercentile(train []Sample) *Percentile95 {
 	times := make([]float64, len(train))
 	for i, s := range train {
 		times[i] = s.MeasuredMs
@@ -57,10 +55,9 @@ func NewPercentile(train []Sample, p float64) *Percentile95 {
 	stats.SortAscending(times)
 	v := 0.0
 	if len(times) > 0 {
-		idx := int(p / 100 * float64(len(times)-1))
-		v = times[idx]
+		v = times[int(0.95*float64(len(times)-1))]
 	}
-	return &Percentile95{ValueMs: v, P: p}
+	return &Percentile95{ValueMs: v}
 }
 
 // PredictMs implements ServicePredictor.

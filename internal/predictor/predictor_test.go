@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -178,7 +179,7 @@ func TestModelComparisonShape(t *testing.T) {
 
 func TestPercentilePredictor(t *testing.T) {
 	ds, _ := dataset(t)
-	p := NewPercentile(ds.Train, 95)
+	p := NewPercentile(ds.Train)
 	if p.ValueMs <= 0 {
 		t.Fatalf("p95 = %v", p.ValueMs)
 	}
@@ -203,7 +204,7 @@ func TestPercentilePredictor(t *testing.T) {
 }
 
 func TestPercentileEmpty(t *testing.T) {
-	p := NewPercentile(nil, 95)
+	p := NewPercentile(nil)
 	if p.ValueMs != 0 {
 		t.Errorf("empty percentile = %v", p.ValueMs)
 	}
@@ -233,7 +234,7 @@ func TestNNErrorPredictor(t *testing.T) {
 	cfg := TestConfig()
 	clf := TrainClassifier(ds.Train, nil, cfg)
 	ep := TrainError(ds.Train, clf, cfg)
-	acc := ep.Accuracy(ds.Test, clf, 1.0)
+	acc := EvaluateError(ep, clf, ds.Test, 1.0)
 	if acc < 0.4 {
 		t.Errorf("error predictor ±1ms accuracy = %.2f, want >= 0.4", acc)
 	}
@@ -451,15 +452,17 @@ func TestErrorPredictorSaveLoad(t *testing.T) {
 }
 
 // snapshotWith gob-encodes a classifier snapshot around a fresh network of
-// in inputs and out outputs, with a scaler of unit stds unless edit changes
-// it: the raw material for the loader checks below.
+// in inputs and out outputs, with a scaler of unit stds over every Table II
+// feature unless edit changes it: the raw material for the loader checks
+// below.
 func snapshotWith(t *testing.T, in, out int, edit func(*classifierSnapshot)) *bytes.Buffer {
 	t.Helper()
 	var nb bytes.Buffer
 	if err := nn.NewMLP(in, []int{4}, out, 1).Save(&nb); err != nil {
 		t.Fatal(err)
 	}
-	snap := classifierSnapshot{MaxMs: out - 1, Mean: make([]float64, in), Std: make([]float64, in), Net: nb.Bytes()}
+	const nf = search.NumFeatures
+	snap := classifierSnapshot{MaxMs: out - 1, Mean: make([]float64, nf), Std: make([]float64, nf), Net: nb.Bytes()}
 	for j := range snap.Std {
 		snap.Std[j] = 1
 	}
@@ -515,6 +518,9 @@ func TestLoadersRejectMismatchedParts(t *testing.T) {
 		{"column -1", cols(0, -1, 2)},
 		{"column 14", cols(0, nf, 2)},
 		{"a repeated column", cols(0, 5, 5)},
+		{"a scaler over the columns only", func(s *classifierSnapshot) {
+			s.Cols, s.Mean, s.Std = []int{0, 5, 13}, s.Mean[:3], s.Std[:3]
+		}},
 	} {
 		if _, err := LoadClassifier(snapshotWith(t, 3, clsOut, c.edit)); err == nil {
 			t.Errorf("LoadClassifier accepted %s", c.name)
@@ -623,10 +629,10 @@ func TestDeepTrainedWeightsGolden(t *testing.T) {
 // random share of the items put back.
 var raceEnabled bool
 
-// TestPredictAllocFree pins both predictions on the decision path at zero
-// allocations once their scratch pools hold an entry: the scaler's gathered
-// log columns, the arena's row lists and the argmax all stay in place. The
-// collector is off while it counts, since a cycle empties a sync.Pool.
+// TestPredictAllocFree pins every NN prediction at zero allocations once its
+// scratch pool holds an entry: the scaler's gathered log columns, a subset's
+// picked columns, the arena's row lists and the argmax all stay in place.
+// The collector is off while it counts, since a cycle empties a sync.Pool.
 func TestPredictAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops scratch at random")
@@ -636,16 +642,116 @@ func TestPredictAllocFree(t *testing.T) {
 	cfg.Hidden = []int{48, 48}
 	clf := TrainClassifier(ds.Train, nil, cfg)
 	ep := TrainError(ds.Train, clf, cfg)
+	sub := TrainClassifier(ds.Train, DefaultSweepOrder()[:5], cfg)
+	reg := TrainRegressor(ds.Train, cfg)
+	lin := TrainLinear(ds.Train, cfg)
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	fv := ds.Test[0].Features
 	for name, f := range map[string]func(){
-		"PredictMs":    func() { clf.PredictMs(fv) },
-		"PredictErrMs": func() { ep.PredictErrMs(fv) },
+		"PredictMs":           func() { clf.PredictMs(fv) },
+		"PredictErrMs":        func() { ep.PredictErrMs(fv) },
+		"subset PredictMs":    func() { sub.PredictMs(fv) },
+		"regressor PredictMs": func() { reg.PredictMs(fv) },
+		"linear PredictMs":    func() { lin.PredictMs(fv) },
 	} {
 		f()
 		if n := testing.AllocsPerRun(100, f); n != 0 {
 			t.Errorf("%s allocates %v times per call, want 0", name, n)
 		}
 	}
+}
+
+// TestOneScalerRule holds the input rule every NN predictor shares: scale all
+// Table II features, then pick. For every Fig. 6 prefix, a scaler fitted to
+// the prefix's raw columns (what a subset classifier once fitted) must give
+// the full scaler's statistics and scaled rows, bit for bit, and a subset
+// classifier must carry the full scaler. The classifier, regressor, linear
+// and error models fitted to one training set must carry equal scalers.
+func TestOneScalerRule(t *testing.T) {
+	ds, _ := dataset(t)
+	picked := func(x []float64, cols []int) []float64 { return pick(x, cols, make([]float64, len(cols))) }
+	raw := func(samples []Sample, cols []int) [][]float64 {
+		X := make([][]float64, len(samples))
+		for i := range samples {
+			X[i] = picked(samples[i].Features[:], cols)
+		}
+		return X
+	}
+	sameBits := func(t *testing.T, what string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d columns, want %d", what, len(a), len(b))
+		}
+		for j := range a {
+			if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+				t.Fatalf("%s: column %d is %v, want %v", what, j, a[j], b[j])
+			}
+		}
+	}
+	onEachKernel(t, func(t *testing.T) {
+		full := nn.FitScaler(raw(ds.Train, nil), logCols[:])
+		order := DefaultSweepOrder()
+		for i := range order {
+			cols := order[:i+1]
+			var lc []bool
+			for _, c := range cols {
+				lc = append(lc, logCols[c])
+			}
+			sub := nn.FitScaler(raw(ds.Train, cols), lc)
+			sameBits(t, fmt.Sprintf("prefix %d mean", i+1), sub.Mean, picked(full.Mean, cols))
+			sameBits(t, fmt.Sprintf("prefix %d std", i+1), sub.Std, picked(full.Std, cols))
+			for r, x := range append(raw(ds.Train, nil), raw(ds.Test, nil)...) {
+				sameBits(t, fmt.Sprintf("prefix %d row %d", i+1, r), sub.Transform(picked(x, cols)), picked(full.Transform(x), cols))
+			}
+		}
+
+		cfg := TestConfig()
+		cfg.Epochs = 1
+		clf := TrainClassifier(ds.Train, nil, cfg)
+		for name, m := range map[string]*model{
+			"classifier":        clf.model,
+			"subset classifier": TrainClassifier(ds.Train, order[:3], cfg).model,
+			"regressor":         TrainRegressor(ds.Train, cfg).model,
+			"linear":            TrainLinear(ds.Train, cfg).model,
+			"error":             TrainError(ds.Train, clf, cfg).model,
+		} {
+			if !reflect.DeepEqual(m.scaler.LogCols, full.LogCols) {
+				t.Errorf("%s log columns %v, want %v", name, m.scaler.LogCols, full.LogCols)
+			}
+			sameBits(t, name+" mean", m.scaler.Mean, full.Mean)
+			sameBits(t, name+" std", m.scaler.Std, full.Std)
+		}
+	})
+}
+
+// TestSnapshotGolden pins the bytes Save writes for the TestConfig
+// classifier and its error model (`geminisim train -save`'s two files at
+// test scale): FNV-64a over each snapshot, on both kernel paths. amd64, like
+// TestTrainedWeightsGolden.
+func TestSnapshotGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the golden is amd64 output")
+	}
+	ds, _ := dataset(t)
+	onEachKernel(t, func(t *testing.T) {
+		clf := TrainClassifier(ds.Train, nil, TestConfig())
+		ep := TrainError(ds.Train, clf, TestConfig())
+		for _, c := range []struct {
+			name string
+			save func(io.Writer) error
+			want string
+		}{
+			{"classifier", clf.Save, "262be6dfbf740cdc"},
+			{"error", ep.Save, "d579b38bb534555b"},
+		} {
+			h := fnv.New64a()
+			if err := c.save(h); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%016x", h.Sum64()); got != c.want {
+				t.Errorf("%s snapshot hash %s, want %s", c.name, got, c.want)
+			}
+		}
+	})
 }
