@@ -188,6 +188,10 @@ func (e *env) platform(paper bool) *harness.Platform {
 // experiments runs the named experiments on p through one ExperimentSet,
 // printing each report.
 func (e *env) experiments(p *harness.Platform, names []string) error {
+	if slices.Contains(names, "fig7") {
+		fmt.Fprintf(e.stderr, "measured inference: PredictMs + PredictErrMs %.2f µs per query (warm, fastest of 5 passes over %d pool queries)\n",
+			float64(inferenceCost(p).Nanoseconds())/1e3, len(p.Pool))
+	}
 	set := harness.NewExperimentSet(p, e.scale())
 	fmt.Fprintf(e.stderr, "experiment grids run on %d worker(s) (GOMAXPROCS)\n", runtime.GOMAXPROCS(0))
 	for _, name := range names {
@@ -198,6 +202,24 @@ func (e *env) experiments(p *harness.Platform, names []string) error {
 		fmt.Fprintf(e.stderr, "[%s done in %v]\n\n", name, time.Since(t0).Round(time.Millisecond))
 	}
 	return nil
+}
+
+// inferenceCost is what the decision path's two predictions cost per query
+// on this host: the deployed classifier's PredictMs plus the error
+// predictor's PredictErrMs over every pool query, the fastest of 5 timed
+// passes. Fig. 7's overhead column is modeled, not timed; this is the
+// timing, and it stays on stderr, out of every golden.
+func inferenceCost(p *harness.Platform) time.Duration {
+	best := time.Duration(math.MaxInt64)
+	for range 5 {
+		t0 := time.Now()
+		for _, q := range p.Pool {
+			p.Classifier.PredictMs(q.Features)
+			p.ErrPred.PredictErrMs(q.Features)
+		}
+		best = min(best, time.Since(t0))
+	}
+	return best / time.Duration(len(p.Pool))
 }
 
 // print writes rep to stdout, unless err is set.

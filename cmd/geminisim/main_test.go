@@ -6,8 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"gemini/internal/simd"
 )
 
 // runCLI runs the command line in process and returns its exit status and
@@ -145,3 +148,97 @@ func TestEverySubcommandRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestPaperNumbersGolden runs every experiment in process and compares the
+// reports with the checked-in goldens, byte for byte: the small platform's
+// with testdata/results_small.golden, and the full platform's with
+// results_full.txt, the file CI's cmp step checks the binary against. The
+// full comparison runs on amd64 only, like TestTrainedWeightsGolden: the
+// golden was written on an amd64 host with FMA, where math.Exp takes its
+// fused path, and an amd64 host without FMA fails it for that reason.
+func TestPaperNumbersGolden(t *testing.T) {
+	cases := []struct {
+		name, golden string
+		args         []string
+	}{
+		{"small", filepath.Join("testdata", "results_small.golden"), []string{"-small", "-exp", "all"}},
+		{"full", filepath.Join("..", "..", "results_full.txt"), []string{"-exp", "all"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.name == "full" && runtime.GOARCH != "amd64" {
+				t.Skip("results_full.txt holds amd64 bits")
+			}
+			want, err := os.ReadFile(c.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, got, stderr := runCLI(c.args...)
+			if code != 0 {
+				t.Fatalf("exit %d\n%s", code, stderr)
+			}
+			if msg := firstMoved(string(want), got); msg != "" {
+				if c.name == "full" && !simd.FMA {
+					msg += " (this CPU has no FMA; the golden holds math.Exp's fused-path bits)"
+				}
+				t.Errorf("%v differs from %s: %s", c.args, c.golden, msg)
+			}
+		})
+	}
+}
+
+// firstMoved returns "" where got equals want, and otherwise names the first
+// report section (its "== … ==" header) and line where they differ, and how
+// many of want's sections follow that one and how many of those moved too.
+func firstMoved(want, got string) string {
+	if want == got {
+		return ""
+	}
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	i := 0
+	for i < len(w) && i < len(g) && w[i] == g[i] {
+		i++
+	}
+	section := "(before the first section)"
+	for j := min(i, len(w)-1); j >= 0; j-- {
+		if isSection(w[j]) {
+			section = w[j]
+			break
+		}
+	}
+	headers, wantBody := sections(w)
+	_, gotBody := sections(g)
+	after := headers[slices.Index(headers, section)+1:]
+	moved := 0
+	for _, h := range after {
+		if wantBody[h] != gotBody[h] {
+			moved++
+		}
+	}
+	line := func(lines []string) string {
+		if i < len(lines) {
+			return fmt.Sprintf("%q", lines[i])
+		}
+		return "end of output"
+	}
+	return fmt.Sprintf("first moved section %s, at line %d: want %s, got %s; %d section(s) follow it, %d of them moved too",
+		section, i+1, line(w), line(g), len(after), moved)
+}
+
+// sections splits a report's lines into its sections: the headers in order,
+// and each header's lines (those before the first header under "").
+func sections(lines []string) (headers []string, body map[string]string) {
+	body = map[string]string{}
+	h := ""
+	for _, l := range lines {
+		if isSection(l) {
+			h = l
+			headers = append(headers, h)
+		}
+		body[h] += l + "\n"
+	}
+	return headers, body
+}
+
+// isSection reports whether a report line is a section header.
+func isSection(l string) bool { return strings.HasPrefix(l, "== ") && strings.HasSuffix(l, " ==") }

@@ -11,7 +11,7 @@ var hasAVX2 = simd.AVX2
 // len(delta) rows of len(dIn), and every entry of rows indexes delta; gw is
 // whole rows of in, x holds n rows of in, and delta n rows of out, the last
 // cut after len(gw)/in (or len(gb)) entries; grad, m and v are at least
-// len(p) long; mean and std at least len(v); argmaxAVX2's v at least 4.
+// len(p) long.
 
 //go:noescape
 func affineT(wt, b, x, z []float64, rows []int)
@@ -39,9 +39,3 @@ func clampAVX2(v []float64)
 
 //go:noescape
 func divAVX2(v []float64, d float64)
-
-//go:noescape
-func standardizeAVX2(v, mean, std []float64)
-
-//go:noescape
-func argmaxAVX2(v []float64) (i int, ordered bool)

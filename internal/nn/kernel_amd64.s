@@ -2,8 +2,8 @@
 
 // The AVX2 kernels behind the forward pass (Dense.affine and the row lists of
 // Dense.activate), Dense.propagate, Dense.accumulate, the ReLU clamp, Adam's
-// step, the scaler and Argmax (kernel.go says when they run; DESIGN.md §10
-// has the contract). Each YMM lane carries one output of the Go loop and
+// step and the softmax's divisions (kernel.go says when they run; DESIGN.md
+// §10 has the contract). Each YMM lane carries one output of the Go loop and
 // runs that loop's IEEE sequence: a VMULPD, then a VADDPD, never an FMA
 // (which rounds once where the Go loop rounds twice), every sum in its Go
 // order. Every add into a sum takes the sum as its first source operand,
@@ -1137,126 +1137,5 @@ crloop:
 
 crdone:
 	MOVQ DX, n+56(FP)
-	VZEROUPPER
-	RET
-
-// func standardizeAVX2(v, mean, std []float64)
-//
-// v[i] = (v[i] − mean[i]) / std[i], four at a time; the last len(v) % 4
-// through a mask.
-TEXT ·standardizeAVX2(SB), NOSPLIT, $0-72
-	MOVQ v_base+0(FP), DI
-	MOVQ v_len+8(FP), CX
-	MOVQ mean_base+24(FP), SI
-	MOVQ std_base+48(FP), DX
-
-sloop:
-	CMPQ    CX, $4
-	JLT     stail
-	VMOVUPD (DI), Y0
-	VSUBPD  (SI), Y0, Y0
-	VDIVPD  (DX), Y0, Y0
-	VMOVUPD Y0, (DI)
-	ADDQ    $32, DI
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	SUBQ    $4, CX
-	JMP     sloop
-
-stail:
-	TESTQ      CX, CX
-	JEQ        sdone
-	LEAQ       laneMask<>+128(SB), AX
-	NEGQ       CX
-	VMOVUPD    (AX)(CX*8), Y2
-	VMASKMOVPD (DI), Y2, Y0
-	VMASKMOVPD (SI), Y2, Y1
-	VSUBPD     Y1, Y0, Y0
-	VMASKMOVPD (DX), Y2, Y1
-	VDIVPD     Y1, Y0, Y0
-	VMASKMOVPD Y0, Y2, (DI)
-
-sdone:
-	VZEROUPPER
-	RET
-
-// func argmaxAVX2(v []float64) (i int, ordered bool)
-//
-// i is the first index of v's maximum, and ordered is false when v holds a
-// NaN (i then means nothing). The maximum comes four lanes a compare in two
-// chains of VMAXPD, the last block the last four elements, overlapping the
-// one before; then a scan from the start compares each block with it and
-// stops at the first that holds it. +0 and −0 compare equal there, so
-// either may stand for a zero maximum. len(v) is at least 4.
-TEXT ·argmaxAVX2(SB), NOSPLIT, $0-33
-	MOVQ    v_base+0(FP), DI
-	MOVQ    v_len+8(FP), CX
-	LEAQ    -32(DI)(CX*8), SI // the last four
-	MOVQ    DI, DX
-	VMOVUPD (SI), Y0
-	VMOVAPD Y0, Y3
-	VCMPPD  $3, Y0, Y0, Y1    // unordered: NaN
-	VMOVAPD Y1, Y4
-
-apair:
-	LEAQ    32(DX), AX
-	CMPQ    AX, SI
-	JGE     aone
-	VMOVUPD (DX), Y2
-	VMOVUPD 32(DX), Y5
-	VMAXPD  Y2, Y0, Y0
-	VMAXPD  Y5, Y3, Y3
-	VCMPPD  $3, Y2, Y2, Y2
-	VCMPPD  $3, Y5, Y5, Y5
-	VORPD   Y2, Y1, Y1
-	VORPD   Y5, Y4, Y4
-	ADDQ    $64, DX
-	JMP     apair
-
-aone:
-	CMPQ    DX, SI
-	JGE     areduce
-	VMOVUPD (DX), Y2
-	VMAXPD  Y2, Y0, Y0
-	VCMPPD  $3, Y2, Y2, Y2
-	VORPD   Y2, Y1, Y1
-
-areduce:
-	VMAXPD       Y3, Y0, Y0
-	VORPD        Y4, Y1, Y1
-	VMOVMSKPD    Y1, AX
-	TESTQ        AX, AX
-	SETEQ        ordered+32(FP)
-	JNE          adone
-	VEXTRACTF128 $1, Y0, X2
-	VMAXPD       X2, X0, X0
-	VUNPCKHPD    X0, X0, X2
-	VMAXSD       X2, X0, X0
-	VBROADCASTSD X0, Y0
-	MOVQ         DI, DX
-
-ascan:
-	CMPQ      DX, SI
-	JGE       alast
-	VCMPPD    $0, (DX), Y0, Y2
-	VMOVMSKPD Y2, AX
-	TESTQ     AX, AX
-	JNE       afound
-	ADDQ      $32, DX
-	JMP       ascan
-
-alast:
-	MOVQ      SI, DX
-	VCMPPD    $0, (DX), Y0, Y2
-	VMOVMSKPD Y2, AX
-
-afound:
-	BSFQ AX, AX
-	SUBQ DI, DX
-	SHRQ $3, DX
-	ADDQ DX, AX
-	MOVQ AX, i+24(FP)
-
-adone:
 	VZEROUPPER
 	RET

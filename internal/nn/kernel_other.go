@@ -32,12 +32,6 @@ func clampAVX2(v []float64) { panic("nn: no SIMD kernels on this architecture") 
 
 func divAVX2(v []float64, d float64) { panic("nn: no SIMD kernels on this architecture") }
 
-func standardizeAVX2(v, mean, std []float64) { panic("nn: no SIMD kernels on this architecture") }
-
 func transposeAVX2(w, wt []float64, in, stride int) (sum float64) {
-	panic("nn: no SIMD kernels on this architecture")
-}
-
-func argmaxAVX2(v []float64) (i int, ordered bool) {
 	panic("nn: no SIMD kernels on this architecture")
 }

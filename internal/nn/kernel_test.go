@@ -314,82 +314,3 @@ func TestSoftmaxKernelsMatchGo(t *testing.T) {
 		}
 	}
 }
-
-// TestArgmaxMatchesScalar holds Argmax to argmaxLoop on both paths, at
-// lengths 1–70 around the kernel's four lanes and its overlapping last
-// block: random logits, ties (the first must win), +0 against −0 in either
-// order as the maximum, and NaN first, in the middle or last.
-func TestArgmaxMatchesScalar(t *testing.T) {
-	onEachKernel(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(9))
-		for trial := 0; trial < 20000; trial++ {
-			v := make([]float64, 1+trial%70)
-			for i := range v {
-				v[i] = rng.NormFloat64()
-			}
-			switch trial % 6 {
-			case 1: // ties at the maximum
-				m := 5.0
-				for k := 0; k < 1+rng.Intn(3); k++ {
-					v[rng.Intn(len(v))] = m
-				}
-			case 2: // signed zeros as the maximum
-				for i := range v {
-					v[i] = -math.Abs(v[i]) - 1
-				}
-				for k := 0; k < 1+rng.Intn(3); k++ {
-					v[rng.Intn(len(v))] = []float64{0, math.Copysign(0, -1)}[rng.Intn(2)]
-				}
-			case 3:
-				v[0] = math.NaN()
-			case 4:
-				v[rng.Intn(len(v))] = math.NaN()
-			case 5:
-				v[len(v)-1] = math.NaN()
-			}
-			if got, want := Argmax(v), argmaxLoop(v); got != want {
-				t.Fatalf("Argmax(%v) = %d, the loop %d", v, got, want)
-			}
-		}
-	})
-}
-
-// TestScalerKernelsMatchLoop holds TransformInto on the AVX2 path (gathered
-// simd.Log1p, standardizeAVX2) to the loop, bit for bit, at widths 1–40 (over
-// the 16-column gather and every four-lane tail), with random log columns,
-// inputs negative, zero, small and large (both of Log1p's paths and blocks it
-// leaves to math.Log1p), and a scaler narrower than the input.
-func TestScalerKernelsMatchLoop(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip(noAVX2)
-	}
-	defer SetSIMD(SetSIMD(true))
-	rng := rand.New(rand.NewSource(14))
-	values := []float64{-3, math.Copysign(0, -1), 0, 1e-12, 0.1, 0.4142135623730951, 1, 3, 7, 1e9, math.Inf(1), math.NaN()}
-	for trial := 0; trial < 4000; trial++ {
-		dim := 1 + trial%40
-		s := &Scaler{LogCols: make([]bool, dim), Mean: make([]float64, dim), Std: make([]float64, dim)}
-		for j := range s.Mean {
-			s.LogCols[j] = rng.Intn(2) == 0
-			s.Mean[j] = rng.NormFloat64()
-			s.Std[j] = 0.1 + rng.Float64()
-		}
-		if trial%5 == 0 {
-			w := rng.Intn(dim + 1)
-			s.LogCols, s.Mean, s.Std = s.LogCols[:min(w+1, dim)], s.Mean[:w], s.Std[:w]
-		}
-		x := make([]float64, dim)
-		for j := range x {
-			x[j] = rng.ExpFloat64() * 50
-			if rng.Intn(4) == 0 {
-				x[j] = values[rng.Intn(len(values))]
-			}
-		}
-		want, got := make([]float64, dim), make([]float64, dim)
-		s.transformLoop(x, want)
-		s.TransformInto(x, got)
-		if j := firstDiff(got, want); j >= 0 {
-			t.Fatalf("dim %d column %d (log %v) of %v: AVX2 %x, loop %x", dim, j, s.logCol(j), x[j], math.Float64bits(got[j]), math.Float64bits(want[j]))
-		}
-	}
-}

@@ -407,25 +407,9 @@ func Softmax(logits, out []float64) {
 }
 
 // Argmax returns the index of the largest element: the first one, where
-// several compare equal (+0 and −0 do). That is the index the loop that
-// takes i wherever v[i] > v[best] returns (argmaxLoop), the Go path; its
-// branch mispredicts wherever the running maximum moves. Where the AVX2
-// kernels run, Argmax reduces to the maximum four lanes at a time and
-// returns the first element equal to it (argmaxAVX2). A NaN compares
-// greater than nothing and less than nothing, so the order of the elements
-// decides which one the loop keeps: a slice holding one goes to the loop.
+// several compare equal (+0 and −0 do). A NaN is greater than nothing, so it
+// is kept only where it stands first.
 func Argmax(v []float64) int {
-	if !useAVX2 || len(v) < 4 {
-		return argmaxLoop(v)
-	}
-	if i, ordered := argmaxAVX2(v); ordered {
-		return i
-	}
-	return argmaxLoop(v)
-}
-
-// argmaxLoop is Argmax as one compare per element against the best so far.
-func argmaxLoop(v []float64) int {
 	best := 0
 	for i, x := range v[1:] {
 		if x > v[best] {

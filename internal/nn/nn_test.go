@@ -143,6 +143,16 @@ func TestArgmax(t *testing.T) {
 	if Argmax([]float64{1, 2, 9}) != 2 {
 		t.Error("argmax last")
 	}
+	// Among equal maxima the first wins, and +0 and −0 are equal.
+	if got := Argmax([]float64{1, 7, 3, 7, 7}); got != 1 {
+		t.Errorf("argmax of ties = %d, want 1", got)
+	}
+	negZero := math.Copysign(0, -1)
+	for _, v := range [][]float64{{-1, 0, negZero, -2}, {-1, negZero, 0, -2}} {
+		if got := Argmax(v); got != 1 {
+			t.Errorf("Argmax(%v) = %d, want 1", v, got)
+		}
+	}
 }
 
 // The classifier must learn a simple separable problem.
@@ -443,6 +453,11 @@ func TestScalerBasics(t *testing.T) {
 	if math.Abs(m0) > 1e-9 {
 		t.Errorf("standardized mean = %v", m0/3)
 	}
+	// A scaler narrower than its input passes the extra columns through.
+	narrow := FitScaler([][]float64{{0}, {2}}, nil)
+	if out := narrow.Transform([]float64{2, -3.5, 1e9}); out[0] != 1 || out[1] != -3.5 || out[2] != 1e9 {
+		t.Errorf("narrow scaler: %v, want [1 -3.5 1e+09]", out)
+	}
 }
 
 func TestScalerLogColumns(t *testing.T) {
@@ -453,9 +468,12 @@ func TestScalerLogColumns(t *testing.T) {
 	if a >= 0 || b <= 0 {
 		t.Errorf("log-scaled extremes: %v, %v", a, b)
 	}
-	// Negative inputs clamp to 0 under log.
-	if v := s.Transform([]float64{-5})[0]; math.IsNaN(v) {
-		t.Error("NaN for negative input")
+	// Negative inputs clamp to 0 before log1p.
+	zero := s.Transform([]float64{0})[0]
+	for _, x := range []float64{-5, -1, math.Copysign(0, -1)} {
+		if v := s.Transform([]float64{x})[0]; math.Float64bits(v) != math.Float64bits(zero) {
+			t.Errorf("Transform(%v) = %v, want Transform(0) = %v", x, v, zero)
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"gemini/internal/simd"
-)
+import "math"
 
 // Scaler standardizes feature vectors: optionally log1p-compressing heavy-
 // tailed columns (posting-list lengths span orders of magnitude), then
@@ -71,43 +67,9 @@ func (s *Scaler) Transform(x []float64) []float64 {
 	return out
 }
 
-// TransformInto standardizes x into dst (must be same length). Where the
-// AVX2 kernels run, the log columns go through simd.Log1p, gathered up to 16
-// at a time so that they fill its four-lane blocks, and the subtract and
-// divide through standardizeAVX2; the bits are the loop's (transformLoop).
+// TransformInto standardizes x into dst (must be same length); columns past
+// the scaler's width pass through unchanged.
 func (s *Scaler) TransformInto(x, dst []float64) {
-	if !useAVX2 {
-		s.transformLoop(x, dst)
-		return
-	}
-	n := min(len(x), len(s.Mean))
-	var logs [16]float64
-	var cols [16]int
-	for lo := 0; lo < n; {
-		k, hi := 0, lo
-		for ; hi < n && k < len(logs); hi++ {
-			if s.logCol(hi) {
-				v := x[hi]
-				if v < 0 {
-					v = 0
-				}
-				logs[k], cols[k] = v, hi
-				k++
-			}
-		}
-		simd.Log1p(logs[:k])
-		copy(dst[lo:hi], x[lo:hi])
-		for m, j := range cols[:k] {
-			dst[j] = logs[m]
-		}
-		lo = hi
-	}
-	standardizeAVX2(dst[:n], s.Mean[:n], s.Std[:n])
-	copy(dst[n:len(x)], x[n:])
-}
-
-// transformLoop is TransformInto one column at a time.
-func (s *Scaler) transformLoop(x, dst []float64) {
 	for j := range x {
 		if j < len(s.Mean) {
 			dst[j] = (s.raw(j, x[j]) - s.Mean[j]) / s.Std[j]

@@ -1,7 +1,6 @@
 // Package simd is what the AVX2 kernels of several packages share: which
-// vector instructions this CPU and its OS run, and Exp, Log and Log1p,
-// math.Exp, math.Log and math.Log1p over a slice four elements at a time
-// with their bits.
+// vector instructions this CPU and its OS run, and Exp and Log, math.Exp and
+// math.Log over a slice four elements at a time with their bits.
 package simd
 
 import "math"
@@ -35,26 +34,6 @@ func Log(v []float64) {
 		}
 		if i < len(v) {
 			v[i] = math.Log(v[i])
-			i++
-		}
-	}
-}
-
-// Log1p sets v[i] = math.Log1p(v[i]) for every i. math.Log1p is Go code with
-// a branch for each range of its input, which the compiler builds on amd64
-// with every multiply and add rounded apart; the AVX2 kernel runs the two
-// paths of every x in [2⁻²⁹, 2⁵³), below √2−1 and above it, four lanes at a
-// time with those operations, blends where they differ, and leaves a block
-// with any other input (or one whose 1+x has a significand within 3 ulps of
-// the next power of two) to math.Log1p, so the bits are math.Log1p's
-// everywhere.
-func Log1p(v []float64) {
-	for i := 0; i < len(v); {
-		if AVX2 {
-			i += log1pAVX2(v[i:])
-		}
-		if i < len(v) {
-			v[i] = math.Log1p(v[i])
 			i++
 		}
 	}

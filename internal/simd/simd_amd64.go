@@ -37,6 +37,3 @@ func expAVX2(v []float64) int
 
 //go:noescape
 func logAVX2(v []float64) int
-
-//go:noescape
-func log1pAVX2(v []float64) int

@@ -269,172 +269,3 @@ ldone:
 	MOVQ DX, ret+24(FP)
 	VZEROUPPER
 	RET
-
-// The constants of math.Log1p (log1p.go), as it writes them: ln 2's halves,
-// the polynomial's Lp1–Lp7, then 0.5, 1 and 2; the significand mask, one
-// step of the exponent field (1<<52), the significand of √2 less one, the
-// largest significand whose normalised u/2 leaves iu ≠ 0, the 2⁵² trick's
-// bits and 1023; then the bounds 2⁻²⁹, 2⁵³ and √2−1.
-DATA log1pConst<>+0x00(SB)/8, $6.93147180369123816490e-01
-DATA log1pConst<>+0x08(SB)/8, $1.90821492927058770002e-10
-DATA log1pConst<>+0x10(SB)/8, $6.666666666666735130e-01
-DATA log1pConst<>+0x18(SB)/8, $3.999999999940941908e-01
-DATA log1pConst<>+0x20(SB)/8, $2.857142874366239149e-01
-DATA log1pConst<>+0x28(SB)/8, $2.222219843214978396e-01
-DATA log1pConst<>+0x30(SB)/8, $1.818357216161805012e-01
-DATA log1pConst<>+0x38(SB)/8, $1.531383769920937332e-01
-DATA log1pConst<>+0x40(SB)/8, $1.479819860511658591e-01
-DATA log1pConst<>+0x48(SB)/8, $0.5
-DATA log1pConst<>+0x50(SB)/8, $1.0
-DATA log1pConst<>+0x58(SB)/8, $2.0
-DATA log1pConst<>+0x60(SB)/8, $0x000FFFFFFFFFFFFF
-DATA log1pConst<>+0x68(SB)/8, $0x0010000000000000
-DATA log1pConst<>+0x70(SB)/8, $0x0006A09E667F3BCC
-DATA log1pConst<>+0x78(SB)/8, $0x000FFFFFFFFFFFFC
-DATA log1pConst<>+0x80(SB)/8, $0x4330000000000000
-DATA log1pConst<>+0x88(SB)/8, $1023.0
-DATA log1pConst<>+0x90(SB)/8, $1.862645149230957031250e-09
-DATA log1pConst<>+0x98(SB)/8, $9007199254740992.0
-DATA log1pConst<>+0xa0(SB)/8, $4.142135623730950488017e-01
-GLOBL log1pConst<>(SB), RODATA|NOPTR, $168
-
-// func log1pAVX2(v []float64) int
-//
-// v[i] = math.Log1p(v[i]), four at a time, while every lane of the next four
-// is in [2⁻²⁹, 2⁵³) and, at or above √2−1, does not normalise u to just
-// below 1, and returns how many it did: a multiple of four, stopping at the
-// first block with a lane outside or short of four. On such inputs
-// math.Log1p takes one of two paths: below √2−1, f = x and k = 0; above,
-// u = 1+x, the correction c, and u normalised to [√2/2, √2) with k its
-// exponent, then f = u−1, whose f = 0 (u a power of two) returns early. Each
-// lane runs both paths' instructions as their packed forms, multiplies and
-// adds apart (no FMA, as the Go code compiles for amd64), and the branches
-// between them, k > 0 for c, the normalisation's, and k = 0 and f = 0 for
-// the result, become blends. The exponent, an
-// integer below 2¹¹, is made a float64 exactly by the 2⁵² trick.
-TEXT ·log1pAVX2(SB), NOSPLIT, $0-32
-	MOVQ   v_base+0(FP), DI
-	MOVQ   v_len+8(FP), CX
-	XORQ   DX, DX
-	LEAQ   log1pConst<>(SB), AX
-	VXORPD Y15, Y15, Y15
-
-l1loop:
-	CMPQ         CX, $4
-	JLT          l1done
-	VMOVUPD      (DI), Y0
-	VBROADCASTSD 0x90(AX), Y1
-	VCMPPD       $0x1d, Y1, Y0, Y1 // x >= 2⁻²⁹, false for NaN
-	VBROADCASTSD 0x98(AX), Y2
-	VCMPPD       $0x11, Y2, Y0, Y2 // x < 2⁵³
-	VANDPD       Y2, Y1, Y1        // in range
-	VBROADCASTSD 0xa0(AX), Y2
-	VCMPPD       $0x11, Y2, Y0, Y2 // x < √2−1: the k = 0 path
-
-	// u = 1+x; k = u's exponent; c = (k > 0 ? 1−(u−x) : x−(u−1)) / u.
-	VBROADCASTSD 0x50(AX), Y3
-	VADDPD       Y0, Y3, Y3        // u
-	VPSRLQ       $52, Y3, Y4
-	VPBROADCASTQ 0x80(AX), Y5
-	VPOR         Y5, Y4, Y4
-	VSUBPD       Y5, Y4, Y4
-	VBROADCASTSD 0x88(AX), Y5
-	VSUBPD       Y5, Y4, Y4        // k
-	VSUBPD       Y0, Y3, Y5
-	VBROADCASTSD 0x50(AX), Y6
-	VSUBPD       Y5, Y6, Y5        // 1−(u−x)
-	VSUBPD       Y6, Y3, Y6
-	VSUBPD       Y6, Y0, Y6        // x−(u−1)
-	VCMPPD       $0x1e, Y15, Y4, Y7 // k > 0
-	VBLENDVPD    Y7, Y5, Y6, Y5
-	VDIVPD       Y3, Y5, Y5        // c
-
-	// iu = u's significand; at or past √2's, k += 1 and u = iu | ½'s
-	// exponent, else u = iu | 1's. iu = 0 afterwards is a branch of its own:
-	// where iu was 0 (f = 0), a third result, blended at the end; where
-	// (2⁵² − iu) >> 2 = 0, not here.
-	VPBROADCASTQ 0x60(AX), Y6
-	VPAND        Y6, Y3, Y6        // iu
-	VPBROADCASTQ 0x70(AX), Y7
-	VPCMPGTQ     Y7, Y6, Y7        // iu >= √2's significand
-	VBROADCASTSD 0x50(AX), Y8
-	VANDPD       Y8, Y7, Y10
-	VADDPD       Y10, Y4, Y4       // k
-	VPOR         Y8, Y6, Y9
-	VPBROADCASTQ 0x68(AX), Y10
-	VPAND        Y10, Y7, Y10
-	VPSUBQ       Y10, Y9, Y9       // u normalised
-	VSUBPD       Y8, Y9, Y9        // f = u−1
-	VPCMPEQQ     Y15, Y6, Y13
-	VPANDN       Y13, Y2, Y13      // f = 0: u a power of two
-	VPBROADCASTQ 0x78(AX), Y11
-	VPCMPGTQ     Y11, Y6, Y11      // u/2 just below 1
-	VPANDN       Y1, Y11, Y1
-	VMOVMSKPD    Y1, BX
-	CMPQ         BX, $15
-	JNE          l1done
-
-	// Below √2−1: f = x, k = 0.
-	VBLENDVPD Y2, Y0, Y9, Y9       // f
-	VANDNPD   Y4, Y2, Y4           // k
-
-	// hfsq = ½·f·f; s = f/(2+f); z = s·s;
-	// R = z·(Lp1+z·(Lp2+z·(Lp3+z·(Lp4+z·(Lp5+z·(Lp6+z·Lp7)))))).
-	VBROADCASTSD 0x48(AX), Y0
-	VMULPD       Y9, Y0, Y0
-	VMULPD       Y9, Y0, Y0        // hfsq
-	VBROADCASTSD 0x58(AX), Y1
-	VADDPD       Y9, Y1, Y1
-	VDIVPD       Y1, Y9, Y2        // s
-	VMULPD       Y2, Y2, Y3        // z
-	VBROADCASTSD 0x40(AX), Y6
-	VMULPD       Y6, Y3, Y6
-	VBROADCASTSD 0x38(AX), Y7
-	VADDPD       Y6, Y7, Y6
-	VMULPD       Y6, Y3, Y6
-	VBROADCASTSD 0x30(AX), Y7
-	VADDPD       Y6, Y7, Y6
-	VMULPD       Y6, Y3, Y6
-	VBROADCASTSD 0x28(AX), Y7
-	VADDPD       Y6, Y7, Y6
-	VMULPD       Y6, Y3, Y6
-	VBROADCASTSD 0x20(AX), Y7
-	VADDPD       Y6, Y7, Y6
-	VMULPD       Y6, Y3, Y6
-	VBROADCASTSD 0x18(AX), Y7
-	VADDPD       Y6, Y7, Y6
-	VMULPD       Y6, Y3, Y6
-	VBROADCASTSD 0x10(AX), Y7
-	VADDPD       Y6, Y7, Y6
-	VMULPD       Y6, Y3, Y6        // R
-
-	// t = s·(hfsq+R); k = 0: f − (hfsq − t); f = 0: k·Ln2Hi + (c + k·Ln2Lo);
-	// else k·Ln2Hi − ((hfsq − (t + (k·Ln2Lo + c))) − f).
-	VADDPD       Y6, Y0, Y6
-	VMULPD       Y6, Y2, Y6        // t
-	VSUBPD       Y6, Y0, Y7
-	VSUBPD       Y7, Y9, Y7
-	VBROADCASTSD 0x08(AX), Y8
-	VMULPD       Y8, Y4, Y8
-	VADDPD       Y5, Y8, Y8
-	VMOVAPD      Y8, Y12
-	VADDPD       Y8, Y6, Y8
-	VSUBPD       Y8, Y0, Y8
-	VSUBPD       Y9, Y8, Y8
-	VBROADCASTSD 0x00(AX), Y10
-	VMULPD       Y10, Y4, Y10
-	VSUBPD       Y8, Y10, Y8
-	VADDPD       Y12, Y10, Y12
-	VCMPPD       $0, Y15, Y4, Y11  // k = 0
-	VBLENDVPD    Y11, Y7, Y8, Y8
-	VBLENDVPD    Y13, Y12, Y8, Y8
-	VMOVUPD      Y8, (DI)
-	ADDQ         $32, DI
-	SUBQ         $4, CX
-	ADDQ         $4, DX
-	JMP          l1loop
-
-l1done:
-	MOVQ DX, ret+24(FP)
-	VZEROUPPER
-	RET

@@ -8,5 +8,3 @@ const AVX2, FMA = false, false
 func expAVX2(v []float64) int { panic("simd: no kernels on this architecture") }
 
 func logAVX2(v []float64) int { panic("simd: no kernels on this architecture") }
-
-func log1pAVX2(v []float64) int { panic("simd: no kernels on this architecture") }
