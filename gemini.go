@@ -27,6 +27,7 @@ package gemini
 
 import (
 	"fmt"
+	"slices"
 
 	"gemini/internal/corpus"
 	"gemini/internal/cpu"
@@ -137,9 +138,7 @@ func FeatureNames() []string {
 }
 
 // Policies lists the policy names accepted by Simulate.
-func Policies() []string {
-	return []string{"Baseline", "Pegasus", "Rubik", "Gemini", "Gemini-a", "Gemini-95th", "EETL", "PACE-oracle", "Gemini+Sleep", "ondemand", "conservative"}
-}
+func Policies() []string { return slices.Clone(harness.AllPolicyNames) }
 
 // TraceSpec describes a workload for Simulate.
 type TraceSpec struct {
@@ -183,6 +182,9 @@ type Metrics struct {
 }
 
 // Simulate runs one policy over a generated trace and returns its metrics.
+// The per-request prediction stall is charged as in the paper's grids
+// (harness.Platform.ConfigFor): Baseline, the governors, EETL and
+// PACE-oracle run without it.
 func (s *System) Simulate(policyName string, spec TraceSpec) (*Metrics, error) {
 	// Resolved first, for both paths: a bad name must come back as an
 	// error, not panic inside a cluster core's worker.
@@ -221,7 +223,7 @@ func (s *System) Simulate(policyName string, spec TraceSpec) (*Metrics, error) {
 		}
 	}
 	wl := s.p.Workload(tr.Arrivals, spec.DurationMs, spec.Seed+1)
-	cfg := s.p.SimConfig()
+	cfg := s.p.ConfigFor(pol.Name())
 
 	if spec.Cores > 0 {
 		cr := sim.RunClusterWorkers(cfg, wl, spec.Cores, par.DefaultWorkers(), func(int) sim.Policy {

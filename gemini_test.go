@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	"gemini"
+	"gemini/internal/sim"
+	"gemini/internal/stats"
+	"gemini/internal/trace"
 )
 
 var (
@@ -159,6 +162,44 @@ func TestSimulateOneCoreIsSingleISN(t *testing.T) {
 	cluster.SocketPowerW = single.SocketPowerW
 	if *cluster != *single {
 		t.Errorf("Cores: 1 gives %+v, Cores: 0 gives %+v", *cluster, *single)
+	}
+}
+
+// TestSimulateBaselinePaysNoStall: the façade charges the prediction stall
+// as the harness's grids do, so its Baseline, on one ISN or on a two-core
+// cluster, is sim.Run (or the cluster runner) with PredictOverheadMs = 0 on
+// the workload Simulate draws from the spec.
+func TestSimulateBaselinePaysNoStall(t *testing.T) {
+	s := testSystem(t)
+	p := s.Platform()
+	const rps, durationMs, seed = 60, 20_000, 3
+	tr := trace.GenFixedRPS(rps*p.Opt.ShardFraction, durationMs, seed)
+	noStall := p.SimConfig()
+	noStall.PredictOverheadMs = 0
+	for _, cores := range []int{0, 2} {
+		got, err := s.Simulate("Baseline", gemini.TraceSpec{Kind: "fixed", EngineRPS: rps, DurationMs: durationMs, Seed: seed, Cores: cores})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// want runs the façade's workload under cfg and returns what the
+		// comparison reads: p95, mean latency, socket power, completions.
+		want := func(cfg sim.Config) [4]float64 {
+			wl := p.Workload(tr.Arrivals, durationMs, seed+1)
+			if cores == 0 {
+				r := sim.Run(cfg, wl, p.MustPolicy("Baseline"))
+				return [4]float64{r.TailLatencyMs(95), r.MeanLatencyMs(), r.SocketPowerW(p.Power), float64(r.Completed)}
+			}
+			r := sim.RunClusterWorkers(cfg, wl, cores, 1, func(int) sim.Policy { return p.MustPolicy("Baseline") })
+			mean, _ := stats.Mean(r.QueryLatencies)
+			return [4]float64{r.TailLatencyMs(95), mean, r.SocketPowerW(p.Power), float64(r.Completed)}
+		}
+		w, stalled := want(noStall), want(p.SimConfig())
+		if w == stalled {
+			t.Fatalf("Cores: %d: the stall moves no metric, so the comparison shows nothing", cores)
+		}
+		if g := [4]float64{got.TailLatencyMs, got.MeanLatencyMs, got.SocketPowerW, float64(got.Completed)}; g != w {
+			t.Errorf("Cores: %d: Simulate gives (p95, mean, W, completed) %v, the stall-free run %v (with the stall %v)", cores, g, w, stalled)
+		}
 	}
 }
 

@@ -196,8 +196,8 @@ func (s *stream) fillNext() {
 // close waits for the chunk being filled: no goroutine outlives generate.
 func (s *stream) close() { <-s.filled }
 
-// fill draws the chunk's values and runs their tries, the logarithms and
-// exponentials of hinv a block at a time (simd.Log, simd.Exp).
+// fill draws the chunk's values and runs their tries, the exponentials of
+// hinv a block at a time (simd.Exp).
 func (s *stream) fill(c *chunk) {
 	for i := range c.vals {
 		c.vals[i] = s.src.Int63()
@@ -207,11 +207,7 @@ func (s *stream) fill(c *chunk) {
 		lo, hi := b*block, min((b+1)*block, len(c.vals))
 		xs := c.xs[lo:hi]
 		for i := range xs {
-			xs[i] = s.z.oneminusQ * s.z.ur(uniform(c.vals[lo+i]))
-		}
-		simd.Log(xs)
-		for i := range xs {
-			xs[i] *= s.z.oneminusQinv
+			xs[i] = s.z.oneminusQinv * math.Log(s.z.oneminusQ*s.z.ur(uniform(c.vals[lo+i])))
 		}
 		simd.Exp(xs)
 		for i, x := range xs {
@@ -276,7 +272,7 @@ func (z *zipf) h(x float64) float64 {
 }
 
 // hinv is rand.Zipf's; fill computes it a block of values at a time, its
-// logarithms and then its exponentials (simd.Log, simd.Exp).
+// exponentials four at a time (simd.Exp).
 func (z *zipf) hinv(x float64) float64 {
 	return math.Exp(z.oneminusQinv*math.Log(z.oneminusQ*x)) - z.v
 }

@@ -12,7 +12,8 @@ import (
 // broker over per-core queues, one policy instance per core — for every
 // scheme of the Fig. 10/11 sweep, and tabulates cluster-level quality and
 // power. The offered load scales with the core count so each core sees the
-// same per-ISN rate as the single-ISN experiments.
+// same per-ISN rate as the single-ISN experiments, and each scheme pays the
+// prediction stall as ConfigFor says.
 // The per-core simulations are sharded over par.DefaultWorkers() OS threads
 // (sim.RunClusterWorkers), which changes no number.
 func (p *Platform) ClusterReport(cores int, engineRPS, durationMs float64) *Report {
@@ -27,7 +28,7 @@ func (p *Platform) ClusterReport(cores int, engineRPS, durationMs float64) *Repo
 	}
 	for _, name := range PolicyNames {
 		wl := p.Workload(tr.Arrivals, durationMs, 2)
-		cr := sim.RunClusterWorkers(p.SimConfig(), wl, cores, par.DefaultWorkers(), func(int) sim.Policy {
+		cr := sim.RunClusterWorkers(p.ConfigFor(name), wl, cores, par.DefaultWorkers(), func(int) sim.Policy {
 			return p.MustPolicy(name)
 		})
 		rep.AddRow(name,

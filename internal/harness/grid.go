@@ -47,17 +47,17 @@ type gridCell struct {
 	base int // index of the cell whose result is this one's saving reference; -1 = none
 }
 
-// cell is a grid cell running pol on workload wl with configFor's simulator
+// cell is a grid cell running pol on workload wl with ConfigFor's simulator
 // config. Callers may adjust cfg.
 func (p *Platform) cell(name string, pol sim.Policy, wl, base int) gridCell {
-	return gridCell{name: name, pol: pol, cfg: p.configFor(pol.Name()), wl: wl, base: base}
+	return gridCell{name: name, pol: pol, cfg: p.ConfigFor(pol.Name()), wl: wl, base: base}
 }
 
-// configFor is the platform's simulator config for a run of the named
+// ConfigFor is the platform's simulator config for a run of the named
 // policy, the prediction stall charged as paysPredictOverhead says. Every
-// harness run of one policy (the grids, RunWaterfall, LogDecisions) starts
-// from it.
-func (p *Platform) configFor(policy string) sim.Config {
+// run of one named policy (the grids, ClusterReport, RunWaterfall,
+// LogDecisions and the gemini façade's Simulate) starts from it.
+func (p *Platform) ConfigFor(policy string) sim.Config {
 	cfg := p.SimConfig()
 	if !paysPredictOverhead(policy) {
 		cfg.PredictOverheadMs = 0

@@ -12,7 +12,7 @@ import (
 // avgRPS (scaled by the shard fraction) for durationMs, with a decision
 // tracer attached, streaming every per-request telemetry.Decision to w as one
 // JSON line each. The workload and the config are those of the policy's
-// first Fig. 12–14 cell (traceWorkload, configFor): the prediction stall is
+// first Fig. 12–14 cell (traceWorkload, ConfigFor): the prediction stall is
 // charged as paysPredictOverhead says, so Baseline runs without it.
 // It returns the run's Result and the tracer (whose Quality() snapshot
 // summarizes the predictors' live accuracy over the run).
@@ -22,7 +22,7 @@ func (p *Platform) LogDecisions(w io.Writer, policyName, traceName string, avgRP
 		return nil, nil, err
 	}
 	wl := p.traceWorkload(traceName, 0, avgRPS, durationMs)
-	cfg := p.configFor(pol.Name())
+	cfg := p.ConfigFor(pol.Name())
 	tracer := telemetry.NewTracer(4096)
 	tracer.SetSink(w)
 	cfg.Tracer = tracer

@@ -75,7 +75,7 @@ func AnalyzeSpans(policy string, spans []telemetry.Span) *WaterfallSummary {
 // RunWaterfall runs one (policy, trace) simulation cell with span tracing
 // attached and returns the run's Result plus the retained span set. The
 // workload and the config are those of the policy's first Fig. 12–14 cell
-// (traceWorkload, configFor). The ring
+// (traceWorkload, ConfigFor). The ring
 // is sized to hold every request's spans (root + queue + at most two exec
 // phases per request).
 func (p *Platform) RunWaterfall(policyName, traceName string, avgRPS, durationMs float64) (*sim.Result, []telemetry.Span, error) {
@@ -85,7 +85,7 @@ func (p *Platform) RunWaterfall(policyName, traceName string, avgRPS, durationMs
 	}
 	wl := p.traceWorkload(traceName, 0, avgRPS, durationMs)
 
-	cfg := p.configFor(pol.Name())
+	cfg := p.ConfigFor(pol.Name())
 	sp := telemetry.NewSpanTracer(4 * wl.Len())
 	cfg.Spans = sp
 

@@ -7,11 +7,13 @@ import (
 
 // Kernel selection. Where CPUID reports AVX2 (kernel_amd64.go), the forward
 // pass (Network.Infer and Trainer.Fit's), the input gradient
-// (Dense.propagate), the gradient sums (Dense.accumulate), the ReLU clamp
-// and Adam's step run the AVX2 kernels in kernel_amd64.s; everywhere else
-// they run the Go loops, which are also the reference the tests hold the
-// kernels to. Both produce the same bits (DESIGN.md §10), so nothing a user
-// sets chooses between them. The scaler and Argmax have only their Go loops.
+// (Dense.propagate), the weight-gradient sums (Dense.accumulate), the ReLU
+// clamp with its row list, the transposed copy and Adam's step run the AVX2
+// kernels in kernel_amd64.s; everywhere else they run the Go loops, which
+// are also the reference the tests hold the kernels to. Both produce the
+// same bits (DESIGN.md §10), so nothing a user sets chooses between them.
+// The scaler, Argmax, Softmax, the bias sums and the ReLU clamp of a layer's
+// last len % 4 units have only their Go loops.
 
 // useAVX2 selects the AVX2 kernels. It starts as what CPUID reports; only
 // SetSIMD changes it.

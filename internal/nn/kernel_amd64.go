@@ -10,8 +10,7 @@ var hasAVX2 = simd.AVX2
 // indexes x; clampRowsAVX2's rows is at least len(v) long; w holds
 // len(delta) rows of len(dIn), and every entry of rows indexes delta; gw is
 // whole rows of in, x holds n rows of in, and delta n rows of out, the last
-// cut after len(gw)/in (or len(gb)) entries; grad, m and v are at least
-// len(p) long.
+// cut after len(gw)/in entries; grad, m and v are at least len(p) long.
 
 //go:noescape
 func affineT(wt, b, x, z []float64, rows []int)
@@ -26,16 +25,7 @@ func inputGradAVX2(w, delta, dIn []float64, rows []int)
 func gradAVX2(gw, delta, x []float64, in, out, n int, scale float64)
 
 //go:noescape
-func biasAVX2(gb, delta []float64, out, n int, scale float64)
-
-//go:noescape
 func transposeAVX2(w, wt []float64, in, stride int) (sum float64)
 
 //go:noescape
 func adamAVX2(p, grad, m, v []float64, k *[8]float64)
-
-//go:noescape
-func clampAVX2(v []float64)
-
-//go:noescape
-func divAVX2(v []float64, d float64)

@@ -1,14 +1,15 @@
 #include "textflag.h"
 
 // The AVX2 kernels behind the forward pass (Dense.affine and the row lists of
-// Dense.activate), Dense.propagate, Dense.accumulate, the ReLU clamp, Adam's
-// step and the softmax's divisions (kernel.go says when they run; DESIGN.md
-// §10 has the contract). Each YMM lane carries one output of the Go loop and
-// runs that loop's IEEE sequence: a VMULPD, then a VADDPD, never an FMA
-// (which rounds once where the Go loop rounds twice), every sum in its Go
-// order. Every add into a sum takes the sum as its first source operand,
-// whose NaN x86 returns when both operands are NaN. Partial blocks go through masks
-// from laneMask, so no kernel reads or writes outside its slices.
+// Dense.activate, which clamp the ReLU as they go), Dense.propagate, the
+// weight-gradient sums of Dense.accumulate and Adam's step (kernel.go says
+// when they run; DESIGN.md §10 has the contract). Each YMM lane carries one
+// output of the Go loop and runs that loop's IEEE sequence: a VMULPD, then a
+// VADDPD, never an FMA (which rounds once where the Go loop rounds twice),
+// every sum in its Go order. Every add into a sum takes the sum as its first
+// source operand, whose NaN x86 returns when both operands are NaN. Partial
+// blocks go through masks from laneMask, so no kernel reads or writes
+// outside its slices.
 
 // laneMask is sixteen all-ones quadwords, then sixteen zero ones. Four YMM
 // loads from element 16-r enable the first r lanes of a 16-lane block.
@@ -721,79 +722,6 @@ gdone:
 	VZEROUPPER
 	RET
 
-// func biasAVX2(gb, delta []float64, out, n int, scale float64)
-//
-// gb[r] = (gb[r] + Σ_s delta[s·out+r])·scale for every r, the sum over the n
-// samples in order. Rows go 16 at a time in four accumulators of four lanes;
-// the last block goes through masks. n is at least 1.
-TEXT ·biasAVX2(SB), NOSPLIT, $0-72
-	MOVQ         gb_base+0(FP), DI
-	MOVQ         gb_len+8(FP), R13 // rows left
-	MOVQ         delta_base+24(FP), DX
-	MOVQ         out+48(FP), R10
-	SHLQ         $3, R10           // bytes per sample of delta
-	MOVQ         n+56(FP), R11
-	VBROADCASTSD scale+64(FP), Y8
-
-bblock:
-	CMPQ    R13, $16
-	JLT     bpartial
-	VMOVUPD 0(DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD 64(DI), Y2
-	VMOVUPD 96(DI), Y3
-	MOVQ    DX, R14
-	MOVQ    R11, CX
-
-bsample:
-	VADDPD 0(R14), Y0, Y0
-	VADDPD 32(R14), Y1, Y1
-	VADDPD 64(R14), Y2, Y2
-	VADDPD 96(R14), Y3, Y3
-	ADDQ   R10, R14
-	DECQ   CX
-	JNE    bsample
-	SCALE4
-	VMOVUPD Y0, 0(DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	ADDQ    $128, DI
-	ADDQ    $128, DX
-	SUBQ    $16, R13
-	JNE     bblock
-	VZEROUPPER
-	RET
-
-bpartial:
-	LOADMASKS(R13)
-	VMASKMOVPD 0(DI), Y12, Y0
-	VMASKMOVPD 32(DI), Y13, Y1
-	VMASKMOVPD 64(DI), Y14, Y2
-	VMASKMOVPD 96(DI), Y15, Y3
-	MOVQ       DX, R14
-	MOVQ       R11, CX
-
-bmsample:
-	VMASKMOVPD 0(R14), Y12, Y4
-	VMASKMOVPD 32(R14), Y13, Y5
-	VMASKMOVPD 64(R14), Y14, Y6
-	VMASKMOVPD 96(R14), Y15, Y7
-	VADDPD     Y4, Y0, Y0
-	VADDPD     Y5, Y1, Y1
-	VADDPD     Y6, Y2, Y2
-	VADDPD     Y7, Y3, Y3
-	ADDQ       R10, R14
-	DECQ       CX
-	JNE        bmsample
-	SCALE4
-	VMASKMOVPD Y0, Y12, 0(DI)
-	VMASKMOVPD Y1, Y13, 32(DI)
-	VMASKMOVPD Y2, Y14, 64(DI)
-	VMASKMOVPD Y3, Y15, 96(DI)
-	VZEROUPPER
-	RET
-
 // func transposeAVX2(w, wt []float64, in, stride int) (sum float64)
 //
 // wt[i·stride+o] = w[o·in+i] for o < len(w)/in and i < in, both rounded
@@ -948,74 +876,6 @@ adone:
 	VZEROUPPER
 	RET
 
-// func clampAVX2(v []float64)
-//
-// v[i] = +0 wherever v[i] < 0: a quiet ordered compare against zero, so −0
-// and NaN stay as they are, and an and-not of the compare mask. The last
-// len(v) % 4 elements go through a mask.
-TEXT ·clampAVX2(SB), NOSPLIT, $0-24
-	MOVQ   v_base+0(FP), DI
-	MOVQ   v_len+8(FP), CX
-	VXORPD Y15, Y15, Y15
-
-cloop:
-	CMPQ    CX, $4
-	JLT     ctail
-	VMOVUPD (DI), Y0
-	VCMPPD  $0x11, Y15, Y0, Y1
-	VANDNPD Y0, Y1, Y0
-	VMOVUPD Y0, (DI)
-	ADDQ    $32, DI
-	SUBQ    $4, CX
-	JMP     cloop
-
-ctail:
-	TESTQ      CX, CX
-	JEQ        cdone
-	LEAQ       laneMask<>+128(SB), AX
-	NEGQ       CX
-	VMOVUPD    (AX)(CX*8), Y2
-	VMASKMOVPD (DI), Y2, Y0
-	VCMPPD     $0x11, Y15, Y0, Y1
-	VANDNPD    Y0, Y1, Y0
-	VMASKMOVPD Y0, Y2, (DI)
-
-cdone:
-	VZEROUPPER
-	RET
-
-// func divAVX2(v []float64, d float64)
-//
-// v[i] = v[i] / d, four at a time; the last len(v) % 4 through a mask.
-TEXT ·divAVX2(SB), NOSPLIT, $0-32
-	MOVQ         v_base+0(FP), DI
-	MOVQ         v_len+8(FP), CX
-	VBROADCASTSD d+24(FP), Y1
-
-dloop:
-	CMPQ    CX, $4
-	JLT     dtail
-	VMOVUPD (DI), Y0
-	VDIVPD  Y1, Y0, Y0
-	VMOVUPD Y0, (DI)
-	ADDQ    $32, DI
-	SUBQ    $4, CX
-	JMP     dloop
-
-dtail:
-	TESTQ      CX, CX
-	JEQ        ddone
-	LEAQ       laneMask<>+128(SB), AX
-	NEGQ       CX
-	VMOVUPD    (AX)(CX*8), Y2
-	VMASKMOVPD (DI), Y2, Y0
-	VDIVPD     Y1, Y0, Y0
-	VMASKMOVPD Y0, Y2, (DI)
-
-ddone:
-	VZEROUPPER
-	RET
-
 // rowLanes is, for each 4-bit mask m, the lanes whose bit m sets, ascending,
 // as four int64s (the unused ones 0): liveRowsAVX2 adds a block's first
 // index to the entry of the block's mask and stores all four.
@@ -1108,7 +968,7 @@ GLOBL rowLanes<>(SB), RODATA|NOPTR, $512
 //
 // The ReLU clamp and the next layer's row list in one pass over the blocks
 // of four below len(v) &^ 3: each block is clamped (v[i] = +0 wherever
-// v[i] < 0, as clampAVX2 does), stored, and listed: rows gets, ascending,
+// v[i] < 0, as clampNegative does), stored, and listed: rows gets, ascending,
 // the indices of the entries now other than ±0, or of every entry where
 // keep is 15. It returns how many it wrote. Each store writes four entries
 // from rows[n] on, which the next block overwrites; n is at most the

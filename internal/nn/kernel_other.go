@@ -20,17 +20,9 @@ func gradAVX2(gw, delta, x []float64, in, out, n int, scale float64) {
 	panic("nn: no SIMD kernels on this architecture")
 }
 
-func biasAVX2(gb, delta []float64, out, n int, scale float64) {
-	panic("nn: no SIMD kernels on this architecture")
-}
-
 func adamAVX2(p, grad, m, v []float64, k *[8]float64) {
 	panic("nn: no SIMD kernels on this architecture")
 }
-
-func clampAVX2(v []float64) { panic("nn: no SIMD kernels on this architecture") }
-
-func divAVX2(v []float64, d float64) { panic("nn: no SIMD kernels on this architecture") }
 
 func transposeAVX2(w, wt []float64, in, stride int) (sum float64) {
 	panic("nn: no SIMD kernels on this architecture")

@@ -97,8 +97,6 @@ func TestTransposedWeightsCurrent(t *testing.T) {
 	}{
 		{"Adam", NewAdam(0.05)},
 		{"RMSprop", NewRMSprop(0.05)},
-		{"SGD", &SGD{LR: 0.05}},
-		{"SGD momentum 0.9", &SGD{LR: 0.05, Momentum: 0.9}},
 	} {
 		net := NewMLP(7, []int{19, 33}, 5, 3)
 		before := append([]float64(nil), net.Layers[0].W...)
@@ -287,30 +285,4 @@ func TestLiteralLayerInfers(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestSoftmaxKernelsMatchGo holds Softmax on the AVX2 path (simd.Exp, then
-// divAVX2) to the Go loop, bit for bit, at widths 1–70 around every 4-lane
-// tail.
-func TestSoftmaxKernelsMatchGo(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip(noAVX2)
-	}
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 2000; trial++ {
-		logits := make([]float64, 1+trial%70)
-		for i := range logits {
-			logits[i] = rng.NormFloat64() * 20
-		}
-		var outs [2][]float64
-		for k, simd := range []bool{false, true} {
-			prev := SetSIMD(simd)
-			outs[k] = make([]float64, len(logits))
-			Softmax(logits, outs[k])
-			SetSIMD(prev)
-		}
-		if j := firstDiff(outs[1], outs[0]); j >= 0 {
-			t.Fatalf("softmax of %d logits, output %d: AVX2 %x, Go %x", len(logits), j, math.Float64bits(outs[1][j]), math.Float64bits(outs[0][j]))
-		}
-	}
 }

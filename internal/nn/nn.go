@@ -108,14 +108,8 @@ func affineRows(w, b []float64, in int, x, z []float64) {
 }
 
 // clampNegative is ReLU in place. Only strictly negative values change, so a
-// pre-activation of -0 stays -0, as it always has. The AVX2 kernel does it
-// without a branch per element, which mispredicts on about half of a ReLU
-// layer's units.
+// pre-activation of -0 stays -0, as it always has.
 func clampNegative(v []float64) {
-	if useAVX2 {
-		clampAVX2(v)
-		return
-	}
 	for i, s := range v {
 		if s < 0 {
 			v[i] = 0
@@ -253,8 +247,6 @@ func (d *Dense) accumulate(delta, x, y []float64, n, lo, hi int, dense bool, sca
 		}
 	case useAVX2:
 		gradAVX2(gw, delta, x, in, out, n, scale)
-		biasAVX2(gb, delta, out, n, scale)
-		return
 	default:
 		sumRows(gw, delta, x, in, out, n, scale)
 	}
@@ -372,9 +364,8 @@ func (n *Network) String() string {
 }
 
 // Softmax writes the softmax of logits into out (which may alias logits),
-// computed stably by subtracting the max logit. Where the AVX2 kernels run,
-// the exponentials (simd.Exp) and the divisions (divAVX2) go four at a time
-// with math.Exp's and the loop's bits; the sum stays in order.
+// computed stably by subtracting the max logit. The exponentials go four at
+// a time with math.Exp's bits (simd.Exp); the sum stays in order.
 func Softmax(logits, out []float64) {
 	max := logits[0]
 	for _, v := range logits[1:] {
@@ -383,22 +374,12 @@ func Softmax(logits, out []float64) {
 		}
 	}
 	out = out[:len(logits)]
-	if useAVX2 {
-		for i, v := range logits {
-			out[i] = v - max
-		}
-		simd.Exp(out)
-		sum := 0.0
-		for _, e := range out {
-			sum += e
-		}
-		divAVX2(out, sum)
-		return
-	}
-	sum := 0.0
 	for i, v := range logits {
-		e := math.Exp(v - max)
-		out[i] = e
+		out[i] = v - max
+	}
+	simd.Exp(out)
+	sum := 0.0
+	for _, e := range out {
 		sum += e
 	}
 	for i := range out {

@@ -211,7 +211,7 @@ func TestTrainRegressorLine(t *testing.T) {
 
 func TestTrainerErrors(t *testing.T) {
 	net := NewMLP(1, nil, 1, 1)
-	tr := &Trainer{Net: net, Loss: MSE{}, Opt: &SGD{LR: 0.1}}
+	tr := &Trainer{Net: net, Loss: MSE{}, Opt: NewAdam(0.1)}
 	if _, err := tr.Fit(nil, nil); err == nil {
 		t.Error("empty set accepted")
 	}
@@ -227,7 +227,7 @@ func TestTrainerEarlyStop(t *testing.T) {
 	net := NewMLP(1, nil, 1, 1)
 	epochs := 0
 	tr := &Trainer{
-		Net: net, Loss: MSE{}, Opt: &SGD{LR: 0.01}, Epochs: 50, BatchSize: 2,
+		Net: net, Loss: MSE{}, Opt: NewAdam(0.01), Epochs: 50, BatchSize: 2,
 		OnEpoch: func(e int, _ float64) bool { epochs = e + 1; return e < 4 },
 	}
 	if _, err := tr.Fit([][]float64{{1}, {2}}, []float64{1, 2}); err != nil {
@@ -255,15 +255,6 @@ func TestTrainingDeterministic(t *testing.T) {
 	}
 	if a, b := build(), build(); a != b {
 		t.Errorf("training not deterministic: %v vs %v", a, b)
-	}
-}
-
-func TestSGDStep(t *testing.T) {
-	s := &SGD{LR: 0.5}
-	p := []float64{1, 2}
-	s.Step(0, p, []float64{2, -2})
-	if p[0] != 0 || p[1] != 3 {
-		t.Errorf("params = %v", p)
 	}
 }
 
@@ -501,25 +492,6 @@ func TestCrossEntropyClampsTarget(t *testing.T) {
 	ce.LossAndGrad([]float64{1, 2, 3}, 99, dOut)
 }
 
-func TestSGDMomentumConverges(t *testing.T) {
-	// Momentum must still converge on a quadratic bowl, faster than plain
-	// SGD at the same small learning rate.
-	run := func(momentum float64, iters int) float64 {
-		s := &SGD{LR: 0.01, Momentum: momentum}
-		p := []float64{8}
-		for i := 0; i < iters; i++ {
-			s.Step(0, p, []float64{2 * (p[0] - 3)})
-		}
-		return math.Abs(p[0] - 3)
-	}
-	if d := run(0.9, 200); d > 0.1 {
-		t.Errorf("momentum SGD ended %.3f from the optimum", d)
-	}
-	if run(0.9, 60) >= run(0, 60) {
-		t.Errorf("momentum not faster than plain SGD on the bowl")
-	}
-}
-
 func TestWeightDecayShrinksWeights(t *testing.T) {
 	// Train on pure-noise labels: with strong L2 the weights must end up
 	// smaller in norm than without.
@@ -532,7 +504,7 @@ func TestWeightDecayShrinksWeights(t *testing.T) {
 	}
 	norm := func(decay float64) float64 {
 		net := NewMLP(1, []int{16}, 1, 13)
-		tr := &Trainer{Net: net, Loss: MSE{}, Opt: &SGD{LR: 0.01},
+		tr := &Trainer{Net: net, Loss: MSE{}, Opt: NewAdam(0.01),
 			BatchSize: 20, Epochs: 40, Seed: 3, WeightDecay: decay}
 		if _, err := tr.Fit(X, Y); err != nil {
 			t.Fatal(err)

@@ -2,8 +2,8 @@ package nn
 
 import "math"
 
-// Optimizer updates parameter vectors in place given their gradients: SGD,
-// Adam and RMSprop, the package's optimizers, are the only ones. The id
+// Optimizer updates parameter vectors in place given their gradients: Adam
+// and RMSprop, the package's optimizers, are the only ones. The id
 // distinguishes parameter groups (each layer's W and B) so stateful
 // optimizers keep separate moment estimates per group. Its update of a
 // parameter reads only that parameter, its gradient, its moments and the step
@@ -46,41 +46,6 @@ func vec(vs *map[int][]float64, id, n int) []float64 {
 		(*vs)[id] = x
 	}
 	return x
-}
-
-// SGD is stochastic gradient descent with optional classical momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64 // 0 disables the velocity term
-
-	state
-}
-
-// Step applies v = Momentum·v − LR·g; params += v (plain descent when
-// Momentum is zero).
-func (s *SGD) Step(id int, params, grads []float64) {
-	m, v := s.moments(id, len(params))
-	s.update(params, grads, m, v)
-}
-
-func (s *SGD) moments(id, n int) (m, v []float64) {
-	if s.Momentum == 0 {
-		return nil, nil
-	}
-	return nil, vec(&s.v, id, n)
-}
-
-func (s *SGD) update(params, grads, _, v []float64) {
-	if s.Momentum == 0 {
-		for i := range params {
-			params[i] -= s.LR * grads[i]
-		}
-		return
-	}
-	for i := range params {
-		v[i] = s.Momentum*v[i] - s.LR*grads[i]
-		params[i] += v[i]
-	}
 }
 
 // Adam implements Kingma & Ba's optimizer (the paper trains the latency

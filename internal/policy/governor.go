@@ -5,113 +5,84 @@ import (
 	"gemini/internal/sim"
 )
 
-// OnDemand mimics the classic Linux `ondemand` cpufreq governor: utilization
-// is sampled on a fixed period; above the up-threshold the core jumps to the
-// maximum frequency, otherwise the frequency is set proportionally so the
-// sampled utilization would sit at the threshold. It is deadline-blind —
-// a useful non-latency-aware reference point next to the paper's policies.
-type OnDemand struct {
-	PeriodMs    float64 // sampling period (Linux default order: 10 ms)
-	SampleMs    float64 // busy-probe spacing within a period
-	UpThreshold float64 // utilization that triggers max frequency (0.80)
+// The Linux-like settings both governors use: utilization is the share of
+// busy probes, one every sampleMs, over each periodMs.
+const (
+	periodMs      = 10   // sampling period (Linux default order: 10 ms)
+	sampleMs      = 1    // busy-probe spacing within a period
+	upThreshold   = 0.80 // utilization at or above which the core speeds up
+	downThreshold = 0.20 // conservative: utilization at or below which it steps down
+)
+
+// Governor mimics the classic Linux cpufreq governors `ondemand`
+// (NewOnDemand) and `conservative` (NewConservative). Both probe whether the
+// core is busy every sampleMs and apply their rule once per periodMs. They
+// are deadline-blind — useful non-latency-aware reference points next to the
+// paper's policies.
+type Governor struct {
+	stepwise bool // conservative's rule, else ondemand's
 
 	busy, samples int
 }
 
-// NewOnDemand returns the governor with Linux-like defaults.
-func NewOnDemand() *OnDemand {
-	return &OnDemand{PeriodMs: 10, SampleMs: 1, UpThreshold: 0.80}
-}
+// NewOnDemand returns the `ondemand` governor: at or above upThreshold the
+// core jumps to the maximum frequency, otherwise the frequency is set
+// proportionally so the sampled utilization would sit at the threshold.
+func NewOnDemand() *Governor { return &Governor{} }
+
+// NewConservative returns the `conservative` governor: like ondemand but
+// stepping one ladder level at a time, up at or above upThreshold and down
+// at or below downThreshold.
+func NewConservative() *Governor { return &Governor{stepwise: true} }
 
 // Name implements sim.Policy.
-func (p *OnDemand) Name() string { return "ondemand" }
+func (p *Governor) Name() string {
+	if p.stepwise {
+		return "conservative"
+	}
+	return "ondemand"
+}
 
 // Init implements sim.Policy.
-func (p *OnDemand) Init(s *sim.Sim) {
+func (p *Governor) Init(s *sim.Sim) {
 	s.SetFreq(s.Ladder().Min())
-	s.SetTimer(p.SampleMs, 0)
+	s.SetTimer(sampleMs, 0)
 }
 
 // OnArrival implements sim.Policy.
-func (p *OnDemand) OnArrival(*sim.Sim, *sim.Request) {}
+func (p *Governor) OnArrival(*sim.Sim, *sim.Request) {}
 
 // OnStart implements sim.Policy.
-func (p *OnDemand) OnStart(*sim.Sim, *sim.Request) {}
+func (p *Governor) OnStart(*sim.Sim, *sim.Request) {}
 
 // OnDeparture implements sim.Policy.
-func (p *OnDemand) OnDeparture(*sim.Sim, *sim.Request) {}
+func (p *Governor) OnDeparture(*sim.Sim, *sim.Request) {}
 
 // OnTimer implements sim.Policy: probe business, and on period boundaries
-// apply the governor rule.
-func (p *OnDemand) OnTimer(s *sim.Sim, _ int64) {
+// apply the governor's rule.
+func (p *Governor) OnTimer(s *sim.Sim, _ int64) {
 	p.samples++
 	if len(s.Queue()) > 0 {
 		p.busy++
 	}
-	if float64(p.samples)*p.SampleMs >= p.PeriodMs {
+	if float64(p.samples)*sampleMs >= periodMs {
 		util := float64(p.busy) / float64(p.samples)
 		p.busy, p.samples = 0, 0
-		if util >= p.UpThreshold {
+		if p.stepwise {
+			switch {
+			case util >= upThreshold:
+				s.SetFreq(s.Ladder().StepUp(s.Freq()))
+			case util <= downThreshold:
+				s.SetFreq(s.Ladder().StepDown(s.Freq()))
+			}
+		} else if util >= upThreshold {
 			s.SetFreq(cpu.FDefault)
 		} else {
-			// Scale so that the observed busy work would fill UpThreshold
+			// Scale so that the observed busy work would fill upThreshold
 			// of the period at the new frequency.
-			target := cpu.Freq(float64(s.Freq()) * util / p.UpThreshold)
+			target := cpu.Freq(float64(s.Freq()) * util / upThreshold)
 			s.SetFreq(s.Ladder().ClampUp(target))
 		}
 	}
-	s.SetTimer(s.Now()+p.SampleMs, 0)
-}
-
-// Conservative mimics the Linux `conservative` governor: like ondemand but
-// stepping one ladder level at a time in both directions.
-type Conservative struct {
-	PeriodMs      float64
-	SampleMs      float64
-	UpThreshold   float64 // step up above this (0.80)
-	DownThreshold float64 // step down below this (0.20)
-
-	busy, samples int
-}
-
-// NewConservative returns the governor with Linux-like defaults.
-func NewConservative() *Conservative {
-	return &Conservative{PeriodMs: 10, SampleMs: 1, UpThreshold: 0.80, DownThreshold: 0.20}
-}
-
-// Name implements sim.Policy.
-func (p *Conservative) Name() string { return "conservative" }
-
-// Init implements sim.Policy.
-func (p *Conservative) Init(s *sim.Sim) {
-	s.SetFreq(s.Ladder().Min())
-	s.SetTimer(p.SampleMs, 0)
-}
-
-// OnArrival implements sim.Policy.
-func (p *Conservative) OnArrival(*sim.Sim, *sim.Request) {}
-
-// OnStart implements sim.Policy.
-func (p *Conservative) OnStart(*sim.Sim, *sim.Request) {}
-
-// OnDeparture implements sim.Policy.
-func (p *Conservative) OnDeparture(*sim.Sim, *sim.Request) {}
-
-// OnTimer implements sim.Policy.
-func (p *Conservative) OnTimer(s *sim.Sim, _ int64) {
-	p.samples++
-	if len(s.Queue()) > 0 {
-		p.busy++
-	}
-	if float64(p.samples)*p.SampleMs >= p.PeriodMs {
-		util := float64(p.busy) / float64(p.samples)
-		p.busy, p.samples = 0, 0
-		switch {
-		case util >= p.UpThreshold:
-			s.SetFreq(s.Ladder().StepUp(s.Freq()))
-		case util <= p.DownThreshold:
-			s.SetFreq(s.Ladder().StepDown(s.Freq()))
-		}
-	}
-	s.SetTimer(s.Now()+p.SampleMs, 0)
+	s.SetTimer(s.Now()+sampleMs, 0)
 }

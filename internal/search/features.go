@@ -6,7 +6,6 @@ import (
 	"gemini/internal/corpus"
 	"gemini/internal/index"
 	"gemini/internal/par"
-	"gemini/internal/simd"
 )
 
 // Feature indices of the Table II feature vector. The order matches the
@@ -110,9 +109,8 @@ func (x *Extractor) Features(q corpus.Query) FeatureVector {
 // list's single-term execution. Each statistic sums in posting order, as
 // refProfile's means and variance (reference_test.go) do over the impacts, so
 // each has their bits: the first pass takes the sums behind the three means
-// and the counts, a chunk of postings at a time so that simd.Log takes the
-// chunk's logarithms; the second, which needs the arithmetic mean, the
-// variance and the local maxima.
+// and the counts; the second, which needs the arithmetic mean, the variance
+// and the local maxima.
 func buildProfile(pl *index.PostingList, ex Execution) termProfile {
 	const eps = 1e-12 // the floor the geometric and harmonic means clamp an impact to
 	ps := pl.Postings
@@ -125,31 +123,23 @@ func buildProfile(pl *index.PostingList, ex Execution) termProfile {
 
 	var sum, sumLog, sumInv float64
 	nMax, in5Max, in5Kth := 0, 0, 0
-	var logs [256]float64 // a chunk's clamped impacts, then their logarithms
-	for lo := 0; lo < len(ps); lo += len(logs) {
-		chunk := ps[lo:min(lo+len(logs), len(ps))]
-		for i, p := range chunk {
-			v := float64(p.Impact)
-			sum += v
-			c := v
-			if c < eps {
-				c = eps
-			}
-			logs[i] = c
-			sumInv += 1 / c
-			if v >= max { // nothing exceeds max, so this counts exact hits
-				nMax++
-			}
-			if v >= 0.95*max {
-				in5Max++
-			}
-			if v >= 0.95*kth {
-				in5Kth++
-			}
+	for _, p := range ps {
+		v := float64(p.Impact)
+		sum += v
+		c := v
+		if c < eps {
+			c = eps
 		}
-		simd.Log(logs[:len(chunk)]) // math.Log's bits, four at a time
-		for _, l := range logs[:len(chunk)] {
-			sumLog += l
+		sumLog += math.Log(c)
+		sumInv += 1 / c
+		if v >= max { // nothing exceeds max, so this counts exact hits
+			nMax++
+		}
+		if v >= 0.95*max {
+			in5Max++
+		}
+		if v >= 0.95*kth {
+			in5Kth++
 		}
 	}
 	am := sum / n

@@ -1,6 +1,6 @@
 // Package simd is what the AVX2 kernels of several packages share: which
-// vector instructions this CPU and its OS run, and Exp and Log, math.Exp and
-// math.Log over a slice four elements at a time with their bits.
+// vector instructions this CPU and its OS run, and Exp, math.Exp over a
+// slice four elements at a time with its bits.
 package simd
 
 import "math"
@@ -17,23 +17,6 @@ func Exp(v []float64) {
 		}
 		if i < len(v) {
 			v[i] = math.Exp(v[i])
-			i++
-		}
-	}
-}
-
-// Log sets v[i] = math.Log(v[i]) for every i. math.Log's amd64 kernel has a
-// branch only for zero, negative, infinite and NaN inputs; the AVX2 kernel
-// runs its instructions four lanes at a time for every block of four inputs
-// that are positive and finite, and leaves the rest to math.Log, so the bits
-// are math.Log's everywhere.
-func Log(v []float64) {
-	for i := 0; i < len(v); {
-		if AVX2 {
-			i += logAVX2(v[i:])
-		}
-		if i < len(v) {
-			v[i] = math.Log(v[i])
 			i++
 		}
 	}

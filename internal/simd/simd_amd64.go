@@ -34,6 +34,3 @@ func xgetbv() (eax, edx uint32)
 
 //go:noescape
 func expAVX2(v []float64) int
-
-//go:noescape
-func logAVX2(v []float64) int

@@ -136,136 +136,3 @@ edone:
 	MOVQ DX, ret+24(FP)
 	VZEROUPPER
 	RET
-
-// The constants of math.Log's amd64 kernel (log_amd64.s), as it writes them:
-// √2/2, ln 2's halves and the polynomial's L1–L7, then 0.5, 1 and 2, the
-// significand mask, 0.5's bits, and the exponent field's mask, bias and
-// 2⁵² bits, each in four lanes.
-DATA logConst<>+0x00(SB)/8, $7.07106781186547524401e-01
-DATA logConst<>+0x08(SB)/8, $6.93147180369123816490e-01
-DATA logConst<>+0x10(SB)/8, $1.90821492927058770002e-10
-DATA logConst<>+0x18(SB)/8, $6.666666666666735130e-01
-DATA logConst<>+0x20(SB)/8, $3.999999999940941908e-01
-DATA logConst<>+0x28(SB)/8, $2.857142874366239149e-01
-DATA logConst<>+0x30(SB)/8, $2.222219843214978396e-01
-DATA logConst<>+0x38(SB)/8, $1.818357216161805012e-01
-DATA logConst<>+0x40(SB)/8, $1.531383769920937332e-01
-DATA logConst<>+0x48(SB)/8, $1.479819860511658591e-01
-DATA logConst<>+0x50(SB)/8, $0.5
-DATA logConst<>+0x58(SB)/8, $1.0
-DATA logConst<>+0x60(SB)/8, $2.0
-DATA logConst<>+0x68(SB)/8, $0x000FFFFFFFFFFFFF
-DATA logConst<>+0x70(SB)/8, $0x3FE0000000000000
-DATA logConst<>+0x78(SB)/8, $0x7FF
-DATA logConst<>+0x80(SB)/8, $1022.0
-DATA logConst<>+0x88(SB)/8, $0x4330000000000000
-DATA logConst<>+0x90(SB)/8, $4503599627370496.0
-DATA logConst<>+0x98(SB)/8, $0x7FF0000000000000
-GLOBL logConst<>(SB), RODATA|NOPTR, $160
-
-// func logAVX2(v []float64) int
-//
-// v[i] = math.Log(v[i]), four at a time, while every lane of the next four
-// is positive and finite (as bits, 0 < v < +Inf), and returns how many it
-// did: a multiple of four, stopping at the first block with a lane outside
-// or short of four. On such inputs math.Log's amd64 kernel has no branch;
-// each lane runs its instructions as their packed forms, so the bits are
-// math.Log's. The exponent k, an integer below 2¹¹, is made a float64
-// exactly by the 2⁵² trick rather than by CVTSL2SD.
-TEXT ·logAVX2(SB), NOSPLIT, $0-32
-	MOVQ v_base+0(FP), DI
-	MOVQ v_len+8(FP), CX
-	XORQ DX, DX
-	LEAQ logConst<>(SB), AX
-	VPXOR X15, X15, X15
-
-lloop:
-	CMPQ      CX, $4
-	JLT       ldone
-	VMOVUPD   (DI), Y0
-	VPCMPGTQ  Y15, Y0, Y1            // bits > 0: positive, not ±0
-	VPBROADCASTQ 0x98(AX), Y2
-	VPCMPGTQ  Y0, Y2, Y2             // bits < +Inf's: finite, not NaN
-	VPAND     Y1, Y2, Y1
-	VMOVMSKPD Y1, BX
-	CMPQ      BX, $15
-	JNE       ldone
-
-	// f1 = significand | 0.5's bits; k = exponent − 0x3FE.
-	VPBROADCASTQ 0x68(AX), Y1
-	VPAND        Y0, Y1, Y2
-	VPBROADCASTQ 0x70(AX), Y1
-	VPOR         Y1, Y2, Y2           // f1
-	VPSRLQ       $52, Y0, Y3
-	VPBROADCASTQ 0x78(AX), Y1
-	VPAND        Y1, Y3, Y3
-	VPBROADCASTQ 0x88(AX), Y1
-	VPOR         Y1, Y3, Y3
-	VBROADCASTSD 0x90(AX), Y1
-	VSUBPD       Y1, Y3, Y3           // the exponent field as a float64
-	VBROADCASTSD 0x80(AX), Y1
-	VSUBPD       Y1, Y3, Y1           // k
-
-	// if !(√2/2 < f1) { k −= 1; f1 *= 2 }; f = f1 − 1.
-	VBROADCASTSD 0x00(AX), Y0
-	VCMPPD       $5, Y2, Y0, Y0       // not less than
-	VBROADCASTSD 0x58(AX), Y4
-	VANDPD       Y4, Y0, Y3           // 0 or 1
-	VSUBPD       Y3, Y1, Y1
-	VADDPD       Y4, Y3, Y3           // 1 or 2
-	VMULPD       Y3, Y2, Y2
-	VSUBPD       Y4, Y2, Y2           // f
-
-	// s = f/(2+f); s2 = s·s; s4 = s2·s2.
-	VBROADCASTSD 0x60(AX), Y0
-	VADDPD       Y2, Y0, Y0
-	VDIVPD       Y0, Y2, Y3           // s
-	VMULPD       Y3, Y3, Y4           // s2
-	VMULPD       Y4, Y4, Y5           // s4
-
-	// t1 = s2·(L1+s4·(L3+s4·(L5+s4·L7))); t2 = s4·(L2+s4·(L4+s4·L6)).
-	VBROADCASTSD 0x48(AX), Y6
-	VMULPD       Y5, Y6, Y6
-	VBROADCASTSD 0x38(AX), Y7
-	VADDPD       Y7, Y6, Y6
-	VMULPD       Y5, Y6, Y6
-	VBROADCASTSD 0x28(AX), Y7
-	VADDPD       Y7, Y6, Y6
-	VMULPD       Y5, Y6, Y6
-	VBROADCASTSD 0x18(AX), Y7
-	VADDPD       Y7, Y6, Y6
-	VMULPD       Y6, Y4, Y4           // t1
-	VBROADCASTSD 0x40(AX), Y6
-	VMULPD       Y5, Y6, Y6
-	VBROADCASTSD 0x30(AX), Y7
-	VADDPD       Y7, Y6, Y6
-	VMULPD       Y5, Y6, Y6
-	VBROADCASTSD 0x20(AX), Y7
-	VADDPD       Y7, Y6, Y6
-	VMULPD       Y6, Y5, Y5           // t2
-	VADDPD       Y5, Y4, Y4           // R
-
-	// hfsq = 0.5·f·f; k·Ln2Hi − ((hfsq − (s·(R+hfsq) + k·Ln2Lo)) − f).
-	VBROADCASTSD 0x50(AX), Y0
-	VMULPD       Y2, Y0, Y0
-	VMULPD       Y2, Y0, Y0           // hfsq
-	VADDPD       Y0, Y4, Y4
-	VMULPD       Y4, Y3, Y3
-	VBROADCASTSD 0x10(AX), Y4
-	VMULPD       Y1, Y4, Y4
-	VADDPD       Y4, Y3, Y3
-	VSUBPD       Y3, Y0, Y0
-	VSUBPD       Y2, Y0, Y0
-	VBROADCASTSD 0x08(AX), Y4
-	VMULPD       Y4, Y1, Y1
-	VSUBPD       Y0, Y1, Y1
-	VMOVUPD      Y1, (DI)
-	ADDQ         $32, DI
-	SUBQ         $4, CX
-	ADDQ         $4, DX
-	JMP          lloop
-
-ldone:
-	MOVQ DX, ret+24(FP)
-	VZEROUPPER
-	RET

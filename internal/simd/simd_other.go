@@ -6,5 +6,3 @@ package simd
 const AVX2, FMA = false, false
 
 func expAVX2(v []float64) int { panic("simd: no kernels on this architecture") }
-
-func logAVX2(v []float64) int { panic("simd: no kernels on this architecture") }

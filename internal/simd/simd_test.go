@@ -57,52 +57,3 @@ func FuzzExp(f *testing.F) {
 		}
 	})
 }
-
-// TestLogMatchesMathLog holds Log to math.Log, bit for bit: uniform
-// significands over exponents from the subnormals to the largest, values
-// around 1 and √2/2, and the special values, at every offset of slices 1–9
-// long.
-func TestLogMatchesMathLog(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	edges := []float64{1, math.Nextafter(1, 0), math.Nextafter(1, 2), math.Sqrt2 / 2, math.Nextafter(math.Sqrt2/2, 0),
-		math.Nextafter(math.Sqrt2/2, 1), 5e-324, math.SmallestNonzeroFloat64 * 3, 2.2250738585072014e-308, math.MaxFloat64,
-		0, math.Copysign(0, -1), -1, math.Inf(1), math.Inf(-1), math.NaN()}
-	draw := func() float64 {
-		switch r := rng.Intn(10); {
-		case r < 2:
-			return edges[rng.Intn(len(edges))]
-		case r < 4:
-			return 0.5 + rng.Float64()
-		}
-		return math.Ldexp(rng.Float64(), rng.Intn(2100)-1074)
-	}
-	for trial := 0; trial < 50000; trial++ {
-		v := make([]float64, 1+trial%9)
-		for i := range v {
-			v[i] = draw()
-		}
-		got := append([]float64(nil), v...)
-		Log(got)
-		for i, x := range v {
-			if want := math.Log(x); math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Fatalf("log(%v) [%x]: Log %x, math.Log %x", x, math.Float64bits(x), math.Float64bits(got[i]), math.Float64bits(want))
-			}
-		}
-	}
-}
-
-// FuzzLog is TestLogMatchesMathLog on the fuzzer's inputs.
-func FuzzLog(f *testing.F) {
-	f.Add(1.0, 0.5, 0.7071067811865476, 1e300, 5e-324)
-	f.Add(0.0, -1.0, 2.0, 3.0, 4.0)
-	f.Fuzz(func(t *testing.T, a, b, c, d, e float64) {
-		v := []float64{a, b, c, d, e}
-		got := append([]float64(nil), v...)
-		Log(got)
-		for i, x := range v {
-			if want := math.Log(x); math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Fatalf("log(%v): Log %x, math.Log %x", x, math.Float64bits(got[i]), math.Float64bits(want))
-			}
-		}
-	})
-}
